@@ -509,8 +509,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
-    if getattr(args, "experiment", None) is not None and not args.experiment:
-        args.experiment = ["a", "b"]
     if hasattr(args, "experiment") and args.experiment is None:
         args.experiment = ["a", "b"]
     try:

@@ -224,15 +224,12 @@ def roc_auc(labels: Sequence[int], scores: Sequence[float]) -> float:
     if n_pos == 0 or n_neg == 0:
         raise UndefinedAUCError("AUC undefined: need both classes")
     order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores))
     sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0  # midrank, 1-based
-        i = j + 1
+    # tie groups span sorted positions [start, end); 1-based midrank (start + end + 1) / 2
+    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    ends = np.r_[starts[1:], len(scores)]
+    ranks = np.empty(len(scores))
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
     rank_sum = float(np.sum(ranks[labels == 1]))
     u = rank_sum - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .optim import gradient_descent
+from .optim import armijo_step
 
 
 def _with_intercept(X: np.ndarray) -> np.ndarray:
@@ -47,21 +47,49 @@ def log_loss_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray, reg: float):
     return loss, np.concatenate([gw, [gb]])
 
 
+def _log_hessian(theta: np.ndarray, X: np.ndarray, reg: float) -> np.ndarray:
+    """Hessian of ``log_loss_grad``: X'SX/n with S = diag(p(1-p)), plus reg/n on the
+    weights; the bias row and column come from sums, so X gets no intercept column."""
+    n, d = X.shape
+    p = sigmoid(X @ theta[:d] + theta[d])
+    s = p * (1.0 - p) / n
+    root = X * np.sqrt(s)[:, None]
+    hess = np.empty((d + 1, d + 1))
+    hess[:d, :d] = root.T @ root + (reg / n) * np.eye(d)
+    hess[:d, d] = hess[d, :d] = X.T @ s
+    hess[d, d] = s.sum()
+    return hess
+
+
 def fit_log(X: np.ndarray, y: np.ndarray, hp: dict) -> dict:
-    """Regularized maximum likelihood by full-batch descent with backtracking."""
+    """Regularized maximum likelihood by damped Newton (IRLS) steps with Armijo
+    backtracking; stops when the gradient norm drops below ``tol``, after
+    ``max_iter`` steps, or when no step decreases the loss."""
     reg = float(hp["regularization"])
-    theta0 = np.zeros(X.shape[1] + 1)
-    theta, n_iter, converged = gradient_descent(
-        lambda t: log_loss_grad(t, X, y, reg),
-        theta0,
-        max_iter=int(hp["max_iter"]),
-        tol=float(hp["tol"]),
-    )
+    max_iter, tol = int(hp["max_iter"]), float(hp["tol"])
+
+    def fun_grad(t):
+        return log_loss_grad(t, X, y, reg)
+
+    theta = np.zeros(X.shape[1] + 1)
+    f, g = fun_grad(theta)
+    n_iter = 0
+    while n_iter < max_iter and float(np.linalg.norm(g)) >= tol:
+        hess = _log_hessian(theta, X, reg)
+        try:
+            direction = np.linalg.solve(hess, -g)
+        except np.linalg.LinAlgError:  # exactly singular, e.g. reg=0 with a constant column
+            direction = np.linalg.lstsq(hess, -g, rcond=None)[0]
+        res = armijo_step(fun_grad, theta, f, g, direction, 1.0)
+        if res is None:
+            break
+        theta, f, g, _ = res
+        n_iter += 1
     return {
         "weights": theta[:-1],
         "bias": float(theta[-1]),
-        "n_iter": int(n_iter),
-        "converged": bool(converged),
+        "n_iter": n_iter,
+        "converged": bool(np.linalg.norm(g) < tol),
     }
 
 

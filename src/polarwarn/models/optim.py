@@ -1,4 +1,6 @@
-"""Deterministic full-batch optimizers shared by the trainable models."""
+"""Deterministic full-batch optimizers shared by the trainable models: the
+Armijo line search that every Newton (``linear.fit_log``) and quasi-Newton
+step goes through, and ``lbfgs``, which trains the perceptron (``mlp.fit_nn``)."""
 
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ _BACKTRACK_SHRINK = 0.5
 _MAX_BACKTRACKS = 60
 
 
-def _armijo_step(fun_grad: FunGrad, x, f, g, direction, step0: float):
+def armijo_step(fun_grad: FunGrad, x, f, g, direction, step0: float):
     """Backtracking line search; returns (x_new, f_new, g_new, step) or None."""
     descent = float(g @ direction)
     if descent >= 0.0:
@@ -26,31 +28,6 @@ def _armijo_step(fun_grad: FunGrad, x, f, g, direction, step0: float):
             return x_new, f_new, g_new, step
         step *= _BACKTRACK_SHRINK
     return None
-
-
-def gradient_descent(
-    fun_grad: FunGrad,
-    x0: np.ndarray,
-    max_iter: int,
-    tol: float,
-) -> tuple[np.ndarray, int, bool]:
-    """Plain full-batch gradient descent with Armijo backtracking.
-
-    Stops when the gradient norm drops below ``tol`` or the iteration cap is
-    reached; fully deterministic.
-    """
-    x = np.asarray(x0, dtype=float).copy()
-    f, g = fun_grad(x)
-    step = 1.0
-    for it in range(max_iter):
-        if float(np.linalg.norm(g)) < tol:
-            return x, it, True
-        res = _armijo_step(fun_grad, x, f, g, -g, step)
-        if res is None:
-            return x, it, False
-        x, f, g, used = res
-        step = min(used * 2.0, 1e3)
-    return x, max_iter, float(np.linalg.norm(g)) < tol
 
 
 def lbfgs(
@@ -88,9 +65,9 @@ def lbfgs(
             b = rho * float(y @ q)
             q += (a - b) * s
         direction = -q
-        res = _armijo_step(fun_grad, x, f, g, direction, 1.0)
+        res = armijo_step(fun_grad, x, f, g, direction, 1.0)
         if res is None:
-            res = _armijo_step(fun_grad, x, f, g, -g, 1.0)
+            res = armijo_step(fun_grad, x, f, g, -g, 1.0)
             if res is None:
                 return x, it, False
         x_new, f_new, g_new, _ = res

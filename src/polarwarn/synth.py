@@ -107,12 +107,6 @@ class SynthConfig:
                 f"infeasible: {reserved} cohort users + audience {self.audience_size} "
                 f"exceed n_users={self.n_users}"
             )
-        n_head_disputed = min(int(round(self.head_entities * self.disputed_fraction)), self.n_disputed())
-        minima = (self.n_disputed() - n_head_disputed) * 3 + (
-            self.n_entities - self.head_entities - (self.n_disputed() - n_head_disputed)
-        )
-        if self.head_entities * self.head_posts_max + minima > self.n_posts * 2:
-            pass  # loose sanity only; exact feasibility checked during allocation
 
     def to_json_dict(self) -> dict:
         return asdict(self)

@@ -4,11 +4,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polarwarn import models
 from polarwarn.models import Dataset, ModelSpec
-from polarwarn.models.linear import log_loss_grad
+from polarwarn.models.linear import fit_log, log_loss_grad
 from polarwarn.models.mlp import init_params, nn_loss_grad
+from polarwarn.models.optim import lbfgs
 from polarwarn.models.tree import tree_depth
 
 
@@ -212,6 +215,74 @@ class TestGradients:
         theta = np.concatenate([model.params["weights"], [model.params["bias"]]])
         _, grad = log_loss_grad(theta, std, ds.labels.astype(float), reg=1.0)
         assert float(np.linalg.norm(grad)) < 1e-5
+
+
+def standardized(X, y):
+    _, ds = models.standardize(make_dataset(X, y))
+    return ds.features, ds.labels.astype(float)
+
+
+def reference_log_loss(X, y, reg):
+    """Loss at an independent quasi-Newton minimum of the same objective."""
+    theta, _, _ = lbfgs(
+        lambda t: log_loss_grad(t, X, y, reg), np.zeros(X.shape[1] + 1), max_iter=200, tol=1e-10
+    )
+    return log_loss_grad(theta, X, y, reg)[0]
+
+
+class TestLogOptimality:
+    HP = ModelSpec("log").hyperparameters
+
+    def assert_optimal(self, X, y, hp=HP):
+        params = fit_log(X, y, hp)
+        theta = np.concatenate([params["weights"], [params["bias"]]])
+        loss, grad = log_loss_grad(theta, X, y, hp["regularization"])
+        assert params["converged"]
+        assert float(np.linalg.norm(grad)) < hp["tol"]
+        assert abs(loss - reference_log_loss(X, y, hp["regularization"])) < 1e-10
+        # Newton steps converge quadratically; first-order descent needs hundreds
+        assert params["n_iter"] <= 25
+
+    def test_zero_variance_column(self):
+        rng = np.random.default_rng(41)
+        X = rng.normal(0, 1, (200, 5))
+        X[:, 2] = 3.0
+        y = (X[:, 0] + rng.normal(0, 1, 200) > 0).astype(int)
+        Xs, ys = standardized(X, y)
+        assert np.all(Xs[:, 2] == 0.0)
+        self.assert_optimal(Xs, ys)
+
+    def test_perfectly_separable(self):
+        rng = np.random.default_rng(43)
+        X = rng.normal(0, 1, (300, 4))
+        y = (X @ np.array([1.0, -2.0, 0.5, 0.0]) > 0).astype(int)
+        self.assert_optimal(*standardized(X, y))
+
+    def test_class_imbalance_95_5(self):
+        rng = np.random.default_rng(47)
+        X = rng.normal(0, 1, (400, 6))
+        y = np.zeros(400, dtype=int)
+        y[:20] = 1
+        X[:20] += 0.8
+        self.assert_optimal(*standardized(X, y))
+
+    def test_unpenalized_constant_column_has_singular_hessian(self):
+        rng = np.random.default_rng(53)
+        X = rng.normal(0, 1, (100, 3))
+        X[:, 1] = 0.0
+        y = (X[:, 0] + rng.normal(0, 1, 100) > 0).astype(float)
+        self.assert_optimal(X, y, {**self.HP, "regularization": 0.0})
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_random_small_problems(self, seed):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(4, 80)), int(rng.integers(1, 6))
+        X = rng.normal(0, 1, (n, d)) * rng.uniform(0.1, 5.0, d)
+        y = rng.integers(0, 2, n)
+        y[:2] = [0, 1]
+        reg = float(rng.choice([0.01, 0.1, 1.0, 10.0]))
+        self.assert_optimal(*standardized(X, y), {**self.HP, "regularization": reg})
 
 
 class TestDecisionTree:

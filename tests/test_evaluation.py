@@ -164,6 +164,15 @@ class TestRocAuc:
             scores = np.round(rng.normal(0, 1, n), 1)  # coarse -> frequent ties
             assert abs(ev.roc_auc(labels, scores) - pairwise_auc(labels, scores)) < 1e-9
 
+    @given(st.lists(st.tuples(st.integers(0, 1), st.integers(-3, 3)), min_size=2, max_size=120))
+    @settings(max_examples=150, deadline=None)
+    def test_tie_heavy_integer_scores_match_pair_oracle(self, pairs):
+        labels = [p[0] for p in pairs]
+        labels[:2] = [0, 1]
+        scores = [float(p[1]) for p in pairs]
+        # midranks and pair counts are exact half-integers here, so equality is exact
+        assert ev.roc_auc(labels, scores) == pairwise_auc(labels, scores)
+
     @given(
         st.lists(st.integers(0, 1), min_size=4, max_size=40),
         st.floats(min_value=0.1, max_value=5.0),
