@@ -11,13 +11,14 @@ step experiments can slice by category.
 from __future__ import annotations
 
 import logging
-import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import islice, repeat
+from operator import attrgetter
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, EntitySample, PostSample
+from .corpus import Comment, Corpus, EntitySample, Post, PostSample
 from .features import EntityFeatures
 from .evaluation import Protocol, MetricsReport, StepwiseResult, evaluate_spec, forward_stepwise, mean_cycle_auc
 from .earlywarning import EntityPrediction
@@ -27,9 +28,15 @@ log = logging.getLogger(__name__)
 
 CLASS_NAMES = {0: "not_fake", 1: "fake"}
 
-_WORD = re.compile(r"[^\W_]+", re.UNICODE)
-_SENTENCE_SPLIT = re.compile(r"[.!?]+")
-_PUNCTUATION = set(".,;:!?'\"()-")
+_PUNCTUATION = frozenset(".,;:!?'\"()-")
+_TERMINATORS = frozenset(".!?")
+
+# Character classes of the text kernel, as bit flags.  A word character is
+# one the pattern [^\W_] matches, which for one character is str.isalnum().
+_WORD_CHAR, _UPPER, _PUNCT, _TERM = 1, 2, 4, 8
+# Texts per kernel call: bounds the per-character arrays, so peak memory
+# does not grow with the corpus.
+_TEXT_BATCH = 2048
 
 SEMANTIC_STAT_NAMES = (
     "characters",
@@ -44,6 +51,80 @@ SEMANTIC_STAT_NAMES = (
 )
 
 
+def _div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den, and 0.0 where den is 0."""
+    return np.divide(num, den, out=np.zeros(len(num)), where=den > 0)
+
+
+def _char_class(code: int) -> int:
+    ch = chr(code)
+    return (
+        _WORD_CHAR * ch.isalnum()
+        | _UPPER * ch.isupper()
+        | _PUNCT * (ch in _PUNCTUATION)
+        | _TERM * (ch in _TERMINATORS)
+    )
+
+
+def _semantic_batch(texts: list[str]) -> np.ndarray:
+    """Semantic statistics of already stripped texts, one row per text.
+
+    The texts are joined and read as code points; only the distinct code
+    points are classified, and every count is a per-text bincount.  A word
+    starts at a word character that follows a non-word character or opens
+    its text.  A sentence starts at a word character whose previous word or
+    terminator character in the text is a terminator, or that has none.
+    """
+    n = len(texts)
+    lengths = np.fromiter(map(len, texts), np.int64, n)
+    codes = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), np.uint32)
+    seen = np.bincount(codes, minlength=1)
+    table = np.zeros(len(seen), np.uint8)
+    present = np.flatnonzero(seen)
+    table[present] = [_char_class(int(c)) for c in present]
+    cls = table[codes]
+    text = np.repeat(np.arange(n), lengths)
+
+    word = (cls & _WORD_CHAR) > 0
+    after_word = np.zeros(len(cls), bool)
+    after_word[1:] = word[:-1]
+    after_word[(np.cumsum(lengths) - lengths)[lengths > 0]] = False
+    marks = np.flatnonzero(cls & (_WORD_CHAR | _TERM))
+    mark_word, mark_text = word[marks], text[marks]
+    opens = np.ones(len(marks), bool)
+    opens[1:] = ~mark_word[:-1] | (mark_text[1:] != mark_text[:-1])
+
+    def per_text(at: np.ndarray) -> np.ndarray:
+        return np.bincount(at, minlength=n).astype(float)
+
+    chars = lengths.astype(float)
+    words = per_text(text[word & ~after_word])
+    sentences = per_text(mark_text[mark_word & opens])
+    capitals = per_text(text[(cls & _UPPER) > 0])
+    punctuation = per_text(text[(cls & _PUNCT) > 0])
+    return np.column_stack([
+        chars,
+        words,
+        sentences,
+        capitals,
+        punctuation,
+        _div(per_text(text[word]), words),
+        _div(words, sentences),
+        _div(punctuation, chars),
+        _div(capitals, chars),
+    ])
+
+
+def _semantic_columns(texts: Iterable[str], n: int) -> np.ndarray:
+    """The nine semantic statistics of ``n`` texts, in batches of _TEXT_BATCH."""
+    texts = iter(texts)
+    out = np.zeros((n, len(SEMANTIC_STAT_NAMES)))
+    for start in range(0, n, _TEXT_BATCH):
+        batch = [t.strip() for t in islice(texts, _TEXT_BATCH)]
+        out[start:start + len(batch)] = _semantic_batch(batch)
+    return out
+
+
 def semantic_stats(text: str) -> np.ndarray:
     """Nine surface statistics of a text.
 
@@ -52,26 +133,39 @@ def semantic_stats(text: str) -> np.ndarray:
     words; rates divide by the character count.  Surrounding whitespace is
     ignored and empty text yields all zeros.
     """
-    text = text.strip()
-    n_chars = len(text)
-    words = _WORD.findall(text)
-    sentences = [seg for seg in _SENTENCE_SPLIT.split(text) if _WORD.search(seg)]
-    n_punct = sum(1 for ch in text if ch in _PUNCTUATION)
-    n_caps = sum(1 for ch in text if ch.isupper())
-    return np.array(
-        [
-            n_chars,
-            len(words),
-            len(sentences),
-            n_caps,
-            n_punct,
-            sum(len(w) for w in words) / len(words) if words else 0.0,
-            len(words) / len(sentences) if sentences else 0.0,
-            n_punct / n_chars if n_chars else 0.0,
-            n_caps / n_chars if n_chars else 0.0,
-        ],
-        dtype=float,
-    )
+    return _semantic_columns([text], 1)[0]
+
+
+def _pow(x: np.ndarray, y: float) -> np.ndarray:
+    """``x ** y`` for y in (2, 0.5), rounded exactly as Python floats round it.
+
+    Python's float power calls the C library's ``pow``, which can round the
+    last bit differently from ``x * x``, ``np.sqrt`` and ``np.power``.  Where
+    the result is exact - a square of at most 26 significant bits, or the root
+    of one - every method gives it, so only the other entries go through
+    Python.
+    """
+    fast = x * x if y == 2 else np.sqrt(x)
+    mantissa = np.frexp(x if y == 2 else fast)[0] * 2.0**26
+    exact = mantissa == np.floor(mantissa)
+    if y != 2:
+        exact &= fast * fast == x
+    slow = np.flatnonzero(~exact)
+    fast[slow] = np.fromiter(map(pow, x[slow].tolist(), repeat(y)), float, len(slow))
+    return fast
+
+
+def _grouped(group: np.ndarray, values: np.ndarray, size: int) -> tuple[np.ndarray, ...]:
+    """Per-group sum, mean and population std of ``values``; 0 for empty groups.
+
+    Sums run in array order, as a left-to-right scalar ``sum`` does, and the
+    std is ``var ** 0.5`` with var the mean squared deviation from the mean.
+    """
+    counts = np.bincount(group, minlength=size)
+    total = np.bincount(group, weights=values, minlength=size)
+    mean = _div(total, counts)
+    var = _div(np.bincount(group, weights=_pow(values - mean[group], 2), minlength=size), counts)
+    return total, mean, _pow(var, 0.5)
 
 
 STRUCTURAL_NAMES = (
@@ -83,27 +177,6 @@ STRUCTURAL_NAMES = (
     "avg_likes_on_comments",
     "avg_comments_on_comments",
 )
-
-
-def structural_stats(corpus: Corpus, post_id: str) -> np.ndarray:
-    post = corpus.posts[post_id]
-    cids = corpus.comments_by_post.get(post_id, ())
-    likes_on = sum(corpus.comments[c].likes for c in cids)
-    replies_on = sum(corpus.comments[c].replies for c in cids)
-    n = len(cids)
-    return np.array(
-        [
-            post.likes,
-            n,
-            post.shares,
-            likes_on,
-            replies_on,
-            likes_on / n if n else 0.0,
-            replies_on / n if n else 0.0,
-        ],
-        dtype=float,
-    )
-
 
 USER_STAT_NAMES = (
     "comments_to_commenters_avg",
@@ -120,106 +193,6 @@ USER_STAT_NAMES = (
     "engaged_users_rate",
 )
 
-
-@dataclass(frozen=True)
-class _UserContext:
-    """Corpus-wide per-user tallies shared across all posts of a build."""
-
-    pages_per_user: Mapping[str, int]
-    total_comments: Mapping[str, int]
-    member_comment_counts: Mapping[tuple[str, str], int]
-    post_entities: Mapping[str, tuple[str, ...]]
-
-
-def _build_user_context(corpus: Corpus, sample: EntitySample) -> _UserContext:
-    pages: dict[str, set[str]] = {}
-    totals: dict[str, int] = {}
-    for user, cids in corpus.comments_by_user.items():
-        totals[user] = len(cids)
-        pages[user] = {corpus.posts[corpus.comments[c].post_id].source_id for c in cids}
-    post_entities: dict[str, list[str]] = {}
-    for entity in sorted(sample.entities):
-        for p in sample.member_posts[entity]:
-            post_entities.setdefault(p, []).append(entity)
-    member_counts: dict[tuple[str, str], int] = {}
-    for p, entities in post_entities.items():
-        for cid in corpus.comments_by_post.get(p, ()):
-            user = corpus.comments[cid].user_id
-            for entity in entities:
-                key = (user, entity)
-                member_counts[key] = member_counts.get(key, 0) + 1
-    return _UserContext(
-        pages_per_user={u: len(s) for u, s in pages.items()},
-        total_comments=totals,
-        member_comment_counts=member_counts,
-        post_entities={p: tuple(es) for p, es in post_entities.items()},
-    )
-
-
-def _mean_std(values: Sequence[float]) -> tuple[float, float]:
-    if not values:
-        return 0.0, 0.0
-    mean = sum(values) / len(values)
-    var = sum((v - mean) ** 2 for v in values) / len(values)
-    return mean, var**0.5
-
-
-def user_stats(corpus: Corpus, post_id: str, sample: EntitySample, ctx: _UserContext | None = None) -> np.ndarray:
-    """Twelve commenter-behavior statistics for one post.
-
-    "Comments/likes to commenters" are the replies/likes received by each
-    commenter on their comments under this post, aggregated across
-    commenters; the mean-std variants average the per-commenter standard
-    deviation.  Engagement uses the corpus-wide 95% rule against the
-    entities the post contains.
-    """
-    if ctx is None:
-        ctx = _build_user_context(corpus, sample)
-    by_user: dict[str, list] = {}
-    for cid in corpus.comments_by_post.get(post_id, ()):
-        c = corpus.comments[cid]
-        by_user.setdefault(c.user_id, []).append(c)
-    if not by_user:
-        return np.zeros(len(USER_STAT_NAMES))
-    commenters = sorted(by_user)
-    replies_sums = [sum(c.replies for c in by_user[u]) for u in commenters]
-    likes_sums = [sum(c.likes for c in by_user[u]) for u in commenters]
-    per_user_like_stds = [_mean_std([c.likes for c in by_user[u]])[1] for u in commenters]
-    per_user_reply_stds = [_mean_std([c.replies for c in by_user[u]])[1] for u in commenters]
-    comment_counts = [len(by_user[u]) for u in commenters]
-    pages = [ctx.pages_per_user[u] for u in commenters]
-
-    entities = ctx.post_entities.get(post_id, ())
-    engaged = 0
-    for u in commenters:
-        total = ctx.total_comments[u]
-        for entity in entities:
-            if ctx.member_comment_counts.get((u, entity), 0) > 0.95 * total:
-                engaged += 1
-                break
-    r_avg, r_std = _mean_std(replies_sums)
-    l_avg, l_std = _mean_std(likes_sums)
-    c_avg, c_std = _mean_std(comment_counts)
-    p_avg, p_std = _mean_std(pages)
-    return np.array(
-        [
-            r_avg,
-            r_std,
-            l_avg,
-            l_std,
-            sum(per_user_like_stds) / len(commenters),
-            sum(per_user_reply_stds) / len(commenters),
-            c_avg,
-            c_std,
-            p_avg,
-            p_std,
-            engaged,
-            engaged / len(commenters),
-        ],
-        dtype=float,
-    )
-
-
 SENTIMENT_BASE_NAMES = ("post_sentiment", "presentation_dist_mean", "presentation_dist_std")
 SENTIMENT_COMMENT_NAMES = (
     "comment_sent_avg",
@@ -231,58 +204,6 @@ SENTIMENT_COMMENT_NAMES = (
     "rate_captivating_entities",
     "response_dist_avg",
 )
-
-
-def sentiment_stats(
-    corpus: Corpus,
-    post_id: str,
-    entities: Sequence[str],
-    feature_map: Mapping[str, EntityFeatures],
-    include_comment_sentiment: bool,
-) -> np.ndarray:
-    """Sentiment-based features; the comment-dependent block only for P2-style builds."""
-    post = corpus.posts[post_id]
-    dps = [feature_map[e].presentation_distance for e in entities if e in feature_map]
-    dp_mean, dp_std = _mean_std(dps)
-    values = [post.sentiment, dp_mean, dp_std]
-    if include_comment_sentiment:
-        scored = [
-            corpus.comments[c].sentiment
-            for c in corpus.comments_by_post.get(post_id, ())
-            if corpus.comments[c].sentiment is not None
-        ]
-        s_avg, s_std = _mean_std(scored)
-        n_pos = sum(1 for s in scored if s > 0)
-        n_neg = sum(1 for s in scored if s < 0)
-        kappa = [feature_map[e].captivation for e in entities if e in feature_map]
-        n_capt = sum(1 for k in kappa if k == 1)
-        responses = [
-            feature_map[e].response_dist_global
-            for e in entities
-            if e in feature_map and feature_map[e].response_dist_global is not None
-        ]
-        values += [
-            s_avg,
-            s_std,
-            n_pos / len(scored) if scored else 0.0,
-            n_neg / len(scored) if scored else 0.0,
-            n_pos / max(1, n_neg),
-            n_capt,
-            n_capt / len(entities) if entities else 0.0,
-            sum(responses) / len(responses) if responses else 0.0,
-        ]
-    return np.array(values, dtype=float)
-
-
-def predicted_stats(entities: Sequence[str], predictions: Mapping[str, EntityPrediction]) -> np.ndarray:
-    """Counts and rates of contained entities predicted disputed, per model."""
-    n = len(entities)
-    count_a = sum(1 for e in entities if e in predictions and predictions[e].pred_a == 1)
-    count_b = sum(1 for e in entities if e in predictions and predictions[e].pred_b == 1)
-    return np.array(
-        [count_a, count_a / n if n else 0.0, count_b, count_b / n if n else 0.0], dtype=float
-    )
-
 
 CATEGORY_PREFIXES = {
     "ST": ("st_",),
@@ -322,48 +243,264 @@ def build_post_dataset(
     P1-style builds (no comment sentiment in the entity sample) omit the
     comment-dependent sentiment block, giving 44 columns; P2-style builds
     carry all 52.
+
+    Every block is computed column-wise from one comment table: every
+    comment of the corpus, the rows' comments first, each post's comments
+    in ``comments_by_post`` order.  Per-post values group the table by post
+    and by (post, commenter), commenters in id order.  User-based features
+    describe each post's commenters: the replies and likes they received
+    there, their comment counts, the pages they commented on corpus-wide,
+    and whether they are engaged with an entity of the post (more than 95%
+    of all their comments on that entity's member posts).
     """
-    feature_map = {f.entity: f for f in entity_features}
-    pred_map = {p.entity: p for p in predictions}
     if not predictions:
         raise ValueError("early-warning predictions are required")
-    model_a = predictions[0].model_a
-    model_b = predictions[0].model_b
-    include_comments = sample.requires_comment_sentiment
-    ctx = _build_user_context(corpus, sample)
-    names = post_feature_names(include_comments, model_a, model_b)
+    names = post_feature_names(
+        sample.requires_comment_sentiment, predictions[0].model_a, predictions[0].model_b
+    )
+    row_ids = sorted(post_sample.posts)
+    n = len(row_ids)
+    rows = [corpus.posts[p] for p in row_ids]
 
-    rows = []
-    ids = []
-    labels = []
-    for post_id in sorted(post_sample.posts):
-        entities = ctx.post_entities.get(post_id, ())
-        if not entities:
-            log.warning("post %s has no qualifying entity mentions", post_id)
-        post = corpus.posts[post_id]
-        comment_text = "\n".join(
-            corpus.comments[c].text for c in corpus.comments_by_post.get(post_id, ())
+    # The comment table: a post index per comment into `order`, whose first
+    # n posts are the rows; the first m comments are the rows' comments.
+    by_post = corpus.comments_by_post
+    order = row_ids + [p for p in by_post if p not in post_sample.posts]
+    n_comments = np.fromiter((len(by_post.get(p, ())) for p in order), np.int64, len(order))
+    comments = [corpus.comments[c] for p in order for c in by_post.get(p, ())]
+    m = int(n_comments[:n].sum())
+    row_comments = comments[:m]
+    post = np.repeat(np.arange(len(order)), n_comments)
+    user_code = {u: i for i, u in enumerate(sorted(corpus.comments_by_user))}
+    user = np.fromiter(
+        map(user_code.__getitem__, map(attrgetter("user_id"), comments)), np.int64, len(comments)
+    )
+    likes = np.fromiter(map(attrgetter("likes"), row_comments), float, m)
+    replies = np.fromiter(map(attrgetter("replies"), row_comments), float, m)
+
+    # Sample entities of each post in `order`, sorted by (post, entity) with
+    # CSR offsets `ptr`; the rows' memberships come first.  A member post
+    # outside `order` has no comments and is not a row.
+    entities = sorted(sample.entities)
+    position = {p: q for q, p in enumerate(order)}
+    member_post, member_entity = [], []
+    for k, entity in enumerate(entities):
+        for p in sample.member_posts[entity]:
+            if p in position:
+                member_post.append(position[p])
+                member_entity.append(k)
+    by = np.lexsort((member_entity, member_post))
+    member_post = np.asarray(member_post, np.int64)[by]
+    member_entity = np.asarray(member_entity, np.int64)[by]
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(member_post, minlength=len(order)))])
+    row_post, row_entity = member_post[:ptr[n]], member_entity[:ptr[n]]
+    row_n_entities = np.diff(ptr[:n + 1]).astype(float)
+
+    missing = [p for p, k in zip(row_ids, row_n_entities) if k == 0]
+    if missing:
+        log.warning(
+            "%d posts have no qualifying entity mentions (first: %s)",
+            len(missing), ", ".join(missing[:5]),
         )
-        row = np.concatenate(
-            [
-                structural_stats(corpus, post_id),
-                semantic_stats(post.text),
-                semantic_stats(comment_text),
-                user_stats(corpus, post_id, sample, ctx),
-                sentiment_stats(corpus, post_id, entities, feature_map, include_comments),
-                predicted_stats(entities, pred_map),
-            ]
-        )
-        rows.append(row)
-        ids.append(post_id)
-        labels.append(post_sample.labels[post_id])
+
+    columns = [
+        *_structural_columns(rows, post[:m], likes, replies, n_comments[:n]),
+        *_semantic_columns((r.text for r in rows), n).T,
+        *_semantic_columns(_joined_comment_texts(row_comments, n_comments[:n]), n).T,
+        *_user_columns(
+            corpus, order, post, user, likes, replies, ptr, member_entity, len(entities), n
+        ),
+        *_sentiment_columns(
+            rows, row_comments, post[:m], row_post, row_entity, row_n_entities, entities,
+            {f.entity: f for f in entity_features}, sample.requires_comment_sentiment,
+        ),
+        *_predicted_columns(
+            row_post, row_entity, row_n_entities, entities, {p.entity: p for p in predictions}
+        ),
+    ]
+    log.debug(
+        "post features: %d rows x %d columns, %d comments scanned (%d on the rows)",
+        n, len(names), len(comments), m,
+    )
     return Dataset(
-        features=np.asarray(rows, dtype=float).reshape(len(rows), len(names)),
-        labels=np.asarray(labels, dtype=np.int8),
+        features=np.column_stack(columns).reshape(n, len(names)),
+        labels=np.asarray([post_sample.labels[p] for p in row_ids], dtype=np.int8),
         feature_names=names,
         positive_class_name="fake",
-        row_ids=tuple(ids),
+        row_ids=tuple(row_ids),
     )
+
+
+def _joined_comment_texts(comments: Sequence[Comment], n_comments: np.ndarray) -> Iterator[str]:
+    """Each row's comment texts joined by newlines, made lazily."""
+    ends = np.cumsum(n_comments).tolist()
+    starts = [0] + ends[:-1]
+    return ("\n".join(c.text for c in comments[a:b]) for a, b in zip(starts, ends))
+
+
+def _structural_columns(
+    rows: list[Post],
+    on_row: np.ndarray,
+    likes: np.ndarray,
+    replies: np.ndarray,
+    n_comments: np.ndarray,
+) -> list[np.ndarray]:
+    n = len(rows)
+    likes_on = np.bincount(on_row, weights=likes, minlength=n)
+    replies_on = np.bincount(on_row, weights=replies, minlength=n)
+    return [
+        np.array([r.likes for r in rows], float),
+        n_comments.astype(float),
+        np.array([r.shares for r in rows], float),
+        likes_on,
+        replies_on,
+        _div(likes_on, n_comments),
+        _div(replies_on, n_comments),
+    ]
+
+
+def _memberships(ptr: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the memberships of each post in ``at``, flattened, and their count per post."""
+    count = np.diff(ptr)[at]
+    index = np.repeat(ptr[:-1][at] - (np.cumsum(count) - count), count) + np.arange(count.sum())
+    return index, count
+
+
+def _user_columns(
+    corpus: Corpus,
+    order: list[str],
+    post: np.ndarray,
+    user: np.ndarray,
+    likes: np.ndarray,
+    replies: np.ndarray,
+    ptr: np.ndarray,
+    member_entity: np.ndarray,
+    n_sample_entities: int,
+    n: int,
+) -> list[np.ndarray]:
+    n_users = len(corpus.comments_by_user)
+    totals = np.bincount(user, minlength=n_users)
+    source_code = {s: i for i, s in enumerate(corpus.sources)}
+    post_source = np.fromiter(
+        (source_code[corpus.posts[p].source_id] for p in order), np.int64, len(order)
+    )
+    pages = np.bincount(
+        np.unique(user * len(source_code) + post_source[post]) // len(source_code),
+        minlength=n_users,
+    )
+
+    # (user, entity) comment counts over the comments on member posts, one
+    # (comment, entity) pair per sample entity of the comment's post.
+    index, count = _memberships(ptr, post)
+    keys, counts = np.unique(
+        np.repeat(user, count) * n_sample_entities + member_entity[index], return_counts=True
+    )
+    engaged = keys[counts > 0.95 * totals[keys // n_sample_entities]]
+
+    # (post, commenter) groups of the rows' comments: commenters in id order
+    # within a post, each group's comments in table order.
+    m = len(likes)
+    by = np.lexsort((user[:m], post[:m]))
+    g_post, g_user = post[:m][by], user[:m][by]
+    opens = np.ones(m, bool)
+    opens[1:] = (g_post[1:] != g_post[:-1]) | (g_user[1:] != g_user[:-1])
+    group = np.cumsum(opens) - 1
+    g_post, g_user = g_post[opens], g_user[opens]
+    size = len(g_post)
+    g_replies, _, g_replies_std = _grouped(group, replies[by], size)
+    g_likes, _, g_likes_std = _grouped(group, likes[by], size)
+    g_comments = np.bincount(group, minlength=size).astype(float)
+    index, count = _memberships(ptr, g_post)
+    hit = np.isin(np.repeat(g_user, count) * n_sample_entities + member_entity[index], engaged)
+    g_engaged = np.bincount(np.repeat(np.arange(size), count)[hit], minlength=size) > 0
+
+    commenters = np.bincount(g_post, minlength=n)
+    _, r_avg, r_std = _grouped(g_post, g_replies, n)
+    _, l_avg, l_std = _grouped(g_post, g_likes, n)
+    _, c_avg, c_std = _grouped(g_post, g_comments, n)
+    _, p_avg, p_std = _grouped(g_post, pages[g_user].astype(float), n)
+    n_engaged = np.bincount(g_post[g_engaged], minlength=n).astype(float)
+    return [
+        r_avg,
+        r_std,
+        l_avg,
+        l_std,
+        _div(np.bincount(g_post, weights=g_likes_std, minlength=n), commenters),
+        _div(np.bincount(g_post, weights=g_replies_std, minlength=n), commenters),
+        c_avg,
+        c_std,
+        p_avg,
+        p_std,
+        n_engaged,
+        _div(n_engaged, commenters),
+    ]
+
+
+def _sentiment_columns(
+    rows: list[Post],
+    comments: list[Comment],
+    on_row: np.ndarray,
+    row_post: np.ndarray,
+    row_entity: np.ndarray,
+    row_n_entities: np.ndarray,
+    entities: list[str],
+    feature_map: Mapping[str, EntityFeatures],
+    include_comment_sentiment: bool,
+) -> list[np.ndarray]:
+    """Sentiment-based features; the comment-dependent block only for P2-style builds."""
+    n = len(rows)
+    feats = [feature_map.get(e) for e in entities]
+    known = np.array([f is not None for f in feats], bool)[row_entity]
+    dp = np.array([0.0 if f is None else f.presentation_distance for f in feats], float)
+    _, dp_mean, dp_std = _grouped(row_post[known], dp[row_entity[known]], n)
+    columns = [np.array([r.sentiment for r in rows], float), dp_mean, dp_std]
+    if not include_comment_sentiment:
+        return columns
+    sentiment = np.fromiter(
+        (np.nan if c.sentiment is None else c.sentiment for c in comments), float, len(comments)
+    )
+    scored = ~np.isnan(sentiment)
+    at, sentiment = on_row[scored], sentiment[scored]
+    n_scored = np.bincount(at, minlength=n)
+    _, s_avg, s_std = _grouped(at, sentiment, n)
+    n_pos = np.bincount(at[sentiment > 0], minlength=n).astype(float)
+    n_neg = np.bincount(at[sentiment < 0], minlength=n).astype(float)
+    captivating = np.array([f is not None and f.captivation == 1 for f in feats], float)
+    n_capt = np.bincount(row_post, weights=captivating[row_entity], minlength=n)
+    response = [None if f is None else f.response_dist_global for f in feats]
+    has_response = np.array([r is not None for r in response], bool)[row_entity]
+    response = np.array([0.0 if r is None else r for r in response], float)
+    at = row_post[has_response]
+    response_sum = np.bincount(at, weights=response[row_entity[has_response]], minlength=n)
+    return columns + [
+        s_avg,
+        s_std,
+        _div(n_pos, n_scored),
+        _div(n_neg, n_scored),
+        n_pos / np.maximum(1.0, n_neg),
+        n_capt,
+        _div(n_capt, row_n_entities),
+        _div(response_sum, np.bincount(at, minlength=n)),
+    ]
+
+
+def _predicted_columns(
+    row_post: np.ndarray,
+    row_entity: np.ndarray,
+    row_n_entities: np.ndarray,
+    entities: list[str],
+    predictions: Mapping[str, EntityPrediction],
+) -> list[np.ndarray]:
+    """Counts and rates of contained entities predicted disputed, per model."""
+    n = len(row_n_entities)
+    columns = []
+    for model in ("pred_a", "pred_b"):
+        disputed = np.array(
+            [e in predictions and getattr(predictions[e], model) == 1 for e in entities], float
+        )
+        count = np.bincount(row_post, weights=disputed[row_entity], minlength=n)
+        columns += [count, _div(count, row_n_entities)]
+    return columns
 
 
 def subset_by_categories(dataset: Dataset, categories: Sequence[str]) -> Dataset:

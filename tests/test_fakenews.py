@@ -1,5 +1,9 @@
 """Post-level features against hand counts and a per-post brute oracle."""
 
+import logging
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +16,126 @@ from polarwarn.evaluation import Protocol
 from polarwarn.models import Dataset, ModelSpec
 
 from conftest import comment, mention, post, source, write_corpus
+
+
+# The per-text definitions the column-wise build must reproduce exactly.
+# Float sums run left to right in explicit loops, so the oracle does not
+# depend on how a Python version's built-in sum() adds floats.
+_WORD = re.compile(r"[^\W_]+")
+_SENTENCE_SPLIT = re.compile(r"[.!?]+")
+_PUNCTUATION = set(".,;:!?'\"()-")
+
+
+def oracle_semantic(text):
+    text = text.strip()
+    n_chars = len(text)
+    words = _WORD.findall(text)
+    sentences = [seg for seg in _SENTENCE_SPLIT.split(text) if _WORD.search(seg)]
+    n_punct = sum(1 for ch in text if ch in _PUNCTUATION)
+    n_caps = sum(1 for ch in text if ch.isupper())
+    return [
+        float(n_chars),
+        float(len(words)),
+        float(len(sentences)),
+        float(n_caps),
+        float(n_punct),
+        sum(len(w) for w in words) / len(words) if words else 0.0,
+        len(words) / len(sentences) if sentences else 0.0,
+        n_punct / n_chars if n_chars else 0.0,
+        n_caps / n_chars if n_chars else 0.0,
+    ]
+
+
+def oracle_mean_std(values):
+    if not values:
+        return 0.0, 0.0
+    total = 0
+    for v in values:
+        total += v
+    mean = total / len(values)
+    squares = 0
+    for v in values:
+        squares += (v - mean) ** 2
+    return mean, (squares / len(values)) ** 0.5
+
+
+def oracle_mean(values):
+    return oracle_mean_std(values)[0]
+
+
+def oracle_row(corpus, pid, sample, feature_map, pred_map):
+    """One post's feature row, straight from the records."""
+    post = corpus.posts[pid]
+    cids = corpus.comments_by_post.get(pid, ())
+    comments = [corpus.comments[c] for c in cids]
+    entities = sorted(
+        e for e, conf in corpus.entities_by_post.get(pid, {}).items()
+        if e in sample.entities and conf >= sample.min_confidence
+    )
+
+    n = len(comments)
+    likes_on = sum(c.likes for c in comments)
+    replies_on = sum(c.replies for c in comments)
+    row = [float(post.likes), float(n), float(post.shares), float(likes_on), float(replies_on),
+           likes_on / n if n else 0.0, replies_on / n if n else 0.0]
+
+    row += oracle_semantic(post.text)
+    row += oracle_semantic("\n".join(c.text for c in comments))
+
+    by_user = {}
+    for c in comments:
+        by_user.setdefault(c.user_id, []).append(c)
+    commenters = sorted(by_user)
+    if commenters:
+        def engaged(user):
+            mine = [corpus.comments[c] for c in corpus.comments_by_user[user]]
+            for e in entities:
+                on_entity = sum(1 for c in mine if c.post_id in sample.member_posts[e])
+                if on_entity > 0.95 * len(mine):
+                    return True
+            return False
+
+        pages = [
+            len({corpus.posts[corpus.comments[c].post_id].source_id
+                 for c in corpus.comments_by_user[u]})
+            for u in commenters
+        ]
+        n_engaged = sum(1 for u in commenters if engaged(u))
+        row += [
+            *oracle_mean_std([sum(c.replies for c in by_user[u]) for u in commenters]),
+            *oracle_mean_std([sum(c.likes for c in by_user[u]) for u in commenters]),
+            oracle_mean([oracle_mean_std([c.likes for c in by_user[u]])[1] for u in commenters]),
+            oracle_mean([oracle_mean_std([c.replies for c in by_user[u]])[1] for u in commenters]),
+            *oracle_mean_std([len(by_user[u]) for u in commenters]),
+            *oracle_mean_std(pages),
+            float(n_engaged),
+            n_engaged / len(commenters),
+        ]
+    else:
+        row += [0.0] * len(fn.USER_STAT_NAMES)
+
+    known = [feature_map[e] for e in entities if e in feature_map]
+    row += [post.sentiment, *oracle_mean_std([f.presentation_distance for f in known])]
+    if sample.requires_comment_sentiment:
+        scored = [c.sentiment for c in comments if c.sentiment is not None]
+        n_pos = sum(1 for s in scored if s > 0)
+        n_neg = sum(1 for s in scored if s < 0)
+        n_capt = sum(1 for f in known if f.captivation == 1)
+        responses = [f.response_dist_global for f in known if f.response_dist_global is not None]
+        row += [
+            *oracle_mean_std(scored),
+            n_pos / len(scored) if scored else 0.0,
+            n_neg / len(scored) if scored else 0.0,
+            n_pos / max(1, n_neg),
+            float(n_capt),
+            n_capt / len(entities) if entities else 0.0,
+            oracle_mean(responses),
+        ]
+
+    for side in ("pred_a", "pred_b"):
+        count = sum(1 for e in entities if e in pred_map and getattr(pred_map[e], side) == 1)
+        row += [float(count), count / len(entities) if entities else 0.0]
+    return row
 
 
 class TestSemanticStats:
@@ -49,6 +173,66 @@ class TestSemanticStats:
         assert fn.semantic_stats(text).tolist() == fn.semantic_stats(padded).tolist()
 
 
+# Characters where a text kernel can go wrong: whitespace the strip removes
+# (including the line separator), underscores (\w but not a word character),
+# titlecase, a non-BMP capital, a combining mark, digits and terminators.
+TRICKY = " \t\n 　_.!?,;:'\"()-aZǅ\U0001d400é٣²"
+tricky_text = st.text(st.one_of(st.sampled_from(TRICKY), st.characters()), max_size=30)
+
+
+class TestTextKernel:
+    @given(st.lists(tricky_text, max_size=12), st.integers(1, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_text_regex_oracle(self, texts, batch):
+        with mock.patch.object(fn, "_TEXT_BATCH", batch):
+            got = fn._semantic_columns(texts, len(texts))
+        assert got.tolist() == [oracle_semantic(t) for t in texts]
+
+    def test_hand_cases(self):
+        texts = ["", "   \n", "__a__b_", "ǅubrovnik. \U0001d400!", "été",
+                 "a b", "?!x", "x?!", "...", "1.5 m"]
+        got = fn._semantic_columns(texts, len(texts))
+        assert got.tolist() == [oracle_semantic(t) for t in texts]
+        words = dict(zip(texts, got[:, 1]))
+        assert words["__a__b_"] == 2  # underscores split words
+        assert words["été"] == 2  # a combining mark is not alphanumeric
+        sentences = dict(zip(texts, got[:, 2]))
+        assert sentences["?!x"] == 1 and sentences["..."] == 0 and sentences["1.5 m"] == 2
+
+    def test_longer_than_one_batch(self):
+        rng = np.random.default_rng(3)
+        alphabet = list(TRICKY) + list("bcdefghij ")
+        texts = ["".join(rng.choice(alphabet, size=rng.integers(0, 25)))
+                 for _ in range(2 * fn._TEXT_BATCH + 7)]
+        got = fn._semantic_columns(iter(texts), len(texts))
+        assert got.tolist() == [oracle_semantic(t) for t in texts]
+
+
+def tiny_prediction(entity, pred_a=0, pred_b=0):
+    return ew.EntityPrediction(
+        entity=entity, pred_a=pred_a, pred_b=pred_b,
+        score_a=float(pred_a), score_b=float(pred_b), model_a="log", model_b="nn",
+    )
+
+
+def build_rows(corpus, predictions, posts=None):
+    """Feature rows by post id of an E1 build over the given posts (default P1)."""
+    sample = cm.select_e1(corpus)
+    if posts is None:
+        post_sample = cm.posts_for_entities(corpus, sample)
+    else:
+        post_sample = cm.PostSample(
+            name="P", posts=frozenset(posts), labels={p: 0 for p in posts},
+            entity_sample_name=sample.name,
+        )
+    ds = fn.build_post_dataset(corpus, post_sample, [], predictions, sample)
+    return {pid: dict(zip(ds.feature_names, row)) for pid, row in zip(ds.row_ids, ds.features)}
+
+
+def user_stats(rows, pid):
+    return {name: rows[pid]["ub_" + name] for name in fn.USER_STAT_NAMES}
+
+
 def build_user_corpus(tmp_path):
     """Three sources; u1 comments on p1 twice and on two other sources."""
     sources = [source("s1"), source("s2"), source("s3", "fake")]
@@ -67,8 +251,7 @@ def build_user_corpus(tmp_path):
 class TestUserStats:
     def test_hand_computation_single_commenter(self, tmp_path):
         corpus = build_user_corpus(tmp_path)
-        sample = cm.select_e1(corpus)
-        stats = dict(zip(fn.USER_STAT_NAMES, fn.user_stats(corpus, "p1", sample)))
+        stats = user_stats(build_rows(corpus, [tiny_prediction("alpha")]), "p1")
         assert stats["comments_to_commenters_avg"] == 4  # replies 1 + 3
         assert stats["comments_to_commenters_std"] == 0
         assert stats["likes_to_commenters_avg"] == 6
@@ -79,8 +262,8 @@ class TestUserStats:
 
     def test_no_commenters_all_zero(self, tmp_path):
         corpus = build_user_corpus(tmp_path)
-        sample = cm.select_e1(corpus)
-        assert fn.user_stats(corpus, "p4", sample).tolist() == [0.0] * 12
+        rows = build_rows(corpus, [tiny_prediction("alpha")], posts=["p1", "p4"])
+        assert list(user_stats(rows, "p4").values()) == [0.0] * 12
 
     def test_engaged_commenter_counted(self, tmp_path):
         sources = [source("s1")]
@@ -88,27 +271,84 @@ class TestUserStats:
         comments = [comment(f"c{i}", "p1", "fan", i) for i in range(5)]
         mentions = [mention("alpha", "p1", 0.9)]
         corpus = cm.load_corpus(write_corpus(tmp_path / "e", sources, posts, comments, mentions))
-        sample = cm.select_e1(corpus)
-        stats = dict(zip(fn.USER_STAT_NAMES, fn.user_stats(corpus, "p1", sample)))
+        stats = user_stats(build_rows(corpus, [tiny_prediction("alpha")]), "p1")
         assert stats["engaged_users"] == 1
         assert stats["engaged_users_rate"] == 1.0
 
+    def test_per_commenter_std_of_unequal_likes(self, tmp_path):
+        sources = [source("s1")]
+        posts = [post("p1")]
+        comments = [comment(f"c{i}", "p1", "u1", i, likes=likes, replies=2 * likes)
+                    for i, likes in enumerate((1, 2, 6))]
+        corpus = cm.load_corpus(write_corpus(
+            tmp_path / "s", sources, posts, comments, [mention("alpha", "p1", 0.9)]
+        ))
+        stats = user_stats(build_rows(corpus, [tiny_prediction("alpha")]), "p1")
+        # likes {1, 2, 6}: mean 3, squared deviations 4 + 1 + 9
+        assert stats["mean_std_likes_to_commenters"] == (14 / 3) ** 0.5
+        assert stats["mean_std_comments_to_commenters"] == (56 / 3) ** 0.5
+        assert stats["likes_to_commenters_avg"] == 9
+        assert stats["likes_to_commenters_std"] == 0  # one commenter
+        assert stats["comments_per_user_avg"] == 3
 
-def tiny_prediction(entity, pred_a=0, pred_b=0):
-    return ew.EntityPrediction(
-        entity=entity, pred_a=pred_a, pred_b=pred_b,
-        score_a=float(pred_a), score_b=float(pred_b), model_a="log", model_b="nn",
+    def test_engaged_with_two_entities_counts_once(self, tmp_path):
+        sources = [source("s1")]
+        posts = [post("p1"), post("p2", timestamp=5)]
+        comments = [comment(f"c{i}", "p1", "fan", i) for i in range(5)]
+        comments += [comment("d1", "p1", "other", 6), comment("d2", "p2", "other", 7)]
+        mentions = [mention("alpha", "p1", 0.9), mention("beta", "p1", 0.9)]
+        corpus = cm.load_corpus(write_corpus(tmp_path / "t", sources, posts, comments, mentions))
+        rows = build_rows(corpus, [tiny_prediction("alpha"), tiny_prediction("beta")])
+        stats = user_stats(rows, "p1")
+        # fan is engaged with alpha and with beta; other has 1 of 2 comments there
+        assert stats["engaged_users"] == 1
+        assert stats["engaged_users_rate"] == 0.5
+
+    def test_engagement_needs_more_than_95_percent(self, tmp_path):
+        sources = [source("s1")]
+        posts = [post("p1"), post("p2", timestamp=5)]
+        comments = [comment(f"c{i}", "p1", "near", i) for i in range(19)]
+        comments += [comment("d1", "p2", "near", 30), comment("f1", "p1", "fan", 31)]
+        mentions = [mention("alpha", "p1", 0.9)]
+        corpus = cm.load_corpus(write_corpus(tmp_path / "n", sources, posts, comments, mentions))
+        stats = user_stats(build_rows(corpus, [tiny_prediction("alpha")]), "p1")
+        # near has exactly 95% (19 of 20) of their comments on alpha's posts
+        assert stats["engaged_users"] == 1
+        assert stats["engaged_users_rate"] == 0.5
+
+
+def build_predicted_corpus(tmp_path):
+    """p1 mentions a and b; p2 mentions nothing."""
+    directory = write_corpus(
+        tmp_path / "pred", [source("s1")], [post("p1"), post("p2", timestamp=5)],
+        [comment("c1", "p1")], [mention("a", "p1", 0.9), mention("b", "p1", 0.9)],
     )
+    return cm.load_corpus(directory)
+
+
+PREDICTED = ("pred_n_disputed_log", "pred_rate_disputed_log",
+             "pred_n_disputed_nn", "pred_rate_disputed_nn")
 
 
 class TestPredictedStats:
-    def test_counts_and_rates(self):
-        preds = {"a": tiny_prediction("a", 1, 1), "b": tiny_prediction("b", 0, 0)}
-        values = fn.predicted_stats(["a", "b"], preds)
-        assert values.tolist() == [1, 0.5, 1, 0.5]
+    def test_counts_and_rates(self, tmp_path):
+        corpus = build_predicted_corpus(tmp_path)
+        rows = build_rows(corpus, [tiny_prediction("a", 1, 1), tiny_prediction("b", 0, 0)])
+        assert [rows["p1"][name] for name in PREDICTED] == [1, 0.5, 1, 0.5]
 
-    def test_no_entities_zero(self):
-        assert fn.predicted_stats([], {}).tolist() == [0, 0, 0, 0]
+    def test_no_entities_zero(self, tmp_path):
+        corpus = build_predicted_corpus(tmp_path)
+        rows = build_rows(corpus, [tiny_prediction("a", 1, 1)], posts=["p1", "p2"])
+        assert [rows["p2"][name] for name in PREDICTED] == [0, 0, 0, 0]
+
+    def test_one_warning_for_posts_without_entities(self, tmp_path, caplog):
+        corpus = build_predicted_corpus(tmp_path)
+        with caplog.at_level(logging.DEBUG, logger=fn.__name__):
+            build_rows(corpus, [tiny_prediction("a")], posts=["p1", "p2"])
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == ["1 posts have no qualifying entity mentions (first: p2)"]
+        debug = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+        assert any("2 rows x 44 columns, 1 comments scanned" in m for m in debug)
 
 
 @pytest.fixture(scope="module")
@@ -126,18 +366,24 @@ def small_post_world(tmp_path_factory):
     return corpus, truth, e1, warning, p1, dataset
 
 
+@pytest.fixture(scope="module")
+def small_p2_world(small_post_world):
+    corpus = small_post_world[0]
+    e2 = cm.select_e2(corpus)
+    warning = ew.run_early_warning(corpus, e2, protocol=Protocol(repeats=3, seed=2))
+    p2 = cm.posts_for_entities(corpus, e2, name="P2")
+    dataset = fn.build_post_dataset(corpus, p2, warning.features, warning.predictions, e2)
+    return e2, warning, dataset
+
+
 class TestBuildPostDataset:
     def test_p1_width_44(self, small_post_world):
         *_, dataset = small_post_world
         assert len(dataset.feature_names) == 44
         assert len(set(dataset.feature_names)) == 44
 
-    def test_p2_width_52(self, small_post_world):
-        corpus, _, _, _, _, _ = small_post_world
-        e2 = cm.select_e2(corpus)
-        warning = ew.run_early_warning(corpus, e2, protocol=Protocol(repeats=3, seed=2))
-        p2 = cm.posts_for_entities(corpus, e2, name="P2")
-        ds = fn.build_post_dataset(corpus, p2, warning.features, warning.predictions, e2)
+    def test_p2_width_52(self, small_p2_world):
+        *_, ds = small_p2_world
         assert len(ds.feature_names) == 52
 
     def test_rates_bounded_counts_nonnegative(self, small_post_world):
@@ -166,43 +412,18 @@ class TestBuildPostDataset:
             ]
             assert row[n_col] <= len(contained)
 
-    def test_matches_naive_recomputation(self, small_post_world):
+    def test_matches_naive_recomputation(self, small_post_world, small_p2_world):
         corpus, _, e1, warning, p1, dataset = small_post_world
-        pred_map = warning.predictions_by_entity()
-        feature_map = {f.entity: f for f in warning.features}
-        names = list(dataset.feature_names)
-        rng = np.random.default_rng(0)
-        for pid in rng.choice(sorted(p1.posts), size=60, replace=False):
-            row = dataset.features[dataset.row_ids.index(pid)]
-            p = corpus.posts[pid]
-            cids = corpus.comments_by_post.get(pid, ())
-            # structural block recomputed directly from records
-            assert row[names.index("st_likes")] == p.likes
-            assert row[names.index("st_comments")] == len(cids)
-            assert row[names.index("st_shares")] == p.shares
-            likes_on = sum(corpus.comments[c].likes for c in cids)
-            assert row[names.index("st_likes_on_comments")] == likes_on
-            if cids:
-                assert row[names.index("st_avg_likes_on_comments")] == pytest.approx(
-                    likes_on / len(cids)
-                )
-            # semantic: recompute on raw strings
-            assert row[names.index("sem_post_characters")] == len(p.text.strip())
-            joined = "\n".join(corpus.comments[c].text for c in cids)
-            assert row[names.index("sem_comments_words")] == fn.semantic_stats(joined)[1]
-            # sentiment block: presentation distances of contained entities
-            contained = sorted(
-                e for e, conf in corpus.entities_by_post.get(pid, {}).items()
-                if e in e1.entities and conf >= e1.min_confidence
-            )
-            dps = [feature_map[e].presentation_distance for e in contained]
-            if dps:
-                assert row[names.index("sb_presentation_dist_mean")] == pytest.approx(
-                    sum(dps) / len(dps)
-                )
-            # predicted block
-            n_a = sum(1 for e in contained if pred_map[e].pred_a == 1)
-            assert row[names.index(f"pred_n_disputed_{warning.best[0]}")] == n_a
+        e2, warning2, dataset2 = small_p2_world
+        for sample, warn, ds, width in ((e1, warning, dataset, 44), (e2, warning2, dataset2, 52)):
+            feature_map = {f.entity: f for f in warn.features}
+            pred_map = warn.predictions_by_entity()
+            assert ds.features.shape[1] == width
+            assert any(ds.features[:, ds.feature_names.index("ub_engaged_users")] > 0)
+            for pid, row in zip(ds.row_ids, ds.features.tolist()):
+                expected = oracle_row(corpus, pid, sample, feature_map, pred_map)
+                wrong = [n for n, a, b in zip(ds.feature_names, row, expected) if a != b]
+                assert not wrong, (pid, wrong)
 
 
 def synthetic_category_dataset(signal_category, n=240, seed=0):
