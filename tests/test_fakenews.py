@@ -176,7 +176,7 @@ class TestSemanticStats:
 # Characters where a text kernel can go wrong: whitespace the strip removes
 # (including the line separator), underscores (\w but not a word character),
 # titlecase, a non-BMP capital, a combining mark, digits and terminators.
-TRICKY = " \t\n 　_.!?,;:'\"()-aZǅ\U0001d400é٣²"
+TRICKY = " \t\n\u2028\u3000_.!?,;:'\"()-aZ\u01c5\U0001d400e\u0301\u0663\u00b2"
 tricky_text = st.text(st.one_of(st.sampled_from(TRICKY), st.characters()), max_size=30)
 
 
@@ -189,13 +189,13 @@ class TestTextKernel:
         assert got.tolist() == [oracle_semantic(t) for t in texts]
 
     def test_hand_cases(self):
-        texts = ["", "   \n", "__a__b_", "ǅubrovnik. \U0001d400!", "été",
+        texts = ["", "   \n", "__a__b_", "\u01c5ubrovnik. \U0001d400!", "e\u0301t\u00e9",
                  "a b", "?!x", "x?!", "...", "1.5 m"]
         got = fn._semantic_columns(texts, len(texts))
         assert got.tolist() == [oracle_semantic(t) for t in texts]
         words = dict(zip(texts, got[:, 1]))
         assert words["__a__b_"] == 2  # underscores split words
-        assert words["été"] == 2  # a combining mark is not alphanumeric
+        assert words["e\u0301t\u00e9"] == 2  # a combining mark is not alphanumeric
         sentences = dict(zip(texts, got[:, 2]))
         assert sentences["?!x"] == 1 and sentences["..."] == 0 and sentences["1.5 m"] == 2
 
