@@ -4,6 +4,7 @@ Subcommands mirror the stages: synth, ingest, features, thresholds,
 earlywarn, fakenews, report, pipeline.  Every stage writes its outputs under
 --out together with a manifest (stage, canonical config hash, seed, inputs)
 so a rerun with the same manifest reproduces identical report values.
+pipeline runs the same stage functions as ingest, earlywarn and fakenews.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
 failure.
@@ -17,6 +18,7 @@ import hashlib
 import json
 import logging
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -29,7 +31,7 @@ from . import svgplot
 from . import thresholds as th
 from .corpus import CorpusError
 from .evaluation import Protocol, StratificationError, UndefinedAUCError, report_to_csv, report_to_json
-from .models import ALGORITHMS, DegenerateFitError, ModelSpec, ShapeError
+from .models import ALGORITHMS, Dataset, DegenerateFitError, ModelSpec, ShapeError
 from .models.base import dataset_to_csv
 
 log = logging.getLogger("polarwarn")
@@ -48,6 +50,7 @@ _NUMERIC_ERRORS = (
     ShapeError,
     StratificationError,
     UndefinedAUCError,
+    ew.TooFewModelsError,
 )
 
 
@@ -61,21 +64,24 @@ def _config_hash(doc) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
 
 
+def _write_json(path: Path, doc) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+
+
 def _write_manifest(out_dir: Path, stage: str, config: dict, seed: int | None, inputs: list[str]) -> None:
-    manifest = {
+    _write_json(out_dir / "manifest.json", {
         "stage": stage,
         "version": __version__,
         "config": config,
         "config_hash": _config_hash(config),
         "seed": seed,
         "inputs": sorted(inputs),
-    }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    })
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
+def _out_dir(path) -> Path:
+    out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -99,10 +105,6 @@ def _specs(args) -> list[ModelSpec]:
     return [ModelSpec(algorithm=a, hyperparameters=hp, seed=args.seed) for a in algos]
 
 
-def _protocol(args) -> Protocol:
-    return Protocol(repeats=args.repeats, train_fraction=args.train_fraction, seed=args.seed)
-
-
 def _load_sample(corpus, name: str):
     name = name.lower()
     if name in ("e1", "p1"):
@@ -116,8 +118,119 @@ def _load_sample(corpus, name: str):
     return sample
 
 
+@dataclass(frozen=True)
+class _Inputs:
+    """What the early-warning and fake-news stages of one run share."""
+
+    corpus: corpus_mod.Corpus
+    data: str  # the corpus directory as given; recorded in every manifest
+    protocol: Protocol
+    plots: bool
+
+
+def _inputs(args) -> _Inputs:
+    protocol = Protocol(repeats=args.repeats, train_fraction=args.train_fraction, seed=args.seed)
+    return _Inputs(corpus_mod.load_corpus(args.data), str(args.data), protocol, args.plots)
+
+
+def _curve_svgs(out: Path, curves) -> None:
+    for measure, curve in curves.items():
+        svgplot.line_chart(
+            out / f"curve_{measure}.svg",
+            {"D_delta/D": (list(curve.grid), list(curve.ratio_dd)),
+             "D_delta/E_delta": (list(curve.grid), list(curve.ratio_de))},
+            title=measure, x_label="delta", y_label="ratio",
+        )
+
+
+def _ingest_stage(out: Path, corpus, data: str) -> dict:
+    """Write the corpus breakdown and its manifest; return the breakdown."""
+    out = _out_dir(out)
+    breakdown = corpus.breakdown()
+    _write_json(out / "breakdown.json", breakdown)
+    _write_manifest(out, "ingest", {"data": data}, None, [data])
+    return breakdown
+
+
+def _earlywarn_stage(out: Path, inputs: _Inputs, sample_name: str,
+                     specs: list[ModelSpec]) -> ew.EarlyWarningResult:
+    """Run the early warning on one entity sample and write its reports."""
+    sample = _load_sample(inputs.corpus, sample_name)
+    result = ew.run_early_warning(inputs.corpus, sample, specs=specs, protocol=inputs.protocol)
+    out = _out_dir(out)
+    _write_json(out / "report.json", {
+        "sample": sample.name,
+        "thresholds": result.thresholds.to_json_dict(),
+        "selections": {m: s.to_json_dict(m) for m, s in result.selections.items()},
+        "benchmark": {a: r.to_json_dict() for a, r in result.benchmark.reports.items()},
+        "failures": result.benchmark.failures,
+        "best_models": list(result.best),
+        "n_entities": len(result.dataset.labels),
+        "n_disputed": int(result.dataset.labels.sum()),
+    })
+    report_to_csv(result.benchmark.reports, out / "benchmark.csv")
+    feat.features_to_csv(result.features, out / "features.csv")
+    with open(out / "predictions.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        a, b = result.best
+        writer.writerow(["entity", f"pred_{a}", f"pred_{b}", f"score_{a}", f"score_{b}"])
+        for p in result.predictions:
+            writer.writerow([p.entity, p.pred_a, p.pred_b, p.score_a, p.score_b])
+    if inputs.plots:
+        _curve_svgs(out, result.curves)
+    _write_manifest(out, "earlywarn",
+                    {"data": inputs.data, "sample": sample_name,
+                     "algorithms": [s.algorithm for s in specs],
+                     "repeats": inputs.protocol.repeats,
+                     "train_fraction": inputs.protocol.train_fraction},
+                    inputs.protocol.seed, [inputs.data])
+    return result
+
+
+def _fakenews_stage(out: Path, inputs: _Inputs, sample_name: str, warning: ew.EarlyWarningResult,
+                    specs: list[ModelSpec], experiments: list[str],
+                    max_stepwise: int) -> tuple[Dataset, dict[str, fn.ExperimentResult]]:
+    """Post-level experiments, final report and stepwise ranking for one post sample.
+
+    ``warning`` is the finished early-warning result of the post sample's
+    entity sample; its features and predictions feed the post features.
+    Returns the post dataset and the experiment results by mode.
+    """
+    post_sample = corpus_mod.posts_for_entities(inputs.corpus, warning.sample,
+                                                name=sample_name.upper())
+    dataset = fn.build_post_dataset(inputs.corpus, post_sample, warning.features,
+                                    warning.predictions, warning.sample)
+    out = _out_dir(out)
+    algorithms = [s.algorithm for s in specs]
+    results = {}
+    for mode in experiments:
+        exp = fn.run_experiment(dataset, mode, specs, inputs.protocol)
+        results[exp.mode] = exp
+        table = {step: [exp.auc[a][i] for a in algorithms] for i, step in enumerate(exp.steps)}
+        feat.curve_to_csv([(step, *aucs) for step, aucs in table.items()], ("step", *algorithms),
+                          out / f"auc_steps_{exp.mode.lower()}.csv")
+        if inputs.plots:
+            svgplot.bar_chart(out / f"auc_steps_{exp.mode.lower()}.svg", algorithms, table,
+                              title=f"experiment {exp.mode} ({sample_name})", y_label="AUC")
+    reports, ranking = fn.final_report(dataset, specs, inputs.protocol, max_features=max_stepwise)
+    report_to_json(reports, out / "report.json")
+    report_to_csv(reports, out / "report.csv")
+    feat.curve_to_csv(
+        [(i + 1, name, auc) for i, (name, auc) in enumerate(zip(ranking.features, ranking.auc_trace))],
+        ("rank", "feature", "mean_auc"),
+        out / "stepwise.csv",
+    )
+    _write_manifest(out, "fakenews",
+                    {"data": inputs.data, "sample": sample_name, "experiments": experiments,
+                     "algorithms": algorithms, "repeats": inputs.protocol.repeats,
+                     "train_fraction": inputs.protocol.train_fraction,
+                     "max_stepwise": max_stepwise},
+                    inputs.protocol.seed, [inputs.data])
+    return dataset, results
+
+
 def cmd_synth(args) -> int:
-    out = _out_dir(args)
+    out = _out_dir(args.out)
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -134,12 +247,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    out = _out_dir(args)
     corpus = corpus_mod.load_corpus(args.data)
-    breakdown = corpus.breakdown()
-    with open(out / "breakdown.json", "w", encoding="utf-8") as fh:
-        json.dump(breakdown, fh, indent=2, sort_keys=True)
-    _write_manifest(out, "ingest", {"data": str(args.data)}, None, [str(args.data)])
+    breakdown = _ingest_stage(Path(args.out), corpus, str(args.data))
     print(json.dumps(breakdown, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -154,50 +263,36 @@ def _fixture_curves(fixtures_dir: Path) -> dict[str, th.RatioCurve]:
 
 
 def cmd_thresholds(args) -> int:
-    out = _out_dir(args)
+    out = _out_dir(args.out)
     if args.fixtures:
         curves = _fixture_curves(Path(args.fixtures))
+        result, selections = th.select_thresholds(curves)
         inputs = [args.fixtures]
     else:
         if not args.data:
             raise _StageError(EXIT_CONFIG, "thresholds needs --data or --fixtures")
         corpus = corpus_mod.load_corpus(args.data)
-        sample = _load_sample(corpus, args.sample)
-        disputed = corpus_mod.disputed_entities(corpus, sample)
-        features = feat.entity_features(corpus, sample, disputed=disputed)
-        curves = ew.measure_curves(features, disputed, sample.requires_comment_sentiment)
+        _, curves, result, selections = ew.threshold_entities(corpus, _load_sample(corpus, args.sample))
         inputs = [str(args.data)]
-    result, selections = th.select_thresholds(curves)
-    doc = {
+    _write_json(out / "thresholds.json", {
         "thresholds": result.to_json_dict(),
         "selections": {m: s.to_json_dict(m) for m, s in selections.items()},
-    }
-    with open(out / "thresholds.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+    })
     for measure, curve in curves.items():
         feat.curve_to_csv(th.curve_to_rows(curve), ("delta", "ratio_dd", "ratio_de"),
                           out / f"curve_{measure}.csv")
-        if args.plots:
-            svgplot.line_chart(
-                out / f"curve_{measure}.svg",
-                {"D_delta/D": (list(curve.grid), list(curve.ratio_dd)),
-                 "D_delta/E_delta": (list(curve.grid), list(curve.ratio_de))},
-                title=measure, x_label="delta", y_label="ratio",
-            )
+    if args.plots:
+        _curve_svgs(out, curves)
     _write_manifest(out, "thresholds", {"fixtures": args.fixtures, "sample": args.sample}, None, inputs)
     print(json.dumps(result.to_json_dict(), indent=2, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_features(args) -> int:
-    out = _out_dir(args)
+    out = _out_dir(args.out)
     corpus = corpus_mod.load_corpus(args.data)
     sample = _load_sample(corpus, args.sample)
-    disputed = corpus_mod.disputed_entities(corpus, sample)
-    features = feat.entity_features(corpus, sample, disputed=disputed)
-    curves = ew.measure_curves(features, disputed, sample.requires_comment_sentiment)
-    result, _ = th.select_thresholds(curves)
-    ew.fill_indicators(features, result)
+    features, _, _, _ = ew.threshold_entities(corpus, sample)
     feat.features_to_csv(features, out / f"features_{sample.name.lower()}.csv")
 
     grid = [i / 100 for i in range(0, 200, 5)]
@@ -220,100 +315,25 @@ def cmd_features(args) -> int:
     return EXIT_OK
 
 
-def _earlywarn_outputs(out: Path, result: ew.EarlyWarningResult, plots: bool) -> None:
-    report = {
-        "sample": result.sample_name,
-        "thresholds": result.thresholds.to_json_dict(),
-        "selections": {m: s.to_json_dict(m) for m, s in result.selections.items()},
-        "benchmark": {a: r.to_json_dict() for a, r in result.benchmark.reports.items()},
-        "failures": result.benchmark.failures,
-        "best_models": list(result.best),
-        "n_entities": len(result.dataset.labels),
-        "n_disputed": int(result.dataset.labels.sum()),
-    }
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-    report_to_csv(result.benchmark.reports, out / "benchmark.csv")
-    feat.features_to_csv(result.features, out / "features.csv")
-    with open(out / "predictions.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        a, b = result.best
-        writer.writerow(["entity", f"pred_{a}", f"pred_{b}", f"score_{a}", f"score_{b}"])
-        for p in result.predictions:
-            writer.writerow([p.entity, p.pred_a, p.pred_b, p.score_a, p.score_b])
-    if plots:
-        for measure, curve in result.curves.items():
-            svgplot.line_chart(
-                out / f"curve_{measure}.svg",
-                {"D_delta/D": (list(curve.grid), list(curve.ratio_dd)),
-                 "D_delta/E_delta": (list(curve.grid), list(curve.ratio_de))},
-                title=measure, x_label="delta", y_label="ratio",
-            )
-
-
 def cmd_earlywarn(args) -> int:
-    out = _out_dir(args)
-    corpus = corpus_mod.load_corpus(args.data)
-    sample = _load_sample(corpus, args.sample)
-    result = ew.run_early_warning(
-        corpus, sample, specs=_specs(args), protocol=_protocol(args), jobs=args.jobs
-    )
-    _earlywarn_outputs(out, result, args.plots)
-    _write_manifest(out, "earlywarn",
-                    {"data": str(args.data), "sample": args.sample,
-                     "algorithms": args.algo or list(ALGORITHMS),
-                     "repeats": args.repeats, "train_fraction": args.train_fraction},
-                    args.seed, [str(args.data)])
-    print(f"earlywarn[{sample.name}]: best models {result.best}, "
+    specs = _specs(args)
+    result = _earlywarn_stage(Path(args.out), _inputs(args), args.sample, specs)
+    print(f"earlywarn[{result.sample.name}]: best models {result.best}, "
           f"AUC {dict((a, round(r.auc, 3)) for a, r in result.benchmark.reports.items())}")
     return EXIT_OK
 
 
 def cmd_fakenews(args) -> int:
-    out = _out_dir(args)
-    corpus = corpus_mod.load_corpus(args.data)
-    sample = _load_sample(corpus, args.sample)
-    protocol = _protocol(args)
     specs = _specs(args)
+    inputs = _inputs(args)
     # the embedded early-warning stage always benchmarks the full suite so it
     # can pick its two predictive models; --algo only scopes the post task
     ew_specs = [ModelSpec(algorithm=a, seed=args.seed) for a in ALGORITHMS]
-    warning = ew.run_early_warning(corpus, sample, specs=ew_specs, protocol=protocol, jobs=args.jobs)
-    post_sample = corpus_mod.posts_for_entities(corpus, sample, name=args.sample.upper())
-    dataset = fn.build_post_dataset(corpus, post_sample, warning.features, warning.predictions, sample)
-    dataset_to_csv(dataset, out / f"features_{args.sample.lower()}.csv")
-
-    experiments = {}
-    for mode in args.experiment:
-        exp = fn.run_experiment(dataset, mode, specs, protocol)
-        experiments[exp.mode] = exp
-        rows = [
-            (step,) + tuple(exp.auc[s.algorithm][i] for s in specs)
-            for i, step in enumerate(exp.steps)
-        ]
-        feat.curve_to_csv(rows, ("step",) + tuple(s.algorithm for s in specs),
-                          out / f"auc_steps_{exp.mode.lower()}.csv")
-        if args.plots:
-            svgplot.bar_chart(
-                out / f"auc_steps_{exp.mode.lower()}.svg",
-                [s.algorithm for s in specs],
-                {step: [exp.auc[s.algorithm][i] for s in specs] for i, step in enumerate(exp.steps)},
-                title=f"experiment {exp.mode} ({args.sample})", y_label="AUC",
-            )
-    reports, ranking = fn.final_report(dataset, specs, protocol, max_features=args.max_stepwise)
-    report_to_json(reports, out / "report.json")
-    report_to_csv(reports, out / "report.csv")
-    feat.curve_to_csv(
-        [(i + 1, name, auc) for i, (name, auc) in enumerate(zip(ranking.features, ranking.auc_trace))],
-        ("rank", "feature", "mean_auc"),
-        out / "stepwise.csv",
-    )
-    _write_manifest(out, "fakenews",
-                    {"data": str(args.data), "sample": args.sample,
-                     "experiments": args.experiment, "algorithms": [s.algorithm for s in specs],
-                     "repeats": args.repeats, "train_fraction": args.train_fraction,
-                     "max_stepwise": args.max_stepwise},
-                    args.seed, [str(args.data)])
+    warning = ew.run_early_warning(inputs.corpus, _load_sample(inputs.corpus, args.sample),
+                                   specs=ew_specs, protocol=inputs.protocol)
+    dataset, experiments = _fakenews_stage(Path(args.out), inputs, args.sample, warning, specs,
+                                           args.experiment or ["a", "b"], args.max_stepwise)
+    dataset_to_csv(dataset, Path(args.out) / f"features_{args.sample.lower()}.csv")
     summary = {m: {a: exp.auc[a] for a in exp.auc} for m, exp in experiments.items()}
     print(f"fakenews[{args.sample}]: rows={dataset.n} cols={len(dataset.feature_names)} "
           f"experiments={json.dumps(summary)}")
@@ -337,24 +357,34 @@ def cmd_report(args) -> int:
         stages[str(stage_dir.relative_to(run_dir))] = entry
     summary = {"run": str(run_dir), "stages": stages}
     out_path = run_dir / "summary.json"
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+    _write_json(out_path, summary)
     print(f"report: {len(stages)} stage(s) -> {out_path}")
     return EXIT_OK
+
+
+_PIPELINE_KEYS = {"data", "synth", "seed", "repeats", "train_fraction", "algorithms", "samples",
+                  "fakenews"}
+_PIPELINE_FAKENEWS_KEYS = {"samples", "experiments", "algorithms", "max_stepwise"}
 
 
 def cmd_pipeline(args) -> int:
     with open(args.config, encoding="utf-8") as fh:
         cfg = json.load(fh)
-    out = _out_dir(args)
-    seed = int(cfg.get("seed", 7))
-    repeats = int(cfg.get("repeats", 10))
-    train_fraction = float(cfg.get("train_fraction", 0.6))
-    algorithms = cfg.get("algorithms", list(ALGORITHMS))
-    samples = cfg.get("samples", ["e1"])
     fn_cfg = cfg.get("fakenews", {})
-    protocol = Protocol(repeats=repeats, train_fraction=train_fraction, seed=seed)
+    unknown = sorted(set(cfg) - _PIPELINE_KEYS)
+    unknown += [f"fakenews.{k}" for k in sorted(set(fn_cfg) - _PIPELINE_FAKENEWS_KEYS)]
+    if unknown:
+        raise _StageError(EXIT_CONFIG, f"unknown pipeline config key(s): {', '.join(unknown)}")
+    algorithms = cfg.get("algorithms", list(ALGORITHMS))
+    if len(algorithms) < 2:  # the early warning keeps the best two
+        raise _StageError(EXIT_CONFIG,
+                          f"pipeline config key 'algorithms' needs two or more entries, got {algorithms}")
+    seed = int(cfg.get("seed", 7))
+    protocol = Protocol(repeats=int(cfg.get("repeats", 10)),
+                        train_fraction=float(cfg.get("train_fraction", 0.6)), seed=seed)
     specs = [ModelSpec(algorithm=a, seed=seed) for a in algorithms]
+    fn_specs = [ModelSpec(algorithm=a, seed=seed) for a in fn_cfg.get("algorithms", algorithms)]
+    out = _out_dir(args.out)
 
     if "data" in cfg:
         data_dir = Path(cfg["data"])
@@ -364,68 +394,23 @@ def cmd_pipeline(args) -> int:
         synth_mod.generate(synth_config, data_dir)
         _write_manifest(data_dir, "synth", synth_config.to_json_dict(), seed, [])
     corpus = corpus_mod.load_corpus(data_dir)
+    inputs = _Inputs(corpus, str(data_dir), protocol, args.plots)
 
-    ingest_dir = out / "ingest"
-    ingest_dir.mkdir(exist_ok=True)
-    with open(ingest_dir / "breakdown.json", "w", encoding="utf-8") as fh:
-        json.dump(corpus.breakdown(), fh, indent=2, sort_keys=True)
-    _write_manifest(ingest_dir, "ingest", {"data": str(data_dir)}, None, [str(data_dir)])
-
+    _ingest_stage(out / "ingest", corpus, inputs.data)
     warnings: dict[str, ew.EarlyWarningResult] = {}
-    for sample_name in samples:
-        sample = _load_sample(corpus, sample_name)
-        stage_dir = out / f"earlywarn_{sample_name.lower()}"
-        stage_dir.mkdir(exist_ok=True)
-        result = ew.run_early_warning(corpus, sample, specs=specs, protocol=protocol, jobs=args.jobs)
-        _earlywarn_outputs(stage_dir, result, args.plots)
-        _write_manifest(stage_dir, "earlywarn",
-                        {"data": str(data_dir), "sample": sample_name,
-                         "algorithms": algorithms, "repeats": repeats,
-                         "train_fraction": train_fraction},
-                        seed, [str(data_dir)])
-        warnings[sample_name.lower()] = result
-
+    for sample_name in cfg.get("samples", ["e1"]):
+        warnings[sample_name.lower()] = _earlywarn_stage(
+            out / f"earlywarn_{sample_name.lower()}", inputs, sample_name, specs
+        )
     for post_sample_name in fn_cfg.get("samples", []):
         entity_sample_name = "e1" if post_sample_name.lower() == "p1" else "e2"
         if entity_sample_name not in warnings:
-            sample = _load_sample(corpus, entity_sample_name)
             warnings[entity_sample_name] = ew.run_early_warning(
-                corpus, sample, specs=specs, protocol=protocol, jobs=args.jobs
+                corpus, _load_sample(corpus, entity_sample_name), specs=specs, protocol=protocol
             )
-        warning = warnings[entity_sample_name]
-        sample = _load_sample(corpus, entity_sample_name)
-        post_sample = corpus_mod.posts_for_entities(corpus, sample, name=post_sample_name.upper())
-        dataset = fn.build_post_dataset(corpus, post_sample, warning.features,
-                                        warning.predictions, sample)
-        fn_specs = [ModelSpec(algorithm=a, seed=seed)
-                    for a in fn_cfg.get("algorithms", algorithms)]
-        stage_dir = out / f"fakenews_{post_sample_name.lower()}"
-        stage_dir.mkdir(exist_ok=True)
-        for mode in fn_cfg.get("experiments", ["b"]):
-            exp = fn.run_experiment(dataset, mode, fn_specs, protocol)
-            rows = [
-                (step,) + tuple(exp.auc[s.algorithm][i] for s in fn_specs)
-                for i, step in enumerate(exp.steps)
-            ]
-            feat.curve_to_csv(rows, ("step",) + tuple(s.algorithm for s in fn_specs),
-                              stage_dir / f"auc_steps_{exp.mode.lower()}.csv")
-        reports, ranking = fn.final_report(dataset, fn_specs, protocol,
-                                           max_features=int(fn_cfg.get("max_stepwise", 16)))
-        report_to_json(reports, stage_dir / "report.json")
-        report_to_csv(reports, stage_dir / "report.csv")
-        feat.curve_to_csv(
-            [(i + 1, name, auc)
-             for i, (name, auc) in enumerate(zip(ranking.features, ranking.auc_trace))],
-            ("rank", "feature", "mean_auc"),
-            stage_dir / "stepwise.csv",
-        )
-        _write_manifest(stage_dir, "fakenews",
-                        {"data": str(data_dir), "sample": post_sample_name,
-                         "experiments": fn_cfg.get("experiments", ["b"]),
-                         "algorithms": fn_cfg.get("algorithms", algorithms),
-                         "repeats": repeats, "train_fraction": train_fraction,
-                         "max_stepwise": int(fn_cfg.get("max_stepwise", 16))},
-                        seed, [str(data_dir)])
+        _fakenews_stage(out / f"fakenews_{post_sample_name.lower()}", inputs, post_sample_name,
+                        warnings[entity_sample_name], fn_specs, fn_cfg.get("experiments", ["b"]),
+                        int(fn_cfg.get("max_stepwise", 16)))
 
     _write_manifest(out, "pipeline", cfg, seed, [str(args.config)])
     cmd_report(argparse.Namespace(run=out))
@@ -451,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--repeats", type=int, default=10)
             p.add_argument("--train-fraction", type=float, default=0.6, dest="train_fraction")
             p.add_argument("--seed", type=int, default=7)
-            p.add_argument("--jobs", type=int, default=1, help="worker parallelism cap")
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     p.add_argument("--config", help="SynthConfig JSON file")
@@ -487,7 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fakenews", help="post-level classification experiments")
     p.add_argument("--data", required=True)
     p.add_argument("--sample", choices=["p1", "p2"], default="p1")
-    p.add_argument("--experiment", action="append", choices=["a", "b"], default=None)
+    p.add_argument("--experiment", action="append", choices=["a", "b"],
+                   help="experiment (repeatable; default: a and b)")
     p.add_argument("--max-stepwise", type=int, default=16, dest="max_stepwise")
     add_common(p, with_models=True)
     p.set_defaults(func=cmd_fakenews)
@@ -500,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--plots", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_pipeline)
     return parser
 
@@ -509,8 +493,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
-    if hasattr(args, "experiment") and args.experiment is None:
-        args.experiment = ["a", "b"]
     try:
         return args.func(args)
     except _StageError as exc:

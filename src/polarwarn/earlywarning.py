@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,34 +107,28 @@ def run_benchmark(
     dataset: Dataset,
     specs: list[ModelSpec],
     protocol: Protocol,
-    class_names: dict[int, str] | None = None,
-    jobs: int = 1,
 ) -> BenchmarkResult:
     """Average the benchmark protocol per algorithm; failures never abort."""
-    names = class_names or CLASS_NAMES
-
-    def one(spec: ModelSpec):
+    reports: dict[str, MetricsReport] = {}
+    failures: dict[str, str] = {}
+    for spec in specs:
         try:
-            return spec.algorithm, evaluate_spec(dataset, spec, protocol, names), None
+            reports[spec.algorithm] = evaluate_spec(dataset, spec, protocol, CLASS_NAMES)
         except Exception as exc:
-            return spec.algorithm, None, f"{type(exc).__name__}: {exc}"
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, specs))
-    else:
-        results = [one(s) for s in specs]
-    reports = {a: r for a, r, e in results if r is not None}
-    failures = {a: e for a, r, e in results if e is not None}
+            failures[spec.algorithm] = f"{type(exc).__name__}: {exc}"
     for algo, err in failures.items():
         log.warning("benchmark failure for %s: %s", algo, err)
     return BenchmarkResult(reports=reports, failures=failures)
 
 
+class TooFewModelsError(ValueError):
+    """Fewer than two algorithms produced a benchmark report."""
+
+
 def select_best_models(reports: dict[str, MetricsReport]) -> tuple[str, str]:
     """Top two algorithms by AUC, ties by accuracy then algorithm name."""
     if len(reports) < 2:
-        raise ValueError(f"need at least two successful reports, got {len(reports)}")
+        raise TooFewModelsError(f"need at least two successful reports, got {len(reports)}")
     ranked = sorted(
         reports, key=lambda a: (-(reports[a].auc or 0.0), -reports[a].accuracy, a)
     )
@@ -177,18 +170,46 @@ def predict_disputed(
     ]
 
 
-def measure_curves(
-    features: list[EntityFeatures],
-    disputed: frozenset[str],
-    with_comment_measures: bool,
-) -> dict[str, th.ExceedanceCurve]:
-    """Exceedance curves for every measure the sample supports."""
+def fill_indicators(features: list[EntityFeatures], result: th.ThresholdResult) -> None:
+    """Set each entity's binary indicators from the selected cuts.
+
+    Controversy when the presentation distance reaches delta_p, perception
+    when the global response distance reaches delta_r, captivation when the
+    engaged fraction reaches rho_e; an indicator whose cut is missing stays
+    None.
+    """
+    for f in features:
+        f.controversy = 1 if f.presentation_distance >= result.delta_p else 0
+        if result.delta_r is not None and f.response_dist_global is not None:
+            f.perception = 1 if f.response_dist_global >= result.delta_r else 0
+        if result.rho_e is not None:
+            f.captivation = 1 if f.engaged_fraction >= result.rho_e else 0
+
+
+def threshold_entities(
+    corpus: Corpus, sample: EntitySample
+) -> tuple[
+    list[EntityFeatures],
+    dict[str, th.ExceedanceCurve],
+    th.ThresholdResult,
+    dict[str, th.ThresholdSelection],
+]:
+    """Entity features, their exceedance curves, the selected cuts, the indicators.
+
+    Every sample gets the presentation-distance curve; samples that require
+    comment sentiment also get the response-distance curve (over entities
+    with a response distance) and the engaged-fraction curve.  Returns
+    ``(features, curves, thresholds, selections)`` with every feature
+    record's indicators filled from ``thresholds``.
+    """
+    disputed = disputed_entities(corpus, sample)
+    features = entity_features(corpus, sample, disputed=disputed)
     curves = {
         th.MEASURE_PRESENTATION: th.build_exceedance_curve(
             {f.entity: f.presentation_distance for f in features}, disputed, th.default_grid(2.0)
         )
     }
-    if with_comment_measures:
+    if sample.requires_comment_sentiment:
         response_values = {
             f.entity: f.response_dist_global for f in features if f.response_dist_global is not None
         }
@@ -199,21 +220,14 @@ def measure_curves(
         curves[th.MEASURE_ENGAGEMENT] = th.build_exceedance_curve(
             {f.entity: f.engaged_fraction for f in features}, disputed, th.default_grid(1.0)
         )
-    return curves
-
-
-def fill_indicators(features: list[EntityFeatures], result: th.ThresholdResult) -> None:
-    for f in features:
-        f.controversy = 1 if f.presentation_distance >= result.delta_p else 0
-        if result.delta_r is not None and f.response_dist_global is not None:
-            f.perception = 1 if f.response_dist_global >= result.delta_r else 0
-        if result.rho_e is not None:
-            f.captivation = 1 if f.engaged_fraction >= result.rho_e else 0
+    thresholds, selections = th.select_thresholds(curves)
+    fill_indicators(features, thresholds)
+    return features, curves, thresholds, selections
 
 
 @dataclass
 class EarlyWarningResult:
-    sample_name: str
+    sample: EntitySample
     features: list[EntityFeatures]
     curves: dict[str, th.ExceedanceCurve]
     thresholds: th.ThresholdResult
@@ -233,20 +247,14 @@ def run_early_warning(
     sample: EntitySample,
     specs: list[ModelSpec] | None = None,
     protocol: Protocol = Protocol(),
-    measure_configs=None,
-    jobs: int = 1,
 ) -> EarlyWarningResult:
     """Full early-warning pass over one entity sample."""
     if not sample.entities:
         raise ValueError(f"entity sample {sample.name!r} is empty")
     specs = specs if specs is not None else default_specs(seed=protocol.seed)
-    disputed = disputed_entities(corpus, sample)
-    features = entity_features(corpus, sample, thresholds=None, disputed=disputed)
-    curves = measure_curves(features, disputed, sample.requires_comment_sentiment)
-    thresholds, selections = th.select_thresholds(curves, measure_configs)
-    fill_indicators(features, thresholds)
+    features, curves, thresholds, selections = threshold_entities(corpus, sample)
     dataset = build_entity_dataset(features, sample.name)
-    benchmark = run_benchmark(dataset, specs, protocol, jobs=jobs)
+    benchmark = run_benchmark(dataset, specs, protocol)
     best = select_best_models(benchmark.reports)
     spec_by_algo = {s.algorithm: s for s in specs}
     balanced = rebalance(dataset, protocol.seed)
@@ -254,7 +262,7 @@ def run_early_warning(
     model_b = fit(balanced, spec_by_algo[best[1]])
     predictions = predict_disputed(dataset, model_a, model_b)
     return EarlyWarningResult(
-        sample_name=sample.name,
+        sample=sample,
         features=features,
         curves=curves,
         thresholds=thresholds,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -272,20 +272,7 @@ def aggregate_outcomes(
     labels = np.concatenate([o.labels for o in outcomes])
     predicted = np.concatenate([o.predicted for o in outcomes])
     report = confusion_metrics(labels, predicted, class_names=class_names)
-    mean_auc = float(np.mean([o.auc for o in outcomes]))
-    return MetricsReport(
-        per_class=report.per_class,
-        weighted=report.weighted,
-        accuracy=report.accuracy,
-        mean_abs_err=report.mean_abs_err,
-        tp=report.tp,
-        tn=report.tn,
-        fp=report.fp,
-        fn=report.fn,
-        n=report.n,
-        auc=mean_auc,
-        class_names=report.class_names,
-    )
+    return replace(report, auc=float(np.mean([o.auc for o in outcomes])))
 
 
 def evaluate_spec(

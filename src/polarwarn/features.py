@@ -154,30 +154,23 @@ class EntityFeatures:
 def entity_features(
     corpus: Corpus,
     sample: EntitySample,
-    thresholds=None,
     disputed: frozenset[str] | None = None,
 ) -> list[EntityFeatures]:
     """Compute the full per-entity feature record for every sample entity.
 
     Comment-dependent fields stay None (and the record is flagged) when an
-    entity has no sentiment-scored comments; the batch never aborts.
-    Indicators are filled only when ``thresholds`` is given: controversy when
-    the presentation distance reaches delta_p, perception when the global
-    response distance reaches delta_r, captivation when the engaged fraction
-    reaches rho_e.
+    entity has no sentiment-scored comments; the batch never aborts.  The
+    indicators stay None: ``earlywarning.fill_indicators`` sets them once
+    the thresholds are known.
     """
     if disputed is None:
         disputed = disputed_entities(corpus, sample)
-    delta_p = getattr(thresholds, "delta_p", None)
-    delta_r = getattr(thresholds, "delta_r", None)
-    rho_e = getattr(thresholds, "rho_e", None)
 
     out: list[EntityFeatures] = []
     for entity in sorted(sample.entities):
         posts = sorted(sample.member_posts[entity])
         sentiments = [corpus.posts[p].sentiment for p in posts]
         mean = sum(sentiments) / len(sentiments)
-        u_e = engaged_fraction(corpus, entity, sample.member_posts[entity])
         feat = EntityFeatures(
             entity=entity,
             occurrences=len(posts),
@@ -187,7 +180,7 @@ def entity_features(
             post_sent_std=_population_std(sentiments, mean),
             presentation_distance=max(sentiments) - min(sentiments),
             n_negative_posts=sum(1 for s in sentiments if s < 0),
-            engaged_fraction=u_e,
+            engaged_fraction=engaged_fraction(corpus, entity, sample.member_posts[entity]),
             disputed=1 if entity in disputed else 0,
         )
 
@@ -217,13 +210,6 @@ def entity_features(
         else:
             missing.append("comment_sentiment")
 
-        if thresholds is not None:
-            if delta_p is not None:
-                feat.controversy = 1 if feat.presentation_distance >= delta_p else 0
-            if delta_r is not None and feat.response_dist_global is not None:
-                feat.perception = 1 if feat.response_dist_global >= delta_r else 0
-            if rho_e is not None:
-                feat.captivation = 1 if u_e >= rho_e else 0
         feat.missing = tuple(missing)
         out.append(feat)
     return out

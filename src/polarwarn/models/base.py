@@ -11,22 +11,47 @@ for DT and the output unit for NN.  Labels threshold the score at 0.5
 from __future__ import annotations
 
 import copy
+import csv
 import json
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-ALGORITHMS = ("lin", "log", "svm", "knn", "nn", "dt")
+from . import linear, mlp, neighbors, tree
 
-_HYPERPARAMETER_DEFAULTS: dict[str, dict] = {
-    "lin": {},
-    "log": {"regularization": 1.0, "max_iter": 2000, "tol": 1e-6},
-    "svm": {"regularization": 1.0, "max_iter": 1000},
-    "knn": {"k": 5},
-    "nn": {"hidden_size": 16, "max_iter": 500, "regularization": 1e-4, "tol": 1e-6},
-    "dt": {"max_depth": 10, "min_leaf": 2},
+
+class _Algorithm(NamedTuple):
+    defaults: dict
+    fit: Callable[[np.ndarray, np.ndarray, dict, int], dict]  # (X, y, hp, seed) -> params
+    score: Callable[[dict, np.ndarray], np.ndarray]
+    cut: float  # scores at or above the cut are labeled 1
+
+
+_REGISTRY: dict[str, _Algorithm] = {
+    "lin": _Algorithm({}, lambda X, y, hp, seed: linear.fit_lin(X, y), linear.score_linear, 0.5),
+    "log": _Algorithm(
+        {"regularization": 1.0, "max_iter": 2000, "tol": 1e-6},
+        lambda X, y, hp, seed: linear.fit_log(X, y, hp), linear.score_log, 0.5,
+    ),
+    "svm": _Algorithm(
+        {"regularization": 1.0, "max_iter": 1000},
+        lambda X, y, hp, seed: linear.fit_svm(X, y, hp), linear.score_linear, 0.0,
+    ),
+    "knn": _Algorithm(
+        {"k": 5}, lambda X, y, hp, seed: neighbors.fit_knn(X, y, hp), neighbors.score_knn, 0.5,
+    ),
+    "nn": _Algorithm(
+        {"hidden_size": 16, "max_iter": 500, "regularization": 1e-4, "tol": 1e-6},
+        mlp.fit_nn, mlp.score_nn, 0.5,
+    ),
+    "dt": _Algorithm(
+        {"max_depth": 10, "min_leaf": 2},
+        lambda X, y, hp, seed: tree.fit_dt(X, y, hp), tree.score_dt, 0.5,
+    ),
 }
+
+ALGORITHMS = tuple(_REGISTRY)
 
 
 class DegenerateFitError(Exception):
@@ -95,16 +120,15 @@ class ModelSpec:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        merged = dict(_HYPERPARAMETER_DEFAULTS[self.algorithm])
+        merged = dict(_REGISTRY[self.algorithm].defaults)
         merged.update(self.hyperparameters)
         object.__setattr__(self, "hyperparameters", merged)
         if self.algorithm == "knn":
             k = merged["k"]
             if not isinstance(k, int) or k < 1 or k % 2 == 0:
                 raise ValueError(f"knn k must be an odd integer >= 1, got {k}")
-        for cap_key in ("max_iter",):
-            if cap_key in merged and merged[cap_key] is not None and merged[cap_key] < 1:
-                raise ValueError(f"{cap_key} must be >= 1")
+        if merged.get("max_iter") is not None and merged["max_iter"] < 1:
+            raise ValueError("max_iter must be >= 1")
 
 
 def default_specs(seed: int = 0) -> list[ModelSpec]:
@@ -151,8 +175,6 @@ class TrainedModel:
 
 def fit(train: Dataset, spec: ModelSpec) -> TrainedModel:
     """Train one model; deterministic given (data, spec.seed)."""
-    from . import linear, mlp, neighbors, tree
-
     if train.n == 0:
         raise ValueError("empty training set")
     classes = np.unique(train.labels)
@@ -163,53 +185,20 @@ def fit(train: Dataset, spec: ModelSpec) -> TrainedModel:
     std = fit_standardizer(train.features)
     X = std.apply(train.features)
     y = train.labels.astype(float)
-    hp = dict(spec.hyperparameters)
-    if spec.algorithm == "lin":
-        params = linear.fit_lin(X, y)
-    elif spec.algorithm == "log":
-        params = linear.fit_log(X, y, hp)
-    elif spec.algorithm == "svm":
-        params = linear.fit_svm(X, y, hp)
-    elif spec.algorithm == "knn":
-        params = neighbors.fit_knn(X, y, hp)
-    elif spec.algorithm == "nn":
-        params = mlp.fit_nn(X, y, hp, spec.seed)
-    elif spec.algorithm == "dt":
-        params = tree.fit_dt(X, y, hp)
-    else:  # pragma: no cover - guarded by ModelSpec
-        raise ValueError(spec.algorithm)
+    params = _REGISTRY[spec.algorithm].fit(X, y, dict(spec.hyperparameters), spec.seed)
     return TrainedModel(spec=spec, standardizer=std, params=params)
 
 
 def predict(model: TrainedModel, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scores and 0/1 labels for a row matrix matching the training width."""
-    from . import linear, mlp, neighbors, tree
-
-    X = model.standardizer.apply(rows)
-    algo = model.spec.algorithm
-    if algo == "lin":
-        scores = linear.score_linear(model.params, X)
-    elif algo == "log":
-        scores = linear.score_log(model.params, X)
-    elif algo == "svm":
-        scores = linear.score_linear(model.params, X)
-    elif algo == "knn":
-        scores = neighbors.score_knn(model.params, X)
-    elif algo == "nn":
-        scores = mlp.score_nn(model.params, X)
-    elif algo == "dt":
-        scores = tree.score_dt(model.params, X)
-    else:  # pragma: no cover
-        raise ValueError(algo)
-    cut = 0.0 if algo == "svm" else 0.5
-    labels = (scores >= cut).astype(np.int8)
+    algo = _REGISTRY[model.spec.algorithm]
+    scores = algo.score(model.params, model.standardizer.apply(rows))
+    labels = (scores >= algo.cut).astype(np.int8)
     return scores, labels
 
 
 def dataset_to_csv(dataset: Dataset, path) -> None:
     """Row-id, feature columns, label; one row per instance."""
-    import csv
-
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row_id", *dataset.feature_names, "label"])

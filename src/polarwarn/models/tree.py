@@ -12,13 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def gini(counts_pos: float, total: float) -> float:
-    if total == 0:
-        return 0.0
-    p = counts_pos / total
-    return 1.0 - p * p - (1.0 - p) * (1.0 - p)
-
-
 def _best_split(X: np.ndarray, y: np.ndarray, min_leaf: int):
     """Lowest child-weighted Gini over all (feature, midpoint) candidates."""
     n = X.shape[0]

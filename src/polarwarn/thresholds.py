@@ -117,40 +117,20 @@ class PolynomialFit:
     """Least-squares polynomial; ``coefficients`` are ascending powers of x.
 
     ``scaled_coefficients`` hold the same polynomial in the affinely mapped
-    variable t in [-1, 1] over ``domain`` and are the numerically preferred
-    representation for evaluation and root finding.
+    variable t in [-1, 1] over ``domain``; evaluation and root finding use
+    only this better-conditioned form.
     """
 
     degree: int
     coefficients: tuple[float, ...]
     domain: tuple[float, float]
     rmse: float
-    scaled_coefficients: tuple[float, ...] = ()
+    scaled_coefficients: tuple[float, ...]
 
     def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if not self.scaled_coefficients:
-            return _polyval(np.asarray(self.coefficients), x)
-        return _polyval(np.asarray(self.scaled_coefficients), self._to_t(x))
-
-    def _to_t(self, x):
-        lo, hi = self.domain
-        if hi == lo:
-            return np.zeros_like(x)
-        return (2.0 * x - lo - hi) / (hi - lo)
-
-    def stable_coefficients(self) -> np.ndarray:
-        """Scaled-variable coefficients, rebuilt from the raw form if absent."""
-        if self.scaled_coefficients:
-            return np.asarray(self.scaled_coefficients)
-        lo, hi = self.domain
-        # compose p(x(t)) with x = ((hi - lo) t + lo + hi) / 2
-        out = np.zeros(len(self.coefficients))
-        power = np.array([1.0])
-        for k, c_k in enumerate(self.coefficients):
-            out[: len(power)] += c_k * power
-            power = np.convolve(power, [(lo + hi) / 2.0, (hi - lo) / 2.0])
-        return out
+        lo, hi = self.domain  # lo < hi: fit_polynomial needs distinct abscissae
+        t = (2.0 * np.asarray(x, dtype=float) - lo - hi) / (hi - lo)
+        return _polyval(np.asarray(self.scaled_coefficients), t)
 
 
 def _polyval(coef: np.ndarray, t):
@@ -238,14 +218,33 @@ def _bracketed_roots(coef: np.ndarray, lo: float, hi: float) -> list[float]:
     return roots
 
 
-def inflection_points(fit: PolynomialFit) -> list[float]:
-    """Abscissae strictly inside the domain where the fit's concavity flips."""
+def _classified_inflections(fit: PolynomialFit) -> list[tuple[float, int, float]]:
+    """(abscissa, concavity direction after the flip, |slope|) per inflection.
+
+    Inflections lie strictly inside the domain, in ascending order.
+    Direction +1 means the second derivative flips negative-to-positive
+    (a local extreme of steepness on a falling curve), -1 the reverse.
+    """
     if fit.degree < 3:
         raise ValueError("inflection points need degree >= 3")
-    d2 = _poly_derivative(fit.stable_coefficients(), 2)
+    d1 = _poly_derivative(fit.scaled_coefficients, 1)
+    d2 = _poly_derivative(fit.scaled_coefficients, 2)
     lo, hi = fit.domain
-    roots_t = _bracketed_roots(d2, -1.0, 1.0)
-    return [lo + (r + 1.0) * (hi - lo) / 2.0 for r in roots_t]
+    alpha = 2.0 / (hi - lo)
+    out = []
+    for r_t in _bracketed_roots(d2, -1.0, 1.0):
+        eps = 1e-6
+        after = float(_polyval(d2, np.asarray(min(r_t + eps, 1.0))))
+        direction = 1 if after > 0 else -1
+        slope = abs(float(_polyval(d1, np.asarray(r_t)))) * alpha
+        x = lo + (r_t + 1.0) * (hi - lo) / 2.0
+        out.append((x, direction, slope))
+    return out
+
+
+def inflection_points(fit: PolynomialFit) -> list[float]:
+    """Abscissae strictly inside the domain where the fit's concavity flips."""
+    return [x for x, _, _ in _classified_inflections(fit)]
 
 
 @dataclass(frozen=True)
@@ -308,36 +307,14 @@ class ThresholdSelection:
         }
 
 
-def _classified_inflections(fit: PolynomialFit) -> list[tuple[float, int, float]]:
-    """(abscissa, concavity direction after the flip, |slope|) per inflection.
-
-    Direction +1 means the second derivative flips negative-to-positive
-    (a local extreme of steepness on a falling curve), -1 the reverse.
-    """
-    stable = fit.stable_coefficients()
-    d1 = _poly_derivative(stable, 1)
-    d2 = _poly_derivative(stable, 2)
-    lo, hi = fit.domain
-    alpha = 2.0 / (hi - lo)
-    out = []
-    for r_t in _bracketed_roots(d2, -1.0, 1.0):
-        eps = 1e-6
-        after = float(_polyval(d2, np.asarray(min(r_t + eps, 1.0))))
-        direction = 1 if after > 0 else -1
-        slope = abs(float(_polyval(d1, np.asarray(r_t)))) * alpha
-        x = lo + (r_t + 1.0) * (hi - lo) / 2.0
-        out.append((x, direction, slope))
-    return out
-
-
-def _second_concavity_change(fit: PolynomialFit, decreasing: bool) -> float:
+def _second_concavity_change(classified: list[tuple[float, int, float]], decreasing: bool) -> float:
     """The inflection where the curve leaves its plateau into the final drop.
 
-    Steep inflections (direction aligned with the curve's overall movement)
-    mark genuine declines; the threshold is the last flat-side inflection
-    before the rightmost dominant one.
+    ``classified`` is the fit's ``_classified_inflections``.  Steep
+    inflections (direction aligned with the curve's overall movement) mark
+    genuine declines; the threshold is the last flat-side inflection before
+    the rightmost dominant one.
     """
-    classified = _classified_inflections(fit)
     steep_dir = 1 if decreasing else -1
     steep = [c for c in classified if c[1] == steep_dir]
     flat = [c for c in classified if c[1] == -steep_dir]
@@ -374,11 +351,12 @@ def select_threshold(
     grid = np.asarray(curve.grid, dtype=float)
     y = np.asarray(getattr(curve, series), dtype=float)
     fit = fit_polynomial(grid, y, degree)
-    roots = inflection_points(fit)
+    classified = _classified_inflections(fit)
+    roots = [x for x, _, _ in classified]
 
     if policy.kind == "second_concavity_change":
         decreasing = float(fit(grid[0])) >= float(fit(grid[-1]))
-        chosen = _second_concavity_change(fit, decreasing)
+        chosen = _second_concavity_change(classified, decreasing)
     elif policy.kind in ("first", "index"):
         if not roots:
             raise SelectionError("fit has no inflection points", roots)
@@ -420,15 +398,13 @@ class ThresholdResult:
 
 def select_thresholds(
     curves: Mapping[str, object],
-    configs: Mapping[str, MeasureConfig] | None = None,
 ) -> tuple[ThresholdResult, dict[str, ThresholdSelection]]:
-    """Run selection for every supplied measure curve with its config."""
-    configs = dict(configs or DEFAULT_MEASURE_CONFIGS)
+    """Run selection for every supplied measure curve with its default config."""
     if MEASURE_PRESENTATION not in curves:
         raise ValueError("presentation-distance curve is required")
     selections: dict[str, ThresholdSelection] = {}
     for measure, curve in curves.items():
-        cfg = configs.get(measure)
+        cfg = DEFAULT_MEASURE_CONFIGS.get(measure)
         if cfg is None:
             raise ValueError(f"no measure config for {measure!r}")
         selections[measure] = select_threshold(

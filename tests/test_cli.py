@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from polarwarn.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from polarwarn.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 
 SYNTH_CONFIG = {
     "n_entities": 40, "n_posts": 600, "n_users": 300, "n_comments": 4000,
@@ -141,3 +141,55 @@ def test_plots_flag_writes_svg(data_dir, tmp_path):
                  "--plots"]) == EXIT_OK
     svg = (out / "curve_presentation_distance.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
+
+
+def test_all_fits_failing_is_numeric_error(data_dir, tmp_path):
+    # a non-numeric regularization passes ModelSpec but fails every fit
+    code = main(["earlywarn", "--data", str(data_dir), "--out", str(tmp_path / "x"),
+                 "--algo", "log", "--algo", "svm", "--hp", "regularization=oops",
+                 "--repeats", "2"])
+    assert code == EXIT_NUMERIC
+
+
+@pytest.mark.parametrize("run_config, named", [
+    ({"samples": ["e1"], "sampels": ["e2"]}, "sampels"),
+    ({"fakenews": {"samples": ["p1"], "max_steps": 2}}, "fakenews.max_steps"),
+    ({"algorithms": ["log"]}, "algorithms"),
+])
+def test_pipeline_config_rejected_before_work(data_dir, tmp_path, caplog, run_config, named):
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({"data": str(data_dir), **run_config}))
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(config_path), "--out", str(out)]) == EXIT_CONFIG
+    assert named in caplog.text
+    assert not out.exists()
+
+
+def test_subcommands_match_pipeline(data_dir, tmp_path):
+    common = ["--data", str(data_dir), "--repeats", "2", "--seed", "5", "--plots"]
+    ew_out, fn_out = tmp_path / "ew", tmp_path / "fn"
+    assert main(["earlywarn", "--sample", "e1", "--out", str(ew_out)] + common) == EXIT_OK
+    assert main(["fakenews", "--sample", "p1", "--experiment", "b", "--algo", "log",
+                 "--max-stepwise", "2", "--out", str(fn_out)] + common) == EXIT_OK
+
+    run_config = {
+        "data": str(data_dir), "seed": 5, "repeats": 2,
+        "algorithms": ["lin", "log", "svm", "knn", "nn", "dt"], "samples": ["e1"],
+        "fakenews": {"samples": ["p1"], "experiments": ["b"], "algorithms": ["log"],
+                     "max_stepwise": 2},
+    }
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(run_config))
+    run = tmp_path / "run"
+    assert main(["pipeline", "--config", str(config_path), "--out", str(run), "--plots"]) == EXIT_OK
+    ew_svgs = sorted(p.name for p in ew_out.glob("*.svg"))
+    assert "curve_presentation_distance.svg" in ew_svgs
+    for name in ("report.json", "predictions.csv", "benchmark.csv", "features.csv",
+                 "manifest.json", *ew_svgs):
+        assert (ew_out / name).read_bytes() == (run / "earlywarn_e1" / name).read_bytes(), name
+    for name in ("report.json", "auc_steps_b.csv", "auc_steps_b.svg", "stepwise.csv",
+                 "report.csv", "manifest.json"):
+        assert (fn_out / name).read_bytes() == (run / "fakenews_p1" / name).read_bytes(), name
+    # only the fakenews subcommand exports the post feature matrix
+    assert (fn_out / "features_p1.csv").exists()
+    assert not (run / "fakenews_p1" / "features_p1.csv").exists()

@@ -118,19 +118,6 @@ class TestRunBenchmark:
         assert result.reports == {}
         assert set(result.failures) == {"log", "knn"}
 
-    def test_parallel_matches_serial(self, small_synth):
-        corpus, _, _ = small_synth
-        sample = cm.select_e1(corpus)
-        feats = feat.entity_features(corpus, sample)
-        ew.fill_indicators(feats, type("T", (), {"delta_p": 1.0, "delta_r": None, "rho_e": None}))
-        ds = ew.build_entity_dataset(feats, "E1")
-        specs = [ModelSpec("log", seed=3), ModelSpec("dt", seed=3)]
-        serial = ew.run_benchmark(ds, specs, Protocol(repeats=3, seed=3), jobs=1)
-        threaded = ew.run_benchmark(ds, specs, Protocol(repeats=3, seed=3), jobs=2)
-        for algo in ("log", "dt"):
-            assert serial.reports[algo].auc == threaded.reports[algo].auc
-            assert serial.reports[algo].accuracy == threaded.reports[algo].accuracy
-
 
 def reference_logistic_auc(dataset: Dataset, protocol: Protocol) -> float:
     """Independent logistic regression via IRLS Newton steps."""

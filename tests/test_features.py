@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarwarn import corpus as cm
+from polarwarn import earlywarning as ew
 from polarwarn import features as feat
 
 from conftest import comment, mention, post, source, write_corpus
@@ -210,10 +211,9 @@ def test_indicator_boundaries(small_synth):
         delta_r = None
         rho_e = target.engaged_fraction
 
-    with_cuts = feat.entity_features(corpus, sample, thresholds=Cuts())
-    flagged = next(f for f in with_cuts if f.entity == target.entity)
-    assert flagged.controversy == 1
-    assert flagged.captivation == 1
+    ew.fill_indicators(feats, Cuts())
+    assert target.controversy == 1
+    assert target.captivation == 1
 
 
 def test_indicators_monotone_in_measure(small_synth):
@@ -225,7 +225,8 @@ def test_indicators_monotone_in_measure(small_synth):
         delta_r = None
         rho_e = None
 
-    feats = feat.entity_features(corpus, sample, thresholds=Cuts())
+    feats = feat.entity_features(corpus, sample)
+    ew.fill_indicators(feats, Cuts())
     ordered = sorted(feats, key=lambda f: f.presentation_distance)
     seen_one = False
     for f in ordered:
