@@ -63,8 +63,11 @@ def _log_hessian(theta: np.ndarray, X: np.ndarray, reg: float) -> np.ndarray:
 
 def fit_log(X: np.ndarray, y: np.ndarray, hp: dict) -> dict:
     """Regularized maximum likelihood by damped Newton (IRLS) steps with Armijo
-    backtracking; stops when the gradient norm drops below ``tol``, after
-    ``max_iter`` steps, or when no step decreases the loss."""
+    backtracking; stops when the gradient norm is below ``tol`` and half the
+    squared Newton decrement (the loss gap to the optimum that the quadratic
+    model predicts) is below ``tol**2``, after ``max_iter`` steps, or when no
+    step decreases the loss.  The decrement matters where the Hessian is flat:
+    a gradient under ``tol`` can still leave a loss gap of order 1e-10 there."""
     reg = float(hp["regularization"])
     max_iter, tol = int(hp["max_iter"]), float(hp["tol"])
 
@@ -74,12 +77,14 @@ def fit_log(X: np.ndarray, y: np.ndarray, hp: dict) -> dict:
     theta = np.zeros(X.shape[1] + 1)
     f, g = fun_grad(theta)
     n_iter = 0
-    while n_iter < max_iter and float(np.linalg.norm(g)) >= tol:
+    while n_iter < max_iter:
         hess = _log_hessian(theta, X, reg)
         try:
             direction = np.linalg.solve(hess, -g)
         except np.linalg.LinAlgError:  # exactly singular, e.g. reg=0 with a constant column
             direction = np.linalg.lstsq(hess, -g, rcond=None)[0]
+        if float(np.linalg.norm(g)) < tol and -float(g @ direction) < 2.0 * tol**2:
+            break
         res = armijo_step(fun_grad, theta, f, g, direction, 1.0)
         if res is None:
             break
