@@ -375,6 +375,13 @@ def cmd_pipeline(args) -> int:
     unknown += [f"fakenews.{k}" for k in sorted(set(fn_cfg) - _PIPELINE_FAKENEWS_KEYS)]
     if unknown:
         raise _StageError(EXIT_CONFIG, f"unknown pipeline config key(s): {', '.join(unknown)}")
+    listed = [("samples", cfg.get("samples", []), ("e1", "e2")),
+              ("fakenews.samples", fn_cfg.get("samples", []), ("p1", "p2")),
+              ("fakenews.experiments", fn_cfg.get("experiments", []), ("a", "b"))]
+    bad = [f"{key}={name!r}" for key, names, accepted in listed for name in names
+           if str(name).lower() not in accepted]  # names are case-insensitive
+    if bad:
+        raise _StageError(EXIT_CONFIG, f"unknown name(s) in pipeline config: {', '.join(bad)}")
     algorithms = cfg.get("algorithms", list(ALGORITHMS))
     if len(algorithms) < 2:  # the early warning keeps the best two
         raise _StageError(EXIT_CONFIG,

@@ -257,7 +257,8 @@ def run_early_warning(
     benchmark = run_benchmark(dataset, specs, protocol)
     best = select_best_models(benchmark.reports)
     spec_by_algo = {s.algorithm: s for s in specs}
-    balanced = rebalance(dataset, protocol.seed)
+    kept = rebalance(dataset.labels, protocol.seed)
+    balanced = Dataset(dataset.features[kept], dataset.labels[kept], dataset.feature_names)
     model_a = fit(balanced, spec_by_algo[best[0]])
     model_b = fit(balanced, spec_by_algo[best[1]])
     predictions = predict_disputed(dataset, model_a, model_b)

@@ -2,7 +2,8 @@
 
 The repeated-holdout protocol is: rebalance the classes by seeded
 undersampling, split 60/40 stratified, fit, evaluate; repeat with derived
-seeds and aggregate.  Aggregated reports pool the confusion counts across
+seeds and aggregate.  Rebalancing and splitting read only the labels and
+return row indices.  Aggregated reports pool the confusion counts across
 cycles (cycles have identical sizes, so pooled accuracy equals the mean) and
 average the per-cycle AUC.
 """
@@ -73,8 +74,8 @@ class MetricsReport:
         }
 
 
-def split_train_test(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Seeded stratified shuffle split.
+def split_train_test(labels: np.ndarray, train_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded stratified shuffle split; returns sorted ``(train, test)`` row indices.
 
     The train size is round(train_fraction * N); per-class sizes follow a
     largest-remainder apportionment so the class ratio is preserved, with
@@ -82,13 +83,13 @@ def split_train_test(dataset: Dataset, train_fraction: float, seed: int) -> tupl
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
-    y = dataset.labels
+    y = np.asarray(labels)
     classes = np.unique(y)
     counts = {int(c): int(np.sum(y == c)) for c in classes}
     if any(n < 2 for n in counts.values()):
         raise StratificationError(f"every class needs >= 2 rows for a stratified split: {counts}")
-    total_train = int(round(train_fraction * dataset.n))
-    total_train = min(max(total_train, len(classes)), dataset.n - len(classes))
+    total_train = int(round(train_fraction * len(y)))
+    total_train = min(max(total_train, len(classes)), len(y) - len(classes))
 
     quotas = {c: train_fraction * n for c, n in counts.items()}
     base = {c: int(np.floor(q)) for c, q in quotas.items()}
@@ -108,32 +109,31 @@ def split_train_test(dataset: Dataset, train_fraction: float, seed: int) -> tupl
         base[c] -= 1
 
     rng = np.random.default_rng(seed)
-    train_idx: list[int] = []
-    test_idx: list[int] = []
+    train_parts = []
+    test_parts = []
     for c in sorted(counts):
-        idx = np.flatnonzero(y == c)
-        perm = rng.permutation(len(idx))
-        shuffled = idx[perm]
-        train_idx.extend(shuffled[: base[c]].tolist())
-        test_idx.extend(shuffled[base[c] :].tolist())
-    return dataset.take_rows(sorted(train_idx)), dataset.take_rows(sorted(test_idx))
+        shuffled = np.flatnonzero(y == c)[rng.permutation(counts[c])]
+        train_parts.append(shuffled[: base[c]])
+        test_parts.append(shuffled[base[c] :])
+    return np.sort(np.concatenate(train_parts)), np.sort(np.concatenate(test_parts))
 
 
-def rebalance(dataset: Dataset, seed: int) -> Dataset:
-    """Seeded undersampling of the majority class down to the minority count."""
-    y = dataset.labels
+def rebalance(labels: np.ndarray, seed: int) -> np.ndarray:
+    """Sorted row indices kept by seeded undersampling of the majority class
+    down to the minority count; every row when the classes are balanced."""
+    y = np.asarray(labels)
     n_pos = int(np.sum(y == 1))
     n_neg = int(np.sum(y == 0))
     if n_pos == 0 or n_neg == 0:
         raise ValueError("rebalance requires both classes")
     if n_pos == n_neg:
-        return dataset
+        return np.arange(len(y))
     minority, majority = (1, 0) if n_pos < n_neg else (0, 1)
     keep = np.flatnonzero(y == minority)
     maj_idx = np.flatnonzero(y == majority)
     rng = np.random.default_rng(seed)
     chosen = rng.choice(maj_idx, size=len(keep), replace=False)
-    return dataset.take_rows(sorted(np.concatenate([keep, chosen]).tolist()))
+    return np.sort(np.concatenate([keep, chosen]))
 
 
 def _one_class(labels: np.ndarray, predicted: np.ndarray, positive: int) -> ClassMetrics:
@@ -252,17 +252,21 @@ class CycleOutcome:
 
 
 def run_cycles(dataset: Dataset, spec: ModelSpec, protocol: Protocol) -> list[CycleOutcome]:
-    """Run every protocol cycle for one model spec; derived seed is seed + i."""
+    """Run every protocol cycle for one model spec; derived seed is seed + i.
+
+    Each cycle picks its rows from the labels alone, so only the train and
+    test slices of the feature matrix are copied.
+    """
+    X, y = dataset.features, dataset.labels
     outcomes = []
     for i in range(protocol.repeats):
         cycle_seed = protocol.seed + i
-        balanced = rebalance(dataset, cycle_seed)
-        train, test = split_train_test(balanced, protocol.train_fraction, cycle_seed)
-        model = fit(train, spec)
-        scores, predicted = predict(model, test.features)
-        outcomes.append(
-            CycleOutcome(labels=test.labels, predicted=predicted, auc=roc_auc(test.labels, scores))
-        )
+        kept = rebalance(y, cycle_seed)
+        train, test = split_train_test(y[kept], protocol.train_fraction, cycle_seed)
+        train, test = kept[train], kept[test]
+        model = fit(Dataset(X[train], y[train], dataset.feature_names), spec)
+        scores, predicted = predict(model, X[test])
+        outcomes.append(CycleOutcome(labels=y[test], predicted=predicted, auc=roc_auc(y[test], scores)))
     return outcomes
 
 
@@ -282,10 +286,6 @@ def evaluate_spec(
     class_names: dict[int, str] | None = None,
 ) -> MetricsReport:
     return aggregate_outcomes(run_cycles(dataset, spec, protocol), class_names)
-
-
-def mean_cycle_auc(dataset: Dataset, spec: ModelSpec, protocol: Protocol) -> float:
-    return float(np.mean([o.auc for o in run_cycles(dataset, spec, protocol)]))
 
 
 @dataclass(frozen=True)
@@ -318,7 +318,7 @@ def forward_stepwise(
         for name in remaining:  # feature-name order == column order: index tie-break
             candidate = dataset.take_columns(selected + [name])
             try:
-                auc = mean_cycle_auc(candidate, spec, protocol)
+                auc = evaluate_spec(candidate, spec, protocol).auc
             except Exception:
                 auc = 0.0
             if auc > best_auc:

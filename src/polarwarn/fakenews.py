@@ -20,7 +20,7 @@ import numpy as np
 
 from .corpus import Comment, Corpus, EntitySample, Post, PostSample
 from .features import EntityFeatures
-from .evaluation import Protocol, MetricsReport, StepwiseResult, evaluate_spec, forward_stepwise, mean_cycle_auc
+from .evaluation import Protocol, MetricsReport, StepwiseResult, evaluate_spec, forward_stepwise
 from .earlywarning import EntityPrediction
 from .models import Dataset, ModelSpec
 
@@ -541,7 +541,7 @@ def run_experiment(
     auc: dict[str, list[float]] = {s.algorithm: [] for s in specs}
     for sub in step_sets:
         for spec in specs:
-            auc[spec.algorithm].append(mean_cycle_auc(sub, spec, protocol))
+            auc[spec.algorithm].append(evaluate_spec(sub, spec, protocol).auc)
     return ExperimentResult(
         mode=mode, steps=tuple(steps), auc={a: tuple(v) for a, v in auc.items()}
     )

@@ -11,11 +11,7 @@ from .base import (
     default_specs,
     fit,
     fit_standardizer,
-    load_model,
-    model_from_dict,
-    model_to_dict,
     predict,
-    save_model,
     standardize,
 )
 
@@ -30,10 +26,6 @@ __all__ = [
     "default_specs",
     "fit",
     "fit_standardizer",
-    "load_model",
-    "model_from_dict",
-    "model_to_dict",
     "predict",
-    "save_model",
     "standardize",
 ]

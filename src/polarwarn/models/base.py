@@ -10,9 +10,7 @@ for DT and the output unit for NN.  Labels threshold the score at 0.5
 
 from __future__ import annotations
 
-import copy
 import csv
-import json
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -95,15 +93,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.features.shape[0]
-
-    def take_rows(self, idx: Sequence[int]) -> "Dataset":
-        idx = np.asarray(idx, dtype=int)
-        return replace(
-            self,
-            features=self.features[idx],
-            labels=self.labels[idx],
-            row_ids=None if self.row_ids is None else tuple(self.row_ids[i] for i in idx),
-        )
 
     def take_columns(self, names: Sequence[str]) -> "Dataset":
         pos = {n: i for i, n in enumerate(self.feature_names)}
@@ -205,67 +194,3 @@ def dataset_to_csv(dataset: Dataset, path) -> None:
         ids = dataset.row_ids or [str(i) for i in range(dataset.n)]
         for rid, row, label in zip(ids, dataset.features, dataset.labels):
             writer.writerow([rid, *row.tolist(), int(label)])
-
-
-MODEL_FORMAT_VERSION = 1
-
-
-def _encode(value):
-    if isinstance(value, np.ndarray):
-        return {"__array__": value.tolist(), "shape": list(value.shape)}
-    if isinstance(value, dict):
-        return {k: _encode(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
-
-
-def _decode(value):
-    if isinstance(value, dict):
-        if "__array__" in value:
-            return np.asarray(value["__array__"], dtype=float).reshape(value["shape"])
-        return {k: _decode(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_decode(v) for v in value]
-    return value
-
-
-def model_to_dict(model: TrainedModel) -> dict:
-    return {
-        "format_version": MODEL_FORMAT_VERSION,
-        "algorithm": model.spec.algorithm,
-        "hyperparameters": _encode(dict(model.spec.hyperparameters)),
-        "seed": model.spec.seed,
-        "standardizer": {
-            "mean": _encode(model.standardizer.mean),
-            "scale": _encode(model.standardizer.scale),
-        },
-        "params": _encode(copy.deepcopy(model.params)),
-    }
-
-
-def model_from_dict(doc: dict) -> TrainedModel:
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format: {doc.get('format_version')}")
-    spec = ModelSpec(
-        algorithm=doc["algorithm"],
-        hyperparameters=_decode(doc["hyperparameters"]),
-        seed=doc["seed"],
-    )
-    std = Standardizer(
-        mean=_decode(doc["standardizer"]["mean"]),
-        scale=_decode(doc["standardizer"]["scale"]),
-    )
-    return TrainedModel(spec=spec, standardizer=std, params=_decode(doc["params"]))
-
-
-def save_model(model: TrainedModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh)
-
-
-def load_model(path) -> TrainedModel:
-    with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))

@@ -67,7 +67,8 @@ def fit_log(X: np.ndarray, y: np.ndarray, hp: dict) -> dict:
     squared Newton decrement (the loss gap to the optimum that the quadratic
     model predicts) is below ``tol**2``, after ``max_iter`` steps, or when no
     step decreases the loss.  The decrement matters where the Hessian is flat:
-    a gradient under ``tol`` can still leave a loss gap of order 1e-10 there."""
+    a gradient under ``tol`` can still leave a loss gap of order 1e-10 there.
+    ``converged`` is True only when that first rule ended the fit."""
     reg = float(hp["regularization"])
     max_iter, tol = int(hp["max_iter"]), float(hp["tol"])
 
@@ -77,13 +78,15 @@ def fit_log(X: np.ndarray, y: np.ndarray, hp: dict) -> dict:
     theta = np.zeros(X.shape[1] + 1)
     f, g = fun_grad(theta)
     n_iter = 0
+    converged = False
     while n_iter < max_iter:
         hess = _log_hessian(theta, X, reg)
         try:
             direction = np.linalg.solve(hess, -g)
         except np.linalg.LinAlgError:  # exactly singular, e.g. reg=0 with a constant column
             direction = np.linalg.lstsq(hess, -g, rcond=None)[0]
-        if float(np.linalg.norm(g)) < tol and -float(g @ direction) < 2.0 * tol**2:
+        converged = float(np.linalg.norm(g)) < tol and -float(g @ direction) < 2.0 * tol**2
+        if converged:
             break
         res = armijo_step(fun_grad, theta, f, g, direction, 1.0)
         if res is None:
@@ -94,7 +97,7 @@ def fit_log(X: np.ndarray, y: np.ndarray, hp: dict) -> dict:
         "weights": theta[:-1],
         "bias": float(theta[-1]),
         "n_iter": n_iter,
-        "converged": bool(np.linalg.norm(g) < tol),
+        "converged": converged,
     }
 
 

@@ -251,16 +251,12 @@ def inflection_points(fit: PolynomialFit) -> list[float]:
 class Policy:
     """How to pick the threshold from a fitted curve's inflection structure."""
 
-    kind: str  # 'second_concavity_change' | 'first' | 'index'
+    kind: str  # 'second_concavity_change' | 'index'
     k: int = 1
 
     @classmethod
     def second_concavity_change(cls) -> "Policy":
         return cls(kind="second_concavity_change")
-
-    @classmethod
-    def first(cls) -> "Policy":
-        return cls(kind="first")
 
     @classmethod
     def index(cls, k: int) -> "Policy":
@@ -357,12 +353,11 @@ def select_threshold(
     if policy.kind == "second_concavity_change":
         decreasing = float(fit(grid[0])) >= float(fit(grid[-1]))
         chosen = _second_concavity_change(classified, decreasing)
-    elif policy.kind in ("first", "index"):
+    elif policy.kind == "index":
         if not roots:
             raise SelectionError("fit has no inflection points", roots)
-        k = 1 if policy.kind == "first" else policy.k
         # fall back to the first inflection when the fit has fewer than k
-        chosen = roots[k - 1] if len(roots) >= k else roots[0]
+        chosen = roots[policy.k - 1] if len(roots) >= policy.k else roots[0]
     else:
         raise ValueError(f"unknown policy kind {policy.kind!r}")
 

@@ -155,6 +155,9 @@ def test_all_fits_failing_is_numeric_error(data_dir, tmp_path):
     ({"samples": ["e1"], "sampels": ["e2"]}, "sampels"),
     ({"fakenews": {"samples": ["p1"], "max_steps": 2}}, "fakenews.max_steps"),
     ({"algorithms": ["log"]}, "algorithms"),
+    ({"samples": ["e1", "E3"]}, "samples='E3'"),
+    ({"fakenews": {"samples": ["P1", "px"]}}, "fakenews.samples='px'"),
+    ({"fakenews": {"samples": ["p1"], "experiments": ["a", "c"]}}, "fakenews.experiments='c'"),
 ])
 def test_pipeline_config_rejected_before_work(data_dir, tmp_path, caplog, run_config, named):
     config_path = tmp_path / "run.json"

@@ -10,6 +10,10 @@ from polarwarn.evaluation import ClassMetrics, MetricsReport, Protocol, rebalanc
 from polarwarn.models import Dataset, ModelSpec, fit
 
 
+def subset_rows(dataset: Dataset, rows) -> Dataset:
+    return Dataset(dataset.features[rows], dataset.labels[rows], dataset.feature_names)
+
+
 def entity_feature(entity="e", disputed=0, with_comments=True, **overrides):
     f = feat.EntityFeatures(
         entity=entity, occurrences=3, post_sent_min=-0.5, post_sent_max=0.5,
@@ -125,8 +129,9 @@ def reference_logistic_auc(dataset: Dataset, protocol: Protocol) -> float:
 
     aucs = []
     for i in range(protocol.repeats):
-        balanced = rebalance(dataset, protocol.seed + i)
-        train, test = split_train_test(balanced, protocol.train_fraction, protocol.seed + i)
+        kept = rebalance(dataset.labels, protocol.seed + i)
+        train, test = split_train_test(dataset.labels[kept], protocol.train_fraction, protocol.seed + i)
+        train, test = subset_rows(dataset, kept[train]), subset_rows(dataset, kept[test])
         mean = train.features.mean(0)
         scale = np.where(train.features.std(0) == 0, 1.0, train.features.std(0))
         X = np.hstack([(train.features - mean) / scale, np.ones((train.n, 1))])
@@ -198,7 +203,7 @@ class TestPredictDisputed:
         feats = feat.entity_features(corpus, sample)
         ew.fill_indicators(feats, type("T", (), {"delta_p": 1.0, "delta_r": None, "rho_e": None}))
         ds = ew.build_entity_dataset(feats, "E1")
-        balanced = rebalance(ds, 0)
+        balanced = subset_rows(ds, rebalance(ds.labels, 0))
         model = fit(balanced, ModelSpec("log"))
         with pytest.raises(ValueError):
             ew.predict_disputed(ds, model, model)
@@ -209,7 +214,7 @@ class TestPredictDisputed:
         feats = feat.entity_features(corpus, sample)
         ew.fill_indicators(feats, type("T", (), {"delta_p": 1.0, "delta_r": None, "rho_e": None}))
         ds = ew.build_entity_dataset(feats, "E1")
-        balanced = rebalance(ds, 0)
+        balanced = subset_rows(ds, rebalance(ds.labels, 0))
         model_a = fit(balanced, ModelSpec("log"))
         model_b = fit(balanced.take_columns(list(ds.feature_names[:4])), ModelSpec("lin"))
         from polarwarn.models import ShapeError

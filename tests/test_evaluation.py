@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polarwarn import evaluation as ev
@@ -20,70 +20,129 @@ def make_dataset(X, y):
 
 class TestSplit:
     def test_exact_arithmetic_balanced_ten(self):
-        ds = make_dataset(np.arange(10).reshape(-1, 1), [0] * 5 + [1] * 5)
-        train, test = ev.split_train_test(ds, 0.6, seed=0)
-        assert train.n == 6 and test.n == 4
-        assert int(train.labels.sum()) == 3 and int(test.labels.sum()) == 2
+        y = np.array([0] * 5 + [1] * 5)
+        train, test = ev.split_train_test(y, 0.6, seed=0)
+        assert len(train) == 6 and len(test) == 4
+        assert int(y[train].sum()) == 3 and int(y[test].sum()) == 2
 
     def test_same_seed_identical(self):
         rng = np.random.default_rng(0)
-        ds = make_dataset(rng.normal(0, 1, (40, 2)), rng.integers(0, 2, 40))
-        a = ev.split_train_test(ds, 0.6, seed=3)
-        b = ev.split_train_test(ds, 0.6, seed=3)
-        assert np.array_equal(a[0].features, b[0].features)
-        assert np.array_equal(a[1].features, b[1].features)
+        y = rng.integers(0, 2, 40)
+        a = ev.split_train_test(y, 0.6, seed=3)
+        b = ev.split_train_test(y, 0.6, seed=3)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_partition_property(self):
         rng = np.random.default_rng(1)
-        X = rng.normal(0, 1, (100, 1))
-        ds = make_dataset(X, rng.integers(0, 2, 100))
-        train, test = ev.split_train_test(ds, 0.6, seed=5)
-        combined = np.sort(np.concatenate([train.features[:, 0], test.features[:, 0]]))
-        assert np.array_equal(combined, np.sort(X[:, 0]))
-        assert train.n + test.n == 100
+        y = rng.integers(0, 2, 100)
+        train, test = ev.split_train_test(y, 0.6, seed=5)
+        assert np.array_equal(np.sort(np.concatenate([train, test])), np.arange(100))
+        assert len(train) + len(test) == 100
 
     def test_small_class_error(self):
-        ds = make_dataset([[0.0], [1.0], [2.0]], [0, 0, 1])
         with pytest.raises(ev.StratificationError):
-            ev.split_train_test(ds, 0.6, seed=0)
+            ev.split_train_test(np.array([0, 0, 1]), 0.6, seed=0)
+
+    def test_train_fraction_range(self):
+        for fraction in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                ev.split_train_test(np.array([0, 0, 1, 1]), fraction, seed=0)
 
     def test_unbalanced_strata_rounding(self):
-        ds = make_dataset(np.arange(10).reshape(-1, 1), [0] * 7 + [1] * 3)
-        train, test = ev.split_train_test(ds, 0.6, seed=2)
-        assert train.n == 6
-        assert int(np.sum(train.labels == 0)) == 4
-        assert int(np.sum(train.labels == 1)) == 2
+        y = np.array([0] * 7 + [1] * 3)
+        train, test = ev.split_train_test(y, 0.6, seed=2)
+        assert len(train) == 6
+        assert int(np.sum(y[train] == 0)) == 4
+        assert int(np.sum(y[train] == 1)) == 2
 
 
 class TestRebalance:
     def test_undersamples_majority(self):
-        ds = make_dataset(np.arange(100).reshape(-1, 1), [0] * 80 + [1] * 20)
-        out = ev.rebalance(ds, seed=0)
-        assert int(np.sum(out.labels == 0)) == 20
-        assert int(np.sum(out.labels == 1)) == 20
+        y = np.array([0] * 80 + [1] * 20)
+        kept = ev.rebalance(y, seed=0)
+        assert int(np.sum(y[kept] == 0)) == 20
+        assert int(np.sum(y[kept] == 1)) == 20
 
     def test_balanced_input_unchanged(self):
-        ds = make_dataset(np.arange(10).reshape(-1, 1), [0] * 5 + [1] * 5)
-        out = ev.rebalance(ds, seed=0)
-        assert np.array_equal(out.features, ds.features)
+        kept = ev.rebalance(np.array([0] * 5 + [1] * 5), seed=0)
+        assert np.array_equal(kept, np.arange(10))
 
     def test_minority_rows_all_kept(self):
-        ds = make_dataset(np.arange(50).reshape(-1, 1), [0] * 40 + [1] * 10)
-        out = ev.rebalance(ds, seed=4)
-        minority_rows = set(ds.features[ds.labels == 1, 0].tolist())
-        assert minority_rows <= set(out.features[:, 0].tolist())
+        y = np.array([0] * 40 + [1] * 10)
+        kept = ev.rebalance(y, seed=4)
+        assert set(np.flatnonzero(y == 1).tolist()) <= set(kept.tolist())
 
     def test_seeds_vary_subset(self):
-        ds = make_dataset(np.arange(100).reshape(-1, 1), [0] * 80 + [1] * 20)
-        a = ev.rebalance(ds, seed=0)
-        b = ev.rebalance(ds, seed=1)
-        assert a.n == b.n == 40
-        assert not np.array_equal(a.features, b.features)
+        y = np.array([0] * 80 + [1] * 20)
+        a = ev.rebalance(y, seed=0)
+        b = ev.rebalance(y, seed=1)
+        assert len(a) == len(b) == 40
+        assert not np.array_equal(a, b)
 
     def test_single_class_error(self):
-        ds = make_dataset([[0.0], [1.0]], [1, 1])
         with pytest.raises(ValueError):
-            ev.rebalance(ds, seed=0)
+            ev.rebalance(np.array([1, 1]), seed=0)
+
+
+# Rows for seeds 0-2, recorded by running the Dataset-based protocol on a
+# Dataset whose only column was np.arange(22), so each returned row carried
+# its own index: the split of the full label vector, and one run_cycles
+# cycle (rebalance, then the split of the kept rows).  Any change to the RNG
+# calls or their order moves them.
+PINNED_LABELS = np.array([0, 1, 1, 0, 0, 0, 1, 0, 1, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0])
+PINNED_SPLITS = {
+    0: ([0, 1, 4, 5, 6, 7, 9, 11, 12, 15, 17, 19, 21], [2, 3, 8, 10, 13, 14, 16, 18, 20]),
+    1: ([0, 1, 2, 3, 7, 8, 9, 11, 12, 13, 15, 18, 21], [4, 5, 6, 10, 14, 16, 17, 19, 20]),
+    2: ([0, 1, 4, 8, 10, 11, 12, 14, 16, 17, 18, 20, 21], [2, 3, 5, 6, 7, 9, 13, 15, 19]),
+}
+PINNED_CYCLES = {
+    0: ([5, 6, 7, 9, 11, 12, 16, 19], [0, 1, 2, 3, 8, 10]),
+    1: ([0, 2, 4, 6, 8, 13, 17, 19], [1, 7, 9, 11, 16, 18]),
+    2: ([1, 5, 6, 8, 9, 11, 12, 17], [2, 3, 4, 10, 16, 19]),
+}
+
+
+class TestIndexProtocol:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pinned_rng_order(self, seed):
+        train, test = ev.split_train_test(PINNED_LABELS, 0.6, seed)
+        assert (train.tolist(), test.tolist()) == PINNED_SPLITS[seed]
+        kept = ev.rebalance(PINNED_LABELS, seed)
+        train, test = ev.split_train_test(PINNED_LABELS[kept], 0.6, seed)
+        assert (kept[train].tolist(), kept[test].tolist()) == PINNED_CYCLES[seed]
+
+    @given(
+        st.lists(st.integers(0, 1), min_size=4, max_size=120),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.3, 0.5, 0.6, 0.8]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_cycle_indices(self, labels, seed, fraction):
+        y = np.array(labels)
+        m = min(int(np.sum(y == 0)), int(np.sum(y == 1)))
+        assume(m >= 2)
+        kept = ev.rebalance(y, seed)
+        assert np.array_equal(kept, np.unique(kept))  # sorted, no repeats
+        minority = 1 if np.sum(y == 1) == m else 0
+        assert set(np.flatnonzero(y == minority).tolist()) <= set(kept.tolist())
+        assert int(np.sum(y[kept] == 0)) == int(np.sum(y[kept] == 1)) == m
+
+        train, test = ev.split_train_test(y[kept], fraction, seed)
+        for part in (train, test):
+            assert np.array_equal(part, np.unique(part))
+        assert not set(train.tolist()) & set(test.tolist())
+        assert np.array_equal(np.sort(np.concatenate([train, test])), np.arange(len(kept)))
+        # two classes of m rows share round(fraction * 2m) train rows, at
+        # least one and at most m - 1 each, by largest remainder
+        total = min(max(int(round(fraction * len(kept))), 2), 2 * m - 2)
+        assert len(train) == total
+        for c in (0, 1):
+            assert int(np.sum(y[kept][train] == c)) in (total // 2, (total + 1) // 2)
+
+        assert np.array_equal(ev.rebalance(y, seed), kept)
+        again = ev.split_train_test(y[kept], fraction, seed)
+        assert np.array_equal(again[0], train) and np.array_equal(again[1], test)
 
 
 class TestConfusionMetrics:
@@ -215,7 +274,7 @@ class TestProtocol:
             labels=rng.permutation(ds.labels),
             feature_names=ds.feature_names,
         )
-        auc = ev.mean_cycle_auc(permuted, ModelSpec("log"), ev.Protocol(repeats=8, seed=2))
+        auc = ev.evaluate_spec(permuted, ModelSpec("log"), ev.Protocol(repeats=8, seed=2)).auc
         assert 0.35 < auc < 0.65
 
 

@@ -140,7 +140,7 @@ class TestSelectThreshold:
     def test_index_policy_and_first_fallback(self):
         curve = self.sigmoid_curve()
         sel3 = th.select_threshold(curve, policy=th.Policy.index(3), degree=5)
-        sel1 = th.select_threshold(curve, policy=th.Policy.first(), degree=5)
+        sel1 = th.select_threshold(curve, policy=th.Policy.index(1), degree=5)
         assert sel1.threshold == sel3.inflections[0] or sel1.threshold in (0.0, 1.99)
         # a degree-3 fit of a sigmoid has a single inflection: index(3) falls back
         one = th.select_threshold(curve, policy=th.Policy.index(3), degree=3)
@@ -148,7 +148,7 @@ class TestSelectThreshold:
 
     def test_clamped_to_grid(self):
         curve = self.sigmoid_curve()
-        sel = th.select_threshold(curve, policy=th.Policy.first(), degree=5)
+        sel = th.select_threshold(curve, policy=th.Policy.index(1), degree=5)
         assert 0.0 <= sel.threshold <= 1.99
 
     def test_selection_error_reports_inflections(self):
