@@ -1,23 +1,42 @@
-"""Annotated social-media corpus: loading, validation, indexing, sampling.
+"""Annotated social-media corpus: loading, validation, column tables, sampling.
 
 The corpus is read from four JSONL files (sources, posts, comments, entity
-mentions), validated for schema and referential integrity, and indexed for
-the downstream feature computations.  After loading, a :class:`Corpus` is
-immutable and safe to share across workers.
+mentions) into column tables: numpy arrays for codes and numbers, Python
+lists only for the strings something reads (texts, post ids, user ids,
+entity names).  Rows refer to each other by integer codes, which are row
+numbers in file order for sources and posts and positions in the sorted id
+lists for users and entities.  Comments are indexed by post and by user in
+CSR form.  After loading, a :class:`Corpus` is immutable and safe to share.
+
+Each file is read in blocks of ``_BLOCK_LINES`` lines.  A block is parsed
+with one ``json.loads`` over its lines joined as an array, and every column
+is checked with numpy and set operations.  Only when a block or a column
+fails a check is the file read again record by record, by the validator
+that raises a SchemaError or IntegrityError naming the file and line of the
+first bad record.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
+from itertools import islice, repeat
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
+
+import numpy as np
 
 OFFICIAL = "official"
 FAKE = "fake"
 
 _WS = re.compile(r"\s+")
+
+# Lines per parsed block: bounds the record dicts held at once.
+_BLOCK_LINES = 4096
+_INT64 = np.iinfo(np.int64)
 
 
 class CorpusError(Exception):
@@ -38,40 +57,85 @@ def normalize_entity(label: str) -> str:
 
 
 @dataclass(frozen=True)
-class Source:
-    id: str
-    name: str
-    category: str  # OFFICIAL or FAKE
+class Sources:
+    """One row per source, in file order."""
+
+    fake: np.ndarray  # bool: the source is a fake outlet
+
+    def __len__(self) -> int:
+        return len(self.fake)
 
 
 @dataclass(frozen=True)
-class Post:
-    id: str
-    source_id: str
-    timestamp: int
-    text: str
-    sentiment: float
-    likes: int
-    shares: int
+class Posts:
+    """One row per post, in file order."""
+
+    ids: list[str]
+    source: np.ndarray  # source row
+    timestamp: np.ndarray  # integer UTC seconds
+    text: list[str]
+    sentiment: np.ndarray
+    likes: np.ndarray
+    shares: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 @dataclass(frozen=True)
-class Comment:
-    id: str
-    post_id: str
-    user_id: str
-    timestamp: int
-    text: str
-    sentiment: float | None
-    likes: int
-    replies: int
+class Comments:
+    """One row per comment, in file order."""
+
+    post: np.ndarray  # post row
+    user: np.ndarray  # position in Corpus.users
+    text: list[str]
+    sentiment: np.ndarray  # NaN where the comment has no sentiment score
+    likes: np.ndarray
+    replies: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.post)
 
 
 @dataclass(frozen=True)
-class EntityMention:
-    entity: str
-    post_id: str
-    confidence: float
+class Mentions:
+    """One row per entity mention, in file order."""
+
+    entity: np.ndarray  # position in Corpus.entities
+    post: np.ndarray  # post row
+    confidence: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.post)
+
+
+@dataclass(frozen=True)
+class Groups:
+    """Rows grouped by an integer key in CSR form.
+
+    Group ``g`` holds rows ``order[ptr[g]:ptr[g + 1]]``, in file order.
+    """
+
+    order: np.ndarray
+    ptr: np.ndarray
+
+    @classmethod
+    def of(cls, key: np.ndarray, size: int) -> "Groups":
+        ptr = np.zeros(size + 1, np.int64)
+        np.cumsum(np.bincount(key, minlength=size), out=ptr[1:])
+        return cls(order=np.argsort(key, kind="stable"), ptr=ptr)
+
+    def rows(self, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of each group in ``groups``, concatenated, and each group's size."""
+        index, count = group_positions(self.ptr, groups)
+        return self.order[index], count
+
+
+def group_positions(ptr: np.ndarray, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions ``ptr[g]`` up to ``ptr[g + 1]`` of each group in ``groups``, flattened, and their count."""
+    count = np.diff(ptr)[groups]
+    index = np.repeat(ptr[:-1][groups] - (np.cumsum(count) - count), count) + np.arange(count.sum())
+    return index, count
 
 
 @dataclass(frozen=True)
@@ -103,37 +167,48 @@ class PostSample:
     entity_sample_name: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class Corpus:
-    sources: dict[str, Source]
-    posts: dict[str, Post]
-    comments: dict[str, Comment]
-    mentions: list[EntityMention]
-    # indexes, built once at load time
-    comments_by_post: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    comments_by_user: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    posts_by_entity: dict[str, dict[str, float]] = field(default_factory=dict)
-    entities_by_post: dict[str, dict[str, float]] = field(default_factory=dict)
+    sources: Sources
+    posts: Posts
+    comments: Comments
+    mentions: Mentions
+    users: list[str]  # sorted user ids
+    entities: list[str]  # sorted entity names
+    post_index: Mapping[str, int]  # post id -> row
+    comments_of_post: Groups
+    comments_of_user: Groups
 
-    def source_category(self, post_id: str) -> str:
-        return self.sources[self.posts[post_id].source_id].category
+    def post_is_fake(self) -> np.ndarray:
+        """Per post row: its source is a fake outlet."""
+        return self.sources.fake[self.posts.source]
+
+    def post_rows(self, post_ids: Iterable[str]) -> np.ndarray:
+        """Rows of the given post ids, in the given order."""
+        post_ids = list(post_ids)
+        return np.fromiter(map(self.post_index.__getitem__, post_ids), np.int64, len(post_ids))
+
+    def entity_posts(self, entity: str) -> list[str]:
+        """Ids of every post mentioning the entity, at any confidence."""
+        code = bisect_left(self.entities, entity)
+        if code == len(self.entities) or self.entities[code] != entity:
+            return []
+        return [self.posts.ids[p] for p in self.mentions.post[self.mentions.entity == code].tolist()]
 
     def breakdown(self) -> dict[str, dict[str, int]]:
         """Per-category tallies of pages, posts, likes, comments, shares."""
-        out = {
-            cat: {"pages": 0, "posts": 0, "likes": 0, "comments": 0, "shares": 0}
-            for cat in (OFFICIAL, FAKE)
-        }
-        for src in self.sources.values():
-            out[src.category]["pages"] += 1
-        for post in self.posts.values():
-            row = out[self.sources[post.source_id].category]
-            row["posts"] += 1
-            row["likes"] += post.likes
-            row["shares"] += post.shares
-        for comment in self.comments.values():
-            cat = self.source_category(comment.post_id)
-            out[cat]["comments"] += 1
+        post_fake = self.post_is_fake()
+        comment_fake = post_fake[self.comments.post]
+        out = {}
+        for cat, fake in ((OFFICIAL, False), (FAKE, True)):
+            posts = post_fake == fake
+            out[cat] = {
+                "pages": int(np.count_nonzero(self.sources.fake == fake)),
+                "posts": int(np.count_nonzero(posts)),
+                "likes": sum(self.posts.likes[posts].tolist()),
+                "comments": int(np.count_nonzero(comment_fake == fake)),
+                "shares": sum(self.posts.shares[posts].tolist()),
+            }
         return out
 
 
@@ -153,6 +228,10 @@ class CorpusPaths:
             comments=d / "comments.jsonl",
             mentions=d / "mentions.jsonl",
         )
+
+
+# ---------------------------------------------------------------------------
+# Record validator: one record at a time, raising at the first bad field.
 
 
 def _iter_jsonl(path: Path) -> Iterable[tuple[int, dict]]:
@@ -183,18 +262,24 @@ def _as_str(obj: dict, key: str, where: str) -> str:
     return v
 
 
+def _as_int64(v: int, key: str, where: str) -> int:
+    if not _INT64.min <= v <= _INT64.max:
+        raise SchemaError(f"{where}: field {key!r} is outside the 64-bit integer range")
+    return v
+
+
 def _as_count(obj: dict, key: str, where: str) -> int:
     v = _need(obj, key, where)
     if isinstance(v, bool) or not isinstance(v, int) or v < 0:
         raise SchemaError(f"{where}: field {key!r} must be a non-negative integer")
-    return v
+    return _as_int64(v, key, where)
 
 
 def _as_timestamp(obj: dict, key: str, where: str) -> int:
     v = _need(obj, key, where)
     if isinstance(v, bool) or not isinstance(v, int):
         raise SchemaError(f"{where}: field {key!r} must be integer UTC seconds")
-    return v
+    return _as_int64(v, key, where)
 
 
 def _as_sentiment(v, where: str, key: str = "sentiment") -> float:
@@ -206,68 +291,77 @@ def _as_sentiment(v, where: str, key: str = "sentiment") -> float:
     return v
 
 
-def load_corpus(paths: CorpusPaths | str | Path) -> Corpus:
-    """Load and validate the four JSONL files into an indexed corpus.
+# Each reader checks a record's fields in a fixed order, which decides the
+# error reported for a record with several faults, and yields them in the
+# order of the matching _*_FIELDS tuple.
 
-    Raises SchemaError with file/line coordinates for malformed records and
-    IntegrityError listing every dangling reference or duplicate key.
-    """
-    if not isinstance(paths, CorpusPaths):
-        paths = CorpusPaths.in_dir(paths)
-    for p in (paths.sources, paths.posts, paths.comments, paths.mentions):
-        if not Path(p).exists():
-            raise CorpusError(f"missing corpus file: {p}")
+_SOURCE_FIELDS = ("id", "name", "category")
+_POST_FIELDS = ("id", "source_id", "timestamp", "text", "sentiment", "likes", "shares")
+_COMMENT_FIELDS = ("id", "post_id", "user_id", "timestamp", "text", "sentiment", "likes", "replies")
+_MENTION_FIELDS = ("entity", "post_id", "confidence")
 
-    sources: dict[str, Source] = {}
-    for lineno, obj in _iter_jsonl(paths.sources):
-        where = f"{paths.sources}:{lineno}"
+
+def _source_records(path: Path) -> Iterator[tuple]:
+    seen: set[str] = set()
+    for lineno, obj in _iter_jsonl(path):
+        where = f"{path}:{lineno}"
         sid = _as_str(obj, "id", where)
         category = _as_str(obj, "category", where)
         if category not in (OFFICIAL, FAKE):
             raise SchemaError(f"{where}: category must be 'official' or 'fake'")
-        if sid in sources:
+        if sid in seen:
             raise IntegrityError(f"{where}: duplicate source id {sid!r}")
-        sources[sid] = Source(id=sid, name=_as_str(obj, "name", where), category=category)
+        seen.add(sid)
+        yield sid, _as_str(obj, "name", where), category
 
-    posts: dict[str, Post] = {}
-    for lineno, obj in _iter_jsonl(paths.posts):
-        where = f"{paths.posts}:{lineno}"
+
+def _post_records(path: Path) -> Iterator[tuple]:
+    seen: set[str] = set()
+    for lineno, obj in _iter_jsonl(path):
+        where = f"{path}:{lineno}"
         pid = _as_str(obj, "id", where)
-        if pid in posts:
+        if pid in seen:
             raise IntegrityError(f"{where}: duplicate post id {pid!r}")
-        posts[pid] = Post(
-            id=pid,
-            source_id=_as_str(obj, "source_id", where),
-            timestamp=_as_timestamp(obj, "timestamp", where),
-            text=str(_need(obj, "text", where)),
-            sentiment=_as_sentiment(_need(obj, "sentiment", where), where),
-            likes=_as_count(obj, "likes", where),
-            shares=_as_count(obj, "shares", where),
+        seen.add(pid)
+        yield (
+            pid,
+            _as_str(obj, "source_id", where),
+            _as_timestamp(obj, "timestamp", where),
+            str(_need(obj, "text", where)),
+            _as_sentiment(_need(obj, "sentiment", where), where),
+            _as_count(obj, "likes", where),
+            _as_count(obj, "shares", where),
         )
 
-    comments: dict[str, Comment] = {}
-    for lineno, obj in _iter_jsonl(paths.comments):
-        where = f"{paths.comments}:{lineno}"
+
+def _comment_records(path: Path) -> Iterator[tuple]:
+    seen: set[str] = set()
+    for lineno, obj in _iter_jsonl(path):
+        where = f"{path}:{lineno}"
         cid = _as_str(obj, "id", where)
-        if cid in comments:
+        if cid in seen:
             raise IntegrityError(f"{where}: duplicate comment id {cid!r}")
+        seen.add(cid)
         raw_sent = _need(obj, "sentiment", where)
-        comments[cid] = Comment(
-            id=cid,
-            post_id=_as_str(obj, "post_id", where),
-            user_id=_as_str(obj, "user_id", where),
-            timestamp=_as_timestamp(obj, "timestamp", where),
-            text=str(_need(obj, "text", where)),
-            sentiment=None if raw_sent is None else _as_sentiment(raw_sent, where),
-            likes=_as_count(obj, "likes", where),
-            replies=_as_count(obj, "replies", where),
+        yield (
+            cid,
+            _as_str(obj, "post_id", where),
+            _as_str(obj, "user_id", where),
+            _as_timestamp(obj, "timestamp", where),
+            str(_need(obj, "text", where)),
+            None if raw_sent is None else _as_sentiment(raw_sent, where),
+            _as_count(obj, "likes", where),
+            _as_count(obj, "replies", where),
         )
 
-    mentions: list[EntityMention] = []
-    seen_pairs: set[tuple[str, str]] = set()
-    for lineno, obj in _iter_jsonl(paths.mentions):
-        where = f"{paths.mentions}:{lineno}"
-        entity = normalize_entity(_as_str(obj, "entity", where))
+
+def _mention_records(path: Path) -> Iterator[tuple]:
+    """Mentions with the entity label as written; duplicates compare normalized labels."""
+    seen: set[tuple[str, str]] = set()
+    for lineno, obj in _iter_jsonl(path):
+        where = f"{path}:{lineno}"
+        label = _as_str(obj, "entity", where)
+        entity = normalize_entity(label)
         post_id = _as_str(obj, "post_id", where)
         conf = _need(obj, "confidence", where)
         if isinstance(conf, bool) or not isinstance(conf, (int, float)):
@@ -275,47 +369,284 @@ def load_corpus(paths: CorpusPaths | str | Path) -> Corpus:
         conf = float(conf)
         if not 0.0 <= conf <= 1.0:
             raise SchemaError(f"{where}: confidence out of range [0, 1]: {conf}")
-        pair = (entity, post_id)
-        if pair in seen_pairs:
+        if (entity, post_id) in seen:
             raise IntegrityError(f"{where}: duplicate mention of {entity!r} in post {post_id!r}")
-        seen_pairs.add(pair)
-        mentions.append(EntityMention(entity=entity, post_id=post_id, confidence=conf))
+        seen.add((entity, post_id))
+        yield label, post_id, conf
 
+
+def _record_blocks(records: Iterator[tuple]) -> Iterator[list[tuple]]:
+    """Validated records in blocks, one tuple of values per field."""
+    while block := list(islice(records, _BLOCK_LINES)):
+        yield list(zip(*block))
+
+
+def _raise_dangling(paths: CorpusPaths) -> None:
+    """Raise the IntegrityError listing every dangling reference, sorted."""
+    source_ids = {sid for sid, *_ in _source_records(paths.sources)}
+    post_ids: set[str] = set()
     dangling: list[str] = []
-    for post in posts.values():
-        if post.source_id not in sources:
-            dangling.append(f"post {post.id!r} -> source {post.source_id!r}")
-    for comment in comments.values():
-        if comment.post_id not in posts:
-            dangling.append(f"comment {comment.id!r} -> post {comment.post_id!r}")
-    for mention in mentions:
-        if mention.post_id not in posts:
-            dangling.append(f"mention {mention.entity!r} -> post {mention.post_id!r}")
-    if dangling:
-        raise IntegrityError("dangling references: " + "; ".join(sorted(dangling)))
-
-    corpus = Corpus(sources=sources, posts=posts, comments=comments, mentions=mentions)
-    _build_indexes(corpus)
-    return corpus
+    for pid, source_id, *_ in _post_records(paths.posts):
+        post_ids.add(pid)
+        if source_id not in source_ids:
+            dangling.append(f"post {pid!r} -> source {source_id!r}")
+    for cid, post_id, *_ in _comment_records(paths.comments):
+        if post_id not in post_ids:
+            dangling.append(f"comment {cid!r} -> post {post_id!r}")
+    for label, post_id, _ in _mention_records(paths.mentions):
+        if post_id not in post_ids:
+            dangling.append(f"mention {normalize_entity(label)!r} -> post {post_id!r}")
+    raise IntegrityError("dangling references: " + "; ".join(sorted(dangling)))
 
 
-def _build_indexes(corpus: Corpus) -> None:
-    by_post: dict[str, list[str]] = {}
-    by_user: dict[str, list[str]] = {}
-    for cid in corpus.comments:
-        c = corpus.comments[cid]
-        by_post.setdefault(c.post_id, []).append(cid)
-        by_user.setdefault(c.user_id, []).append(cid)
-    corpus.comments_by_post = {k: tuple(v) for k, v in by_post.items()}
-    corpus.comments_by_user = {k: tuple(v) for k, v in by_user.items()}
+# ---------------------------------------------------------------------------
+# Block parser and column checks.  A failed check raises _Recheck, and the
+# file is read again through the record validator above.
 
-    posts_by_entity: dict[str, dict[str, float]] = {}
-    entities_by_post: dict[str, dict[str, float]] = {}
-    for m in corpus.mentions:
-        posts_by_entity.setdefault(m.entity, {})[m.post_id] = m.confidence
-        entities_by_post.setdefault(m.post_id, {})[m.entity] = m.confidence
-    corpus.posts_by_entity = posts_by_entity
-    corpus.entities_by_post = entities_by_post
+
+class _Recheck(Exception):
+    """A block or column failed a check."""
+
+
+def _parsed_blocks(path: Path, fields: tuple[str, ...]) -> Iterator[list[tuple]]:
+    """Each block of the file as one tuple of values per field.
+
+    A block passes when its lines join to an array of exactly one object per
+    non-blank line, each object has exactly ``fields`` as keys, and (checked
+    by the column builders) every value is a string, a number or null.
+    Strings cannot hold a raw line break, so every ``"},\\n{"`` of the
+    joined text sits between two lines.  Objects of scalars contain no
+    other braces, so when every line starts with ``{`` and ends with ``}``
+    and the object count equals the line count, each line is one object.
+    """
+    get = itemgetter(*fields)
+    with open(path, encoding="utf-8") as fh:
+        while raw := list(islice(fh, _BLOCK_LINES)):
+            lines = list(filter(None, map(str.strip, raw)))
+            if not lines:
+                continue
+            text = "[" + ",\n".join(lines) + "]"
+            if not (text.startswith("[{") and text.endswith("}]")
+                    and text.count("},\n{") == len(lines) - 1):
+                raise _Recheck
+            try:
+                rows = json.loads(text)
+            except (ValueError, RecursionError):
+                raise _Recheck from None
+            if (len(rows) != len(lines) or set(map(type, rows)) != {dict}
+                    or sum(map(len, rows)) != len(fields) * len(rows)):
+                raise _Recheck
+            try:
+                columns = list(zip(*map(get, rows)))
+            except KeyError:
+                raise _Recheck from None
+            yield columns
+
+
+def _read(path: Path, fields: tuple[str, ...], records: Callable, build: Callable):
+    """``build`` over the parsed blocks, or over the validated records when a check fails.
+
+    A decode error also goes to the record validator, which reads the lines
+    before it first, as a line-by-line reader would.
+    """
+    try:
+        return build(_parsed_blocks(path, fields))
+    except (_Recheck, UnicodeDecodeError):
+        return build(_record_blocks(records(path)))
+
+
+def _strings(values: tuple) -> tuple:
+    """Non-empty strings."""
+    if not set(map(type, values)) <= {str} or "" in values:
+        raise _Recheck
+    return values
+
+
+def _texts(values: tuple) -> tuple:
+    if not set(map(type, values)) <= {str}:
+        raise _Recheck
+    return values
+
+
+def _ints(values: tuple, non_negative: bool = False) -> np.ndarray:
+    if not set(map(type, values)) <= {int}:
+        raise _Recheck
+    try:
+        out = np.array(values, np.int64)
+    except OverflowError:
+        raise _Recheck from None
+    if non_negative and len(out) and out.min() < 0:
+        raise _Recheck
+    return out
+
+
+def _numbers(values: tuple, lo: float, hi: float, nullable: bool = False) -> np.ndarray:
+    """Floats in [lo, hi]; with ``nullable``, null becomes NaN."""
+    allowed = {int, float, type(None)} if nullable else {int, float}
+    if not set(map(type, values)) <= allowed:
+        raise _Recheck
+    try:
+        out = np.array(values, float)
+    except OverflowError:
+        raise _Recheck from None
+    outside = np.count_nonzero(~((out >= lo) & (out <= hi)))  # NaN is outside
+    if outside != (values.count(None) if nullable else 0):
+        raise _Recheck
+    return out
+
+
+def _unique(values: list) -> None:
+    if len(set(values)) != len(values):
+        raise _Recheck
+
+
+def _refs(values: tuple, index: Mapping[str, int]) -> np.ndarray:
+    """Rows of the referenced ids; -1 for an id not in ``index``."""
+    return np.fromiter(map(index.get, values, repeat(-1)), np.int64, len(values))
+
+
+class _Codes:
+    """Codes for strings as they arrive, renumbered in sorted-string order at the end."""
+
+    def __init__(self) -> None:
+        self.code: dict[str, int] = {}
+
+    def encode(self, values: tuple) -> np.ndarray:
+        code = self.code
+        for v in set(values).difference(code):
+            code[v] = len(code)
+        return np.fromiter(map(code.__getitem__, values), np.int64, len(values))
+
+    def renumbered(self, chunks: list[np.ndarray]) -> tuple[list[str], np.ndarray]:
+        """The sorted strings, and the encoded chunks joined and renumbered to match."""
+        names = sorted(self.code)
+        rank = np.empty(len(names), np.int64)
+        rank[np.fromiter(map(self.code.__getitem__, names), np.int64, len(names))] = np.arange(len(names))
+        return names, rank[_concat(chunks, np.int64)]
+
+
+def _concat(chunks: list[np.ndarray], dtype) -> np.ndarray:
+    return np.concatenate(chunks) if chunks else np.zeros(0, dtype)
+
+
+def _build_sources(blocks) -> tuple[dict[str, int], Sources]:
+    ids: list[str] = []
+    fake = []
+    for sid, name, category in blocks:
+        ids += _strings(sid)
+        _strings(name)
+        if not set(_strings(category)) <= {OFFICIAL, FAKE}:
+            raise _Recheck
+        fake.append(np.array(category) == FAKE)
+    _unique(ids)
+    return {s: i for i, s in enumerate(ids)}, Sources(fake=_concat(fake, bool))
+
+
+def _build_posts(blocks, source_index: Mapping[str, int]) -> tuple[dict[str, int], Posts]:
+    ids: list[str] = []
+    texts: list[str] = []
+    source, timestamp, sentiment, likes, shares = [], [], [], [], []
+    for pid, source_id, ts, text, sent, like, share in blocks:
+        ids += _strings(pid)
+        texts += _texts(text)
+        source.append(_refs(_strings(source_id), source_index))
+        timestamp.append(_ints(ts))
+        sentiment.append(_numbers(sent, -1.0, 1.0))
+        likes.append(_ints(like, non_negative=True))
+        shares.append(_ints(share, non_negative=True))
+    _unique(ids)
+    posts = Posts(
+        ids=ids, source=_concat(source, np.int64), timestamp=_concat(timestamp, np.int64),
+        text=texts, sentiment=_concat(sentiment, float),
+        likes=_concat(likes, np.int64), shares=_concat(shares, np.int64),
+    )
+    return {p: i for i, p in enumerate(ids)}, posts
+
+
+def _build_comments(blocks, post_index: Mapping[str, int]) -> tuple[list[str], Comments]:
+    seen: set[str] = set()
+    n = 0
+    texts: list[str] = []
+    users = _Codes()
+    post, user, sentiment, likes, replies = [], [], [], [], []
+    for cid, post_id, user_id, ts, text, sent, like, reply in blocks:
+        seen.update(_strings(cid))
+        n += len(cid)
+        _ints(ts)
+        texts += _texts(text)
+        post.append(_refs(_strings(post_id), post_index))
+        user.append(users.encode(_strings(user_id)))
+        sentiment.append(_numbers(sent, -1.0, 1.0, nullable=True))
+        likes.append(_ints(like, non_negative=True))
+        replies.append(_ints(reply, non_negative=True))
+    if len(seen) != n:
+        raise _Recheck
+    names, user = users.renumbered(user)
+    comments = Comments(
+        post=_concat(post, np.int64), user=user, text=texts, sentiment=_concat(sentiment, float),
+        likes=_concat(likes, np.int64), replies=_concat(replies, np.int64),
+    )
+    return names, comments
+
+
+def _build_mentions(blocks, post_index: Mapping[str, int]) -> tuple[list[str], Mentions]:
+    entities = _Codes()
+    normalized: dict[str, str] = {}
+    entity, post, confidence = [], [], []
+    for label, post_id, conf in blocks:
+        for raw in set(_strings(label)).difference(normalized):
+            normalized[raw] = normalize_entity(raw)
+        entity.append(entities.encode(tuple(map(normalized.__getitem__, label))))
+        post.append(_refs(_strings(post_id), post_index))
+        confidence.append(_numbers(conf, 0.0, 1.0))
+    names, entity = entities.renumbered(entity)
+    post = _concat(post, np.int64)
+    # with a dangling post id the pairs are checked on the error path
+    if post.min(initial=0) >= 0 and len(np.unique(entity * len(post_index) + post)) != len(post):
+        raise _Recheck
+    return names, Mentions(entity=entity, post=post, confidence=_concat(confidence, float))
+
+
+def load_corpus(paths: CorpusPaths | str | Path) -> Corpus:
+    """Load and validate the four JSONL files into column tables.
+
+    Raises SchemaError with file/line coordinates for malformed records and
+    IntegrityError listing every dangling reference or duplicate key.  An
+    integer outside the 64-bit range is a SchemaError.
+    """
+    if not isinstance(paths, CorpusPaths):
+        paths = CorpusPaths.in_dir(paths)
+    for p in (paths.sources, paths.posts, paths.comments, paths.mentions):
+        if not Path(p).exists():
+            raise CorpusError(f"missing corpus file: {p}")
+
+    source_index, sources = _read(paths.sources, _SOURCE_FIELDS, _source_records, _build_sources)
+    post_index, posts = _read(
+        paths.posts, _POST_FIELDS, _post_records,
+        lambda blocks: _build_posts(blocks, source_index),
+    )
+    users, comments = _read(
+        paths.comments, _COMMENT_FIELDS, _comment_records,
+        lambda blocks: _build_comments(blocks, post_index),
+    )
+    entities, mentions = _read(
+        paths.mentions, _MENTION_FIELDS, _mention_records,
+        lambda blocks: _build_mentions(blocks, post_index),
+    )
+    if min(posts.source.min(initial=0), comments.post.min(initial=0), mentions.post.min(initial=0)) < 0:
+        _raise_dangling(paths)
+
+    return Corpus(
+        sources=sources,
+        posts=posts,
+        comments=comments,
+        mentions=mentions,
+        users=users,
+        entities=entities,
+        post_index=post_index,
+        comments_of_post=Groups.of(comments.post, len(posts)),
+        comments_of_user=Groups.of(comments.user, len(users)),
+    )
 
 
 def select_entities(
@@ -332,11 +663,15 @@ def select_entities(
     """
     if not 0.0 <= min_confidence <= 1.0:
         raise ValueError(f"min_confidence out of range: {min_confidence}")
+    qualifying = corpus.mentions.confidence >= min_confidence
+    post = corpus.mentions.post[qualifying]
+    groups = Groups.of(corpus.mentions.entity[qualifying], len(corpus.entities))
+    counts = np.diff(groups.ptr)
+    ids = corpus.posts.ids
     member: dict[str, frozenset[str]] = {}
-    for entity, post_conf in corpus.posts_by_entity.items():
-        qualifying = frozenset(p for p, c in post_conf.items() if c >= min_confidence)
-        if len(qualifying) >= min_posts and qualifying:
-            member[entity] = qualifying
+    for code in np.flatnonzero((counts >= min_posts) & (counts > 0)).tolist():
+        rows = post[groups.order[groups.ptr[code]:groups.ptr[code + 1]]]
+        member[corpus.entities[code]] = frozenset(map(ids.__getitem__, rows.tolist()))
     return EntitySample(
         name=name or f"conf{min_confidence:g}_posts{min_posts}",
         entities=frozenset(member),
@@ -357,10 +692,11 @@ def select_e2(corpus: Corpus) -> EntitySample:
 
 def disputed_entities(corpus: Corpus, sample: EntitySample) -> frozenset[str]:
     """Entities with member posts in both the official and the fake category."""
+    post_fake = corpus.post_is_fake()
     out = set()
     for entity in sample.entities:
-        cats = {corpus.source_category(p) for p in sample.member_posts[entity]}
-        if OFFICIAL in cats and FAKE in cats:
+        fake = post_fake[corpus.post_rows(sample.member_posts[entity])]
+        if fake.any() and not fake.all():
             out.add(entity)
     return frozenset(out)
 
@@ -369,13 +705,11 @@ def posts_for_entities(corpus: Corpus, sample: EntitySample, name: str = "") -> 
     """All posts containing at least one entity of the sample, labeled by source."""
     if not sample.entities:
         raise ValueError("entity sample is empty")
-    posts: set[str] = set()
-    for entity in sample.entities:
-        posts.update(sample.member_posts[entity])
-    labels = {p: (1 if corpus.source_category(p) == FAKE else 0) for p in posts}
+    posts = list(set().union(*(sample.member_posts[e] for e in sample.entities)))
+    fake = corpus.post_is_fake()[corpus.post_rows(posts)]
     return PostSample(
         name=name or f"P[{sample.name}]",
         posts=frozenset(posts),
-        labels=labels,
+        labels=dict(zip(posts, fake.astype(int).tolist())),
         entity_sample_name=sample.name,
     )

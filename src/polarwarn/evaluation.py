@@ -243,6 +243,10 @@ class Protocol:
     train_fraction: float = 0.6
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.repeats < 1:
+            raise ValueError(f"repeats must be at least 1, got {self.repeats}")
+
 
 @dataclass(frozen=True)
 class CycleOutcome:

@@ -13,12 +13,11 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from itertools import islice, repeat
-from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Comment, Corpus, EntitySample, Post, PostSample
+from .corpus import Corpus, EntitySample, PostSample, group_positions
 from .features import EntityFeatures
 from .evaluation import Protocol, MetricsReport, StepwiseResult, evaluate_spec, forward_stepwise
 from .earlywarning import EntityPrediction
@@ -236,7 +235,7 @@ def build_post_dataset(
 
     Every block is computed column-wise from one comment table: every
     comment of the corpus, the rows' comments first, each post's comments
-    in ``comments_by_post`` order.  Per-post values group the table by post
+    in file order.  Per-post values group the table by post
     and by (post, commenter), commenters in id order.  User-based features
     describe each post's commenters: the replies and likes they received
     there, their comment counts, the pages they commented on corpus-wide,
@@ -257,38 +256,30 @@ def build_post_dataset(
     )
     row_ids = sorted(post_sample.posts)
     n = len(row_ids)
-    rows = [corpus.posts[p] for p in row_ids]
+    rows = corpus.post_rows(row_ids)
 
     # The comment table: a post index per comment into `order`, whose first
     # n posts are the rows; the first m comments are the rows' comments.
-    by_post = corpus.comments_by_post
-    order = row_ids + [p for p in by_post if p not in post_sample.posts]
-    n_comments = np.fromiter((len(by_post.get(p, ())) for p in order), np.int64, len(order))
-    comments = [corpus.comments[c] for p in order for c in by_post.get(p, ())]
+    rest = np.ones(len(corpus.posts), bool)
+    rest[rows] = False
+    order = np.concatenate([rows, np.flatnonzero(rest)])
+    table, n_comments = corpus.comments_of_post.rows(order)
     m = int(n_comments[:n].sum())
-    row_comments = comments[:m]
     post = np.repeat(np.arange(len(order)), n_comments)
-    user_code = {u: i for i, u in enumerate(sorted(corpus.comments_by_user))}
-    user = np.fromiter(
-        map(user_code.__getitem__, map(attrgetter("user_id"), comments)), np.int64, len(comments)
-    )
-    likes = np.fromiter(map(attrgetter("likes"), row_comments), float, m)
-    replies = np.fromiter(map(attrgetter("replies"), row_comments), float, m)
+    user = corpus.comments.user[table]
+    likes = corpus.comments.likes[table[:m]].astype(float)
+    replies = corpus.comments.replies[table[:m]].astype(float)
 
     # Sample entities of each post in `order`, sorted by (post, entity) with
-    # CSR offsets `ptr`; the rows' memberships come first.  A member post
-    # outside `order` has no comments and is not a row.
+    # CSR offsets `ptr`; the rows' memberships come first.
     entities = sorted(sample.entities)
-    position = {p: q for q, p in enumerate(order)}
-    member_post, member_entity = [], []
-    for k, entity in enumerate(entities):
-        for p in sample.member_posts[entity]:
-            if p in position:
-                member_post.append(position[p])
-                member_entity.append(k)
+    position = np.empty(len(order), np.int64)
+    position[order] = np.arange(len(order))
+    members = [corpus.post_rows(sample.member_posts[e]) for e in entities]
+    member_post = position[np.concatenate([np.zeros(0, np.int64), *members])]
+    member_entity = np.repeat(np.arange(len(entities)), [len(r) for r in members])
     by = np.lexsort((member_entity, member_post))
-    member_post = np.asarray(member_post, np.int64)[by]
-    member_entity = np.asarray(member_entity, np.int64)[by]
+    member_post, member_entity = member_post[by], member_entity[by]
     ptr = np.concatenate([[0], np.cumsum(np.bincount(member_post, minlength=len(order)))])
     row_post, row_entity = member_post[:ptr[n]], member_entity[:ptr[n]]
     row_n_entities = np.diff(ptr[:n + 1]).astype(float)
@@ -301,14 +292,14 @@ def build_post_dataset(
         )
 
     columns = [
-        *_structural_columns(rows, post[:m], likes, replies, n_comments[:n]),
-        *_semantic_columns((r.text for r in rows), n).T,
-        *_semantic_columns(_joined_comment_texts(row_comments, n_comments[:n]), n).T,
+        *_structural_columns(corpus, rows, post[:m], likes, replies, n_comments[:n]),
+        *_semantic_columns(map(corpus.posts.text.__getitem__, rows.tolist()), n).T,
+        *_semantic_columns(_joined_comment_texts(corpus, table[:m], n_comments[:n]), n).T,
         *_user_columns(
             corpus, order, post, user, likes, replies, ptr, member_entity, len(entities), n
         ),
         *_sentiment_columns(
-            rows, row_comments, post[:m], row_post, row_entity, row_n_entities, entities,
+            corpus, rows, table[:m], post[:m], row_post, row_entity, row_n_entities, entities,
             {f.entity: f for f in entity_features}, sample.requires_comment_sentiment,
         ),
         *_predicted_columns(
@@ -317,7 +308,7 @@ def build_post_dataset(
     ]
     log.debug(
         "post features: %d rows x %d columns, %d comments scanned (%d on the rows)",
-        n, len(names), len(comments), m,
+        n, len(names), len(table), m,
     )
     return Dataset(
         features=np.column_stack(columns).reshape(n, len(names)),
@@ -328,15 +319,18 @@ def build_post_dataset(
     )
 
 
-def _joined_comment_texts(comments: Sequence[Comment], n_comments: np.ndarray) -> Iterator[str]:
+def _joined_comment_texts(corpus: Corpus, comments: np.ndarray, n_comments: np.ndarray) -> Iterator[str]:
     """Each row's comment texts joined by newlines, made lazily."""
+    text = corpus.comments.text
     ends = np.cumsum(n_comments).tolist()
     starts = [0] + ends[:-1]
-    return ("\n".join(c.text for c in comments[a:b]) for a, b in zip(starts, ends))
+    comments = comments.tolist()
+    return ("\n".join(map(text.__getitem__, comments[a:b])) for a, b in zip(starts, ends))
 
 
 def _structural_columns(
-    rows: list[Post],
+    corpus: Corpus,
+    rows: np.ndarray,
     on_row: np.ndarray,
     likes: np.ndarray,
     replies: np.ndarray,
@@ -346,9 +340,9 @@ def _structural_columns(
     likes_on = np.bincount(on_row, weights=likes, minlength=n)
     replies_on = np.bincount(on_row, weights=replies, minlength=n)
     return [
-        np.array([r.likes for r in rows], float),
+        corpus.posts.likes[rows].astype(float),
         n_comments.astype(float),
-        np.array([r.shares for r in rows], float),
+        corpus.posts.shares[rows].astype(float),
         likes_on,
         replies_on,
         _div(likes_on, n_comments),
@@ -356,16 +350,9 @@ def _structural_columns(
     ]
 
 
-def _memberships(ptr: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of the memberships of each post in ``at``, flattened, and their count per post."""
-    count = np.diff(ptr)[at]
-    index = np.repeat(ptr[:-1][at] - (np.cumsum(count) - count), count) + np.arange(count.sum())
-    return index, count
-
-
 def _user_columns(
     corpus: Corpus,
-    order: list[str],
+    order: np.ndarray,
     post: np.ndarray,
     user: np.ndarray,
     likes: np.ndarray,
@@ -375,20 +362,15 @@ def _user_columns(
     n_sample_entities: int,
     n: int,
 ) -> list[np.ndarray]:
-    n_users = len(corpus.comments_by_user)
-    totals = np.bincount(user, minlength=n_users)
-    source_code = {s: i for i, s in enumerate(corpus.sources)}
-    post_source = np.fromiter(
-        (source_code[corpus.posts[p].source_id] for p in order), np.int64, len(order)
-    )
-    pages = np.bincount(
-        np.unique(user * len(source_code) + post_source[post]) // len(source_code),
-        minlength=n_users,
-    )
+    n_users = len(corpus.users)
+    n_sources = len(corpus.sources)
+    totals = np.diff(corpus.comments_of_user.ptr)
+    post_source = corpus.posts.source[order]
+    pages = np.bincount(np.unique(user * n_sources + post_source[post]) // n_sources, minlength=n_users)
 
     # (user, entity) comment counts over the comments on member posts, one
     # (comment, entity) pair per sample entity of the comment's post.
-    index, count = _memberships(ptr, post)
+    index, count = group_positions(ptr, post)
     keys, counts = np.unique(
         np.repeat(user, count) * n_sample_entities + member_entity[index], return_counts=True
     )
@@ -407,7 +389,7 @@ def _user_columns(
     g_replies, _, g_replies_std = _grouped(group, replies[by], size)
     g_likes, _, g_likes_std = _grouped(group, likes[by], size)
     g_comments = np.bincount(group, minlength=size).astype(float)
-    index, count = _memberships(ptr, g_post)
+    index, count = group_positions(ptr, g_post)
     hit = np.isin(np.repeat(g_user, count) * n_sample_entities + member_entity[index], engaged)
     g_engaged = np.bincount(np.repeat(np.arange(size), count)[hit], minlength=size) > 0
 
@@ -434,8 +416,9 @@ def _user_columns(
 
 
 def _sentiment_columns(
-    rows: list[Post],
-    comments: list[Comment],
+    corpus: Corpus,
+    rows: np.ndarray,
+    comments: np.ndarray,
     on_row: np.ndarray,
     row_post: np.ndarray,
     row_entity: np.ndarray,
@@ -450,12 +433,10 @@ def _sentiment_columns(
     known = np.array([f is not None for f in feats], bool)[row_entity]
     dp = np.array([0.0 if f is None else f.presentation_distance for f in feats], float)
     _, dp_mean, dp_std = _grouped(row_post[known], dp[row_entity[known]], n)
-    columns = [np.array([r.sentiment for r in rows], float), dp_mean, dp_std]
+    columns = [corpus.posts.sentiment[rows], dp_mean, dp_std]
     if not include_comment_sentiment:
         return columns
-    sentiment = np.fromiter(
-        (np.nan if c.sentiment is None else c.sentiment for c in comments), float, len(comments)
-    )
+    sentiment = corpus.comments.sentiment[comments]
     scored = ~np.isnan(sentiment)
     at, sentiment = on_row[scored], sentiment[scored]
     n_scored = np.bincount(at, minlength=n)

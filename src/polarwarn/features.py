@@ -19,7 +19,9 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import Corpus, EntitySample, FAKE, OFFICIAL, disputed_entities
+import numpy as np
+
+from .corpus import Corpus, EntitySample, disputed_entities
 
 
 class UnknownEntityError(Exception):
@@ -35,19 +37,18 @@ def _population_std(values: Sequence[float], mean: float) -> float:
     return math.sqrt(sum((v - mean) ** 2 for v in values) / n)
 
 
-def _member_posts(corpus: Corpus, entity: str, member_posts) -> list[str]:
+def _member_rows(corpus: Corpus, entity: str, member_posts) -> np.ndarray:
+    """Rows of the entity's member posts, in post id order."""
     if member_posts is None:
-        member_posts = corpus.posts_by_entity.get(entity, {})
-    posts = sorted(member_posts)
-    if not posts:
+        member_posts = corpus.entity_posts(entity)
+    if not member_posts:
         raise UnknownEntityError(f"entity {entity!r} has no member posts")
-    return posts
+    return corpus.post_rows(sorted(member_posts))
 
 
 def presentation_distance(corpus: Corpus, entity: str, member_posts=None) -> float:
     """Spread (max minus min) of post sentiment across the entity's posts."""
-    posts = _member_posts(corpus, entity, member_posts)
-    sentiments = [corpus.posts[p].sentiment for p in posts]
+    sentiments = corpus.posts.sentiment[_member_rows(corpus, entity, member_posts)].tolist()
     return max(sentiments) - min(sentiments)
 
 
@@ -70,32 +71,56 @@ class ResponseDistances:
     n_posts_with_comments: int
 
 
-def response_distance_stats(corpus: Corpus, entity: str, member_posts=None) -> ResponseDistances:
-    posts = _member_posts(corpus, entity, member_posts)
-    post_sentiments = [corpus.posts[p].sentiment for p in posts]
-    per_post: list[float] = []
-    pooled: list[float] = []
-    for p in posts:
-        scored = [
-            corpus.comments[c].sentiment
-            for c in corpus.comments_by_post.get(p, ())
-            if corpus.comments[c].sentiment is not None
-        ]
-        if scored:
-            pooled.extend(scored)
-            per_post.append(abs(corpus.posts[p].sentiment - sum(scored) / len(scored)))
-    if not pooled:
-        raise MissingFeatureError(f"entity {entity!r} has no sentiment-scored comments")
-    global_ = abs(sum(post_sentiments) / len(post_sentiments) - sum(pooled) / len(pooled))
-    mean = sum(per_post) / len(per_post)
+def _scored_comments(corpus: Corpus, rows: np.ndarray) -> tuple[int, list[float], list[int]]:
+    """Comments on the posts ``rows``: their count, the scored sentiments, and how many of those each post has.
+
+    The sentiments run post by post, each post's comments in file order.
+    """
+    comments, count = corpus.comments_of_post.rows(rows)
+    sentiment = corpus.comments.sentiment[comments]
+    scored = ~np.isnan(sentiment)
+    per_post = np.bincount(np.repeat(np.arange(len(rows)), count)[scored], minlength=len(rows))
+    return len(comments), sentiment[scored].tolist(), per_post.tolist()
+
+
+def _response_distances(
+    post_sentiments: list[float], scored: list[float], per_post: list[int]
+) -> ResponseDistances:
+    distances: list[float] = []
+    start = 0
+    for sentiment, k in zip(post_sentiments, per_post):
+        if k:
+            comments = scored[start:start + k]
+            distances.append(abs(sentiment - sum(comments) / len(comments)))
+            start += k
+    global_ = abs(sum(post_sentiments) / len(post_sentiments) - sum(scored) / len(scored))
+    mean = sum(distances) / len(distances)
     return ResponseDistances(
         global_=global_,
-        min=min(per_post),
-        max=max(per_post),
+        min=min(distances),
+        max=max(distances),
         mean=mean,
-        std=_population_std(per_post, mean),
-        n_posts_with_comments=len(per_post),
+        std=_population_std(distances, mean),
+        n_posts_with_comments=len(distances),
     )
+
+
+def response_distance_stats(corpus: Corpus, entity: str, member_posts=None) -> ResponseDistances:
+    rows = _member_rows(corpus, entity, member_posts)
+    _, scored, per_post = _scored_comments(corpus, rows)
+    if not scored:
+        raise MissingFeatureError(f"entity {entity!r} has no sentiment-scored comments")
+    return _response_distances(corpus.posts.sentiment[rows].tolist(), scored, per_post)
+
+
+def _engaged_fraction(corpus: Corpus, rows: np.ndarray) -> float:
+    users, on_member = np.unique(
+        corpus.comments.user[corpus.comments_of_post.rows(rows)[0]], return_counts=True
+    )
+    if not len(users):
+        return 0.0
+    totals = np.diff(corpus.comments_of_user.ptr)[users]
+    return int(np.count_nonzero(on_member > 0.95 * totals)) / len(users)
 
 
 def engaged_fraction(corpus: Corpus, entity: str, member_posts=None) -> float:
@@ -106,20 +131,7 @@ def engaged_fraction(corpus: Corpus, entity: str, member_posts=None) -> float:
     is the set of users with at least one comment on a member post; an
     entity nobody commented on gets 0.
     """
-    posts = set(_member_posts(corpus, entity, member_posts))
-    commenters: set[str] = set()
-    for p in posts:
-        for cid in corpus.comments_by_post.get(p, ()):
-            commenters.add(corpus.comments[cid].user_id)
-    if not commenters:
-        return 0.0
-    engaged = 0
-    for user in commenters:
-        all_comments = corpus.comments_by_user[user]
-        on_member = sum(1 for cid in all_comments if corpus.comments[cid].post_id in posts)
-        if on_member > 0.95 * len(all_comments):
-            engaged += 1
-    return engaged / len(commenters)
+    return _engaged_fraction(corpus, _member_rows(corpus, entity, member_posts))
 
 
 @dataclass
@@ -168,31 +180,23 @@ def entity_features(
 
     out: list[EntityFeatures] = []
     for entity in sorted(sample.entities):
-        posts = sorted(sample.member_posts[entity])
-        sentiments = [corpus.posts[p].sentiment for p in posts]
+        rows = _member_rows(corpus, entity, sample.member_posts[entity])
+        sentiments = corpus.posts.sentiment[rows].tolist()
         mean = sum(sentiments) / len(sentiments)
         feat = EntityFeatures(
             entity=entity,
-            occurrences=len(posts),
+            occurrences=len(sentiments),
             post_sent_min=min(sentiments),
             post_sent_max=max(sentiments),
             post_sent_mean=mean,
             post_sent_std=_population_std(sentiments, mean),
             presentation_distance=max(sentiments) - min(sentiments),
             n_negative_posts=sum(1 for s in sentiments if s < 0),
-            engaged_fraction=engaged_fraction(corpus, entity, sample.member_posts[entity]),
+            engaged_fraction=_engaged_fraction(corpus, rows),
             disputed=1 if entity in disputed else 0,
         )
 
-        scored: list[float] = []
-        n_comments = 0
-        for p in posts:
-            for cid in corpus.comments_by_post.get(p, ()):
-                n_comments += 1
-                s = corpus.comments[cid].sentiment
-                if s is not None:
-                    scored.append(s)
-        feat.comments_count = n_comments
+        feat.comments_count, scored, per_post = _scored_comments(corpus, rows)
         missing: list[str] = []
         if scored:
             cmean = sum(scored) / len(scored)
@@ -201,7 +205,7 @@ def entity_features(
             feat.comment_sent_mean = cmean
             feat.comment_sent_std = _population_std(scored, cmean)
             feat.n_negative_comments = sum(1 for s in scored if s < 0)
-            rd = response_distance_stats(corpus, entity, sample.member_posts[entity])
+            rd = _response_distances(sentiments, scored, per_post)
             feat.response_dist_min = rd.min
             feat.response_dist_max = rd.max
             feat.response_dist_mean = rd.mean
@@ -229,19 +233,21 @@ def attention_curve(
     grid = list(grid)
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be ascending")
-    dp = {f.entity: f.presentation_distance for f in features}
+    dp = [(f.presentation_distance, corpus.post_rows(sample.member_posts[f.entity]))
+          for f in features]
+    n_comments = np.diff(corpus.comments_of_post.ptr)
     rows = []
     for delta in grid:
-        posts: set[str] = set()
-        for entity, value in dp.items():
+        posts = np.zeros(len(corpus.posts), bool)
+        for value, members in dp:
             if value >= delta:
-                posts.update(sample.member_posts[entity])
-        if posts:
-            likes = sum(corpus.posts[p].likes for p in posts) / len(posts)
-            n_comments = sum(len(corpus.comments_by_post.get(p, ())) for p in posts) / len(posts)
+                posts[members] = True
+        n = int(np.count_nonzero(posts))
+        if n:
+            rows.append((delta, sum(corpus.posts.likes[posts].tolist()) / n,
+                         sum(n_comments[posts].tolist()) / n))
         else:
-            likes = n_comments = 0.0
-        rows.append((delta, likes, n_comments))
+            rows.append((delta, 0.0, 0.0))
     return rows
 
 
@@ -313,20 +319,21 @@ def temporal_lag_histogram(
     if bin_hours <= 0:
         raise ValueError("bin_hours must be positive")
     chosen = sorted(entities) if entities is not None else sorted(sample.entities)
+    post_fake = corpus.post_is_fake()
     lags: list[float] = []
     never_fake = 0
     fake_first = 0
     for entity in chosen:
-        posts = sample.member_posts.get(entity, frozenset())
-        official_ts = [corpus.posts[p].timestamp for p in posts if corpus.source_category(p) == OFFICIAL]
-        fake_ts = [corpus.posts[p].timestamp for p in posts if corpus.source_category(p) == FAKE]
-        if not fake_ts:
+        rows = corpus.post_rows(sample.member_posts.get(entity, frozenset()))
+        fake = post_fake[rows]
+        fake_ts, official_ts = corpus.posts.timestamp[rows[fake]], corpus.posts.timestamp[rows[~fake]]
+        if not len(fake_ts):
             never_fake += 1
             continue
-        if not official_ts or min(fake_ts) <= min(official_ts):
+        if not len(official_ts) or fake_ts.min() <= official_ts.min():
             fake_first += 1
             continue
-        lags.append((min(fake_ts) - min(official_ts)) / 3600.0)
+        lags.append((int(fake_ts.min()) - int(official_ts.min())) / 3600.0)
     if lags:
         n_bins = max(1, math.ceil(max(lags) / bin_hours))
     else:

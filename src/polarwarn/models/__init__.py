@@ -12,7 +12,6 @@ from .base import (
     fit,
     fit_standardizer,
     predict,
-    standardize,
 )
 
 __all__ = [
@@ -27,5 +26,4 @@ __all__ = [
     "fit",
     "fit_standardizer",
     "predict",
-    "standardize",
 ]

@@ -148,13 +148,6 @@ def fit_standardizer(X: np.ndarray) -> Standardizer:
     return Standardizer(mean=mean, scale=scale)
 
 
-def standardize(dataset: Dataset) -> tuple[Standardizer, Dataset]:
-    if dataset.n == 0:
-        raise ValueError("cannot standardize an empty dataset")
-    std = fit_standardizer(dataset.features)
-    return std, replace(dataset, features=std.apply(dataset.features))
-
-
 @dataclass(frozen=True)
 class TrainedModel:
     spec: ModelSpec

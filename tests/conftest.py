@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,42 @@ def write_corpus(directory: Path, sources, posts, comments, mentions) -> Path:
     return directory
 
 
+@dataclass
+class Records:
+    """A corpus as raw JSON records, for oracles that must not share the loader."""
+
+    sources: dict[str, dict] = field(default_factory=dict)
+    posts: dict[str, dict] = field(default_factory=dict)
+    comments: list[dict] = field(default_factory=list)
+    mentions: list[dict] = field(default_factory=list)
+    comments_by_post: dict[str, list[dict]] = field(default_factory=dict)
+    comments_by_user: dict[str, list[dict]] = field(default_factory=dict)
+    entities_by_post: dict[str, dict[str, float]] = field(default_factory=dict)
+
+
+def read_records(directory: Path) -> Records:
+    """The four JSONL files, one json.loads per non-blank line, in file order.
+
+    Mention entities are normalized; groupings keep file order.
+    """
+    def rows(name):
+        with open(Path(directory) / f"{name}.jsonl", encoding="utf-8") as fh:
+            return [json.loads(line) for line in fh if line.strip()]
+
+    rec = Records()
+    rec.sources = {s["id"]: s for s in rows("sources")}
+    rec.posts = {p["id"]: p for p in rows("posts")}
+    rec.comments = rows("comments")
+    rec.mentions = rows("mentions")
+    for c in rec.comments:
+        rec.comments_by_post.setdefault(c["post_id"], []).append(c)
+        rec.comments_by_user.setdefault(c["user_id"], []).append(c)
+    for m in rec.mentions:
+        m["entity"] = cm.normalize_entity(m["entity"])
+        rec.entities_by_post.setdefault(m["post_id"], {})[m["entity"]] = m["confidence"]
+    return rec
+
+
 def source(sid, category="official", name=None):
     return {"id": sid, "name": name or sid, "category": category}
 
@@ -45,9 +82,9 @@ def mention(entity, post_id, confidence=0.95):
 
 
 @pytest.fixture
-def tiny_corpus(tmp_path):
+def tiny_dir(tmp_path):
     """Two sources, three posts, four comments, three entities."""
-    directory = write_corpus(
+    return write_corpus(
         tmp_path / "tiny",
         sources=[source("s1", "official"), source("s2", "fake")],
         posts=[
@@ -68,7 +105,11 @@ def tiny_corpus(tmp_path):
             mention("gamma", "p1", 0.3),
         ],
     )
-    return cm.load_corpus(directory)
+
+
+@pytest.fixture
+def tiny_corpus(tiny_dir):
+    return cm.load_corpus(tiny_dir)
 
 
 SMALL_SYNTH_CONFIG = synth.SynthConfig(

@@ -196,3 +196,22 @@ def test_subcommands_match_pipeline(data_dir, tmp_path):
     # only the fakenews subcommand exports the post feature matrix
     assert (fn_out / "features_p1.csv").exists()
     assert not (run / "fakenews_p1" / "features_p1.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["earlywarn", "fakenews"])
+def test_zero_repeats_rejected_before_work(data_dir, tmp_path, caplog, command):
+    out = tmp_path / "out"
+    code = main([command, "--data", str(data_dir), "--repeats", "0", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "repeats must be at least 1, got 0" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("repeats", [0, -1])
+def test_pipeline_non_positive_repeats_rejected_before_work(data_dir, tmp_path, caplog, repeats):
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({"data": str(data_dir), "repeats": repeats}))
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(config_path), "--out", str(out)]) == EXIT_CONFIG
+    assert f"repeats must be at least 1, got {repeats}" in caplog.text
+    assert not out.exists()

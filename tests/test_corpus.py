@@ -7,7 +7,7 @@ import pytest
 from polarwarn import corpus as cm
 from polarwarn import synth
 
-from conftest import comment, mention, post, source, write_corpus
+from conftest import comment, mention, post, read_records, source, write_corpus
 
 
 def test_identity_ingestion(tiny_corpus):
@@ -84,8 +84,8 @@ def test_entity_normalization(tiny_corpus, tmp_path):
         [mention("  Mario   Rossi ", "p1", 0.9), mention("mario rossi", "p2", 0.9)],
     )
     corpus = cm.load_corpus(directory)
-    assert set(corpus.posts_by_entity) == {"mario rossi"}
-    assert set(corpus.posts_by_entity["mario rossi"]) == {"p1", "p2"}
+    assert corpus.entities == ["mario rossi"]
+    assert set(corpus.entity_posts("mario rossi")) == {"p1", "p2"}
 
 
 def test_min_posts_boundary_excludes_99_of_100(tmp_path):
@@ -110,14 +110,15 @@ def test_confidence_boundary_is_inclusive(tmp_path):
     assert sample.entities == frozenset({"edge"})
 
 
-def test_member_posts_only_count_qualifying_mentions(tiny_corpus):
+def test_member_posts_only_count_qualifying_mentions(tiny_corpus, tiny_dir):
+    records = read_records(tiny_dir)
     e1 = cm.select_e1(tiny_corpus)
     # gamma's only mention is at 0.3 confidence
     assert "gamma" not in e1.entities
     assert set(e1.member_posts["alpha"]) == {"p1", "p3"}
     for entity, posts in e1.member_posts.items():
         for p in posts:
-            assert tiny_corpus.posts_by_entity[entity][p] >= 0.6
+            assert records.entities_by_post[p][entity] >= 0.6
 
 
 def test_disputed_entities(tiny_corpus):
@@ -194,11 +195,11 @@ def test_planted_high_confidence_entities_exactly_selected(tmp_path):
 
 
 def test_posts_for_entities_vs_linear_scan(small_synth):
-    corpus, _, _ = small_synth
+    corpus, _, directory = small_synth
     e2 = cm.select_e2(corpus)
     ps = cm.posts_for_entities(corpus, e2)
     expected = set()
-    for m in corpus.mentions:  # brute scan over the raw mention list
-        if m.entity in e2.entities and m.confidence >= 0.9:
-            expected.add(m.post_id)
+    for m in read_records(directory).mentions:  # brute scan over the raw mention list
+        if m["entity"] in e2.entities and m["confidence"] >= 0.9:
+            expected.add(m["post_id"])
     assert ps.posts == frozenset(expected)

@@ -277,6 +277,11 @@ class TestProtocol:
         auc = ev.evaluate_spec(permuted, ModelSpec("log"), ev.Protocol(repeats=8, seed=2)).auc
         assert 0.35 < auc < 0.65
 
+    @pytest.mark.parametrize("repeats", [0, -3])
+    def test_non_positive_repeats_rejected(self, repeats):
+        with pytest.raises(ValueError, match=f"repeats must be at least 1, got {repeats}"):
+            ev.Protocol(repeats=repeats)
+
 
 class TestForwardStepwise:
     def test_oracle_feature_selected_first(self):

@@ -15,7 +15,7 @@ from polarwarn import fakenews as fn
 from polarwarn.evaluation import Protocol
 from polarwarn.models import Dataset, ModelSpec
 
-from conftest import comment, mention, post, source, write_corpus
+from conftest import comment, mention, post, read_records, source, write_corpus
 
 
 # The per-text definitions the column-wise build must reproduce exactly.
@@ -63,49 +63,48 @@ def oracle_mean(values):
     return oracle_mean_std(values)[0]
 
 
-def oracle_row(corpus, pid, sample, feature_map, pred_map):
-    """One post's feature row, straight from the records."""
-    post = corpus.posts[pid]
-    cids = corpus.comments_by_post.get(pid, ())
-    comments = [corpus.comments[c] for c in cids]
+def oracle_row(records, pid, sample, feature_map, pred_map):
+    """One post's feature row, straight from the raw records."""
+    post = records.posts[pid]
+    comments = records.comments_by_post.get(pid, [])
     entities = sorted(
-        e for e, conf in corpus.entities_by_post.get(pid, {}).items()
+        e for e, conf in records.entities_by_post.get(pid, {}).items()
         if e in sample.entities and conf >= sample.min_confidence
     )
 
     n = len(comments)
-    likes_on = sum(c.likes for c in comments)
-    replies_on = sum(c.replies for c in comments)
-    row = [float(post.likes), float(n), float(post.shares), float(likes_on), float(replies_on),
-           likes_on / n if n else 0.0, replies_on / n if n else 0.0]
+    likes_on = sum(c["likes"] for c in comments)
+    replies_on = sum(c["replies"] for c in comments)
+    row = [float(post["likes"]), float(n), float(post["shares"]), float(likes_on),
+           float(replies_on), likes_on / n if n else 0.0, replies_on / n if n else 0.0]
 
-    row += oracle_semantic(post.text)
-    row += oracle_semantic("\n".join(c.text for c in comments))
+    row += oracle_semantic(post["text"])
+    row += oracle_semantic("\n".join(c["text"] for c in comments))
 
     by_user = {}
     for c in comments:
-        by_user.setdefault(c.user_id, []).append(c)
+        by_user.setdefault(c["user_id"], []).append(c)
     commenters = sorted(by_user)
     if commenters:
         def engaged(user):
-            mine = [corpus.comments[c] for c in corpus.comments_by_user[user]]
+            mine = records.comments_by_user[user]
             for e in entities:
-                on_entity = sum(1 for c in mine if c.post_id in sample.member_posts[e])
+                on_entity = sum(1 for c in mine if c["post_id"] in sample.member_posts[e])
                 if on_entity > 0.95 * len(mine):
                     return True
             return False
 
         pages = [
-            len({corpus.posts[corpus.comments[c].post_id].source_id
-                 for c in corpus.comments_by_user[u]})
+            len({records.posts[c["post_id"]]["source_id"] for c in records.comments_by_user[u]})
             for u in commenters
         ]
         n_engaged = sum(1 for u in commenters if engaged(u))
         row += [
-            *oracle_mean_std([sum(c.replies for c in by_user[u]) for u in commenters]),
-            *oracle_mean_std([sum(c.likes for c in by_user[u]) for u in commenters]),
-            oracle_mean([oracle_mean_std([c.likes for c in by_user[u]])[1] for u in commenters]),
-            oracle_mean([oracle_mean_std([c.replies for c in by_user[u]])[1] for u in commenters]),
+            *oracle_mean_std([sum(c["replies"] for c in by_user[u]) for u in commenters]),
+            *oracle_mean_std([sum(c["likes"] for c in by_user[u]) for u in commenters]),
+            oracle_mean([oracle_mean_std([c["likes"] for c in by_user[u]])[1] for u in commenters]),
+            oracle_mean([oracle_mean_std([c["replies"] for c in by_user[u]])[1]
+                         for u in commenters]),
             *oracle_mean_std([len(by_user[u]) for u in commenters]),
             *oracle_mean_std(pages),
             float(n_engaged),
@@ -115,9 +114,9 @@ def oracle_row(corpus, pid, sample, feature_map, pred_map):
         row += [0.0] * len(fn.USER_STAT_NAMES)
 
     known = [feature_map[e] for e in entities if e in feature_map]
-    row += [post.sentiment, *oracle_mean_std([f.presentation_distance for f in known])]
+    row += [post["sentiment"], *oracle_mean_std([f.presentation_distance for f in known])]
     if sample.requires_comment_sentiment:
-        scored = [c.sentiment for c in comments if c.sentiment is not None]
+        scored = [c["sentiment"] for c in comments if c["sentiment"] is not None]
         n_pos = sum(1 for s in scored if s > 0)
         n_neg = sum(1 for s in scored if s < 0)
         n_capt = sum(1 for f in known if f.captivation == 1)
@@ -357,13 +356,13 @@ def small_post_world(tmp_path_factory):
     from polarwarn import synth
 
     directory = tmp_path_factory.mktemp("posts")
-    truth = synth.generate(SMALL_SYNTH_CONFIG, directory)
+    synth.generate(SMALL_SYNTH_CONFIG, directory)
     corpus = cm.load_corpus(directory)
     e1 = cm.select_e1(corpus)
     warning = ew.run_early_warning(corpus, e1, protocol=Protocol(repeats=4, seed=2))
     p1 = cm.posts_for_entities(corpus, e1, name="P1")
     dataset = fn.build_post_dataset(corpus, p1, warning.features, warning.predictions, e1)
-    return corpus, truth, e1, warning, p1, dataset
+    return corpus, read_records(directory), e1, warning, p1, dataset
 
 
 @pytest.fixture(scope="module")
@@ -396,24 +395,25 @@ class TestBuildPostDataset:
                 assert np.all(column >= 0), name
 
     def test_labels_match_source_category(self, small_post_world):
-        corpus, _, _, _, p1, dataset = small_post_world
+        _, records, _, _, p1, dataset = small_post_world
         for pid, label in zip(dataset.row_ids, dataset.labels):
-            expected = 1 if corpus.source_category(pid) == "fake" else 0
+            category = records.sources[records.posts[pid]["source_id"]]["category"]
+            expected = 1 if category == "fake" else 0
             assert label == expected
 
     def test_predicted_count_bounded_by_contained(self, small_post_world):
-        corpus, _, e1, warning, _, dataset = small_post_world
+        _, records, e1, warning, _, dataset = small_post_world
         names = list(dataset.feature_names)
         n_col = names.index(f"pred_n_disputed_{warning.best[0]}")
         for row, pid in zip(dataset.features, dataset.row_ids):
             contained = [
-                e for e, conf in corpus.entities_by_post.get(pid, {}).items()
+                e for e, conf in records.entities_by_post.get(pid, {}).items()
                 if e in e1.entities and conf >= e1.min_confidence
             ]
             assert row[n_col] <= len(contained)
 
     def test_matches_naive_recomputation(self, small_post_world, small_p2_world):
-        corpus, _, e1, warning, p1, dataset = small_post_world
+        _, records, e1, warning, p1, dataset = small_post_world
         e2, warning2, dataset2 = small_p2_world
         for sample, warn, ds, width in ((e1, warning, dataset, 44), (e2, warning2, dataset2, 52)):
             feature_map = {f.entity: f for f in warn.features}
@@ -421,7 +421,7 @@ class TestBuildPostDataset:
             assert ds.features.shape[1] == width
             assert any(ds.features[:, ds.feature_names.index("ub_engaged_users")] > 0)
             for pid, row in zip(ds.row_ids, ds.features.tolist()):
-                expected = oracle_row(corpus, pid, sample, feature_map, pred_map)
+                expected = oracle_row(records, pid, sample, feature_map, pred_map)
                 wrong = [n for n, a, b in zip(ds.feature_names, row, expected) if a != b]
                 assert not wrong, (pid, wrong)
 

@@ -10,7 +10,7 @@ from polarwarn import corpus as cm
 from polarwarn import earlywarning as ew
 from polarwarn import features as feat
 
-from conftest import comment, mention, post, source, write_corpus
+from conftest import comment, mention, post, read_records, source, write_corpus
 
 
 def corpus_with_sentiments(tmp_path, sentiments, comments_by_post=None):
@@ -137,13 +137,13 @@ class TestEngagedFraction:
         assert some > 0
 
 
-def naive_entity_features(corpus, sample, entity):
+def naive_entity_features(records, sample, entity):
     """Independent recomputation by brute scans over the raw record lists."""
-    member = {m.post_id for m in corpus.mentions
-              if m.entity == entity and m.confidence >= sample.min_confidence}
-    sentiments = [p.sentiment for p in corpus.posts.values() if p.id in member]
-    all_comments = [c for c in corpus.comments.values() if c.post_id in member]
-    scored = [c.sentiment for c in all_comments if c.sentiment is not None]
+    member = {m["post_id"] for m in records.mentions
+              if m["entity"] == entity and m["confidence"] >= sample.min_confidence}
+    sentiments = [p["sentiment"] for p in records.posts.values() if p["id"] in member]
+    all_comments = [c for c in records.comments if c["post_id"] in member]
+    scored = [c["sentiment"] for c in all_comments if c["sentiment"] is not None]
     out = {
         "occurrences": len(member),
         "post_sent_min": min(sentiments),
@@ -156,20 +156,21 @@ def naive_entity_features(corpus, sample, entity):
     }
     mean = out["post_sent_mean"]
     out["post_sent_std"] = math.sqrt(sum((s - mean) ** 2 for s in sentiments) / len(sentiments))
-    commenters = {c.user_id for c in all_comments}
+    commenters = {c["user_id"] for c in all_comments}
     engaged = 0
     for user in commenters:
-        mine = [c for c in corpus.comments.values() if c.user_id == user]
-        on_member = sum(1 for c in mine if c.post_id in member)
+        mine = [c for c in records.comments if c["user_id"] == user]
+        on_member = sum(1 for c in mine if c["post_id"] in member)
         if on_member > 0.95 * len(mine):
             engaged += 1
     out["engaged_fraction"] = engaged / len(commenters) if commenters else 0.0
     if scored:
         per_post = []
         for pid in member:
-            cs = [c.sentiment for c in all_comments if c.post_id == pid and c.sentiment is not None]
+            cs = [c["sentiment"] for c in all_comments
+                  if c["post_id"] == pid and c["sentiment"] is not None]
             if cs:
-                per_post.append(abs(corpus.posts[pid].sentiment - sum(cs) / len(cs)))
+                per_post.append(abs(records.posts[pid]["sentiment"] - sum(cs) / len(cs)))
         out["response_dist_min"] = min(per_post)
         out["response_dist_max"] = max(per_post)
         out["response_dist_mean"] = sum(per_post) / len(per_post)
@@ -193,8 +194,9 @@ def test_entity_features_match_naive_oracle_every_entity(tmp_path_factory):
     sample = cm.select_e1(corpus)
     computed = {f.entity: f for f in feat.entity_features(corpus, sample)}
     assert set(computed) == set(sample.entities)
+    records = read_records(directory)
     for entity in sorted(sample.entities):
-        expected = naive_entity_features(corpus, sample, entity)
+        expected = naive_entity_features(records, sample, entity)
         got = computed[entity]
         for key, value in expected.items():
             assert getattr(got, key) == pytest.approx(value, abs=1e-12), (entity, key)
@@ -245,12 +247,13 @@ class TestAttentionCurve:
         assert rows[0][1:] == rows[1][1:]
         assert rows[2][1:] == (0.0, 0.0)
 
-    def test_grid_zero_gives_global_means(self, tiny_corpus):
+    def test_grid_zero_gives_global_means(self, tiny_corpus, tiny_dir):
         sample = cm.select_e1(tiny_corpus)
         feats = feat.entity_features(tiny_corpus, sample)
         rows = feat.attention_curve(tiny_corpus, sample, feats, [0.0])
         member = {"p1", "p2", "p3"}
-        expected_likes = sum(tiny_corpus.posts[p].likes for p in member) / 3
+        posts = read_records(tiny_dir).posts
+        expected_likes = sum(posts[p]["likes"] for p in member) / 3
         assert rows[0][1] == pytest.approx(expected_likes)
 
     def test_non_decreasing_over_gap(self, tmp_path):

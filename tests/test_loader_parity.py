@@ -1,0 +1,376 @@
+"""Loader error parity: exact exception class, message and file:line per case.
+
+Every case writes a small valid corpus, replaces one file by raw text and
+checks the error ``load_corpus`` raises, character for character, and that
+``polarwarn ingest`` maps it to the data-error exit code.  The messages are
+the ones the per-record loader produced, so a faster loader must keep them.
+"""
+
+import json
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from polarwarn import corpus as cm
+from polarwarn.cli import EXIT_DATA, main
+
+from conftest import comment, mention, post, read_records, source, write_corpus
+
+
+def dumps(row):
+    return json.dumps(row, ensure_ascii=False)
+
+
+BASE = {
+    "sources.jsonl": [source("s1"), source("s2", "fake")],
+    "posts.jsonl": [post("p1", "s1", 0, "First post."), post("p2", "s2", 60, "Second!", -0.5)],
+    "comments.jsonl": [comment("c1", "p1", "u1", 5, "ok", 0.25, likes=2),
+                       comment("c2", "p2", "u2", 70, "no", None, replies=1)],
+    "mentions.jsonl": [mention("alpha", "p1"), mention("alpha", "p2", 0.7)],
+}
+
+
+def base_corpus(directory, **raw):
+    """Write BASE, then overwrite each named file (dots as underscores) with raw text."""
+    write_corpus(directory, *BASE.values())
+    for name, text in raw.items():
+        (directory / name.replace("_", ".")).write_bytes(text.encode("utf-8"))
+    return directory
+
+
+def lines(*rows, end="\n"):
+    return "".join((r if isinstance(r, str) else dumps(r)) + end for r in rows)
+
+
+P1, P2 = BASE["posts.jsonl"]
+C1, C2 = BASE["comments.jsonl"]
+M1, M2 = BASE["mentions.jsonl"]
+
+# name -> (file, raw text of that file, exception class, message after "<path>")
+ERROR_CASES = {
+    "truncated_line": (
+        "posts.jsonl", lines(P1, '{"id": "p2", "source_id"'),
+        cm.SchemaError, ":2: invalid JSON (Expecting ':' delimiter)"),
+    "missing_field": (
+        "posts.jsonl", lines(P1, {k: v for k, v in P2.items() if k != "likes"}),
+        cm.SchemaError, ":2: missing field 'likes'"),
+    "empty_id": (
+        "comments.jsonl", lines({**C1, "id": ""}, C2),
+        cm.SchemaError, ":1: field 'id' must be a non-empty string"),
+    "null_user_id": (
+        "comments.jsonl", lines(C1, {**C2, "user_id": None}),
+        cm.SchemaError, ":2: field 'user_id' must be a non-empty string"),
+    "true_for_count": (
+        "posts.jsonl", lines(P1, {**P2, "likes": True}),
+        cm.SchemaError, ":2: field 'likes' must be a non-negative integer"),
+    "float_for_count": (
+        "comments.jsonl", lines(C1, {**C2, "replies": 1.0}),
+        cm.SchemaError, ":2: field 'replies' must be a non-negative integer"),
+    "string_for_count": (
+        "posts.jsonl", lines({**P1, "shares": "3"}, P2),
+        cm.SchemaError, ":1: field 'shares' must be a non-negative integer"),
+    "negative_count": (
+        "comments.jsonl", lines({**C1, "likes": -1}, C2),
+        cm.SchemaError, ":1: field 'likes' must be a non-negative integer"),
+    "true_for_timestamp": (
+        "posts.jsonl", lines({**P1, "timestamp": True}, P2),
+        cm.SchemaError, ":1: field 'timestamp' must be integer UTC seconds"),
+    "nan_post_sentiment": (
+        "posts.jsonl", lines(P1, dumps(P2).replace('"sentiment": -0.5', '"sentiment": NaN')),
+        cm.SchemaError, ":2: field 'sentiment' out of range [-1, 1]: nan"),
+    "nan_comment_sentiment": (
+        "comments.jsonl", lines(dumps(C1).replace('"sentiment": 0.25', '"sentiment": NaN'), C2),
+        cm.SchemaError, ":1: field 'sentiment' out of range [-1, 1]: nan"),
+    "infinity_count": (
+        "posts.jsonl", lines(dumps(P1).replace('"likes": 0', '"likes": Infinity'), P2),
+        cm.SchemaError, ":1: field 'likes' must be a non-negative integer"),
+    "minus_infinity_timestamp": (
+        "comments.jsonl", lines(C1, dumps(C2).replace('"timestamp": 70', '"timestamp": -Infinity')),
+        cm.SchemaError, ":2: field 'timestamp' must be integer UTC seconds"),
+    "nan_confidence": (
+        "mentions.jsonl", lines(M1, dumps(M2).replace('"confidence": 0.7', '"confidence": NaN')),
+        cm.SchemaError, ":2: confidence out of range [0, 1]: nan"),
+    "string_sentiment": (
+        "comments.jsonl", lines({**C1, "sentiment": "0.5"}, C2),
+        cm.SchemaError, ":1: field 'sentiment' must be a number"),
+    "sentiment_out_of_range": (
+        "posts.jsonl", lines(P1, {**P2, "sentiment": 2}),
+        cm.SchemaError, ":2: field 'sentiment' out of range [-1, 1]: 2.0"),
+    "bool_confidence": (
+        "mentions.jsonl", lines({**M1, "confidence": False}, M2),
+        cm.SchemaError, ":1: field 'confidence' must be a number"),
+    "bad_category": (
+        "sources.jsonl", lines(source("s1"), source("s2", "satire")),
+        cm.SchemaError, ":2: category must be 'official' or 'fake'"),
+    "bom": (
+        "sources.jsonl", "\ufeff" + lines(*BASE["sources.jsonl"]),
+        cm.SchemaError, ":1: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"),
+    "array_line": (
+        "mentions.jsonl", lines(M1, "[1, 2]"),
+        cm.SchemaError, ":2: expected an object"),
+    "scalar_line": (
+        "comments.jsonl", lines('"just text"', C2),
+        cm.SchemaError, ":1: expected an object"),
+    "two_objects_on_one_line": (
+        "posts.jsonl", lines(dumps(P1) + ", " + dumps(P2)),
+        cm.SchemaError, ":1: invalid JSON (Extra data)"),
+    # Together these lines join to a valid array of one object per line;
+    # each line alone is not one object.
+    "objects_split_across_lines": (
+        "posts.jsonl", lines(dumps(P1) + ', {"id": "px", "a": [{"x": 1}', '{"y": 2}]}'),
+        cm.SchemaError, ":1: invalid JSON (Extra data)"),
+    "string_across_lines": (
+        "posts.jsonl", lines(dumps(P1)[:-1] + ', "note": "to be', 'continued"}', P2),
+        cm.SchemaError, ":1: invalid JSON (Unterminated string starting at)"),
+    "blank_lines_then_error": (
+        "comments.jsonl", lines(C1, "", "   ", "\t", "{oops"),
+        cm.SchemaError, ":5: invalid JSON (Expecting property name enclosed in double quotes)"),
+    "crlf_then_error": (
+        "posts.jsonl", lines(P1, P2, '{"id": 3}', end="\r\n"),
+        cm.SchemaError, ":3: field 'id' must be a non-empty string"),
+    "line_separator_in_string_then_error": (
+        "comments.jsonl", lines({**C1, "text": "one\u2028two\u2029three\x85four"}, "{oops"),
+        cm.SchemaError, ":2: invalid JSON (Expecting property name enclosed in double quotes)"),
+    "duplicate_source_id": (
+        "sources.jsonl", lines(source("s1"), source("s2", "fake"), source("s1", "fake")),
+        cm.IntegrityError, ":3: duplicate source id 's1'"),
+    "duplicate_comment_id": (
+        "comments.jsonl", lines(C1, {**C2, "id": "c1"}),
+        cm.IntegrityError, ":2: duplicate comment id 'c1'"),
+    "duplicate_mention_pair": (
+        "mentions.jsonl", lines(M1, {**M1, "entity": "  ALPHA ", "confidence": 0.2}),
+        cm.IntegrityError, ":2: duplicate mention of 'alpha' in post 'p1'"),
+}
+
+
+def load_error(directory):
+    with pytest.raises(cm.CorpusError) as err:
+        cm.load_corpus(directory)
+    return err
+
+
+def assert_ingest_is_data_error(directory, tmp_path):
+    assert main(["ingest", "--data", str(directory), "--out", str(tmp_path / "out")]) == EXIT_DATA
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_error_message_and_line(case, tmp_path):
+    name, raw, kind, tail = ERROR_CASES[case]
+    directory = base_corpus(tmp_path / "c", **{name.replace(".", "_"): raw})
+    err = load_error(directory)
+    assert type(err.value) is kind
+    assert str(err.value) == f"{directory / name}{tail}"
+    assert_ingest_is_data_error(directory, tmp_path)
+
+
+def test_duplicate_post_id_first_seen_in_an_earlier_block(tmp_path, monkeypatch):
+    monkeypatch.setattr(cm, "_BLOCK_LINES", 4, raising=False)
+    posts = [post(f"p{i}", "s1", i) for i in range(1, 12)] + [post("p2", "s2")]
+    directory = base_corpus(tmp_path / "c", posts_jsonl=lines(*posts))
+    err = load_error(directory)
+    assert type(err.value) is cm.IntegrityError
+    assert str(err.value) == f"{directory / 'posts.jsonl'}:12: duplicate post id 'p2'"
+    assert_ingest_is_data_error(directory, tmp_path)
+
+
+def test_error_in_a_later_block_keeps_its_line(tmp_path, monkeypatch):
+    monkeypatch.setattr(cm, "_BLOCK_LINES", 3, raising=False)
+    comments = [comment(f"c{i}", "p1", f"u{i % 4}", i) for i in range(10)]
+    raw = lines(*comments[:7], "", {**comments[7], "likes": -2}, *comments[8:])
+    directory = base_corpus(tmp_path / "c", comments_jsonl=raw)
+    err = load_error(directory)
+    assert str(err.value) == (
+        f"{directory / 'comments.jsonl'}:9: field 'likes' must be a non-negative integer"
+    )
+
+
+def test_dangling_references_sorted_in_one_message(tmp_path):
+    directory = base_corpus(
+        tmp_path / "c",
+        posts_jsonl=lines(P1, P2, post("p3", "gone"), post("p0", "lost")),
+        comments_jsonl=lines(C1, comment("c9", "ghost"), comment("c0", "p3"),
+                             comment("c5", "vanished")),
+        mentions_jsonl=lines(M1, mention("Beta", "nowhere"), mention("alpha", "ghost")),
+    )
+    err = load_error(directory)
+    assert type(err.value) is cm.IntegrityError
+    assert str(err.value) == (
+        "dangling references: "
+        "comment 'c5' -> post 'vanished'; comment 'c9' -> post 'ghost'; "
+        "mention 'alpha' -> post 'ghost'; mention 'beta' -> post 'nowhere'; "
+        "post 'p0' -> source 'lost'; post 'p3' -> source 'gone'"
+    )
+    assert_ingest_is_data_error(directory, tmp_path)
+
+
+def test_first_failing_file_wins(tmp_path):
+    # sources, posts, comments, mentions are checked in that order
+    directory = base_corpus(
+        tmp_path / "c",
+        posts_jsonl=lines(P1, {**P2, "shares": -1}),
+        sources_jsonl=lines(source("s1"), source("s1")),
+    )
+    err = load_error(directory)
+    assert str(err.value) == f"{directory / 'sources.jsonl'}:2: duplicate source id 's1'"
+
+
+def test_missing_file_named(tmp_path):
+    directory = base_corpus(tmp_path / "c")
+    (directory / "mentions.jsonl").unlink()
+    err = load_error(directory)
+    assert type(err.value) is cm.CorpusError
+    assert str(err.value) == f"missing corpus file: {directory / 'mentions.jsonl'}"
+    assert_ingest_is_data_error(directory, tmp_path)
+
+
+def snapshot(corpus):
+    """Every loaded value, as plain lists in file order."""
+    p, c, m = corpus.posts, corpus.comments, corpus.mentions
+    return {
+        "sources": corpus.sources.fake.tolist(),
+        "posts": list(zip(p.ids, p.source.tolist(), p.timestamp.tolist(), p.text,
+                          p.sentiment.tolist(), p.likes.tolist(), p.shares.tolist())),
+        "comments": list(zip([p.ids[i] for i in c.post.tolist()],
+                             [corpus.users[u] for u in c.user.tolist()], c.text,
+                             [None if s != s else s for s in c.sentiment.tolist()],
+                             c.likes.tolist(), c.replies.tolist())),
+        "mentions": list(zip([corpus.entities[e] for e in m.entity.tolist()],
+                             [p.ids[i] for i in m.post.tolist()], m.confidence.tolist())),
+    }
+
+
+def test_blank_whitespace_and_crlf_lines_load_like_plain_lines(tmp_path):
+    plain = cm.load_corpus(base_corpus(tmp_path / "plain"))
+    raw = {name.replace(".", "_"): " \r\n" + lines(*rows, "\t ", end="\r\n") + "\n"
+           for name, rows in BASE.items()}
+    assert snapshot(cm.load_corpus(base_corpus(tmp_path / "crlf", **raw))) == snapshot(plain)
+
+
+def test_line_separators_inside_strings_are_not_line_breaks(tmp_path):
+    text = "one\u2028two\x85three\u2029four"
+    directory = base_corpus(tmp_path / "c", comments_jsonl=lines({**C1, "text": text}, C2))
+    assert snapshot(cm.load_corpus(directory))["comments"][0][2] == text
+
+
+def test_non_string_text_is_coerced_with_str(tmp_path):
+    directory = base_corpus(
+        tmp_path / "c",
+        posts_jsonl=lines({**P1, "text": 123}, {**P2, "text": [1, "a"]}),
+        comments_jsonl=lines({**C1, "text": None}, {**C2, "text": {"k": 1.5}}),
+    )
+    got = snapshot(cm.load_corpus(directory))
+    assert [p[3] for p in got["posts"]] == ["123", "[1, 'a']"]
+    assert [c[2] for c in got["comments"]] == ["None", "{'k': 1.5}"]
+
+
+def test_extra_fields_are_ignored(tmp_path):
+    plain = cm.load_corpus(base_corpus(tmp_path / "plain"))
+    extra = {"note": {"nested": [1, {"x": None}]}, "flag": True}
+    raw = {name.replace(".", "_"): lines(*({**row, **extra} for row in rows))
+           for name, rows in BASE.items()}
+    assert snapshot(cm.load_corpus(base_corpus(tmp_path / "extra", **raw))) == snapshot(plain)
+
+
+# The one deliberate change from the per-record loader, which accepted any
+# integer: counts and timestamps are stored as int64, so a value outside that
+# range is a SchemaError naming file, line and field.
+@pytest.mark.parametrize("name, raw, tail", [
+    ("posts.jsonl", lines(P1, {**P2, "likes": 2**63}),
+     ":2: field 'likes' is outside the 64-bit integer range"),
+    ("comments.jsonl", lines({**C1, "timestamp": -2**63 - 1}, C2),
+     ":1: field 'timestamp' is outside the 64-bit integer range"),
+    ("comments.jsonl", lines(C1, {**C2, "replies": 10**30}),
+     ":2: field 'replies' is outside the 64-bit integer range"),
+])
+def test_integer_outside_int64_is_schema_error(name, raw, tail, tmp_path):
+    directory = base_corpus(tmp_path / "c", **{name.replace(".", "_"): raw})
+    err = load_error(directory)
+    assert type(err.value) is cm.SchemaError
+    assert str(err.value) == f"{directory / name}{tail}"
+    assert_ingest_is_data_error(directory, tmp_path)
+
+
+def test_int64_extremes_load(tmp_path):
+    directory = base_corpus(
+        tmp_path / "c",
+        posts_jsonl=lines({**P1, "likes": 2**63 - 1, "timestamp": -2**63}, P2),
+    )
+    posts = snapshot(cm.load_corpus(directory))["posts"]
+    assert posts[0][2] == -2**63 and posts[0][5] == 2**63 - 1
+
+
+# Random valid corpora, written with the layout variations the loader must
+# accept, against a reference that parses each line with json.loads.
+labels = st.text(st.sampled_from("aB \tÉß x"), min_size=1, max_size=6).filter(str.strip)
+texts = st.one_of(st.text(max_size=12), st.integers(-5, 5), st.none())
+counts = st.integers(0, 2**63 - 1)
+unit = st.one_of(st.floats(-1, 1), st.integers(-1, 1))
+
+
+@st.composite
+def corpora(draw):
+    n_sources = draw(st.integers(1, 3))
+    sources = [source(f"s{i}", draw(st.sampled_from(["official", "fake"])))
+               for i in range(n_sources)]
+    posts = [post(f"p{i}", f"s{draw(st.integers(0, n_sources - 1))}",
+                  draw(st.integers(-2**63, 2**63 - 1)), draw(texts), draw(unit),
+                  draw(counts), draw(counts)) for i in range(draw(st.integers(1, 8)))]
+    comments = [comment(f"c{i}", f"p{draw(st.integers(0, len(posts) - 1))}",
+                        draw(st.sampled_from(["u2", "u10", "u1", "é"])), draw(st.integers(0, 99)),
+                        draw(texts), draw(st.one_of(st.none(), unit)), draw(counts), draw(counts))
+                for i in range(draw(st.integers(0, 20)))]
+    mentions, seen = [], set()
+    for label in draw(st.lists(labels, max_size=10)):
+        pid = f"p{draw(st.integers(0, len(posts) - 1))}"
+        if (cm.normalize_entity(label), pid) not in seen:
+            seen.add((cm.normalize_entity(label), pid))
+            mentions.append(mention(label, pid, draw(st.one_of(st.floats(0, 1), st.just(1)))))
+    return {"sources.jsonl": sources, "posts.jsonl": posts,
+            "comments.jsonl": comments, "mentions.jsonl": mentions}
+
+
+def reference(records):
+    """The expected snapshot, from raw records."""
+    source_row = {sid: i for i, sid in enumerate(records.sources)}
+    return {
+        "sources": [s["category"] == "fake" for s in records.sources.values()],
+        "posts": [(p["id"], source_row[p["source_id"]], p["timestamp"], str(p["text"]),
+                   float(p["sentiment"]), p["likes"], p["shares"]) for p in records.posts.values()],
+        "comments": [(c["post_id"], c["user_id"], str(c["text"]),
+                      None if c["sentiment"] is None else float(c["sentiment"]),
+                      c["likes"], c["replies"]) for c in records.comments],
+        "mentions": [(m["entity"], m["post_id"], float(m["confidence"])) for m in records.mentions],
+    }
+
+
+@given(corpora(), st.integers(1, 5), st.sampled_from(["\n", "\r\n"]), st.booleans(),
+       st.sampled_from([{}, {"x": 1}, {"x": {"y": [1, None]}}]))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_random_corpora_load_like_the_reference(tmp_path, corpus, block, end, blanks, extra):
+    directory = tmp_path / "h"
+    raw = {name.replace(".", "_"): ("\n  \n" if blanks else "")
+           + lines(*({**row, **extra} for row in rows), end=end) for name, rows in corpus.items()}
+    base_corpus(directory, **raw)
+    with mock.patch.object(cm, "_BLOCK_LINES", block):
+        loaded = cm.load_corpus(directory)
+    records = read_records(directory)
+    assert snapshot(loaded) == reference(records)
+    assert loaded.users == sorted(records.comments_by_user)
+    assert loaded.entities == sorted({m["entity"] for m in records.mentions})
+    post_ids = list(records.posts)
+    for i, pid in enumerate(post_ids):
+        rows, _ = loaded.comments_of_post.rows(np.array([i]))
+        assert [records.comments[r] for r in rows.tolist()] == records.comments_by_post.get(pid, [])
+    for u, uid in enumerate(loaded.users):
+        rows, _ = loaded.comments_of_user.rows(np.array([u]))
+        assert [records.comments[r] for r in rows.tolist()] == records.comments_by_user[uid]
+
+
+def test_well_formed_files_skip_the_record_validator(small_synth):
+    _, _, directory = small_synth
+    with mock.patch.object(cm, "_iter_jsonl", side_effect=AssertionError("record path taken")):
+        corpus = cm.load_corpus(directory)
+    assert snapshot(corpus) == snapshot(small_synth[0])
