@@ -19,6 +19,7 @@ first bad record.
 from __future__ import annotations
 
 import json
+import math
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -33,6 +34,8 @@ OFFICIAL = "official"
 FAKE = "fake"
 
 _WS = re.compile(r"\s+")
+# bytes that are not UTF-8, as the "surrogateescape" error handler decodes them
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 # Lines per parsed block: bounds the record dicts held at once.
 _BLOCK_LINES = 4096
@@ -235,15 +238,23 @@ class CorpusPaths:
 
 
 def _iter_jsonl(path: Path) -> Iterable[tuple[int, dict]]:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if _UNDECODABLE.search(line):
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise SchemaError(f"{path}:{lineno}: invalid UTF-8 ({exc.reason})") from exc
             line = line.strip()
             if not line:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+            except (ValueError, RecursionError) as exc:
+                # a JSONDecodeError, an integer literal over the int digit
+                # limit, or nesting deeper than the recursion limit
+                msg = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+                raise SchemaError(f"{path}:{lineno}: invalid JSON ({msg})") from exc
             if not isinstance(obj, dict):
                 raise SchemaError(f"{path}:{lineno}: expected an object")
             yield lineno, obj
@@ -282,10 +293,18 @@ def _as_timestamp(obj: dict, key: str, where: str) -> int:
     return _as_int64(v, key, where)
 
 
+def _as_float(v: int | float) -> float:
+    """A JSON number as a float; an integer too large for one becomes the infinity of its sign."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
 def _as_sentiment(v, where: str, key: str = "sentiment") -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError(f"{where}: field {key!r} must be a number")
-    v = float(v)
+    v = _as_float(v)
     if not -1.0 <= v <= 1.0:
         raise SchemaError(f"{where}: field {key!r} out of range [-1, 1]: {v}")
     return v
@@ -366,7 +385,7 @@ def _mention_records(path: Path) -> Iterator[tuple]:
         conf = _need(obj, "confidence", where)
         if isinstance(conf, bool) or not isinstance(conf, (int, float)):
             raise SchemaError(f"{where}: field 'confidence' must be a number")
-        conf = float(conf)
+        conf = _as_float(conf)
         if not 0.0 <= conf <= 1.0:
             raise SchemaError(f"{where}: confidence out of range [0, 1]: {conf}")
         if (entity, post_id) in seen:

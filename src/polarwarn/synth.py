@@ -13,12 +13,25 @@ mentions) makes output files byte-identical per seed.
 Ground truth (disputed sets, engaged cohorts, exact presentation spreads,
 engaged fractions, planted lags) is tallied during generation, so tests can
 verify the feature pipeline against an independent bookkeeping path.
+
+Every uniform draw is computed as ``lo + (hi - lo) * rng.random()``, which
+is numpy's own ``Generator.uniform`` formula (``low + range * next_double``):
+it consumes the same one double from the stream and yields the same bits,
+so the files stay byte-identical to those written with ``rng.uniform``,
+without its per-call argument handling.  The range checks ``uniform`` made
+on each call are made once, up front, by :meth:`SynthConfig.validate`.
+Each JSONL file is written by one line formatter that produces exactly
+``json.dumps(row, ensure_ascii=False)``: strings through
+``json.encoder.encode_basestring``, numbers through ``repr``, instead of a
+``json.dumps`` call per row, which builds a new encoder each time.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
+from json.encoder import encode_basestring as _str
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +102,10 @@ class SynthConfig:
         return int(round(self.n_entities * self.disputed_fraction))
 
     def validate(self) -> None:
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type == "float" and not _finite(v):
+                raise SynthConfigError(f"{f.name} must be a finite number, got {v!r}")
         for name in ("disputed_fraction", "cohort_comment_share",
                      "disputed_narrow_fraction", "undisputed_wide_fraction",
                      "comment_missing_sentiment_rate", "noise_mention_rate"):
@@ -97,6 +114,21 @@ class SynthConfig:
                 raise SynthConfigError(f"{name} must lie in [0, 1], got {v}")
         if not -1.0 <= self.disputed_sentiment_low < self.disputed_sentiment_high <= 1.0:
             raise SynthConfigError("disputed sentiment range must be ordered within [-1, 1]")
+        # wide-disputed posts draw from [0, high] and [low, 0]
+        if self.disputed_sentiment_low > 0.0:
+            raise SynthConfigError(
+                f"disputed_sentiment_low must not exceed 0, got {self.disputed_sentiment_low}")
+        if self.disputed_sentiment_high < 0.0:
+            raise SynthConfigError(
+                f"disputed_sentiment_high must not be below 0, got {self.disputed_sentiment_high}")
+        if self.undisputed_spread < 0.0:
+            raise SynthConfigError(
+                f"undisputed_spread must be non-negative, got {self.undisputed_spread}")
+        for low, high in (("fake_lag_hours_low", "fake_lag_hours_high"),
+                          ("divergent_offset_low", "divergent_offset_high")):
+            if getattr(self, low) > getattr(self, high):
+                raise SynthConfigError(
+                    f"{low}={getattr(self, low)} exceeds {high}={getattr(self, high)}")
         if self.n_entities < 1 or self.n_posts < 1 or self.n_users < 1:
             raise SynthConfigError("entity, post and user counts must be positive")
         if self.head_entities > self.n_entities:
@@ -113,6 +145,9 @@ class SynthConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SynthConfig":
+        unknown = sorted(set(doc).difference(f.name for f in fields(cls)))
+        if unknown:
+            raise SynthConfigError(f"unknown synth config key(s): {', '.join(unknown)}")
         return cls(**doc)
 
 
@@ -191,14 +226,28 @@ class _Records:
     mentions: list[dict] = field(default_factory=list)
 
 
+def _finite(v) -> bool:
+    try:
+        return math.isfinite(v)
+    except (OverflowError, TypeError):
+        return False
+
+
 def _clip(v: float) -> float:
     return float(min(1.0, max(-1.0, v)))
+
+
+def _uniform(random, lo: float, hi: float) -> float:
+    """``Generator.uniform(lo, hi)`` from the generator's bound ``random``, draw for draw."""
+    lo = float(lo)
+    return lo + (float(hi) - lo) * random()
 
 
 def build_synthetic(config: SynthConfig) -> tuple[_Records, GroundTruth]:
     """Generate all records in memory together with the planted truth."""
     config.validate()
     rng = np.random.default_rng(config.seed)
+    random = rng.random
     rec = _Records()
 
     official_ids = [f"src_official_{i:03d}" for i in range(config.n_official_sources)]
@@ -255,16 +304,16 @@ def build_synthetic(config: SynthConfig) -> tuple[_Records, GroundTruth]:
         audience_n = int(rng.integers(min(config.audience_size_min, config.audience_size),
                                       config.audience_size + 1))
         audiences[i] = [str(u) for u in rng.choice(pool, size=audience_n, replace=False)]
-        centers[i] = float(rng.uniform(-0.2, 0.6))
+        centers[i] = _uniform(random, -0.2, 0.6)
         if i in disputed_idx:
-            lags[i] = float(rng.uniform(config.fake_lag_hours_low, config.fake_lag_hours_high))
-            narrow = bool(rng.uniform() < config.disputed_narrow_fraction)
+            lags[i] = _uniform(random, config.fake_lag_hours_low, config.fake_lag_hours_high)
+            narrow = random() < config.disputed_narrow_fraction
             profiles[i] = "narrow_disputed" if narrow else "wide_disputed"
         else:
-            wide = bool(rng.uniform() < config.undisputed_wide_fraction)
+            wide = random() < config.undisputed_wide_fraction
             profiles[i] = "lookalike" if wide else "plain"
-            divergence_sign[i] = 1.0 if rng.uniform() < 0.5 else -1.0
-        high_confidence[i] = True if i in head_idx else bool(rng.uniform() < 0.5)
+            divergence_sign[i] = 1.0 if random() < 0.5 else -1.0
+        high_confidence[i] = True if i in head_idx else random() < 0.5
 
     # tallies for the ground truth (independent of the feature pipeline)
     user_total: dict[str, int] = {}
@@ -276,6 +325,18 @@ def build_synthetic(config: SynthConfig) -> tuple[_Records, GroundTruth]:
     first_fake: dict[int, int] = {}
 
     mean_comments = config.n_comments / config.n_posts
+    # the comment loop runs once per comment: it reads these as locals and
+    # inlines its uniform draws as lo + width * random()
+    integers, normal, poisson = rng.integers, rng.normal, rng.poisson
+    cohort_share = config.cohort_comment_share
+    cohort_size = config.engaged_cohort_size
+    missing_rate = config.comment_missing_sentiment_rate
+    noise = config.consonant_noise
+    offset_lo = float(config.divergent_offset_low)
+    offset_width = float(config.divergent_offset_high) - offset_lo
+    delay_width = float(_DAY - 60)
+    n_texts = len(_COMMENT_TEXTS)
+    comments = rec.comments
     post_counter = 0
     comment_counter = 0
     for i in range(n_ent):
@@ -288,29 +349,33 @@ def build_synthetic(config: SynthConfig) -> tuple[_Records, GroundTruth]:
         else:
             n_fake = 0
         n_official = n_e - n_fake
-        t0 = _EPOCH_2016_07_31 + int(rng.uniform(0, 90 * _DAY))
+        t0 = _EPOCH_2016_07_31 + int(_uniform(random, 0, 90 * _DAY))
 
         slots: list[tuple[str, int, float]] = []  # (category, timestamp, sentiment)
         lo, hi = config.disputed_sentiment_low, config.disputed_sentiment_high
         half = config.undisputed_spread / 2.0
         profile = profiles[i]
+        cohort = cohorts.get(i)
+        audience = audiences[i]
+        sign = divergence_sign.get(i)
+        entity_commenters = commenters[i]
         for j in range(n_official):
-            ts = t0 if j == 0 else t0 + int(rng.uniform(3600, 30 * _DAY))
+            ts = t0 if j == 0 else t0 + int(_uniform(random, 3600, 30 * _DAY))
             if profile == "wide_disputed":
-                sent = hi if j == 0 else float(rng.uniform(0.0, hi))
+                sent = hi if j == 0 else _uniform(random, 0.0, hi)
             elif profile == "lookalike":
-                sent = float(rng.uniform(lo, hi))
+                sent = _uniform(random, lo, hi)
             else:  # narrow_disputed and plain share the tight band
-                sent = _clip(centers[i] + float(rng.uniform(-half, half)))
+                sent = _clip(centers[i] + _uniform(random, -half, half))
             slots.append(("official", ts, sent))
         if is_disputed:
             fake_t0 = t0 + int(lags[i] * 3600)
             for j in range(n_fake):
-                ts = fake_t0 if j == 0 else fake_t0 + int(rng.uniform(3600, 30 * _DAY))
+                ts = fake_t0 if j == 0 else fake_t0 + int(_uniform(random, 3600, 30 * _DAY))
                 if profile == "wide_disputed":
-                    sent = lo if j == 0 else float(rng.uniform(lo, 0.0))
+                    sent = lo if j == 0 else _uniform(random, lo, 0.0)
                 else:
-                    sent = _clip(centers[i] + float(rng.uniform(-half, half)))
+                    sent = _clip(centers[i] + _uniform(random, -half, half))
                 slots.append(("fake", ts, sent))
 
         for category, ts, sent in slots:
@@ -320,12 +385,12 @@ def build_synthetic(config: SynthConfig) -> tuple[_Records, GroundTruth]:
             # surface statistics separate well but never perfectly
             if category == "official":
                 source = official_ids[int(rng.integers(len(official_ids)))]
-                style = "fake" if rng.uniform() < config.official_clickbait_rate else "official"
+                style = "fake" if random() < config.official_clickbait_rate else "official"
                 likes = int(rng.gamma(2.0, 30.0))
                 shares = int(rng.gamma(2.0, 8.0))
             else:
                 source = fake_ids[int(rng.integers(len(fake_ids)))]
-                style = "official" if rng.uniform() < config.fake_sober_rate else "fake"
+                style = "official" if random() < config.fake_sober_rate else "fake"
                 likes = int(rng.gamma(2.0, 18.0))
                 shares = int(rng.gamma(2.0, 16.0))
             if style == "official":
@@ -347,7 +412,7 @@ def build_synthetic(config: SynthConfig) -> tuple[_Records, GroundTruth]:
                     "shares": shares,
                 }
             )
-            conf = float(rng.uniform(0.92, 0.99)) if high_confidence[i] else float(rng.uniform(0.62, 0.88))
+            conf = _uniform(random, 0.92, 0.99) if high_confidence[i] else _uniform(random, 0.62, 0.88)
             rec.mentions.append({"entity": entity, "post_id": pid, "confidence": conf})
 
             sent_min[i] = min(sent_min.get(i, sent), sent)
@@ -357,53 +422,50 @@ def build_synthetic(config: SynthConfig) -> tuple[_Records, GroundTruth]:
             else:
                 first_fake[i] = min(first_fake.get(i, ts), ts)
 
-            n_c = int(rng.poisson(mean_comments))
+            n_c = int(poisson(mean_comments))
             for _ in range(n_c):
                 cid = f"comment_{comment_counter:07d}"
                 comment_counter += 1
-                if is_disputed and rng.uniform() < config.cohort_comment_share:
-                    user = cohorts[i][int(rng.integers(config.engaged_cohort_size))]
+                if is_disputed and random() < cohort_share:
+                    user = cohort[int(integers(cohort_size))]
                 else:
-                    user = audiences[i][int(rng.integers(len(audiences[i])))]
-                if rng.uniform() < config.comment_missing_sentiment_rate:
+                    user = audience[int(integers(len(audience)))]
+                if random() < missing_rate:
                     c_sent = None
                 elif is_disputed:
                     # consonant audience: responses hug the presentation
-                    c_sent = _clip(sent + float(rng.normal(0.0, config.consonant_noise)))
+                    c_sent = _clip(sent + float(normal(0.0, noise)))
                 else:
                     # divergent audience with a per-entity bias direction
-                    offset = float(
-                        rng.uniform(config.divergent_offset_low, config.divergent_offset_high)
-                    )
-                    c_sent = _clip(sent + divergence_sign[i] * offset)
-                rec.comments.append(
+                    c_sent = _clip(sent + sign * (offset_lo + offset_width * random()))
+                comments.append(
                     {
                         "id": cid,
                         "post_id": pid,
                         "user_id": user,
-                        "timestamp": ts + int(rng.uniform(60, _DAY)),
-                        "text": _COMMENT_TEXTS[int(rng.integers(len(_COMMENT_TEXTS)))],
+                        "timestamp": ts + int(60.0 + delay_width * random()),
+                        "text": _COMMENT_TEXTS[int(integers(n_texts))],
                         "sentiment": c_sent,
-                        "likes": int(rng.poisson(2.0)),
-                        "replies": int(rng.poisson(1.0)),
+                        "likes": int(poisson(2.0)),
+                        "replies": int(poisson(1.0)),
                     }
                 )
                 user_total[user] = user_total.get(user, 0) + 1
                 user_entity[(user, i)] = user_entity.get((user, i), 0) + 1
-                commenters[i].add(user)
+                entity_commenters.add(user)
 
     # low-confidence noise mentions exercise the confidence filter without
     # affecting sample membership
     primary_by_post = {m["post_id"]: m["entity"] for m in rec.mentions}
     for post in rec.posts:
-        if rng.uniform() < config.noise_mention_rate:
+        if random() < config.noise_mention_rate:
             other = entities[int(rng.integers(n_ent))]
             if other != primary_by_post[post["id"]]:
                 rec.mentions.append(
                     {
                         "entity": other,
                         "post_id": post["id"],
-                        "confidence": float(rng.uniform(0.15, 0.55)),
+                        "confidence": _uniform(random, 0.15, 0.55),
                     }
                 )
 
@@ -449,11 +511,49 @@ def ground_truth(config: SynthConfig) -> GroundTruth:
     return build_synthetic(config)[1]
 
 
-def _write_jsonl(rows: list[dict], path: Path) -> None:
+# One formatter per JSONL file, each equal to json.dumps(row, ensure_ascii=False)
+# for its rows: strings go through the encoder json.dumps uses, numbers
+# through repr (finite floats and ints print as JSON does), None as null.
+
+
+def _num(v) -> str:
+    return "null" if v is None else repr(v)
+
+
+def _source_line(row: dict) -> str:
+    return (
+        f'{{"id": {_str(row["id"])}, "name": {_str(row["name"])}, '
+        f'"category": {_str(row["category"])}}}'
+    )
+
+
+def _post_line(row: dict) -> str:
+    return (
+        f'{{"id": {_str(row["id"])}, "source_id": {_str(row["source_id"])}, '
+        f'"timestamp": {row["timestamp"]!r}, "text": {_str(row["text"])}, '
+        f'"sentiment": {_num(row["sentiment"])}, "likes": {row["likes"]!r}, "shares": {row["shares"]!r}}}'
+    )
+
+
+def _comment_line(row: dict) -> str:
+    return (
+        f'{{"id": {_str(row["id"])}, "post_id": {_str(row["post_id"])}, "user_id": {_str(row["user_id"])}, '
+        f'"timestamp": {row["timestamp"]!r}, "text": {_str(row["text"])}, '
+        f'"sentiment": {_num(row["sentiment"])}, "likes": {row["likes"]!r}, "replies": {row["replies"]!r}}}'
+    )
+
+
+def _mention_line(row: dict) -> str:
+    return (
+        f'{{"entity": {_str(row["entity"])}, "post_id": {_str(row["post_id"])}, '
+        f'"confidence": {row["confidence"]!r}}}'
+    )
+
+
+def _write_jsonl(rows: list[dict], line, path: Path) -> None:
+    # streamed line by line: a joined file would add its size to the peak RSS
     with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False))
-            fh.write("\n")
+        fh.writelines(line(row) + "\n" for row in rows)
 
 
 def generate(config: SynthConfig, out_dir: str | Path) -> GroundTruth:
@@ -461,10 +561,10 @@ def generate(config: SynthConfig, out_dir: str | Path) -> GroundTruth:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rec, truth = build_synthetic(config)
-    _write_jsonl(rec.sources, out / "sources.jsonl")
-    _write_jsonl(rec.posts, out / "posts.jsonl")
-    _write_jsonl(rec.comments, out / "comments.jsonl")
-    _write_jsonl(rec.mentions, out / "mentions.jsonl")
+    _write_jsonl(rec.sources, _source_line, out / "sources.jsonl")
+    _write_jsonl(rec.posts, _post_line, out / "posts.jsonl")
+    _write_jsonl(rec.comments, _comment_line, out / "comments.jsonl")
+    _write_jsonl(rec.mentions, _mention_line, out / "mentions.jsonl")
     with open(out / "truth.json", "w", encoding="utf-8") as fh:
         json.dump(truth.to_json_dict(), fh, indent=2, sort_keys=True)
     return truth

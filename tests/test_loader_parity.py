@@ -34,15 +34,25 @@ BASE = {
 
 
 def base_corpus(directory, **raw):
-    """Write BASE, then overwrite each named file (dots as underscores) with raw text."""
+    """Write BASE, then overwrite each named file (dots as underscores) with raw text or bytes."""
     write_corpus(directory, *BASE.values())
     for name, text in raw.items():
-        (directory / name.replace("_", ".")).write_bytes(text.encode("utf-8"))
+        data = text if isinstance(text, bytes) else text.encode("utf-8")
+        (directory / name.replace("_", ".")).write_bytes(data)
     return directory
 
 
 def lines(*rows, end="\n"):
     return "".join((r if isinstance(r, str) else dumps(r)) + end for r in rows)
+
+
+def json_error(text):
+    """The message json.loads raises on ``text``; its wording varies across Python versions."""
+    try:
+        json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        return str(exc)
+    raise AssertionError(f"{text[:20]!r}... parsed")
 
 
 P1, P2 = BASE["posts.jsonl"]
@@ -134,6 +144,21 @@ ERROR_CASES = {
     "line_separator_in_string_then_error": (
         "comments.jsonl", lines({**C1, "text": "one\u2028two\u2029three\x85four"}, "{oops"),
         cm.SchemaError, ":2: invalid JSON (Expecting property name enclosed in double quotes)"),
+    "integer_over_digit_limit": (
+        "posts.jsonl", lines(P1, dumps(P2).replace('"timestamp": 60', '"timestamp": ' + "1" * 5000)),
+        cm.SchemaError, f":2: invalid JSON ({json_error('1' * 5000)})"),
+    "nesting_over_recursion_limit": (
+        "comments.jsonl", lines(C1, "[" * 100_000),
+        cm.SchemaError, f":2: invalid JSON ({json_error('[' * 100_000)})"),
+    "not_utf8": (
+        "posts.jsonl", lines(P1).encode() + dumps(P2).encode().replace(b"Second!", b"Second\xff!") + b"\n",
+        cm.SchemaError, ":2: invalid UTF-8 (invalid start byte)"),
+    "sentiment_integer_too_large_for_float": (
+        "posts.jsonl", lines(P1, dumps(P2).replace('"sentiment": -0.5', '"sentiment": -' + "9" * 400)),
+        cm.SchemaError, ":2: field 'sentiment' out of range [-1, 1]: -inf"),
+    "confidence_integer_too_large_for_float": (
+        "mentions.jsonl", lines(M1, dumps(M2).replace('"confidence": 0.7', '"confidence": ' + "9" * 400)),
+        cm.SchemaError, ":2: confidence out of range [0, 1]: inf"),
     "duplicate_source_id": (
         "sources.jsonl", lines(source("s1"), source("s2", "fake"), source("s1", "fake")),
         cm.IntegrityError, ":3: duplicate source id 's1'"),
