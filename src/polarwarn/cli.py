@@ -42,7 +42,7 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 _CONFIG_ERRORS = (synth_mod.SynthConfigError, ValueError, KeyError, json.JSONDecodeError)
-_DATA_ERRORS = (CorpusError, FileNotFoundError, feat.UnknownEntityError, feat.MissingFeatureError)
+_DATA_ERRORS = (CorpusError, FileNotFoundError)
 _NUMERIC_ERRORS = (
     th.FitError,
     th.SelectionError,

@@ -8,6 +8,10 @@ numbers in file order for sources and posts and positions in the sorted id
 lists for users and entities.  Comments are indexed by post and by user in
 CSR form.  After loading, a :class:`Corpus` is immutable and safe to share.
 
+Entity and post samples hold post rows, not post ids.  Their rows run in
+post-id order, which :func:`_id_rank` alone decides: every per-post float
+sum and every post dataset row follows it, whatever the order of the file.
+
 Each file is read in blocks of ``_BLOCK_LINES`` lines.  A block is parsed
 with one ``json.loads`` over its lines joined as an array, and every column
 is checked with numpy and set operations.  Only when a block or a column
@@ -21,7 +25,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice, repeat
 from operator import itemgetter
@@ -145,29 +148,26 @@ def group_positions(ptr: np.ndarray, groups: np.ndarray) -> tuple[np.ndarray, np
 class EntitySample:
     """Entities passing a confidence/coverage filter, with their member posts.
 
-    ``member_posts[e]`` holds every post carrying a qualifying mention of
-    ``e`` (confidence >= ``min_confidence``).
+    ``member_rows[e]`` holds the row of every post carrying a qualifying
+    mention of ``e``, in post-id order.
     """
 
     name: str
     entities: frozenset[str]
-    member_posts: Mapping[str, frozenset[str]]
-    min_confidence: float
-    min_posts: int
+    member_rows: Mapping[str, np.ndarray]
     requires_comment_sentiment: bool = False
 
 
 @dataclass(frozen=True)
 class PostSample:
-    """Posts containing at least one entity of an EntitySample.
+    """Posts containing at least one entity of an EntitySample, in post-id order.
 
-    ``labels[p]`` is 1 when the post's source is a fake outlet, else 0.
+    ``labels[i]`` is 1 when the source of post ``rows[i]`` is a fake outlet, else 0.
     """
 
     name: str
-    posts: frozenset[str]
-    labels: Mapping[str, int]
-    entity_sample_name: str
+    rows: np.ndarray
+    labels: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -178,25 +178,12 @@ class Corpus:
     mentions: Mentions
     users: list[str]  # sorted user ids
     entities: list[str]  # sorted entity names
-    post_index: Mapping[str, int]  # post id -> row
     comments_of_post: Groups
     comments_of_user: Groups
 
     def post_is_fake(self) -> np.ndarray:
         """Per post row: its source is a fake outlet."""
         return self.sources.fake[self.posts.source]
-
-    def post_rows(self, post_ids: Iterable[str]) -> np.ndarray:
-        """Rows of the given post ids, in the given order."""
-        post_ids = list(post_ids)
-        return np.fromiter(map(self.post_index.__getitem__, post_ids), np.int64, len(post_ids))
-
-    def entity_posts(self, entity: str) -> list[str]:
-        """Ids of every post mentioning the entity, at any confidence."""
-        code = bisect_left(self.entities, entity)
-        if code == len(self.entities) or self.entities[code] != entity:
-            return []
-        return [self.posts.ids[p] for p in self.mentions.post[self.mentions.entity == code].tolist()]
 
     def breakdown(self) -> dict[str, dict[str, int]]:
         """Per-category tallies of pages, posts, likes, comments, shares."""
@@ -662,10 +649,17 @@ def load_corpus(paths: CorpusPaths | str | Path) -> Corpus:
         mentions=mentions,
         users=users,
         entities=entities,
-        post_index=post_index,
         comments_of_post=Groups.of(comments.post, len(posts)),
         comments_of_user=Groups.of(comments.user, len(users)),
     )
+
+
+def _id_rank(posts: Posts) -> np.ndarray:
+    """Each post row's position in post-id order, the order samples keep their rows in."""
+    ids = posts.ids
+    rank = np.empty(len(ids), np.int64)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return rank
 
 
 def select_entities(
@@ -683,20 +677,18 @@ def select_entities(
     if not 0.0 <= min_confidence <= 1.0:
         raise ValueError(f"min_confidence out of range: {min_confidence}")
     qualifying = corpus.mentions.confidence >= min_confidence
-    post = corpus.mentions.post[qualifying]
-    groups = Groups.of(corpus.mentions.entity[qualifying], len(corpus.entities))
-    counts = np.diff(groups.ptr)
-    ids = corpus.posts.ids
-    member: dict[str, frozenset[str]] = {}
-    for code in np.flatnonzero((counts >= min_posts) & (counts > 0)).tolist():
-        rows = post[groups.order[groups.ptr[code]:groups.ptr[code + 1]]]
-        member[corpus.entities[code]] = frozenset(map(ids.__getitem__, rows.tolist()))
+    entity, post = corpus.mentions.entity[qualifying], corpus.mentions.post[qualifying]
+    post = post[np.lexsort((_id_rank(corpus.posts)[post], entity))]
+    counts = np.bincount(entity, minlength=len(corpus.entities))
+    ends = np.cumsum(counts)
+    member = {
+        corpus.entities[code]: post[ends[code] - counts[code]:ends[code]]
+        for code in np.flatnonzero((counts >= min_posts) & (counts > 0)).tolist()
+    }
     return EntitySample(
         name=name or f"conf{min_confidence:g}_posts{min_posts}",
         entities=frozenset(member),
-        member_posts=member,
-        min_confidence=min_confidence,
-        min_posts=min_posts,
+        member_rows=member,
         requires_comment_sentiment=require_comment_sentiment,
     )
 
@@ -712,23 +704,20 @@ def select_e2(corpus: Corpus) -> EntitySample:
 def disputed_entities(corpus: Corpus, sample: EntitySample) -> frozenset[str]:
     """Entities with member posts in both the official and the fake category."""
     post_fake = corpus.post_is_fake()
-    out = set()
-    for entity in sample.entities:
-        fake = post_fake[corpus.post_rows(sample.member_posts[entity])]
-        if fake.any() and not fake.all():
-            out.add(entity)
-    return frozenset(out)
+    return frozenset(
+        entity for entity, rows in sample.member_rows.items()
+        if 0 < np.count_nonzero(post_fake[rows]) < len(rows)
+    )
 
 
 def posts_for_entities(corpus: Corpus, sample: EntitySample, name: str = "") -> PostSample:
     """All posts containing at least one entity of the sample, labeled by source."""
     if not sample.entities:
         raise ValueError("entity sample is empty")
-    posts = list(set().union(*(sample.member_posts[e] for e in sample.entities)))
-    fake = corpus.post_is_fake()[corpus.post_rows(posts)]
+    rows = np.unique(np.concatenate(list(sample.member_rows.values())))
+    rows = rows[np.argsort(_id_rank(corpus.posts)[rows])]
     return PostSample(
         name=name or f"P[{sample.name}]",
-        posts=frozenset(posts),
-        labels=dict(zip(posts, fake.astype(int).tolist())),
-        entity_sample_name=sample.name,
+        rows=rows,
+        labels=corpus.post_is_fake()[rows].astype(np.int8),
     )

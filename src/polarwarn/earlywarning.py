@@ -92,7 +92,6 @@ def build_entity_dataset(features: list[EntityFeatures], sample_name: str) -> Da
         features=np.asarray(rows, dtype=float).reshape(len(rows), len(columns)),
         labels=np.asarray(labels, dtype=np.int8),
         feature_names=columns,
-        positive_class_name="disputed",
         row_ids=tuple(ids),
     )
 
@@ -235,11 +234,7 @@ class EarlyWarningResult:
     dataset: Dataset
     benchmark: BenchmarkResult
     best: tuple[str, str]
-    models: tuple[TrainedModel, TrainedModel]
     predictions: list[EntityPrediction]
-
-    def predictions_by_entity(self) -> dict[str, EntityPrediction]:
-        return {p.entity: p for p in self.predictions}
 
 
 def run_early_warning(
@@ -271,6 +266,5 @@ def run_early_warning(
         dataset=dataset,
         benchmark=benchmark,
         best=best,
-        models=(model_a, model_b),
         predictions=predictions,
     )

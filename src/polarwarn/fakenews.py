@@ -254,9 +254,9 @@ def build_post_dataset(
     names = post_feature_names(
         sample.requires_comment_sentiment, predictions[0].model_a, predictions[0].model_b
     )
-    row_ids = sorted(post_sample.posts)
-    n = len(row_ids)
-    rows = corpus.post_rows(row_ids)
+    rows = post_sample.rows
+    row_ids = tuple(map(corpus.posts.ids.__getitem__, rows.tolist()))
+    n = len(rows)
 
     # The comment table: a post index per comment into `order`, whose first
     # n posts are the rows; the first m comments are the rows' comments.
@@ -275,7 +275,7 @@ def build_post_dataset(
     entities = sorted(sample.entities)
     position = np.empty(len(order), np.int64)
     position[order] = np.arange(len(order))
-    members = [corpus.post_rows(sample.member_posts[e]) for e in entities]
+    members = [sample.member_rows[e] for e in entities]
     member_post = position[np.concatenate([np.zeros(0, np.int64), *members])]
     member_entity = np.repeat(np.arange(len(entities)), [len(r) for r in members])
     by = np.lexsort((member_entity, member_post))
@@ -312,10 +312,9 @@ def build_post_dataset(
     )
     return Dataset(
         features=np.column_stack(columns).reshape(n, len(names)),
-        labels=np.asarray([post_sample.labels[p] for p in row_ids], dtype=np.int8),
+        labels=post_sample.labels,
         feature_names=names,
-        positive_class_name="fake",
-        row_ids=tuple(row_ids),
+        row_ids=row_ids,
     )
 
 

@@ -24,51 +24,9 @@ import numpy as np
 from .corpus import Corpus, EntitySample, disputed_entities
 
 
-class UnknownEntityError(Exception):
-    """The entity has no member posts in the corpus or sample."""
-
-
-class MissingFeatureError(Exception):
-    """A required input (e.g. comment sentiment) is absent for this entity."""
-
-
 def _population_std(values: Sequence[float], mean: float) -> float:
     n = len(values)
     return math.sqrt(sum((v - mean) ** 2 for v in values) / n)
-
-
-def _member_rows(corpus: Corpus, entity: str, member_posts) -> np.ndarray:
-    """Rows of the entity's member posts, in post id order."""
-    if member_posts is None:
-        member_posts = corpus.entity_posts(entity)
-    if not member_posts:
-        raise UnknownEntityError(f"entity {entity!r} has no member posts")
-    return corpus.post_rows(sorted(member_posts))
-
-
-def presentation_distance(corpus: Corpus, entity: str, member_posts=None) -> float:
-    """Spread (max minus min) of post sentiment across the entity's posts."""
-    sentiments = corpus.posts.sentiment[_member_rows(corpus, entity, member_posts)].tolist()
-    return max(sentiments) - min(sentiments)
-
-
-@dataclass(frozen=True)
-class ResponseDistances:
-    """Per-entity response-distance summary.
-
-    ``global_`` is the absolute gap between the mean post sentiment (over all
-    member posts) and the mean comment sentiment pooled over their scored
-    comments.  The min/max/mean/std aggregate the per-post distance
-    r(p) = abs(post sentiment - mean comment sentiment of p) over member
-    posts that have at least one scored comment.
-    """
-
-    global_: float
-    min: float
-    max: float
-    mean: float
-    std: float
-    n_posts_with_comments: int
 
 
 def _scored_comments(corpus: Corpus, rows: np.ndarray) -> tuple[int, list[float], list[int]]:
@@ -85,7 +43,8 @@ def _scored_comments(corpus: Corpus, rows: np.ndarray) -> tuple[int, list[float]
 
 def _response_distances(
     post_sentiments: list[float], scored: list[float], per_post: list[int]
-) -> ResponseDistances:
+) -> list[float]:
+    """r(p) = abs(post sentiment - mean comment sentiment of p), over posts with scored comments."""
     distances: list[float] = []
     start = 0
     for sentiment, k in zip(post_sentiments, per_post):
@@ -93,27 +52,16 @@ def _response_distances(
             comments = scored[start:start + k]
             distances.append(abs(sentiment - sum(comments) / len(comments)))
             start += k
-    global_ = abs(sum(post_sentiments) / len(post_sentiments) - sum(scored) / len(scored))
-    mean = sum(distances) / len(distances)
-    return ResponseDistances(
-        global_=global_,
-        min=min(distances),
-        max=max(distances),
-        mean=mean,
-        std=_population_std(distances, mean),
-        n_posts_with_comments=len(distances),
-    )
-
-
-def response_distance_stats(corpus: Corpus, entity: str, member_posts=None) -> ResponseDistances:
-    rows = _member_rows(corpus, entity, member_posts)
-    _, scored, per_post = _scored_comments(corpus, rows)
-    if not scored:
-        raise MissingFeatureError(f"entity {entity!r} has no sentiment-scored comments")
-    return _response_distances(corpus.posts.sentiment[rows].tolist(), scored, per_post)
+    return distances
 
 
 def _engaged_fraction(corpus: Corpus, rows: np.ndarray) -> float:
+    """Fraction of the commenters on the posts ``rows`` devoted to them.
+
+    A user counts as engaged when strictly more than 95% of all their
+    corpus-wide comments sit on these posts.  The denominator is the set of
+    users with at least one comment on them; posts nobody commented on give 0.
+    """
     users, on_member = np.unique(
         corpus.comments.user[corpus.comments_of_post.rows(rows)[0]], return_counts=True
     )
@@ -123,19 +71,16 @@ def _engaged_fraction(corpus: Corpus, rows: np.ndarray) -> float:
     return int(np.count_nonzero(on_member > 0.95 * totals)) / len(users)
 
 
-def engaged_fraction(corpus: Corpus, entity: str, member_posts=None) -> float:
-    """Fraction of the entity's commenters devoted to it.
-
-    A user counts as engaged when strictly more than 95% of all their
-    corpus-wide comments sit on posts containing the entity.  The denominator
-    is the set of users with at least one comment on a member post; an
-    entity nobody commented on gets 0.
-    """
-    return _engaged_fraction(corpus, _member_rows(corpus, entity, member_posts))
-
-
 @dataclass
 class EntityFeatures:
+    """Every measure of one entity over its member posts.
+
+    ``response_dist_global`` is the absolute gap between the mean post
+    sentiment and the mean of all scored comments on the member posts; the
+    other ``response_dist_*`` fields aggregate r(p) over member posts with
+    at least one scored comment.
+    """
+
     entity: str
     occurrences: int
     post_sent_min: float
@@ -180,7 +125,7 @@ def entity_features(
 
     out: list[EntityFeatures] = []
     for entity in sorted(sample.entities):
-        rows = _member_rows(corpus, entity, sample.member_posts[entity])
+        rows = sample.member_rows[entity]
         sentiments = corpus.posts.sentiment[rows].tolist()
         mean = sum(sentiments) / len(sentiments)
         feat = EntityFeatures(
@@ -205,12 +150,13 @@ def entity_features(
             feat.comment_sent_mean = cmean
             feat.comment_sent_std = _population_std(scored, cmean)
             feat.n_negative_comments = sum(1 for s in scored if s < 0)
-            rd = _response_distances(sentiments, scored, per_post)
-            feat.response_dist_min = rd.min
-            feat.response_dist_max = rd.max
-            feat.response_dist_mean = rd.mean
-            feat.response_dist_std = rd.std
-            feat.response_dist_global = rd.global_
+            distances = _response_distances(sentiments, scored, per_post)
+            rmean = sum(distances) / len(distances)
+            feat.response_dist_min = min(distances)
+            feat.response_dist_max = max(distances)
+            feat.response_dist_mean = rmean
+            feat.response_dist_std = _population_std(distances, rmean)
+            feat.response_dist_global = abs(mean - cmean)
         else:
             missing.append("comment_sentiment")
 
@@ -233,8 +179,7 @@ def attention_curve(
     grid = list(grid)
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be ascending")
-    dp = [(f.presentation_distance, corpus.post_rows(sample.member_posts[f.entity]))
-          for f in features]
+    dp = [(f.presentation_distance, sample.member_rows[f.entity]) for f in features]
     n_comments = np.diff(corpus.comments_of_post.ptr)
     rows = []
     for delta in grid:
@@ -309,7 +254,6 @@ def temporal_lag_histogram(
     corpus: Corpus,
     sample: EntitySample,
     bin_hours: float = 1.0,
-    entities: Iterable[str] | None = None,
 ) -> LagHistogram:
     """Lag between an entity's first official post and its first fake post.
 
@@ -318,13 +262,12 @@ def temporal_lag_histogram(
     """
     if bin_hours <= 0:
         raise ValueError("bin_hours must be positive")
-    chosen = sorted(entities) if entities is not None else sorted(sample.entities)
     post_fake = corpus.post_is_fake()
     lags: list[float] = []
     never_fake = 0
     fake_first = 0
-    for entity in chosen:
-        rows = corpus.post_rows(sample.member_posts.get(entity, frozenset()))
+    for entity in sorted(sample.entities):
+        rows = sample.member_rows[entity]
         fake = post_fake[rows]
         fake_ts, official_ts = corpus.posts.timestamp[rows[fake]], corpus.posts.timestamp[rows[~fake]]
         if not len(fake_ts):

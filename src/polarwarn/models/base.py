@@ -67,7 +67,6 @@ class Dataset:
     features: np.ndarray
     labels: np.ndarray
     feature_names: tuple[str, ...]
-    positive_class_name: str = "positive"
     row_ids: tuple[str, ...] | None = None
 
     def __post_init__(self):

@@ -106,6 +106,8 @@ class SynthConfig:
             v = getattr(self, f.name)
             if f.type == "float" and not _finite(v):
                 raise SynthConfigError(f"{f.name} must be a finite number, got {v!r}")
+            if f.type == "int" and (isinstance(v, bool) or not isinstance(v, int)):
+                raise SynthConfigError(f"{f.name} must be an integer, got {v!r}")
         for name in ("disputed_fraction", "cohort_comment_share",
                      "disputed_narrow_fraction", "undisputed_wide_fraction",
                      "comment_missing_sentiment_rate", "noise_mention_rate"):

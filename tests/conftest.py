@@ -63,6 +63,11 @@ def read_records(directory: Path) -> Records:
     return rec
 
 
+def post_ids(corpus, rows) -> list[str]:
+    """The ids of the given post rows, in the given order."""
+    return [corpus.posts.ids[r] for r in rows]
+
+
 def source(sid, category="official", name=None):
     return {"id": sid, "name": name or sid, "category": category}
 

@@ -7,7 +7,7 @@ import pytest
 from polarwarn import corpus as cm
 from polarwarn import synth
 
-from conftest import comment, mention, post, read_records, source, write_corpus
+from conftest import comment, mention, post, post_ids, read_records, source, write_corpus
 
 
 def test_identity_ingestion(tiny_corpus):
@@ -85,7 +85,8 @@ def test_entity_normalization(tiny_corpus, tmp_path):
     )
     corpus = cm.load_corpus(directory)
     assert corpus.entities == ["mario rossi"]
-    assert set(corpus.entity_posts("mario rossi")) == {"p1", "p2"}
+    rows = cm.select_entities(corpus, 0.0, 1).member_rows["mario rossi"]
+    assert post_ids(corpus, rows) == ["p1", "p2"]
 
 
 def test_min_posts_boundary_excludes_99_of_100(tmp_path):
@@ -115,9 +116,9 @@ def test_member_posts_only_count_qualifying_mentions(tiny_corpus, tiny_dir):
     e1 = cm.select_e1(tiny_corpus)
     # gamma's only mention is at 0.3 confidence
     assert "gamma" not in e1.entities
-    assert set(e1.member_posts["alpha"]) == {"p1", "p3"}
-    for entity, posts in e1.member_posts.items():
-        for p in posts:
+    assert post_ids(tiny_corpus, e1.member_rows["alpha"]) == ["p1", "p3"]
+    for entity, rows in e1.member_rows.items():
+        for p in post_ids(tiny_corpus, rows):
             assert records.entities_by_post[p][entity] >= 0.6
 
 
@@ -151,8 +152,8 @@ def test_posts_for_entities_set_semantics(tmp_path):
     corpus = cm.load_corpus(directory)
     sample = cm.select_e1(corpus)
     ps = cm.posts_for_entities(corpus, sample)
-    assert ps.posts == frozenset({"a", "b"})
-    assert ps.labels == {"a": 0, "b": 1}
+    assert post_ids(corpus, ps.rows) == ["a", "b"]
+    assert ps.labels.tolist() == [0, 1]
 
 
 def test_load_order_independence(tmp_path):
@@ -164,10 +165,12 @@ def test_load_order_independence(tmp_path):
     c1, c2 = cm.load_corpus(d1), cm.load_corpus(d2)
     s1, s2 = cm.select_e1(c1), cm.select_e1(c2)
     assert s1.entities == s2.entities
-    assert {e: set(p) for e, p in s1.member_posts.items()} == {
-        e: set(p) for e, p in s2.member_posts.items()
+    assert {e: post_ids(c1, r) for e, r in s1.member_rows.items()} == {
+        e: post_ids(c2, r) for e, r in s2.member_rows.items()
     }
-    assert cm.posts_for_entities(c1, s1).posts == cm.posts_for_entities(c2, s2).posts
+    p1, p2 = cm.posts_for_entities(c1, s1), cm.posts_for_entities(c2, s2)
+    assert post_ids(c1, p1.rows) == post_ids(c2, p2.rows)
+    assert p1.labels.tolist() == p2.labels.tolist()
 
 
 def test_generator_roundtrip_loads_clean(small_synth):
@@ -202,4 +205,4 @@ def test_posts_for_entities_vs_linear_scan(small_synth):
     for m in read_records(directory).mentions:  # brute scan over the raw mention list
         if m["entity"] in e2.entities and m["confidence"] >= 0.9:
             expected.add(m["post_id"])
-    assert ps.posts == frozenset(expected)
+    assert post_ids(corpus, ps.rows) == sorted(expected)

@@ -175,7 +175,6 @@ def test_label_permutation_null(small_synth):
         features=ds.features,
         labels=rng.permutation(ds.labels),
         feature_names=ds.feature_names,
-        positive_class_name=ds.positive_class_name,
         row_ids=ds.row_ids,
     )
     result = ew.run_benchmark(permuted, [ModelSpec(a, seed=1) for a in ("lin", "log", "knn", "dt")],

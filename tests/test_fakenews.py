@@ -63,14 +63,17 @@ def oracle_mean(values):
     return oracle_mean_std(values)[0]
 
 
-def oracle_row(records, pid, sample, feature_map, pred_map):
+def oracle_row(records, pid, sample, min_confidence, feature_map, pred_map):
     """One post's feature row, straight from the raw records."""
     post = records.posts[pid]
     comments = records.comments_by_post.get(pid, [])
     entities = sorted(
         e for e, conf in records.entities_by_post.get(pid, {}).items()
-        if e in sample.entities and conf >= sample.min_confidence
+        if e in sample.entities and conf >= min_confidence
     )
+
+    def member(post_id, entity):
+        return records.entities_by_post.get(post_id, {}).get(entity, -1.0) >= min_confidence
 
     n = len(comments)
     likes_on = sum(c["likes"] for c in comments)
@@ -89,7 +92,7 @@ def oracle_row(records, pid, sample, feature_map, pred_map):
         def engaged(user):
             mine = records.comments_by_user[user]
             for e in entities:
-                on_entity = sum(1 for c in mine if c["post_id"] in sample.member_posts[e])
+                on_entity = sum(1 for c in mine if member(c["post_id"], e))
                 if on_entity > 0.95 * len(mine):
                     return True
             return False
@@ -220,10 +223,8 @@ def build_rows(corpus, predictions, posts=None):
     if posts is None:
         post_sample = cm.posts_for_entities(corpus, sample)
     else:
-        post_sample = cm.PostSample(
-            name="P", posts=frozenset(posts), labels={p: 0 for p in posts},
-            entity_sample_name=sample.name,
-        )
+        rows = np.array([corpus.posts.ids.index(p) for p in sorted(posts)])
+        post_sample = cm.PostSample(name="P", rows=rows, labels=np.zeros(len(rows), np.int8))
     ds = fn.build_post_dataset(corpus, post_sample, [], predictions, sample)
     return {pid: dict(zip(ds.feature_names, row)) for pid, row in zip(ds.row_ids, ds.features)}
 
@@ -408,20 +409,22 @@ class TestBuildPostDataset:
         for row, pid in zip(dataset.features, dataset.row_ids):
             contained = [
                 e for e, conf in records.entities_by_post.get(pid, {}).items()
-                if e in e1.entities and conf >= e1.min_confidence
+                if e in e1.entities and conf >= 0.6
             ]
             assert row[n_col] <= len(contained)
 
     def test_matches_naive_recomputation(self, small_post_world, small_p2_world):
         _, records, e1, warning, p1, dataset = small_post_world
         e2, warning2, dataset2 = small_p2_world
-        for sample, warn, ds, width in ((e1, warning, dataset, 44), (e2, warning2, dataset2, 52)):
+        for sample, min_confidence, warn, ds, width in (
+            (e1, 0.6, warning, dataset, 44), (e2, 0.9, warning2, dataset2, 52)
+        ):
             feature_map = {f.entity: f for f in warn.features}
-            pred_map = warn.predictions_by_entity()
+            pred_map = {p.entity: p for p in warn.predictions}
             assert ds.features.shape[1] == width
             assert any(ds.features[:, ds.feature_names.index("ub_engaged_users")] > 0)
             for pid, row in zip(ds.row_ids, ds.features.tolist()):
-                expected = oracle_row(records, pid, sample, feature_map, pred_map)
+                expected = oracle_row(records, pid, sample, min_confidence, feature_map, pred_map)
                 wrong = [n for n, a, b in zip(ds.feature_names, row, expected) if a != b]
                 assert not wrong, (pid, wrong)
 
@@ -442,7 +445,6 @@ def synthetic_category_dataset(signal_category, n=240, seed=0):
         features=np.column_stack(columns),
         labels=y.astype(np.int8),
         feature_names=tuple(names),
-        positive_class_name="fake",
     )
 
 

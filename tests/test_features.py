@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from polarwarn import corpus as cm
 from polarwarn import earlywarning as ew
+from polarwarn import fakenews as fn
 from polarwarn import features as feat
 
 from conftest import comment, mention, post, read_records, source, write_corpus
@@ -27,23 +28,24 @@ def corpus_with_sentiments(tmp_path, sentiments, comments_by_post=None):
     return cm.load_corpus(directory)
 
 
+def topic_features(corpus):
+    """The entity_features record of 'topic', with every mention counted."""
+    sample = cm.select_entities(corpus, 0.0, 1)
+    return {f.entity: f for f in feat.entity_features(corpus, sample)}["topic"]
+
+
 class TestPresentationDistance:
     def test_single_post_is_zero(self, tmp_path):
         corpus = corpus_with_sentiments(tmp_path, [0.4])
-        assert feat.presentation_distance(corpus, "topic") == 0.0
+        assert topic_features(corpus).presentation_distance == 0.0
 
     def test_spread(self, tmp_path):
         corpus = corpus_with_sentiments(tmp_path, [-0.8, 0.1, 0.6])
-        assert feat.presentation_distance(corpus, "topic") == pytest.approx(1.4)
+        assert topic_features(corpus).presentation_distance == pytest.approx(1.4)
 
     def test_extremes(self, tmp_path):
         corpus = corpus_with_sentiments(tmp_path, [-1.0, 1.0])
-        assert feat.presentation_distance(corpus, "topic") == pytest.approx(2.0)
-
-    def test_unknown_entity(self, tmp_path):
-        corpus = corpus_with_sentiments(tmp_path, [0.0])
-        with pytest.raises(feat.UnknownEntityError):
-            feat.presentation_distance(corpus, "ghost")
+        assert topic_features(corpus).presentation_distance == pytest.approx(2.0)
 
     @given(st.lists(st.floats(min_value=-1, max_value=1), min_size=1, max_size=20))
     @settings(max_examples=60, deadline=None)
@@ -56,30 +58,34 @@ class TestPresentationDistance:
 class TestResponseDistance:
     def test_consonant_response_all_zero(self, tmp_path):
         corpus = corpus_with_sentiments(tmp_path, [0.5], {"p0": [0.5, 0.5]})
-        rd = feat.response_distance_stats(corpus, "topic")
-        assert rd.global_ == rd.min == rd.max == rd.mean == rd.std == 0.0
+        f = topic_features(corpus)
+        assert f.response_dist_global == f.response_dist_min == f.response_dist_max == 0.0
+        assert f.response_dist_mean == f.response_dist_std == 0.0
 
     def test_hand_computation_single_post(self, tmp_path):
         corpus = corpus_with_sentiments(tmp_path, [0.2], {"p0": [-0.4, 0.0]})
-        rd = feat.response_distance_stats(corpus, "topic")
-        assert rd.global_ == pytest.approx(0.4)
-        assert rd.min == rd.max == rd.mean == pytest.approx(0.4)
-        assert rd.std == 0.0
+        f = topic_features(corpus)
+        assert f.response_dist_global == pytest.approx(0.4)
+        assert f.response_dist_min == f.response_dist_max == f.response_dist_mean == pytest.approx(0.4)
+        assert f.response_dist_std == 0.0
 
     def test_hand_computation_two_posts(self, tmp_path):
         # r(p0) = |0.3 - 0.2| = 0.1, r(p1) = |0.0 - 0.5| = 0.5
         corpus = corpus_with_sentiments(
             tmp_path, [0.3, 0.0], {"p0": [0.2], "p1": [0.5]}
         )
-        rd = feat.response_distance_stats(corpus, "topic")
-        assert rd.min == pytest.approx(0.1)
-        assert rd.max == pytest.approx(0.5)
-        assert rd.mean == pytest.approx(0.3)
+        f = topic_features(corpus)
+        assert f.response_dist_min == pytest.approx(0.1)
+        assert f.response_dist_max == pytest.approx(0.5)
+        assert f.response_dist_mean == pytest.approx(0.3)
 
-    def test_no_scored_comments_raises(self, tmp_path):
+    def test_no_scored_comments_leaves_fields_none(self, tmp_path):
         corpus = corpus_with_sentiments(tmp_path, [0.2], {"p0": [None]})
-        with pytest.raises(feat.MissingFeatureError):
-            feat.response_distance_stats(corpus, "topic")
+        f = topic_features(corpus)
+        assert f.comments_count == 1
+        assert f.comment_sent_mean is None and f.comment_sent_std is None
+        assert f.response_dist_min is None and f.response_dist_global is None
+        assert f.missing == ("comment_sentiment",)
 
 
 class TestEngagedFraction:
@@ -98,37 +104,33 @@ class TestEngagedFraction:
 
     def test_exactly_95_percent_is_not_engaged(self, tmp_path):
         corpus = self.build(tmp_path, member_comments=19, elsewhere_comments=1)
-        assert feat.engaged_fraction(corpus, "topic") == 0.0
+        assert topic_features(corpus).engaged_fraction == 0.0
 
     def test_above_95_percent_is_engaged(self, tmp_path):
         # 20 of 21 comments on member posts: 0.9524 > 0.95
         corpus = self.build(tmp_path, member_comments=20, elsewhere_comments=1)
-        assert feat.engaged_fraction(corpus, "topic") == 1.0
+        assert topic_features(corpus).engaged_fraction == 1.0
 
     def test_sole_commenter_fully_engaged(self, tmp_path):
         corpus = self.build(tmp_path, member_comments=3, elsewhere_comments=0)
-        assert feat.engaged_fraction(corpus, "topic") == 1.0
+        assert topic_features(corpus).engaged_fraction == 1.0
 
     def test_no_commenters_is_zero(self, tmp_path):
         corpus = corpus_with_sentiments(tmp_path, [0.1])
-        assert feat.engaged_fraction(corpus, "topic") == 0.0
+        assert topic_features(corpus).engaged_fraction == 0.0
 
     def test_outside_comment_never_increases(self, tmp_path):
         before = self.build(tmp_path, member_comments=20, elsewhere_comments=0)
         after = self.build(tmp_path, member_comments=20, elsewhere_comments=1)
-        assert feat.engaged_fraction(after, "topic") <= feat.engaged_fraction(before, "topic")
+        assert topic_features(after).engaged_fraction <= topic_features(before).engaged_fraction
 
     def test_matches_generator_truth_exactly(self, small_synth):
         corpus, truth, _ = small_synth
-        sample = cm.select_e1(corpus)
-        for entity in sorted(sample.entities):
-            expected = truth.entities[entity].u_e
-            got = feat.engaged_fraction(corpus, entity, sample.member_posts[entity])
-            assert got == expected, entity
+        for f in feat.entity_features(corpus, cm.select_e1(corpus)):
+            assert f.engaged_fraction == truth.entities[f.entity].u_e, f.entity
 
     def test_planted_cohorts_are_engaged(self, small_synth):
         corpus, truth, _ = small_synth
-        sample = cm.select_e1(corpus)
         some = 0
         for entity, t in truth.entities.items():
             if t.disputed and t.cohort:
@@ -137,10 +139,34 @@ class TestEngagedFraction:
         assert some > 0
 
 
-def naive_entity_features(records, sample, entity):
+def test_sums_and_rows_follow_post_id_order(tmp_path):
+    # ids p0..p11 sort as p0, p1, p10, p11, p2, ..., p9, unlike their file
+    # order, and the sentiment sum depends on the order of addition
+    sentiments = [0.0] * 12
+    sentiments[2], sentiments[10], sentiments[11] = 0.3, 0.2, 0.1
+    posts = [post(f"p{i}", "s2" if i % 2 else "s1", sentiment=s) for i, s in enumerate(sentiments)]
+    directory = write_corpus(tmp_path / "ids", [source("s1"), source("s2", "fake")], posts, [],
+                             [mention("topic", p["id"]) for p in posts])
+    corpus = cm.load_corpus(directory)
+    sample = cm.select_e1(corpus)
+    ids = sorted(p["id"] for p in posts)
+    in_id_order, in_file_order = 0.0, 0.0
+    for pid in ids:
+        in_id_order += sentiments[int(pid[1:])]
+    for s in sentiments:
+        in_file_order += s
+    assert in_id_order != in_file_order
+    assert feat.entity_features(corpus, sample)[0].post_sent_mean == in_id_order / len(ids)
+    prediction = ew.EntityPrediction("topic", 0, 0, 0.0, 0.0, "log", "nn")
+    dataset = fn.build_post_dataset(corpus, cm.posts_for_entities(corpus, sample), [],
+                                    [prediction], sample)
+    assert list(dataset.row_ids) == ids
+
+
+def naive_entity_features(records, min_confidence, entity):
     """Independent recomputation by brute scans over the raw record lists."""
     member = {m["post_id"] for m in records.mentions
-              if m["entity"] == entity and m["confidence"] >= sample.min_confidence}
+              if m["entity"] == entity and m["confidence"] >= min_confidence}
     sentiments = [p["sentiment"] for p in records.posts.values() if p["id"] in member]
     all_comments = [c for c in records.comments if c["post_id"] in member]
     scored = [c["sentiment"] for c in all_comments if c["sentiment"] is not None]
@@ -196,7 +222,7 @@ def test_entity_features_match_naive_oracle_every_entity(tmp_path_factory):
     assert set(computed) == set(sample.entities)
     records = read_records(directory)
     for entity in sorted(sample.entities):
-        expected = naive_entity_features(records, sample, entity)
+        expected = naive_entity_features(records, 0.6, entity)
         got = computed[entity]
         for key, value in expected.items():
             assert getattr(got, key) == pytest.approx(value, abs=1e-12), (entity, key)

@@ -146,11 +146,8 @@ def test_truth_d_p_matches_feature_pipeline(small_synth):
     corpus, truth, _ = small_synth
     from polarwarn import features as feat
 
-    sample = cm.select_e1(corpus)
-    for entity in sorted(sample.entities)[:30]:
-        assert feat.presentation_distance(
-            corpus, entity, sample.member_posts[entity]
-        ) == pytest.approx(truth.entities[entity].d_p, abs=1e-12)
+    for f in feat.entity_features(corpus, cm.select_e1(corpus))[:30]:
+        assert f.presentation_distance == pytest.approx(truth.entities[f.entity].d_p, abs=1e-12)
 
 
 def test_infeasible_cohorts_rejected():
@@ -198,6 +195,21 @@ def test_empty_ranges_accepted():
 
 def test_cli_synth_rejects_infinite_spread(tmp_path):
     (tmp_path / "synth.json").write_text('{"undisputed_spread": Infinity}')
+    out = tmp_path / "data"
+    code = main(["synth", "--config", str(tmp_path / "synth.json"), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert not (out / "posts.jsonl").exists()
+
+
+@pytest.mark.parametrize("value", ["10", True, 600.0])
+def test_non_integer_count_rejected(value):
+    config = synth.SynthConfig(**{**TOY.to_json_dict(), "n_posts": value})
+    with pytest.raises(synth.SynthConfigError, match="^n_posts must be an integer"):
+        config.validate()
+
+
+def test_cli_synth_rejects_string_count(tmp_path):
+    (tmp_path / "synth.json").write_text('{"n_posts": "10"}')
     out = tmp_path / "data"
     code = main(["synth", "--config", str(tmp_path / "synth.json"), "--out", str(out)])
     assert code == EXIT_CONFIG
