@@ -5,8 +5,9 @@ mentions) into column tables: numpy arrays for codes and numbers, Python
 lists only for the strings something reads (texts, post ids, user ids,
 entity names).  Rows refer to each other by integer codes, which are row
 numbers in file order for sources and posts and positions in the sorted id
-lists for users and entities.  Comments are indexed by post and by user in
-CSR form.  After loading, a :class:`Corpus` is immutable and safe to share.
+lists for users and entities.  Comments are indexed by post in CSR form,
+and each user's comment count is kept.  After loading, a :class:`Corpus` is
+immutable and safe to share.
 
 Entity and post samples hold post rows, not post ids.  Their rows run in
 post-id order, which :func:`_id_rank` alone decides: every per-post float
@@ -149,13 +150,17 @@ class EntitySample:
     """Entities passing a confidence/coverage filter, with their member posts.
 
     ``member_rows[e]`` holds the row of every post carrying a qualifying
-    mention of ``e``, in post-id order.
+    mention of ``e``, in post-id order; its keys run in sorted entity order,
+    the order every per-entity table follows.
     """
 
     name: str
-    entities: frozenset[str]
     member_rows: Mapping[str, np.ndarray]
     requires_comment_sentiment: bool = False
+
+    @property
+    def entities(self) -> tuple[str, ...]:
+        return tuple(self.member_rows)
 
 
 @dataclass(frozen=True)
@@ -179,7 +184,7 @@ class Corpus:
     users: list[str]  # sorted user ids
     entities: list[str]  # sorted entity names
     comments_of_post: Groups
-    comments_of_user: Groups
+    user_comment_counts: np.ndarray  # per user: their comments in the corpus
 
     def post_is_fake(self) -> np.ndarray:
         """Per post row: its source is a fake outlet."""
@@ -650,7 +655,7 @@ def load_corpus(paths: CorpusPaths | str | Path) -> Corpus:
         users=users,
         entities=entities,
         comments_of_post=Groups.of(comments.post, len(posts)),
-        comments_of_user=Groups.of(comments.user, len(users)),
+        user_comment_counts=np.bincount(comments.user, minlength=len(users)),
     )
 
 
@@ -687,7 +692,6 @@ def select_entities(
     }
     return EntitySample(
         name=name or f"conf{min_confidence:g}_posts{min_posts}",
-        entities=frozenset(member),
         member_rows=member,
         requires_comment_sentiment=require_comment_sentiment,
     )

@@ -18,7 +18,7 @@ import numpy as np
 from .corpus import Corpus, EntitySample, disputed_entities
 from .features import EntityFeatures, entity_features
 from .models import Dataset, ModelSpec, TrainedModel, default_specs, fit, predict
-from .evaluation import MetricsReport, Protocol, evaluate_spec, rebalance
+from .evaluation import MetricsReport, Protocol, evaluate_spec, rank_reports, rebalance
 from . import thresholds as th
 
 log = logging.getLogger(__name__)
@@ -53,15 +53,17 @@ E2_COLUMNS = E1_COLUMNS + (
 )
 
 
-def build_entity_dataset(features: list[EntityFeatures], sample_name: str) -> Dataset:
+def build_entity_dataset(
+    features: list[EntityFeatures], sample_name: str, requires_comment_sentiment: bool
+) -> Dataset:
     """Fixed-schema matrix over the sample's entities, labeled by disputedness.
 
-    E1-style samples use the first eight columns, E2-style samples all
-    twenty.  Rows missing a mandatory field (no scored comments, or an
-    indicator that was never filled) are excluded and logged.
+    Samples that do not require comment sentiment (E1-style) use the first
+    eight columns, samples that do (E2-style) all twenty; ``sample_name``
+    only labels the log.  Rows missing a mandatory field (no scored
+    comments, or an indicator that was never filled) are excluded and logged.
     """
-    wide = sample_name.upper() != "E1"
-    columns = E2_COLUMNS if wide else E1_COLUMNS
+    columns = E2_COLUMNS if requires_comment_sentiment else E1_COLUMNS
     rows = []
     ids = []
     labels = []
@@ -128,9 +130,7 @@ def select_best_models(reports: dict[str, MetricsReport]) -> tuple[str, str]:
     """Top two algorithms by AUC, ties by accuracy then algorithm name."""
     if len(reports) < 2:
         raise TooFewModelsError(f"need at least two successful reports, got {len(reports)}")
-    ranked = sorted(
-        reports, key=lambda a: (-(reports[a].auc or 0.0), -reports[a].accuracy, a)
-    )
+    ranked = rank_reports(reports)
     return ranked[0], ranked[1]
 
 
@@ -248,7 +248,7 @@ def run_early_warning(
         raise ValueError(f"entity sample {sample.name!r} is empty")
     specs = specs if specs is not None else default_specs(seed=protocol.seed)
     features, curves, thresholds, selections = threshold_entities(corpus, sample)
-    dataset = build_entity_dataset(features, sample.name)
+    dataset = build_entity_dataset(features, sample.name, sample.requires_comment_sentiment)
     benchmark = run_benchmark(dataset, specs, protocol)
     best = select_best_models(benchmark.reports)
     spec_by_algo = {s.algorithm: s for s in specs}

@@ -74,6 +74,11 @@ class MetricsReport:
         }
 
 
+def rank_reports(reports: dict[str, MetricsReport]) -> list[str]:
+    """Algorithms best first: by AUC (a missing AUC counts as 0), then accuracy, then name."""
+    return sorted(reports, key=lambda a: (-(reports[a].auc or 0.0), -reports[a].accuracy, a))
+
+
 def split_train_test(labels: np.ndarray, train_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Seeded stratified shuffle split; returns sorted ``(train, test)`` row indices.
 

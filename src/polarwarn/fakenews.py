@@ -18,8 +18,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .corpus import Corpus, EntitySample, PostSample, group_positions
-from .features import EntityFeatures
-from .evaluation import Protocol, MetricsReport, StepwiseResult, evaluate_spec, forward_stepwise
+from .features import EntityFeatures, engagement
+from .evaluation import Protocol, MetricsReport, StepwiseResult, evaluate_spec, forward_stepwise, rank_reports
 from .earlywarning import EntityPrediction
 from .models import Dataset, ModelSpec
 
@@ -233,14 +233,15 @@ def build_post_dataset(
     comment-dependent sentiment block, giving 44 columns; P2-style builds
     carry all 52.
 
-    Every block is computed column-wise from one comment table: every
-    comment of the corpus, the rows' comments first, each post's comments
-    in file order.  Per-post values group the table by post
-    and by (post, commenter), commenters in id order.  User-based features
-    describe each post's commenters: the replies and likes they received
-    there, their comment counts, the pages they commented on corpus-wide,
-    and whether they are engaged with an entity of the post (more than 95%
-    of all their comments on that entity's member posts).
+    Every block is computed column-wise from one table of the rows'
+    comments: the rows in ``post_sample`` order, each post's comments in file
+    order.  Per-post values group the table by post and by (post,
+    commenter), commenters in id order.  User-based features describe each
+    post's commenters: the replies and likes they received there, their
+    comment counts, the pages they commented on corpus-wide, and whether
+    they are engaged with an entity of the post, as
+    :func:`features.engagement` decides over all of that entity's member
+    posts, rows or not.  Memberships of posts that are not rows are dropped.
 
     Float sums add left to right in that order, on every Python version.
     The per-post build before this one used the built-in ``sum``, which adds
@@ -258,31 +259,27 @@ def build_post_dataset(
     row_ids = tuple(map(corpus.posts.ids.__getitem__, rows.tolist()))
     n = len(rows)
 
-    # The comment table: a post index per comment into `order`, whose first
-    # n posts are the rows; the first m comments are the rows' comments.
-    rest = np.ones(len(corpus.posts), bool)
-    rest[rows] = False
-    order = np.concatenate([rows, np.flatnonzero(rest)])
-    table, n_comments = corpus.comments_of_post.rows(order)
-    m = int(n_comments[:n].sum())
-    post = np.repeat(np.arange(len(order)), n_comments)
-    user = corpus.comments.user[table]
-    likes = corpus.comments.likes[table[:m]].astype(float)
-    replies = corpus.comments.replies[table[:m]].astype(float)
+    comments, n_comments = corpus.comments_of_post.rows(rows)
+    post = np.repeat(np.arange(n), n_comments)
+    user = corpus.comments.user[comments]
+    likes = corpus.comments.likes[comments].astype(float)
+    replies = corpus.comments.replies[comments].astype(float)
 
-    # Sample entities of each post in `order`, sorted by (post, entity) with
-    # CSR offsets `ptr`; the rows' memberships come first.
-    entities = sorted(sample.entities)
-    position = np.empty(len(order), np.int64)
-    position[order] = np.arange(len(order))
+    # Sample entities of each row, sorted by (row, entity) with CSR offsets
+    # `ptr`; `row_of` maps a post to its row index, -1 for other posts.
+    entities = sample.entities
     members = [sample.member_rows[e] for e in entities]
-    member_post = position[np.concatenate([np.zeros(0, np.int64), *members])]
-    member_entity = np.repeat(np.arange(len(entities)), [len(r) for r in members])
-    by = np.lexsort((member_entity, member_post))
-    member_post, member_entity = member_post[by], member_entity[by]
-    ptr = np.concatenate([[0], np.cumsum(np.bincount(member_post, minlength=len(order)))])
-    row_post, row_entity = member_post[:ptr[n]], member_entity[:ptr[n]]
-    row_n_entities = np.diff(ptr[:n + 1]).astype(float)
+    row_of = np.full(len(corpus.posts), -1)
+    row_of[rows] = np.arange(n)
+    row_post = row_of[np.concatenate([np.zeros(0, np.int64), *members])]
+    row_entity = np.repeat(np.arange(len(entities)), [len(r) for r in members])
+    kept = row_post >= 0
+    row_post, row_entity = row_post[kept], row_entity[kept]
+    by = np.lexsort((row_entity, row_post))
+    row_post, row_entity = row_post[by], row_entity[by]
+    row_n_entities = np.bincount(row_post, minlength=n)
+    ptr = np.concatenate([[0], np.cumsum(row_n_entities)])
+    row_n_entities = row_n_entities.astype(float)
 
     missing = [p for p, k in zip(row_ids, row_n_entities) if k == 0]
     if missing:
@@ -292,24 +289,19 @@ def build_post_dataset(
         )
 
     columns = [
-        *_structural_columns(corpus, rows, post[:m], likes, replies, n_comments[:n]),
+        *_structural_columns(corpus, rows, post, likes, replies, n_comments),
         *_semantic_columns(map(corpus.posts.text.__getitem__, rows.tolist()), n).T,
-        *_semantic_columns(_joined_comment_texts(corpus, table[:m], n_comments[:n]), n).T,
-        *_user_columns(
-            corpus, order, post, user, likes, replies, ptr, member_entity, len(entities), n
-        ),
+        *_semantic_columns(_joined_comment_texts(corpus, comments, n_comments), n).T,
+        *_user_columns(corpus, sample, post, user, likes, replies, ptr, row_entity, n),
         *_sentiment_columns(
-            corpus, rows, table[:m], post[:m], row_post, row_entity, row_n_entities, entities,
+            corpus, rows, comments, post, row_post, row_entity, row_n_entities, entities,
             {f.entity: f for f in entity_features}, sample.requires_comment_sentiment,
         ),
         *_predicted_columns(
             row_post, row_entity, row_n_entities, entities, {p.entity: p for p in predictions}
         ),
     ]
-    log.debug(
-        "post features: %d rows x %d columns, %d comments scanned (%d on the rows)",
-        n, len(names), len(table), m,
-    )
+    log.debug("post features: %d rows x %d columns, %d comments scanned", n, len(names), len(comments))
     return Dataset(
         features=np.column_stack(columns).reshape(n, len(names)),
         labels=post_sample.labels,
@@ -351,35 +343,30 @@ def _structural_columns(
 
 def _user_columns(
     corpus: Corpus,
-    order: np.ndarray,
+    sample: EntitySample,
     post: np.ndarray,
     user: np.ndarray,
     likes: np.ndarray,
     replies: np.ndarray,
     ptr: np.ndarray,
-    member_entity: np.ndarray,
-    n_sample_entities: int,
+    row_entity: np.ndarray,
     n: int,
 ) -> list[np.ndarray]:
-    n_users = len(corpus.users)
     n_sources = len(corpus.sources)
-    totals = np.diff(corpus.comments_of_user.ptr)
-    post_source = corpus.posts.source[order]
-    pages = np.bincount(np.unique(user * n_sources + post_source[post]) // n_sources, minlength=n_users)
-
-    # (user, entity) comment counts over the comments on member posts, one
-    # (comment, entity) pair per sample entity of the comment's post.
-    index, count = group_positions(ptr, post)
-    keys, counts = np.unique(
-        np.repeat(user, count) * n_sample_entities + member_entity[index], return_counts=True
+    pages = np.bincount(
+        np.unique(corpus.comments.user * n_sources + corpus.posts.source[corpus.comments.post])
+        // n_sources,
+        minlength=len(corpus.users),
     )
-    engaged = keys[counts > 0.95 * totals[keys // n_sample_entities]]
+    keys, engaged = engagement(corpus, sample)
+    engaged = keys[engaged]
+    n_sample_entities = len(sample.entities)
 
     # (post, commenter) groups of the rows' comments: commenters in id order
     # within a post, each group's comments in table order.
     m = len(likes)
-    by = np.lexsort((user[:m], post[:m]))
-    g_post, g_user = post[:m][by], user[:m][by]
+    by = np.lexsort((user, post))
+    g_post, g_user = post[by], user[by]
     opens = np.ones(m, bool)
     opens[1:] = (g_post[1:] != g_post[:-1]) | (g_user[1:] != g_user[:-1])
     group = np.cumsum(opens) - 1
@@ -389,7 +376,7 @@ def _user_columns(
     g_likes, _, g_likes_std = _grouped(group, likes[by], size)
     g_comments = np.bincount(group, minlength=size).astype(float)
     index, count = group_positions(ptr, g_post)
-    hit = np.isin(np.repeat(g_user, count) * n_sample_entities + member_entity[index], engaged)
+    hit = np.isin(np.repeat(g_user, count) * n_sample_entities + row_entity[index], engaged)
     g_engaged = np.bincount(np.repeat(np.arange(size), count)[hit], minlength=size) > 0
 
     commenters = np.bincount(g_post, minlength=n)
@@ -537,7 +524,7 @@ def final_report(
     reports = {
         spec.algorithm: evaluate_spec(dataset, spec, protocol, CLASS_NAMES) for spec in specs
     }
-    best_algo = min(reports, key=lambda a: (-(reports[a].auc or 0.0), -reports[a].accuracy, a))
+    best_algo = rank_reports(reports)[0]
     best_spec = next(s for s in specs if s.algorithm == best_algo)
     ranking = forward_stepwise(
         dataset, best_spec, min(max_features, len(dataset.feature_names)), protocol

@@ -6,6 +6,10 @@ respond in comments (response distance), and the fraction of its audience
 that is devoted to it (engaged fraction).  Binary indicators (controversy,
 perception, captivation) follow once data-driven thresholds are known.
 
+:func:`engagement` is the one place that decides which users are engaged
+with which sample entity; the engaged fraction here and the
+``ub_engaged_users*`` post features both read its table.
+
 All functions are pure with respect to an immutable corpus; "negative"
 always means sentiment strictly below zero, and standard deviations use the
 population form (divide by n).
@@ -55,20 +59,21 @@ def _response_distances(
     return distances
 
 
-def _engaged_fraction(corpus: Corpus, rows: np.ndarray) -> float:
-    """Fraction of the commenters on the posts ``rows`` devoted to them.
+def engagement(corpus: Corpus, sample: EntitySample) -> tuple[np.ndarray, np.ndarray]:
+    """The engaged-user table of an entity sample, as ``(keys, engaged)``.
 
-    A user counts as engaged when strictly more than 95% of all their
-    corpus-wide comments sit on these posts.  The denominator is the set of
-    users with at least one comment on them; posts nobody commented on give 0.
+    ``keys`` holds, sorted, ``user * len(sample.entities) + e`` for each
+    user with a comment on a member post of entity ``e`` (its index in
+    ``sample.entities``).  ``engaged`` is True where strictly more than 95%
+    of all that user's corpus-wide comments sit on ``e``'s member posts.
     """
-    users, on_member = np.unique(
-        corpus.comments.user[corpus.comments_of_post.rows(rows)[0]], return_counts=True
+    members = [sample.member_rows[e] for e in sample.entities]
+    comments, count = corpus.comments_of_post.rows(np.concatenate([np.zeros(0, np.int64), *members]))
+    entity = np.repeat(np.arange(len(members)), [len(r) for r in members])
+    keys, on_entity = np.unique(
+        corpus.comments.user[comments] * len(members) + np.repeat(entity, count), return_counts=True
     )
-    if not len(users):
-        return 0.0
-    totals = np.diff(corpus.comments_of_user.ptr)[users]
-    return int(np.count_nonzero(on_member > 0.95 * totals)) / len(users)
+    return keys, on_entity > 0.95 * corpus.user_comment_counts[keys // len(members)]
 
 
 @dataclass
@@ -122,9 +127,13 @@ def entity_features(
     """
     if disputed is None:
         disputed = disputed_entities(corpus, sample)
+    keys, engaged = engagement(corpus, sample)
+    n = len(sample.entities)
+    commenters = np.bincount(keys % n, minlength=n).tolist()
+    devoted = np.bincount(keys[engaged] % n, minlength=n).tolist()
 
     out: list[EntityFeatures] = []
-    for entity in sorted(sample.entities):
+    for e, entity in enumerate(sample.entities):
         rows = sample.member_rows[entity]
         sentiments = corpus.posts.sentiment[rows].tolist()
         mean = sum(sentiments) / len(sentiments)
@@ -137,7 +146,7 @@ def entity_features(
             post_sent_std=_population_std(sentiments, mean),
             presentation_distance=max(sentiments) - min(sentiments),
             n_negative_posts=sum(1 for s in sentiments if s < 0),
-            engaged_fraction=_engaged_fraction(corpus, rows),
+            engaged_fraction=devoted[e] / commenters[e] if commenters[e] else 0.0,
             disputed=1 if entity in disputed else 0,
         )
 
@@ -266,8 +275,7 @@ def temporal_lag_histogram(
     lags: list[float] = []
     never_fake = 0
     fake_first = 0
-    for entity in sorted(sample.entities):
-        rows = sample.member_rows[entity]
+    for rows in sample.member_rows.values():
         fake = post_fake[rows]
         fake_ts, official_ts = corpus.posts.timestamp[rows[fake]], corpus.posts.timestamp[rows[~fake]]
         if not len(fake_ts):

@@ -180,17 +180,7 @@ class GroundTruth:
             "totals": dict(self.totals),
             "disputed": list(self.disputed),
             "entities": {
-                e: {
-                    "disputed": t.disputed,
-                    "head": t.head,
-                    "profile": t.profile,
-                    "n_posts": t.n_posts,
-                    "d_p": t.d_p,
-                    "u_e": t.u_e,
-                    "engaged_users": list(t.engaged_users),
-                    "cohort": list(t.cohort),
-                    "lag_hours": t.lag_hours,
-                }
+                e: {k: v for k, v in asdict(t).items() if k != "entity"}
                 for e, t in self.entities.items()
             },
         }
@@ -200,15 +190,7 @@ class GroundTruth:
         entities = {
             e: EntityTruth(
                 entity=e,
-                disputed=v["disputed"],
-                head=v["head"],
-                profile=v["profile"],
-                n_posts=v["n_posts"],
-                d_p=v["d_p"],
-                u_e=v["u_e"],
-                engaged_users=tuple(v["engaged_users"]),
-                cohort=tuple(v["cohort"]),
-                lag_hours=v["lag_hours"],
+                **{**v, "engaged_users": tuple(v["engaged_users"]), "cohort": tuple(v["cohort"])},
             )
             for e, v in doc["entities"].items()
         }

@@ -93,9 +93,8 @@ def build_exceedance_curve(
     vals = np.asarray(sorted(values.values()), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError("entity values must be finite")
-    disputed_vals = np.asarray(
-        sorted(v for k, v in values.items() if k in set(disputed)), dtype=float
-    )
+    disputed = set(disputed)
+    disputed_vals = np.asarray(sorted(v for k, v in values.items() if k in disputed), dtype=float)
     e_counts = len(vals) - np.searchsorted(vals, grid, side="left")
     d_counts = len(disputed_vals) - np.searchsorted(disputed_vals, grid, side="left")
     n_disputed = len(disputed_vals)
@@ -114,15 +113,13 @@ def build_exceedance_curve(
 
 @dataclass(frozen=True)
 class PolynomialFit:
-    """Least-squares polynomial; ``coefficients`` are ascending powers of x.
+    """Least-squares polynomial in the affinely mapped variable t in [-1, 1] over ``domain``.
 
-    ``scaled_coefficients`` hold the same polynomial in the affinely mapped
-    variable t in [-1, 1] over ``domain``; evaluation and root finding use
-    only this better-conditioned form.
+    ``scaled_coefficients`` are ascending powers of t; evaluation and root
+    finding use only this better-conditioned form.
     """
 
     degree: int
-    coefficients: tuple[float, ...]
     domain: tuple[float, float]
     rmse: float
     scaled_coefficients: tuple[float, ...]
@@ -149,23 +146,10 @@ def _poly_derivative(coef: np.ndarray, order: int = 1) -> np.ndarray:
     return c
 
 
-def _t_to_x_coefficients(t_coef: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Expand p(t(x)) with t = (2x - lo - hi)/(hi - lo) into powers of x."""
-    alpha = 2.0 / (hi - lo)
-    beta = -(lo + hi) / (hi - lo)
-    out = np.zeros(len(t_coef))
-    power = np.array([1.0])  # (alpha x + beta)^k, ascending in x
-    for k, a_k in enumerate(t_coef):
-        out[: len(power)] += a_k * power
-        power = np.convolve(power, [beta, alpha])
-    return out
-
-
 def fit_polynomial(x: Sequence[float], y: Sequence[float], degree: int) -> PolynomialFit:
     """Deterministic least-squares polynomial fit of the given degree.
 
-    The solve runs in a scaled variable for conditioning; coefficients are
-    reported in ascending powers of raw x alongside the scaled form.
+    The solve runs in a scaled variable for conditioning.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -187,10 +171,8 @@ def fit_polynomial(x: Sequence[float], y: Sequence[float], degree: int) -> Polyn
     t_coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = design @ t_coef - y
     rmse = float(np.sqrt(np.mean(resid**2)))
-    x_coef = _t_to_x_coefficients(t_coef, lo, hi)
     return PolynomialFit(
         degree=degree,
-        coefficients=tuple(float(c) for c in x_coef),
         domain=(lo, hi),
         rmse=rmse,
         scaled_coefficients=tuple(float(c) for c in t_coef),

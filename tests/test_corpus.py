@@ -108,7 +108,7 @@ def test_confidence_boundary_is_inclusive(tmp_path):
     )
     corpus = cm.load_corpus(directory)
     sample = cm.select_entities(corpus, 0.6, 1)
-    assert sample.entities == frozenset({"edge"})
+    assert sample.entities == ("edge",)
 
 
 def test_member_posts_only_count_qualifying_mentions(tiny_corpus, tiny_dir):
@@ -126,7 +126,7 @@ def test_disputed_entities(tiny_corpus):
     e1 = cm.select_e1(tiny_corpus)
     disputed = cm.disputed_entities(tiny_corpus, e1)
     assert disputed == frozenset({"alpha"})  # p1 official + p3 fake
-    assert disputed <= e1.entities
+    assert disputed <= set(e1.entities)
 
 
 def test_disputed_empty_without_fake_sources(tmp_path):

@@ -43,13 +43,13 @@ def entity_feature(entity="e", disputed=0, with_comments=True, **overrides):
 class TestBuildEntityDataset:
     def test_e1_width_is_eight(self):
         feats = [entity_feature(f"e{i}", disputed=i % 2) for i in range(6)]
-        ds = ew.build_entity_dataset(feats, "E1")
+        ds = ew.build_entity_dataset(feats, "E1", False)
         assert len(ds.feature_names) == 8
         assert ds.feature_names == ew.E1_COLUMNS
 
     def test_e2_width_is_twenty(self):
         feats = [entity_feature(f"e{i}", disputed=i % 2) for i in range(6)]
-        ds = ew.build_entity_dataset(feats, "E2")
+        ds = ew.build_entity_dataset(feats, "E2", True)
         assert len(ds.feature_names) == 20
         assert ds.feature_names == ew.E2_COLUMNS
         assert len(set(ds.feature_names)) == 20
@@ -59,20 +59,31 @@ class TestBuildEntityDataset:
             entity_feature("good", disputed=1),
             entity_feature("bare", disputed=0, with_comments=False),
         ]
-        ds = ew.build_entity_dataset(feats, "E2")
+        ds = ew.build_entity_dataset(feats, "E2", True)
         assert ds.row_ids == ("good",)
 
     def test_occurrences_log_scaled(self):
         feats = [entity_feature("a", occurrences=0), entity_feature("b", occurrences=99)]
-        ds = ew.build_entity_dataset(feats, "E1")
+        ds = ew.build_entity_dataset(feats, "E1", False)
         col = list(ds.feature_names).index("occurrences")
         assert ds.features[0, col] == 0.0
         assert ds.features[1, col] == pytest.approx(np.log1p(99))
 
     def test_labels_are_disputedness(self):
         feats = [entity_feature("a", disputed=1), entity_feature("b", disputed=0)]
-        ds = ew.build_entity_dataset(feats, "E1")
+        ds = ew.build_entity_dataset(feats, "E1", False)
         assert dict(zip(ds.row_ids, ds.labels.tolist())) == {"a": 1, "b": 0}
+
+    def test_width_follows_the_sample_not_its_name(self, small_synth):
+        corpus, _, _ = small_synth
+        specs = [ModelSpec("log", seed=3), ModelSpec("lin", seed=3)]
+        protocol = Protocol(repeats=2, seed=3)
+        for sample, width in (
+            (cm.select_entities(corpus, 0.6, 1, name="mine"), 8),
+            (cm.select_entities(corpus, 0.9, 100, require_comment_sentiment=True, name="mine"), 20),
+        ):
+            result = ew.run_early_warning(corpus, sample, specs=specs, protocol=protocol)
+            assert len(result.dataset.feature_names) == width
 
 
 def report_with(auc, accuracy):
@@ -169,7 +180,7 @@ def test_label_permutation_null(small_synth):
     sample = cm.select_e1(corpus)
     feats = feat.entity_features(corpus, sample)
     ew.fill_indicators(feats, type("T", (), {"delta_p": 1.0, "delta_r": None, "rho_e": None}))
-    ds = ew.build_entity_dataset(feats, "E1")
+    ds = ew.build_entity_dataset(feats, "E1", False)
     rng = np.random.default_rng(13)
     permuted = Dataset(
         features=ds.features,
@@ -201,7 +212,7 @@ class TestPredictDisputed:
         sample = cm.select_e1(corpus)
         feats = feat.entity_features(corpus, sample)
         ew.fill_indicators(feats, type("T", (), {"delta_p": 1.0, "delta_r": None, "rho_e": None}))
-        ds = ew.build_entity_dataset(feats, "E1")
+        ds = ew.build_entity_dataset(feats, "E1", False)
         balanced = subset_rows(ds, rebalance(ds.labels, 0))
         model = fit(balanced, ModelSpec("log"))
         with pytest.raises(ValueError):
@@ -212,7 +223,7 @@ class TestPredictDisputed:
         sample = cm.select_e1(corpus)
         feats = feat.entity_features(corpus, sample)
         ew.fill_indicators(feats, type("T", (), {"delta_p": 1.0, "delta_r": None, "rho_e": None}))
-        ds = ew.build_entity_dataset(feats, "E1")
+        ds = ew.build_entity_dataset(feats, "E1", False)
         balanced = subset_rows(ds, rebalance(ds.labels, 0))
         model_a = fit(balanced, ModelSpec("log"))
         model_b = fit(balanced.take_columns(list(ds.feature_names[:4])), ModelSpec("lin"))
@@ -226,8 +237,8 @@ def test_dataset_rebuild_is_schema_stable(small_synth):
     sample = cm.select_e1(corpus)
     feats1 = feat.entity_features(corpus, sample)
     feats2 = feat.entity_features(corpus, sample)
-    ds1 = ew.build_entity_dataset(feats1, "E1")
-    ds2 = ew.build_entity_dataset(feats2, "E1")
+    ds1 = ew.build_entity_dataset(feats1, "E1", False)
+    ds2 = ew.build_entity_dataset(feats2, "E1", False)
     assert ds1.feature_names == ds2.feature_names
     assert ds1.row_ids == ds2.row_ids
     assert np.array_equal(ds1.features, ds2.features)

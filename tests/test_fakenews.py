@@ -316,6 +316,20 @@ class TestUserStats:
         assert stats["engaged_users"] == 1
         assert stats["engaged_users_rate"] == 0.5
 
+    def test_engagement_counts_member_posts_outside_the_rows(self, tmp_path):
+        sources = [source("s1")]
+        posts = [post("p1"), post("p2", timestamp=5), post("p3", timestamp=9)]
+        comments = [comment("c0", "p1", "fan", 0)]
+        comments += [comment(f"c{i}", "p2", "fan", i) for i in range(1, 20)]
+        comments += [comment("d1", "p1", "other", 30), comment("d2", "p3", "other", 31)]
+        mentions = [mention("alpha", "p1", 0.9), mention("alpha", "p2", 0.9)]
+        corpus = cm.load_corpus(write_corpus(tmp_path / "o", sources, posts, comments, mentions))
+        stats = user_stats(build_rows(corpus, [tiny_prediction("alpha")], posts=["p1"]), "p1")
+        # the rows are p1 alone: fan has 1 of 20 comments there, but all 20
+        # on alpha's member posts p1 and p2; other has 1 of 2
+        assert stats["engaged_users"] == 1
+        assert stats["engaged_users_rate"] == 0.5
+
 
 def build_predicted_corpus(tmp_path):
     """p1 mentions a and b; p2 mentions nothing."""
@@ -394,6 +408,14 @@ class TestBuildPostDataset:
                 assert np.all((column >= 0) & (column <= 1)), name
             if name.startswith(("st_", "ub_engaged", "pred_n")):
                 assert np.all(column >= 0), name
+
+    def test_subset_rows_match_the_full_build(self, small_post_world):
+        corpus, _, e1, warning, p1, dataset = small_post_world
+        half = np.arange(0, len(p1.rows), 2)
+        subset = cm.PostSample(name="half", rows=p1.rows[half], labels=p1.labels[half])
+        ds = fn.build_post_dataset(corpus, subset, warning.features, warning.predictions, e1)
+        assert ds.row_ids == tuple(dataset.row_ids[i] for i in half.tolist())
+        assert np.array_equal(ds.features, dataset.features[half])
 
     def test_labels_match_source_category(self, small_post_world):
         _, records, _, _, p1, dataset = small_post_world
