@@ -15,10 +15,10 @@ sum and every post dataset row follows it, whatever the order of the file.
 
 Each file is read in blocks of ``_BLOCK_LINES`` lines.  A block is parsed
 with one ``json.loads`` over its lines joined as an array, and every column
-is checked with numpy and set operations.  Only when a block or a column
-fails a check is the file read again record by record, by the validator
-that raises a SchemaError or IntegrityError naming the file and line of the
-first bad record.
+is checked with numpy and set operations.  When a block or a column fails
+a check, the file is read again one record at a time through the same
+builders and checks, which then raise a SchemaError or IntegrityError
+naming the file and line of the first bad record.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import islice, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NoReturn
 
 import numpy as np
 
@@ -43,7 +43,6 @@ _UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 # Lines per parsed block: bounds the record dicts held at once.
 _BLOCK_LINES = 4096
-_INT64 = np.iinfo(np.int64)
 
 
 class CorpusError(Exception):
@@ -226,7 +225,9 @@ class CorpusPaths:
 
 
 # ---------------------------------------------------------------------------
-# Record validator: one record at a time, raising at the first bad field.
+# Reading.  A file is first read in parsed blocks of columns.  When a block or
+# a column fails a check, the file is read again as one-record blocks through
+# the same builders, whose checks then raise the error for the first bad record.
 
 
 def _iter_jsonl(path: Path) -> Iterable[tuple[int, dict]]:
@@ -252,175 +253,22 @@ def _iter_jsonl(path: Path) -> Iterable[tuple[int, dict]]:
             yield lineno, obj
 
 
-def _need(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise SchemaError(f"{where}: missing field {key!r}")
-    return obj[key]
+class _Recheck(Exception):
+    """A block or column failed a check on the block read."""
 
 
-def _as_str(obj: dict, key: str, where: str) -> str:
-    v = _need(obj, key, where)
-    if not isinstance(v, str) or not v:
-        raise SchemaError(f"{where}: field {key!r} must be a non-empty string")
-    return v
+# The value of a field a record lacks, on the record read.
+_MISSING = object()
 
-
-def _as_int64(v: int, key: str, where: str) -> int:
-    if not _INT64.min <= v <= _INT64.max:
-        raise SchemaError(f"{where}: field {key!r} is outside the 64-bit integer range")
-    return v
-
-
-def _as_count(obj: dict, key: str, where: str) -> int:
-    v = _need(obj, key, where)
-    if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-        raise SchemaError(f"{where}: field {key!r} must be a non-negative integer")
-    return _as_int64(v, key, where)
-
-
-def _as_timestamp(obj: dict, key: str, where: str) -> int:
-    v = _need(obj, key, where)
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise SchemaError(f"{where}: field {key!r} must be integer UTC seconds")
-    return _as_int64(v, key, where)
-
-
-def _as_float(v: int | float) -> float:
-    """A JSON number as a float; an integer too large for one becomes the infinity of its sign."""
-    try:
-        return float(v)
-    except OverflowError:
-        return math.inf if v > 0 else -math.inf
-
-
-def _as_sentiment(v, where: str, key: str = "sentiment") -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SchemaError(f"{where}: field {key!r} must be a number")
-    v = _as_float(v)
-    if not -1.0 <= v <= 1.0:
-        raise SchemaError(f"{where}: field {key!r} out of range [-1, 1]: {v}")
-    return v
-
-
-# Each reader checks a record's fields in a fixed order, which decides the
-# error reported for a record with several faults, and yields them in the
-# order of the matching _*_FIELDS tuple.
-
+# The fields of each file, in the order the builders receive their columns.
 _SOURCE_FIELDS = ("id", "name", "category")
 _POST_FIELDS = ("id", "source_id", "timestamp", "text", "sentiment", "likes", "shares")
 _COMMENT_FIELDS = ("id", "post_id", "user_id", "timestamp", "text", "sentiment", "likes", "replies")
 _MENTION_FIELDS = ("entity", "post_id", "confidence")
 
 
-def _source_records(path: Path) -> Iterator[tuple]:
-    seen: set[str] = set()
-    for lineno, obj in _iter_jsonl(path):
-        where = f"{path}:{lineno}"
-        sid = _as_str(obj, "id", where)
-        category = _as_str(obj, "category", where)
-        if category not in (OFFICIAL, FAKE):
-            raise SchemaError(f"{where}: category must be 'official' or 'fake'")
-        if sid in seen:
-            raise IntegrityError(f"{where}: duplicate source id {sid!r}")
-        seen.add(sid)
-        yield sid, _as_str(obj, "name", where), category
-
-
-def _post_records(path: Path) -> Iterator[tuple]:
-    seen: set[str] = set()
-    for lineno, obj in _iter_jsonl(path):
-        where = f"{path}:{lineno}"
-        pid = _as_str(obj, "id", where)
-        if pid in seen:
-            raise IntegrityError(f"{where}: duplicate post id {pid!r}")
-        seen.add(pid)
-        yield (
-            pid,
-            _as_str(obj, "source_id", where),
-            _as_timestamp(obj, "timestamp", where),
-            str(_need(obj, "text", where)),
-            _as_sentiment(_need(obj, "sentiment", where), where),
-            _as_count(obj, "likes", where),
-            _as_count(obj, "shares", where),
-        )
-
-
-def _comment_records(path: Path) -> Iterator[tuple]:
-    seen: set[str] = set()
-    for lineno, obj in _iter_jsonl(path):
-        where = f"{path}:{lineno}"
-        cid = _as_str(obj, "id", where)
-        if cid in seen:
-            raise IntegrityError(f"{where}: duplicate comment id {cid!r}")
-        seen.add(cid)
-        raw_sent = _need(obj, "sentiment", where)
-        yield (
-            cid,
-            _as_str(obj, "post_id", where),
-            _as_str(obj, "user_id", where),
-            _as_timestamp(obj, "timestamp", where),
-            str(_need(obj, "text", where)),
-            None if raw_sent is None else _as_sentiment(raw_sent, where),
-            _as_count(obj, "likes", where),
-            _as_count(obj, "replies", where),
-        )
-
-
-def _mention_records(path: Path) -> Iterator[tuple]:
-    """Mentions with the entity label as written; duplicates compare normalized labels."""
-    seen: set[tuple[str, str]] = set()
-    for lineno, obj in _iter_jsonl(path):
-        where = f"{path}:{lineno}"
-        label = _as_str(obj, "entity", where)
-        entity = normalize_entity(label)
-        post_id = _as_str(obj, "post_id", where)
-        conf = _need(obj, "confidence", where)
-        if isinstance(conf, bool) or not isinstance(conf, (int, float)):
-            raise SchemaError(f"{where}: field 'confidence' must be a number")
-        conf = _as_float(conf)
-        if not 0.0 <= conf <= 1.0:
-            raise SchemaError(f"{where}: confidence out of range [0, 1]: {conf}")
-        if (entity, post_id) in seen:
-            raise IntegrityError(f"{where}: duplicate mention of {entity!r} in post {post_id!r}")
-        seen.add((entity, post_id))
-        yield label, post_id, conf
-
-
-def _record_blocks(records: Iterator[tuple]) -> Iterator[list[tuple]]:
-    """Validated records in blocks, one tuple of values per field."""
-    while block := list(islice(records, _BLOCK_LINES)):
-        yield list(zip(*block))
-
-
-def _raise_dangling(paths: CorpusPaths) -> None:
-    """Raise the IntegrityError listing every dangling reference, sorted."""
-    source_ids = {sid for sid, *_ in _source_records(paths.sources)}
-    post_ids: set[str] = set()
-    dangling: list[str] = []
-    for pid, source_id, *_ in _post_records(paths.posts):
-        post_ids.add(pid)
-        if source_id not in source_ids:
-            dangling.append(f"post {pid!r} -> source {source_id!r}")
-    for cid, post_id, *_ in _comment_records(paths.comments):
-        if post_id not in post_ids:
-            dangling.append(f"comment {cid!r} -> post {post_id!r}")
-    for label, post_id, _ in _mention_records(paths.mentions):
-        if post_id not in post_ids:
-            dangling.append(f"mention {normalize_entity(label)!r} -> post {post_id!r}")
-    raise IntegrityError("dangling references: " + "; ".join(sorted(dangling)))
-
-
-# ---------------------------------------------------------------------------
-# Block parser and column checks.  A failed check raises _Recheck, and the
-# file is read again through the record validator above.
-
-
-class _Recheck(Exception):
-    """A block or column failed a check."""
-
-
-def _parsed_blocks(path: Path, fields: tuple[str, ...]) -> Iterator[list[tuple]]:
-    """Each block of the file as one tuple of values per field.
+def _parsed_blocks(path: Path, fields: tuple[str, ...]) -> Iterator[tuple[None, list[tuple]]]:
+    """Each block of the file as ``(None, columns)``, one tuple of values per field.
 
     A block passes when its lines join to an array of exactly one object per
     non-blank line, each object has exactly ``fields`` as keys, and (checked
@@ -451,69 +299,134 @@ def _parsed_blocks(path: Path, fields: tuple[str, ...]) -> Iterator[list[tuple]]
                 columns = list(zip(*map(get, rows)))
             except KeyError:
                 raise _Recheck from None
-            yield columns
+            yield None, columns
 
 
-def _read(path: Path, fields: tuple[str, ...], records: Callable, build: Callable):
-    """``build`` over the parsed blocks, or over the validated records when a check fails.
+def _records(path: Path, fields: tuple[str, ...]) -> Iterator[tuple[str, list[tuple]]]:
+    """Each record of the file as a one-record block, located at its ``path:line``."""
+    for lineno, obj in _iter_jsonl(path):
+        yield f"{path}:{lineno}", [(obj.get(field, _MISSING),) for field in fields]
 
-    A decode error also goes to the record validator, which reads the lines
+
+def _read(path: Path, fields: tuple[str, ...], build: Callable):
+    """``build`` over the parsed blocks, or over the records when a check fails.
+
+    A decode error also leads to the record read, which reads the lines
     before it first, as a line-by-line reader would.
     """
     try:
         return build(_parsed_blocks(path, fields))
     except (_Recheck, UnicodeDecodeError):
-        return build(_record_blocks(records(path)))
+        return build(_records(path, fields))
 
 
-def _strings(values: tuple) -> tuple:
+# Each check takes a column, its field name and where the block is: None on
+# the block read, where a failed check raises _Recheck, or "path:line" on the
+# record read, where it raises the error for that record.
+
+
+def _fail(where: str | None, message: str, error: type[CorpusError] = SchemaError) -> NoReturn:
+    if where is None:
+        raise _Recheck
+    raise error(f"{where}: {message}")
+
+
+def _invalid(values: tuple, field: str, where: str | None, rule: str) -> NoReturn:
+    """Fail for a missing value, else for a value that breaks ``rule``."""
+    _fail(where, f"missing field {field!r}" if _MISSING in values else f"field {field!r} {rule}")
+
+
+def _strings(values: tuple, field: str, where: str | None) -> tuple:
     """Non-empty strings."""
     if not set(map(type, values)) <= {str} or "" in values:
-        raise _Recheck
+        _invalid(values, field, where, "must be a non-empty string")
     return values
 
 
-def _texts(values: tuple) -> tuple:
-    if not set(map(type, values)) <= {str}:
-        raise _Recheck
-    return values
+def _texts(values: tuple, where: str | None) -> Iterable[str]:
+    """Strings; the record read converts any other value with ``str``.
+
+    The block read rejects them, since _parsed_blocks needs scalar values.
+    """
+    if set(map(type, values)) <= {str}:
+        return values
+    if where is None or _MISSING in values:
+        _fail(where, "missing field 'text'")
+    return [str(v) for v in values]
 
 
-def _ints(values: tuple, non_negative: bool = False) -> np.ndarray:
+def _ints(values: tuple, field: str, where: str | None, non_negative: bool = False) -> np.ndarray:
+    """64-bit integers: counts with ``non_negative``, else timestamps."""
+    rule = "must be a non-negative integer" if non_negative else "must be integer UTC seconds"
     if not set(map(type, values)) <= {int}:
-        raise _Recheck
+        _invalid(values, field, where, rule)
     try:
         out = np.array(values, np.int64)
     except OverflowError:
-        raise _Recheck from None
+        # a negative count breaks its rule before the range
+        _invalid(values, field, where,
+                 rule if non_negative and min(values) < 0 else "is outside the 64-bit integer range")
     if non_negative and len(out) and out.min() < 0:
-        raise _Recheck
+        _invalid(values, field, where, rule)
     return out
 
 
-def _numbers(values: tuple, lo: float, hi: float, nullable: bool = False) -> np.ndarray:
-    """Floats in [lo, hi]; with ``nullable``, null becomes NaN."""
+def _as_float(v: int | float) -> float:
+    """A JSON number as a float; an integer too large for one becomes the infinity of its sign."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
+def _numbers(values: tuple, field: str, where: str | None, lo: float, hi: float,
+             nullable: bool = False, name: str = "") -> np.ndarray:
+    """Floats in [lo, hi]; with ``nullable``, null becomes NaN.
+
+    ``name`` names the field in the range error, ``field 'x'`` by default.
+    """
     allowed = {int, float, type(None)} if nullable else {int, float}
     if not set(map(type, values)) <= allowed:
-        raise _Recheck
+        _invalid(values, field, where, "must be a number")
     try:
         out = np.array(values, float)
     except OverflowError:
-        raise _Recheck from None
-    outside = np.count_nonzero(~((out >= lo) & (out <= hi)))  # NaN is outside
-    if outside != (values.count(None) if nullable else 0):
-        raise _Recheck
+        out = np.array([v if v is None else _as_float(v) for v in values], float)
+    outside = ~((out >= lo) & (out <= hi))  # NaN is outside
+    if np.count_nonzero(outside) != (values.count(None) if nullable else 0):
+        value = float(out[outside][0])
+        _fail(where, f"{name or f'field {field!r}'} out of range [{lo:g}, {hi:g}]: {value}")
     return out
 
 
-def _unique(values: list) -> None:
-    if len(set(values)) != len(values):
-        raise _Recheck
+def _repeats(values: tuple | list, seen: set) -> bool:
+    """Add ``values`` to ``seen``; true when one was there already or repeats."""
+    size = len(seen)
+    seen.update(values)
+    return len(seen) != size + len(values)
 
 
 def _refs(values: tuple, index: Mapping[str, int]) -> np.ndarray:
     """Rows of the referenced ids; -1 for an id not in ``index``."""
     return np.fromiter(map(index.get, values, repeat(-1)), np.int64, len(values))
+
+
+def _raise_dangling(paths: CorpusPaths) -> None:
+    """Raise the IntegrityError listing every dangling reference, sorted."""
+    source_ids = {obj["id"] for _, obj in _iter_jsonl(paths.sources)}
+    post_ids: set[str] = set()
+    dangling: list[str] = []
+    for _, obj in _iter_jsonl(paths.posts):
+        post_ids.add(obj["id"])
+        if obj["source_id"] not in source_ids:
+            dangling.append(f"post {obj['id']!r} -> source {obj['source_id']!r}")
+    for _, obj in _iter_jsonl(paths.comments):
+        if obj["post_id"] not in post_ids:
+            dangling.append(f"comment {obj['id']!r} -> post {obj['post_id']!r}")
+    for _, obj in _iter_jsonl(paths.mentions):
+        if obj["post_id"] not in post_ids:
+            dangling.append(f"mention {normalize_entity(obj['entity'])!r} -> post {obj['post_id']!r}")
+    raise IntegrityError("dangling references: " + "; ".join(sorted(dangling)))
 
 
 class _Codes:
@@ -540,32 +453,41 @@ def _concat(chunks: list[np.ndarray], dtype) -> np.ndarray:
     return np.concatenate(chunks) if chunks else np.zeros(0, dtype)
 
 
+# Each builder checks a block's fields in a fixed order, which decides the
+# error the record read reports for a record with several faults.
+
+
 def _build_sources(blocks) -> tuple[dict[str, int], Sources]:
     ids: list[str] = []
+    seen: set[str] = set()
     fake = []
-    for sid, name, category in blocks:
-        ids += _strings(sid)
-        _strings(name)
-        if not set(_strings(category)) <= {OFFICIAL, FAKE}:
-            raise _Recheck
+    for where, (sid, name, category) in blocks:
+        _strings(sid, "id", where)
+        if not set(_strings(category, "category", where)) <= {OFFICIAL, FAKE}:
+            _fail(where, "category must be 'official' or 'fake'")
+        if _repeats(sid, seen):
+            _fail(where, f"duplicate source id {sid[0]!r}", IntegrityError)
+        _strings(name, "name", where)
+        ids += sid
         fake.append(np.array(category) == FAKE)
-    _unique(ids)
     return {s: i for i, s in enumerate(ids)}, Sources(fake=_concat(fake, bool))
 
 
 def _build_posts(blocks, source_index: Mapping[str, int]) -> tuple[dict[str, int], Posts]:
     ids: list[str] = []
+    seen: set[str] = set()
     texts: list[str] = []
     source, timestamp, sentiment, likes, shares = [], [], [], [], []
-    for pid, source_id, ts, text, sent, like, share in blocks:
-        ids += _strings(pid)
-        texts += _texts(text)
-        source.append(_refs(_strings(source_id), source_index))
-        timestamp.append(_ints(ts))
-        sentiment.append(_numbers(sent, -1.0, 1.0))
-        likes.append(_ints(like, non_negative=True))
-        shares.append(_ints(share, non_negative=True))
-    _unique(ids)
+    for where, (pid, source_id, ts, text, sent, like, share) in blocks:
+        if _repeats(_strings(pid, "id", where), seen):
+            _fail(where, f"duplicate post id {pid[0]!r}", IntegrityError)
+        ids += pid
+        source.append(_refs(_strings(source_id, "source_id", where), source_index))
+        timestamp.append(_ints(ts, "timestamp", where))
+        texts += _texts(text, where)
+        sentiment.append(_numbers(sent, "sentiment", where, -1.0, 1.0))
+        likes.append(_ints(like, "likes", where, non_negative=True))
+        shares.append(_ints(share, "shares", where, non_negative=True))
     posts = Posts(
         ids=ids, source=_concat(source, np.int64), timestamp=_concat(timestamp, np.int64),
         text=texts, sentiment=_concat(sentiment, float),
@@ -576,22 +498,21 @@ def _build_posts(blocks, source_index: Mapping[str, int]) -> tuple[dict[str, int
 
 def _build_comments(blocks, post_index: Mapping[str, int]) -> tuple[list[str], Comments]:
     seen: set[str] = set()
-    n = 0
     texts: list[str] = []
     users = _Codes()
     post, user, sentiment, likes, replies = [], [], [], [], []
-    for cid, post_id, user_id, ts, text, sent, like, reply in blocks:
-        seen.update(_strings(cid))
-        n += len(cid)
-        _ints(ts)
-        texts += _texts(text)
-        post.append(_refs(_strings(post_id), post_index))
-        user.append(users.encode(_strings(user_id)))
-        sentiment.append(_numbers(sent, -1.0, 1.0, nullable=True))
-        likes.append(_ints(like, non_negative=True))
-        replies.append(_ints(reply, non_negative=True))
-    if len(seen) != n:
-        raise _Recheck
+    for where, (cid, post_id, user_id, ts, text, sent, like, reply) in blocks:
+        if _repeats(_strings(cid, "id", where), seen):
+            _fail(where, f"duplicate comment id {cid[0]!r}", IntegrityError)
+        if where and _MISSING in sent:  # reported ahead of a fault in post_id or a later field
+            _fail(where, "missing field 'sentiment'")
+        post.append(_refs(_strings(post_id, "post_id", where), post_index))
+        user.append(users.encode(_strings(user_id, "user_id", where)))
+        _ints(ts, "timestamp", where)
+        texts += _texts(text, where)
+        sentiment.append(_numbers(sent, "sentiment", where, -1.0, 1.0, nullable=True))
+        likes.append(_ints(like, "likes", where, non_negative=True))
+        replies.append(_ints(reply, "replies", where, non_negative=True))
     names, user = users.renumbered(user)
     comments = Comments(
         post=_concat(post, np.int64), user=user, text=texts, sentiment=_concat(sentiment, float),
@@ -601,21 +522,23 @@ def _build_comments(blocks, post_index: Mapping[str, int]) -> tuple[list[str], C
 
 
 def _build_mentions(blocks, post_index: Mapping[str, int]) -> tuple[list[str], Mentions]:
+    """Mentions keyed by normalized entity; duplicates compare (entity, post id) pairs."""
     entities = _Codes()
     normalized: dict[str, str] = {}
+    seen: set[tuple[str, str]] = set()
     entity, post, confidence = [], [], []
-    for label, post_id, conf in blocks:
-        for raw in set(_strings(label)).difference(normalized):
+    for where, (label, post_id, conf) in blocks:
+        for raw in set(_strings(label, "entity", where)).difference(normalized):
             normalized[raw] = normalize_entity(raw)
-        entity.append(entities.encode(tuple(map(normalized.__getitem__, label))))
-        post.append(_refs(_strings(post_id), post_index))
-        confidence.append(_numbers(conf, 0.0, 1.0))
+        keys = tuple(map(normalized.__getitem__, label))
+        post.append(_refs(_strings(post_id, "post_id", where), post_index))
+        confidence.append(_numbers(conf, "confidence", where, 0.0, 1.0, name="confidence"))
+        if _repeats(list(zip(keys, post_id)), seen):
+            _fail(where, f"duplicate mention of {keys[0]!r} in post {post_id[0]!r}", IntegrityError)
+        entity.append(entities.encode(keys))
     names, entity = entities.renumbered(entity)
-    post = _concat(post, np.int64)
-    # with a dangling post id the pairs are checked on the error path
-    if post.min(initial=0) >= 0 and len(np.unique(entity * len(post_index) + post)) != len(post):
-        raise _Recheck
-    return names, Mentions(entity=entity, post=post, confidence=_concat(confidence, float))
+    mentions = Mentions(entity=entity, post=_concat(post, np.int64), confidence=_concat(confidence, float))
+    return names, mentions
 
 
 def load_corpus(paths: CorpusPaths | str | Path) -> Corpus:
@@ -631,19 +554,10 @@ def load_corpus(paths: CorpusPaths | str | Path) -> Corpus:
         if not Path(p).exists():
             raise CorpusError(f"missing corpus file: {p}")
 
-    source_index, sources = _read(paths.sources, _SOURCE_FIELDS, _source_records, _build_sources)
-    post_index, posts = _read(
-        paths.posts, _POST_FIELDS, _post_records,
-        lambda blocks: _build_posts(blocks, source_index),
-    )
-    users, comments = _read(
-        paths.comments, _COMMENT_FIELDS, _comment_records,
-        lambda blocks: _build_comments(blocks, post_index),
-    )
-    entities, mentions = _read(
-        paths.mentions, _MENTION_FIELDS, _mention_records,
-        lambda blocks: _build_mentions(blocks, post_index),
-    )
+    source_index, sources = _read(paths.sources, _SOURCE_FIELDS, _build_sources)
+    post_index, posts = _read(paths.posts, _POST_FIELDS, lambda b: _build_posts(b, source_index))
+    users, comments = _read(paths.comments, _COMMENT_FIELDS, lambda b: _build_comments(b, post_index))
+    entities, mentions = _read(paths.mentions, _MENTION_FIELDS, lambda b: _build_mentions(b, post_index))
     if min(posts.source.min(initial=0), comments.post.min(initial=0), mentions.post.min(initial=0)) < 0:
         _raise_dangling(paths)
 

@@ -251,6 +251,8 @@ class Protocol:
     def __post_init__(self) -> None:
         if self.repeats < 1:
             raise ValueError(f"repeats must be at least 1, got {self.repeats}")
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
 
 
 @dataclass(frozen=True)
@@ -313,8 +315,7 @@ def forward_stepwise(
 ) -> StepwiseResult:
     """Add, per round, the unselected feature with the best mean test AUC.
 
-    Candidates whose fit or AUC is undefined in any cycle score 0 for the
-    round; ties break toward the lower feature index.
+    Ties break toward the lower feature index.
     """
     if max_features > len(dataset.feature_names):
         raise ValueError("max_features exceeds the number of columns")
@@ -326,10 +327,7 @@ def forward_stepwise(
         best_auc = -1.0
         for name in remaining:  # feature-name order == column order: index tie-break
             candidate = dataset.take_columns(selected + [name])
-            try:
-                auc = evaluate_spec(candidate, spec, protocol).auc
-            except Exception:
-                auc = 0.0
+            auc = evaluate_spec(candidate, spec, protocol).auc
             if auc > best_auc:
                 best_auc, best_name = auc, name
         selected.append(best_name)

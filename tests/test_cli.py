@@ -198,20 +198,29 @@ def test_subcommands_match_pipeline(data_dir, tmp_path):
     assert not (run / "fakenews_p1" / "features_p1.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["earlywarn", "fakenews"])
-def test_zero_repeats_rejected_before_work(data_dir, tmp_path, caplog, command):
+@pytest.mark.parametrize("command, option, message", [
+    ("earlywarn", ["--repeats", "0"], "repeats must be at least 1, got 0"),
+    ("fakenews", ["--repeats", "0"], "repeats must be at least 1, got 0"),
+    ("earlywarn", ["--train-fraction", "1.5"], "train_fraction must be in (0, 1), got 1.5"),
+    ("fakenews", ["--train-fraction", "0"], "train_fraction must be in (0, 1), got 0.0"),
+], ids=["earlywarn", "fakenews", "earlywarn-train_fraction", "fakenews-train_fraction"])
+def test_zero_repeats_rejected_before_work(data_dir, tmp_path, caplog, command, option, message):
     out = tmp_path / "out"
-    code = main([command, "--data", str(data_dir), "--repeats", "0", "--out", str(out)])
+    code = main([command, "--data", str(data_dir), *option, "--out", str(out)])
     assert code == EXIT_CONFIG
-    assert "repeats must be at least 1, got 0" in caplog.text
+    assert message in caplog.text
     assert not out.exists()
 
 
-@pytest.mark.parametrize("repeats", [0, -1])
-def test_pipeline_non_positive_repeats_rejected_before_work(data_dir, tmp_path, caplog, repeats):
+@pytest.mark.parametrize("key, value, message", [
+    ("repeats", 0, "repeats must be at least 1, got 0"),
+    ("repeats", -1, "repeats must be at least 1, got -1"),
+    ("train_fraction", 1.5, "train_fraction must be in (0, 1), got 1.5"),
+], ids=["0", "-1", "train_fraction"])
+def test_pipeline_non_positive_repeats_rejected_before_work(data_dir, tmp_path, caplog, key, value, message):
     config_path = tmp_path / "run.json"
-    config_path.write_text(json.dumps({"data": str(data_dir), "repeats": repeats}))
+    config_path.write_text(json.dumps({"data": str(data_dir), key: value}))
     out = tmp_path / "run"
     assert main(["pipeline", "--config", str(config_path), "--out", str(out)]) == EXIT_CONFIG
-    assert f"repeats must be at least 1, got {repeats}" in caplog.text
+    assert message in caplog.text
     assert not out.exists()

@@ -282,6 +282,11 @@ class TestProtocol:
         with pytest.raises(ValueError, match=f"repeats must be at least 1, got {repeats}"):
             ev.Protocol(repeats=repeats)
 
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, -0.2, float("nan")])
+    def test_train_fraction_outside_unit_interval_rejected(self, fraction):
+        with pytest.raises(ValueError, match=r"train_fraction must be in \(0, 1\), got"):
+            ev.Protocol(train_fraction=fraction)
+
 
 class TestForwardStepwise:
     def test_oracle_feature_selected_first(self):
@@ -305,6 +310,12 @@ class TestForwardStepwise:
         ds = make_dataset(np.zeros((10, 2)), [0, 1] * 5)
         with pytest.raises(ValueError):
             ev.forward_stepwise(ds, ModelSpec("log"), 3, ev.Protocol())
+
+    def test_single_class_labels_raise(self):
+        # a failed evaluation is an error, not a candidate with AUC 0
+        ds = make_dataset(np.eye(10)[:, :2], [0] * 10)
+        with pytest.raises(ValueError, match="rebalance requires both classes"):
+            ev.forward_stepwise(ds, ModelSpec("log"), 2, ev.Protocol(repeats=2, seed=0))
 
     def test_index_tie_break(self):
         # two identical perfect columns: the lower index must win

@@ -399,3 +399,49 @@ def test_well_formed_files_skip_the_record_validator(small_synth):
     with mock.patch.object(cm, "_iter_jsonl", side_effect=AssertionError("record path taken")):
         corpus = cm.load_corpus(directory)
     assert snapshot(corpus) == snapshot(small_synth[0])
+
+
+def test_value_split_across_lines_is_invalid_json(tmp_path):
+    # Joined, the two lines parse as an array of two seven-key post objects,
+    # so the text of p1 must be rejected on the block read, not converted.
+    head = dumps({k: v for k, v in P1.items() if k != "text"})[:-1] + ', "text": [{"x": 1}'
+    raw = lines(head, '{"y": 2}]}, ' + dumps(P2))
+    directory = base_corpus(tmp_path / "c", posts_jsonl=raw)
+    err = load_error(directory)
+    assert type(err.value) is cm.SchemaError
+    assert str(err.value) == f"{directory / 'posts.jsonl'}:1: invalid JSON (Expecting ',' delimiter)"
+
+
+ABSENT = object()  # the field is dropped from the record
+
+# (file, field, bad value, the message that follows "<file>:<line>: ")
+FAULTS = [
+    ("posts.jsonl", "likes", -1, "field 'likes' must be a non-negative integer"),
+    ("comments.jsonl", "replies", 2**63, "field 'replies' is outside the 64-bit integer range"),
+    ("posts.jsonl", "timestamp", True, "field 'timestamp' must be integer UTC seconds"),
+    ("comments.jsonl", "timestamp", 1.5, "field 'timestamp' must be integer UTC seconds"),
+    ("posts.jsonl", "sentiment", 2, "field 'sentiment' out of range [-1, 1]: 2.0"),
+    ("comments.jsonl", "sentiment", "0", "field 'sentiment' must be a number"),
+    ("posts.jsonl", "source_id", "", "field 'source_id' must be a non-empty string"),
+    ("comments.jsonl", "user_id", None, "field 'user_id' must be a non-empty string"),
+    ("comments.jsonl", "post_id", ABSENT, "missing field 'post_id'"),
+    ("posts.jsonl", "text", ABSENT, "missing field 'text'"),
+    ("mentions.jsonl", "confidence", 1.5, "confidence out of range [0, 1]: 1.5"),
+    ("mentions.jsonl", "entity", 7, "field 'entity' must be a non-empty string"),
+    ("sources.jsonl", "category", "satire", "category must be 'official' or 'fake'"),
+]
+
+
+@given(corpora(), st.integers(1, 5), st.data())
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_one_bad_value_names_its_file_line_and_field(tmp_path, corpus, block, data):
+    name, field, value, message = data.draw(st.sampled_from([f for f in FAULTS if corpus[f[0]]]))
+    rows = corpus[name]
+    i = data.draw(st.integers(0, len(rows) - 1))
+    rows[i] = ({k: v for k, v in rows[i].items() if k != field} if value is ABSENT
+               else {**rows[i], field: value})
+    directory = base_corpus(tmp_path / "f", **{n.replace(".", "_"): lines(*r) for n, r in corpus.items()})
+    with mock.patch.object(cm, "_BLOCK_LINES", block):
+        err = load_error(directory)
+    assert str(err.value).startswith(f"{directory / name}:{i + 1}: ")
+    assert str(err.value).endswith(message)
