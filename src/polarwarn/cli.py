@@ -5,6 +5,9 @@ earlywarn, fakenews, report, pipeline.  Every stage writes its outputs under
 --out together with a manifest (stage, canonical config hash, seed, inputs)
 so a rerun with the same manifest reproduces identical report values.
 pipeline runs the same stage functions as ingest, earlywarn and fakenews.
+This module alone writes the stages' CSV and JSON reports (every CSV
+through ``_write_csv``); the compute modules return values and open no
+output file.  ``synth`` writes the corpus and ``svgplot`` the SVG plots.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
 failure.
@@ -14,9 +17,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import logging
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,9 +35,8 @@ from . import synth as synth_mod
 from . import svgplot
 from . import thresholds as th
 from .corpus import CorpusError
-from .evaluation import Protocol, StratificationError, UndefinedAUCError, report_to_csv, report_to_json
+from .evaluation import MetricsReport, Protocol, StratificationError, UndefinedAUCError
 from .models import ALGORITHMS, Dataset, DegenerateFitError, ModelSpec, ShapeError
-from .models.base import dataset_to_csv
 
 log = logging.getLogger("polarwarn")
 
@@ -64,9 +68,39 @@ def _config_hash(doc) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _write_json(path: Path, doc) -> None:
+def _write_json(path: Path, doc, sort_keys: bool = True) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=sort_keys)
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+_REPORT_HEADER = ("algorithm", "row", "auc", "accuracy", "mean_abs_err", "precision", "recall", "fp_rate", "f1")
+
+
+def _report_rows(reports: dict[str, MetricsReport]):
+    """One row per (algorithm, class), then the algorithm's weighted average."""
+    for algo, rep in reports.items():
+        named = [(rep.class_names[c], rep.per_class[c]) for c in sorted(rep.per_class)]
+        for row, m in named + [("weighted_avg", rep.weighted)]:
+            yield (algo, row, rep.auc, rep.accuracy, rep.mean_abs_err,
+                   m.precision, m.recall, m.fp_rate, m.f1)
+
+
+# ``missing`` is the last field; it is written joined by "|"
+_FEATURE_COLUMNS = tuple(f.name for f in dataclasses.fields(feat.EntityFeatures))
+
+
+def _feature_rows(features):
+    """One row per entity; a missing value is written blank."""
+    for f in features:
+        values = [getattr(f, c) for c in _FEATURE_COLUMNS[:-1]] + ["|".join(f.missing)]
+        yield ["" if v is None else v for v in values]
 
 
 def _write_manifest(out_dir: Path, stage: str, config: dict, seed: int | None, inputs: list[str]) -> None:
@@ -103,6 +137,13 @@ def _specs(args) -> list[ModelSpec]:
     algos = args.algo or list(ALGORITHMS)
     hp = _parse_hp(getattr(args, "hp", None))
     return [ModelSpec(algorithm=a, hyperparameters=hp, seed=args.seed) for a in algos]
+
+
+def _max_stepwise(value) -> int:
+    n = int(value)
+    if n < 0:
+        raise _StageError(EXIT_CONFIG, f"max_stepwise must be at least 0, got {n}")
+    return n
 
 
 def _load_sample(corpus, name: str):
@@ -168,14 +209,11 @@ def _earlywarn_stage(out: Path, inputs: _Inputs, sample_name: str,
         "n_entities": len(result.dataset.labels),
         "n_disputed": int(result.dataset.labels.sum()),
     })
-    report_to_csv(result.benchmark.reports, out / "benchmark.csv")
-    feat.features_to_csv(result.features, out / "features.csv")
-    with open(out / "predictions.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        a, b = result.best
-        writer.writerow(["entity", f"pred_{a}", f"pred_{b}", f"score_{a}", f"score_{b}"])
-        for p in result.predictions:
-            writer.writerow([p.entity, p.pred_a, p.pred_b, p.score_a, p.score_b])
+    _write_csv(out / "benchmark.csv", _REPORT_HEADER, _report_rows(result.benchmark.reports))
+    _write_csv(out / "features.csv", _FEATURE_COLUMNS, _feature_rows(result.features))
+    a, b = result.best
+    _write_csv(out / "predictions.csv", ("entity", f"pred_{a}", f"pred_{b}", f"score_{a}", f"score_{b}"),
+               ((p.entity, p.pred_a, p.pred_b, p.score_a, p.score_b) for p in result.predictions))
     if inputs.plots:
         _curve_svgs(out, result.curves)
     _write_manifest(out, "earlywarn",
@@ -207,19 +245,16 @@ def _fakenews_stage(out: Path, inputs: _Inputs, sample_name: str, warning: ew.Ea
         exp = fn.run_experiment(dataset, mode, specs, inputs.protocol)
         results[exp.mode] = exp
         table = {step: [exp.auc[a][i] for a in algorithms] for i, step in enumerate(exp.steps)}
-        feat.curve_to_csv([(step, *aucs) for step, aucs in table.items()], ("step", *algorithms),
-                          out / f"auc_steps_{exp.mode.lower()}.csv")
+        _write_csv(out / f"auc_steps_{exp.mode.lower()}.csv", ("step", *algorithms),
+                   ((step, *aucs) for step, aucs in table.items()))
         if inputs.plots:
             svgplot.bar_chart(out / f"auc_steps_{exp.mode.lower()}.svg", algorithms, table,
                               title=f"experiment {exp.mode} ({sample_name})", y_label="AUC")
     reports, ranking = fn.final_report(dataset, specs, inputs.protocol, max_features=max_stepwise)
-    report_to_json(reports, out / "report.json")
-    report_to_csv(reports, out / "report.csv")
-    feat.curve_to_csv(
-        [(i + 1, name, auc) for i, (name, auc) in enumerate(zip(ranking.features, ranking.auc_trace))],
-        ("rank", "feature", "mean_auc"),
-        out / "stepwise.csv",
-    )
+    _write_json(out / "report.json", {a: r.to_json_dict() for a, r in reports.items()}, sort_keys=False)
+    _write_csv(out / "report.csv", _REPORT_HEADER, _report_rows(reports))
+    _write_csv(out / "stepwise.csv", ("rank", "feature", "mean_auc"),
+               ((i, name, auc) for i, (name, auc) in enumerate(zip(ranking.features, ranking.auc_trace), 1)))
     _write_manifest(out, "fakenews",
                     {"data": inputs.data, "sample": sample_name, "experiments": experiments,
                      "algorithms": algorithms, "repeats": inputs.protocol.repeats,
@@ -279,8 +314,10 @@ def cmd_thresholds(args) -> int:
         "selections": {m: s.to_json_dict(m) for m, s in selections.items()},
     })
     for measure, curve in curves.items():
-        feat.curve_to_csv(th.curve_to_rows(curve), ("delta", "ratio_dd", "ratio_de"),
-                          out / f"curve_{measure}.csv")
+        # a fixture's non-finite ratio_de is written nan
+        rows = zip(curve.grid.tolist(), curve.ratio_dd.tolist(), curve.ratio_de.tolist())
+        _write_csv(out / f"curve_{measure}.csv", ("delta", "ratio_dd", "ratio_de"),
+                   ((g, dd, de if math.isfinite(de) else math.nan) for g, dd, de in rows))
     if args.plots:
         _curve_svgs(out, curves)
     _write_manifest(out, "thresholds", {"fixtures": args.fixtures, "sample": args.sample}, None, inputs)
@@ -293,22 +330,20 @@ def cmd_features(args) -> int:
     corpus = corpus_mod.load_corpus(args.data)
     sample = _load_sample(corpus, args.sample)
     features, _, _, _ = ew.threshold_entities(corpus, sample)
-    feat.features_to_csv(features, out / f"features_{sample.name.lower()}.csv")
+    _write_csv(out / f"features_{sample.name.lower()}.csv", _FEATURE_COLUMNS, _feature_rows(features))
 
     grid = [i / 100 for i in range(0, 200, 5)]
     attention = feat.attention_curve(corpus, sample, features, grid)
-    feat.curve_to_csv(attention, ("delta_p", "mean_likes", "mean_comments"),
-                      out / f"attention_{sample.name.lower()}.csv")
+    _write_csv(out / f"attention_{sample.name.lower()}.csv", ("delta_p", "mean_likes", "mean_comments"),
+               attention)
     for c_flag, d_flag, tag in ((True, True, "c_d"), (True, False, "c_ud"),
                                 (False, True, "uc_d"), (False, False, "uc_ud")):
         hist = feat.response_distribution(features, c_flag, d_flag)
-        rows = list(zip(hist.edges[:-1], hist.edges[1:], hist.density))
-        feat.curve_to_csv(rows, ("bin_lo", "bin_hi", "density"),
-                          out / f"response_hist_{tag}.csv")
+        _write_csv(out / f"response_hist_{tag}.csv", ("bin_lo", "bin_hi", "density"),
+                   zip(hist.edges[:-1], hist.edges[1:], hist.density))
     lag = feat.temporal_lag_histogram(corpus, sample, bin_hours=args.bin_hours)
-    rows = list(zip(lag.edges_hours[:-1], lag.edges_hours[1:], lag.counts))
-    feat.curve_to_csv(rows, ("lag_lo_hours", "lag_hi_hours", "count"),
-                      out / f"temporal_lag_{sample.name.lower()}.csv")
+    _write_csv(out / f"temporal_lag_{sample.name.lower()}.csv", ("lag_lo_hours", "lag_hi_hours", "count"),
+               zip(lag.edges_hours[:-1], lag.edges_hours[1:], lag.counts))
     _write_manifest(out, "features", {"data": str(args.data), "sample": args.sample,
                                       "bin_hours": args.bin_hours}, None, [str(args.data)])
     print(f"features: {len(features)} entities -> {out}")
@@ -324,6 +359,7 @@ def cmd_earlywarn(args) -> int:
 
 
 def cmd_fakenews(args) -> int:
+    max_stepwise = _max_stepwise(args.max_stepwise)
     specs = _specs(args)
     inputs = _inputs(args)
     # the embedded early-warning stage always benchmarks the full suite so it
@@ -332,8 +368,11 @@ def cmd_fakenews(args) -> int:
     warning = ew.run_early_warning(inputs.corpus, _load_sample(inputs.corpus, args.sample),
                                    specs=ew_specs, protocol=inputs.protocol)
     dataset, experiments = _fakenews_stage(Path(args.out), inputs, args.sample, warning, specs,
-                                           args.experiment or ["a", "b"], args.max_stepwise)
-    dataset_to_csv(dataset, Path(args.out) / f"features_{args.sample.lower()}.csv")
+                                           args.experiment or ["a", "b"], max_stepwise)
+    rows = zip(dataset.row_ids, dataset.features.tolist(), dataset.labels)
+    _write_csv(Path(args.out) / f"features_{args.sample.lower()}.csv",
+               ("row_id", *dataset.feature_names, "label"),
+               ([rid, *values, int(label)] for rid, values, label in rows))
     summary = {m: {a: exp.auc[a] for a in exp.auc} for m, exp in experiments.items()}
     print(f"fakenews[{args.sample}]: rows={dataset.n} cols={len(dataset.feature_names)} "
           f"experiments={json.dumps(summary)}")
@@ -391,6 +430,7 @@ def cmd_pipeline(args) -> int:
                         train_fraction=float(cfg.get("train_fraction", 0.6)), seed=seed)
     specs = [ModelSpec(algorithm=a, seed=seed) for a in algorithms]
     fn_specs = [ModelSpec(algorithm=a, seed=seed) for a in fn_cfg.get("algorithms", algorithms)]
+    max_stepwise = _max_stepwise(fn_cfg.get("max_stepwise", 16))
     out = _out_dir(args.out)
 
     if "data" in cfg:
@@ -417,7 +457,7 @@ def cmd_pipeline(args) -> int:
             )
         _fakenews_stage(out / f"fakenews_{post_sample_name.lower()}", inputs, post_sample_name,
                         warnings[entity_sample_name], fn_specs, fn_cfg.get("experiments", ["b"]),
-                        int(fn_cfg.get("max_stepwise", 16)))
+                        max_stepwise)
 
     _write_manifest(out, "pipeline", cfg, seed, [str(args.config)])
     cmd_report(argparse.Namespace(run=out))

@@ -10,10 +10,7 @@ average the per-cycle AUC.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -141,67 +138,40 @@ def rebalance(labels: np.ndarray, seed: int) -> np.ndarray:
     return np.sort(np.concatenate([keep, chosen]))
 
 
-def _one_class(labels: np.ndarray, predicted: np.ndarray, positive: int) -> ClassMetrics:
-    tp = int(np.sum((predicted == positive) & (labels == positive)))
-    fp = int(np.sum((predicted == positive) & (labels != positive)))
-    fn = int(np.sum((predicted != positive) & (labels == positive)))
-    tn = int(np.sum((predicted != positive) & (labels != positive)))
-    flagged: list[str] = []
-    if tp + fp > 0:
-        precision = tp / (tp + fp)
-    else:
-        precision = 0.0
-        flagged.append("precision")
-    if tp + fn > 0:
-        recall = tp / (tp + fn)
-    else:
-        recall = 0.0
-        flagged.append("recall")
-    if fp + tn > 0:
-        fp_rate = fp / (fp + tn)
-    else:
-        fp_rate = 0.0
-        flagged.append("fp_rate")
+def _class_metrics(tp: int, fp: int, fn: int, tn: int) -> ClassMetrics:
+    """One class's metrics from its own confusion counts; a rate with no denominator is 0 and flagged."""
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    fp_rate = fp / (fp + tn) if fp + tn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return ClassMetrics(
-        precision=precision,
-        recall=recall,
-        fp_rate=fp_rate,
-        f1=f1,
-        support=tp + fn,
-        flagged=tuple(flagged),
-    )
+    denominators = {"precision": tp + fp, "recall": tp + fn, "fp_rate": fp + tn}
+    return ClassMetrics(precision, recall, fp_rate, f1, support=tp + fn,
+                        flagged=tuple(name for name, d in denominators.items() if d == 0))
 
 
 def confusion_metrics(
     labels: Sequence[int],
     predicted: Sequence[int],
-    positive_class: int = 1,
     class_names: dict[int, str] | None = None,
 ) -> MetricsReport:
-    """Exact confusion-matrix metrics, per class and support-weighted."""
+    """Exact confusion-matrix metrics of 0/1 vectors, per class and support-weighted.
+
+    Class 0's metrics come from class 1's counts with the roles swapped.
+    """
     labels = np.asarray(labels, dtype=int)
     predicted = np.asarray(predicted, dtype=int)
     if labels.shape != predicted.shape or labels.ndim != 1 or len(labels) == 0:
         raise ValueError("labels and predictions must be equal-length non-empty vectors")
-    per_class = {c: _one_class(labels, predicted, c) for c in (0, 1)}
     n = len(labels)
-    weights = {c: per_class[c].support / n for c in per_class}
-    weighted = ClassMetrics(
-        precision=sum(weights[c] * per_class[c].precision for c in per_class),
-        recall=sum(weights[c] * per_class[c].recall for c in per_class),
-        fp_rate=sum(weights[c] * per_class[c].fp_rate for c in per_class),
-        f1=sum(weights[c] * per_class[c].f1 for c in per_class),
-        support=n,
-        flagged=tuple(
-            sorted({f for c in per_class for f in per_class[c].flagged})
-        ),
-    )
-    pos = positive_class
-    tp = int(np.sum((predicted == pos) & (labels == pos)))
-    fp = int(np.sum((predicted == pos) & (labels != pos)))
-    fn = int(np.sum((predicted != pos) & (labels == pos)))
+    tp = int(np.sum((predicted == 1) & (labels == 1)))
+    fp = int(np.sum((predicted == 1) & (labels != 1)))
+    fn = int(np.sum((predicted != 1) & (labels == 1)))
     tn = n - tp - fp - fn
+    per_class = {0: _class_metrics(tn, fn, fp, tp), 1: _class_metrics(tp, fp, fn, tn)}
+    averages = {k: sum(m.support / n * getattr(m, k) for m in per_class.values())
+                for k in ("precision", "recall", "fp_rate", "f1")}
+    flagged = tuple(sorted({f for m in per_class.values() for f in m.flagged}))
+    weighted = ClassMetrics(**averages, support=n, flagged=flagged)
     return MetricsReport(
         per_class=per_class,
         weighted=weighted,
@@ -281,22 +251,18 @@ def run_cycles(dataset: Dataset, spec: ModelSpec, protocol: Protocol) -> list[Cy
     return outcomes
 
 
-def aggregate_outcomes(
-    outcomes: Sequence[CycleOutcome], class_names: dict[int, str] | None = None
-) -> MetricsReport:
-    labels = np.concatenate([o.labels for o in outcomes])
-    predicted = np.concatenate([o.predicted for o in outcomes])
-    report = confusion_metrics(labels, predicted, class_names=class_names)
-    return replace(report, auc=float(np.mean([o.auc for o in outcomes])))
-
-
 def evaluate_spec(
     dataset: Dataset,
     spec: ModelSpec,
     protocol: Protocol,
     class_names: dict[int, str] | None = None,
 ) -> MetricsReport:
-    return aggregate_outcomes(run_cycles(dataset, spec, protocol), class_names)
+    """Confusion counts pooled over every cycle, with the mean per-cycle AUC."""
+    outcomes = run_cycles(dataset, spec, protocol)
+    labels = np.concatenate([o.labels for o in outcomes])
+    predicted = np.concatenate([o.predicted for o in outcomes])
+    report = confusion_metrics(labels, predicted, class_names=class_names)
+    return replace(report, auc=float(np.mean([o.auc for o in outcomes])))
 
 
 @dataclass(frozen=True)
@@ -334,29 +300,3 @@ def forward_stepwise(
         remaining.remove(best_name)
         trace.append(best_auc)
     return StepwiseResult(features=tuple(selected), auc_trace=tuple(trace))
-
-
-def report_to_csv(reports: dict[str, MetricsReport], path: str | Path) -> None:
-    """Benchmark-table CSV: one row per (algorithm, class/weighted average)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["algorithm", "row", "auc", "accuracy", "mean_abs_err", "precision", "recall", "fp_rate", "f1"]
-        )
-        for algo, rep in reports.items():
-            for cls in sorted(rep.per_class):
-                m = rep.per_class[cls]
-                writer.writerow(
-                    [algo, rep.class_names[cls], rep.auc, rep.accuracy, rep.mean_abs_err,
-                     m.precision, m.recall, m.fp_rate, m.f1]
-                )
-            w = rep.weighted
-            writer.writerow(
-                [algo, "weighted_avg", rep.auc, rep.accuracy, rep.mean_abs_err,
-                 w.precision, w.recall, w.fp_rate, w.f1]
-            )
-
-
-def report_to_json(reports: dict[str, MetricsReport], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({a: r.to_json_dict() for a, r in reports.items()}, fh, indent=2)

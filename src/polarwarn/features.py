@@ -17,10 +17,8 @@ population form (divide by n).
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, fields
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -300,29 +298,3 @@ def temporal_lag_histogram(
         never_fake=never_fake,
         fake_first=fake_first,
     )
-
-
-FEATURE_CSV_COLUMNS = [f.name for f in fields(EntityFeatures) if f.name != "missing"] + ["missing"]
-
-
-def features_to_csv(features: Iterable[EntityFeatures], path: str | Path) -> None:
-    """One row per entity, fixed column order; missing values left blank."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FEATURE_CSV_COLUMNS)
-        for f in features:
-            row = []
-            for col in FEATURE_CSV_COLUMNS:
-                v = getattr(f, col)
-                if col == "missing":
-                    v = "|".join(v)
-                row.append("" if v is None else v)
-            writer.writerow(row)
-
-
-def curve_to_csv(rows: Iterable[tuple], header: Sequence[str], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(header))
-        for row in rows:
-            writer.writerow(list(row))

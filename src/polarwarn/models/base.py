@@ -10,7 +10,7 @@ for DT and the output unit for NN.  Labels threshold the score at 0.5
 
 from __future__ import annotations
 
-import csv
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -115,8 +115,10 @@ class ModelSpec:
             k = merged["k"]
             if not isinstance(k, int) or k < 1 or k % 2 == 0:
                 raise ValueError(f"knn k must be an odd integer >= 1, got {k}")
-        if merged.get("max_iter") is not None and merged["max_iter"] < 1:
-            raise ValueError("max_iter must be >= 1")
+        max_iter = merged.get("max_iter")
+        number = isinstance(max_iter, numbers.Real) and not isinstance(max_iter, bool)
+        if max_iter is not None and not (number and max_iter >= 1):
+            raise ValueError(f"max_iter must be a number >= 1, got {max_iter!r}")
 
 
 def default_specs(seed: int = 0) -> list[ModelSpec]:
@@ -176,13 +178,3 @@ def predict(model: TrainedModel, rows: np.ndarray) -> tuple[np.ndarray, np.ndarr
     scores = algo.score(model.params, model.standardizer.apply(rows))
     labels = (scores >= algo.cut).astype(np.int8)
     return scores, labels
-
-
-def dataset_to_csv(dataset: Dataset, path) -> None:
-    """Row-id, feature columns, label; one row per instance."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row_id", *dataset.feature_names, "label"])
-        ids = dataset.row_ids or [str(i) for i in range(dataset.n)]
-        for rid, row, label in zip(ids, dataset.features, dataset.labels):
-            writer.writerow([rid, *row.tolist(), int(label)])

@@ -16,12 +16,12 @@ def score_linear(params: dict, X: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1/(1+e^-z) for z >= 0 and e^z/(1+e^z) otherwise, so exp never overflows.
+
+    ``minimum(z, -z)`` is -|z| that keeps the sign bit of a NaN input.
+    """
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def score_log(params: dict, X: np.ndarray) -> np.ndarray:

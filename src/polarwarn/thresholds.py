@@ -21,7 +21,6 @@ policy) are calibrated against the reference curves shipped in
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -419,10 +418,3 @@ def load_fixture_curve(path: str | Path) -> RatioCurve:
     return RatioCurve(
         grid=np.asarray(grid), ratio_dd=np.asarray(dd), ratio_de=np.asarray(de)
     )
-
-
-def curve_to_rows(curve) -> list[tuple[float, float, float]]:
-    out = []
-    for g, dd, de in zip(curve.grid, curve.ratio_dd, curve.ratio_de):
-        out.append((float(g), float(dd), float(de) if math.isfinite(de) else float("nan")))
-    return out

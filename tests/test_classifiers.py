@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from polarwarn import models
 from polarwarn.models import Dataset, ModelSpec
-from polarwarn.models.linear import fit_log, log_loss_grad
+from polarwarn.models.linear import fit_log, log_loss_grad, sigmoid
 from polarwarn.models.mlp import init_params, nn_loss_grad
 from polarwarn.models.optim import lbfgs
 from polarwarn.models.tree import tree_depth
@@ -219,6 +219,25 @@ class TestGradients:
         theta = np.concatenate([model.params["weights"], [model.params["bias"]]])
         _, grad = log_loss_grad(theta, std, ds.labels.astype(float), reg=1.0)
         assert float(np.linalg.norm(grad)) < 1e-5
+
+
+def scatter_sigmoid(z):
+    """The stable logistic function written with a boolean mask per branch."""
+    out = np.empty_like(z, dtype=float)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+@given(st.lists(st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 800.0, -800.0])), max_size=60))
+@settings(max_examples=200, deadline=None)
+def test_sigmoid_matches_scatter_formula_bit_for_bit(values):
+    z = np.array(values, dtype=float)
+    got, want = sigmoid(z), scatter_sigmoid(z)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def standardized(X, y):

@@ -80,10 +80,29 @@ def test_earlywarn_stage_and_rerun_identical(data_dir, tmp_path):
     assert len(report["best_models"]) == 2
 
 
-def test_bad_hyperparameter_is_config_error(data_dir, tmp_path):
+def test_bad_hyperparameter_is_config_error(data_dir, tmp_path, caplog):
     code = main(["earlywarn", "--data", str(data_dir), "--out", str(tmp_path / "x"),
                  "--algo", "knn", "--hp", "k=4", "--repeats", "2"])
     assert code == EXIT_CONFIG
+    code = main(["earlywarn", "--data", str(data_dir), "--out", str(tmp_path / "y"),
+                 "--hp", "max_iter=abc", "--repeats", "2"])
+    assert code == EXIT_CONFIG
+    assert "max_iter must be a number >= 1, got 'abc'" in caplog.text
+
+
+def test_report_files_name_every_row_and_class(data_dir, tmp_path):
+    run_config = {"data": str(data_dir), "seed": 5, "repeats": 2, "algorithms": ["log", "dt"],
+                  "fakenews": {"samples": ["p1"], "algorithms": ["log"], "max_stepwise": 1}}
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(run_config))
+    run = tmp_path / "run"
+    assert main(["pipeline", "--config", str(config_path), "--out", str(run)]) == EXIT_OK
+    rows = (run / "earlywarn_e1" / "benchmark.csv").read_text().splitlines()
+    assert rows[0] == "algorithm,row,auc,accuracy,mean_abs_err,precision,recall,fp_rate,f1"
+    assert sorted(tuple(r.split(",")[:2]) for r in rows[1:]) == sorted(
+        (a, row) for a in ("log", "dt") for row in ("undisputed", "disputed", "weighted_avg"))
+    report = json.loads((run / "fakenews_p1" / "report.json").read_text())
+    assert list(report["log"]["per_class"]) == ["not_fake", "fake"]
 
 
 def test_missing_data_dir_is_data_error(tmp_path):
@@ -203,7 +222,9 @@ def test_subcommands_match_pipeline(data_dir, tmp_path):
     ("fakenews", ["--repeats", "0"], "repeats must be at least 1, got 0"),
     ("earlywarn", ["--train-fraction", "1.5"], "train_fraction must be in (0, 1), got 1.5"),
     ("fakenews", ["--train-fraction", "0"], "train_fraction must be in (0, 1), got 0.0"),
-], ids=["earlywarn", "fakenews", "earlywarn-train_fraction", "fakenews-train_fraction"])
+    ("fakenews", ["--max-stepwise", "-3"], "max_stepwise must be at least 0, got -3"),
+], ids=["earlywarn", "fakenews", "earlywarn-train_fraction", "fakenews-train_fraction",
+        "fakenews-max_stepwise"])
 def test_zero_repeats_rejected_before_work(data_dir, tmp_path, caplog, command, option, message):
     out = tmp_path / "out"
     code = main([command, "--data", str(data_dir), *option, "--out", str(out)])
@@ -212,14 +233,15 @@ def test_zero_repeats_rejected_before_work(data_dir, tmp_path, caplog, command, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key, value, message", [
-    ("repeats", 0, "repeats must be at least 1, got 0"),
-    ("repeats", -1, "repeats must be at least 1, got -1"),
-    ("train_fraction", 1.5, "train_fraction must be in (0, 1), got 1.5"),
-], ids=["0", "-1", "train_fraction"])
-def test_pipeline_non_positive_repeats_rejected_before_work(data_dir, tmp_path, caplog, key, value, message):
+@pytest.mark.parametrize("config, message", [
+    ({"repeats": 0}, "repeats must be at least 1, got 0"),
+    ({"repeats": -1}, "repeats must be at least 1, got -1"),
+    ({"train_fraction": 1.5}, "train_fraction must be in (0, 1), got 1.5"),
+    ({"fakenews": {"samples": ["p1"], "max_stepwise": -1}}, "max_stepwise must be at least 0, got -1"),
+], ids=["0", "-1", "train_fraction", "max_stepwise"])
+def test_pipeline_non_positive_repeats_rejected_before_work(data_dir, tmp_path, caplog, config, message):
     config_path = tmp_path / "run.json"
-    config_path.write_text(json.dumps({"data": str(data_dir), key: value}))
+    config_path.write_text(json.dumps({"data": str(data_dir), **config}))
     out = tmp_path / "run"
     assert main(["pipeline", "--config", str(config_path), "--out", str(out)]) == EXIT_CONFIG
     assert message in caplog.text

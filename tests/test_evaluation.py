@@ -190,6 +190,45 @@ class TestConfusionMetrics:
         rep = ev.confusion_metrics(labels, preds)
         assert rep.weighted.recall == pytest.approx(rep.accuracy)
 
+    @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=50))
+    @settings(max_examples=100, deadline=None)
+    def test_each_class_matches_its_own_count(self, pairs):
+        labels, preds = np.array(pairs).T
+        rep = ev.confusion_metrics(labels, preds)
+        oracle = {c: class_metrics_oracle(labels, preds, c) for c in (0, 1)}
+        assert rep.per_class == oracle
+        weights = {c: oracle[c].support / len(labels) for c in oracle}
+        for name in ("precision", "recall", "fp_rate", "f1"):
+            assert getattr(rep.weighted, name) == sum(weights[c] * getattr(oracle[c], name) for c in oracle)
+        assert rep.weighted.flagged == tuple(sorted(set(oracle[0].flagged) | set(oracle[1].flagged)))
+
+
+def class_metrics_oracle(labels, predicted, positive):
+    """One class's metrics counted from the vectors with that class as the positive one."""
+    tp = int(np.sum((predicted == positive) & (labels == positive)))
+    fp = int(np.sum((predicted == positive) & (labels != positive)))
+    fn = int(np.sum((predicted != positive) & (labels == positive)))
+    tn = int(np.sum((predicted != positive) & (labels != positive)))
+    flagged = []
+    if tp + fp > 0:
+        precision = tp / (tp + fp)
+    else:
+        precision = 0.0
+        flagged.append("precision")
+    if tp + fn > 0:
+        recall = tp / (tp + fn)
+    else:
+        recall = 0.0
+        flagged.append("recall")
+    if fp + tn > 0:
+        fp_rate = fp / (fp + tn)
+    else:
+        fp_rate = 0.0
+        flagged.append("fp_rate")
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    return ev.ClassMetrics(precision=precision, recall=recall, fp_rate=fp_rate, f1=f1,
+                           support=tp + fn, flagged=tuple(flagged))
+
 
 def pairwise_auc(labels, scores):
     """O(n^2) concordant-pair oracle with half credit for ties."""
@@ -324,13 +363,3 @@ class TestForwardStepwise:
         ds = make_dataset(X, y)
         result = ev.forward_stepwise(ds, ModelSpec("log"), 1, ev.Protocol(repeats=3, seed=0))
         assert result.features[0] == "f0"
-
-
-def test_report_serialization_round_trip(tmp_path):
-    rep = ev.confusion_metrics([1, 0, 1, 0], [1, 0, 0, 0], class_names={0: "neg", 1: "pos"})
-    ev.report_to_json({"log": rep}, tmp_path / "r.json")
-    ev.report_to_csv({"log": rep}, tmp_path / "r.csv")
-    text = (tmp_path / "r.csv").read_text()
-    assert "weighted_avg" in text and "log" in text
-    doc = (tmp_path / "r.json").read_text()
-    assert '"pos"' in doc
