@@ -23,6 +23,7 @@ naming the file and line of the first bad record.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import re
@@ -312,12 +313,19 @@ def _read(path: Path, fields: tuple[str, ...], build: Callable):
     """``build`` over the parsed blocks, or over the records when a check fails.
 
     A decode error also leads to the record read, which reads the lines
-    before it first, as a line-by-line reader would.
+    before it first, as a line-by-line reader would.  The cyclic garbage
+    collector is paused meanwhile: the reader makes no reference cycles, so
+    collector passes over each block's fresh record dicts would find nothing.
     """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return build(_parsed_blocks(path, fields))
     except (_Recheck, UnicodeDecodeError):
         return build(_records(path, fields))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # Each check takes a column, its field name and where the block is: None on

@@ -10,6 +10,7 @@ for DT and the output unit for NN.  Labels threshold the score at 0.5
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -119,6 +120,17 @@ class ModelSpec:
         number = isinstance(max_iter, numbers.Real) and not isinstance(max_iter, bool)
         if max_iter is not None and not (number and max_iter >= 1):
             raise ValueError(f"max_iter must be a number >= 1, got {max_iter!r}")
+        # a non-numeric regularization is left to fail in the fit
+        reg = merged.get("regularization")
+        if "regularization" in _REGISTRY[self.algorithm].defaults and isinstance(reg, numbers.Real):
+            strict = self.algorithm == "svm"  # the svm step size is 1 / (reg * t)
+            if not (math.isfinite(reg) and (reg > 0 if strict else reg >= 0)):
+                bound = "> 0" if strict else ">= 0"
+                raise ValueError(f"regularization must be a finite number {bound}, got {reg!r}")
+        if self.algorithm == "nn":
+            h = merged["hidden_size"]
+            if not (isinstance(h, numbers.Integral) and not isinstance(h, bool) and h >= 1):
+                raise ValueError(f"hidden_size must be an integer >= 1, got {h!r}")
 
 
 def default_specs(seed: int = 0) -> list[ModelSpec]:

@@ -21,7 +21,10 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     ``minimum(z, -z)`` is -|z| that keeps the sign bit of a NaN input.
     """
     e = np.exp(np.minimum(z, -z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    p = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    p /= e
+    return p
 
 
 def score_log(params: dict, X: np.ndarray) -> np.ndarray:
@@ -36,6 +39,12 @@ def fit_lin(X: np.ndarray, y: np.ndarray) -> dict:
 
 def log_loss_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray, reg: float):
     """Mean cross-entropy with an L2 penalty on the weights (bias excluded)."""
+    loss, grad, _ = _log_terms(theta, X, y, reg)
+    return loss, grad
+
+
+def _log_terms(theta: np.ndarray, X: np.ndarray, y: np.ndarray, reg: float):
+    """``log_loss_grad`` and the probabilities it was computed from."""
     n, d = X.shape
     w, b = theta[:d], theta[d]
     z = X @ w + b
@@ -44,14 +53,14 @@ def log_loss_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray, reg: float):
     p = sigmoid(z)
     gw = X.T @ (p - y) / n + reg * w / n
     gb = float(np.mean(p - y))
-    return loss, np.concatenate([gw, [gb]])
+    return loss, np.concatenate([gw, [gb]]), p
 
 
-def _log_hessian(theta: np.ndarray, X: np.ndarray, reg: float) -> np.ndarray:
-    """Hessian of ``log_loss_grad``: X'SX/n with S = diag(p(1-p)), plus reg/n on the
-    weights; the bias row and column come from sums, so X gets no intercept column."""
+def _log_hessian(p: np.ndarray, X: np.ndarray, reg: float) -> np.ndarray:
+    """Hessian of ``log_loss_grad`` at the point with probabilities ``p``: X'SX/n
+    with S = diag(p(1-p)), plus reg/n on the weights; the bias row and column
+    come from sums, so X gets no intercept column."""
     n, d = X.shape
-    p = sigmoid(X @ theta[:d] + theta[d])
     s = p * (1.0 - p) / n
     root = X * np.sqrt(s)[:, None]
     hess = np.empty((d + 1, d + 1))
@@ -71,16 +80,19 @@ def fit_log(X: np.ndarray, y: np.ndarray, hp: dict) -> dict:
     ``converged`` is True only when that first rule ended the fit."""
     reg = float(hp["regularization"])
     max_iter, tol = int(hp["max_iter"]), float(hp["tol"])
+    p = None  # probabilities at the last point fun_grad saw, which is always theta
 
     def fun_grad(t):
-        return log_loss_grad(t, X, y, reg)
+        nonlocal p
+        loss, grad, p = _log_terms(t, X, y, reg)
+        return loss, grad
 
     theta = np.zeros(X.shape[1] + 1)
     f, g = fun_grad(theta)
     n_iter = 0
     converged = False
     while n_iter < max_iter:
-        hess = _log_hessian(theta, X, reg)
+        hess = _log_hessian(p, X, reg)
         try:
             direction = np.linalg.solve(hess, -g)
         except np.linalg.LinAlgError:  # exactly singular, e.g. reg=0 with a constant column
@@ -110,11 +122,15 @@ def fit_svm(X: np.ndarray, y: np.ndarray, hp: dict) -> dict:
     w = np.zeros(d)
     b = 0.0
     for t in range(max_iter):
-        margins = y_pm * (X @ w + b)
+        margins = X.dot(w)
+        margins += b
+        margins *= y_pm
         viol = margins < 1.0
-        gw = reg * w - (X[viol].T @ y_pm[viol]) / n
-        gb = -float(np.sum(y_pm[viol])) / n
+        y_viol = y_pm[viol]
+        gw = reg * w - X.compress(viol, axis=0).T.dot(y_viol) / n
+        gb = -float(np.add.reduce(y_viol)) / n
         eta = 1.0 / (reg * (t + 1))
-        w -= eta * gw
+        gw *= eta
+        w -= gw
         b -= eta * gb
     return {"weights": w, "bias": float(b)}

@@ -26,25 +26,35 @@ def _unpack(theta: np.ndarray, d: int, h: int):
 
 
 def nn_loss_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray, h: int, reg: float):
-    """Loss and analytic gradient for the packed parameter vector."""
+    """Loss and analytic gradient for the packed parameter vector.
+
+    The gradient blocks are written into one vector laid out like ``theta``.
+    """
     n, d = X.shape
     w1, b1, w2, b2 = _unpack(theta, d, h)
-    pre = X @ w1 + b1
-    a = np.tanh(pre)
-    z = a @ w2 + b2
+    a = X @ w1
+    a += b1
+    np.tanh(a, out=a)
+    z = a @ w2
+    z += b2
     loss = float(
-        np.mean(np.logaddexp(0.0, z) - y * z)
-        + reg * (np.sum(w1 * w1) + np.sum(w2 * w2)) / (2 * n)
+        np.add.reduce(np.logaddexp(0.0, z) - y * z) / n
+        + reg * (np.add.reduce(w1 * w1, axis=None) + np.add.reduce(w2 * w2)) / (2 * n)
     )
-    p = sigmoid(z)
-    dz = (p - y) / n
-    gw2 = a.T @ dz + reg * w2 / n
-    gb2 = float(np.sum(dz))
-    da = np.outer(dz, w2)
-    dpre = da * (1.0 - a * a)
-    gw1 = X.T @ dpre + reg * w1 / n
-    gb1 = dpre.sum(axis=0)
-    grad = np.concatenate([gw1.ravel(), gb1, gw2, [gb2]])
+    dz = sigmoid(z)
+    dz -= y
+    dz /= n
+    grad = np.empty_like(theta)
+    gw1, gb1, gw2, _ = _unpack(grad, d, h)
+    np.matmul(a.T, dz, out=gw2)
+    gw2 += reg * w2 / n
+    grad[-1] = np.add.reduce(dz)
+    dpre = dz[:, None] * w2
+    a *= a
+    dpre *= np.subtract(1.0, a, out=a)
+    np.matmul(X.T, dpre, out=gw1)
+    gw1 += reg * w1 / n
+    np.add.reduce(dpre, axis=0, out=gb1)
     return loss, grad
 
 

@@ -4,6 +4,7 @@ step goes through, and ``lbfgs``, which trains the perceptron (``mlp.fit_nn``)."
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -17,14 +18,15 @@ _MAX_BACKTRACKS = 60
 
 def armijo_step(fun_grad: FunGrad, x, f, g, direction, step0: float):
     """Backtracking line search; returns (x_new, f_new, g_new, step) or None."""
-    descent = float(g @ direction)
+    descent = float(g.dot(direction))
     if descent >= 0.0:
         return None
     step = step0
     for _ in range(_MAX_BACKTRACKS):
-        x_new = x + step * direction
+        x_new = direction * step
+        x_new += x
         f_new, g_new = fun_grad(x_new)
-        if np.isfinite(f_new) and f_new <= f + _ARMIJO_C1 * step * descent:
+        if math.isfinite(f_new) and f_new <= f + _ARMIJO_C1 * step * descent:
             return x_new, f_new, g_new, step
         step *= _BACKTRACK_SHRINK
     return None
@@ -45,27 +47,24 @@ def lbfgs(
     """
     x = np.asarray(x0, dtype=float).copy()
     f, g = fun_grad(x)
-    s_hist: list[np.ndarray] = []
-    y_hist: list[np.ndarray] = []
-    rho_hist: list[float] = []
+    pairs: list[tuple[np.ndarray, np.ndarray, float]] = []  # (s, y, rho), oldest first
+    sy = yy = 0.0  # s.y and y.y of the newest pair
+    buf = np.empty_like(x)  # holds a*y, then (a-b)*s
     for it in range(max_iter):
-        if float(np.linalg.norm(g)) < tol:
+        if math.sqrt(g.dot(g)) < tol:
             return x, it, True
         q = g.copy()
         alphas = []
-        for s, y, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
-            a = rho * float(s @ q)
+        for s, y, rho in reversed(pairs):
+            a = rho * float(s.dot(q))
             alphas.append(a)
-            q -= a * y
-        if y_hist:
-            y_last = y_hist[-1]
-            gamma = float(s_hist[-1] @ y_last) / max(float(y_last @ y_last), 1e-300)
-            q *= gamma
-        for (s, y, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
-            b = rho * float(y @ q)
-            q += (a - b) * s
-        direction = -q
-        res = armijo_step(fun_grad, x, f, g, direction, 1.0)
+            q -= np.multiply(y, a, out=buf)
+        if pairs:
+            q *= sy / max(yy, 1e-300)
+        for (s, y, rho), a in zip(pairs, reversed(alphas)):
+            b = rho * float(y.dot(q))
+            q += np.multiply(s, a - b, out=buf)
+        res = armijo_step(fun_grad, x, f, g, np.negative(q, out=q), 1.0)
         if res is None:
             res = armijo_step(fun_grad, x, f, g, -g, 1.0)
             if res is None:
@@ -73,14 +72,11 @@ def lbfgs(
         x_new, f_new, g_new, _ = res
         s = x_new - x
         yv = g_new - g
-        sy = float(s @ yv)
-        if sy > 1e-10:
-            s_hist.append(s)
-            y_hist.append(yv)
-            rho_hist.append(1.0 / sy)
-            if len(s_hist) > memory:
-                s_hist.pop(0)
-                y_hist.pop(0)
-                rho_hist.pop(0)
+        s_y = float(s.dot(yv))
+        if s_y > 1e-10:
+            pairs.append((s, yv, 1.0 / s_y))
+            sy, yy = s_y, float(yv.dot(yv))
+            if len(pairs) > memory:
+                pairs.pop(0)
         x, f, g = x_new, f_new, g_new
-    return x, max_iter, float(np.linalg.norm(g)) < tol
+    return x, max_iter, math.sqrt(g.dot(g)) < tol

@@ -4,7 +4,9 @@ A node splits whenever it is impure, the depth budget allows it, and some
 feature still separates the rows under the leaf-size floor; the split with
 the lowest child-weighted Gini wins, ties going to the lowest feature index
 and then the lowest threshold.  Splitting on zero Gini gain is allowed,
-which is what lets XOR-style patterns resolve at depth 2.
+which is what lets XOR-style patterns resolve at depth 2.  A split's
+threshold is the midpoint of the two values it separates, or the lower value
+where that midpoint rounds up to the upper one.
 """
 
 from __future__ import annotations
@@ -13,30 +15,32 @@ import numpy as np
 
 
 def _best_split(X: np.ndarray, y: np.ndarray, min_leaf: int):
-    """Lowest child-weighted Gini over all (feature, midpoint) candidates."""
+    """Lowest child-weighted Gini over all (feature, midpoint) candidates.
+
+    Every feature is scored in one pass over the column-wise stable sort.
+    """
     n = X.shape[0]
     total_pos = float(np.sum(y))
-    best = None  # (weighted_gini, feature, threshold)
-    for j in range(X.shape[1]):
-        order = np.argsort(X[:, j], kind="stable")
-        xs = X[order, j]
-        pos = np.cumsum(y[order])
-        left_sizes = np.arange(1, n)
-        valid = (xs[:-1] < xs[1:]) & (left_sizes >= min_leaf) & (n - left_sizes >= min_leaf)
-        if not np.any(valid):
-            continue
-        lp = pos[:-1]
-        rp = total_pos - lp
-        ln = left_sizes.astype(float)
-        rn = (n - left_sizes).astype(float)
-        g_left = 1.0 - (lp / ln) ** 2 - (1.0 - lp / ln) ** 2
-        g_right = 1.0 - (rp / rn) ** 2 - (1.0 - rp / rn) ** 2
-        weighted = (ln * g_left + rn * g_right) / n
-        weighted = np.where(valid, weighted, np.inf)
-        i = int(np.argmin(weighted))  # first minimum = lowest threshold
-        if np.isfinite(weighted[i]) and (best is None or weighted[i] < best[0]):
-            best = (float(weighted[i]), j, float((xs[i] + xs[i + 1]) / 2.0))
-    return best
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    lp = np.cumsum(y[order], axis=0)[:-1]
+    left_sizes = np.arange(1, n)
+    valid = (xs[:-1] < xs[1:]) & ((left_sizes >= min_leaf) & (n - left_sizes >= min_leaf))[:, None]
+    if not valid.any():
+        return None
+    rp = total_pos - lp
+    ln = left_sizes.astype(float)[:, None]
+    rn = (n - left_sizes).astype(float)[:, None]
+    g_left = 1.0 - (lp / ln) ** 2 - (1.0 - lp / ln) ** 2
+    g_right = 1.0 - (rp / rn) ** 2 - (1.0 - rp / rn) ** 2
+    weighted = np.where(valid, (ln * g_left + rn * g_right) / n, np.inf)
+    j = int(np.argmin(weighted.min(axis=0)))  # first minimum = lowest feature
+    i = int(np.argmin(weighted[:, j]))  # first minimum = lowest threshold
+    lo, hi = float(xs[i, j]), float(xs[i + 1, j])
+    mid = (lo + hi) / 2.0
+    # between adjacent floats the midpoint can round up to hi (or overflow), and
+    # `_grow` would then send the rows at hi left, against the scored split
+    return float(weighted[i, j]), j, mid if mid < hi else lo
 
 
 def _grow(X: np.ndarray, y: np.ndarray, depth: int, max_depth, min_leaf: int) -> dict:

@@ -1,14 +1,18 @@
-"""Classifier oracles: exhaustive neighbors, finite differences, hand-built trees."""
+"""Classifier oracles: exhaustive neighbors, finite differences, hand-built trees,
+and reference copies of earlier kernels that the current ones must match bit for bit."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from polarwarn import models
-from polarwarn.models import Dataset, ModelSpec
-from polarwarn.models.linear import fit_log, log_loss_grad, sigmoid
-from polarwarn.models.mlp import init_params, nn_loss_grad
+from polarwarn.models import Dataset, ModelSpec, neighbors, tree
+from polarwarn.models.linear import fit_log, fit_svm, log_loss_grad, sigmoid
+from polarwarn.models.mlp import _unpack, fit_nn, init_params, nn_loss_grad
 from polarwarn.models.optim import lbfgs
 from polarwarn.models.tree import tree_depth
 
@@ -365,3 +369,396 @@ def test_default_specs_cover_all_algorithms():
     specs = models.default_specs(seed=4)
     assert tuple(s.algorithm for s in specs) == models.ALGORITHMS
     assert all(s.seed == 4 for s in specs)
+
+
+# ---------------------------------------------------------------------------
+# Reference kernels: verbatim copies of the earlier nn, L-BFGS, svm, knn, dt
+# and log kernels (per-row and per-feature loops, wrapper calls, fresh
+# temporaries).  The current kernels must reproduce every value they give
+# bit for bit.
+
+_ARMIJO_C1 = 1e-4
+_BACKTRACK_SHRINK = 0.5
+_MAX_BACKTRACKS = 60
+
+
+def ref_sigmoid(z):
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def ref_nn_loss_grad(theta, X, y, h, reg):
+    n, d = X.shape
+    w1, b1, w2, b2 = _unpack(theta, d, h)
+    pre = X @ w1 + b1
+    a = np.tanh(pre)
+    z = a @ w2 + b2
+    loss = float(
+        np.mean(np.logaddexp(0.0, z) - y * z)
+        + reg * (np.sum(w1 * w1) + np.sum(w2 * w2)) / (2 * n)
+    )
+    p = ref_sigmoid(z)
+    dz = (p - y) / n
+    gw2 = a.T @ dz + reg * w2 / n
+    gb2 = float(np.sum(dz))
+    da = np.outer(dz, w2)
+    dpre = da * (1.0 - a * a)
+    gw1 = X.T @ dpre + reg * w1 / n
+    gb1 = dpre.sum(axis=0)
+    grad = np.concatenate([gw1.ravel(), gb1, gw2, [gb2]])
+    return loss, grad
+
+
+def ref_armijo_step(fun_grad, x, f, g, direction, step0):
+    descent = float(g @ direction)
+    if descent >= 0.0:
+        return None
+    step = step0
+    for _ in range(_MAX_BACKTRACKS):
+        x_new = x + step * direction
+        f_new, g_new = fun_grad(x_new)
+        if np.isfinite(f_new) and f_new <= f + _ARMIJO_C1 * step * descent:
+            return x_new, f_new, g_new, step
+        step *= _BACKTRACK_SHRINK
+    return None
+
+
+def ref_lbfgs(fun_grad, x0, max_iter, tol, memory=10):
+    x = np.asarray(x0, dtype=float).copy()
+    f, g = fun_grad(x)
+    s_hist = []
+    y_hist = []
+    rho_hist = []
+    for it in range(max_iter):
+        if float(np.linalg.norm(g)) < tol:
+            return x, it, True
+        q = g.copy()
+        alphas = []
+        for s, y, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
+            a = rho * float(s @ q)
+            alphas.append(a)
+            q -= a * y
+        if y_hist:
+            y_last = y_hist[-1]
+            gamma = float(s_hist[-1] @ y_last) / max(float(y_last @ y_last), 1e-300)
+            q *= gamma
+        for (s, y, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
+            b = rho * float(y @ q)
+            q += (a - b) * s
+        direction = -q
+        res = ref_armijo_step(fun_grad, x, f, g, direction, 1.0)
+        if res is None:
+            res = ref_armijo_step(fun_grad, x, f, g, -g, 1.0)
+            if res is None:
+                return x, it, False
+        x_new, f_new, g_new, _ = res
+        s = x_new - x
+        yv = g_new - g
+        sy = float(s @ yv)
+        if sy > 1e-10:
+            s_hist.append(s)
+            y_hist.append(yv)
+            rho_hist.append(1.0 / sy)
+            if len(s_hist) > memory:
+                s_hist.pop(0)
+                y_hist.pop(0)
+                rho_hist.pop(0)
+        x, f, g = x_new, f_new, g_new
+    return x, max_iter, float(np.linalg.norm(g)) < tol
+
+
+def ref_fit_svm(X, y, hp):
+    reg = float(hp["regularization"])
+    max_iter = int(hp["max_iter"])
+    n, d = X.shape
+    y_pm = 2.0 * y - 1.0
+    w = np.zeros(d)
+    b = 0.0
+    for t in range(max_iter):
+        margins = y_pm * (X @ w + b)
+        viol = margins < 1.0
+        gw = reg * w - (X[viol].T @ y_pm[viol]) / n
+        gb = -float(np.sum(y_pm[viol])) / n
+        eta = 1.0 / (reg * (t + 1))
+        w -= eta * gw
+        b -= eta * gb
+    return {"weights": w, "bias": float(b)}
+
+
+def ref_score_knn(params, X):
+    train_x = params["train_x"]
+    train_y = params["train_y"]
+    k = min(int(params["k"]), train_x.shape[0])
+    scores = np.empty(X.shape[0])
+    for i, row in enumerate(X):
+        d2 = np.sum((train_x - row) ** 2, axis=1)
+        nearest = np.argsort(d2, kind="stable")[:k]
+        scores[i] = float(np.mean(train_y[nearest]))
+    return scores
+
+
+def ref_best_split(X, y, min_leaf):
+    n = X.shape[0]
+    total_pos = float(np.sum(y))
+    best = None  # (weighted_gini, feature, threshold)
+    for j in range(X.shape[1]):
+        order = np.argsort(X[:, j], kind="stable")
+        xs = X[order, j]
+        pos = np.cumsum(y[order])
+        left_sizes = np.arange(1, n)
+        valid = (xs[:-1] < xs[1:]) & (left_sizes >= min_leaf) & (n - left_sizes >= min_leaf)
+        if not np.any(valid):
+            continue
+        lp = pos[:-1]
+        rp = total_pos - lp
+        ln = left_sizes.astype(float)
+        rn = (n - left_sizes).astype(float)
+        g_left = 1.0 - (lp / ln) ** 2 - (1.0 - lp / ln) ** 2
+        g_right = 1.0 - (rp / rn) ** 2 - (1.0 - rp / rn) ** 2
+        weighted = (ln * g_left + rn * g_right) / n
+        weighted = np.where(valid, weighted, np.inf)
+        i = int(np.argmin(weighted))  # first minimum = lowest threshold
+        if np.isfinite(weighted[i]) and (best is None or weighted[i] < best[0]):
+            best = (float(weighted[i]), j, float((xs[i] + xs[i + 1]) / 2.0))
+    return best
+
+
+def ref_grow(X, y, depth, max_depth, min_leaf):
+    n = len(y)
+    n_pos = float(np.sum(y))
+    if n_pos in (0.0, float(n)) or (max_depth is not None and depth >= max_depth) or n < 2 * min_leaf:
+        return {"leaf": True, "score": n_pos / n, "n": n}
+    split = ref_best_split(X, y, min_leaf)
+    if split is None:
+        return {"leaf": True, "score": n_pos / n, "n": n}
+    _, feature, threshold = split
+    mask = X[:, feature] <= threshold
+    return {
+        "leaf": False,
+        "feature": feature,
+        "threshold": threshold,
+        "left": ref_grow(X[mask], y[mask], depth + 1, max_depth, min_leaf),
+        "right": ref_grow(X[~mask], y[~mask], depth + 1, max_depth, min_leaf),
+    }
+
+
+def ref_log_loss_grad(theta, X, y, reg):
+    n, d = X.shape
+    w, b = theta[:d], theta[d]
+    z = X @ w + b
+    loss = float(np.mean(np.logaddexp(0.0, z) - y * z) + reg * (w @ w) / (2 * n))
+    p = ref_sigmoid(z)
+    gw = X.T @ (p - y) / n + reg * w / n
+    gb = float(np.mean(p - y))
+    return loss, np.concatenate([gw, [gb]])
+
+
+def ref_log_hessian(theta, X, reg):
+    n, d = X.shape
+    p = ref_sigmoid(X @ theta[:d] + theta[d])
+    s = p * (1.0 - p) / n
+    root = X * np.sqrt(s)[:, None]
+    hess = np.empty((d + 1, d + 1))
+    hess[:d, :d] = root.T @ root + (reg / n) * np.eye(d)
+    hess[:d, d] = hess[d, :d] = X.T @ s
+    hess[d, d] = s.sum()
+    return hess
+
+
+def ref_fit_log(X, y, hp):
+    reg = float(hp["regularization"])
+    max_iter, tol = int(hp["max_iter"]), float(hp["tol"])
+
+    def fun_grad(t):
+        return ref_log_loss_grad(t, X, y, reg)
+
+    theta = np.zeros(X.shape[1] + 1)
+    f, g = fun_grad(theta)
+    n_iter = 0
+    converged = False
+    while n_iter < max_iter:
+        hess = ref_log_hessian(theta, X, reg)
+        try:
+            direction = np.linalg.solve(hess, -g)
+        except np.linalg.LinAlgError:  # exactly singular, e.g. reg=0 with a constant column
+            direction = np.linalg.lstsq(hess, -g, rcond=None)[0]
+        converged = float(np.linalg.norm(g)) < tol and -float(g @ direction) < 2.0 * tol**2
+        if converged:
+            break
+        res = ref_armijo_step(fun_grad, theta, f, g, direction, 1.0)
+        if res is None:
+            break
+        theta, f, g, _ = res
+        n_iter += 1
+    return {
+        "weights": theta[:-1],
+        "bias": float(theta[-1]),
+        "n_iter": n_iter,
+        "converged": converged,
+    }
+
+
+# Values with exact ties (a coarse grid) mixed with arbitrary ones, so sums
+# round and distances and Gini scores tie.
+TIE_VALUES = st.one_of(
+    st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+    st.floats(-3.0, 3.0, allow_nan=False, allow_subnormal=False),
+)
+
+# Tie-heavy values whose pairwise midpoints are exact, so they lie strictly
+# between the two values: the one case where a split threshold differs from
+# the reference's is covered by its own test below.
+SPLIT_VALUES = st.one_of(
+    st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+    st.integers(-192, 192).map(lambda v: v / 64),
+)
+
+
+@st.composite
+def matrices(draw, max_rows=30, max_cols=6, min_rows=1, elements=TIE_VALUES):
+    n = draw(st.integers(min_rows, max_rows))
+    d = draw(st.integers(1, max_cols))
+    X = draw(arrays(np.float64, (n, d), elements=elements))
+    if n > 1 and draw(st.booleans()):  # duplicated rows
+        X[draw(st.integers(1, n - 1)):] = X[0]
+    if draw(st.booleans()):  # a constant column
+        X[:, draw(st.integers(0, d - 1))] = draw(elements)
+    if d > 1 and draw(st.booleans()):  # a repeated column: tied scores across features
+        X[:, d - 1] = X[:, 0]
+    return X
+
+
+def labels_for(draw, n):
+    return draw(arrays(np.float64, n, elements=st.sampled_from([0.0, 1.0])))
+
+
+@st.composite
+def knn_problems(draw):
+    train = draw(matrices(max_cols=20))
+    n, d = train.shape
+    y = labels_for(draw, n).astype(np.int8)
+    queries = [draw(st.sampled_from(list(train)))] if draw(st.booleans()) else []
+    rest = draw(arrays(np.float64, (draw(st.integers(0, 8)), d), elements=TIE_VALUES))
+    X = np.vstack([np.array(queries).reshape(-1, d), rest])
+    if X.shape[0] == 0:
+        X = train[:1].copy()
+    k = draw(st.sampled_from([1, 3, 5, 7, n, n + 2]))
+    return {"train_x": train, "train_y": y, "k": k}, X
+
+
+@given(knn_problems(), st.sampled_from([1, 7, 64, 1 << 15]))
+@settings(max_examples=300, deadline=None)
+def test_knn_scores_match_per_row_stable_sort(problem, block_floats):
+    params, X = problem
+    with mock.patch.object(neighbors, "_BLOCK_FLOATS", block_floats):
+        got = neighbors.score_knn(params, X)
+    assert np.array_equal(got, ref_score_knn(params, X))
+
+
+def test_knn_blocks_with_ties_match_per_row_stable_sort():
+    rng = np.random.default_rng(31)
+    train = np.round(rng.normal(0, 1, (300, 20)), 1)  # five query rows per block
+    train[200:250] = train[:50]
+    queries = np.vstack([train[:20], np.round(rng.normal(0, 1, (40, 20)), 1)])
+    params = {"train_x": train, "train_y": rng.integers(0, 2, 300).astype(np.int8), "k": 5}
+    assert np.array_equal(neighbors.score_knn(params, queries), ref_score_knn(params, queries))
+
+
+@given(matrices(min_rows=2, elements=SPLIT_VALUES), st.data())
+@settings(max_examples=300, deadline=None)
+def test_best_split_matches_per_feature_scan(X, data):
+    y = labels_for(data.draw, X.shape[0])
+    min_leaf = data.draw(st.integers(1, 4))
+    assert tree._best_split(X, y, min_leaf) == ref_best_split(X, y, min_leaf)
+
+
+@given(matrices(max_rows=40, elements=SPLIT_VALUES), st.data())
+@settings(max_examples=150, deadline=None)
+def test_tree_matches_per_feature_scan(X, data):
+    y = labels_for(data.draw, X.shape[0])
+    hp = {"max_depth": data.draw(st.sampled_from([None, 1, 10])),
+          "min_leaf": data.draw(st.integers(1, 4))}
+    assert tree.fit_dt(X, y, hp)["root"] == ref_grow(X, y, 0, hp["max_depth"], hp["min_leaf"])
+
+
+def test_split_between_adjacent_floats_keeps_both_sides():
+    # the midpoint of 1 and the float below it rounds up to 1, and that of two
+    # values past half the largest float overflows: a threshold there sent
+    # every row left, and the tree recursed until it failed
+    for lo, hi in [(np.nextafter(1.0, 0.0), 1.0), (1e308, 1.7e308)]:
+        X = np.array([[lo], [hi]] * 3)
+        y = np.array([0.0, 1.0] * 3)
+        for max_depth in (None, 10):
+            root = tree.fit_dt(X, y, {"max_depth": max_depth, "min_leaf": 1})["root"]
+            assert root["threshold"] == lo
+            assert root["left"] == {"leaf": True, "score": 0.0, "n": 3}
+            assert root["right"] == {"leaf": True, "score": 1.0, "n": 3}
+
+
+def assert_same_params(got, want):
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(got[key], value), key
+        else:
+            assert type(got[key]) is type(value) and got[key] == value, key
+
+
+@given(matrices(max_rows=20, max_cols=4, min_rows=2), st.data())
+@settings(max_examples=60, deadline=None)
+def test_nn_matches_reference_kernels(X, data):
+    y = labels_for(data.draw, X.shape[0])
+    h = data.draw(st.integers(1, 4))
+    reg = data.draw(st.sampled_from([0.0, 1e-4, 0.5]))
+    theta = init_params(X.shape[1], h, data.draw(st.integers(0, 3)))
+    theta += data.draw(arrays(np.float64, theta.shape, elements=TIE_VALUES))
+    loss, grad = nn_loss_grad(theta, X, y, h, reg)
+    ref_loss, ref_grad = ref_nn_loss_grad(theta, X, y, h, reg)
+    assert loss == ref_loss and np.array_equal(grad, ref_grad)
+    hp = {"hidden_size": h, "regularization": reg, "max_iter": data.draw(st.integers(1, 25)),
+          "tol": data.draw(st.sampled_from([1e-6, 1e-2]))}
+    seed = data.draw(st.integers(0, 3))
+    want_theta, n_iter, converged = ref_lbfgs(
+        lambda t: ref_nn_loss_grad(t, X, y, h, reg), init_params(X.shape[1], h, seed),
+        max_iter=hp["max_iter"], tol=hp["tol"],
+    )
+    w1, b1, w2, b2 = _unpack(want_theta, X.shape[1], h)
+    assert_same_params(fit_nn(X, y, hp, seed), {
+        "w1": w1, "b1": b1, "w2": w2, "b2": float(b2),
+        "n_iter": n_iter, "converged": converged,
+    })
+
+
+def test_nn_stopped_at_max_iter_matches_reference():
+    rng = np.random.default_rng(37)
+    X = rng.normal(0, 1, (60, 4))
+    y = (X[:, 0] + 0.5 * rng.normal(0, 1, 60) > 0).astype(float)
+    hp = {"hidden_size": 6, "regularization": 1e-4, "max_iter": 15, "tol": 1e-9}
+    params = fit_nn(X, y, hp, seed=2)
+    want_theta, n_iter, converged = ref_lbfgs(
+        lambda t: ref_nn_loss_grad(t, X, y, 6, 1e-4), init_params(4, 6, 2), max_iter=15, tol=1e-9,
+    )
+    assert params["n_iter"] == n_iter == 15 and params["converged"] is converged is False
+    w1, b1, w2, b2 = _unpack(want_theta, 4, 6)
+    assert_same_params(params, {"w1": w1, "b1": b1, "w2": w2, "b2": float(b2),
+                                "n_iter": n_iter, "converged": converged})
+
+
+@given(matrices(max_cols=5), st.data())
+@settings(max_examples=100, deadline=None)
+def test_svm_matches_reference_kernel(X, data):
+    y = labels_for(data.draw, X.shape[0])
+    hp = {"regularization": data.draw(st.sampled_from([0.01, 1.0, 3.0])),
+          "max_iter": data.draw(st.integers(1, 40))}
+    assert_same_params(fit_svm(X, y, hp), ref_fit_svm(X, y, hp))
+
+
+@given(matrices(max_cols=4, min_rows=2), st.data())
+@settings(max_examples=100, deadline=None)
+def test_log_matches_reference_kernel(X, data):
+    y = labels_for(data.draw, X.shape[0])
+    hp = {"regularization": data.draw(st.sampled_from([0.0, 1e-3, 1.0])),
+          "max_iter": data.draw(st.integers(1, 30)),
+          "tol": data.draw(st.sampled_from([1e-6, 1e-2]))}
+    with np.errstate(over="ignore", invalid="ignore"):  # reg 0 lets separable weights grow
+        assert_same_params(fit_log(X, y, hp), ref_fit_log(X, y, hp))

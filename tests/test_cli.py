@@ -88,6 +88,21 @@ def test_bad_hyperparameter_is_config_error(data_dir, tmp_path, caplog):
                  "--hp", "max_iter=abc", "--repeats", "2"])
     assert code == EXIT_CONFIG
     assert "max_iter must be a number >= 1, got 'abc'" in caplog.text
+    for algos, hp, message in [
+        (["svm", "lin"], "regularization=0", "regularization must be a finite number > 0, got 0"),
+        (["svm", "lin"], "regularization=-1", "regularization must be a finite number > 0, got -1"),
+        (["log"], "regularization=-0.5", "regularization must be a finite number >= 0, got -0.5"),
+        (["nn"], "regularization=NaN", "regularization must be a finite number >= 0, got nan"),
+        (["nn", "lin"], "hidden_size=0", "hidden_size must be an integer >= 1, got 0"),
+        (["nn"], "hidden_size=2.5", "hidden_size must be an integer >= 1, got 2.5"),
+    ]:
+        out = tmp_path / hp
+        argv = ["earlywarn", "--data", str(data_dir), "--out", str(out), "--hp", hp, "--repeats", "2"]
+        for algo in algos:
+            argv += ["--algo", algo]
+        assert main(argv) == EXIT_CONFIG, hp
+        assert message in caplog.text
+        assert not out.exists()
 
 
 def test_report_files_name_every_row_and_class(data_dir, tmp_path):

@@ -1,5 +1,6 @@
 """Corpus loading, validation, indexing and sampling."""
 
+import gc
 import json
 
 import pytest
@@ -42,6 +43,25 @@ def test_malformed_json_reports_line(tmp_path):
         fh.write("{not json\n")
     with pytest.raises(cm.SchemaError, match=r"posts\.jsonl:2"):
         cm.load_corpus(directory)
+
+
+def test_load_pauses_cyclic_gc_and_restores_it(tiny_dir, tmp_path, monkeypatch):
+    during = []
+    build = cm._build_sources
+    monkeypatch.setattr(cm, "_build_sources", lambda blocks: (during.append(gc.isenabled()), build(blocks))[1])
+    assert gc.isenabled()
+    cm.load_corpus(tiny_dir)
+    assert during == [False] and gc.isenabled()
+    bad = write_corpus(tmp_path / "bad", [source("s1")], [post("p1", sentiment=1.5)], [], [])
+    with pytest.raises(cm.SchemaError):
+        cm.load_corpus(bad)
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        cm.load_corpus(tiny_dir)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_dangling_references_listed(tmp_path):
