@@ -134,9 +134,16 @@ def _parse_hp(pairs: list[str]) -> dict:
 
 
 def _specs(args) -> list[ModelSpec]:
+    """One spec per selected algorithm, each given the --hp keys its algorithm declares."""
     algos = args.algo or list(ALGORITHMS)
     hp = _parse_hp(getattr(args, "hp", None))
-    return [ModelSpec(algorithm=a, hyperparameters=hp, seed=args.seed) for a in algos]
+    declared = {a: ModelSpec(a).hyperparameters.keys() for a in algos}
+    unknown = sorted(set(hp).difference(*declared.values()))
+    if unknown:
+        raise _StageError(EXIT_CONFIG, f"--hp key(s) {', '.join(unknown)} not declared by any of "
+                                       f"the algorithms {', '.join(algos)}")
+    return [ModelSpec(algorithm=a, hyperparameters={k: v for k, v in hp.items() if k in declared[a]},
+                      seed=args.seed) for a in algos]
 
 
 def _max_stepwise(value) -> int:
@@ -146,14 +153,19 @@ def _max_stepwise(value) -> int:
     return n
 
 
+# entity sample -> its selector, looked up on the corpus module at call time so
+# that a rebinding there (bench/tracing.py times the selectors) applies
+_ENTITY_SAMPLES = {"e1": lambda corpus: corpus_mod.select_e1(corpus),
+                   "e2": lambda corpus: corpus_mod.select_e2(corpus)}
+# post sample -> the entity sample whose posts it holds
+_POST_SAMPLES = {"p1": "e1", "p2": "e2"}
+_EXPERIMENTS = tuple(mode.lower() for mode in fn.EXPERIMENT_STEPS)
+
+
 def _load_sample(corpus, name: str):
+    """The entity sample ``name`` names, or the one a post sample is drawn from."""
     name = name.lower()
-    if name in ("e1", "p1"):
-        sample = corpus_mod.select_e1(corpus)
-    elif name in ("e2", "p2"):
-        sample = corpus_mod.select_e2(corpus)
-    else:
-        raise _StageError(EXIT_CONFIG, f"unknown sample {name!r}")
+    sample = _ENTITY_SAMPLES[_POST_SAMPLES.get(name, name)](corpus)
     if not sample.entities:
         raise _StageError(EXIT_DATA, f"sample {sample.name} is empty for this corpus")
     return sample
@@ -288,19 +300,11 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
-def _fixture_curves(fixtures_dir: Path) -> dict[str, th.RatioCurve]:
-    mapping = {
-        th.MEASURE_PRESENTATION: "fig2a.csv",
-        th.MEASURE_RESPONSE: "fig3a.csv",
-        th.MEASURE_ENGAGEMENT: "fig3b.csv",
-    }
-    return {m: th.load_fixture_curve(fixtures_dir / f) for m, f in mapping.items()}
-
-
 def cmd_thresholds(args) -> int:
     out = _out_dir(args.out)
     if args.fixtures:
-        curves = _fixture_curves(Path(args.fixtures))
+        curves = {m: th.load_fixture_curve(Path(args.fixtures) / row.fixture)
+                  for m, row in th.MEASURES.items()}
         result, selections = th.select_thresholds(curves)
         inputs = [args.fixtures]
     else:
@@ -368,7 +372,7 @@ def cmd_fakenews(args) -> int:
     warning = ew.run_early_warning(inputs.corpus, _load_sample(inputs.corpus, args.sample),
                                    specs=ew_specs, protocol=inputs.protocol)
     dataset, experiments = _fakenews_stage(Path(args.out), inputs, args.sample, warning, specs,
-                                           args.experiment or ["a", "b"], max_stepwise)
+                                           args.experiment or list(_EXPERIMENTS), max_stepwise)
     rows = zip(dataset.row_ids, dataset.features.tolist(), dataset.labels)
     _write_csv(Path(args.out) / f"features_{args.sample.lower()}.csv",
                ("row_id", *dataset.feature_names, "label"),
@@ -414,9 +418,9 @@ def cmd_pipeline(args) -> int:
     unknown += [f"fakenews.{k}" for k in sorted(set(fn_cfg) - _PIPELINE_FAKENEWS_KEYS)]
     if unknown:
         raise _StageError(EXIT_CONFIG, f"unknown pipeline config key(s): {', '.join(unknown)}")
-    listed = [("samples", cfg.get("samples", []), ("e1", "e2")),
-              ("fakenews.samples", fn_cfg.get("samples", []), ("p1", "p2")),
-              ("fakenews.experiments", fn_cfg.get("experiments", []), ("a", "b"))]
+    listed = [("samples", cfg.get("samples", []), _ENTITY_SAMPLES),
+              ("fakenews.samples", fn_cfg.get("samples", []), _POST_SAMPLES),
+              ("fakenews.experiments", fn_cfg.get("experiments", []), _EXPERIMENTS)]
     bad = [f"{key}={name!r}" for key, names, accepted in listed for name in names
            if str(name).lower() not in accepted]  # names are case-insensitive
     if bad:
@@ -450,7 +454,7 @@ def cmd_pipeline(args) -> int:
             out / f"earlywarn_{sample_name.lower()}", inputs, sample_name, specs
         )
     for post_sample_name in fn_cfg.get("samples", []):
-        entity_sample_name = "e1" if post_sample_name.lower() == "p1" else "e2"
+        entity_sample_name = _POST_SAMPLES[post_sample_name.lower()]
         if entity_sample_name not in warnings:
             warnings[entity_sample_name] = ew.run_early_warning(
                 corpus, _load_sample(corpus, entity_sample_name), specs=specs, protocol=protocol
@@ -497,28 +501,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("features", help="entity features and analysis curves")
     p.add_argument("--data", required=True)
-    p.add_argument("--sample", choices=["e1", "e2"], default="e1")
+    p.add_argument("--sample", choices=list(_ENTITY_SAMPLES), default="e1")
     p.add_argument("--bin-hours", type=float, default=1.0, dest="bin_hours")
     add_common(p)
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("thresholds", help="select thresholds from data or fixtures")
     p.add_argument("--data")
-    p.add_argument("--fixtures", help="directory with fig2a/fig3a/fig3b fixture CSVs")
-    p.add_argument("--sample", choices=["e1", "e2"], default="e2")
+    p.add_argument("--fixtures", help="directory with the measures' reference curve CSVs")
+    p.add_argument("--sample", choices=list(_ENTITY_SAMPLES), default="e2")
     add_common(p)
     p.set_defaults(func=cmd_thresholds)
 
     p = sub.add_parser("earlywarn", help="benchmark classifiers, predict disputed entities")
     p.add_argument("--data", required=True)
-    p.add_argument("--sample", choices=["e1", "e2"], default="e1")
+    p.add_argument("--sample", choices=list(_ENTITY_SAMPLES), default="e1")
     add_common(p, with_models=True)
     p.set_defaults(func=cmd_earlywarn)
 
     p = sub.add_parser("fakenews", help="post-level classification experiments")
     p.add_argument("--data", required=True)
-    p.add_argument("--sample", choices=["p1", "p2"], default="p1")
-    p.add_argument("--experiment", action="append", choices=["a", "b"],
+    p.add_argument("--sample", choices=list(_POST_SAMPLES), default="p1")
+    p.add_argument("--experiment", action="append", choices=_EXPERIMENTS,
                    help="experiment (repeatable; default: a and b)")
     p.add_argument("--max-stepwise", type=int, default=16, dest="max_stepwise")
     add_common(p, with_models=True)

@@ -207,24 +207,6 @@ class Corpus:
         return out
 
 
-@dataclass(frozen=True)
-class CorpusPaths:
-    sources: Path
-    posts: Path
-    comments: Path
-    mentions: Path
-
-    @classmethod
-    def in_dir(cls, directory: str | Path) -> "CorpusPaths":
-        d = Path(directory)
-        return cls(
-            sources=d / "sources.jsonl",
-            posts=d / "posts.jsonl",
-            comments=d / "comments.jsonl",
-            mentions=d / "mentions.jsonl",
-        )
-
-
 # ---------------------------------------------------------------------------
 # Reading.  A file is first read in parsed blocks of columns.  When a block or
 # a column fails a check, the file is read again as one-record blocks through
@@ -419,19 +401,19 @@ def _refs(values: tuple, index: Mapping[str, int]) -> np.ndarray:
     return np.fromiter(map(index.get, values, repeat(-1)), np.int64, len(values))
 
 
-def _raise_dangling(paths: CorpusPaths) -> None:
+def _raise_dangling(paths: Mapping[str, Path]) -> None:
     """Raise the IntegrityError listing every dangling reference, sorted."""
-    source_ids = {obj["id"] for _, obj in _iter_jsonl(paths.sources)}
+    source_ids = {obj["id"] for _, obj in _iter_jsonl(paths["sources"])}
     post_ids: set[str] = set()
     dangling: list[str] = []
-    for _, obj in _iter_jsonl(paths.posts):
+    for _, obj in _iter_jsonl(paths["posts"]):
         post_ids.add(obj["id"])
         if obj["source_id"] not in source_ids:
             dangling.append(f"post {obj['id']!r} -> source {obj['source_id']!r}")
-    for _, obj in _iter_jsonl(paths.comments):
+    for _, obj in _iter_jsonl(paths["comments"]):
         if obj["post_id"] not in post_ids:
             dangling.append(f"comment {obj['id']!r} -> post {obj['post_id']!r}")
-    for _, obj in _iter_jsonl(paths.mentions):
+    for _, obj in _iter_jsonl(paths["mentions"]):
         if obj["post_id"] not in post_ids:
             dangling.append(f"mention {normalize_entity(obj['entity'])!r} -> post {obj['post_id']!r}")
     raise IntegrityError("dangling references: " + "; ".join(sorted(dangling)))
@@ -549,23 +531,23 @@ def _build_mentions(blocks, post_index: Mapping[str, int]) -> tuple[list[str], M
     return names, mentions
 
 
-def load_corpus(paths: CorpusPaths | str | Path) -> Corpus:
+def load_corpus(directory: str | Path) -> Corpus:
     """Load and validate the four JSONL files into column tables.
 
     Raises SchemaError with file/line coordinates for malformed records and
     IntegrityError listing every dangling reference or duplicate key.  An
     integer outside the 64-bit range is a SchemaError.
     """
-    if not isinstance(paths, CorpusPaths):
-        paths = CorpusPaths.in_dir(paths)
-    for p in (paths.sources, paths.posts, paths.comments, paths.mentions):
-        if not Path(p).exists():
+    paths = {name: Path(directory) / f"{name}.jsonl"
+             for name in ("sources", "posts", "comments", "mentions")}
+    for p in paths.values():
+        if not p.exists():
             raise CorpusError(f"missing corpus file: {p}")
 
-    source_index, sources = _read(paths.sources, _SOURCE_FIELDS, _build_sources)
-    post_index, posts = _read(paths.posts, _POST_FIELDS, lambda b: _build_posts(b, source_index))
-    users, comments = _read(paths.comments, _COMMENT_FIELDS, lambda b: _build_comments(b, post_index))
-    entities, mentions = _read(paths.mentions, _MENTION_FIELDS, lambda b: _build_mentions(b, post_index))
+    source_index, sources = _read(paths["sources"], _SOURCE_FIELDS, _build_sources)
+    post_index, posts = _read(paths["posts"], _POST_FIELDS, lambda b: _build_posts(b, source_index))
+    users, comments = _read(paths["comments"], _COMMENT_FIELDS, lambda b: _build_comments(b, post_index))
+    entities, mentions = _read(paths["mentions"], _MENTION_FIELDS, lambda b: _build_mentions(b, post_index))
     if min(posts.source.min(initial=0), comments.post.min(initial=0), mentions.post.min(initial=0)) < 0:
         _raise_dangling(paths)
 

@@ -172,17 +172,15 @@ def predict_disputed(
 def fill_indicators(features: list[EntityFeatures], result: th.ThresholdResult) -> None:
     """Set each entity's binary indicators from the selected cuts.
 
-    Controversy when the presentation distance reaches delta_p, perception
-    when the global response distance reaches delta_r, captivation when the
-    engaged fraction reaches rho_e; an indicator whose cut is missing stays
-    None.
+    Each row of ``thresholds.MEASURES`` sets its indicator to 1 where the
+    entity's value reaches the cut, else 0; an indicator whose cut or value
+    is missing stays None.
     """
     for f in features:
-        f.controversy = 1 if f.presentation_distance >= result.delta_p else 0
-        if result.delta_r is not None and f.response_dist_global is not None:
-            f.perception = 1 if f.response_dist_global >= result.delta_r else 0
-        if result.rho_e is not None:
-            f.captivation = 1 if f.engaged_fraction >= result.rho_e else 0
+        for row in th.MEASURES.values():
+            cut, value = getattr(result, row.cut), getattr(f, row.feature)
+            if cut is not None and value is not None:
+                setattr(f, row.indicator, 1 if value >= cut else 0)
 
 
 def threshold_entities(
@@ -196,29 +194,21 @@ def threshold_entities(
     """Entity features, their exceedance curves, the selected cuts, the indicators.
 
     Every sample gets the presentation-distance curve; samples that require
-    comment sentiment also get the response-distance curve (over entities
-    with a response distance) and the engaged-fraction curve.  Returns
-    ``(features, curves, thresholds, selections)`` with every feature
-    record's indicators filled from ``thresholds``.
+    comment sentiment get every measure's curve, in ``thresholds.MEASURES``
+    order.  A curve counts the entities with a value for its measure and is
+    left out when none has one.  Returns ``(features, curves, thresholds,
+    selections)`` with every feature record's indicators filled from
+    ``thresholds``.
     """
     disputed = disputed_entities(corpus, sample)
     features = entity_features(corpus, sample, disputed=disputed)
-    curves = {
-        th.MEASURE_PRESENTATION: th.build_exceedance_curve(
-            {f.entity: f.presentation_distance for f in features}, disputed, th.default_grid(2.0)
-        )
-    }
-    if sample.requires_comment_sentiment:
-        response_values = {
-            f.entity: f.response_dist_global for f in features if f.response_dist_global is not None
-        }
-        if response_values:
-            curves[th.MEASURE_RESPONSE] = th.build_exceedance_curve(
-                response_values, disputed, th.default_grid(2.0)
-            )
-        curves[th.MEASURE_ENGAGEMENT] = th.build_exceedance_curve(
-            {f.entity: f.engaged_fraction for f in features}, disputed, th.default_grid(1.0)
-        )
+    measures = th.MEASURES if sample.requires_comment_sentiment else (th.MEASURE_PRESENTATION,)
+    curves = {}
+    for measure in measures:
+        row = th.MEASURES[measure]
+        values = {f.entity: v for f in features if (v := getattr(f, row.feature)) is not None}
+        if values:
+            curves[measure] = th.build_exceedance_curve(values, disputed, th.default_grid(row.grid_hi))
     thresholds, selections = th.select_thresholds(curves)
     fill_indicators(features, thresholds)
     return features, curves, thresholds, selections

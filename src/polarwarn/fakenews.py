@@ -195,11 +195,11 @@ SENTIMENT_COMMENT_NAMES = (
 )
 
 CATEGORY_PREFIXES = {
-    "ST": ("st_",),
-    "S": ("sem_",),
-    "UB": ("ub_",),
-    "SB": ("sb_",),
-    "P": ("pred_",),
+    "ST": "st_",
+    "S": "sem_",
+    "UB": "ub_",
+    "SB": "sb_",
+    "P": "pred_",
 }
 
 
@@ -468,7 +468,7 @@ def _predicted_columns(
 
 
 def subset_by_categories(dataset: Dataset, categories: Sequence[str]) -> Dataset:
-    prefixes = tuple(p for c in categories for p in CATEGORY_PREFIXES[c])
+    prefixes = tuple(CATEGORY_PREFIXES[c] for c in categories)
     names = [n for n in dataset.feature_names if n.startswith(prefixes)]
     return dataset.take_columns(names)
 
@@ -496,21 +496,15 @@ def run_experiment(
     mode = mode.upper()
     if mode not in EXPERIMENT_STEPS:
         raise ValueError("mode must be 'A' or 'B'")
-    steps: list[str] = []
-    step_sets = []
+    auc: dict[str, list[float]] = {s.algorithm: [] for s in specs}
     for cats in EXPERIMENT_STEPS[mode]:
         sub = subset_by_categories(dataset, cats)
-        if sub.features.shape[1] == 0:
-            log.warning("experiment %s: step %s has no columns, skipped", mode, "+".join(cats))
-            continue
-        steps.append("+".join(cats))
-        step_sets.append(sub)
-    auc: dict[str, list[float]] = {s.algorithm: [] for s in specs}
-    for sub in step_sets:
         for spec in specs:
             auc[spec.algorithm].append(evaluate_spec(sub, spec, protocol).auc)
     return ExperimentResult(
-        mode=mode, steps=tuple(steps), auc={a: tuple(v) for a, v in auc.items()}
+        mode=mode,
+        steps=tuple("+".join(cats) for cats in EXPERIMENT_STEPS[mode]),
+        auc={a: tuple(v) for a, v in auc.items()},
     )
 
 

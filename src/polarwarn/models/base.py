@@ -20,32 +20,58 @@ import numpy as np
 from . import linear, mlp, neighbors, tree
 
 
+def _real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _integer(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+class _Rule(NamedTuple):
+    holds: Callable[[object], bool]
+    says: str  # what a valid value is, for the error message
+
+
+_AT_LEAST_ONE = _Rule(lambda v: _real(v) and v >= 1, "a number >= 1")
+_NON_NEGATIVE = _Rule(lambda v: _real(v) and math.isfinite(v) and v >= 0, "a finite number >= 0")
+_POSITIVE = _Rule(lambda v: _real(v) and math.isfinite(v) and v > 0, "a finite number > 0")
+_COUNT = _Rule(lambda v: _integer(v) and v >= 1, "an integer >= 1")
+_ODD = _Rule(lambda v: _integer(v) and v >= 1 and v % 2 == 1, "an odd integer >= 1")
+_DEPTH = _Rule(lambda v: v is None or (_integer(v) and v >= 1), "an integer >= 1 or null")
+
+
 class _Algorithm(NamedTuple):
-    defaults: dict
+    hyperparameters: dict[str, tuple[object, _Rule]]  # name -> (default, rule)
     fit: Callable[[np.ndarray, np.ndarray, dict, int], dict]  # (X, y, hp, seed) -> params
     score: Callable[[dict, np.ndarray], np.ndarray]
     cut: float  # scores at or above the cut are labeled 1
+    single_class: bool = False  # can fit training data of one class
 
 
 _REGISTRY: dict[str, _Algorithm] = {
     "lin": _Algorithm({}, lambda X, y, hp, seed: linear.fit_lin(X, y), linear.score_linear, 0.5),
     "log": _Algorithm(
-        {"regularization": 1.0, "max_iter": 2000, "tol": 1e-6},
+        {"regularization": (1.0, _NON_NEGATIVE), "max_iter": (2000, _AT_LEAST_ONE),
+         "tol": (1e-6, _NON_NEGATIVE)},
         lambda X, y, hp, seed: linear.fit_log(X, y, hp), linear.score_log, 0.5,
     ),
     "svm": _Algorithm(
-        {"regularization": 1.0, "max_iter": 1000},
+        # the step size is 1 / (regularization * t)
+        {"regularization": (1.0, _POSITIVE), "max_iter": (1000, _AT_LEAST_ONE)},
         lambda X, y, hp, seed: linear.fit_svm(X, y, hp), linear.score_linear, 0.0,
     ),
     "knn": _Algorithm(
-        {"k": 5}, lambda X, y, hp, seed: neighbors.fit_knn(X, y, hp), neighbors.score_knn, 0.5,
+        {"k": (5, _ODD)}, lambda X, y, hp, seed: neighbors.fit_knn(X, y, hp), neighbors.score_knn, 0.5,
+        single_class=True,
     ),
     "nn": _Algorithm(
-        {"hidden_size": 16, "max_iter": 500, "regularization": 1e-4, "tol": 1e-6},
+        {"hidden_size": (16, _COUNT), "max_iter": (500, _AT_LEAST_ONE),
+         "regularization": (1e-4, _NON_NEGATIVE), "tol": (1e-6, _NON_NEGATIVE)},
         mlp.fit_nn, mlp.score_nn, 0.5,
     ),
     "dt": _Algorithm(
-        {"max_depth": 10, "min_leaf": 2},
+        {"max_depth": (10, _DEPTH), "min_leaf": (2, _COUNT)},
         lambda X, y, hp, seed: tree.fit_dt(X, y, hp), tree.score_dt, 0.5,
     ),
 }
@@ -109,28 +135,17 @@ class ModelSpec:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        merged = dict(_REGISTRY[self.algorithm].defaults)
+        declared = _REGISTRY[self.algorithm].hyperparameters
+        unknown = sorted(set(self.hyperparameters) - set(declared))
+        if unknown:
+            raise ValueError(f"{self.algorithm} has no hyperparameter {', '.join(unknown)}")
+        merged = {name: default for name, (default, _) in declared.items()}
         merged.update(self.hyperparameters)
+        for name, value in merged.items():
+            rule = declared[name][1]
+            if not rule.holds(value):
+                raise ValueError(f"{name} must be {rule.says}, got {value!r}")
         object.__setattr__(self, "hyperparameters", merged)
-        if self.algorithm == "knn":
-            k = merged["k"]
-            if not isinstance(k, int) or k < 1 or k % 2 == 0:
-                raise ValueError(f"knn k must be an odd integer >= 1, got {k}")
-        max_iter = merged.get("max_iter")
-        number = isinstance(max_iter, numbers.Real) and not isinstance(max_iter, bool)
-        if max_iter is not None and not (number and max_iter >= 1):
-            raise ValueError(f"max_iter must be a number >= 1, got {max_iter!r}")
-        # a non-numeric regularization is left to fail in the fit
-        reg = merged.get("regularization")
-        if "regularization" in _REGISTRY[self.algorithm].defaults and isinstance(reg, numbers.Real):
-            strict = self.algorithm == "svm"  # the svm step size is 1 / (reg * t)
-            if not (math.isfinite(reg) and (reg > 0 if strict else reg >= 0)):
-                bound = "> 0" if strict else ">= 0"
-                raise ValueError(f"regularization must be a finite number {bound}, got {reg!r}")
-        if self.algorithm == "nn":
-            h = merged["hidden_size"]
-            if not (isinstance(h, numbers.Integral) and not isinstance(h, bool) and h >= 1):
-                raise ValueError(f"hidden_size must be an integer >= 1, got {h!r}")
 
 
 def default_specs(seed: int = 0) -> list[ModelSpec]:
@@ -173,7 +188,7 @@ def fit(train: Dataset, spec: ModelSpec) -> TrainedModel:
     if train.n == 0:
         raise ValueError("empty training set")
     classes = np.unique(train.labels)
-    if len(classes) < 2 and spec.algorithm != "knn":
+    if len(classes) < 2 and not _REGISTRY[spec.algorithm].single_class:
         raise DegenerateFitError(
             f"{spec.algorithm} requires both classes in training data (got {classes.tolist()})"
         )

@@ -64,7 +64,7 @@ def _grow(X: np.ndarray, y: np.ndarray, depth: int, max_depth, min_leaf: int) ->
 
 def fit_dt(X: np.ndarray, y: np.ndarray, hp: dict) -> dict:
     max_depth = hp["max_depth"]
-    min_leaf = max(1, int(hp["min_leaf"]))
+    min_leaf = hp["min_leaf"]
     root = _grow(X, y.astype(float), 0, max_depth, min_leaf)
     return {"root": root, "max_depth": max_depth, "min_leaf": min_leaf}
 
@@ -79,11 +79,3 @@ def score_dt(params: dict, X: np.ndarray) -> np.ndarray:
     root = params["root"]
     return np.array([_walk(root, row) for row in X])
 
-
-def tree_depth(params: dict) -> int:
-    def depth(node):
-        if node["leaf"]:
-            return 0
-        return 1 + max(depth(node["left"]), depth(node["right"]))
-
-    return depth(params["root"])

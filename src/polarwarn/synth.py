@@ -490,11 +490,6 @@ def build_synthetic(config: SynthConfig) -> tuple[_Records, GroundTruth]:
     return rec, truth
 
 
-def ground_truth(config: SynthConfig) -> GroundTruth:
-    """The planted truth alone, regenerated deterministically from the config."""
-    return build_synthetic(config)[1]
-
-
 # One formatter per JSONL file, each equal to json.dumps(row, ensure_ascii=False)
 # for its rows: strings go through the encoder json.dumps uses, numbers
 # through repr (finite floats and ints print as JSON does), None as null.

@@ -13,9 +13,10 @@ policy (the cut where the curve leaves its plateau and the final decline
 begins); monotonic curves use an index policy over the ascending inflection
 list, where the inflection is only a proxy for the separation point.
 
-The per-measure defaults in ``DEFAULT_MEASURE_CONFIGS`` (series, degree,
-policy) are calibrated against the reference curves shipped in
-``fixtures/`` and exercised by the acceptance suite.
+Each measure's row of ``MEASURES`` declares its entity field, grid, fit,
+selection rule and indicator; the series, degree and inflection index are
+calibrated against the reference curves shipped in ``fixtures/`` and
+exercised by the acceptance suite.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class SelectionError(Exception):
         self.inflections = tuple(inflections)
 
 
-def default_grid(hi: float = 2.0, step: float = 0.01) -> np.ndarray:
+def default_grid(hi: float, step: float = 0.01) -> np.ndarray:
     return np.arange(0.0, hi, step)
 
 
@@ -229,38 +230,31 @@ def inflection_points(fit: PolynomialFit) -> list[float]:
 
 
 @dataclass(frozen=True)
-class Policy:
-    """How to pick the threshold from a fitted curve's inflection structure."""
+class Measure:
+    """One polarization measure: where its values live, how its cut is chosen, what it sets."""
 
-    kind: str  # 'second_concavity_change' | 'index'
-    k: int = 1
-
-    @classmethod
-    def second_concavity_change(cls) -> "Policy":
-        return cls(kind="second_concavity_change")
-
-    @classmethod
-    def index(cls, k: int) -> "Policy":
-        if k < 1:
-            raise ValueError("index policy is 1-based")
-        return cls(kind="index", k=k)
-
-    def describe(self) -> str:
-        return self.kind if self.kind != "index" else f"index({self.k})"
-
-
-@dataclass(frozen=True)
-class MeasureConfig:
+    feature: str  # the EntityFeatures field holding the value
+    indicator: str  # the EntityFeatures indicator set from the cut
+    cut: str  # the ThresholdResult field holding the cut
+    grid_hi: float  # the exceedance grid runs from 0 up to (not including) this bound
     series: str
     degree: int
-    policy: Policy
+    index: int | None  # 1-based inflection; None takes the second concavity change
+    fixture: str  # the measure's reference curve in fixtures/
 
 
-# Calibrated against fixtures/fig2a..fig3b; see tests/test_acceptance.py.
-DEFAULT_MEASURE_CONFIGS: dict[str, MeasureConfig] = {
-    MEASURE_PRESENTATION: MeasureConfig(RATIO_DD, 10, Policy.second_concavity_change()),
-    MEASURE_RESPONSE: MeasureConfig(RATIO_DE, 12, Policy.index(3)),
-    MEASURE_ENGAGEMENT: MeasureConfig(RATIO_DD, 9, Policy.index(2)),
+# Kept in this order: presentation, response, engagement.  Series, degree and
+# index are calibrated against the fixtures; see tests/test_acceptance.py.
+MEASURES: dict[str, Measure] = {
+    MEASURE_PRESENTATION: Measure(
+        "presentation_distance", "controversy", "delta_p", 2.0, RATIO_DD, 10, None, "fig2a.csv"
+    ),
+    MEASURE_RESPONSE: Measure(
+        "response_dist_global", "perception", "delta_r", 2.0, RATIO_DE, 12, 3, "fig3a.csv"
+    ),
+    MEASURE_ENGAGEMENT: Measure(
+        "engaged_fraction", "captivation", "rho_e", 1.0, RATIO_DD, 9, 2, "fig3b.csv"
+    ),
 }
 
 
@@ -269,8 +263,12 @@ class ThresholdSelection:
     threshold: float
     inflections: tuple[float, ...]
     fit: PolynomialFit
-    policy: Policy
     series: str
+    index: int | None
+
+    @property
+    def policy(self) -> str:
+        return "second_concavity_change" if self.index is None else f"index({self.index})"
 
     def to_json_dict(self, measure: str = "") -> dict:
         return {
@@ -279,7 +277,7 @@ class ThresholdSelection:
             "inflections": list(self.inflections),
             "degree": self.fit.degree,
             "rmse": self.fit.rmse,
-            "policy": self.policy.describe(),
+            "policy": self.policy,
             "series": self.series,
         }
 
@@ -310,45 +308,32 @@ def _second_concavity_change(classified: list[tuple[float, int, float]], decreas
     return candidates[-1][0]
 
 
-def select_threshold(
-    curve,
-    policy: Policy | None = None,
-    degree: int = 10,
-    series: str = RATIO_DD,
-) -> ThresholdSelection:
-    """Fit the chosen ratio series and apply the selection policy.
+def select_threshold(curve, series: str, degree: int, index: int | None) -> ThresholdSelection:
+    """Fit the ``series`` ratio curve and take the inflection ``index`` picks.
 
+    ``index`` is 1-based over the ascending inflections, falling back to the
+    first when the fit has fewer; None takes the second concavity change.
     Non-finite ratio points (undefined D/E where no entity survives the cut)
     are dropped from the fit, never imputed.  The result is clamped to the
     grid range.
     """
-    policy = policy or Policy.second_concavity_change()
-    if series not in (RATIO_DD, RATIO_DE):
-        raise ValueError(f"unknown series {series!r}")
     grid = np.asarray(curve.grid, dtype=float)
     y = np.asarray(getattr(curve, series), dtype=float)
     fit = fit_polynomial(grid, y, degree)
     classified = _classified_inflections(fit)
     roots = [x for x, _, _ in classified]
 
-    if policy.kind == "second_concavity_change":
+    if index is None:
         decreasing = float(fit(grid[0])) >= float(fit(grid[-1]))
         chosen = _second_concavity_change(classified, decreasing)
-    elif policy.kind == "index":
-        if not roots:
-            raise SelectionError("fit has no inflection points", roots)
-        # fall back to the first inflection when the fit has fewer than k
-        chosen = roots[policy.k - 1] if len(roots) >= policy.k else roots[0]
+    elif not roots:
+        raise SelectionError("fit has no inflection points", roots)
     else:
-        raise ValueError(f"unknown policy kind {policy.kind!r}")
+        chosen = roots[index - 1] if len(roots) >= index else roots[0]
 
     chosen = float(min(max(chosen, grid[0]), grid[-1]))
     return ThresholdSelection(
-        threshold=chosen,
-        inflections=tuple(roots),
-        fit=fit,
-        policy=policy,
-        series=series,
+        threshold=chosen, inflections=tuple(roots), fit=fit, series=series, index=index
     )
 
 
@@ -375,27 +360,19 @@ class ThresholdResult:
 def select_thresholds(
     curves: Mapping[str, object],
 ) -> tuple[ThresholdResult, dict[str, ThresholdSelection]]:
-    """Run selection for every supplied measure curve with its default config."""
+    """Select the cut of every supplied measure curve with its row of ``MEASURES``."""
     if MEASURE_PRESENTATION not in curves:
         raise ValueError("presentation-distance curve is required")
-    selections: dict[str, ThresholdSelection] = {}
+    cuts = {row.cut: None for row in MEASURES.values()}
+    selections = {}
     for measure, curve in curves.items():
-        cfg = DEFAULT_MEASURE_CONFIGS.get(measure)
-        if cfg is None:
-            raise ValueError(f"no measure config for {measure!r}")
-        selections[measure] = select_threshold(
-            curve, policy=cfg.policy, degree=cfg.degree, series=cfg.series
-        )
+        row = MEASURES[measure]
+        selections[measure] = select_threshold(curve, row.series, row.degree, row.index)
+        cuts[row.cut] = selections[measure].threshold
     result = ThresholdResult(
-        delta_p=selections[MEASURE_PRESENTATION].threshold,
-        delta_r=(
-            selections[MEASURE_RESPONSE].threshold if MEASURE_RESPONSE in selections else None
-        ),
-        rho_e=(
-            selections[MEASURE_ENGAGEMENT].threshold if MEASURE_ENGAGEMENT in selections else None
-        ),
+        **cuts,
         inflections={m: s.inflections for m, s in selections.items()},
-        policy={m: s.policy.describe() for m, s in selections.items()},
+        policy={m: s.policy for m, s in selections.items()},
     )
     return result, selections
 

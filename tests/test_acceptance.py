@@ -75,11 +75,9 @@ def full_run(tmp_path_factory) -> FullRun:
 
 def select_fixture(name: str, measure: str):
     curve = th.load_fixture_curve(f"{FIXTURES}/{name}.csv")
-    config = th.DEFAULT_MEASURE_CONFIGS[measure]
+    row = th.MEASURES[measure]
     t0 = time.perf_counter()
-    selection = th.select_threshold(
-        curve, policy=config.policy, degree=config.degree, series=config.series
-    )
+    selection = th.select_threshold(curve, row.series, row.degree, row.index)
     elapsed = time.perf_counter() - t0
     return selection.threshold, elapsed
 

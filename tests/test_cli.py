@@ -5,6 +5,7 @@ import json
 import pytest
 
 from polarwarn.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
+from polarwarn.models import linear
 
 SYNTH_CONFIG = {
     "n_entities": 40, "n_posts": 600, "n_users": 300, "n_comments": 4000,
@@ -95,6 +96,10 @@ def test_bad_hyperparameter_is_config_error(data_dir, tmp_path, caplog):
         (["nn"], "regularization=NaN", "regularization must be a finite number >= 0, got nan"),
         (["nn", "lin"], "hidden_size=0", "hidden_size must be an integer >= 1, got 0"),
         (["nn"], "hidden_size=2.5", "hidden_size must be an integer >= 1, got 2.5"),
+        (["lin", "log"], "foo=1", "--hp key(s) foo not declared"),
+        (["log", "nn"], "tol=abc", "tol must be a finite number >= 0, got 'abc'"),
+        (["dt", "lin"], "min_leaf=0", "min_leaf must be an integer >= 1, got 0"),
+        (["dt", "lin"], "max_depth=0", "max_depth must be an integer >= 1 or null, got 0"),
     ]:
         out = tmp_path / hp
         argv = ["earlywarn", "--data", str(data_dir), "--out", str(out), "--hp", hp, "--repeats", "2"]
@@ -177,11 +182,14 @@ def test_plots_flag_writes_svg(data_dir, tmp_path):
     assert svg.startswith("<svg") and "polyline" in svg
 
 
-def test_all_fits_failing_is_numeric_error(data_dir, tmp_path):
-    # a non-numeric regularization passes ModelSpec but fails every fit
+def test_all_fits_failing_is_numeric_error(data_dir, tmp_path, monkeypatch):
+    def diverge(*args):
+        raise FloatingPointError("diverged")
+
+    monkeypatch.setattr(linear, "fit_log", diverge)
+    monkeypatch.setattr(linear, "fit_svm", diverge)
     code = main(["earlywarn", "--data", str(data_dir), "--out", str(tmp_path / "x"),
-                 "--algo", "log", "--algo", "svm", "--hp", "regularization=oops",
-                 "--repeats", "2"])
+                 "--algo", "log", "--algo", "svm", "--repeats", "2"])
     assert code == EXIT_NUMERIC
 
 

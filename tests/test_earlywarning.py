@@ -6,6 +6,7 @@ import pytest
 from polarwarn import corpus as cm
 from polarwarn import earlywarning as ew
 from polarwarn import features as feat
+from polarwarn import thresholds as th
 from polarwarn.evaluation import ClassMetrics, MetricsReport, Protocol, rebalance, roc_auc
 from polarwarn.models import Dataset, ModelSpec, fit
 
@@ -242,3 +243,37 @@ def test_dataset_rebuild_is_schema_stable(small_synth):
     assert ds1.feature_names == ds2.feature_names
     assert ds1.row_ids == ds2.row_ids
     assert np.array_equal(ds1.features, ds2.features)
+
+
+class TestThresholdEntities:
+    def test_e1_gets_the_presentation_curve_only(self, small_synth):
+        corpus, _, _ = small_synth
+        feats, curves, result, selections = ew.threshold_entities(corpus, cm.select_e1(corpus))
+        assert list(curves) == list(selections) == [th.MEASURE_PRESENTATION]
+        assert result.delta_r is None and result.rho_e is None
+        for f in feats:
+            assert f.controversy == (1 if f.presentation_distance >= result.delta_p else 0)
+            assert f.perception is None and f.captivation is None
+
+    def test_e2_gets_every_curve_in_table_order(self, small_synth):
+        corpus, _, _ = small_synth
+        feats, curves, result, selections = ew.threshold_entities(corpus, cm.select_e2(corpus))
+        assert list(curves) == list(selections) == list(th.MEASURES)
+        for f in feats:
+            assert f.perception == (1 if f.response_dist_global >= result.delta_r else 0)
+            assert f.captivation == (1 if f.engaged_fraction >= result.rho_e else 0)
+
+    def test_entity_without_scored_comments_keeps_perception_none(self, small_synth):
+        corpus, _, _ = small_synth
+        e2 = cm.select_e2(corpus)
+        extra = next(e for e in cm.select_e1(corpus).entities if e not in e2.member_rows)
+        uncommented = np.flatnonzero(np.diff(corpus.comments_of_post.ptr) == 0)[:1]
+        assert len(uncommented) == 1
+        rows = dict(sorted({**e2.member_rows, extra: uncommented}.items()))
+        sample = cm.EntitySample("E2", rows, requires_comment_sentiment=True)
+        feats, curves, result, _ = ew.threshold_entities(corpus, sample)
+        assert result.delta_r is not None
+        assert curves[th.MEASURE_RESPONSE].e_counts[0] == len(rows) - 1
+        f = next(f for f in feats if f.entity == extra)
+        assert f.response_dist_global is None and f.perception is None
+        assert f.captivation is not None and f.controversy is not None

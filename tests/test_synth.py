@@ -102,7 +102,7 @@ def test_different_seed_differs(tmp_path):
 
 def test_ground_truth_matches_generate(tmp_path):
     written = synth.generate(TOY, tmp_path / "a")
-    recomputed = synth.ground_truth(TOY)
+    recomputed = synth.build_synthetic(TOY)[1]
     assert recomputed.to_json_dict() == written.to_json_dict()
     loaded = synth.load_truth(tmp_path / "a" / "truth.json")
     assert loaded.to_json_dict() == written.to_json_dict()
@@ -117,7 +117,7 @@ def test_zero_disputed_fraction_yields_no_disputed(tmp_path):
 
 
 def test_entity_count_and_lag_bounds():
-    truth = synth.ground_truth(TOY)
+    truth = synth.build_synthetic(TOY)[1]
     assert len(truth.entities) == TOY.n_entities
     for t in truth.entities.values():
         if t.disputed:
@@ -190,7 +190,7 @@ def test_empty_ranges_accepted():
         "divergent_offset_low": 0.5, "divergent_offset_high": 0.5, "undisputed_spread": 0.0,
         "disputed_sentiment_low": 0.0,
     })
-    truth = synth.ground_truth(config)
+    truth = synth.build_synthetic(config)[1]
     assert {t.lag_hours for t in truth.entities.values() if t.disputed} == {3.0}
 
 

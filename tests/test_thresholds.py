@@ -140,36 +140,36 @@ class TestSelectThreshold:
 
     def test_index_policy_and_first_fallback(self):
         curve = self.sigmoid_curve()
-        sel3 = th.select_threshold(curve, policy=th.Policy.index(3), degree=5)
-        sel1 = th.select_threshold(curve, policy=th.Policy.index(1), degree=5)
+        sel3 = th.select_threshold(curve, "ratio_dd", 5, 3)
+        sel1 = th.select_threshold(curve, "ratio_dd", 5, 1)
         assert sel1.threshold == sel3.inflections[0] or sel1.threshold in (0.0, 1.99)
         # a degree-3 fit of a sigmoid has a single inflection: index(3) falls back
-        one = th.select_threshold(curve, policy=th.Policy.index(3), degree=3)
+        one = th.select_threshold(curve, "ratio_dd", 3, 3)
         assert one.threshold == pytest.approx(one.inflections[0], abs=1e-9)
 
     def test_clamped_to_grid(self):
         curve = self.sigmoid_curve()
-        sel = th.select_threshold(curve, policy=th.Policy.index(1), degree=5)
+        sel = th.select_threshold(curve, "ratio_dd", 5, 1)
         assert 0.0 <= sel.threshold <= 1.99
 
     def test_selection_error_reports_inflections(self):
         grid = np.arange(0, 2, 0.01)
         rising = th.RatioCurve(grid=grid, ratio_dd=grid / 2, ratio_de=grid / 2)
         with pytest.raises(th.SelectionError) as err:
-            th.select_threshold(rising, policy=th.Policy.second_concavity_change(), degree=3)
+            th.select_threshold(rising, "ratio_dd", 3, None)
         assert isinstance(err.value.inflections, tuple)
 
     def test_plateau_rule_finds_second_drop(self):
         grid = np.arange(0, 2, 0.01)
         y = 0.5 / (1 + np.exp(12 * (grid - 0.4))) + 0.5 / (1 + np.exp(12 * (grid - 1.4)))
         curve = th.RatioCurve(grid=grid, ratio_dd=y, ratio_de=y)
-        sel = th.select_threshold(curve, policy=th.Policy.second_concavity_change(), degree=9)
+        sel = th.select_threshold(curve, "ratio_dd", 9, None)
         # threshold sits between the plateau and the second drop's midpoint
         assert 0.7 < sel.threshold < 1.4
 
     def test_unknown_series_rejected(self):
-        with pytest.raises(ValueError):
-            th.select_threshold(self.sigmoid_curve(), series="ratio_xx")
+        with pytest.raises(AttributeError):
+            th.select_threshold(self.sigmoid_curve(), "ratio_xx", 10, None)
 
 
 class TestFixtures:
@@ -196,3 +196,12 @@ class TestFixtures:
         assert result.rho_e == selections[th.MEASURE_ENGAGEMENT].threshold
         doc = result.to_json_dict()
         assert set(doc["inflections"]) == set(curves)
+        calibrated = {
+            th.MEASURE_PRESENTATION: ("second_concavity_change", "ratio_dd", 10),
+            th.MEASURE_RESPONSE: ("index(3)", "ratio_de", 12),
+            th.MEASURE_ENGAGEMENT: ("index(2)", "ratio_dd", 9),
+        }
+        for measure, (policy, series, degree) in calibrated.items():
+            doc = selections[measure].to_json_dict(measure)
+            assert (doc["policy"], doc["series"], doc["degree"]) == (policy, series, degree)
+            assert result.policy[measure] == policy
