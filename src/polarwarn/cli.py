@@ -9,8 +9,9 @@ This module alone writes the stages' CSV and JSON reports (every CSV
 through ``_write_csv``); the compute modules return values and open no
 output file.  ``synth`` writes the corpus and ``svgplot`` the SVG plots.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
-failure.
+Exit codes follow the error's type alone: 0 success, 2 ``ConfigError``, 3
+``CorpusError`` or ``FileNotFoundError``, 4 ``NumericError``; any other
+exception is a bug and propagates with its traceback (exit 1).
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ from . import synth as synth_mod
 from . import svgplot
 from . import thresholds as th
 from .corpus import CorpusError
-from .evaluation import MetricsReport, Protocol, StratificationError, UndefinedAUCError
-from .models import ALGORITHMS, Dataset, DegenerateFitError, ModelSpec, ShapeError
+from .errors import ConfigError, NumericError
+from .evaluation import MetricsReport, Protocol
+from .models import ALGORITHMS, Dataset, ModelSpec
 
 log = logging.getLogger("polarwarn")
 
@@ -45,27 +47,21 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-_CONFIG_ERRORS = (synth_mod.SynthConfigError, ValueError, KeyError, json.JSONDecodeError)
-_DATA_ERRORS = (CorpusError, FileNotFoundError)
-_NUMERIC_ERRORS = (
-    th.FitError,
-    th.SelectionError,
-    DegenerateFitError,
-    ShapeError,
-    StratificationError,
-    UndefinedAUCError,
-    ew.TooFewModelsError,
-)
-
-
-class _StageError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-
 
 def _config_hash(doc) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def _read_json(path, error: type[Exception] = ConfigError) -> dict:
+    """The JSON object in the file ``path``; anything else raises ``error`` naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or an over-long integer
+        raise error(f"{path}: not a JSON document ({exc})") from None
+    if not isinstance(doc, dict):
+        raise error(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def _write_json(path: Path, doc, sort_keys: bool = True) -> None:
@@ -124,11 +120,11 @@ def _parse_hp(pairs: list[str]) -> dict:
     hp = {}
     for pair in pairs or []:
         if "=" not in pair:
-            raise _StageError(EXIT_CONFIG, f"--hp expects key=value, got {pair!r}")
+            raise ConfigError(f"--hp expects key=value, got {pair!r}")
         key, raw = pair.split("=", 1)
         try:
             hp[key] = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or an integer literal too long to convert
             hp[key] = raw
     return hp
 
@@ -140,16 +136,15 @@ def _specs(args) -> list[ModelSpec]:
     declared = {a: ModelSpec(a).hyperparameters.keys() for a in algos}
     unknown = sorted(set(hp).difference(*declared.values()))
     if unknown:
-        raise _StageError(EXIT_CONFIG, f"--hp key(s) {', '.join(unknown)} not declared by any of "
-                                       f"the algorithms {', '.join(algos)}")
+        raise ConfigError(f"--hp key(s) {', '.join(unknown)} not declared by any of "
+                          f"the algorithms {', '.join(algos)}")
     return [ModelSpec(algorithm=a, hyperparameters={k: v for k, v in hp.items() if k in declared[a]},
                       seed=args.seed) for a in algos]
 
 
-def _max_stepwise(value) -> int:
-    n = int(value)
+def _max_stepwise(n: int) -> int:
     if n < 0:
-        raise _StageError(EXIT_CONFIG, f"max_stepwise must be at least 0, got {n}")
+        raise ConfigError(f"max_stepwise must be at least 0, got {n}")
     return n
 
 
@@ -167,7 +162,7 @@ def _load_sample(corpus, name: str):
     name = name.lower()
     sample = _ENTITY_SAMPLES[_POST_SAMPLES.get(name, name)](corpus)
     if not sample.entities:
-        raise _StageError(EXIT_DATA, f"sample {sample.name} is empty for this corpus")
+        raise CorpusError(f"sample {sample.name} is empty for this corpus")
     return sample
 
 
@@ -278,11 +273,7 @@ def _fakenews_stage(out: Path, inputs: _Inputs, sample_name: str, warning: ew.Ea
 
 def cmd_synth(args) -> int:
     out = _out_dir(args.out)
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    else:
-        doc = {}
+    doc = _read_json(args.config) if args.config else {}
     if args.seed is not None:
         doc["seed"] = args.seed
     config = synth_mod.SynthConfig.from_json_dict(doc)
@@ -309,7 +300,7 @@ def cmd_thresholds(args) -> int:
         inputs = [args.fixtures]
     else:
         if not args.data:
-            raise _StageError(EXIT_CONFIG, "thresholds needs --data or --fixtures")
+            raise ConfigError("thresholds needs --data or --fixtures")
         corpus = corpus_mod.load_corpus(args.data)
         _, curves, result, selections = ew.threshold_entities(corpus, _load_sample(corpus, args.sample))
         inputs = [str(args.data)]
@@ -386,17 +377,15 @@ def cmd_fakenews(args) -> int:
 def cmd_report(args) -> int:
     run_dir = Path(args.run)
     if not run_dir.exists():
-        raise _StageError(EXIT_DATA, f"run directory not found: {run_dir}")
+        raise CorpusError(f"run directory not found: {run_dir}")
     stages = {}
     for manifest_path in sorted(run_dir.glob("**/manifest.json")):
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
         stage_dir = manifest_path.parent
-        entry = {"manifest": manifest, "outputs": sorted(p.name for p in stage_dir.iterdir())}
+        entry = {"manifest": _read_json(manifest_path, CorpusError),
+                 "outputs": sorted(p.name for p in stage_dir.iterdir())}
         report_path = stage_dir / "report.json"
         if report_path.exists():
-            with open(report_path, encoding="utf-8") as fh:
-                entry["report"] = json.load(fh)
+            entry["report"] = _read_json(report_path, CorpusError)
         stages[str(stage_dir.relative_to(run_dir))] = entry
     summary = {"run": str(run_dir), "stages": stages}
     out_path = run_dir / "summary.json"
@@ -405,35 +394,47 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-_PIPELINE_KEYS = {"data", "synth", "seed", "repeats", "train_fraction", "algorithms", "samples",
-                  "fakenews"}
-_PIPELINE_FAKENEWS_KEYS = {"samples", "experiments", "algorithms", "max_stepwise"}
+# pipeline config key -> (the Python types json.load gives its valid values, their JSON type in words)
+_STRING, _OBJECT, _LIST, _INTEGER = (str, "a string"), (dict, "an object"), (list, "a list"), (int, "an integer")
+_PIPELINE_KEYS = {"data": _STRING, "synth": _OBJECT, "seed": _INTEGER, "repeats": _INTEGER,
+                  "train_fraction": ((int, float), "a number"), "algorithms": _LIST, "samples": _LIST,
+                  "fakenews": _OBJECT}
+_PIPELINE_FAKENEWS_KEYS = {"samples": _LIST, "experiments": _LIST, "algorithms": _LIST, "max_stepwise": _INTEGER}
+
+
+def _checked(doc: dict, keys: dict, prefix: str = "") -> dict:
+    """``doc`` once each of its keys is one of ``keys`` and holds a value of that key's type."""
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown pipeline config key(s): {', '.join(prefix + k for k in unknown)}")
+    for key, value in doc.items():
+        types, says = keys[key]
+        if isinstance(value, bool) or not isinstance(value, types):  # a JSON true is not a number
+            raise ConfigError(f"pipeline config key '{prefix}{key}' must be {says}, got {value!r}")
+    return doc
 
 
 def cmd_pipeline(args) -> int:
-    with open(args.config, encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    fn_cfg = cfg.get("fakenews", {})
-    unknown = sorted(set(cfg) - _PIPELINE_KEYS)
-    unknown += [f"fakenews.{k}" for k in sorted(set(fn_cfg) - _PIPELINE_FAKENEWS_KEYS)]
-    if unknown:
-        raise _StageError(EXIT_CONFIG, f"unknown pipeline config key(s): {', '.join(unknown)}")
+    cfg = _checked(_read_json(args.config), _PIPELINE_KEYS)
+    fn_cfg = _checked(cfg.get("fakenews", {}), _PIPELINE_FAKENEWS_KEYS, "fakenews.")
     listed = [("samples", cfg.get("samples", []), _ENTITY_SAMPLES),
               ("fakenews.samples", fn_cfg.get("samples", []), _POST_SAMPLES),
               ("fakenews.experiments", fn_cfg.get("experiments", []), _EXPERIMENTS)]
     bad = [f"{key}={name!r}" for key, names, accepted in listed for name in names
            if str(name).lower() not in accepted]  # names are case-insensitive
     if bad:
-        raise _StageError(EXIT_CONFIG, f"unknown name(s) in pipeline config: {', '.join(bad)}")
+        raise ConfigError(f"unknown name(s) in pipeline config: {', '.join(bad)}")
     algorithms = cfg.get("algorithms", list(ALGORITHMS))
-    if len(algorithms) < 2:  # the early warning keeps the best two
-        raise _StageError(EXIT_CONFIG,
-                          f"pipeline config key 'algorithms' needs two or more entries, got {algorithms}")
-    seed = int(cfg.get("seed", 7))
-    protocol = Protocol(repeats=int(cfg.get("repeats", 10)),
-                        train_fraction=float(cfg.get("train_fraction", 0.6)), seed=seed)
+    if len(set(map(str, algorithms))) < 2:  # the early warning keeps the best two
+        raise ConfigError(f"pipeline config key 'algorithms' needs two or more distinct names, "
+                          f"got {algorithms}")
+    seed = cfg.get("seed", 7)
+    protocol = Protocol(repeats=cfg.get("repeats", 10), train_fraction=cfg.get("train_fraction", 0.6),
+                        seed=seed)
     specs = [ModelSpec(algorithm=a, seed=seed) for a in algorithms]
     fn_specs = [ModelSpec(algorithm=a, seed=seed) for a in fn_cfg.get("algorithms", algorithms)]
+    if not fn_specs:
+        raise ConfigError("pipeline config key 'fakenews.algorithms' needs one or more names, got []")
     max_stepwise = _max_stepwise(fn_cfg.get("max_stepwise", 16))
     out = _out_dir(args.out)
 
@@ -546,18 +547,15 @@ def main(argv: list[str] | None = None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except _StageError as exc:
-        log.error("%s", exc)
-        return exc.code
-    except _NUMERIC_ERRORS as exc:
-        log.error("numeric failure: %s", exc)
-        return EXIT_NUMERIC
-    except _DATA_ERRORS as exc:
-        log.error("data error: %s", exc)
-        return EXIT_DATA
-    except _CONFIG_ERRORS as exc:
+    except ConfigError as exc:
         log.error("configuration error: %s", exc)
         return EXIT_CONFIG
+    except (CorpusError, FileNotFoundError) as exc:
+        log.error("data error: %s", exc)
+        return EXIT_DATA
+    except NumericError as exc:
+        log.error("numeric failure: %s", exc)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

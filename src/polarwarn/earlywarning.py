@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus, EntitySample, disputed_entities
+from .errors import NumericError
 from .features import EntityFeatures, entity_features
 from .models import Dataset, ModelSpec, TrainedModel, default_specs, fit, predict
 from .evaluation import MetricsReport, Protocol, evaluate_spec, rank_reports, rebalance
@@ -122,7 +123,7 @@ def run_benchmark(
     return BenchmarkResult(reports=reports, failures=failures)
 
 
-class TooFewModelsError(ValueError):
+class TooFewModelsError(NumericError):
     """Fewer than two algorithms produced a benchmark report."""
 
 

@@ -15,14 +15,15 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import ConfigError, NumericError
 from .models import Dataset, ModelSpec, fit, predict
 
 
-class StratificationError(Exception):
+class StratificationError(NumericError):
     """A class has too few rows to appear on both sides of the split."""
 
 
-class UndefinedAUCError(Exception):
+class UndefinedAUCError(NumericError):
     """AUC needs at least one row of each class."""
 
 
@@ -220,9 +221,11 @@ class Protocol:
 
     def __post_init__(self) -> None:
         if self.repeats < 1:
-            raise ValueError(f"repeats must be at least 1, got {self.repeats}")
+            raise ConfigError(f"repeats must be at least 1, got {self.repeats}")
         if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+            raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be at least 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

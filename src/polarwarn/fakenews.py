@@ -115,24 +115,19 @@ def _semantic_batch(texts: list[str]) -> np.ndarray:
 
 
 def _semantic_columns(texts: Iterable[str], n: int) -> np.ndarray:
-    """The nine semantic statistics of ``n`` texts, in batches of _TEXT_BATCH."""
+    """The nine semantic statistics of ``n`` texts, in batches of _TEXT_BATCH.
+
+    Words are maximal alphanumeric runs; sentences are '.!?'-delimited
+    segments containing at least one word; the average sentence length is in
+    words; rates divide by the character count.  Surrounding whitespace is
+    ignored and an empty text yields all zeros.
+    """
     texts = iter(texts)
     out = np.zeros((n, len(SEMANTIC_STAT_NAMES)))
     for start in range(0, n, _TEXT_BATCH):
         batch = [t.strip() for t in islice(texts, _TEXT_BATCH)]
         out[start:start + len(batch)] = _semantic_batch(batch)
     return out
-
-
-def semantic_stats(text: str) -> np.ndarray:
-    """Nine surface statistics of a text.
-
-    Words are maximal alphanumeric runs; sentences are '.!?'-delimited
-    segments containing at least one word; the average sentence length is in
-    words; rates divide by the character count.  Surrounding whitespace is
-    ignored and empty text yields all zeros.
-    """
-    return _semantic_columns([text], 1)[0]
 
 
 def _pow(x: np.ndarray, y: float) -> np.ndarray:

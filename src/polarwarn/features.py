@@ -24,6 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import Corpus, EntitySample, disputed_entities
+from .errors import ConfigError
 
 
 def _population_std(values: Sequence[float], mean: float) -> float:
@@ -267,8 +268,8 @@ def temporal_lag_histogram(
     Entities never reaching a fake source, or reaching it first (or at the
     same instant), are excluded from the histogram and tallied separately.
     """
-    if bin_hours <= 0:
-        raise ValueError("bin_hours must be positive")
+    if not 0 < bin_hours < math.inf:
+        raise ConfigError(f"bin_hours must be a finite number > 0, got {bin_hours}")
     post_fake = corpus.post_is_fake()
     lags: list[float] = []
     never_fake = 0

@@ -17,6 +17,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from ..errors import ConfigError, NumericError
 from . import linear, mlp, neighbors, tree
 
 
@@ -33,7 +34,6 @@ class _Rule(NamedTuple):
     says: str  # what a valid value is, for the error message
 
 
-_AT_LEAST_ONE = _Rule(lambda v: _real(v) and v >= 1, "a number >= 1")
 _NON_NEGATIVE = _Rule(lambda v: _real(v) and math.isfinite(v) and v >= 0, "a finite number >= 0")
 _POSITIVE = _Rule(lambda v: _real(v) and math.isfinite(v) and v > 0, "a finite number > 0")
 _COUNT = _Rule(lambda v: _integer(v) and v >= 1, "an integer >= 1")
@@ -52,13 +52,13 @@ class _Algorithm(NamedTuple):
 _REGISTRY: dict[str, _Algorithm] = {
     "lin": _Algorithm({}, lambda X, y, hp, seed: linear.fit_lin(X, y), linear.score_linear, 0.5),
     "log": _Algorithm(
-        {"regularization": (1.0, _NON_NEGATIVE), "max_iter": (2000, _AT_LEAST_ONE),
+        {"regularization": (1.0, _NON_NEGATIVE), "max_iter": (2000, _COUNT),
          "tol": (1e-6, _NON_NEGATIVE)},
         lambda X, y, hp, seed: linear.fit_log(X, y, hp), linear.score_log, 0.5,
     ),
     "svm": _Algorithm(
         # the step size is 1 / (regularization * t)
-        {"regularization": (1.0, _POSITIVE), "max_iter": (1000, _AT_LEAST_ONE)},
+        {"regularization": (1.0, _POSITIVE), "max_iter": (1000, _COUNT)},
         lambda X, y, hp, seed: linear.fit_svm(X, y, hp), linear.score_linear, 0.0,
     ),
     "knn": _Algorithm(
@@ -66,7 +66,7 @@ _REGISTRY: dict[str, _Algorithm] = {
         single_class=True,
     ),
     "nn": _Algorithm(
-        {"hidden_size": (16, _COUNT), "max_iter": (500, _AT_LEAST_ONE),
+        {"hidden_size": (16, _COUNT), "max_iter": (500, _COUNT),
          "regularization": (1e-4, _NON_NEGATIVE), "tol": (1e-6, _NON_NEGATIVE)},
         mlp.fit_nn, mlp.score_nn, 0.5,
     ),
@@ -79,12 +79,12 @@ _REGISTRY: dict[str, _Algorithm] = {
 ALGORITHMS = tuple(_REGISTRY)
 
 
-class DegenerateFitError(Exception):
+class DegenerateFitError(NumericError):
     """Training data cannot support a parametric fit (single class)."""
 
 
-class ShapeError(Exception):
-    """Prediction rows do not match the training feature width."""
+class ShapeError(NumericError):
+    """Prediction rows do not match the training feature width, or are not finite."""
 
 
 @dataclass(frozen=True)
@@ -134,17 +134,17 @@ class ModelSpec:
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+            raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         declared = _REGISTRY[self.algorithm].hyperparameters
         unknown = sorted(set(self.hyperparameters) - set(declared))
         if unknown:
-            raise ValueError(f"{self.algorithm} has no hyperparameter {', '.join(unknown)}")
+            raise ConfigError(f"{self.algorithm} has no hyperparameter {', '.join(unknown)}")
         merged = {name: default for name, (default, _) in declared.items()}
         merged.update(self.hyperparameters)
         for name, value in merged.items():
             rule = declared[name][1]
             if not rule.holds(value):
-                raise ValueError(f"{name} must be {rule.says}, got {value!r}")
+                raise ConfigError(f"{name} must be {rule.says}, got {value!r}")
         object.__setattr__(self, "hyperparameters", merged)
 
 
@@ -200,8 +200,11 @@ def fit(train: Dataset, spec: ModelSpec) -> TrainedModel:
 
 
 def predict(model: TrainedModel, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scores and 0/1 labels for a row matrix matching the training width."""
+    """Scores and 0/1 labels for a finite row matrix matching the training width."""
     algo = _REGISTRY[model.spec.algorithm]
+    rows = np.asarray(rows, dtype=float)
+    if not np.isfinite(rows).all():
+        raise ShapeError("prediction rows must be finite")
     scores = algo.score(model.params, model.standardizer.apply(rows))
     labels = (scores >= algo.cut).astype(np.int8)
     return scores, labels

@@ -36,6 +36,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ConfigError
+
 _EPOCH_2016_07_31 = 1469923200
 _DAY = 86400
 
@@ -61,8 +63,22 @@ _COMMENT_TEXTS = (
 )
 
 
-class SynthConfigError(Exception):
-    """The configuration is internally infeasible."""
+class SynthConfigError(ConfigError):
+    """A setting is out of its range, or the settings are infeasible together."""
+
+
+# the closed range each field named here must lie in
+_RANGES = {
+    **dict.fromkeys(("n_official_sources", "n_fake_sources", "n_entities", "n_posts", "n_users",
+                     "engaged_cohort_size", "audience_size_min", "audience_size"), (1, math.inf)),
+    **dict.fromkeys(("n_comments", "head_entities", "head_posts_min", "undisputed_spread",
+                     "consonant_noise", "seed"), (0, math.inf)),
+    **dict.fromkeys(("disputed_fraction", "disputed_narrow_fraction", "undisputed_wide_fraction",
+                     "official_clickbait_rate", "fake_sober_rate", "cohort_comment_share",
+                     "fake_post_fraction", "comment_missing_sentiment_rate", "noise_mention_rate"), (0, 1)),
+    # wide-disputed posts draw from [0, high] and [low, 0]
+    "disputed_sentiment_low": (-1, 0), "disputed_sentiment_high": (0, 1),
+}
 
 
 @dataclass(frozen=True)
@@ -108,31 +124,17 @@ class SynthConfig:
                 raise SynthConfigError(f"{f.name} must be a finite number, got {v!r}")
             if f.type == "int" and (isinstance(v, bool) or not isinstance(v, int)):
                 raise SynthConfigError(f"{f.name} must be an integer, got {v!r}")
-        for name in ("disputed_fraction", "cohort_comment_share",
-                     "disputed_narrow_fraction", "undisputed_wide_fraction",
-                     "comment_missing_sentiment_rate", "noise_mention_rate"):
+        for name, (lo, hi) in _RANGES.items():
             v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise SynthConfigError(f"{name} must lie in [0, 1], got {v}")
-        if not -1.0 <= self.disputed_sentiment_low < self.disputed_sentiment_high <= 1.0:
-            raise SynthConfigError("disputed sentiment range must be ordered within [-1, 1]")
-        # wide-disputed posts draw from [0, high] and [low, 0]
-        if self.disputed_sentiment_low > 0.0:
-            raise SynthConfigError(
-                f"disputed_sentiment_low must not exceed 0, got {self.disputed_sentiment_low}")
-        if self.disputed_sentiment_high < 0.0:
-            raise SynthConfigError(
-                f"disputed_sentiment_high must not be below 0, got {self.disputed_sentiment_high}")
-        if self.undisputed_spread < 0.0:
-            raise SynthConfigError(
-                f"undisputed_spread must be non-negative, got {self.undisputed_spread}")
+            if not lo <= v <= hi:
+                says = f"be at least {lo}" if hi == math.inf else f"lie in [{lo}, {hi}]"
+                raise SynthConfigError(f"{name} must {says}, got {v}")
         for low, high in (("fake_lag_hours_low", "fake_lag_hours_high"),
-                          ("divergent_offset_low", "divergent_offset_high")):
+                          ("divergent_offset_low", "divergent_offset_high"),
+                          ("head_posts_min", "head_posts_max")):
             if getattr(self, low) > getattr(self, high):
                 raise SynthConfigError(
                     f"{low}={getattr(self, low)} exceeds {high}={getattr(self, high)}")
-        if self.n_entities < 1 or self.n_posts < 1 or self.n_users < 1:
-            raise SynthConfigError("entity, post and user counts must be positive")
         if self.head_entities > self.n_entities:
             raise SynthConfigError("head_entities exceeds n_entities")
         reserved = self.n_disputed() * self.engaged_cohort_size

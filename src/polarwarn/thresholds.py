@@ -28,6 +28,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .corpus import CorpusError
+from .errors import NumericError
+
 RATIO_DD = "ratio_dd"
 RATIO_DE = "ratio_de"
 
@@ -42,11 +45,11 @@ _DOMINANT_SLOPE_FRACTION = 0.5
 _BRACKET_POINTS = 8193
 
 
-class FitError(Exception):
+class FitError(NumericError):
     """Least-squares system is unusable (too few points, rank deficiency)."""
 
 
-class SelectionError(Exception):
+class SelectionError(NumericError):
     """The fitted curve does not expose the inflection the policy requires."""
 
     def __init__(self, message: str, inflections: Sequence[float] = ()):
@@ -224,11 +227,6 @@ def _classified_inflections(fit: PolynomialFit) -> list[tuple[float, int, float]
     return out
 
 
-def inflection_points(fit: PolynomialFit) -> list[float]:
-    """Abscissae strictly inside the domain where the fit's concavity flips."""
-    return [x for x, _, _ in _classified_inflections(fit)]
-
-
 @dataclass(frozen=True)
 class Measure:
     """One polarization measure: where its values live, how its cut is chosen, what it sets."""
@@ -378,7 +376,7 @@ def select_thresholds(
 
 
 def load_fixture_curve(path: str | Path) -> RatioCurve:
-    """Read a delta,ratio_dd,ratio_de CSV (literal 'nan' marks undefined D/E)."""
+    """Read a delta,ratio_dd,ratio_de CSV ('nan' marks undefined D/E); a bad column or cell is a CorpusError."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"fixture file not found: {path}")
@@ -386,12 +384,15 @@ def load_fixture_curve(path: str | Path) -> RatioCurve:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         required = {"delta", "ratio_dd", "ratio_de"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(f"{path}: expected columns delta,ratio_dd,ratio_de")
-        for row in reader:
-            grid.append(float(row["delta"]))
-            dd.append(float(row["ratio_dd"]))
-            de.append(float(row["ratio_de"]))
+        try:
+            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+                raise CorpusError(f"{path}: expected columns delta,ratio_dd,ratio_de")
+            for row in reader:
+                grid.append(float(row["delta"]))
+                dd.append(float(row["ratio_dd"]))
+                de.append(float(row["ratio_de"]))
+        except (ValueError, TypeError, csv.Error) as exc:  # not a number, a missing cell, not UTF-8
+            raise CorpusError(f"{path}: {exc}") from None
     return RatioCurve(
         grid=np.asarray(grid), ratio_dd=np.asarray(dd), ratio_de=np.asarray(de)
     )

@@ -112,6 +112,13 @@ class TestFitPredictContracts:
         with pytest.raises(models.ShapeError):
             models.predict(model, np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("algo", models.ALGORITHMS)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_rejected(self, algo, value):
+        model = models.fit(XOR, ModelSpec(algo))
+        with pytest.raises(models.ShapeError, match="finite"):
+            models.predict(model, np.array([[value, 1.0]]))
+
     def test_zero_weight_log_scores_half(self):
         ds = separable_1d()
         model = models.fit(ds, ModelSpec("log"))

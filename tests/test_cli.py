@@ -1,11 +1,19 @@
 """CLI subcommands: exit codes, artifacts, manifests, rerun determinism."""
 
 import json
+import shutil
 
 import pytest
 
+from polarwarn import cli
+from polarwarn import earlywarning as ew
+from polarwarn import evaluation
+from polarwarn import thresholds as th
 from polarwarn.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
-from polarwarn.models import linear
+from polarwarn.corpus import CorpusError, SchemaError
+from polarwarn.errors import ConfigError
+from polarwarn.models import DegenerateFitError, ShapeError, linear
+from polarwarn.synth import SynthConfigError
 
 SYNTH_CONFIG = {
     "n_entities": 40, "n_posts": 600, "n_users": 300, "n_comments": 4000,
@@ -88,8 +96,8 @@ def test_bad_hyperparameter_is_config_error(data_dir, tmp_path, caplog):
     code = main(["earlywarn", "--data", str(data_dir), "--out", str(tmp_path / "y"),
                  "--hp", "max_iter=abc", "--repeats", "2"])
     assert code == EXIT_CONFIG
-    assert "max_iter must be a number >= 1, got 'abc'" in caplog.text
-    for algos, hp, message in [
+    assert "max_iter must be an integer >= 1, got 'abc'" in caplog.text
+    for i, (algos, hp, message) in enumerate([
         (["svm", "lin"], "regularization=0", "regularization must be a finite number > 0, got 0"),
         (["svm", "lin"], "regularization=-1", "regularization must be a finite number > 0, got -1"),
         (["log"], "regularization=-0.5", "regularization must be a finite number >= 0, got -0.5"),
@@ -100,8 +108,12 @@ def test_bad_hyperparameter_is_config_error(data_dir, tmp_path, caplog):
         (["log", "nn"], "tol=abc", "tol must be a finite number >= 0, got 'abc'"),
         (["dt", "lin"], "min_leaf=0", "min_leaf must be an integer >= 1, got 0"),
         (["dt", "lin"], "max_depth=0", "max_depth must be an integer >= 1 or null, got 0"),
-    ]:
-        out = tmp_path / hp
+        (["log", "svm", "nn"], "max_iter=Infinity", "max_iter must be an integer >= 1, got inf"),
+        (["svm", "lin"], "max_iter=1.5", "max_iter must be an integer >= 1, got 1.5"),
+        # json.loads refuses an integer literal this long with a plain ValueError
+        (["nn", "lin"], "max_iter=" + "9" * 4301, "max_iter must be an integer >= 1, got '999"),
+    ]):
+        out = tmp_path / f"hp{i}"
         argv = ["earlywarn", "--data", str(data_dir), "--out", str(out), "--hp", hp, "--repeats", "2"]
         for algo in algos:
             argv += ["--algo", algo]
@@ -200,6 +212,17 @@ def test_all_fits_failing_is_numeric_error(data_dir, tmp_path, monkeypatch):
     ({"samples": ["e1", "E3"]}, "samples='E3'"),
     ({"fakenews": {"samples": ["P1", "px"]}}, "fakenews.samples='px'"),
     ({"fakenews": {"samples": ["p1"], "experiments": ["a", "c"]}}, "fakenews.experiments='c'"),
+    ({"seed": "abc"}, "key 'seed' must be an integer, got 'abc'"),
+    ({"seed": 7.9}, "key 'seed' must be an integer, got 7.9"),
+    ({"repeats": None}, "key 'repeats' must be an integer, got None"),
+    ({"repeats": 2.7}, "key 'repeats' must be an integer, got 2.7"),
+    ({"train_fraction": True}, "key 'train_fraction' must be a number, got True"),
+    ({"data": 5}, "key 'data' must be a string, got 5"),
+    ({"fakenews": ["p1"]}, "key 'fakenews' must be an object"),
+    ({"fakenews": {"samples": ["p1"], "max_stepwise": 1.5}}, "key 'fakenews.max_stepwise' must be an integer"),
+    ({"algorithms": "lin"}, "key 'algorithms' must be a list, got 'lin'"),
+    ({"algorithms": ["lin", "lin"]}, "key 'algorithms' needs two or more distinct names"),
+    ({"fakenews": {"samples": ["p1"], "algorithms": []}}, "key 'fakenews.algorithms' needs one or more"),
 ])
 def test_pipeline_config_rejected_before_work(data_dir, tmp_path, caplog, run_config, named):
     config_path = tmp_path / "run.json"
@@ -246,8 +269,10 @@ def test_subcommands_match_pipeline(data_dir, tmp_path):
     ("earlywarn", ["--train-fraction", "1.5"], "train_fraction must be in (0, 1), got 1.5"),
     ("fakenews", ["--train-fraction", "0"], "train_fraction must be in (0, 1), got 0.0"),
     ("fakenews", ["--max-stepwise", "-3"], "max_stepwise must be at least 0, got -3"),
+    ("earlywarn", ["--seed", "-1"], "seed must be at least 0, got -1"),
+    ("fakenews", ["--seed", "-2"], "seed must be at least 0, got -2"),
 ], ids=["earlywarn", "fakenews", "earlywarn-train_fraction", "fakenews-train_fraction",
-        "fakenews-max_stepwise"])
+        "fakenews-max_stepwise", "earlywarn-seed", "fakenews-seed"])
 def test_zero_repeats_rejected_before_work(data_dir, tmp_path, caplog, command, option, message):
     out = tmp_path / "out"
     code = main([command, "--data", str(data_dir), *option, "--out", str(out)])
@@ -261,7 +286,8 @@ def test_zero_repeats_rejected_before_work(data_dir, tmp_path, caplog, command, 
     ({"repeats": -1}, "repeats must be at least 1, got -1"),
     ({"train_fraction": 1.5}, "train_fraction must be in (0, 1), got 1.5"),
     ({"fakenews": {"samples": ["p1"], "max_stepwise": -1}}, "max_stepwise must be at least 0, got -1"),
-], ids=["0", "-1", "train_fraction", "max_stepwise"])
+    ({"seed": -1}, "seed must be at least 0, got -1"),
+], ids=["0", "-1", "train_fraction", "max_stepwise", "seed"])
 def test_pipeline_non_positive_repeats_rejected_before_work(data_dir, tmp_path, caplog, config, message):
     config_path = tmp_path / "run.json"
     config_path.write_text(json.dumps({"data": str(data_dir), **config}))
@@ -269,3 +295,91 @@ def test_pipeline_non_positive_repeats_rejected_before_work(data_dir, tmp_path, 
     assert main(["pipeline", "--config", str(config_path), "--out", str(out)]) == EXIT_CONFIG
     assert message in caplog.text
     assert not out.exists()
+
+
+NUMERIC_ERRORS = [th.FitError, th.SelectionError, DegenerateFitError, ShapeError,
+                  evaluation.StratificationError, evaluation.UndefinedAUCError, ew.TooFewModelsError]
+
+
+@pytest.mark.parametrize("error, code", [
+    (ConfigError, EXIT_CONFIG), (SynthConfigError, EXIT_CONFIG),
+    (CorpusError, EXIT_DATA), (SchemaError, EXIT_DATA), (FileNotFoundError, EXIT_DATA),
+    *[(error, EXIT_NUMERIC) for error in NUMERIC_ERRORS],
+    (ValueError, None), (KeyError, None), (ZeroDivisionError, None),
+], ids=lambda v: v.__name__ if isinstance(v, type) else str(v))
+def test_exit_code_follows_error_type_alone(tmp_path, monkeypatch, error, code):
+    def fail(args):
+        raise error("planted")
+
+    monkeypatch.setattr(cli, "cmd_ingest", fail)
+    argv = ["ingest", "--data", str(tmp_path), "--out", str(tmp_path / "o")]
+    if code is None:  # any other type is a bug: it propagates with its traceback
+        with pytest.raises(error, match="planted"):
+            main(argv)
+    else:
+        assert main(argv) == code
+
+
+@pytest.mark.parametrize("error, code", [(ValueError, None), (DegenerateFitError, EXIT_NUMERIC)])
+def test_fakenews_fit_failure_is_not_caught(data_dir, tmp_path, monkeypatch, error, code):
+    # the embedded early warning turns the failing log fits into benchmark
+    # failures; the post-level stage catches nothing
+    def fail(*args):
+        raise error("planted")
+
+    monkeypatch.setattr(linear, "fit_log", fail)
+    argv = ["fakenews", "--data", str(data_dir), "--sample", "p1", "--experiment", "b", "--algo", "log",
+            "--repeats", "2", "--max-stepwise", "1", "--out", str(tmp_path / "fn")]
+    if code is None:
+        with pytest.raises(error, match="planted"):
+            main(argv)
+    else:
+        assert main(argv) == code
+
+
+@pytest.mark.parametrize("command", ["synth", "pipeline"])
+@pytest.mark.parametrize("content", [b"[1, 2]", b'{"seed": ', b'{"seed": "caf\xe9"}'],
+                         ids=["array", "truncated", "latin1"])
+def test_config_file_not_a_json_object(tmp_path, caplog, command, content):
+    config_path = tmp_path / "config.json"
+    config_path.write_bytes(content)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config_path), "--out", str(out)]) == EXIT_CONFIG
+    assert f"configuration error: {config_path}: " in caplog.text
+    assert not (out / "posts.jsonl").exists() and not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("bin_hours, message", [
+    ("0", "bin_hours must be a finite number > 0, got 0.0"),
+    ("nan", "bin_hours must be a finite number > 0, got nan"),
+])
+def test_bad_bin_hours_is_config_error(data_dir, tmp_path, caplog, bin_hours, message):
+    code = main(["features", "--data", str(data_dir), "--bin-hours", bin_hours, "--out", str(tmp_path / "f")])
+    assert code == EXIT_CONFIG
+    assert message in caplog.text
+
+
+@pytest.mark.parametrize("text, named", [
+    ("x,ratio_dd,ratio_de\n0.0,1.0,0.5\n", "fig2a.csv: expected columns"),
+    ("delta,ratio_dd,ratio_de\n0.0,1.0,0.5\n0.1,abc,0.5\n", "fig2a.csv: could not convert string to float: 'abc'"),
+    ("delta,ratio_dd,ratio_de\n0.0,1.0\n", "fig2a.csv: float() argument"),
+    ("delta,ratio_dd,ratio_de\n0.0,1.0,caf\xe9\n", "fig2a.csv: 'utf-8' codec can't decode"),
+], ids=["columns", "cell", "missing-cell", "latin1"])
+def test_bad_fixture_is_data_error(tmp_path, caplog, text, named):
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree("fixtures", fixtures)
+    (fixtures / "fig2a.csv").write_bytes(text.encode("latin-1"))
+    assert main(["thresholds", "--fixtures", str(fixtures), "--out", str(tmp_path / "o")]) == EXIT_DATA
+    assert named in caplog.text
+
+
+@pytest.mark.parametrize("name, content", [
+    ("manifest.json", "{"), ("manifest.json", "[]"), ("report.json", "[1]"), ("report.json", "{,}"),
+])
+def test_bad_run_file_is_data_error(tmp_path, caplog, name, content):
+    stage = tmp_path / "run" / "stage"
+    stage.mkdir(parents=True)
+    (stage / "manifest.json").write_text("{}")
+    (stage / name).write_text(content)
+    assert main(["report", "--run", str(tmp_path / "run")]) == EXIT_DATA
+    assert f"data error: {stage / name}: " in caplog.text

@@ -119,7 +119,7 @@ class TestSelectBestModels:
         assert ew.select_best_models(dict(items)) == ew.select_best_models(dict(reversed(items)))
 
     def test_single_report_error(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ew.TooFewModelsError):
             ew.select_best_models({"log": report_with(0.7, 0.7)})
 
 

@@ -177,6 +177,16 @@ def test_non_finite_float_rejected(name, value):
     ({"undisputed_spread": -0.1}, "undisputed_spread"),
     ({"disputed_sentiment_low": 0.2, "disputed_sentiment_high": 0.8}, "disputed_sentiment_low"),
     ({"disputed_sentiment_low": -0.8, "disputed_sentiment_high": -0.2}, "disputed_sentiment_high"),
+    # each below was refused only by a numpy call inside the generator
+    ({"n_official_sources": 0}, "n_official_sources"),
+    ({"n_fake_sources": -1}, "n_fake_sources"),
+    ({"engaged_cohort_size": 0}, "engaged_cohort_size"),
+    ({"audience_size_min": -1}, "audience_size_min"),
+    ({"audience_size": 0}, "audience_size"),
+    ({"n_comments": -1}, "n_comments"),
+    ({"consonant_noise": -1.0}, "consonant_noise"),
+    ({"head_posts_max": 20}, "head_posts_min"),
+    ({"seed": -1}, "seed"),
 ])
 def test_reversed_or_negative_range_rejected(overrides, key):
     config = synth.SynthConfig(**{**TOY.to_json_dict(), **overrides})
