@@ -324,6 +324,8 @@ def cmd_features(args) -> int:
     out = _out_dir(args.out)
     corpus = corpus_mod.load_corpus(args.data)
     sample = _load_sample(corpus, args.sample)
+    # first: it checks bin_hours before any file is written
+    lag = feat.temporal_lag_histogram(corpus, sample, bin_hours=args.bin_hours)
     features, _, _, _ = ew.threshold_entities(corpus, sample)
     _write_csv(out / f"features_{sample.name.lower()}.csv", _FEATURE_COLUMNS, _feature_rows(features))
 
@@ -336,7 +338,6 @@ def cmd_features(args) -> int:
         hist = feat.response_distribution(features, c_flag, d_flag)
         _write_csv(out / f"response_hist_{tag}.csv", ("bin_lo", "bin_hi", "density"),
                    zip(hist.edges[:-1], hist.edges[1:], hist.density))
-    lag = feat.temporal_lag_histogram(corpus, sample, bin_hours=args.bin_hours)
     _write_csv(out / f"temporal_lag_{sample.name.lower()}.csv", ("lag_lo_hours", "lag_hi_hours", "count"),
                zip(lag.edges_hours[:-1], lag.edges_hours[1:], lag.counts))
     _write_manifest(out, "features", {"data": str(args.data), "sample": args.sample,

@@ -84,7 +84,7 @@ class DegenerateFitError(NumericError):
 
 
 class ShapeError(NumericError):
-    """Prediction rows do not match the training feature width, or are not finite."""
+    """Feature rows are not finite, or prediction rows do not match the training width."""
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ class Dataset:
         if X.shape[1] != len(self.feature_names):
             raise ValueError("feature_names must match feature columns")
         if not np.all(np.isfinite(X)):
-            raise ValueError("features contain non-finite values")
+            raise ShapeError("features must be finite")
         if len(set(self.feature_names)) != len(self.feature_names):
             raise ValueError("feature names must be unique")
         if y.size and not np.all((y == 0) | (y == 1)):

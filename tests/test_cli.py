@@ -354,9 +354,10 @@ def test_config_file_not_a_json_object(tmp_path, caplog, command, content):
     ("nan", "bin_hours must be a finite number > 0, got nan"),
 ])
 def test_bad_bin_hours_is_config_error(data_dir, tmp_path, caplog, bin_hours, message):
-    code = main(["features", "--data", str(data_dir), "--bin-hours", bin_hours, "--out", str(tmp_path / "f")])
-    assert code == EXIT_CONFIG
+    out = tmp_path / "f"
+    assert main(["features", "--data", str(data_dir), "--bin-hours", bin_hours, "--out", str(out)]) == EXIT_CONFIG
     assert message in caplog.text
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("text, named", [
