@@ -142,6 +142,21 @@ def _specs(args) -> list[ModelSpec]:
                       seed=args.seed) for a in algos]
 
 
+def _algorithm_names(names: list, key: str, at_least: int) -> list:
+    """``names`` once they hold ``at_least`` distinct algorithms, none of them twice.
+
+    The early warning keeps the best two of its algorithms; a fake-news
+    algorithm is one column of every report, so a repeat would be fitted twice.
+    """
+    if len(set(map(str, names))) < at_least:
+        says = "two or more distinct names" if at_least == 2 else "one or more names"
+        raise ConfigError(f"{key} needs {says}, got {names}")
+    repeated = sorted({str(name) for name in names if names.count(name) > 1})
+    if repeated:
+        raise ConfigError(f"{key} names {', '.join(repeated)} more than once")
+    return names
+
+
 def _max_stepwise(n: int) -> int:
     if n < 0:
         raise ConfigError(f"max_stepwise must be at least 0, got {n}")
@@ -348,6 +363,7 @@ def cmd_features(args) -> int:
 
 def cmd_earlywarn(args) -> int:
     specs = _specs(args)
+    _algorithm_names([s.algorithm for s in specs], "--algo", 2)
     result = _earlywarn_stage(Path(args.out), _inputs(args), args.sample, specs)
     print(f"earlywarn[{result.sample.name}]: best models {result.best}, "
           f"AUC {dict((a, round(r.auc, 3)) for a, r in result.benchmark.reports.items())}")
@@ -357,6 +373,7 @@ def cmd_earlywarn(args) -> int:
 def cmd_fakenews(args) -> int:
     max_stepwise = _max_stepwise(args.max_stepwise)
     specs = _specs(args)
+    _algorithm_names([s.algorithm for s in specs], "--algo", 1)
     inputs = _inputs(args)
     # the embedded early-warning stage always benchmarks the full suite so it
     # can pick its two predictive models; --algo only scopes the post task
@@ -425,17 +442,15 @@ def cmd_pipeline(args) -> int:
            if str(name).lower() not in accepted]  # names are case-insensitive
     if bad:
         raise ConfigError(f"unknown name(s) in pipeline config: {', '.join(bad)}")
-    algorithms = cfg.get("algorithms", list(ALGORITHMS))
-    if len(set(map(str, algorithms))) < 2:  # the early warning keeps the best two
-        raise ConfigError(f"pipeline config key 'algorithms' needs two or more distinct names, "
-                          f"got {algorithms}")
+    algorithms = _algorithm_names(cfg.get("algorithms", list(ALGORITHMS)),
+                                  "pipeline config key 'algorithms'", 2)
+    fn_algorithms = _algorithm_names(fn_cfg.get("algorithms", algorithms),
+                                     "pipeline config key 'fakenews.algorithms'", 1)
     seed = cfg.get("seed", 7)
     protocol = Protocol(repeats=cfg.get("repeats", 10), train_fraction=cfg.get("train_fraction", 0.6),
                         seed=seed)
     specs = [ModelSpec(algorithm=a, seed=seed) for a in algorithms]
-    fn_specs = [ModelSpec(algorithm=a, seed=seed) for a in fn_cfg.get("algorithms", algorithms)]
-    if not fn_specs:
-        raise ConfigError("pipeline config key 'fakenews.algorithms' needs one or more names, got []")
+    fn_specs = [ModelSpec(algorithm=a, seed=seed) for a in fn_algorithms]
     max_stepwise = _max_stepwise(fn_cfg.get("max_stepwise", 16))
     out = _out_dir(args.out)
 

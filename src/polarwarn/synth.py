@@ -14,23 +14,40 @@ Ground truth (disputed sets, engaged cohorts, exact presentation spreads,
 engaged fractions, planted lags) is tallied during generation, so tests can
 verify the feature pipeline against an independent bookkeeping path.
 
-Every uniform draw is computed as ``lo + (hi - lo) * rng.random()``, which
-is numpy's own ``Generator.uniform`` formula (``low + range * next_double``):
+Every uniform draw is computed as ``lo + (hi - lo) * random()``, which is
+numpy's own ``Generator.uniform`` formula (``low + range * next_double``):
 it consumes the same one double from the stream and yields the same bits,
 so the files stay byte-identical to those written with ``rng.uniform``,
 without its per-call argument handling.  The range checks ``uniform`` made
 on each call are made once, up front, by :meth:`SynthConfig.validate`.
-Each JSONL file is written by one line formatter that produces exactly
-``json.dumps(row, ensure_ascii=False)``: strings through
-``json.encoder.encode_basestring``, numbers through ``repr``, instead of a
-``json.dumps`` call per row, which builds a new encoder each time.
+
+In the per-entity post and comment loop, which makes most of the draws,
+``random()`` and ``integers(n)`` are replayed in Python on the PCG64 bit
+generator's raw 64-bit draws (:class:`_Replay`), which costs a fraction of a
+numpy scalar call.  ``random()`` is numpy's ``next_double``, ``(raw >> 11) *
+2**-53``.  ``integers(n)`` is Lemire's nearly-divisionless method, as numpy
+draws it, on 32-bit values: the low half of a fresh raw draw, or the high
+half PCG64 buffered from the previous one.  The replay takes that buffer
+over from the bit generator before the loop and hands it back after it,
+and in between only ``normal``, ``poisson`` and ``gamma`` stay numpy calls:
+they draw 64-bit values and never touch the buffer.  The draws, and so the
+files, are the same as numpy's own, one for one.
+
+Each source, post, comment and mention is written to its JSONL file as soon
+as it is drawn, so no row is held in memory; the noise-mention pass keeps
+only each post's id and entity.  Each file's lines come from one formatter
+that produces exactly ``json.dumps(row, ensure_ascii=False)``: strings
+through ``json.encoder.encode_basestring``, numbers through ``repr``,
+instead of a ``json.dumps`` call per row, which builds a new encoder each
+time.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from contextlib import ExitStack
+from dataclasses import asdict, dataclass, fields
 from json.encoder import encode_basestring as _str
 from pathlib import Path
 
@@ -204,14 +221,6 @@ class GroundTruth:
         )
 
 
-@dataclass
-class _Records:
-    sources: list[dict] = field(default_factory=list)
-    posts: list[dict] = field(default_factory=list)
-    comments: list[dict] = field(default_factory=list)
-    mentions: list[dict] = field(default_factory=list)
-
-
 def _finite(v) -> bool:
     try:
         return math.isfinite(v)
@@ -224,24 +233,77 @@ def _clip(v: float) -> float:
 
 
 def _uniform(random, lo: float, hi: float) -> float:
-    """``Generator.uniform(lo, hi)`` from the generator's bound ``random``, draw for draw."""
+    """``Generator.uniform(lo, hi)`` from ``random``, the generator's own or its replay, draw for draw."""
     lo = float(lo)
     return lo + (float(hi) - lo) * random()
 
 
-def build_synthetic(config: SynthConfig) -> tuple[_Records, GroundTruth]:
-    """Generate all records in memory together with the planted truth."""
+# numpy's next_double: the top 53 bits of a raw draw times 2**-53
+_DOUBLE_UNIT = 2.0 ** -53
+
+
+class _Replay:
+    """``Generator.random()`` and ``Generator.integers(n)`` replayed on PCG64's raw draws.
+
+    Creating one takes over the bit generator's 32-bit buffer (``has_uint32``,
+    ``uinteger``); :meth:`store` hands it back.  In between, the generator
+    may make only the calls that draw 64-bit values (``random``, ``normal``,
+    ``poisson``, ``gamma``), which never touch that buffer, and no
+    ``integers`` or ``choice``, which do.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self.bit_generator = rng.bit_generator
+        assert isinstance(self.bit_generator, np.random.PCG64)  # the buffer and draws below are PCG64's
+        self.raw = self.bit_generator.random_raw
+        state = self.bit_generator.state
+        self.has_uint32, self.uinteger = state["has_uint32"], state["uinteger"]
+
+    def random(self) -> float:
+        return (self.raw() >> 11) * _DOUBLE_UNIT
+
+    def integers(self, n: int) -> int:
+        """``Generator.integers(n)`` for ``1 <= n < 2**32``: Lemire's method on 32-bit values."""
+        if n == 1:
+            return 0  # numpy draws nothing for a one-value range
+        while True:
+            # PCG64's next_uint32: the buffered high half, or the low half of a fresh draw
+            if self.has_uint32:
+                self.has_uint32 = 0
+                m = self.uinteger * n
+            else:
+                r = self.raw()
+                self.has_uint32, self.uinteger = 1, r >> 32
+                m = (r & 0xFFFFFFFF) * n
+            low = m & 0xFFFFFFFF
+            if low >= n or low >= 0x100000000 % n:  # numpy rejects low halves below 2**32 mod n
+                return m >> 32
+
+    def store(self) -> None:
+        """Hand the 32-bit buffer back to the bit generator."""
+        state = self.bit_generator.state
+        state["has_uint32"], state["uinteger"] = self.has_uint32, self.uinteger
+        self.bit_generator.state = state
+
+
+def _discard(line: str) -> None:
+    """A writer that drops its line."""
+
+
+def build_synthetic(config: SynthConfig, out_dir: str | Path | None = None) -> GroundTruth:
+    """Draw the corpus and return its planted truth.
+
+    With ``out_dir``, an existing directory, each source, post, comment and
+    mention line is written to its JSONL file there as soon as it is drawn;
+    without it, the lines are discarded.  The files are opened only after
+    every setting has passed its checks.
+    """
     config.validate()
     rng = np.random.default_rng(config.seed)
     random = rng.random
-    rec = _Records()
 
     official_ids = [f"src_official_{i:03d}" for i in range(config.n_official_sources)]
     fake_ids = [f"src_fake_{i:03d}" for i in range(config.n_fake_sources)]
-    for i, sid in enumerate(official_ids):
-        rec.sources.append({"id": sid, "name": f"Official Outlet {i}", "category": "official"})
-    for i, sid in enumerate(fake_ids):
-        rec.sources.append({"id": sid, "name": f"Fringe Site {i}", "category": "fake"})
 
     n_ent = config.n_entities
     entities = [f"entity_{i:04d}" for i in range(n_ent)]
@@ -312,8 +374,8 @@ def build_synthetic(config: SynthConfig) -> tuple[_Records, GroundTruth]:
 
     mean_comments = config.n_comments / config.n_posts
     # the comment loop runs once per comment: it reads these as locals and
-    # inlines its uniform draws as lo + width * random()
-    integers, normal, poisson = rng.integers, rng.normal, rng.poisson
+    # inlines its uniform draws as lo + width * (raw() >> 11) * 2**-53
+    normal, poisson, gamma = rng.normal, rng.poisson, rng.gamma
     cohort_share = config.cohort_comment_share
     cohort_size = config.engaged_cohort_size
     missing_rate = config.comment_missing_sentiment_rate
@@ -321,139 +383,137 @@ def build_synthetic(config: SynthConfig) -> tuple[_Records, GroundTruth]:
     offset_lo = float(config.divergent_offset_low)
     offset_width = float(config.divergent_offset_high) - offset_lo
     delay_width = float(_DAY - 60)
+    unit = _DOUBLE_UNIT
     n_texts = len(_COMMENT_TEXTS)
-    comments = rec.comments
-    post_counter = 0
+    primaries: list[tuple[str, str]] = []  # (post id, entity) of every post, for the noise mentions
     comment_counter = 0
-    for i in range(n_ent):
-        entity = entities[i]
-        n_e = post_counts[i]
-        is_disputed = i in disputed_idx
-        if is_disputed:
-            n_fake = max(1, int(round(config.fake_post_fraction * n_e)))
-            n_fake = min(n_fake, n_e - 1)
+    n_mentions = 0
+    with ExitStack() as stack:
+        if out_dir is None:
+            write_source = write_post = write_comment = write_mention = _discard
         else:
-            n_fake = 0
-        n_official = n_e - n_fake
-        t0 = _EPOCH_2016_07_31 + int(_uniform(random, 0, 90 * _DAY))
+            write_source, write_post, write_comment, write_mention = (
+                stack.enter_context(open(Path(out_dir) / name, "w", encoding="utf-8")).write
+                for name in ("sources.jsonl", "posts.jsonl", "comments.jsonl", "mentions.jsonl"))
+        for i, sid in enumerate(official_ids):
+            write_source(_source_line(sid, f"Official Outlet {i}", "official") + "\n")
+        for i, sid in enumerate(fake_ids):
+            write_source(_source_line(sid, f"Fringe Site {i}", "fake") + "\n")
 
-        slots: list[tuple[str, int, float]] = []  # (category, timestamp, sentiment)
-        lo, hi = config.disputed_sentiment_low, config.disputed_sentiment_high
-        half = config.undisputed_spread / 2.0
-        profile = profiles[i]
-        cohort = cohorts.get(i)
-        audience = audiences[i]
-        sign = divergence_sign.get(i)
-        entity_commenters = commenters[i]
-        for j in range(n_official):
-            ts = t0 if j == 0 else t0 + int(_uniform(random, 3600, 30 * _DAY))
-            if profile == "wide_disputed":
-                sent = hi if j == 0 else _uniform(random, 0.0, hi)
-            elif profile == "lookalike":
-                sent = _uniform(random, lo, hi)
-            else:  # narrow_disputed and plain share the tight band
-                sent = _clip(centers[i] + _uniform(random, -half, half))
-            slots.append(("official", ts, sent))
-        if is_disputed:
-            fake_t0 = t0 + int(lags[i] * 3600)
-            for j in range(n_fake):
-                ts = fake_t0 if j == 0 else fake_t0 + int(_uniform(random, 3600, 30 * _DAY))
+        # from here on random() is replayed on the raw draws, and so is
+        # integers(n) up to draws.store(); in between, only normal, poisson
+        # and gamma are numpy calls
+        draws = _Replay(rng)
+        raw, random, integers = draws.raw, draws.random, draws.integers
+        for i in range(n_ent):
+            entity = entities[i]
+            n_e = post_counts[i]
+            is_disputed = i in disputed_idx
+            if is_disputed:
+                n_fake = max(1, int(round(config.fake_post_fraction * n_e)))
+                n_fake = min(n_fake, n_e - 1)
+            else:
+                n_fake = 0
+            n_official = n_e - n_fake
+            t0 = _EPOCH_2016_07_31 + int(_uniform(random, 0, 90 * _DAY))
+
+            slots: list[tuple[str, int, float]] = []  # (category, timestamp, sentiment)
+            lo, hi = config.disputed_sentiment_low, config.disputed_sentiment_high
+            half = config.undisputed_spread / 2.0
+            profile = profiles[i]
+            cohort = cohorts.get(i)
+            audience = audiences[i]
+            n_audience = len(audience)
+            sign = divergence_sign.get(i)
+            entity_commenters = commenters[i]
+            for j in range(n_official):
+                ts = t0 if j == 0 else t0 + int(_uniform(random, 3600, 30 * _DAY))
                 if profile == "wide_disputed":
-                    sent = lo if j == 0 else _uniform(random, lo, 0.0)
-                else:
+                    sent = hi if j == 0 else _uniform(random, 0.0, hi)
+                elif profile == "lookalike":
+                    sent = _uniform(random, lo, hi)
+                else:  # narrow_disputed and plain share the tight band
                     sent = _clip(centers[i] + _uniform(random, -half, half))
-                slots.append(("fake", ts, sent))
+                slots.append(("official", ts, sent))
+            if is_disputed:
+                fake_t0 = t0 + int(lags[i] * 3600)
+                for j in range(n_fake):
+                    ts = fake_t0 if j == 0 else fake_t0 + int(_uniform(random, 3600, 30 * _DAY))
+                    if profile == "wide_disputed":
+                        sent = lo if j == 0 else _uniform(random, lo, 0.0)
+                    else:
+                        sent = _clip(centers[i] + _uniform(random, -half, half))
+                    slots.append(("fake", ts, sent))
 
-        for category, ts, sent in slots:
-            pid = f"post_{post_counter:06d}"
-            post_counter += 1
-            # a slice of each class borrows the other side's writing style, so
-            # surface statistics separate well but never perfectly
-            if category == "official":
-                source = official_ids[int(rng.integers(len(official_ids)))]
-                style = "fake" if random() < config.official_clickbait_rate else "official"
-                likes = int(rng.gamma(2.0, 30.0))
-                shares = int(rng.gamma(2.0, 8.0))
-            else:
-                source = fake_ids[int(rng.integers(len(fake_ids)))]
-                style = "official" if random() < config.fake_sober_rate else "fake"
-                likes = int(rng.gamma(2.0, 18.0))
-                shares = int(rng.gamma(2.0, 16.0))
-            if style == "official":
-                text = _OFFICIAL_TEXTS[int(rng.integers(len(_OFFICIAL_TEXTS)))].format(
-                    k=int(rng.integers(1000)), entity=entity.replace("_", " ")
-                )
-            else:
-                text = _FAKE_TEXTS[int(rng.integers(len(_FAKE_TEXTS)))].format(
-                    k=int(rng.integers(1000)), entity=entity.replace("_", " ").upper()
-                )
-            rec.posts.append(
-                {
-                    "id": pid,
-                    "source_id": source,
-                    "timestamp": ts,
-                    "text": text,
-                    "sentiment": sent,
-                    "likes": likes,
-                    "shares": shares,
-                }
-            )
-            conf = _uniform(random, 0.92, 0.99) if high_confidence[i] else _uniform(random, 0.62, 0.88)
-            rec.mentions.append({"entity": entity, "post_id": pid, "confidence": conf})
-
-            sent_min[i] = min(sent_min.get(i, sent), sent)
-            sent_max[i] = max(sent_max.get(i, sent), sent)
-            if category == "official":
-                first_official[i] = min(first_official.get(i, ts), ts)
-            else:
-                first_fake[i] = min(first_fake.get(i, ts), ts)
-
-            n_c = int(poisson(mean_comments))
-            for _ in range(n_c):
-                cid = f"comment_{comment_counter:07d}"
-                comment_counter += 1
-                if is_disputed and random() < cohort_share:
-                    user = cohort[int(integers(cohort_size))]
+            for category, ts, sent in slots:
+                pid = f"post_{len(primaries):06d}"
+                primaries.append((pid, entity))
+                # a slice of each class borrows the other side's writing style, so
+                # surface statistics separate well but never perfectly
+                if category == "official":
+                    source = official_ids[integers(len(official_ids))]
+                    style = "fake" if random() < config.official_clickbait_rate else "official"
+                    likes = int(gamma(2.0, 30.0))
+                    shares = int(gamma(2.0, 8.0))
                 else:
-                    user = audience[int(integers(len(audience)))]
-                if random() < missing_rate:
-                    c_sent = None
-                elif is_disputed:
-                    # consonant audience: responses hug the presentation
-                    c_sent = _clip(sent + float(normal(0.0, noise)))
+                    source = fake_ids[integers(len(fake_ids))]
+                    style = "official" if random() < config.fake_sober_rate else "fake"
+                    likes = int(gamma(2.0, 18.0))
+                    shares = int(gamma(2.0, 16.0))
+                if style == "official":
+                    text = _OFFICIAL_TEXTS[integers(len(_OFFICIAL_TEXTS))].format(
+                        k=integers(1000), entity=entity.replace("_", " ")
+                    )
                 else:
-                    # divergent audience with a per-entity bias direction
-                    c_sent = _clip(sent + sign * (offset_lo + offset_width * random()))
-                comments.append(
-                    {
-                        "id": cid,
-                        "post_id": pid,
-                        "user_id": user,
-                        "timestamp": ts + int(60.0 + delay_width * random()),
-                        "text": _COMMENT_TEXTS[int(integers(n_texts))],
-                        "sentiment": c_sent,
-                        "likes": int(poisson(2.0)),
-                        "replies": int(poisson(1.0)),
-                    }
-                )
-                user_total[user] = user_total.get(user, 0) + 1
-                user_entity[(user, i)] = user_entity.get((user, i), 0) + 1
-                entity_commenters.add(user)
+                    text = _FAKE_TEXTS[integers(len(_FAKE_TEXTS))].format(
+                        k=integers(1000), entity=entity.replace("_", " ").upper()
+                    )
+                write_post(_post_line(pid, source, ts, text, sent, likes, shares) + "\n")
+                conf = _uniform(random, 0.92, 0.99) if high_confidence[i] else _uniform(random, 0.62, 0.88)
+                write_mention(_mention_line(entity, pid, conf) + "\n")
+                n_mentions += 1
 
-    # low-confidence noise mentions exercise the confidence filter without
-    # affecting sample membership
-    primary_by_post = {m["post_id"]: m["entity"] for m in rec.mentions}
-    for post in rec.posts:
-        if random() < config.noise_mention_rate:
-            other = entities[int(rng.integers(n_ent))]
-            if other != primary_by_post[post["id"]]:
-                rec.mentions.append(
-                    {
-                        "entity": other,
-                        "post_id": post["id"],
-                        "confidence": _uniform(random, 0.15, 0.55),
-                    }
-                )
+                sent_min[i] = min(sent_min.get(i, sent), sent)
+                sent_max[i] = max(sent_max.get(i, sent), sent)
+                if category == "official":
+                    first_official[i] = min(first_official.get(i, ts), ts)
+                else:
+                    first_fake[i] = min(first_fake.get(i, ts), ts)
+
+                n_c = int(poisson(mean_comments))
+                for _ in range(n_c):
+                    cid = f"comment_{comment_counter:07d}"
+                    comment_counter += 1
+                    if is_disputed and (raw() >> 11) * unit < cohort_share:
+                        user = cohort[integers(cohort_size)]
+                    else:
+                        user = audience[integers(n_audience)]
+                    if (raw() >> 11) * unit < missing_rate:
+                        c_sent = None
+                    elif is_disputed:
+                        # consonant audience: responses hug the presentation
+                        c_sent = _clip(sent + float(normal(0.0, noise)))
+                    else:
+                        # divergent audience with a per-entity bias direction
+                        c_sent = _clip(sent + sign * (offset_lo + offset_width * ((raw() >> 11) * unit)))
+                    # the arguments draw in the order the fields are written
+                    write_comment(_comment_line(
+                        cid, pid, user, ts + int(60.0 + delay_width * ((raw() >> 11) * unit)),
+                        _COMMENT_TEXTS[integers(n_texts)], c_sent, int(poisson(2.0)), int(poisson(1.0)),
+                    ) + "\n")
+                    user_total[user] = user_total.get(user, 0) + 1
+                    user_entity[(user, i)] = user_entity.get((user, i), 0) + 1
+                    entity_commenters.add(user)
+        draws.store()
+
+        # low-confidence noise mentions exercise the confidence filter without
+        # affecting sample membership
+        for pid, entity in primaries:
+            if random() < config.noise_mention_rate:
+                other = entities[int(rng.integers(n_ent))]
+                if other != entity:
+                    write_mention(_mention_line(other, pid, _uniform(random, 0.15, 0.55)) + "\n")
+                    n_mentions += 1
 
     truth_entities: dict[str, EntityTruth] = {}
     for i in range(n_ent):
@@ -477,75 +537,59 @@ def build_synthetic(config: SynthConfig) -> tuple[_Records, GroundTruth]:
             cohort=tuple(cohorts.get(i, ())),
             lag_hours=lag_hours,
         )
-    truth = GroundTruth(
+    return GroundTruth(
         entities=truth_entities,
         disputed=tuple(entities[i] for i in sorted_disputed),
         totals={
-            "sources": len(rec.sources),
-            "posts": len(rec.posts),
-            "comments": len(rec.comments),
-            "mentions": len(rec.mentions),
+            "sources": len(official_ids) + len(fake_ids),
+            "posts": len(primaries),
+            "comments": comment_counter,
+            "mentions": n_mentions,
             "users_active": len(user_total),
         },
         config=config,
     )
-    return rec, truth
 
 
-# One formatter per JSONL file, each equal to json.dumps(row, ensure_ascii=False)
-# for its rows: strings go through the encoder json.dumps uses, numbers
-# through repr (finite floats and ints print as JSON does), None as null.
+# One formatter per JSONL file, taking the row's values in the file's key
+# order; each returns json.dumps(row, ensure_ascii=False) for the row: strings
+# go through the encoder json.dumps uses, numbers through repr (finite floats
+# and ints print as JSON does), None as null.
 
 
 def _num(v) -> str:
     return "null" if v is None else repr(v)
 
 
-def _source_line(row: dict) -> str:
+def _source_line(source_id, name, category) -> str:
+    return f'{{"id": {_str(source_id)}, "name": {_str(name)}, "category": {_str(category)}}}'
+
+
+def _post_line(post_id, source_id, timestamp, text, sentiment, likes, shares) -> str:
     return (
-        f'{{"id": {_str(row["id"])}, "name": {_str(row["name"])}, '
-        f'"category": {_str(row["category"])}}}'
+        f'{{"id": {_str(post_id)}, "source_id": {_str(source_id)}, '
+        f'"timestamp": {timestamp!r}, "text": {_str(text)}, '
+        f'"sentiment": {_num(sentiment)}, "likes": {likes!r}, "shares": {shares!r}}}'
     )
 
 
-def _post_line(row: dict) -> str:
+def _comment_line(comment_id, post_id, user_id, timestamp, text, sentiment, likes, replies) -> str:
     return (
-        f'{{"id": {_str(row["id"])}, "source_id": {_str(row["source_id"])}, '
-        f'"timestamp": {row["timestamp"]!r}, "text": {_str(row["text"])}, '
-        f'"sentiment": {_num(row["sentiment"])}, "likes": {row["likes"]!r}, "shares": {row["shares"]!r}}}'
+        f'{{"id": {_str(comment_id)}, "post_id": {_str(post_id)}, "user_id": {_str(user_id)}, '
+        f'"timestamp": {timestamp!r}, "text": {_str(text)}, '
+        f'"sentiment": {_num(sentiment)}, "likes": {likes!r}, "replies": {replies!r}}}'
     )
 
 
-def _comment_line(row: dict) -> str:
-    return (
-        f'{{"id": {_str(row["id"])}, "post_id": {_str(row["post_id"])}, "user_id": {_str(row["user_id"])}, '
-        f'"timestamp": {row["timestamp"]!r}, "text": {_str(row["text"])}, '
-        f'"sentiment": {_num(row["sentiment"])}, "likes": {row["likes"]!r}, "replies": {row["replies"]!r}}}'
-    )
-
-
-def _mention_line(row: dict) -> str:
-    return (
-        f'{{"entity": {_str(row["entity"])}, "post_id": {_str(row["post_id"])}, '
-        f'"confidence": {row["confidence"]!r}}}'
-    )
-
-
-def _write_jsonl(rows: list[dict], line, path: Path) -> None:
-    # streamed line by line: a joined file would add its size to the peak RSS
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(line(row) + "\n" for row in rows)
+def _mention_line(entity, post_id, confidence) -> str:
+    return f'{{"entity": {_str(entity)}, "post_id": {_str(post_id)}, "confidence": {confidence!r}}}'
 
 
 def generate(config: SynthConfig, out_dir: str | Path) -> GroundTruth:
     """Write the four corpus JSONL files plus truth.json; returns the truth."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rec, truth = build_synthetic(config)
-    _write_jsonl(rec.sources, _source_line, out / "sources.jsonl")
-    _write_jsonl(rec.posts, _post_line, out / "posts.jsonl")
-    _write_jsonl(rec.comments, _comment_line, out / "comments.jsonl")
-    _write_jsonl(rec.mentions, _mention_line, out / "mentions.jsonl")
+    truth = build_synthetic(config, out)
     with open(out / "truth.json", "w", encoding="utf-8") as fh:
         json.dump(truth.to_json_dict(), fh, indent=2, sort_keys=True)
     return truth

@@ -223,6 +223,9 @@ def test_all_fits_failing_is_numeric_error(data_dir, tmp_path, monkeypatch):
     ({"algorithms": "lin"}, "key 'algorithms' must be a list, got 'lin'"),
     ({"algorithms": ["lin", "lin"]}, "key 'algorithms' needs two or more distinct names"),
     ({"fakenews": {"samples": ["p1"], "algorithms": []}}, "key 'fakenews.algorithms' needs one or more"),
+    ({"algorithms": ["lin", "log", "lin"]}, "key 'algorithms' names lin more than once"),
+    ({"fakenews": {"samples": ["p1"], "algorithms": ["log", "lin", "log"]}},
+     "key 'fakenews.algorithms' names log more than once"),
 ])
 def test_pipeline_config_rejected_before_work(data_dir, tmp_path, caplog, run_config, named):
     config_path = tmp_path / "run.json"
@@ -271,8 +274,14 @@ def test_subcommands_match_pipeline(data_dir, tmp_path):
     ("fakenews", ["--max-stepwise", "-3"], "max_stepwise must be at least 0, got -3"),
     ("earlywarn", ["--seed", "-1"], "seed must be at least 0, got -1"),
     ("fakenews", ["--seed", "-2"], "seed must be at least 0, got -2"),
+    ("earlywarn", ["--algo", "log"], "--algo needs two or more distinct names, got ['log']"),
+    ("earlywarn", ["--algo", "lin", "--algo", "lin"],
+     "--algo needs two or more distinct names, got ['lin', 'lin']"),
+    ("earlywarn", ["--algo", "lin", "--algo", "log", "--algo", "lin"], "--algo names lin more than once"),
+    ("fakenews", ["--algo", "log", "--algo", "log"], "--algo names log more than once"),
 ], ids=["earlywarn", "fakenews", "earlywarn-train_fraction", "fakenews-train_fraction",
-        "fakenews-max_stepwise", "earlywarn-seed", "fakenews-seed"])
+        "fakenews-max_stepwise", "earlywarn-seed", "fakenews-seed", "earlywarn-one-algo",
+        "earlywarn-same-algo", "earlywarn-repeated-algo", "fakenews-repeated-algo"])
 def test_zero_repeats_rejected_before_work(data_dir, tmp_path, caplog, command, option, message):
     out = tmp_path / "out"
     code = main([command, "--data", str(data_dir), *option, "--out", str(out)])

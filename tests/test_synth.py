@@ -76,7 +76,7 @@ def test_line_formatter_matches_json_dumps(name, data):
     line, row_fields = LINE_ROWS[name]
     drawn = data.draw(st.fixed_dictionaries(row_fields))
     row = {key: drawn[key] for key in row_fields}  # the generator's key order
-    assert line(row) == json.dumps(row, ensure_ascii=False)
+    assert line(*row.values()) == json.dumps(row, ensure_ascii=False)
 
 
 BOUND = st.one_of(st.floats(-1e300, 1e300), st.integers(-10**6, 10**6))
@@ -93,6 +93,40 @@ def test_uniform_matches_generator_uniform(seed, a, b):
     assert ours.random() == theirs.random()
 
 
+# one call each: the replayed integers(n) and random(), and the numpy draws
+# the generator still makes while the replay holds the 32-bit buffer
+DRAW_CALLS = st.lists(st.one_of(
+    st.tuples(st.just("integers"), st.integers(1, 2**32 - 1)),
+    # numpy rejects a 32-bit value with probability (2**32 mod n) / 2**32, here 1/4 to 1/2
+    st.tuples(st.just("integers"), st.integers(2**31 + 1, 3 * 2**30)),
+    st.tuples(st.just("random")),
+    st.tuples(st.just("normal"), st.floats(-1, 1), st.floats(0, 2)),
+    st.tuples(st.just("poisson"), st.floats(0, 100)),  # lam >= 10 takes numpy's other method
+    st.tuples(st.just("gamma"), st.floats(0.1, 10), st.floats(0.1, 10)),  # so does shape < 1
+), max_size=40)
+
+
+@given(seed=st.integers(0, 2**64 - 1), buffered=st.booleans(), calls=DRAW_CALLS)
+def test_replay_matches_generator(seed, buffered, calls):
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    if buffered:  # integers(2**32) takes one 32-bit value: the high half stays buffered
+        assert ours.integers(2**32) == theirs.integers(2**32)
+    assert ours.bit_generator.state["has_uint32"] == buffered
+    draws = synth._Replay(ours)
+    for name, *args in calls:
+        if name == "integers":
+            value, expected = draws.integers(*args), theirs.integers(*args)
+        elif name == "random":
+            value, expected = draws.random(), theirs.random()
+        else:
+            value, expected = getattr(ours, name)(*args), getattr(theirs, name)(*args)
+        assert value == expected, (name, args)
+    draws.store()
+    assert [ours.integers(1000), ours.integers(7), ours.random()] == \
+        [theirs.integers(1000), theirs.integers(7), theirs.random()]
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 def test_different_seed_differs(tmp_path):
     synth.generate(TOY, tmp_path / "a")
     other = synth.SynthConfig(**{**TOY.to_json_dict(), "seed": 22})
@@ -102,7 +136,7 @@ def test_different_seed_differs(tmp_path):
 
 def test_ground_truth_matches_generate(tmp_path):
     written = synth.generate(TOY, tmp_path / "a")
-    recomputed = synth.build_synthetic(TOY)[1]
+    recomputed = synth.build_synthetic(TOY)
     assert recomputed.to_json_dict() == written.to_json_dict()
     loaded = synth.load_truth(tmp_path / "a" / "truth.json")
     assert loaded.to_json_dict() == written.to_json_dict()
@@ -117,7 +151,7 @@ def test_zero_disputed_fraction_yields_no_disputed(tmp_path):
 
 
 def test_entity_count_and_lag_bounds():
-    truth = synth.build_synthetic(TOY)[1]
+    truth = synth.build_synthetic(TOY)
     assert len(truth.entities) == TOY.n_entities
     for t in truth.entities.values():
         if t.disputed:
@@ -200,7 +234,7 @@ def test_empty_ranges_accepted():
         "divergent_offset_low": 0.5, "divergent_offset_high": 0.5, "undisputed_spread": 0.0,
         "disputed_sentiment_low": 0.0,
     })
-    truth = synth.build_synthetic(config)[1]
+    truth = synth.build_synthetic(config)
     assert {t.lag_hours for t in truth.entities.values() if t.disputed} == {3.0}
 
 
@@ -232,10 +266,13 @@ def test_unknown_key_rejected():
         synth.SynthConfig.from_json_dict({"n_post": 10, "seed": 3})
 
 
-def test_post_budget_shortfall_rejected():
+def test_post_budget_shortfall_rejected(tmp_path):
     config = synth.SynthConfig(**{**TOY.to_json_dict(), "n_posts": 100})
     with pytest.raises(synth.SynthConfigError, match="n_posts"):
         synth.build_synthetic(config)
+    with pytest.raises(synth.SynthConfigError, match="n_posts"):
+        synth.generate(config, tmp_path)
+    assert list(tmp_path.iterdir()) == []  # the files are opened only after the check
 
 
 def test_config_json_round_trip():
