@@ -151,6 +151,11 @@ def _algorithm_names(names: list, key: str, at_least: int) -> list:
     if len(set(map(str, names))) < at_least:
         says = "two or more distinct names" if at_least == 2 else "one or more names"
         raise ConfigError(f"{key} needs {says}, got {names}")
+    return _once_each(names, key)
+
+
+def _once_each(names: list, key: str) -> list:
+    """``names`` once none of them is listed twice."""
     repeated = sorted({str(name) for name in names if names.count(name) > 1})
     if repeated:
         raise ConfigError(f"{key} names {', '.join(repeated)} more than once")
@@ -307,6 +312,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_thresholds(args) -> int:
+    if bool(args.data) == bool(args.fixtures):
+        raise ConfigError("thresholds needs exactly one of --data and --fixtures")
     out = _out_dir(args.out)
     if args.fixtures:
         curves = {m: th.load_fixture_curve(Path(args.fixtures) / row.fixture)
@@ -314,8 +321,6 @@ def cmd_thresholds(args) -> int:
         result, selections = th.select_thresholds(curves)
         inputs = [args.fixtures]
     else:
-        if not args.data:
-            raise ConfigError("thresholds needs --data or --fixtures")
         corpus = corpus_mod.load_corpus(args.data)
         _, curves, result, selections = ew.threshold_entities(corpus, _load_sample(corpus, args.sample))
         inputs = [str(args.data)]
@@ -374,6 +379,7 @@ def cmd_fakenews(args) -> int:
     max_stepwise = _max_stepwise(args.max_stepwise)
     specs = _specs(args)
     _algorithm_names([s.algorithm for s in specs], "--algo", 1)
+    _once_each(args.experiment or [], "--experiment")
     inputs = _inputs(args)
     # the embedded early-warning stage always benchmarks the full suite so it
     # can pick its two predictive models; --algo only scopes the post task
@@ -442,6 +448,8 @@ def cmd_pipeline(args) -> int:
            if str(name).lower() not in accepted]  # names are case-insensitive
     if bad:
         raise ConfigError(f"unknown name(s) in pipeline config: {', '.join(bad)}")
+    for key, names, _ in listed:
+        _once_each([name.lower() for name in names], f"pipeline config key '{key}'")
     algorithms = _algorithm_names(cfg.get("algorithms", list(ALGORITHMS)),
                                   "pipeline config key 'algorithms'", 2)
     fn_algorithms = _algorithm_names(fn_cfg.get("algorithms", algorithms),

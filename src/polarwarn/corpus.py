@@ -583,8 +583,6 @@ def select_entities(
     A mention below ``min_confidence`` is ignored entirely; the post-count
     rule counts distinct posts with qualifying mentions, not raw mentions.
     """
-    if not 0.0 <= min_confidence <= 1.0:
-        raise ValueError(f"min_confidence out of range: {min_confidence}")
     qualifying = corpus.mentions.confidence >= min_confidence
     entity, post = corpus.mentions.entity[qualifying], corpus.mentions.post[qualifying]
     post = post[np.lexsort((_id_rank(corpus.posts)[post], entity))]
@@ -619,9 +617,7 @@ def disputed_entities(corpus: Corpus, sample: EntitySample) -> frozenset[str]:
 
 
 def posts_for_entities(corpus: Corpus, sample: EntitySample, name: str = "") -> PostSample:
-    """All posts containing at least one entity of the sample, labeled by source."""
-    if not sample.entities:
-        raise ValueError("entity sample is empty")
+    """All posts containing at least one entity of the non-empty sample, labeled by source."""
     rows = np.unique(np.concatenate(list(sample.member_rows.values())))
     rows = rows[np.argsort(_id_rank(corpus.posts)[rows])]
     return PostSample(

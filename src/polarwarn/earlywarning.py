@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, EntitySample, disputed_entities
+from .corpus import Corpus, EntitySample
 from .errors import NumericError
 from .features import EntityFeatures, entity_features
-from .models import Dataset, ModelSpec, TrainedModel, default_specs, fit, predict
+from .models import Dataset, ModelSpec, TrainedModel, fit, predict
 from .evaluation import MetricsReport, Protocol, evaluate_spec, rank_reports, rebalance
 from . import thresholds as th
 
@@ -110,13 +110,17 @@ def run_benchmark(
     specs: list[ModelSpec],
     protocol: Protocol,
 ) -> BenchmarkResult:
-    """Average the benchmark protocol per algorithm; failures never abort."""
+    """Average the benchmark protocol per algorithm.
+
+    An algorithm whose evaluation raises a ``NumericError`` is recorded as a
+    failure and the others still run; any other error propagates.
+    """
     reports: dict[str, MetricsReport] = {}
     failures: dict[str, str] = {}
     for spec in specs:
         try:
             reports[spec.algorithm] = evaluate_spec(dataset, spec, protocol, CLASS_NAMES)
-        except Exception as exc:
+        except NumericError as exc:
             failures[spec.algorithm] = f"{type(exc).__name__}: {exc}"
     for algo, err in failures.items():
         log.warning("benchmark failure for %s: %s", algo, err)
@@ -149,11 +153,7 @@ class EntityPrediction:
 def predict_disputed(
     dataset: Dataset, model_a: TrainedModel, model_b: TrainedModel
 ) -> list[EntityPrediction]:
-    """Score every row of the full sample with both selected models."""
-    if model_a.spec.algorithm == model_b.spec.algorithm:
-        raise ValueError("the two predictive models must differ")
-    if dataset.row_ids is None:
-        raise ValueError("dataset must carry entity row ids")
+    """Score every row of the full sample with both selected models; ``row_ids`` name the entities."""
     scores_a, labels_a = predict(model_a, dataset.features)
     scores_b, labels_b = predict(model_b, dataset.features)
     return [
@@ -188,7 +188,7 @@ def threshold_entities(
     corpus: Corpus, sample: EntitySample
 ) -> tuple[
     list[EntityFeatures],
-    dict[str, th.ExceedanceCurve],
+    dict[str, th.RatioCurve],
     th.ThresholdResult,
     dict[str, th.ThresholdSelection],
 ]:
@@ -201,15 +201,15 @@ def threshold_entities(
     selections)`` with every feature record's indicators filled from
     ``thresholds``.
     """
-    disputed = disputed_entities(corpus, sample)
-    features = entity_features(corpus, sample, disputed=disputed)
+    features = entity_features(corpus, sample)
+    disputed = {f.entity for f in features if f.disputed}
     measures = th.MEASURES if sample.requires_comment_sentiment else (th.MEASURE_PRESENTATION,)
     curves = {}
     for measure in measures:
         row = th.MEASURES[measure]
         values = {f.entity: v for f in features if (v := getattr(f, row.feature)) is not None}
         if values:
-            curves[measure] = th.build_exceedance_curve(values, disputed, th.default_grid(row.grid_hi))
+            curves[measure] = th.build_exceedance_curve(values, disputed, np.arange(0.0, row.grid_hi, 0.01))
     thresholds, selections = th.select_thresholds(curves)
     fill_indicators(features, thresholds)
     return features, curves, thresholds, selections
@@ -219,7 +219,7 @@ def threshold_entities(
 class EarlyWarningResult:
     sample: EntitySample
     features: list[EntityFeatures]
-    curves: dict[str, th.ExceedanceCurve]
+    curves: dict[str, th.RatioCurve]
     thresholds: th.ThresholdResult
     selections: dict[str, th.ThresholdSelection]
     dataset: Dataset
@@ -231,13 +231,10 @@ class EarlyWarningResult:
 def run_early_warning(
     corpus: Corpus,
     sample: EntitySample,
-    specs: list[ModelSpec] | None = None,
-    protocol: Protocol = Protocol(),
+    specs: list[ModelSpec],
+    protocol: Protocol,
 ) -> EarlyWarningResult:
-    """Full early-warning pass over one entity sample."""
-    if not sample.entities:
-        raise ValueError(f"entity sample {sample.name!r} is empty")
-    specs = specs if specs is not None else default_specs(seed=protocol.seed)
+    """Full early-warning pass over one non-empty entity sample."""
     features, curves, thresholds, selections = threshold_entities(corpus, sample)
     dataset = build_entity_dataset(features, sample.name, sample.requires_comment_sentiment)
     benchmark = run_benchmark(dataset, specs, protocol)

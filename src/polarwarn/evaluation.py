@@ -20,7 +20,7 @@ from .models import Dataset, ModelSpec, fit, predict
 
 
 class StratificationError(NumericError):
-    """A class has too few rows to appear on both sides of the split."""
+    """A class has no rows to rebalance with, or too few to appear on both sides of the split."""
 
 
 class UndefinedAUCError(NumericError):
@@ -80,12 +80,11 @@ def rank_reports(reports: dict[str, MetricsReport]) -> list[str]:
 def split_train_test(labels: np.ndarray, train_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Seeded stratified shuffle split; returns sorted ``(train, test)`` row indices.
 
-    The train size is round(train_fraction * N); per-class sizes follow a
+    The train size is round(train_fraction * N), with ``train_fraction`` in
+    (0, 1) as ``Protocol`` checks; per-class sizes follow a
     largest-remainder apportionment so the class ratio is preserved, with
     every class keeping at least one row on each side.
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must be in (0, 1)")
     y = np.asarray(labels)
     classes = np.unique(y)
     counts = {int(c): int(np.sum(y == c)) for c in classes}
@@ -128,7 +127,7 @@ def rebalance(labels: np.ndarray, seed: int) -> np.ndarray:
     n_pos = int(np.sum(y == 1))
     n_neg = int(np.sum(y == 0))
     if n_pos == 0 or n_neg == 0:
-        raise ValueError("rebalance requires both classes")
+        raise StratificationError("rebalance requires both classes")
     if n_pos == n_neg:
         return np.arange(len(y))
     minority, majority = (1, 0) if n_pos < n_neg else (0, 1)
@@ -155,14 +154,12 @@ def confusion_metrics(
     predicted: Sequence[int],
     class_names: dict[int, str] | None = None,
 ) -> MetricsReport:
-    """Exact confusion-matrix metrics of 0/1 vectors, per class and support-weighted.
+    """Exact confusion-matrix metrics of equal-length non-empty 0/1 vectors, per class and support-weighted.
 
     Class 0's metrics come from class 1's counts with the roles swapped.
     """
     labels = np.asarray(labels, dtype=int)
     predicted = np.asarray(predicted, dtype=int)
-    if labels.shape != predicted.shape or labels.ndim != 1 or len(labels) == 0:
-        raise ValueError("labels and predictions must be equal-length non-empty vectors")
     n = len(labels)
     tp = int(np.sum((predicted == 1) & (labels == 1)))
     fp = int(np.sum((predicted == 1) & (labels != 1)))
@@ -284,10 +281,9 @@ def forward_stepwise(
 ) -> StepwiseResult:
     """Add, per round, the unselected feature with the best mean test AUC.
 
-    Ties break toward the lower feature index.
+    ``max_features`` is at most the number of columns.  Ties break toward
+    the lower feature index.
     """
-    if max_features > len(dataset.feature_names):
-        raise ValueError("max_features exceeds the number of columns")
     selected: list[str] = []
     trace: list[float] = []
     remaining = list(dataset.feature_names)

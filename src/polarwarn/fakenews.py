@@ -245,8 +245,6 @@ def build_post_dataset(
     integer-valued columns are sure to agree, and float columns can differ
     in the last bit.
     """
-    if not predictions:
-        raise ValueError("early-warning predictions are required")
     names = post_feature_names(
         sample.requires_comment_sentiment, predictions[0].model_a, predictions[0].model_b
     )
@@ -487,10 +485,8 @@ def run_experiment(
     specs: list[ModelSpec],
     protocol: Protocol,
 ) -> ExperimentResult:
-    """Per-algorithm AUC as feature categories are added step by step."""
+    """Per-algorithm AUC as the feature categories of experiment ``mode`` (any case) are added step by step."""
     mode = mode.upper()
-    if mode not in EXPERIMENT_STEPS:
-        raise ValueError("mode must be 'A' or 'B'")
     auc: dict[str, list[float]] = {s.algorithm: [] for s in specs}
     for cats in EXPERIMENT_STEPS[mode]:
         sub = subset_by_categories(dataset, cats)
@@ -507,7 +503,7 @@ def final_report(
     dataset: Dataset,
     specs: list[ModelSpec],
     protocol: Protocol,
-    max_features: int = 16,
+    max_features: int,
 ) -> tuple[dict[str, MetricsReport], StepwiseResult]:
     """Full-feature benchmark table plus the stepwise best-feature ranking."""
     reports = {

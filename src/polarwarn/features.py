@@ -115,7 +115,6 @@ class EntityFeatures:
 def entity_features(
     corpus: Corpus,
     sample: EntitySample,
-    disputed: frozenset[str] | None = None,
 ) -> list[EntityFeatures]:
     """Compute the full per-entity feature record for every sample entity.
 
@@ -124,8 +123,7 @@ def entity_features(
     indicators stay None: ``earlywarning.fill_indicators`` sets them once
     the thresholds are known.
     """
-    if disputed is None:
-        disputed = disputed_entities(corpus, sample)
+    disputed = disputed_entities(corpus, sample)
     keys, engaged = engagement(corpus, sample)
     n = len(sample.entities)
     commenters = np.bincount(keys % n, minlength=n).tolist()
@@ -184,9 +182,6 @@ def attention_curve(
     For every grid value the post set is the union of member posts over
     entities with presentation distance >= the cut; an empty set yields zeros.
     """
-    grid = list(grid)
-    if any(b < a for a, b in zip(grid, grid[1:])):
-        raise ValueError("grid must be ascending")
     dp = [(f.presentation_distance, sample.member_rows[f.entity]) for f in features]
     n_comments = np.diff(corpus.comments_of_post.ptr)
     rows = []
@@ -204,27 +199,23 @@ def attention_curve(
     return rows
 
 
+# response_distribution's bins over the mean response distance
+_RESPONSE_BINS = 20
+_RESPONSE_RANGE = (0.0, 2.0)
+
+
 @dataclass(frozen=True)
 class Histogram:
-    """Bin edges plus area-normalized densities; ``empty`` marks a void class."""
+    """Bin edges plus area-normalized densities, all zero for a void class."""
 
     edges: tuple[float, ...]
     density: tuple[float, ...]
-    n: int
-    empty: bool = False
-
-    def area(self) -> float:
-        return sum(
-            d * (b - a) for d, a, b in zip(self.density, self.edges, self.edges[1:])
-        )
 
 
 def response_distribution(
     features: Iterable[EntityFeatures],
     controversial: bool,
     disputed: bool,
-    bins: int = 20,
-    value_range: tuple[float, float] = (0.0, 2.0),
 ) -> Histogram:
     """Area-1 histogram of the mean response distance for one C/UC x D/UD class."""
     want_c = 1 if controversial else 0
@@ -234,17 +225,18 @@ def response_distribution(
         for f in features
         if f.controversy == want_c and f.disputed == want_d and f.response_dist_mean is not None
     ]
-    lo, hi = value_range
+    lo, hi = _RESPONSE_RANGE
+    bins = _RESPONSE_BINS
     edges = tuple(lo + (hi - lo) * i / bins for i in range(bins + 1))
     if not values:
-        return Histogram(edges=edges, density=(0.0,) * bins, n=0, empty=True)
+        return Histogram(edges=edges, density=(0.0,) * bins)
     counts = [0] * bins
     for v in values:
         idx = min(int((v - lo) / (hi - lo) * bins), bins - 1)
         counts[max(idx, 0)] += 1
     width = (hi - lo) / bins
     density = tuple(c / (len(values) * width) for c in counts)
-    return Histogram(edges=edges, density=density, n=len(values))
+    return Histogram(edges=edges, density=density)
 
 
 @dataclass(frozen=True)
@@ -254,8 +246,6 @@ class LagHistogram:
     edges_hours: tuple[float, ...]
     counts: tuple[int, ...]
     lags_hours: tuple[float, ...]
-    never_fake: int
-    fake_first: int
 
 
 def temporal_lag_histogram(
@@ -266,22 +256,16 @@ def temporal_lag_histogram(
     """Lag between an entity's first official post and its first fake post.
 
     Entities never reaching a fake source, or reaching it first (or at the
-    same instant), are excluded from the histogram and tallied separately.
+    same instant), are excluded from the histogram.
     """
     if not 0 < bin_hours < math.inf:
         raise ConfigError(f"bin_hours must be a finite number > 0, got {bin_hours}")
     post_fake = corpus.post_is_fake()
     lags: list[float] = []
-    never_fake = 0
-    fake_first = 0
     for rows in sample.member_rows.values():
         fake = post_fake[rows]
         fake_ts, official_ts = corpus.posts.timestamp[rows[fake]], corpus.posts.timestamp[rows[~fake]]
-        if not len(fake_ts):
-            never_fake += 1
-            continue
-        if not len(official_ts) or fake_ts.min() <= official_ts.min():
-            fake_first += 1
+        if not len(fake_ts) or not len(official_ts) or fake_ts.min() <= official_ts.min():
             continue
         lags.append((int(fake_ts.min()) - int(official_ts.min())) / 3600.0)
     if lags:
@@ -296,6 +280,4 @@ def temporal_lag_histogram(
         edges_hours=edges,
         counts=tuple(counts),
         lags_hours=tuple(lags),
-        never_fake=never_fake,
-        fake_first=fake_first,
     )

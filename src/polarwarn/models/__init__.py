@@ -8,7 +8,6 @@ from .base import (
     ShapeError,
     Standardizer,
     TrainedModel,
-    default_specs,
     fit,
     fit_standardizer,
     predict,
@@ -22,7 +21,6 @@ __all__ = [
     "ShapeError",
     "Standardizer",
     "TrainedModel",
-    "default_specs",
     "fit",
     "fit_standardizer",
     "predict",

@@ -148,11 +148,6 @@ class ModelSpec:
         object.__setattr__(self, "hyperparameters", merged)
 
 
-def default_specs(seed: int = 0) -> list[ModelSpec]:
-    """One spec per benchmark algorithm with default hyperparameters."""
-    return [ModelSpec(algorithm=a, seed=seed) for a in ALGORITHMS]
-
-
 @dataclass(frozen=True)
 class Standardizer:
     mean: np.ndarray
@@ -160,8 +155,6 @@ class Standardizer:
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X.reshape(1, -1)
         if X.shape[1] != len(self.mean):
             raise ShapeError(f"expected {len(self.mean)} columns, got {X.shape[1]}")
         return (X - self.mean) / self.scale
@@ -184,9 +177,7 @@ class TrainedModel:
 
 
 def fit(train: Dataset, spec: ModelSpec) -> TrainedModel:
-    """Train one model; deterministic given (data, spec.seed)."""
-    if train.n == 0:
-        raise ValueError("empty training set")
+    """Train one model on a non-empty split; deterministic given (data, spec.seed)."""
     classes = np.unique(train.labels)
     if len(classes) < 2 and not _REGISTRY[spec.algorithm].single_class:
         raise DegenerateFitError(

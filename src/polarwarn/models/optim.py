@@ -14,6 +14,7 @@ FunGrad = Callable[[np.ndarray], tuple[float, np.ndarray]]
 _ARMIJO_C1 = 1e-4
 _BACKTRACK_SHRINK = 0.5
 _MAX_BACKTRACKS = 60
+_LBFGS_MEMORY = 10  # curvature pairs kept
 
 
 def armijo_step(fun_grad: FunGrad, x, f, g, direction, step0: float):
@@ -37,7 +38,6 @@ def lbfgs(
     x0: np.ndarray,
     max_iter: int,
     tol: float,
-    memory: int = 10,
 ) -> tuple[np.ndarray, int, bool]:
     """Limited-memory quasi-Newton minimization (two-loop recursion).
 
@@ -76,7 +76,7 @@ def lbfgs(
         if s_y > 1e-10:
             pairs.append((s, yv, 1.0 / s_y))
             sy, yy = s_y, float(yv.dot(yv))
-            if len(pairs) > memory:
+            if len(pairs) > _LBFGS_MEMORY:
                 pairs.pop(0)
         x, f, g = x_new, f_new, g_new
     return x, max_iter, math.sqrt(g.dot(g)) < tol

@@ -66,7 +66,7 @@ def fit_dt(X: np.ndarray, y: np.ndarray, hp: dict) -> dict:
     max_depth = hp["max_depth"]
     min_leaf = hp["min_leaf"]
     root = _grow(X, y.astype(float), 0, max_depth, min_leaf)
-    return {"root": root, "max_depth": max_depth, "min_leaf": min_leaf}
+    return {"root": root}
 
 
 def _walk(node: dict, row: np.ndarray) -> float:

@@ -286,18 +286,15 @@ class _Replay:
         self.bit_generator.state = state
 
 
-def _discard(line: str) -> None:
-    """A writer that drops its line."""
+def generate(config: SynthConfig, out_dir: str | Path) -> GroundTruth:
+    """Write the four corpus JSONL files plus truth.json; returns the truth.
 
-
-def build_synthetic(config: SynthConfig, out_dir: str | Path | None = None) -> GroundTruth:
-    """Draw the corpus and return its planted truth.
-
-    With ``out_dir``, an existing directory, each source, post, comment and
-    mention line is written to its JSONL file there as soon as it is drawn;
-    without it, the lines are discarded.  The files are opened only after
-    every setting has passed its checks.
+    Each source, post, comment and mention line is written to its JSONL
+    file as soon as it is drawn.  The files are opened only after every
+    setting has passed its checks.
     """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     config.validate()
     rng = np.random.default_rng(config.seed)
     random = rng.random
@@ -389,12 +386,9 @@ def build_synthetic(config: SynthConfig, out_dir: str | Path | None = None) -> G
     comment_counter = 0
     n_mentions = 0
     with ExitStack() as stack:
-        if out_dir is None:
-            write_source = write_post = write_comment = write_mention = _discard
-        else:
-            write_source, write_post, write_comment, write_mention = (
-                stack.enter_context(open(Path(out_dir) / name, "w", encoding="utf-8")).write
-                for name in ("sources.jsonl", "posts.jsonl", "comments.jsonl", "mentions.jsonl"))
+        write_source, write_post, write_comment, write_mention = (
+            stack.enter_context(open(out / name, "w", encoding="utf-8")).write
+            for name in ("sources.jsonl", "posts.jsonl", "comments.jsonl", "mentions.jsonl"))
         for i, sid in enumerate(official_ids):
             write_source(_source_line(sid, f"Official Outlet {i}", "official") + "\n")
         for i, sid in enumerate(fake_ids):
@@ -537,7 +531,7 @@ def build_synthetic(config: SynthConfig, out_dir: str | Path | None = None) -> G
             cohort=tuple(cohorts.get(i, ())),
             lag_hours=lag_hours,
         )
-    return GroundTruth(
+    truth = GroundTruth(
         entities=truth_entities,
         disputed=tuple(entities[i] for i in sorted_disputed),
         totals={
@@ -549,6 +543,9 @@ def build_synthetic(config: SynthConfig, out_dir: str | Path | None = None) -> G
         },
         config=config,
     )
+    with open(out / "truth.json", "w", encoding="utf-8") as fh:
+        json.dump(truth.to_json_dict(), fh, indent=2, sort_keys=True)
+    return truth
 
 
 # One formatter per JSONL file, taking the row's values in the file's key
@@ -583,16 +580,6 @@ def _comment_line(comment_id, post_id, user_id, timestamp, text, sentiment, like
 
 def _mention_line(entity, post_id, confidence) -> str:
     return f'{{"entity": {_str(entity)}, "post_id": {_str(post_id)}, "confidence": {confidence!r}}}'
-
-
-def generate(config: SynthConfig, out_dir: str | Path) -> GroundTruth:
-    """Write the four corpus JSONL files plus truth.json; returns the truth."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    truth = build_synthetic(config, out)
-    with open(out / "truth.json", "w", encoding="utf-8") as fh:
-        json.dump(truth.to_json_dict(), fh, indent=2, sort_keys=True)
-    return truth
 
 
 def load_truth(path: str | Path) -> GroundTruth:

@@ -57,60 +57,34 @@ class SelectionError(NumericError):
         self.inflections = tuple(inflections)
 
 
-def default_grid(hi: float, step: float = 0.01) -> np.ndarray:
-    return np.arange(0.0, hi, step)
-
-
-@dataclass(frozen=True)
-class ExceedanceCurve:
-    """Exact exceedance counts and ratio curves over an ascending grid."""
-
-    grid: np.ndarray
-    e_counts: np.ndarray
-    d_counts: np.ndarray
-    ratio_dd: np.ndarray
-    ratio_de: np.ndarray  # nan where e_counts == 0
-    n_disputed: int
-
-
 @dataclass(frozen=True)
 class RatioCurve:
-    """Ratio curves alone, e.g. read back from a fixture CSV."""
+    """Ratio curves over an ascending grid, built from entity values or read from a fixture CSV."""
 
     grid: np.ndarray
     ratio_dd: np.ndarray
-    ratio_de: np.ndarray
+    ratio_de: np.ndarray  # nan where no entity reaches the cut
 
 
 def build_exceedance_curve(
     values: Mapping[str, float],
     disputed: Iterable[str],
     grid: Sequence[float],
-) -> ExceedanceCurve:
-    """Count entities (all / disputed) whose value is >= each grid point."""
-    if not values:
-        raise ValueError("no entity values supplied")
+) -> RatioCurve:
+    """Ratio curves of the entities (all / disputed) whose value is >= each point of an ascending grid."""
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) == 0 or np.any(np.diff(grid) < 0):
-        raise ValueError("grid must be a non-empty ascending sequence")
     vals = np.asarray(sorted(values.values()), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("entity values must be finite")
     disputed = set(disputed)
     disputed_vals = np.asarray(sorted(v for k, v in values.items() if k in disputed), dtype=float)
     e_counts = len(vals) - np.searchsorted(vals, grid, side="left")
     d_counts = len(disputed_vals) - np.searchsorted(disputed_vals, grid, side="left")
     n_disputed = len(disputed_vals)
     ratio_dd = d_counts / n_disputed if n_disputed else np.zeros_like(grid)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio_de = np.where(e_counts > 0, d_counts / np.maximum(e_counts, 1), np.nan)
-    return ExceedanceCurve(
+    ratio_de = np.where(e_counts > 0, d_counts / np.maximum(e_counts, 1), np.nan)
+    return RatioCurve(
         grid=grid,
-        e_counts=e_counts.astype(int),
-        d_counts=d_counts.astype(int),
         ratio_dd=ratio_dd.astype(float),
         ratio_de=ratio_de.astype(float),
-        n_disputed=n_disputed,
     )
 
 
@@ -187,19 +161,16 @@ def _bracketed_roots(coef: np.ndarray, lo: float, hi: float) -> list[float]:
     t = np.linspace(lo, hi, _BRACKET_POINTS)
     v = _polyval(coef, t)
     roots = []
-    for i in range(len(t) - 1):
-        if v[i] == 0.0:
-            continue
-        if v[i] * v[i + 1] < 0.0:
-            a, b, fa = t[i], t[i + 1], v[i]
-            while b - a > 1e-12:
-                m = 0.5 * (a + b)
-                fm = float(_polyval(coef, np.asarray(m)))
-                if fa * fm <= 0.0:
-                    b = m
-                else:
-                    a, fa = m, fm
-            roots.append(0.5 * (a + b))
+    for i in np.flatnonzero(v[:-1] * v[1:] < 0.0):
+        a, b, fa = t[i], t[i + 1], v[i]
+        while b - a > 1e-12:
+            m = 0.5 * (a + b)
+            fm = float(_polyval(coef, np.asarray(m)))
+            if fa * fm <= 0.0:
+                b = m
+            else:
+                a, fa = m, fm
+        roots.append(0.5 * (a + b))
     return roots
 
 
@@ -210,8 +181,6 @@ def _classified_inflections(fit: PolynomialFit) -> list[tuple[float, int, float]
     Direction +1 means the second derivative flips negative-to-positive
     (a local extreme of steepness on a falling curve), -1 the reverse.
     """
-    if fit.degree < 3:
-        raise ValueError("inflection points need degree >= 3")
     d1 = _poly_derivative(fit.scaled_coefficients, 1)
     d2 = _poly_derivative(fit.scaled_coefficients, 2)
     lo, hi = fit.domain
@@ -356,11 +325,12 @@ class ThresholdResult:
 
 
 def select_thresholds(
-    curves: Mapping[str, object],
+    curves: Mapping[str, RatioCurve],
 ) -> tuple[ThresholdResult, dict[str, ThresholdSelection]]:
-    """Select the cut of every supplied measure curve with its row of ``MEASURES``."""
-    if MEASURE_PRESENTATION not in curves:
-        raise ValueError("presentation-distance curve is required")
+    """Select the cut of every supplied measure curve with its row of ``MEASURES``.
+
+    ``curves`` always holds the presentation-distance curve, so ``delta_p`` is set.
+    """
     cuts = {row.cut: None for row in MEASURES.values()}
     selections = {}
     for measure, curve in curves.items():

@@ -52,11 +52,12 @@ def full_run(tmp_path_factory) -> FullRun:
     truth = synth.generate(synth.SynthConfig(), directory)
     corpus = cm.load_corpus(directory)
     e1 = cm.select_e1(corpus)
-    warning_e1 = ew.run_early_warning(corpus, e1, protocol=Protocol(repeats=10, seed=7))
+    specs = [ModelSpec(a, seed=7) for a in models.ALGORITHMS]
+    warning_e1 = ew.run_early_warning(corpus, e1, specs, Protocol(repeats=10, seed=7))
     elapsed = time.perf_counter() - t0
 
     e2 = cm.select_e2(corpus)
-    warning_e2 = ew.run_early_warning(corpus, e2, protocol=Protocol(repeats=10, seed=7))
+    warning_e2 = ew.run_early_warning(corpus, e2, specs, Protocol(repeats=10, seed=7))
     p1 = cm.posts_for_entities(corpus, e1, name="P1")
     p1_dataset = fn.build_post_dataset(corpus, p1, warning_e1.features, warning_e1.predictions, e1)
     p2 = cm.posts_for_entities(corpus, e2, name="P2")

@@ -371,12 +371,6 @@ class TestDecisionTree:
         assert root["left"]["score"] == 0.0 and root["right"]["score"] == 1.0
 
 
-def test_default_specs_cover_all_algorithms():
-    specs = models.default_specs(seed=4)
-    assert tuple(s.algorithm for s in specs) == models.ALGORITHMS
-    assert all(s.seed == 4 for s in specs)
-
-
 # ---------------------------------------------------------------------------
 # Reference kernels: verbatim copies of the earlier nn, L-BFGS, svm, knn, dt
 # and log kernels (per-row and per-feature loops, wrapper calls, fresh

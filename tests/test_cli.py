@@ -66,6 +66,14 @@ def test_thresholds_needs_source(tmp_path):
     assert main(["thresholds", "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
 
+def test_thresholds_takes_one_source(data_dir, tmp_path, caplog):
+    out = tmp_path / "o"
+    code = main(["thresholds", "--data", str(data_dir), "--fixtures", "fixtures", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "thresholds needs exactly one of --data and --fixtures" in caplog.text
+    assert not out.exists()
+
+
 def test_features_stage(data_dir, tmp_path):
     out = tmp_path / "features"
     assert main(["features", "--data", str(data_dir), "--sample", "e1",
@@ -196,13 +204,23 @@ def test_plots_flag_writes_svg(data_dir, tmp_path):
 
 def test_all_fits_failing_is_numeric_error(data_dir, tmp_path, monkeypatch):
     def diverge(*args):
-        raise FloatingPointError("diverged")
+        raise DegenerateFitError("diverged")
 
     monkeypatch.setattr(linear, "fit_log", diverge)
     monkeypatch.setattr(linear, "fit_svm", diverge)
     code = main(["earlywarn", "--data", str(data_dir), "--out", str(tmp_path / "x"),
                  "--algo", "log", "--algo", "svm", "--repeats", "2"])
     assert code == EXIT_NUMERIC
+
+
+def test_all_disputed_corpus_is_numeric_error(tmp_path, caplog):
+    # one class: every algorithm's rebalance fails, so no two models remain
+    (tmp_path / "synth.json").write_text(json.dumps({**SYNTH_CONFIG, "disputed_fraction": 1.0}))
+    assert main(["synth", "--config", str(tmp_path / "synth.json"), "--out", str(tmp_path / "data")]) == EXIT_OK
+    code = main(["earlywarn", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "x"),
+                 "--algo", "lin", "--algo", "log", "--repeats", "2"])
+    assert code == EXIT_NUMERIC
+    assert "benchmark failure for lin: StratificationError: rebalance requires both classes" in caplog.text
 
 
 @pytest.mark.parametrize("run_config, named", [
@@ -226,6 +244,10 @@ def test_all_fits_failing_is_numeric_error(data_dir, tmp_path, monkeypatch):
     ({"algorithms": ["lin", "log", "lin"]}, "key 'algorithms' names lin more than once"),
     ({"fakenews": {"samples": ["p1"], "algorithms": ["log", "lin", "log"]}},
      "key 'fakenews.algorithms' names log more than once"),
+    ({"samples": ["e1", "E1"]}, "key 'samples' names e1 more than once"),
+    ({"fakenews": {"samples": ["p1", "p1"]}}, "key 'fakenews.samples' names p1 more than once"),
+    ({"fakenews": {"samples": ["p1"], "experiments": ["b", "B"]}},
+     "key 'fakenews.experiments' names b more than once"),
 ])
 def test_pipeline_config_rejected_before_work(data_dir, tmp_path, caplog, run_config, named):
     config_path = tmp_path / "run.json"
@@ -279,9 +301,11 @@ def test_subcommands_match_pipeline(data_dir, tmp_path):
      "--algo needs two or more distinct names, got ['lin', 'lin']"),
     ("earlywarn", ["--algo", "lin", "--algo", "log", "--algo", "lin"], "--algo names lin more than once"),
     ("fakenews", ["--algo", "log", "--algo", "log"], "--algo names log more than once"),
+    ("fakenews", ["--experiment", "b", "--experiment", "b"], "--experiment names b more than once"),
 ], ids=["earlywarn", "fakenews", "earlywarn-train_fraction", "fakenews-train_fraction",
         "fakenews-max_stepwise", "earlywarn-seed", "fakenews-seed", "earlywarn-one-algo",
-        "earlywarn-same-algo", "earlywarn-repeated-algo", "fakenews-repeated-algo"])
+        "earlywarn-same-algo", "earlywarn-repeated-algo", "fakenews-repeated-algo",
+        "fakenews-repeated-experiment"])
 def test_zero_repeats_rejected_before_work(data_dir, tmp_path, caplog, command, option, message):
     out = tmp_path / "out"
     code = main([command, "--data", str(data_dir), *option, "--out", str(out)])
@@ -331,8 +355,8 @@ def test_exit_code_follows_error_type_alone(tmp_path, monkeypatch, error, code):
 
 @pytest.mark.parametrize("error, code", [(ValueError, None), (DegenerateFitError, EXIT_NUMERIC)])
 def test_fakenews_fit_failure_is_not_caught(data_dir, tmp_path, monkeypatch, error, code):
-    # the embedded early warning turns the failing log fits into benchmark
-    # failures; the post-level stage catches nothing
+    # the embedded early warning records a numeric failure of the log fits
+    # and lets any other error through; the post-level stage catches nothing
     def fail(*args):
         raise error("planted")
 

@@ -8,7 +8,7 @@ from polarwarn import earlywarning as ew
 from polarwarn import features as feat
 from polarwarn import thresholds as th
 from polarwarn.evaluation import ClassMetrics, MetricsReport, Protocol, rebalance, roc_auc
-from polarwarn.models import Dataset, ModelSpec, fit
+from polarwarn.models import ALGORITHMS, Dataset, DegenerateFitError, ModelSpec, fit, linear
 
 
 def subset_rows(dataset: Dataset, rows) -> Dataset:
@@ -134,6 +134,23 @@ class TestRunBenchmark:
         assert result.reports == {}
         assert set(result.failures) == {"log", "knn"}
 
+    def test_only_numeric_errors_are_failures(self, monkeypatch):
+        ds = Dataset(features=np.arange(12.0).reshape(6, 2), labels=[0, 1] * 3, feature_names=("a", "b"))
+        specs, protocol = [ModelSpec("log"), ModelSpec("lin")], Protocol(repeats=2)
+
+        def fail(error):
+            def fit_log(*args):
+                raise error("planted")
+            return fit_log
+
+        monkeypatch.setattr(linear, "fit_log", fail(DegenerateFitError))
+        result = ew.run_benchmark(ds, specs, protocol)
+        assert result.failures == {"log": "DegenerateFitError: planted"}
+        assert list(result.reports) == ["lin"]
+        monkeypatch.setattr(linear, "fit_log", fail(TypeError))
+        with pytest.raises(TypeError, match="planted"):  # a bug, not a benchmark failure
+            ew.run_benchmark(ds, specs, protocol)
+
 
 def reference_logistic_auc(dataset: Dataset, protocol: Protocol) -> float:
     """Independent logistic regression via IRLS Newton steps."""
@@ -199,7 +216,8 @@ class TestPredictDisputed:
     def test_full_flow_and_ground_truth_auc(self, small_synth):
         corpus, truth, _ = small_synth
         sample = cm.select_e1(corpus)
-        result = ew.run_early_warning(corpus, sample, protocol=Protocol(repeats=5, seed=3))
+        specs = [ModelSpec(a, seed=3) for a in ALGORITHMS]
+        result = ew.run_early_warning(corpus, sample, specs, Protocol(repeats=5, seed=3))
         assert result.best[0] != result.best[1]
         assert len(result.predictions) == result.dataset.n
         gold = [1 if truth.entities[p.entity].disputed else 0 for p in result.predictions]
@@ -207,17 +225,6 @@ class TestPredictDisputed:
         assert roc_auc(gold, [p.score_b for p in result.predictions]) >= 0.75
         for p in result.predictions:
             assert p.pred_a == (1 if (p.score_a >= (0.0 if p.model_a == "svm" else 0.5)) else 0)
-
-    def test_same_algorithm_rejected(self, small_synth):
-        corpus, _, _ = small_synth
-        sample = cm.select_e1(corpus)
-        feats = feat.entity_features(corpus, sample)
-        ew.fill_indicators(feats, type("T", (), {"delta_p": 1.0, "delta_r": None, "rho_e": None}))
-        ds = ew.build_entity_dataset(feats, "E1", False)
-        balanced = subset_rows(ds, rebalance(ds.labels, 0))
-        model = fit(balanced, ModelSpec("log"))
-        with pytest.raises(ValueError):
-            ew.predict_disputed(ds, model, model)
 
     def test_schema_mismatch_rejected(self, small_synth):
         corpus, _, _ = small_synth
@@ -273,7 +280,9 @@ class TestThresholdEntities:
         sample = cm.EntitySample("E2", rows, requires_comment_sentiment=True)
         feats, curves, result, _ = ew.threshold_entities(corpus, sample)
         assert result.delta_r is not None
-        assert curves[th.MEASURE_RESPONSE].e_counts[0] == len(rows) - 1
+        # the curve's first cut, 0, keeps every entity with a value, and only those
+        disputed = sum(f.disputed for f in feats if f.entity != extra)
+        assert disputed and curves[th.MEASURE_RESPONSE].ratio_de[0] == disputed / (len(rows) - 1)
         f = next(f for f in feats if f.entity == extra)
         assert f.response_dist_global is None and f.perception is None
         assert f.captivation is not None and f.controversy is not None

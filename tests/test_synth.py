@@ -136,7 +136,7 @@ def test_different_seed_differs(tmp_path):
 
 def test_ground_truth_matches_generate(tmp_path):
     written = synth.generate(TOY, tmp_path / "a")
-    recomputed = synth.build_synthetic(TOY)
+    recomputed = synth.generate(TOY, tmp_path / "b")
     assert recomputed.to_json_dict() == written.to_json_dict()
     loaded = synth.load_truth(tmp_path / "a" / "truth.json")
     assert loaded.to_json_dict() == written.to_json_dict()
@@ -150,8 +150,8 @@ def test_zero_disputed_fraction_yields_no_disputed(tmp_path):
     assert corpus.breakdown()["fake"]["posts"] == 0
 
 
-def test_entity_count_and_lag_bounds():
-    truth = synth.build_synthetic(TOY)
+def test_entity_count_and_lag_bounds(tmp_path):
+    truth = synth.generate(TOY, tmp_path)
     assert len(truth.entities) == TOY.n_entities
     for t in truth.entities.values():
         if t.disputed:
@@ -228,13 +228,13 @@ def test_reversed_or_negative_range_rejected(overrides, key):
         config.validate()
 
 
-def test_empty_ranges_accepted():
+def test_empty_ranges_accepted(tmp_path):
     config = synth.SynthConfig(**{
         **TOY.to_json_dict(), "fake_lag_hours_low": 3.0, "fake_lag_hours_high": 3.0,
         "divergent_offset_low": 0.5, "divergent_offset_high": 0.5, "undisputed_spread": 0.0,
         "disputed_sentiment_low": 0.0,
     })
-    truth = synth.build_synthetic(config)
+    truth = synth.generate(config, tmp_path)
     assert {t.lag_hours for t in truth.entities.values() if t.disputed} == {3.0}
 
 
@@ -268,8 +268,6 @@ def test_unknown_key_rejected():
 
 def test_post_budget_shortfall_rejected(tmp_path):
     config = synth.SynthConfig(**{**TOY.to_json_dict(), "n_posts": 100})
-    with pytest.raises(synth.SynthConfigError, match="n_posts"):
-        synth.build_synthetic(config)
     with pytest.raises(synth.SynthConfigError, match="n_posts"):
         synth.generate(config, tmp_path)
     assert list(tmp_path.iterdir()) == []  # the files are opened only after the check

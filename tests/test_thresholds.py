@@ -12,30 +12,25 @@ FIXTURES = "fixtures"
 
 class TestExceedanceCurve:
     def test_hand_counts(self):
+        # 2, 1, 0 entities and 1, 0, 0 disputed ones reach the cuts
         curve = th.build_exceedance_curve({"a": 0.5, "b": 1.5}, {"a"}, [0.0, 1.0, 2.0])
-        assert curve.e_counts.tolist() == [2, 1, 0]
-        assert curve.d_counts.tolist() == [1, 0, 0]
         assert curve.ratio_dd.tolist() == [1.0, 0.0, 0.0]
-        assert curve.ratio_de[0] == pytest.approx(0.5)
+        assert curve.ratio_de[:2].tolist() == [0.5, 0.0]
         assert np.isnan(curve.ratio_de[2])
 
     def test_no_disputed_means_zero_ratio(self):
         curve = th.build_exceedance_curve({"a": 0.5, "b": 1.5}, set(), [0.0, 1.0])
         assert curve.ratio_dd.tolist() == [0.0, 0.0]
 
-    def test_empty_values_error(self):
-        with pytest.raises(ValueError):
-            th.build_exceedance_curve({}, set(), [0.0])
-
     def test_counts_non_increasing_and_bounded(self):
         rng = np.random.default_rng(0)
         values = {f"e{i}": float(v) for i, v in enumerate(rng.uniform(0, 2, 500))}
         disputed = {f"e{i}" for i in rng.choice(500, 120, replace=False)}
         curve = th.build_exceedance_curve(values, disputed, np.arange(0, 2, 0.01))
-        assert np.all(np.diff(curve.e_counts) <= 0)
-        assert np.all(np.diff(curve.d_counts) <= 0)
-        assert np.all(curve.d_counts <= curve.e_counts)
+        assert np.all(np.diff(curve.ratio_dd) <= 0)
         assert np.all((curve.ratio_dd >= 0) & (curve.ratio_dd <= 1))
+        defined = curve.ratio_de[np.isfinite(curve.ratio_de)]
+        assert np.all((defined >= 0) & (defined <= 1))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -47,10 +42,13 @@ class TestExceedanceCurve:
         grid = np.sort(rng.uniform(0, 2, int(rng.integers(1, 30))))
         curve = th.build_exceedance_curve(values, disputed, grid)
         for j, delta in enumerate(grid):
-            assert curve.e_counts[j] == sum(1 for v in values.values() if v >= delta)
-            assert curve.d_counts[j] == sum(
-                1 for k, v in values.items() if k in disputed and v >= delta
-            )
+            e = sum(1 for v in values.values() if v >= delta)
+            d = sum(1 for k, v in values.items() if k in disputed and v >= delta)
+            assert curve.ratio_dd[j] == (d / len(disputed) if disputed else 0.0)
+            if e:
+                assert curve.ratio_de[j] == d / e
+            else:
+                assert np.isnan(curve.ratio_de[j])
 
 
 class TestFitPolynomial:
@@ -132,8 +130,48 @@ class TestInflectionPoints:
     def test_needs_degree_three(self):
         x = np.linspace(0, 1, 10)
         fit = th.fit_polynomial(x, x**2, degree=2)
-        with pytest.raises(ValueError):
-            inflections(fit)
+        assert inflections(fit) == []
+
+
+def reference_bracketed_roots(coef, lo, hi):
+    """The per-interval scan that ``th._bracketed_roots`` replaces with one vector test."""
+    t = np.linspace(lo, hi, th._BRACKET_POINTS)
+    v = th._polyval(coef, t)
+    roots = []
+    for i in range(len(t) - 1):
+        if v[i] == 0.0:
+            continue
+        if v[i] * v[i + 1] < 0.0:
+            a, b, fa = t[i], t[i + 1], v[i]
+            while b - a > 1e-12:
+                m = 0.5 * (a + b)
+                fm = float(th._polyval(coef, np.asarray(m)))
+                if fa * fm <= 0.0:
+                    b = m
+                else:
+                    a, fa = m, fm
+            roots.append(0.5 * (a + b))
+    return roots
+
+
+class TestBracketedRoots:
+    @given(st.lists(st.floats(-10, 10), min_size=1, max_size=13))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference(self, coef):
+        coef = np.asarray(coef)
+        assert th._bracketed_roots(coef, -1.0, 1.0) == reference_bracketed_roots(coef, -1.0, 1.0)
+
+    @given(st.lists(st.integers(0, th._BRACKET_POINTS - 1), min_size=1, max_size=3),
+           st.sampled_from([1.0, -0.5, 3.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_with_zeros_at_grid_points(self, at, scale):
+        # (t - t[k]) factors with dyadic grid roots: Horner evaluates them exactly
+        t = np.linspace(-1.0, 1.0, th._BRACKET_POINTS)
+        coef = np.array([scale])
+        for k in at:
+            coef = np.convolve(coef, [-t[k], 1.0])
+        assert np.all(th._polyval(coef, t[at]) == 0.0)
+        assert th._bracketed_roots(coef, -1.0, 1.0) == reference_bracketed_roots(coef, -1.0, 1.0)
 
 
 class TestSelectThreshold:
