@@ -267,9 +267,10 @@ def _fakenews_stage(out: Path, inputs: _Inputs, sample_name: str, warning: ew.Ea
                                     warning.predictions, warning.sample)
     out = _out_dir(out)
     algorithms = [s.algorithm for s in specs]
+    cycles = inputs.protocol.cycles(dataset.labels)
     results = {}
     for mode in experiments:
-        exp = fn.run_experiment(dataset, mode, specs, inputs.protocol)
+        exp = fn.run_experiment(dataset, mode, specs, cycles)
         results[exp.mode] = exp
         table = {step: [exp.auc[a][i] for a in algorithms] for i, step in enumerate(exp.steps)}
         _write_csv(out / f"auc_steps_{exp.mode.lower()}.csv", ("step", *algorithms),
@@ -277,7 +278,7 @@ def _fakenews_stage(out: Path, inputs: _Inputs, sample_name: str, warning: ew.Ea
         if inputs.plots:
             svgplot.bar_chart(out / f"auc_steps_{exp.mode.lower()}.svg", algorithms, table,
                               title=f"experiment {exp.mode} ({sample_name})", y_label="AUC")
-    reports, ranking = fn.final_report(dataset, specs, inputs.protocol, max_features=max_stepwise)
+    reports, ranking = fn.final_report(dataset, specs, cycles, max_features=max_stepwise)
     _write_json(out / "report.json", {a: r.to_json_dict() for a, r in reports.items()}, sort_keys=False)
     _write_csv(out / "report.csv", _REPORT_HEADER, _report_rows(reports))
     _write_csv(out / "stepwise.csv", ("rank", "feature", "mean_auc"),
@@ -319,11 +320,11 @@ def cmd_thresholds(args) -> int:
         curves = {m: th.load_fixture_curve(Path(args.fixtures) / row.fixture)
                   for m, row in th.MEASURES.items()}
         result, selections = th.select_thresholds(curves)
-        inputs = [args.fixtures]
-    else:
+        config, inputs = {"fixtures": args.fixtures}, [args.fixtures]
+    else:  # --sample picks a corpus's entities; fixtures have none, so it is recorded only here
         corpus = corpus_mod.load_corpus(args.data)
         _, curves, result, selections = ew.threshold_entities(corpus, _load_sample(corpus, args.sample))
-        inputs = [str(args.data)]
+        config, inputs = {"fixtures": None, "sample": args.sample}, [str(args.data)]
     _write_json(out / "thresholds.json", {
         "thresholds": result.to_json_dict(),
         "selections": {m: s.to_json_dict(m) for m, s in selections.items()},
@@ -335,7 +336,7 @@ def cmd_thresholds(args) -> int:
                    ((g, dd, de if math.isfinite(de) else math.nan) for g, dd, de in rows))
     if args.plots:
         _curve_svgs(out, curves)
-    _write_manifest(out, "thresholds", {"fixtures": args.fixtures, "sample": args.sample}, None, inputs)
+    _write_manifest(out, "thresholds", config, None, inputs)
     print(json.dumps(result.to_json_dict(), indent=2, sort_keys=True))
     return EXIT_OK
 

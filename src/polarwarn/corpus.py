@@ -401,22 +401,9 @@ def _refs(values: tuple, index: Mapping[str, int]) -> np.ndarray:
     return np.fromiter(map(index.get, values, repeat(-1)), np.int64, len(values))
 
 
-def _raise_dangling(paths: Mapping[str, Path]) -> None:
-    """Raise the IntegrityError listing every dangling reference, sorted."""
-    source_ids = {obj["id"] for _, obj in _iter_jsonl(paths["sources"])}
-    post_ids: set[str] = set()
-    dangling: list[str] = []
-    for _, obj in _iter_jsonl(paths["posts"]):
-        post_ids.add(obj["id"])
-        if obj["source_id"] not in source_ids:
-            dangling.append(f"post {obj['id']!r} -> source {obj['source_id']!r}")
-    for _, obj in _iter_jsonl(paths["comments"]):
-        if obj["post_id"] not in post_ids:
-            dangling.append(f"comment {obj['id']!r} -> post {obj['post_id']!r}")
-    for _, obj in _iter_jsonl(paths["mentions"]):
-        if obj["post_id"] not in post_ids:
-            dangling.append(f"mention {normalize_entity(obj['entity'])!r} -> post {obj['post_id']!r}")
-    raise IntegrityError("dangling references: " + "; ".join(sorted(dangling)))
+def _dangling(rows: np.ndarray, kind: str, ids: tuple, target: str, refs: tuple) -> list[str]:
+    """``"<kind> 'id' -> <target> 'ref'"`` for each reference ``_refs`` found no row for."""
+    return [f"{kind} {ids[i]!r} -> {target} {refs[i]!r}" for i in np.flatnonzero(rows < 0)]
 
 
 class _Codes:
@@ -463,16 +450,18 @@ def _build_sources(blocks) -> tuple[dict[str, int], Sources]:
     return {s: i for i, s in enumerate(ids)}, Sources(fake=_concat(fake, bool))
 
 
-def _build_posts(blocks, source_index: Mapping[str, int]) -> tuple[dict[str, int], Posts]:
+def _build_posts(blocks, source_index: Mapping[str, int]) -> tuple[dict[str, int], Posts, list[str]]:
     ids: list[str] = []
     seen: set[str] = set()
     texts: list[str] = []
+    dangling: list[str] = []
     source, timestamp, sentiment, likes, shares = [], [], [], [], []
     for where, (pid, source_id, ts, text, sent, like, share) in blocks:
         if _repeats(_strings(pid, "id", where), seen):
             _fail(where, f"duplicate post id {pid[0]!r}", IntegrityError)
         ids += pid
         source.append(_refs(_strings(source_id, "source_id", where), source_index))
+        dangling += _dangling(source[-1], "post", pid, "source", source_id)
         timestamp.append(_ints(ts, "timestamp", where))
         texts += _texts(text, where)
         sentiment.append(_numbers(sent, "sentiment", where, -1.0, 1.0))
@@ -483,12 +472,13 @@ def _build_posts(blocks, source_index: Mapping[str, int]) -> tuple[dict[str, int
         text=texts, sentiment=_concat(sentiment, float),
         likes=_concat(likes, np.int64), shares=_concat(shares, np.int64),
     )
-    return {p: i for i, p in enumerate(ids)}, posts
+    return {p: i for i, p in enumerate(ids)}, posts, dangling
 
 
-def _build_comments(blocks, post_index: Mapping[str, int]) -> tuple[list[str], Comments]:
+def _build_comments(blocks, post_index: Mapping[str, int]) -> tuple[list[str], Comments, list[str]]:
     seen: set[str] = set()
     texts: list[str] = []
+    dangling: list[str] = []
     users = _Codes()
     post, user, sentiment, likes, replies = [], [], [], [], []
     for where, (cid, post_id, user_id, ts, text, sent, like, reply) in blocks:
@@ -497,6 +487,7 @@ def _build_comments(blocks, post_index: Mapping[str, int]) -> tuple[list[str], C
         if where and _MISSING in sent:  # reported ahead of a fault in post_id or a later field
             _fail(where, "missing field 'sentiment'")
         post.append(_refs(_strings(post_id, "post_id", where), post_index))
+        dangling += _dangling(post[-1], "comment", cid, "post", post_id)
         user.append(users.encode(_strings(user_id, "user_id", where)))
         _ints(ts, "timestamp", where)
         texts += _texts(text, where)
@@ -508,27 +499,29 @@ def _build_comments(blocks, post_index: Mapping[str, int]) -> tuple[list[str], C
         post=_concat(post, np.int64), user=user, text=texts, sentiment=_concat(sentiment, float),
         likes=_concat(likes, np.int64), replies=_concat(replies, np.int64),
     )
-    return names, comments
+    return names, comments, dangling
 
 
-def _build_mentions(blocks, post_index: Mapping[str, int]) -> tuple[list[str], Mentions]:
+def _build_mentions(blocks, post_index: Mapping[str, int]) -> tuple[list[str], Mentions, list[str]]:
     """Mentions keyed by normalized entity; duplicates compare (entity, post id) pairs."""
     entities = _Codes()
     normalized: dict[str, str] = {}
     seen: set[tuple[str, str]] = set()
+    dangling: list[str] = []
     entity, post, confidence = [], [], []
     for where, (label, post_id, conf) in blocks:
         for raw in set(_strings(label, "entity", where)).difference(normalized):
             normalized[raw] = normalize_entity(raw)
         keys = tuple(map(normalized.__getitem__, label))
         post.append(_refs(_strings(post_id, "post_id", where), post_index))
+        dangling += _dangling(post[-1], "mention", keys, "post", post_id)
         confidence.append(_numbers(conf, "confidence", where, 0.0, 1.0, name="confidence"))
         if _repeats(list(zip(keys, post_id)), seen):
             _fail(where, f"duplicate mention of {keys[0]!r} in post {post_id[0]!r}", IntegrityError)
         entity.append(entities.encode(keys))
     names, entity = entities.renumbered(entity)
     mentions = Mentions(entity=entity, post=_concat(post, np.int64), confidence=_concat(confidence, float))
-    return names, mentions
+    return names, mentions, dangling
 
 
 def load_corpus(directory: str | Path) -> Corpus:
@@ -545,11 +538,13 @@ def load_corpus(directory: str | Path) -> Corpus:
             raise CorpusError(f"missing corpus file: {p}")
 
     source_index, sources = _read(paths["sources"], _SOURCE_FIELDS, _build_sources)
-    post_index, posts = _read(paths["posts"], _POST_FIELDS, lambda b: _build_posts(b, source_index))
-    users, comments = _read(paths["comments"], _COMMENT_FIELDS, lambda b: _build_comments(b, post_index))
-    entities, mentions = _read(paths["mentions"], _MENTION_FIELDS, lambda b: _build_mentions(b, post_index))
-    if min(posts.source.min(initial=0), comments.post.min(initial=0), mentions.post.min(initial=0)) < 0:
-        _raise_dangling(paths)
+    post_index, posts, from_posts = _read(paths["posts"], _POST_FIELDS, lambda b: _build_posts(b, source_index))
+    users, comments, from_comments = _read(paths["comments"], _COMMENT_FIELDS,
+                                           lambda b: _build_comments(b, post_index))
+    entities, mentions, from_mentions = _read(paths["mentions"], _MENTION_FIELDS,
+                                              lambda b: _build_mentions(b, post_index))
+    if dangling := from_posts + from_comments + from_mentions:
+        raise IntegrityError("dangling references: " + "; ".join(sorted(dangling)))
 
     return Corpus(
         sources=sources,

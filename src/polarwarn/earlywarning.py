@@ -110,16 +110,19 @@ def run_benchmark(
     specs: list[ModelSpec],
     protocol: Protocol,
 ) -> BenchmarkResult:
-    """Average the benchmark protocol per algorithm.
+    """Average the benchmark protocol per algorithm, every algorithm on the same cycles.
 
     An algorithm whose evaluation raises a ``NumericError`` is recorded as a
-    failure and the others still run; any other error propagates.
+    failure and the others still run; cycles that cannot be drawn fail every
+    algorithm with the same error.  Any other error propagates.
     """
     reports: dict[str, MetricsReport] = {}
     failures: dict[str, str] = {}
+    cycles = None
     for spec in specs:
         try:
-            reports[spec.algorithm] = evaluate_spec(dataset, spec, protocol, CLASS_NAMES)
+            cycles = cycles or protocol.cycles(dataset.labels)
+            reports[spec.algorithm] = evaluate_spec(dataset, spec, cycles, CLASS_NAMES)
         except NumericError as exc:
             failures[spec.algorithm] = f"{type(exc).__name__}: {exc}"
     for algo, err in failures.items():

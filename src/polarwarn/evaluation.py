@@ -3,9 +3,10 @@
 The repeated-holdout protocol is: rebalance the classes by seeded
 undersampling, split 60/40 stratified, fit, evaluate; repeat with derived
 seeds and aggregate.  Rebalancing and splitting read only the labels and
-return row indices.  Aggregated reports pool the confusion counts across
-cycles (cycles have identical sizes, so pooled accuracy equals the mean) and
-average the per-cycle AUC.
+return row indices, so ``Protocol.cycles`` draws the cycles once for every
+evaluation on the same labels.  Aggregated reports pool the confusion counts
+across cycles (cycles have identical sizes, so pooled accuracy equals the
+mean) and average the per-cycle AUC.
 """
 
 from __future__ import annotations
@@ -78,45 +79,25 @@ def rank_reports(reports: dict[str, MetricsReport]) -> list[str]:
 
 
 def split_train_test(labels: np.ndarray, train_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded stratified shuffle split; returns sorted ``(train, test)`` row indices.
+    """Seeded stratified shuffle split of balanced 0/1 labels, m rows per
+    class; returns sorted ``(train, test)`` row indices.
 
-    The train size is round(train_fraction * N), with ``train_fraction`` in
-    (0, 1) as ``Protocol`` checks; per-class sizes follow a
-    largest-remainder apportionment so the class ratio is preserved, with
-    every class keeping at least one row on each side.
+    The train size t is round(train_fraction * 2m) within [2, 2m - 2], with
+    ``train_fraction`` in (0, 1) as ``Protocol`` checks; class 0 trains on
+    ceil(t / 2) rows and class 1 on floor(t / 2).
     """
     y = np.asarray(labels)
-    classes = np.unique(y)
-    counts = {int(c): int(np.sum(y == c)) for c in classes}
-    if any(n < 2 for n in counts.values()):
-        raise StratificationError(f"every class needs >= 2 rows for a stratified split: {counts}")
-    total_train = int(round(train_fraction * len(y)))
-    total_train = min(max(total_train, len(classes)), len(y) - len(classes))
-
-    quotas = {c: train_fraction * n for c, n in counts.items()}
-    base = {c: int(np.floor(q)) for c, q in quotas.items()}
-    for c in counts:
-        base[c] = min(max(base[c], 1), counts[c] - 1)
-    remainder_order = sorted(counts, key=lambda c: (-(quotas[c] - np.floor(quotas[c])), c))
-    i = 0
-    while sum(base.values()) < total_train and i < 10 * len(counts):
-        c = remainder_order[i % len(counts)]
-        if base[c] < counts[c] - 1:
-            base[c] += 1
-        i += 1
-    while sum(base.values()) > total_train:
-        c = max(base, key=lambda cc: (base[cc] - quotas[cc], cc))
-        if base[c] <= 1:
-            break
-        base[c] -= 1
-
+    m = len(y) // 2
+    if m < 2:
+        raise StratificationError(f"every class needs >= 2 rows for a stratified split: {{0: {m}, 1: {m}}}")
+    total_train = min(max(int(round(train_fraction * len(y))), 2), 2 * m - 2)
     rng = np.random.default_rng(seed)
     train_parts = []
     test_parts = []
-    for c in sorted(counts):
-        shuffled = np.flatnonzero(y == c)[rng.permutation(counts[c])]
-        train_parts.append(shuffled[: base[c]])
-        test_parts.append(shuffled[base[c] :])
+    for c, n_train in ((0, (total_train + 1) // 2), (1, total_train // 2)):
+        shuffled = np.flatnonzero(y == c)[rng.permutation(m)]
+        train_parts.append(shuffled[:n_train])
+        test_parts.append(shuffled[n_train:])
     return np.sort(np.concatenate(train_parts)), np.sort(np.concatenate(test_parts))
 
 
@@ -208,6 +189,9 @@ def roc_auc(labels: Sequence[int], scores: Sequence[float]) -> float:
     return u / (n_pos * n_neg)
 
 
+Cycles = tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
 @dataclass(frozen=True)
 class Protocol:
     """Repeated rebalance -> split -> fit -> evaluate cycles."""
@@ -224,6 +208,16 @@ class Protocol:
         if self.seed < 0:
             raise ConfigError(f"seed must be at least 0, got {self.seed}")
 
+    def cycles(self, labels: np.ndarray) -> Cycles:
+        """Cycle i's sorted ``(train, test)`` rows: ``rebalance`` with seed + i,
+        then ``split_train_test`` of the kept rows with the same seed."""
+        drawn = []
+        for seed in range(self.seed, self.seed + self.repeats):
+            kept = rebalance(labels, seed)
+            train, test = split_train_test(labels[kept], self.train_fraction, seed)
+            drawn.append((kept[train], kept[test]))
+        return tuple(drawn)
+
 
 @dataclass(frozen=True)
 class CycleOutcome:
@@ -232,19 +226,12 @@ class CycleOutcome:
     auc: float
 
 
-def run_cycles(dataset: Dataset, spec: ModelSpec, protocol: Protocol) -> list[CycleOutcome]:
-    """Run every protocol cycle for one model spec; derived seed is seed + i.
-
-    Each cycle picks its rows from the labels alone, so only the train and
-    test slices of the feature matrix are copied.
-    """
+def run_cycles(dataset: Dataset, spec: ModelSpec, cycles: Cycles) -> list[CycleOutcome]:
+    """Fit and score one model spec on each cycle's ``(train, test)`` rows of
+    ``dataset``; only those slices of the feature matrix are copied."""
     X, y = dataset.features, dataset.labels
     outcomes = []
-    for i in range(protocol.repeats):
-        cycle_seed = protocol.seed + i
-        kept = rebalance(y, cycle_seed)
-        train, test = split_train_test(y[kept], protocol.train_fraction, cycle_seed)
-        train, test = kept[train], kept[test]
+    for train, test in cycles:
         model = fit(Dataset(X[train], y[train], dataset.feature_names), spec)
         scores, predicted = predict(model, X[test])
         outcomes.append(CycleOutcome(labels=y[test], predicted=predicted, auc=roc_auc(y[test], scores)))
@@ -254,11 +241,11 @@ def run_cycles(dataset: Dataset, spec: ModelSpec, protocol: Protocol) -> list[Cy
 def evaluate_spec(
     dataset: Dataset,
     spec: ModelSpec,
-    protocol: Protocol,
+    cycles: Cycles,
     class_names: dict[int, str] | None = None,
 ) -> MetricsReport:
     """Confusion counts pooled over every cycle, with the mean per-cycle AUC."""
-    outcomes = run_cycles(dataset, spec, protocol)
+    outcomes = run_cycles(dataset, spec, cycles)
     labels = np.concatenate([o.labels for o in outcomes])
     predicted = np.concatenate([o.predicted for o in outcomes])
     report = confusion_metrics(labels, predicted, class_names=class_names)
@@ -277,7 +264,7 @@ def forward_stepwise(
     dataset: Dataset,
     spec: ModelSpec,
     max_features: int,
-    protocol: Protocol,
+    cycles: Cycles,
 ) -> StepwiseResult:
     """Add, per round, the unselected feature with the best mean test AUC.
 
@@ -292,7 +279,7 @@ def forward_stepwise(
         best_auc = -1.0
         for name in remaining:  # feature-name order == column order: index tie-break
             candidate = dataset.take_columns(selected + [name])
-            auc = evaluate_spec(candidate, spec, protocol).auc
+            auc = evaluate_spec(candidate, spec, cycles).auc
             if auc > best_auc:
                 best_auc, best_name = auc, name
         selected.append(best_name)

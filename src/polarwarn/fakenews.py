@@ -19,7 +19,7 @@ import numpy as np
 
 from .corpus import Corpus, EntitySample, PostSample, group_positions
 from .features import EntityFeatures, engagement
-from .evaluation import Protocol, MetricsReport, StepwiseResult, evaluate_spec, forward_stepwise, rank_reports
+from .evaluation import Cycles, MetricsReport, StepwiseResult, evaluate_spec, forward_stepwise, rank_reports
 from .earlywarning import EntityPrediction
 from .models import Dataset, ModelSpec
 
@@ -483,7 +483,7 @@ def run_experiment(
     dataset: Dataset,
     mode: str,
     specs: list[ModelSpec],
-    protocol: Protocol,
+    cycles: Cycles,
 ) -> ExperimentResult:
     """Per-algorithm AUC as the feature categories of experiment ``mode`` (any case) are added step by step."""
     mode = mode.upper()
@@ -491,7 +491,7 @@ def run_experiment(
     for cats in EXPERIMENT_STEPS[mode]:
         sub = subset_by_categories(dataset, cats)
         for spec in specs:
-            auc[spec.algorithm].append(evaluate_spec(sub, spec, protocol).auc)
+            auc[spec.algorithm].append(evaluate_spec(sub, spec, cycles).auc)
     return ExperimentResult(
         mode=mode,
         steps=tuple("+".join(cats) for cats in EXPERIMENT_STEPS[mode]),
@@ -502,16 +502,16 @@ def run_experiment(
 def final_report(
     dataset: Dataset,
     specs: list[ModelSpec],
-    protocol: Protocol,
+    cycles: Cycles,
     max_features: int,
 ) -> tuple[dict[str, MetricsReport], StepwiseResult]:
     """Full-feature benchmark table plus the stepwise best-feature ranking."""
     reports = {
-        spec.algorithm: evaluate_spec(dataset, spec, protocol, CLASS_NAMES) for spec in specs
+        spec.algorithm: evaluate_spec(dataset, spec, cycles, CLASS_NAMES) for spec in specs
     }
     best_algo = rank_reports(reports)[0]
     best_spec = next(s for s in specs if s.algorithm == best_algo)
     ranking = forward_stepwise(
-        dataset, best_spec, min(max_features, len(dataset.feature_names)), protocol
+        dataset, best_spec, min(max_features, len(dataset.feature_names)), cycles
     )
     return reports, ranking

@@ -239,13 +239,13 @@ def test_criterion_5_end_to_end_early_warning(full_run):
 
 def test_criterion_6_end_to_end_fake_news(full_run):
     spec = ModelSpec("log", seed=7)
-    protocol = Protocol(repeats=10, seed=7)
-    experiment = fn.run_experiment(full_run.p1_dataset, "B", [spec], protocol)
+    cycles = Protocol(repeats=10, seed=7).cycles(full_run.p1_dataset.labels)
+    experiment = fn.run_experiment(full_run.p1_dataset, "B", [spec], cycles)
     baseline = experiment.auc["log"][0]
     final = experiment.auc["log"][-1]
     assert experiment.steps[0] == "ST" and experiment.steps[-1] == "ST+S+UB+SB+P"
     assert final > baseline
-    report = evaluate_spec(full_run.p1_dataset, spec, protocol, fn.CLASS_NAMES)
+    report = evaluate_spec(full_run.p1_dataset, spec, cycles, fn.CLASS_NAMES)
     assert report.accuracy >= 0.85
     ok(
         f"criterion 6: experiment B log AUC {baseline:.3f} -> {final:.3f} "

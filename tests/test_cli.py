@@ -55,6 +55,17 @@ def test_thresholds_from_fixtures(tmp_path):
     assert (out / "curve_presentation_distance.csv").exists()
 
 
+def test_thresholds_from_fixtures_ignores_sample(tmp_path):
+    # --sample only picks the entities of a --data corpus; fixtures have none
+    manifests = []
+    for sample in ("e1", "e2"):
+        out = tmp_path / sample
+        assert main(["thresholds", "--fixtures", "fixtures", "--sample", sample, "--out", str(out)]) == EXIT_OK
+        manifests.append((out / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+    assert json.loads(manifests[0])["config"] == {"fixtures": "fixtures"}
+
+
 def test_thresholds_missing_fixture_is_data_error(tmp_path):
     empty = tmp_path / "nofix"
     empty.mkdir()
@@ -164,6 +175,27 @@ def test_fakenews_stage(data_dir, tmp_path):
     steps = (out / "auc_steps_b.csv").read_text().strip().splitlines()
     assert steps[0] == "step,log"
     assert len(steps) == 6
+
+
+@pytest.mark.parametrize("repeats", [1, 3])
+def test_fakenews_draws_each_stage_cycles_once(data_dir, tmp_path, monkeypatch, repeats):
+    # E1 benchmark cycles, the refit's rebalance, then the P1 cycles that every
+    # experiment step, final report and stepwise candidate shares
+    calls = []
+    rebalance = evaluation.rebalance
+
+    def counted(*args):
+        calls.append(args[1])
+        return rebalance(*args)
+
+    monkeypatch.setattr(evaluation, "rebalance", counted)
+    monkeypatch.setattr(ew, "rebalance", counted)
+    code = main(["fakenews", "--data", str(data_dir), "--algo", "log", "--repeats", str(repeats),
+                 "--max-stepwise", "2", "--seed", "5", "--out", str(tmp_path / "fn")])
+    assert code == EXIT_OK
+    assert len(calls) == 2 * repeats + 1
+    seeds = list(range(5, 5 + repeats))
+    assert calls == seeds + [5] + seeds
 
 
 def test_pipeline_and_report(tmp_path):

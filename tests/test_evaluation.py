@@ -27,7 +27,7 @@ class TestSplit:
 
     def test_same_seed_identical(self):
         rng = np.random.default_rng(0)
-        y = rng.integers(0, 2, 40)
+        y = rng.permutation(np.repeat([0, 1], 20))
         a = ev.split_train_test(y, 0.6, seed=3)
         b = ev.split_train_test(y, 0.6, seed=3)
         assert np.array_equal(a[0], b[0])
@@ -35,7 +35,7 @@ class TestSplit:
 
     def test_partition_property(self):
         rng = np.random.default_rng(1)
-        y = rng.integers(0, 2, 100)
+        y = rng.permutation(np.repeat([0, 1], 50))
         train, test = ev.split_train_test(y, 0.6, seed=5)
         assert np.array_equal(np.sort(np.concatenate([train, test])), np.arange(100))
         assert len(train) + len(test) == 100
@@ -44,12 +44,44 @@ class TestSplit:
         with pytest.raises(ev.StratificationError):
             ev.split_train_test(np.array([0, 0, 1]), 0.6, seed=0)
 
-    def test_unbalanced_strata_rounding(self):
-        y = np.array([0] * 7 + [1] * 3)
-        train, test = ev.split_train_test(y, 0.6, seed=2)
-        assert len(train) == 6
-        assert int(np.sum(y[train] == 0)) == 4
-        assert int(np.sum(y[train] == 1)) == 2
+
+def reference_split_train_test(labels, train_fraction, seed):
+    """Reference stratified split for any number of classes of any sizes, with
+    per-class train sizes by largest remainder; ``Protocol.cycles`` must agree
+    with it on the balanced labels ``rebalance`` keeps."""
+    y = np.asarray(labels)
+    classes = np.unique(y)
+    counts = {int(c): int(np.sum(y == c)) for c in classes}
+    if any(n < 2 for n in counts.values()):
+        raise ev.StratificationError(f"every class needs >= 2 rows for a stratified split: {counts}")
+    total_train = int(round(train_fraction * len(y)))
+    total_train = min(max(total_train, len(classes)), len(y) - len(classes))
+
+    quotas = {c: train_fraction * n for c, n in counts.items()}
+    base = {c: int(np.floor(q)) for c, q in quotas.items()}
+    for c in counts:
+        base[c] = min(max(base[c], 1), counts[c] - 1)
+    remainder_order = sorted(counts, key=lambda c: (-(quotas[c] - np.floor(quotas[c])), c))
+    i = 0
+    while sum(base.values()) < total_train and i < 10 * len(counts):
+        c = remainder_order[i % len(counts)]
+        if base[c] < counts[c] - 1:
+            base[c] += 1
+        i += 1
+    while sum(base.values()) > total_train:
+        c = max(base, key=lambda cc: (base[cc] - quotas[cc], cc))
+        if base[c] <= 1:
+            break
+        base[c] -= 1
+
+    rng = np.random.default_rng(seed)
+    train_parts = []
+    test_parts = []
+    for c in sorted(counts):
+        shuffled = np.flatnonzero(y == c)[rng.permutation(counts[c])]
+        train_parts.append(shuffled[: base[c]])
+        test_parts.append(shuffled[base[c] :])
+    return np.sort(np.concatenate(train_parts)), np.sort(np.concatenate(test_parts))
 
 
 class TestRebalance:
@@ -82,15 +114,9 @@ class TestRebalance:
 
 # Rows for seeds 0-2, recorded by running the Dataset-based protocol on a
 # Dataset whose only column was np.arange(22), so each returned row carried
-# its own index: the split of the full label vector, and one run_cycles
-# cycle (rebalance, then the split of the kept rows).  Any change to the RNG
-# calls or their order moves them.
+# its own index: one cycle (rebalance, then the split of the kept rows).
+# Any change to the RNG calls or their order moves them.
 PINNED_LABELS = np.array([0, 1, 1, 0, 0, 0, 1, 0, 1, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0])
-PINNED_SPLITS = {
-    0: ([0, 1, 4, 5, 6, 7, 9, 11, 12, 15, 17, 19, 21], [2, 3, 8, 10, 13, 14, 16, 18, 20]),
-    1: ([0, 1, 2, 3, 7, 8, 9, 11, 12, 13, 15, 18, 21], [4, 5, 6, 10, 14, 16, 17, 19, 20]),
-    2: ([0, 1, 4, 8, 10, 11, 12, 14, 16, 17, 18, 20, 21], [2, 3, 5, 6, 7, 9, 13, 15, 19]),
-}
 PINNED_CYCLES = {
     0: ([5, 6, 7, 9, 11, 12, 16, 19], [0, 1, 2, 3, 8, 10]),
     1: ([0, 2, 4, 6, 8, 13, 17, 19], [1, 7, 9, 11, 16, 18]),
@@ -101,11 +127,30 @@ PINNED_CYCLES = {
 class TestIndexProtocol:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_pinned_rng_order(self, seed):
-        train, test = ev.split_train_test(PINNED_LABELS, 0.6, seed)
-        assert (train.tolist(), test.tolist()) == PINNED_SPLITS[seed]
-        kept = ev.rebalance(PINNED_LABELS, seed)
-        train, test = ev.split_train_test(PINNED_LABELS[kept], 0.6, seed)
-        assert (kept[train].tolist(), kept[test].tolist()) == PINNED_CYCLES[seed]
+        (train, test), = ev.Protocol(repeats=1, seed=seed).cycles(PINNED_LABELS)
+        assert (train.tolist(), test.tolist()) == PINNED_CYCLES[seed]
+
+    @given(
+        st.integers(2, 60),
+        st.integers(0, 60),
+        st.integers(0, 2**31),
+        st.integers(1, 6),
+        st.sampled_from([0.05, 0.3, 0.5, 0.6, 0.75, 0.95]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_cycles_equal_reference_rebalance_then_split(self, m, extra, seed, repeats, fraction):
+        # unbalanced labels whose minority class has m >= 2 rows
+        rng = np.random.default_rng(seed)
+        minority = int(rng.integers(0, 2))
+        y = rng.permutation(np.repeat([minority, 1 - minority], [m, m + extra]))
+        cycles = ev.Protocol(repeats=repeats, train_fraction=fraction, seed=seed).cycles(y)
+        assert len(cycles) == repeats
+        for i, (train, test) in enumerate(cycles):
+            kept = ev.rebalance(y, seed + i)
+            ref_train, ref_test = reference_split_train_test(y[kept], fraction, seed + i)
+            assert train.dtype == kept[ref_train].dtype and test.dtype == kept[ref_test].dtype
+            assert (train == kept[ref_train]).all() and len(train) == len(ref_train)
+            assert (test == kept[ref_test]).all() and len(test) == len(ref_test)
 
     @given(
         st.lists(st.integers(0, 1), min_size=4, max_size=120),
@@ -295,8 +340,8 @@ class TestProtocol:
 
     def test_cycles_and_aggregate(self):
         ds = self.planted()
-        protocol = ev.Protocol(repeats=5, seed=1)
-        report = ev.evaluate_spec(ds, ModelSpec("log"), protocol)
+        cycles = ev.Protocol(repeats=5, seed=1).cycles(ds.labels)
+        report = ev.evaluate_spec(ds, ModelSpec("log"), cycles)
         assert report.auc is not None and report.auc > 0.8
         assert report.tp + report.tn + report.fp + report.fn == report.n
 
@@ -308,7 +353,7 @@ class TestProtocol:
             labels=rng.permutation(ds.labels),
             feature_names=ds.feature_names,
         )
-        auc = ev.evaluate_spec(permuted, ModelSpec("log"), ev.Protocol(repeats=8, seed=2)).auc
+        auc = ev.evaluate_spec(permuted, ModelSpec("log"), ev.Protocol(repeats=8, seed=2).cycles(permuted.labels)).auc
         assert 0.35 < auc < 0.65
 
     @pytest.mark.parametrize("repeats", [0, -3])
@@ -328,7 +373,7 @@ class TestForwardStepwise:
         y = rng.integers(0, 2, 80)
         X = np.column_stack([rng.normal(0, 1, 80), y.astype(float), rng.normal(0, 1, 80)])
         ds = make_dataset(X, y)
-        result = ev.forward_stepwise(ds, ModelSpec("log"), 2, ev.Protocol(repeats=4, seed=0))
+        result = ev.forward_stepwise(ds, ModelSpec("log"), 2, ev.Protocol(repeats=4, seed=0).cycles(ds.labels))
         assert result.features[0] == "f1"
         assert result.auc_trace[0] == 1.0
 
@@ -337,19 +382,19 @@ class TestForwardStepwise:
         X = rng.normal(0, 1, (150, 3))
         y = rng.integers(0, 2, 150)
         ds = make_dataset(X, y)
-        result = ev.forward_stepwise(ds, ModelSpec("log"), 3, ev.Protocol(repeats=6, seed=1))
+        result = ev.forward_stepwise(ds, ModelSpec("log"), 3, ev.Protocol(repeats=6, seed=1).cycles(ds.labels))
         assert all(0.3 < a < 0.7 for a in result.auc_trace)
 
     def test_single_class_labels_raise(self):
         # a failed evaluation is an error, not a candidate with AUC 0
         ds = make_dataset(np.eye(10)[:, :2], [0] * 10)
         with pytest.raises(ev.StratificationError, match="rebalance requires both classes"):
-            ev.forward_stepwise(ds, ModelSpec("log"), 2, ev.Protocol(repeats=2, seed=0))
+            ev.forward_stepwise(ds, ModelSpec("log"), 2, ev.Protocol(repeats=2, seed=0).cycles(ds.labels))
 
     def test_index_tie_break(self):
         # two identical perfect columns: the lower index must win
         y = np.array([0, 1] * 30)
         X = np.column_stack([y.astype(float), y.astype(float)])
         ds = make_dataset(X, y)
-        result = ev.forward_stepwise(ds, ModelSpec("log"), 1, ev.Protocol(repeats=3, seed=0))
+        result = ev.forward_stepwise(ds, ModelSpec("log"), 1, ev.Protocol(repeats=3, seed=0).cycles(ds.labels))
         assert result.features[0] == "f0"

@@ -480,21 +480,21 @@ class TestExperiments:
     def test_step_one_identical_across_modes(self):
         ds = synthetic_category_dataset("P")
         spec = ModelSpec("log", seed=1)
-        protocol = Protocol(repeats=3, seed=4)
-        a = fn.run_experiment(ds, "A", [spec], protocol)
-        b = fn.run_experiment(ds, "B", [spec], protocol)
+        cycles = Protocol(repeats=3, seed=4).cycles(ds.labels)
+        a = fn.run_experiment(ds, "A", [spec], cycles)
+        b = fn.run_experiment(ds, "B", [spec], cycles)
         assert a.steps[0] == b.steps[0] == "ST"
         assert a.auc["log"][0] == b.auc["log"][0]
 
     def test_predicted_signal_peaks_at_st_plus_p(self):
         ds = synthetic_category_dataset("P")
-        exp = fn.run_experiment(ds, "A", [ModelSpec("log", seed=1)], Protocol(repeats=4, seed=4))
+        exp = fn.run_experiment(ds, "A", [ModelSpec("log", seed=1)], Protocol(repeats=4, seed=4).cycles(ds.labels))
         values = dict(zip(exp.steps, exp.auc["log"]))
         assert max(values, key=values.get) == "ST+P"
 
     def test_mode_b_final_gains_over_baseline(self):
         ds = synthetic_category_dataset("P")
-        exp = fn.run_experiment(ds, "B", [ModelSpec("log", seed=1)], Protocol(repeats=4, seed=4))
+        exp = fn.run_experiment(ds, "B", [ModelSpec("log", seed=1)], Protocol(repeats=4, seed=4).cycles(ds.labels))
         assert exp.auc["log"][-1] > exp.auc["log"][0]
 
 
@@ -502,7 +502,7 @@ class TestFinalReport:
     def test_structural_signal_ranks_first(self):
         ds = synthetic_category_dataset("ST", n=300, seed=5)
         reports, ranking = fn.final_report(
-            ds, [ModelSpec("log", seed=2)], Protocol(repeats=3, seed=6), max_features=3
+            ds, [ModelSpec("log", seed=2)], Protocol(repeats=3, seed=6).cycles(ds.labels), max_features=3
         )
         assert ranking.features[0] == "st_x0"
         assert reports["log"].auc > 0.8
@@ -510,6 +510,6 @@ class TestFinalReport:
     def test_report_class_names(self):
         ds = synthetic_category_dataset("ST", n=200, seed=6)
         reports, _ = fn.final_report(
-            ds, [ModelSpec("log", seed=2)], Protocol(repeats=2, seed=6), max_features=1
+            ds, [ModelSpec("log", seed=2)], Protocol(repeats=2, seed=6).cycles(ds.labels), max_features=1
         )
         assert reports["log"].class_names == {0: "not_fake", 1: "fake"}
