@@ -57,6 +57,8 @@ def _read_json(path, error: type[Exception] = ConfigError) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
+    except IsADirectoryError:
+        raise error(f"{path}: is a directory, not a JSON file") from None
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or an over-long integer
         raise error(f"{path}: not a JSON document ({exc})") from None
     if not isinstance(doc, dict):
@@ -211,6 +213,12 @@ def _curve_svgs(out: Path, curves) -> None:
         )
 
 
+def _selection_docs(selections) -> dict:
+    """The ``thresholds`` and ``selections`` objects of thresholds.json and an early warning's report.json."""
+    return {"thresholds": th.thresholds_json(selections),
+            "selections": {m: s.to_json_dict(m) for m, s in selections.items()}}
+
+
 def _ingest_stage(out: Path, corpus, data: str) -> dict:
     """Write the corpus breakdown and its manifest; return the breakdown."""
     out = _out_dir(out)
@@ -228,8 +236,7 @@ def _earlywarn_stage(out: Path, inputs: _Inputs, sample_name: str,
     out = _out_dir(out)
     _write_json(out / "report.json", {
         "sample": sample.name,
-        "thresholds": result.thresholds.to_json_dict(),
-        "selections": {m: s.to_json_dict(m) for m, s in result.selections.items()},
+        **_selection_docs(result.selections),
         "benchmark": {a: r.to_json_dict() for a, r in result.benchmark.reports.items()},
         "failures": result.benchmark.failures,
         "best_models": list(result.best),
@@ -319,16 +326,14 @@ def cmd_thresholds(args) -> int:
     if args.fixtures:
         curves = {m: th.load_fixture_curve(Path(args.fixtures) / row.fixture)
                   for m, row in th.MEASURES.items()}
-        result, selections = th.select_thresholds(curves)
+        selections = th.select_thresholds(curves)
         config, inputs = {"fixtures": args.fixtures}, [args.fixtures]
     else:  # --sample picks a corpus's entities; fixtures have none, so it is recorded only here
         corpus = corpus_mod.load_corpus(args.data)
-        _, curves, result, selections = ew.threshold_entities(corpus, _load_sample(corpus, args.sample))
+        _, curves, selections = ew.threshold_entities(corpus, _load_sample(corpus, args.sample))
         config, inputs = {"fixtures": None, "sample": args.sample}, [str(args.data)]
-    _write_json(out / "thresholds.json", {
-        "thresholds": result.to_json_dict(),
-        "selections": {m: s.to_json_dict(m) for m, s in selections.items()},
-    })
+    docs = _selection_docs(selections)
+    _write_json(out / "thresholds.json", docs)
     for measure, curve in curves.items():
         # a fixture's non-finite ratio_de is written nan
         rows = zip(curve.grid.tolist(), curve.ratio_dd.tolist(), curve.ratio_de.tolist())
@@ -337,7 +342,7 @@ def cmd_thresholds(args) -> int:
     if args.plots:
         _curve_svgs(out, curves)
     _write_manifest(out, "thresholds", config, None, inputs)
-    print(json.dumps(result.to_json_dict(), indent=2, sort_keys=True))
+    print(json.dumps(docs["thresholds"], indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -347,7 +352,7 @@ def cmd_features(args) -> int:
     sample = _load_sample(corpus, args.sample)
     # first: it checks bin_hours before any file is written
     lag = feat.temporal_lag_histogram(corpus, sample, bin_hours=args.bin_hours)
-    features, _, _, _ = ew.threshold_entities(corpus, sample)
+    features, _, _ = ew.threshold_entities(corpus, sample)
     _write_csv(out / f"features_{sample.name.lower()}.csv", _FEATURE_COLUMNS, _feature_rows(features))
 
     grid = [i / 100 for i in range(0, 200, 5)]
@@ -401,8 +406,8 @@ def cmd_fakenews(args) -> int:
 
 def cmd_report(args) -> int:
     run_dir = Path(args.run)
-    if not run_dir.exists():
-        raise CorpusError(f"run directory not found: {run_dir}")
+    if not run_dir.is_dir():
+        raise CorpusError(f"run directory not found or not a directory: {run_dir}")
     stages = {}
     for manifest_path in sorted(run_dir.glob("**/manifest.json")):
         stage_dir = manifest_path.parent
@@ -529,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--sample", choices=list(_ENTITY_SAMPLES), default="e1")
     p.add_argument("--bin-hours", type=float, default=1.0, dest="bin_hours")
-    add_common(p)
+    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("thresholds", help="select thresholds from data or fixtures")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -173,36 +174,31 @@ def predict_disputed(
     ]
 
 
-def fill_indicators(features: list[EntityFeatures], result: th.ThresholdResult) -> None:
+def fill_indicators(features: list[EntityFeatures], cuts: Mapping[str, float]) -> None:
     """Set each entity's binary indicators from the selected cuts.
 
-    Each row of ``thresholds.MEASURES`` sets its indicator to 1 where the
-    entity's value reaches the cut, else 0; an indicator whose cut or value
-    is missing stays None.
+    Each measure in ``cuts`` sets its ``thresholds.MEASURES`` row's
+    indicator to 1 where the entity's value reaches the cut, else 0; an
+    indicator whose measure has no cut, or whose value is missing, stays None.
     """
-    for f in features:
-        for row in th.MEASURES.values():
-            cut, value = getattr(result, row.cut), getattr(f, row.feature)
-            if cut is not None and value is not None:
+    for measure, cut in cuts.items():
+        row = th.MEASURES[measure]
+        for f in features:
+            value = getattr(f, row.feature)
+            if value is not None:
                 setattr(f, row.indicator, 1 if value >= cut else 0)
 
 
 def threshold_entities(
     corpus: Corpus, sample: EntitySample
-) -> tuple[
-    list[EntityFeatures],
-    dict[str, th.RatioCurve],
-    th.ThresholdResult,
-    dict[str, th.ThresholdSelection],
-]:
+) -> tuple[list[EntityFeatures], dict[str, th.RatioCurve], dict[str, th.ThresholdSelection]]:
     """Entity features, their exceedance curves, the selected cuts, the indicators.
 
     Every sample gets the presentation-distance curve; samples that require
     comment sentiment get every measure's curve, in ``thresholds.MEASURES``
     order.  A curve counts the entities with a value for its measure and is
-    left out when none has one.  Returns ``(features, curves, thresholds,
-    selections)`` with every feature record's indicators filled from
-    ``thresholds``.
+    left out when none has one.  Returns ``(features, curves, selections)``
+    with every feature record's indicators filled from the selections' cuts.
     """
     features = entity_features(corpus, sample)
     disputed = {f.entity for f in features if f.disputed}
@@ -213,9 +209,9 @@ def threshold_entities(
         values = {f.entity: v for f in features if (v := getattr(f, row.feature)) is not None}
         if values:
             curves[measure] = th.build_exceedance_curve(values, disputed, np.arange(0.0, row.grid_hi, 0.01))
-    thresholds, selections = th.select_thresholds(curves)
-    fill_indicators(features, thresholds)
-    return features, curves, thresholds, selections
+    selections = th.select_thresholds(curves)
+    fill_indicators(features, {m: s.threshold for m, s in selections.items()})
+    return features, curves, selections
 
 
 @dataclass
@@ -223,7 +219,6 @@ class EarlyWarningResult:
     sample: EntitySample
     features: list[EntityFeatures]
     curves: dict[str, th.RatioCurve]
-    thresholds: th.ThresholdResult
     selections: dict[str, th.ThresholdSelection]
     dataset: Dataset
     benchmark: BenchmarkResult
@@ -238,7 +233,7 @@ def run_early_warning(
     protocol: Protocol,
 ) -> EarlyWarningResult:
     """Full early-warning pass over one non-empty entity sample."""
-    features, curves, thresholds, selections = threshold_entities(corpus, sample)
+    features, curves, selections = threshold_entities(corpus, sample)
     dataset = build_entity_dataset(features, sample.name, sample.requires_comment_sentiment)
     benchmark = run_benchmark(dataset, specs, protocol)
     best = select_best_models(benchmark.reports)
@@ -252,7 +247,6 @@ def run_early_warning(
         sample=sample,
         features=features,
         curves=curves,
-        thresholds=thresholds,
         selections=selections,
         dataset=dataset,
         benchmark=benchmark,

@@ -202,7 +202,7 @@ class Measure:
 
     feature: str  # the EntityFeatures field holding the value
     indicator: str  # the EntityFeatures indicator set from the cut
-    cut: str  # the ThresholdResult field holding the cut
+    cut: str  # the key of the cut in thresholds_json
     grid_hi: float  # the exceedance grid runs from 0 up to (not including) this bound
     series: str
     degree: int
@@ -232,6 +232,7 @@ class ThresholdSelection:
     fit: PolynomialFit
     series: str
     index: int | None
+    fallback: bool  # the fit has fewer than ``index`` inflections, so the first was taken
 
     @property
     def policy(self) -> str:
@@ -246,6 +247,7 @@ class ThresholdSelection:
             "rmse": self.fit.rmse,
             "policy": self.policy,
             "series": self.series,
+            "fallback": self.fallback,
         }
 
 
@@ -289,6 +291,7 @@ def select_threshold(curve, series: str, degree: int, index: int | None) -> Thre
     fit = fit_polynomial(grid, y, degree)
     classified = _classified_inflections(fit)
     roots = [x for x, _, _ in classified]
+    fallback = index is not None and len(roots) < index
 
     if index is None:
         decreasing = float(fit(grid[0])) >= float(fit(grid[-1]))
@@ -296,53 +299,35 @@ def select_threshold(curve, series: str, degree: int, index: int | None) -> Thre
     elif not roots:
         raise SelectionError("fit has no inflection points", roots)
     else:
-        chosen = roots[index - 1] if len(roots) >= index else roots[0]
+        chosen = roots[0] if fallback else roots[index - 1]
 
     chosen = float(min(max(chosen, grid[0]), grid[-1]))
     return ThresholdSelection(
-        threshold=chosen, inflections=tuple(roots), fit=fit, series=series, index=index
+        threshold=chosen, inflections=tuple(roots), fit=fit, series=series, index=index,
+        fallback=fallback,
     )
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
-    """Selected cuts for the three measures plus the supporting inflections."""
-
-    delta_p: float
-    delta_r: float | None
-    rho_e: float | None
-    inflections: dict[str, tuple[float, ...]]
-    policy: dict[str, str]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "delta_p": self.delta_p,
-            "delta_r": self.delta_r,
-            "rho_e": self.rho_e,
-            "inflections": {k: list(v) for k, v in self.inflections.items()},
-            "policy": dict(self.policy),
-        }
-
-
-def select_thresholds(
-    curves: Mapping[str, RatioCurve],
-) -> tuple[ThresholdResult, dict[str, ThresholdSelection]]:
-    """Select the cut of every supplied measure curve with its row of ``MEASURES``.
-
-    ``curves`` always holds the presentation-distance curve, so ``delta_p`` is set.
-    """
-    cuts = {row.cut: None for row in MEASURES.values()}
+def select_thresholds(curves: Mapping[str, RatioCurve]) -> dict[str, ThresholdSelection]:
+    """Select the cut of every supplied measure curve with its row of ``MEASURES``."""
     selections = {}
     for measure, curve in curves.items():
         row = MEASURES[measure]
         selections[measure] = select_threshold(curve, row.series, row.degree, row.index)
-        cuts[row.cut] = selections[measure].threshold
-    result = ThresholdResult(
-        **cuts,
-        inflections={m: s.inflections for m, s in selections.items()},
-        policy={m: s.policy for m, s in selections.items()},
-    )
-    return result, selections
+    return selections
+
+
+def thresholds_json(selections: Mapping[str, ThresholdSelection]) -> dict:
+    """The ``thresholds`` object of thresholds.json and an early warning's report.json.
+
+    Each ``MEASURES`` row's ``cut`` key holds its measure's cut, None when
+    the measure was not selected; ``inflections`` and ``policy`` hold the
+    selected measures'.
+    """
+    doc = {row.cut: selections[m].threshold if m in selections else None for m, row in MEASURES.items()}
+    doc["inflections"] = {m: list(s.inflections) for m, s in selections.items()}
+    doc["policy"] = {m: s.policy for m, s in selections.items()}
+    return doc
 
 
 def load_fixture_curve(path: str | Path) -> RatioCurve:

@@ -449,3 +449,50 @@ def test_bad_run_file_is_data_error(tmp_path, caplog, name, content):
     (stage / name).write_text(content)
     assert main(["report", "--run", str(tmp_path / "run")]) == EXIT_DATA
     assert f"data error: {stage / name}: " in caplog.text
+
+
+def test_report_run_that_is_a_file_is_data_error(tmp_path, caplog):
+    run = tmp_path / "run.json"
+    run.write_text("{}")
+    assert main(["report", "--run", str(run)]) == EXIT_DATA
+    assert f"data error: run directory not found or not a directory: {run}" in caplog.text
+
+
+@pytest.mark.parametrize("command", ["synth", "pipeline"])
+def test_config_that_is_a_directory_is_config_error(tmp_path, caplog, command):
+    config_dir = tmp_path / "config.json"
+    config_dir.mkdir()
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config_dir), "--out", str(out)]) == EXIT_CONFIG
+    assert f"configuration error: {config_dir}: is a directory" in caplog.text
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("name", ["manifest.json", "report.json"])
+def test_run_file_that_is_a_directory_is_data_error(tmp_path, caplog, name):
+    stage = tmp_path / "run" / "stage"
+    stage.mkdir(parents=True)
+    (stage / name).mkdir()
+    if name != "manifest.json":
+        (stage / "manifest.json").write_text("{}")
+    assert main(["report", "--run", str(tmp_path / "run")]) == EXIT_DATA
+    assert f"data error: {stage / name}: is a directory" in caplog.text
+
+
+def test_features_has_no_plots_flag(data_dir, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["features", "--data", str(data_dir), "--plots", "--out", str(tmp_path / "f")])
+    assert exc.value.code == EXIT_CONFIG
+    assert not (tmp_path / "f").exists()
+
+
+def test_thresholds_and_earlywarn_write_the_same_cuts(data_dir, tmp_path):
+    assert main(["thresholds", "--data", str(data_dir), "--sample", "e1",
+                 "--out", str(tmp_path / "th")]) == EXIT_OK
+    assert main(["earlywarn", "--data", str(data_dir), "--sample", "e1", "--algo", "log", "--algo", "dt",
+                 "--repeats", "2", "--out", str(tmp_path / "ew")]) == EXIT_OK
+    written = json.loads((tmp_path / "th" / "thresholds.json").read_text())
+    report = json.loads((tmp_path / "ew" / "report.json").read_text())
+    assert written["thresholds"] == report["thresholds"]
+    assert written["selections"] == report["selections"]
+    assert written["thresholds"]["delta_p"] == written["selections"][th.MEASURE_PRESENTATION]["threshold"]

@@ -197,7 +197,7 @@ def test_label_permutation_null(small_synth):
     corpus, _, _ = small_synth
     sample = cm.select_e1(corpus)
     feats = feat.entity_features(corpus, sample)
-    ew.fill_indicators(feats, type("T", (), {"delta_p": 1.0, "delta_r": None, "rho_e": None}))
+    ew.fill_indicators(feats, {th.MEASURE_PRESENTATION: 1.0})
     ds = ew.build_entity_dataset(feats, "E1", False)
     rng = np.random.default_rng(13)
     permuted = Dataset(
@@ -230,7 +230,7 @@ class TestPredictDisputed:
         corpus, _, _ = small_synth
         sample = cm.select_e1(corpus)
         feats = feat.entity_features(corpus, sample)
-        ew.fill_indicators(feats, type("T", (), {"delta_p": 1.0, "delta_r": None, "rho_e": None}))
+        ew.fill_indicators(feats, {th.MEASURE_PRESENTATION: 1.0})
         ds = ew.build_entity_dataset(feats, "E1", False)
         balanced = subset_rows(ds, rebalance(ds.labels, 0))
         model_a = fit(balanced, ModelSpec("log"))
@@ -255,20 +255,22 @@ def test_dataset_rebuild_is_schema_stable(small_synth):
 class TestThresholdEntities:
     def test_e1_gets_the_presentation_curve_only(self, small_synth):
         corpus, _, _ = small_synth
-        feats, curves, result, selections = ew.threshold_entities(corpus, cm.select_e1(corpus))
+        feats, curves, selections = ew.threshold_entities(corpus, cm.select_e1(corpus))
         assert list(curves) == list(selections) == [th.MEASURE_PRESENTATION]
-        assert result.delta_r is None and result.rho_e is None
+        delta_p = selections[th.MEASURE_PRESENTATION].threshold
         for f in feats:
-            assert f.controversy == (1 if f.presentation_distance >= result.delta_p else 0)
+            assert f.controversy == (1 if f.presentation_distance >= delta_p else 0)
             assert f.perception is None and f.captivation is None
 
     def test_e2_gets_every_curve_in_table_order(self, small_synth):
         corpus, _, _ = small_synth
-        feats, curves, result, selections = ew.threshold_entities(corpus, cm.select_e2(corpus))
+        feats, curves, selections = ew.threshold_entities(corpus, cm.select_e2(corpus))
         assert list(curves) == list(selections) == list(th.MEASURES)
+        delta_r = selections[th.MEASURE_RESPONSE].threshold
+        rho_e = selections[th.MEASURE_ENGAGEMENT].threshold
         for f in feats:
-            assert f.perception == (1 if f.response_dist_global >= result.delta_r else 0)
-            assert f.captivation == (1 if f.engaged_fraction >= result.rho_e else 0)
+            assert f.perception == (1 if f.response_dist_global >= delta_r else 0)
+            assert f.captivation == (1 if f.engaged_fraction >= rho_e else 0)
 
     def test_entity_without_scored_comments_keeps_perception_none(self, small_synth):
         corpus, _, _ = small_synth
@@ -278,8 +280,8 @@ class TestThresholdEntities:
         assert len(uncommented) == 1
         rows = dict(sorted({**e2.member_rows, extra: uncommented}.items()))
         sample = cm.EntitySample("E2", rows, requires_comment_sentiment=True)
-        feats, curves, result, _ = ew.threshold_entities(corpus, sample)
-        assert result.delta_r is not None
+        feats, curves, selections = ew.threshold_entities(corpus, sample)
+        assert th.MEASURE_RESPONSE in selections
         # the curve's first cut, 0, keeps every entity with a value, and only those
         disputed = sum(f.disputed for f in feats if f.entity != extra)
         assert disputed and curves[th.MEASURE_RESPONSE].ratio_de[0] == disputed / (len(rows) - 1)

@@ -10,6 +10,7 @@ from polarwarn import corpus as cm
 from polarwarn import earlywarning as ew
 from polarwarn import fakenews as fn
 from polarwarn import features as feat
+from polarwarn import thresholds as th
 
 from conftest import comment, mention, post, read_records, source, write_corpus
 
@@ -234,12 +235,9 @@ def test_indicator_boundaries(small_synth):
     feats = feat.entity_features(corpus, sample)
     target = feats[0]
 
-    class Cuts:
-        delta_p = target.presentation_distance  # boundary: >= flips to 1
-        delta_r = None
-        rho_e = target.engaged_fraction
-
-    ew.fill_indicators(feats, Cuts())
+    cuts = {th.MEASURE_PRESENTATION: target.presentation_distance,  # boundary: >= flips to 1
+            th.MEASURE_ENGAGEMENT: target.engaged_fraction}
+    ew.fill_indicators(feats, cuts)
     assert target.controversy == 1
     assert target.captivation == 1
 
@@ -248,13 +246,8 @@ def test_indicators_monotone_in_measure(small_synth):
     corpus, _, _ = small_synth
     sample = cm.select_e1(corpus)
 
-    class Cuts:
-        delta_p = 0.5
-        delta_r = None
-        rho_e = None
-
     feats = feat.entity_features(corpus, sample)
-    ew.fill_indicators(feats, Cuts())
+    ew.fill_indicators(feats, {th.MEASURE_PRESENTATION: 0.5})
     ordered = sorted(feats, key=lambda f: f.presentation_distance)
     seen_one = False
     for f in ordered:

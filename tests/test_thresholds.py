@@ -188,6 +188,8 @@ class TestSelectThreshold:
         # a degree-3 fit of a sigmoid has a single inflection: index(3) falls back
         one = th.select_threshold(curve, "ratio_dd", 3, 3)
         assert one.threshold == pytest.approx(one.inflections[0], abs=1e-9)
+        assert one.fallback and one.to_json_dict("m")["fallback"] is True
+        assert not sel3.fallback and sel3.to_json_dict("m")["fallback"] is False
 
     def test_clamped_to_grid(self):
         curve = self.sigmoid_curve()
@@ -231,13 +233,10 @@ class TestFixtures:
             th.MEASURE_RESPONSE: th.load_fixture_curve(f"{FIXTURES}/fig3a.csv"),
             th.MEASURE_ENGAGEMENT: th.load_fixture_curve(f"{FIXTURES}/fig3b.csv"),
         }
-        result, selections = th.select_thresholds(curves)
+        selections = th.select_thresholds(curves)
         assert set(selections) == set(curves)
-        assert result.delta_p == selections[th.MEASURE_PRESENTATION].threshold
-        assert result.delta_r == selections[th.MEASURE_RESPONSE].threshold
-        assert result.rho_e == selections[th.MEASURE_ENGAGEMENT].threshold
-        doc = result.to_json_dict()
-        assert set(doc["inflections"]) == set(curves)
+        cuts_doc = th.thresholds_json(selections)
+        assert set(cuts_doc["inflections"]) == set(curves)
         calibrated = {
             th.MEASURE_PRESENTATION: ("second_concavity_change", "ratio_dd", 10),
             th.MEASURE_RESPONSE: ("index(3)", "ratio_de", 12),
@@ -246,4 +245,18 @@ class TestFixtures:
         for measure, (policy, series, degree) in calibrated.items():
             doc = selections[measure].to_json_dict(measure)
             assert (doc["policy"], doc["series"], doc["degree"]) == (policy, series, degree)
-            assert result.policy[measure] == policy
+            assert cuts_doc["policy"][measure] == policy
+
+    def test_thresholds_json_reads_the_selections(self):
+        curves = {m: th.load_fixture_curve(f"{FIXTURES}/{row.fixture}") for m, row in th.MEASURES.items()}
+        selections = th.select_thresholds(curves)
+        doc = th.thresholds_json(selections)
+        assert (doc["delta_p"], doc["delta_r"], doc["rho_e"]) == tuple(
+            selections[m].threshold
+            for m in (th.MEASURE_PRESENTATION, th.MEASURE_RESPONSE, th.MEASURE_ENGAGEMENT))
+        assert doc["inflections"] == {m: list(s.inflections) for m, s in selections.items()}
+        only_presentation = {th.MEASURE_PRESENTATION: selections[th.MEASURE_PRESENTATION]}
+        doc = th.thresholds_json(only_presentation)
+        assert doc["delta_p"] == selections[th.MEASURE_PRESENTATION].threshold
+        assert doc["delta_r"] is None and doc["rho_e"] is None
+        assert list(doc["inflections"]) == list(doc["policy"]) == [th.MEASURE_PRESENTATION]
