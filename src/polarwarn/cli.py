@@ -261,12 +261,12 @@ def _earlywarn_stage(out: Path, inputs: _Inputs, sample_name: str,
 
 def _fakenews_stage(out: Path, inputs: _Inputs, sample_name: str, warning: ew.EarlyWarningResult,
                     specs: list[ModelSpec], experiments: list[str],
-                    max_stepwise: int) -> tuple[Dataset, dict[str, fn.ExperimentResult]]:
+                    max_stepwise: int) -> tuple[Dataset, dict[str, dict[str, MetricsReport]]]:
     """Post-level experiments, final report and stepwise ranking for one post sample.
 
     ``warning`` is the finished early-warning result of the post sample's
     entity sample; its features and predictions feed the post features.
-    Returns the post dataset and the experiment results by mode.
+    Returns the post dataset and the step reports, by step name and algorithm.
     """
     post_sample = corpus_mod.posts_for_entities(inputs.corpus, warning.sample,
                                                 name=sample_name.upper())
@@ -275,17 +275,16 @@ def _fakenews_stage(out: Path, inputs: _Inputs, sample_name: str, warning: ew.Ea
     out = _out_dir(out)
     algorithms = [s.algorithm for s in specs]
     cycles = inputs.protocol.cycles(dataset.labels)
-    results = {}
-    for mode in experiments:
-        exp = fn.run_experiment(dataset, mode, specs, cycles)
-        results[exp.mode] = exp
-        table = {step: [exp.auc[a][i] for a in algorithms] for i, step in enumerate(exp.steps)}
-        _write_csv(out / f"auc_steps_{exp.mode.lower()}.csv", ("step", *algorithms),
+    steps = fn.run_experiment(dataset, experiments, specs, cycles)
+    for mode in map(str.upper, experiments):
+        table = {step: [steps[step][a].auc for a in algorithms] for step in fn.EXPERIMENT_STEPS[mode]}
+        _write_csv(out / f"auc_steps_{mode.lower()}.csv", ("step", *algorithms),
                    ((step, *aucs) for step, aucs in table.items()))
         if inputs.plots:
-            svgplot.bar_chart(out / f"auc_steps_{exp.mode.lower()}.svg", algorithms, table,
-                              title=f"experiment {exp.mode} ({sample_name})", y_label="AUC")
-    reports, ranking = fn.final_report(dataset, specs, cycles, max_features=max_stepwise)
+            svgplot.bar_chart(out / f"auc_steps_{mode.lower()}.svg", algorithms, table,
+                              title=f"experiment {mode} ({sample_name})", y_label="AUC")
+    reports = steps[fn.FULL_SET]
+    ranking = fn.final_report(dataset, reports, specs, cycles, max_features=max_stepwise)
     _write_json(out / "report.json", {a: r.to_json_dict() for a, r in reports.items()}, sort_keys=False)
     _write_csv(out / "report.csv", _REPORT_HEADER, _report_rows(reports))
     _write_csv(out / "stepwise.csv", ("rank", "feature", "mean_auc"),
@@ -296,7 +295,7 @@ def _fakenews_stage(out: Path, inputs: _Inputs, sample_name: str, warning: ew.Ea
                      "train_fraction": inputs.protocol.train_fraction,
                      "max_stepwise": max_stepwise},
                     inputs.protocol.seed, [inputs.data])
-    return dataset, results
+    return dataset, steps
 
 
 def cmd_synth(args) -> int:
@@ -392,13 +391,16 @@ def cmd_fakenews(args) -> int:
     ew_specs = [ModelSpec(algorithm=a, seed=args.seed) for a in ALGORITHMS]
     warning = ew.run_early_warning(inputs.corpus, _load_sample(inputs.corpus, args.sample),
                                    specs=ew_specs, protocol=inputs.protocol)
-    dataset, experiments = _fakenews_stage(Path(args.out), inputs, args.sample, warning, specs,
-                                           args.experiment or list(_EXPERIMENTS), max_stepwise)
+    experiments = args.experiment or list(_EXPERIMENTS)
+    dataset, steps = _fakenews_stage(Path(args.out), inputs, args.sample, warning, specs,
+                                     experiments, max_stepwise)
     rows = zip(dataset.row_ids, dataset.features.tolist(), dataset.labels)
     _write_csv(Path(args.out) / f"features_{args.sample.lower()}.csv",
                ("row_id", *dataset.feature_names, "label"),
                ([rid, *values, int(label)] for rid, values, label in rows))
-    summary = {m: {a: exp.auc[a] for a in exp.auc} for m, exp in experiments.items()}
+    summary = {mode: {s.algorithm: [steps[step][s.algorithm].auc for step in fn.EXPERIMENT_STEPS[mode]]
+                      for s in specs}
+               for mode in map(str.upper, experiments)}
     print(f"fakenews[{args.sample}]: rows={dataset.n} cols={len(dataset.feature_names)} "
           f"experiments={json.dumps(summary)}")
     return EXIT_OK
@@ -461,6 +463,11 @@ def cmd_pipeline(args) -> int:
     fn_algorithms = _algorithm_names(fn_cfg.get("algorithms", algorithms),
                                      "pipeline config key 'fakenews.algorithms'", 1)
     seed = cfg.get("seed", 7)
+    if "data" in cfg and "synth" in cfg:
+        raise ConfigError("pipeline config takes one of the keys 'data' and 'synth', not both")
+    if cfg.get("synth", {}).get("seed", seed) != seed:
+        raise ConfigError(f"pipeline config key 'synth.seed' ({cfg['synth']['seed']!r}) "
+                          f"must equal the key 'seed' ({seed})")
     protocol = Protocol(repeats=cfg.get("repeats", 10), train_fraction=cfg.get("train_fraction", 0.6),
                         seed=seed)
     specs = [ModelSpec(algorithm=a, seed=seed) for a in algorithms]

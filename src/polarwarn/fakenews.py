@@ -11,7 +11,6 @@ step experiments can slice by category.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from itertools import islice, repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -466,52 +465,40 @@ def subset_by_categories(dataset: Dataset, categories: Sequence[str]) -> Dataset
     return dataset.take_columns(names)
 
 
+# A step names the categories it holds, joined by "+".
 EXPERIMENT_STEPS = {
-    "A": [("ST",), ("ST", "S"), ("ST", "UB"), ("ST", "SB"), ("ST", "P")],
-    "B": [("ST",), ("ST", "S"), ("ST", "S", "UB"), ("ST", "S", "UB", "SB"), ("ST", "S", "UB", "SB", "P")],
+    "A": ("ST", "ST+S", "ST+UB", "ST+SB", "ST+P"),
+    "B": ("ST", "ST+S", "ST+S+UB", "ST+S+UB+SB", "ST+S+UB+SB+P"),
 }
-
-
-@dataclass(frozen=True)
-class ExperimentResult:
-    mode: str
-    steps: tuple[str, ...]
-    auc: dict[str, tuple[float, ...]]  # algorithm -> AUC per step
+# Every category: every column, in dataset order.
+FULL_SET = "+".join(CATEGORY_PREFIXES)
 
 
 def run_experiment(
     dataset: Dataset,
-    mode: str,
+    modes: Sequence[str],
     specs: list[ModelSpec],
     cycles: Cycles,
-) -> ExperimentResult:
-    """Per-algorithm AUC as the feature categories of experiment ``mode`` (any case) are added step by step."""
-    mode = mode.upper()
-    auc: dict[str, list[float]] = {s.algorithm: [] for s in specs}
-    for cats in EXPERIMENT_STEPS[mode]:
-        sub = subset_by_categories(dataset, cats)
-        for spec in specs:
-            auc[spec.algorithm].append(evaluate_spec(sub, spec, cycles).auc)
-    return ExperimentResult(
-        mode=mode,
-        steps=tuple("+".join(cats) for cats in EXPERIMENT_STEPS[mode]),
-        auc={a: tuple(v) for a, v in auc.items()},
-    )
+) -> dict[str, dict[str, MetricsReport]]:
+    """Each spec's report on each distinct step of the experiments ``modes``
+    (any case) and on FULL_SET, each evaluated once: step -> algorithm -> report."""
+    table = {}
+    for step in dict.fromkeys([*(s for m in modes for s in EXPERIMENT_STEPS[m.upper()]), FULL_SET]):
+        sub = subset_by_categories(dataset, step.split("+"))
+        table[step] = {spec.algorithm: evaluate_spec(sub, spec, cycles, CLASS_NAMES) for spec in specs}
+    return table
 
 
 def final_report(
     dataset: Dataset,
+    reports: dict[str, MetricsReport],
     specs: list[ModelSpec],
     cycles: Cycles,
     max_features: int,
-) -> tuple[dict[str, MetricsReport], StepwiseResult]:
-    """Full-feature benchmark table plus the stepwise best-feature ranking."""
-    reports = {
-        spec.algorithm: evaluate_spec(dataset, spec, cycles, CLASS_NAMES) for spec in specs
-    }
+) -> StepwiseResult:
+    """The stepwise best-feature ranking of the algorithm whose full-set report ranks first."""
     best_algo = rank_reports(reports)[0]
     best_spec = next(s for s in specs if s.algorithm == best_algo)
-    ranking = forward_stepwise(
+    return forward_stepwise(
         dataset, best_spec, min(max_features, len(dataset.feature_names)), cycles
     )
-    return reports, ranking

@@ -21,7 +21,7 @@ from polarwarn import models
 from polarwarn import synth
 from polarwarn import thresholds as th
 from polarwarn.cli import main
-from polarwarn.evaluation import Protocol, confusion_metrics, evaluate_spec, roc_auc
+from polarwarn.evaluation import Protocol, confusion_metrics, roc_auc
 from polarwarn.models import ModelSpec
 from polarwarn.models.linear import log_loss_grad
 from polarwarn.models.mlp import init_params, nn_loss_grad
@@ -240,12 +240,13 @@ def test_criterion_5_end_to_end_early_warning(full_run):
 def test_criterion_6_end_to_end_fake_news(full_run):
     spec = ModelSpec("log", seed=7)
     cycles = Protocol(repeats=10, seed=7).cycles(full_run.p1_dataset.labels)
-    experiment = fn.run_experiment(full_run.p1_dataset, "B", [spec], cycles)
-    baseline = experiment.auc["log"][0]
-    final = experiment.auc["log"][-1]
-    assert experiment.steps[0] == "ST" and experiment.steps[-1] == "ST+S+UB+SB+P"
+    steps = fn.run_experiment(full_run.p1_dataset, ["B"], [spec], cycles)
+    names = fn.EXPERIMENT_STEPS["B"]
+    baseline = steps[names[0]]["log"].auc
+    final = steps[names[-1]]["log"].auc
+    assert names[0] == "ST" and names[-1] == "ST+S+UB+SB+P"
     assert final > baseline
-    report = evaluate_spec(full_run.p1_dataset, spec, cycles, fn.CLASS_NAMES)
+    report = steps[fn.FULL_SET]["log"]  # every column of P1
     assert report.accuracy >= 0.85
     ok(
         f"criterion 6: experiment B log AUC {baseline:.3f} -> {final:.3f} "

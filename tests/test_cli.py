@@ -198,9 +198,35 @@ def test_fakenews_draws_each_stage_cycles_once(data_dir, tmp_path, monkeypatch, 
     assert calls == seeds + [5] + seeds
 
 
+@pytest.mark.parametrize("experiments, steps", [([], 8), (["a"], 6), (["b"], 5)], ids=["a+b", "a", "b"])
+def test_fakenews_evaluates_each_step_once(data_dir, tmp_path, monkeypatch, experiments, steps):
+    # the E1 benchmark's six algorithms, then each distinct step of the
+    # experiments, B's last step being the full set that report.json reads
+    calls = []
+    run_cycles = evaluation.run_cycles
+
+    def counted(dataset, spec, cycles):
+        calls.append(spec.algorithm)
+        return run_cycles(dataset, spec, cycles)
+
+    monkeypatch.setattr(evaluation, "run_cycles", counted)
+    out = tmp_path / "fn"
+    argv = ["fakenews", "--data", str(data_dir), "--algo", "log", "--repeats", "1",
+            "--max-stepwise", "0", "--seed", "5", "--out", str(out)]
+    for mode in experiments:
+        argv += ["--experiment", mode]
+    assert main(argv) == EXIT_OK
+    assert len(calls) == 6 + steps
+    if "b" in (experiments or ["a", "b"]):
+        report = json.loads((out / "report.json").read_text())
+        header, *rows = (line.split(",") for line in (out / "auc_steps_b.csv").read_text().splitlines())
+        assert rows[-1][0] == "ST+S+UB+SB+P"
+        assert {a: float(v) for a, v in zip(header[1:], rows[-1][1:])} == {a: r["auc"] for a, r in report.items()}
+
+
 def test_pipeline_and_report(tmp_path):
     run_config = {
-        "synth": SYNTH_CONFIG,
+        "synth": {k: v for k, v in SYNTH_CONFIG.items() if k != "seed"},  # the run's seed is the corpus's
         "seed": 5,
         "repeats": 2,
         "algorithms": ["log", "dt"],
@@ -280,10 +306,24 @@ def test_all_disputed_corpus_is_numeric_error(tmp_path, caplog):
     ({"fakenews": {"samples": ["p1", "p1"]}}, "key 'fakenews.samples' names p1 more than once"),
     ({"fakenews": {"samples": ["p1"], "experiments": ["b", "B"]}},
      "key 'fakenews.experiments' names b more than once"),
+    ({"synth": {"n_posts": 100}}, "takes one of the keys 'data' and 'synth', not both"),
 ])
 def test_pipeline_config_rejected_before_work(data_dir, tmp_path, caplog, run_config, named):
     config_path = tmp_path / "run.json"
     config_path.write_text(json.dumps({"data": str(data_dir), **run_config}))
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(config_path), "--out", str(out)]) == EXIT_CONFIG
+    assert named in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("run_config, named", [
+    ({"synth": SYNTH_CONFIG, "seed": 5}, "'synth.seed' (21) must equal the key 'seed' (5)"),
+    ({"synth": SYNTH_CONFIG}, "'synth.seed' (21) must equal the key 'seed' (7)"),
+], ids=["seed", "default-seed"])
+def test_pipeline_synth_seed_must_be_the_run_seed(tmp_path, caplog, run_config, named):
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(run_config))
     out = tmp_path / "run"
     assert main(["pipeline", "--config", str(config_path), "--out", str(out)]) == EXIT_CONFIG
     assert named in caplog.text

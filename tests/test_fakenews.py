@@ -481,35 +481,75 @@ class TestExperiments:
         ds = synthetic_category_dataset("P")
         spec = ModelSpec("log", seed=1)
         cycles = Protocol(repeats=3, seed=4).cycles(ds.labels)
-        a = fn.run_experiment(ds, "A", [spec], cycles)
-        b = fn.run_experiment(ds, "B", [spec], cycles)
-        assert a.steps[0] == b.steps[0] == "ST"
-        assert a.auc["log"][0] == b.auc["log"][0]
+        a = fn.run_experiment(ds, ["A"], [spec], cycles)
+        b = fn.run_experiment(ds, ["B"], [spec], cycles)
+        assert fn.EXPERIMENT_STEPS["A"][0] == fn.EXPERIMENT_STEPS["B"][0] == "ST"
+        assert a["ST"]["log"] == b["ST"]["log"]
 
     def test_predicted_signal_peaks_at_st_plus_p(self):
         ds = synthetic_category_dataset("P")
-        exp = fn.run_experiment(ds, "A", [ModelSpec("log", seed=1)], Protocol(repeats=4, seed=4).cycles(ds.labels))
-        values = dict(zip(exp.steps, exp.auc["log"]))
+        steps = fn.run_experiment(ds, ["A"], [ModelSpec("log", seed=1)], Protocol(repeats=4, seed=4).cycles(ds.labels))
+        values = {step: steps[step]["log"].auc for step in fn.EXPERIMENT_STEPS["A"]}
         assert max(values, key=values.get) == "ST+P"
 
     def test_mode_b_final_gains_over_baseline(self):
         ds = synthetic_category_dataset("P")
-        exp = fn.run_experiment(ds, "B", [ModelSpec("log", seed=1)], Protocol(repeats=4, seed=4).cycles(ds.labels))
-        assert exp.auc["log"][-1] > exp.auc["log"][0]
+        steps = fn.run_experiment(ds, ["B"], [ModelSpec("log", seed=1)], Protocol(repeats=4, seed=4).cycles(ds.labels))
+        auc = [steps[step]["log"].auc for step in fn.EXPERIMENT_STEPS["B"]]
+        assert auc[-1] > auc[0]
+
+    @pytest.mark.parametrize("modes, n_steps", [(["a", "b"], 8), (["A"], 6), (["b"], 5), ([], 1)])
+    def test_each_distinct_step_evaluated_once(self, monkeypatch, modes, n_steps):
+        # A and B share ST and ST+S, and B's last step is the full set
+        ds = synthetic_category_dataset("P", n=120)
+        specs = [ModelSpec("log", seed=1), ModelSpec("lin", seed=1)]
+        evaluated = []
+        evaluate_spec = fn.evaluate_spec
+
+        def counted(dataset, spec, cycles, class_names):
+            evaluated.append((dataset.feature_names, spec.algorithm))
+            return evaluate_spec(dataset, spec, cycles, class_names)
+
+        monkeypatch.setattr(fn, "evaluate_spec", counted)
+        steps = fn.run_experiment(ds, modes, specs, Protocol(repeats=2, seed=4).cycles(ds.labels))
+        expected = [s for m in modes for s in fn.EXPERIMENT_STEPS[m.upper()]] + [fn.FULL_SET]
+        assert list(steps) == list(dict.fromkeys(expected))
+        assert len(steps) == n_steps
+        assert len(evaluated) == len(set(evaluated)) == 2 * n_steps
+        assert all(list(reports) == ["log", "lin"] for reports in steps.values())
+
+    def test_full_set_is_every_column_in_order(self):
+        ds = synthetic_category_dataset("P")
+        full = fn.subset_by_categories(ds, fn.FULL_SET.split("+"))
+        assert full.feature_names == ds.feature_names
+        assert np.array_equal(full.features, ds.features)
+        assert fn.FULL_SET == fn.EXPERIMENT_STEPS["B"][-1]
 
 
 class TestFinalReport:
     def test_structural_signal_ranks_first(self):
         ds = synthetic_category_dataset("ST", n=300, seed=5)
-        reports, ranking = fn.final_report(
-            ds, [ModelSpec("log", seed=2)], Protocol(repeats=3, seed=6).cycles(ds.labels), max_features=3
-        )
+        specs = [ModelSpec("log", seed=2)]
+        cycles = Protocol(repeats=3, seed=6).cycles(ds.labels)
+        reports = fn.run_experiment(ds, [], specs, cycles)[fn.FULL_SET]
+        ranking = fn.final_report(ds, reports, specs, cycles, max_features=3)
         assert ranking.features[0] == "st_x0"
         assert reports["log"].auc > 0.8
 
     def test_report_class_names(self):
         ds = synthetic_category_dataset("ST", n=200, seed=6)
-        reports, _ = fn.final_report(
-            ds, [ModelSpec("log", seed=2)], Protocol(repeats=2, seed=6).cycles(ds.labels), max_features=1
-        )
+        reports = fn.run_experiment(
+            ds, ["A"], [ModelSpec("log", seed=2)], Protocol(repeats=2, seed=6).cycles(ds.labels)
+        )[fn.FULL_SET]
         assert reports["log"].class_names == {0: "not_fake", 1: "fake"}
+
+    def test_ranks_the_given_reports_without_evaluating_them(self, monkeypatch):
+        ds = synthetic_category_dataset("ST", n=200, seed=6)
+        specs = [ModelSpec("lin", seed=2), ModelSpec("log", seed=2)]
+        cycles = Protocol(repeats=2, seed=6).cycles(ds.labels)
+        reports = fn.run_experiment(ds, [], specs, cycles)[fn.FULL_SET]
+        stepwise = []
+        monkeypatch.setattr(fn, "evaluate_spec", None)  # final_report may not call it
+        monkeypatch.setattr(fn, "forward_stepwise", lambda _, spec, *rest: stepwise.append(spec.algorithm))
+        fn.final_report(ds, reports, specs, cycles, max_features=1)
+        assert stepwise == [fn.rank_reports(reports)[0]]
