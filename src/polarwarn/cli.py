@@ -299,11 +299,11 @@ def _fakenews_stage(out: Path, inputs: _Inputs, sample_name: str, warning: ew.Ea
 
 
 def cmd_synth(args) -> int:
-    out = _out_dir(args.out)
     doc = _read_json(args.config) if args.config else {}
     if args.seed is not None:
         doc["seed"] = args.seed
     config = synth_mod.SynthConfig.from_json_dict(doc)
+    out = Path(args.out)
     truth = synth_mod.generate(config, out)
     _write_manifest(out, "synth", config.to_json_dict(), config.seed, [])
     print(f"synth: wrote {truth.totals['posts']} posts, {truth.totals['comments']} comments, "
@@ -321,7 +321,6 @@ def cmd_ingest(args) -> int:
 def cmd_thresholds(args) -> int:
     if bool(args.data) == bool(args.fixtures):
         raise ConfigError("thresholds needs exactly one of --data and --fixtures")
-    out = _out_dir(args.out)
     if args.fixtures:
         curves = {m: th.load_fixture_curve(Path(args.fixtures) / row.fixture)
                   for m, row in th.MEASURES.items()}
@@ -332,6 +331,7 @@ def cmd_thresholds(args) -> int:
         _, curves, selections = ew.threshold_entities(corpus, _load_sample(corpus, args.sample))
         config, inputs = {"fixtures": None, "sample": args.sample}, [str(args.data)]
     docs = _selection_docs(selections)
+    out = _out_dir(args.out)
     _write_json(out / "thresholds.json", docs)
     for measure, curve in curves.items():
         # a fixture's non-finite ratio_de is written nan
@@ -346,12 +346,12 @@ def cmd_thresholds(args) -> int:
 
 
 def cmd_features(args) -> int:
-    out = _out_dir(args.out)
     corpus = corpus_mod.load_corpus(args.data)
     sample = _load_sample(corpus, args.sample)
-    # first: it checks bin_hours before any file is written
+    # first: it checks bin_hours before the entity features are computed
     lag = feat.temporal_lag_histogram(corpus, sample, bin_hours=args.bin_hours)
     features, _, _ = ew.threshold_entities(corpus, sample)
+    out = _out_dir(args.out)
     _write_csv(out / f"features_{sample.name.lower()}.csv", _FEATURE_COLUMNS, _feature_rows(features))
 
     grid = [i / 100 for i in range(0, 200, 5)]
@@ -473,16 +473,16 @@ def cmd_pipeline(args) -> int:
     specs = [ModelSpec(algorithm=a, seed=seed) for a in algorithms]
     fn_specs = [ModelSpec(algorithm=a, seed=seed) for a in fn_algorithms]
     max_stepwise = _max_stepwise(fn_cfg.get("max_stepwise", 16))
-    out = _out_dir(args.out)
 
     if "data" in cfg:
         data_dir = Path(cfg["data"])
-    else:
-        data_dir = out / "synth"
+    else:  # generate checks the config before it makes the directory
+        data_dir = Path(args.out) / "synth"
         synth_config = synth_mod.SynthConfig.from_json_dict({**cfg.get("synth", {}), "seed": seed})
         synth_mod.generate(synth_config, data_dir)
         _write_manifest(data_dir, "synth", synth_config.to_json_dict(), seed, [])
     corpus = corpus_mod.load_corpus(data_dir)
+    out = _out_dir(args.out)
     inputs = _Inputs(corpus, str(data_dir), protocol, args.plots)
 
     _ingest_stage(out / "ingest", corpus, inputs.data)

@@ -9,9 +9,10 @@ lists for users and entities.  Comments are indexed by post in CSR form,
 and each user's comment count is kept.  After loading, a :class:`Corpus` is
 immutable and safe to share.
 
-Entity and post samples hold post rows, not post ids.  Their rows run in
-post-id order, which :func:`_id_rank` alone decides: every per-post float
-sum and every post dataset row follows it, whatever the order of the file.
+Entity and post samples hold post rows, not post ids, in post-id order,
+which :func:`_id_rank` alone decides: every per-post float sum and every
+post dataset row follows it, whatever the order of the file.  An entity
+sample is one table of memberships (entity index, post row), by entity.
 
 Each file is read in blocks of ``_BLOCK_LINES`` lines.  A block is parsed
 with one ``json.loads`` over its lines joined as an array, and every column
@@ -28,7 +29,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import compress, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NoReturn
@@ -149,18 +150,17 @@ def group_positions(ptr: np.ndarray, groups: np.ndarray) -> tuple[np.ndarray, np
 class EntitySample:
     """Entities passing a confidence/coverage filter, with their member posts.
 
-    ``member_rows[e]`` holds the row of every post carrying a qualifying
-    mention of ``e``, in post-id order; its keys run in sorted entity order,
-    the order every per-entity table follows.
+    ``entities`` runs in sorted order, the order every per-entity table
+    follows.  Each membership ``i`` pairs the entity ``entities[entity[i]]``
+    with the row ``rows[i]`` of a post carrying a qualifying mention of it;
+    memberships run by entity, each entity's posts in post-id order.
     """
 
     name: str
-    member_rows: Mapping[str, np.ndarray]
+    entities: tuple[str, ...]
+    entity: np.ndarray
+    rows: np.ndarray
     requires_comment_sentiment: bool = False
-
-    @property
-    def entities(self) -> tuple[str, ...]:
-        return tuple(self.member_rows)
 
 
 @dataclass(frozen=True)
@@ -580,16 +580,16 @@ def select_entities(
     """
     qualifying = corpus.mentions.confidence >= min_confidence
     entity, post = corpus.mentions.entity[qualifying], corpus.mentions.post[qualifying]
-    post = post[np.lexsort((_id_rank(corpus.posts)[post], entity))]
+    order = np.lexsort((_id_rank(corpus.posts)[post], entity))
+    entity, post = entity[order], post[order]
     counts = np.bincount(entity, minlength=len(corpus.entities))
-    ends = np.cumsum(counts)
-    member = {
-        corpus.entities[code]: post[ends[code] - counts[code]:ends[code]]
-        for code in np.flatnonzero((counts >= min_posts) & (counts > 0)).tolist()
-    }
+    kept = (counts >= min_posts) & (counts > 0)
+    member = kept[entity]
     return EntitySample(
         name=name or f"conf{min_confidence:g}_posts{min_posts}",
-        member_rows=member,
+        entities=tuple(map(corpus.entities.__getitem__, np.flatnonzero(kept).tolist())),
+        entity=(np.cumsum(kept) - 1)[entity[member]],
+        rows=post[member],
         requires_comment_sentiment=require_comment_sentiment,
     )
 
@@ -604,16 +604,15 @@ def select_e2(corpus: Corpus) -> EntitySample:
 
 def disputed_entities(corpus: Corpus, sample: EntitySample) -> frozenset[str]:
     """Entities with member posts in both the official and the fake category."""
-    post_fake = corpus.post_is_fake()
-    return frozenset(
-        entity for entity, rows in sample.member_rows.items()
-        if 0 < np.count_nonzero(post_fake[rows]) < len(rows)
-    )
+    n = len(sample.entities)
+    fake = np.bincount(sample.entity[corpus.post_is_fake()[sample.rows]], minlength=n)
+    mixed = (fake > 0) & (fake < np.bincount(sample.entity, minlength=n))
+    return frozenset(compress(sample.entities, mixed.tolist()))
 
 
 def posts_for_entities(corpus: Corpus, sample: EntitySample, name: str = "") -> PostSample:
-    """All posts containing at least one entity of the non-empty sample, labeled by source."""
-    rows = np.unique(np.concatenate(list(sample.member_rows.values())))
+    """All posts containing at least one entity of the sample, labeled by source."""
+    rows = np.unique(sample.rows)
     rows = rows[np.argsort(_id_rank(corpus.posts)[rows])]
     return PostSample(
         name=name or f"P[{sample.name}]",

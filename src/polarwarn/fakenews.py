@@ -11,13 +11,13 @@ step experiments can slice by category.
 from __future__ import annotations
 
 import logging
-from itertools import islice, repeat
+from itertools import islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .corpus import Corpus, EntitySample, PostSample, group_positions
-from .features import EntityFeatures, engagement
+from .features import EntityFeatures, _div, _grouped, _pow, engagement
 from .evaluation import Cycles, MetricsReport, StepwiseResult, evaluate_spec, forward_stepwise, rank_reports
 from .earlywarning import EntityPrediction
 from .models import Dataset, ModelSpec
@@ -47,11 +47,6 @@ SEMANTIC_STAT_NAMES = (
     "punctuation_rate",
     "capital_rate",
 )
-
-
-def _div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """num / den, and 0.0 where den is 0."""
-    return np.divide(num, den, out=np.zeros(len(num)), where=den > 0)
 
 
 def _char_class(code: int) -> int:
@@ -127,28 +122,6 @@ def _semantic_columns(texts: Iterable[str], n: int) -> np.ndarray:
         batch = [t.strip() for t in islice(texts, _TEXT_BATCH)]
         out[start:start + len(batch)] = _semantic_batch(batch)
     return out
-
-
-def _pow(x: np.ndarray, y: float) -> np.ndarray:
-    """``x ** y`` entry by entry with Python's float power.
-
-    Python's float power calls the C library's ``pow``, which can round the
-    last bit differently from ``x * x``, ``np.sqrt`` and ``np.power``.
-    """
-    return np.fromiter(map(pow, x.tolist(), repeat(y)), float, len(x))
-
-
-def _grouped(group: np.ndarray, values: np.ndarray, size: int) -> tuple[np.ndarray, ...]:
-    """Per-group sum, mean and population std of ``values``; 0 for empty groups.
-
-    Sums run in array order, as a left-to-right scalar ``sum`` does, and the
-    std is ``var ** 0.5`` with var the mean squared deviation from the mean.
-    """
-    counts = np.bincount(group, minlength=size)
-    total = np.bincount(group, weights=values, minlength=size)
-    mean = _div(total, counts)
-    var = _div(np.bincount(group, weights=_pow(values - mean[group], 2), minlength=size), counts)
-    return total, mean, _pow(var, 0.5)
 
 
 STRUCTURAL_NAMES = (
@@ -260,13 +233,11 @@ def build_post_dataset(
     # Sample entities of each row, sorted by (row, entity) with CSR offsets
     # `ptr`; `row_of` maps a post to its row index, -1 for other posts.
     entities = sample.entities
-    members = [sample.member_rows[e] for e in entities]
     row_of = np.full(len(corpus.posts), -1)
     row_of[rows] = np.arange(n)
-    row_post = row_of[np.concatenate([np.zeros(0, np.int64), *members])]
-    row_entity = np.repeat(np.arange(len(entities)), [len(r) for r in members])
+    row_post = row_of[sample.rows]
     kept = row_post >= 0
-    row_post, row_entity = row_post[kept], row_entity[kept]
+    row_post, row_entity = row_post[kept], sample.entity[kept]
     by = np.lexsort((row_entity, row_post))
     row_post, row_entity = row_post[by], row_entity[by]
     row_n_entities = np.bincount(row_post, minlength=n)
@@ -364,30 +335,30 @@ def _user_columns(
     group = np.cumsum(opens) - 1
     g_post, g_user = g_post[opens], g_user[opens]
     size = len(g_post)
-    g_replies, _, g_replies_std = _grouped(group, replies[by], size)
-    g_likes, _, g_likes_std = _grouped(group, likes[by], size)
+    g_replies, _, g_replies_var = _grouped(group, replies[by], size)
+    g_likes, _, g_likes_var = _grouped(group, likes[by], size)
     g_comments = np.bincount(group, minlength=size).astype(float)
     index, count = group_positions(ptr, g_post)
     hit = np.isin(np.repeat(g_user, count) * n_sample_entities + row_entity[index], engaged)
     g_engaged = np.bincount(np.repeat(np.arange(size), count)[hit], minlength=size) > 0
 
     commenters = np.bincount(g_post, minlength=n)
-    _, r_avg, r_std = _grouped(g_post, g_replies, n)
-    _, l_avg, l_std = _grouped(g_post, g_likes, n)
-    _, c_avg, c_std = _grouped(g_post, g_comments, n)
-    _, p_avg, p_std = _grouped(g_post, pages[g_user].astype(float), n)
+    _, r_avg, r_var = _grouped(g_post, g_replies, n)
+    _, l_avg, l_var = _grouped(g_post, g_likes, n)
+    _, c_avg, c_var = _grouped(g_post, g_comments, n)
+    _, p_avg, p_var = _grouped(g_post, pages[g_user].astype(float), n)
     n_engaged = np.bincount(g_post[g_engaged], minlength=n).astype(float)
     return [
         r_avg,
-        r_std,
+        _pow(r_var, 0.5),
         l_avg,
-        l_std,
-        _div(np.bincount(g_post, weights=g_likes_std, minlength=n), commenters),
-        _div(np.bincount(g_post, weights=g_replies_std, minlength=n), commenters),
+        _pow(l_var, 0.5),
+        _div(np.bincount(g_post, weights=_pow(g_likes_var, 0.5), minlength=n), commenters),
+        _div(np.bincount(g_post, weights=_pow(g_replies_var, 0.5), minlength=n), commenters),
         c_avg,
-        c_std,
+        _pow(c_var, 0.5),
         p_avg,
-        p_std,
+        _pow(p_var, 0.5),
         n_engaged,
         _div(n_engaged, commenters),
     ]
@@ -410,15 +381,15 @@ def _sentiment_columns(
     feats = [feature_map.get(e) for e in entities]
     known = np.array([f is not None for f in feats], bool)[row_entity]
     dp = np.array([0.0 if f is None else f.presentation_distance for f in feats], float)
-    _, dp_mean, dp_std = _grouped(row_post[known], dp[row_entity[known]], n)
-    columns = [corpus.posts.sentiment[rows], dp_mean, dp_std]
+    _, dp_mean, dp_var = _grouped(row_post[known], dp[row_entity[known]], n)
+    columns = [corpus.posts.sentiment[rows], dp_mean, _pow(dp_var, 0.5)]
     if not include_comment_sentiment:
         return columns
     sentiment = corpus.comments.sentiment[comments]
     scored = ~np.isnan(sentiment)
     at, sentiment = on_row[scored], sentiment[scored]
     n_scored = np.bincount(at, minlength=n)
-    _, s_avg, s_std = _grouped(at, sentiment, n)
+    _, s_avg, s_var = _grouped(at, sentiment, n)
     n_pos = np.bincount(at[sentiment > 0], minlength=n).astype(float)
     n_neg = np.bincount(at[sentiment < 0], minlength=n).astype(float)
     captivating = np.array([f is not None and f.captivation == 1 for f in feats], float)
@@ -430,7 +401,7 @@ def _sentiment_columns(
     response_sum = np.bincount(at, weights=response[row_entity[has_response]], minlength=n)
     return columns + [
         s_avg,
-        s_std,
+        _pow(s_var, 0.5),
         _div(n_pos, n_scored),
         _div(n_neg, n_scored),
         n_pos / np.maximum(1.0, n_neg),

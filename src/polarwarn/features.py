@@ -13,12 +13,20 @@ with which sample entity; the engaged fraction here and the
 All functions are pure with respect to an immutable corpus; "negative"
 always means sentiment strictly below zero, and standard deviations use the
 population form (divide by n).
+
+Every per-entity value is computed over the sample's membership table with
+:func:`_grouped`, the kernel :mod:`fakenews` uses too.  Its float sums add
+left to right on every Python version, as the built-in ``sum`` does before
+Python 3.12 and not from 3.12 on, where it compensates: a per-entity ``sum``
+loop gives the same bits on 3.10 and 3.11, and on 3.12+ float fields can
+differ from it in the last bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,35 +35,41 @@ from .corpus import Corpus, EntitySample, disputed_entities
 from .errors import ConfigError
 
 
-def _population_std(values: Sequence[float], mean: float) -> float:
-    n = len(values)
-    return math.sqrt(sum((v - mean) ** 2 for v in values) / n)
+def _div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den, and 0.0 where den is 0."""
+    return np.divide(num, den, out=np.zeros(len(num)), where=den > 0)
 
 
-def _scored_comments(corpus: Corpus, rows: np.ndarray) -> tuple[int, list[float], list[int]]:
-    """Comments on the posts ``rows``: their count, the scored sentiments, and how many of those each post has.
+def _pow(x: np.ndarray, y: float) -> np.ndarray:
+    """``x ** y`` entry by entry with Python's float power.
 
-    The sentiments run post by post, each post's comments in file order.
+    Python's float power calls the C library's ``pow``, which can round the
+    last bit differently from ``x * x``, ``np.sqrt`` and ``np.power``.  The
+    entries pass through Python floats 8192 at a time, which bounds memory.
     """
-    comments, count = corpus.comments_of_post.rows(rows)
-    sentiment = corpus.comments.sentiment[comments]
-    scored = ~np.isnan(sentiment)
-    per_post = np.bincount(np.repeat(np.arange(len(rows)), count)[scored], minlength=len(rows))
-    return len(comments), sentiment[scored].tolist(), per_post.tolist()
+    out = np.empty(len(x))
+    for i in range(0, len(x), 8192):
+        out[i:i + 8192] = np.fromiter(map(pow, x[i:i + 8192].tolist(), repeat(y)), float)
+    return out
 
 
-def _response_distances(
-    post_sentiments: list[float], scored: list[float], per_post: list[int]
-) -> list[float]:
-    """r(p) = abs(post sentiment - mean comment sentiment of p), over posts with scored comments."""
-    distances: list[float] = []
-    start = 0
-    for sentiment, k in zip(post_sentiments, per_post):
-        if k:
-            comments = scored[start:start + k]
-            distances.append(abs(sentiment - sum(comments) / len(comments)))
-            start += k
-    return distances
+def _grouped(group: np.ndarray, values: np.ndarray, size: int) -> tuple[np.ndarray, ...]:
+    """Per-group sum, mean and population variance of ``values``; 0 for empty groups.
+
+    Sums run in array order, as a left-to-right scalar ``sum`` does, and the
+    variance is the mean of the squared deviations from the mean, each
+    squared as ``d ** 2`` (``_pow(d, 2)``).  The caller takes the root: the
+    entity measures as ``math.sqrt(var)`` (``np.sqrt``, which rounds the
+    same), the post features as ``var ** 0.5`` (``_pow(var, 0.5)``).
+    ``x ** 0.5`` and ``math.sqrt(x)``, like ``x ** 2`` and ``x * x``, can
+    differ in the last bit, so one shared root, or squaring by
+    multiplication, would change reported values.
+    """
+    counts = np.bincount(group, minlength=size)
+    total = np.bincount(group, weights=values, minlength=size)
+    mean = _div(total, counts)
+    var = _div(np.bincount(group, weights=_pow(values - mean[group], 2), minlength=size), counts)
+    return total, mean, var
 
 
 def engagement(corpus: Corpus, sample: EntitySample) -> tuple[np.ndarray, np.ndarray]:
@@ -66,13 +80,12 @@ def engagement(corpus: Corpus, sample: EntitySample) -> tuple[np.ndarray, np.nda
     ``sample.entities``).  ``engaged`` is True where strictly more than 95%
     of all that user's corpus-wide comments sit on ``e``'s member posts.
     """
-    members = [sample.member_rows[e] for e in sample.entities]
-    comments, count = corpus.comments_of_post.rows(np.concatenate([np.zeros(0, np.int64), *members]))
-    entity = np.repeat(np.arange(len(members)), [len(r) for r in members])
+    n = len(sample.entities)
+    comments, count = corpus.comments_of_post.rows(sample.rows)
     keys, on_entity = np.unique(
-        corpus.comments.user[comments] * len(members) + np.repeat(entity, count), return_counts=True
+        corpus.comments.user[comments] * n + np.repeat(sample.entity, count), return_counts=True
     )
-    return keys, on_entity > 0.95 * corpus.user_comment_counts[keys // len(members)]
+    return keys, on_entity > 0.95 * corpus.user_comment_counts[keys // n]
 
 
 @dataclass
@@ -112,6 +125,29 @@ class EntityFeatures:
     missing: tuple[str, ...] = ()
 
 
+def _summary(prefix: str, group: np.ndarray, values: np.ndarray, size: int) -> dict[str, np.ndarray]:
+    """Per-group ``<prefix>_min``, ``_max``, ``_mean`` and ``_std`` of ``values``; 0 for empty groups.
+
+    ``group`` must be sorted.  The std is ``np.sqrt`` of :func:`_grouped`'s
+    variance.  A zero min or max is the group's first zero, 0.0 or -0.0, as
+    Python's ``min`` and ``max`` keep the first of equal values; which one
+    ``np.minimum`` keeps is not defined.
+    """
+    _, mean, var = _grouped(group, values, size)
+    counts = np.bincount(group, minlength=size)
+    present = counts > 0
+    starts = (np.cumsum(counts) - counts)[present]
+    zero = np.flatnonzero(values == 0)
+    with_zero, first = np.unique(group[zero], return_index=True)
+    first_zero = np.zeros(size)
+    first_zero[with_zero] = values[zero[first]]
+    lo, hi = np.zeros(size), np.zeros(size)
+    lo[present] = np.minimum.reduceat(values, starts)
+    hi[present] = np.maximum.reduceat(values, starts)
+    lo, hi = (np.where(x == 0, first_zero, x) for x in (lo, hi))
+    return {f"{prefix}_min": lo, f"{prefix}_max": hi, f"{prefix}_mean": mean, f"{prefix}_std": np.sqrt(var)}
+
+
 def entity_features(
     corpus: Corpus,
     sample: EntitySample,
@@ -125,49 +161,55 @@ def entity_features(
     """
     disputed = disputed_entities(corpus, sample)
     keys, engaged = engagement(corpus, sample)
-    n = len(sample.entities)
-    commenters = np.bincount(keys % n, minlength=n).tolist()
-    devoted = np.bincount(keys[engaged] % n, minlength=n).tolist()
+    n, m = len(sample.entities), len(sample.rows)
+    sentiment = corpus.posts.sentiment[sample.rows]
+
+    # the scored comments, by membership, each post's in file order; arrays
+    # no statistic reads are freed before the kernels run, to lower peak memory
+    comments, count = corpus.comments_of_post.rows(sample.rows)
+    comment_sentiment = corpus.comments.sentiment[comments]
+    scored = ~np.isnan(comment_sentiment)
+    per_post = np.bincount(np.repeat(np.arange(m), count)[scored], minlength=m)
+    comment_sentiment = comment_sentiment[scored]
+    del comments, scored
+    commented = np.repeat(sample.entity, per_post)
+
+    # r(p) = abs(post sentiment - mean comment sentiment of p), over the
+    # memberships with scored comments
+    answered = per_post > 0
+    comment_sums = np.bincount(np.repeat(np.arange(m), per_post), weights=comment_sentiment, minlength=m)
+    response = np.abs(sentiment - _div(comment_sums, per_post))[answered]
+
+    post = _summary("post_sent", sample.entity, sentiment, n)
+    comment = _summary("comment_sent", commented, comment_sentiment, n)
+    columns = {
+        "occurrences": np.bincount(sample.entity, minlength=n),
+        **post,
+        "presentation_distance": post["post_sent_max"] - post["post_sent_min"],
+        "n_negative_posts": np.bincount(sample.entity[sentiment < 0], minlength=n),
+        "engaged_fraction": _div(np.bincount(keys[engaged] % n, minlength=n),
+                                 np.bincount(keys % n, minlength=n)),
+        "comments_count": np.bincount(sample.entity, weights=count, minlength=n).astype(np.int64),
+        "n_negative_comments": np.bincount(commented[comment_sentiment < 0], minlength=n),
+    }
+    comment_columns = {
+        **comment,
+        **_summary("response_dist", sample.entity[answered], response, n),
+        "response_dist_global": np.abs(post["post_sent_mean"] - comment["comment_sent_mean"]),
+    }
+    columns = {name: column.tolist() for name, column in columns.items()}
+    comment_columns = {name: column.tolist() for name, column in comment_columns.items()}
+    has_comments = (np.bincount(commented, minlength=n) > 0).tolist()
 
     out: list[EntityFeatures] = []
     for e, entity in enumerate(sample.entities):
-        rows = sample.member_rows[entity]
-        sentiments = corpus.posts.sentiment[rows].tolist()
-        mean = sum(sentiments) / len(sentiments)
-        feat = EntityFeatures(
-            entity=entity,
-            occurrences=len(sentiments),
-            post_sent_min=min(sentiments),
-            post_sent_max=max(sentiments),
-            post_sent_mean=mean,
-            post_sent_std=_population_std(sentiments, mean),
-            presentation_distance=max(sentiments) - min(sentiments),
-            n_negative_posts=sum(1 for s in sentiments if s < 0),
-            engaged_fraction=devoted[e] / commenters[e] if commenters[e] else 0.0,
-            disputed=1 if entity in disputed else 0,
-        )
-
-        feat.comments_count, scored, per_post = _scored_comments(corpus, rows)
-        missing: list[str] = []
-        if scored:
-            cmean = sum(scored) / len(scored)
-            feat.comment_sent_min = min(scored)
-            feat.comment_sent_max = max(scored)
-            feat.comment_sent_mean = cmean
-            feat.comment_sent_std = _population_std(scored, cmean)
-            feat.n_negative_comments = sum(1 for s in scored if s < 0)
-            distances = _response_distances(sentiments, scored, per_post)
-            rmean = sum(distances) / len(distances)
-            feat.response_dist_min = min(distances)
-            feat.response_dist_max = max(distances)
-            feat.response_dist_mean = rmean
-            feat.response_dist_std = _population_std(distances, rmean)
-            feat.response_dist_global = abs(mean - cmean)
-        else:
-            missing.append("comment_sentiment")
-
-        feat.missing = tuple(missing)
-        out.append(feat)
+        fields = {name: column[e] for name, column in columns.items()}
+        if has_comments[e]:
+            fields.update({name: column[e] for name, column in comment_columns.items()})
+        out.append(EntityFeatures(
+            entity=entity, disputed=1 if entity in disputed else 0,
+            missing=() if has_comments[e] else ("comment_sentiment",), **fields,
+        ))
     return out
 
 
@@ -182,14 +224,16 @@ def attention_curve(
     For every grid value the post set is the union of member posts over
     entities with presentation distance >= the cut; an empty set yields zeros.
     """
-    dp = [(f.presentation_distance, sample.member_rows[f.entity]) for f in features]
+    listed = {f.entity: f.presentation_distance for f in features}
+    dp = np.array([listed.get(e, math.nan) for e in sample.entities])
+    # each post's widest presentation distance over its listed entities; NaN,
+    # which no cut reaches, for a post with none
+    widest = np.full(len(corpus.posts), math.nan)
+    np.fmax.at(widest, sample.rows, dp[sample.entity])
     n_comments = np.diff(corpus.comments_of_post.ptr)
     rows = []
     for delta in grid:
-        posts = np.zeros(len(corpus.posts), bool)
-        for value, members in dp:
-            if value >= delta:
-                posts[members] = True
+        posts = widest >= delta
         n = int(np.count_nonzero(posts))
         if n:
             rows.append((delta, sum(corpus.posts.likes[posts].tolist()) / n,
@@ -260,14 +304,13 @@ def temporal_lag_histogram(
     """
     if not 0 < bin_hours < math.inf:
         raise ConfigError(f"bin_hours must be a finite number > 0, got {bin_hours}")
-    post_fake = corpus.post_is_fake()
-    lags: list[float] = []
-    for rows in sample.member_rows.values():
-        fake = post_fake[rows]
-        fake_ts, official_ts = corpus.posts.timestamp[rows[fake]], corpus.posts.timestamp[rows[~fake]]
-        if not len(fake_ts) or not len(official_ts) or fake_ts.min() <= official_ts.min():
-            continue
-        lags.append((int(fake_ts.min()) - int(official_ts.min())) / 3600.0)
+    n = len(sample.entities)
+    fake = corpus.post_is_fake()[sample.rows]
+    # each entity's first official (row 0) and first fake (row 1) timestamp
+    first = np.full((2, n), np.iinfo(np.int64).max)
+    np.minimum.at(first, (fake.astype(np.intp), sample.entity), corpus.posts.timestamp[sample.rows])
+    lagged = (np.bincount(sample.entity[fake], minlength=n) > 0) & (first[1] > first[0])
+    lags = [(f - o) / 3600.0 for o, f in zip(*first[:, lagged].tolist())]
     if lags:
         n_bins = max(1, math.ceil(max(lags) / bin_hours))
     else:

@@ -290,12 +290,12 @@ def generate(config: SynthConfig, out_dir: str | Path) -> GroundTruth:
     """Write the four corpus JSONL files plus truth.json; returns the truth.
 
     Each source, post, comment and mention line is written to its JSONL
-    file as soon as it is drawn.  The files are opened only after every
-    setting has passed its checks.
+    file as soon as it is drawn.  The directory is made and the files are
+    opened only after every setting has passed its checks.
     """
+    config.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    config.validate()
     rng = np.random.default_rng(config.seed)
     random = rng.random
 

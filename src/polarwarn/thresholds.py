@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder, polyval
 
 from .corpus import CorpusError
 from .errors import NumericError
@@ -104,23 +105,7 @@ class PolynomialFit:
     def __call__(self, x) -> np.ndarray:
         lo, hi = self.domain  # lo < hi: fit_polynomial needs distinct abscissae
         t = (2.0 * np.asarray(x, dtype=float) - lo - hi) / (hi - lo)
-        return _polyval(np.asarray(self.scaled_coefficients), t)
-
-
-def _polyval(coef: np.ndarray, t):
-    out = np.zeros_like(t, dtype=float)
-    for c in coef[::-1]:
-        out = out * t + c
-    return out
-
-
-def _poly_derivative(coef: np.ndarray, order: int = 1) -> np.ndarray:
-    c = np.asarray(coef, dtype=float)
-    for _ in range(order):
-        if len(c) <= 1:
-            return np.zeros(1)
-        c = c[1:] * np.arange(1, len(c))
-    return c
+        return polyval(t, self.scaled_coefficients)
 
 
 def fit_polynomial(x: Sequence[float], y: Sequence[float], degree: int) -> PolynomialFit:
@@ -159,13 +144,13 @@ def fit_polynomial(x: Sequence[float], y: Sequence[float], degree: int) -> Polyn
 def _bracketed_roots(coef: np.ndarray, lo: float, hi: float) -> list[float]:
     """Sign-change roots of a polynomial on (lo, hi) via bracketing + bisection."""
     t = np.linspace(lo, hi, _BRACKET_POINTS)
-    v = _polyval(coef, t)
+    v = polyval(t, coef)
     roots = []
     for i in np.flatnonzero(v[:-1] * v[1:] < 0.0):
         a, b, fa = t[i], t[i + 1], v[i]
         while b - a > 1e-12:
             m = 0.5 * (a + b)
-            fm = float(_polyval(coef, np.asarray(m)))
+            fm = float(polyval(m, coef))
             if fa * fm <= 0.0:
                 b = m
             else:
@@ -181,16 +166,16 @@ def _classified_inflections(fit: PolynomialFit) -> list[tuple[float, int, float]
     Direction +1 means the second derivative flips negative-to-positive
     (a local extreme of steepness on a falling curve), -1 the reverse.
     """
-    d1 = _poly_derivative(fit.scaled_coefficients, 1)
-    d2 = _poly_derivative(fit.scaled_coefficients, 2)
+    d1 = polyder(fit.scaled_coefficients, 1)
+    d2 = polyder(fit.scaled_coefficients, 2)
     lo, hi = fit.domain
     alpha = 2.0 / (hi - lo)
     out = []
     for r_t in _bracketed_roots(d2, -1.0, 1.0):
         eps = 1e-6
-        after = float(_polyval(d2, np.asarray(min(r_t + eps, 1.0))))
+        after = float(polyval(min(r_t + eps, 1.0), d2))
         direction = 1 if after > 0 else -1
-        slope = abs(float(_polyval(d1, np.asarray(r_t)))) * alpha
+        slope = abs(float(polyval(r_t, d1))) * alpha
         x = lo + (r_t + 1.0) * (hi - lo) / 2.0
         out.append((x, direction, slope))
     return out

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -66,6 +67,11 @@ def read_records(directory: Path) -> Records:
 def post_ids(corpus, rows) -> list[str]:
     """The ids of the given post rows, in the given order."""
     return [corpus.posts.ids[r] for r in rows]
+
+
+def members(sample) -> dict:
+    """Each entity of the sample -> the rows of its member posts, in table order."""
+    return {e: sample.rows[sample.entity == i] for i, e in enumerate(sample.entities)}
 
 
 def source(sid, category="official", name=None):
@@ -136,3 +142,37 @@ def small_synth(tmp_path_factory):
     truth = synth.generate(SMALL_SYNTH_CONFIG, directory)
     corpus = cm.load_corpus(directory)
     return corpus, truth, directory
+
+
+ORACLE_SYNTH_CONFIG = synth.SynthConfig(
+    n_entities=60,
+    n_posts=900,
+    n_users=400,
+    n_comments=6000,
+    head_entities=6,
+    head_posts_min=40,
+    head_posts_max=50,
+    seed=31,
+)
+
+
+@pytest.fixture(scope="session")
+def oracle_dir(tmp_path_factory):
+    """A corpus under 1,000 posts, small enough for entity-by-entity oracles."""
+    directory = tmp_path_factory.mktemp("oracle")
+    synth.generate(ORACLE_SYNTH_CONFIG, directory)
+    return directory
+
+
+@pytest.fixture(scope="session", params=["file_order", "shuffled"])
+def oracle_corpus(request, oracle_dir, tmp_path_factory):
+    """The oracle corpus as written, and with the lines of every file shuffled."""
+    if request.param == "file_order":
+        return cm.load_corpus(oracle_dir)
+    directory = tmp_path_factory.mktemp("oracle_shuffled")
+    rng = random.Random(5)
+    for name in ("sources", "posts", "comments", "mentions"):
+        lines = (oracle_dir / f"{name}.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        rng.shuffle(lines)
+        (directory / f"{name}.jsonl").write_text("".join(lines), encoding="utf-8")
+    return cm.load_corpus(directory)

@@ -462,7 +462,24 @@ def test_bad_bin_hours_is_config_error(data_dir, tmp_path, caplog, bin_hours, me
     out = tmp_path / "f"
     assert main(["features", "--data", str(data_dir), "--bin-hours", bin_hours, "--out", str(out)]) == EXIT_CONFIG
     assert message in caplog.text
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, config, code", [
+    (["pipeline"], {"synth": {"n_posts": "10"}}, EXIT_CONFIG),
+    (["synth"], {"n_posts": "10"}, EXIT_CONFIG),
+    (["features", "--data", "nowhere"], None, EXIT_DATA),
+    (["thresholds", "--fixtures", "nowhere"], None, EXIT_DATA),
+], ids=["pipeline-synth", "synth", "features", "thresholds"])
+def test_failing_command_leaves_no_out(tmp_path, argv, config, code):
+    argv = [str(tmp_path / arg) if arg == "nowhere" else arg for arg in argv]
+    if config is not None:
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        argv += ["--config", str(config_path)]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == code
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text, named", [

@@ -3,12 +3,13 @@
 import gc
 import json
 
+import numpy as np
 import pytest
 
 from polarwarn import corpus as cm
 from polarwarn import synth
 
-from conftest import comment, mention, post, post_ids, read_records, source, write_corpus
+from conftest import comment, members, mention, post, post_ids, read_records, source, write_corpus
 
 
 def test_identity_ingestion(tiny_corpus):
@@ -105,7 +106,7 @@ def test_entity_normalization(tiny_corpus, tmp_path):
     )
     corpus = cm.load_corpus(directory)
     assert corpus.entities == ["mario rossi"]
-    rows = cm.select_entities(corpus, 0.0, 1).member_rows["mario rossi"]
+    rows = members(cm.select_entities(corpus, 0.0, 1))["mario rossi"]
     assert post_ids(corpus, rows) == ["p1", "p2"]
 
 
@@ -136,8 +137,8 @@ def test_member_posts_only_count_qualifying_mentions(tiny_corpus, tiny_dir):
     e1 = cm.select_e1(tiny_corpus)
     # gamma's only mention is at 0.3 confidence
     assert "gamma" not in e1.entities
-    assert post_ids(tiny_corpus, e1.member_rows["alpha"]) == ["p1", "p3"]
-    for entity, rows in e1.member_rows.items():
+    assert post_ids(tiny_corpus, members(e1)["alpha"]) == ["p1", "p3"]
+    for entity, rows in members(e1).items():
         for p in post_ids(tiny_corpus, rows):
             assert records.entities_by_post[p][entity] >= 0.6
 
@@ -185,8 +186,8 @@ def test_load_order_independence(tmp_path):
     c1, c2 = cm.load_corpus(d1), cm.load_corpus(d2)
     s1, s2 = cm.select_e1(c1), cm.select_e1(c2)
     assert s1.entities == s2.entities
-    assert {e: post_ids(c1, r) for e, r in s1.member_rows.items()} == {
-        e: post_ids(c2, r) for e, r in s2.member_rows.items()
+    assert {e: post_ids(c1, r) for e, r in members(s1).items()} == {
+        e: post_ids(c2, r) for e, r in members(s2).items()
     }
     p1, p2 = cm.posts_for_entities(c1, s1), cm.posts_for_entities(c2, s2)
     assert post_ids(c1, p1.rows) == post_ids(c2, p2.rows)
@@ -226,3 +227,40 @@ def test_posts_for_entities_vs_linear_scan(small_synth):
         if m["entity"] in e2.entities and m["confidence"] >= 0.9:
             expected.add(m["post_id"])
     assert post_ids(corpus, ps.rows) == sorted(expected)
+
+
+def reference_members(corpus, min_confidence, min_posts):
+    """Entity -> its member post rows in post-id order, from a scan of the mention table."""
+    rows = {}
+    for e, p, c in zip(corpus.mentions.entity.tolist(), corpus.mentions.post.tolist(),
+                       corpus.mentions.confidence.tolist()):
+        if c >= min_confidence:
+            rows.setdefault(corpus.entities[e], []).append(p)
+    return {e: sorted(r, key=corpus.posts.ids.__getitem__)
+            for e, r in sorted(rows.items()) if len(r) >= min_posts}
+
+
+def reference_disputed(corpus, by_entity):
+    """The entity-by-entity loop ``disputed_entities`` replaces with two bincounts."""
+    post_fake = corpus.post_is_fake()
+    return frozenset(
+        entity for entity, rows in by_entity.items()
+        if 0 < np.count_nonzero(post_fake[rows]) < len(rows)
+    )
+
+
+@pytest.mark.parametrize("min_confidence, min_posts", [(0.6, 1), (0.9, 30)], ids=["E1", "E2-style"])
+def test_membership_table_matches_reference(oracle_corpus, min_confidence, min_posts):
+    corpus = oracle_corpus
+    sample = cm.select_entities(corpus, min_confidence, min_posts)
+    expected = reference_members(corpus, min_confidence, min_posts)
+    assert len(expected) > 1
+    assert sample.entities == tuple(expected)
+    assert sample.entity.tolist() == [e for e, rows in enumerate(expected.values()) for _ in rows]
+    assert sample.rows.tolist() == [r for rows in expected.values() for r in rows]
+    disputed = cm.disputed_entities(corpus, sample)
+    assert disputed == reference_disputed(corpus, {e: np.array(r) for e, r in expected.items()})
+    assert 0 < len(disputed) < len(expected)
+    every = {r for rows in expected.values() for r in rows}
+    rows = cm.posts_for_entities(corpus, sample).rows
+    assert rows.tolist() == sorted(every, key=corpus.posts.ids.__getitem__)

@@ -10,6 +10,8 @@ from polarwarn import thresholds as th
 from polarwarn.evaluation import ClassMetrics, MetricsReport, Protocol, rebalance, roc_auc
 from polarwarn.models import ALGORITHMS, Dataset, DegenerateFitError, ModelSpec, fit, linear
 
+from conftest import members
+
 
 def subset_rows(dataset: Dataset, rows) -> Dataset:
     return Dataset(dataset.features[rows], dataset.labels[rows], dataset.feature_names)
@@ -275,11 +277,13 @@ class TestThresholdEntities:
     def test_entity_without_scored_comments_keeps_perception_none(self, small_synth):
         corpus, _, _ = small_synth
         e2 = cm.select_e2(corpus)
-        extra = next(e for e in cm.select_e1(corpus).entities if e not in e2.member_rows)
+        extra = next(e for e in cm.select_e1(corpus).entities if e not in e2.entities)
         uncommented = np.flatnonzero(np.diff(corpus.comments_of_post.ptr) == 0)[:1]
         assert len(uncommented) == 1
-        rows = dict(sorted({**e2.member_rows, extra: uncommented}.items()))
-        sample = cm.EntitySample("E2", rows, requires_comment_sentiment=True)
+        rows = dict(sorted({**members(e2), extra: uncommented}.items()))
+        entity = np.repeat(np.arange(len(rows)), list(map(len, rows.values())))
+        sample = cm.EntitySample("E2", tuple(rows), entity, np.concatenate(list(rows.values())),
+                                 requires_comment_sentiment=True)
         feats, curves, selections = ew.threshold_entities(corpus, sample)
         assert th.MEASURE_RESPONSE in selections
         # the curve's first cut, 0, keeps every entity with a value, and only those

@@ -1,7 +1,10 @@
 """Entity measures against hand computations and a naive full-scan oracle."""
 
 import math
+from functools import reduce
+from operator import add
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +15,7 @@ from polarwarn import fakenews as fn
 from polarwarn import features as feat
 from polarwarn import thresholds as th
 
-from conftest import comment, mention, post, read_records, source, write_corpus
+from conftest import comment, members, mention, post, read_records, source, write_corpus
 
 
 def corpus_with_sentiments(tmp_path, sentiments, comments_by_post=None):
@@ -207,26 +210,164 @@ def naive_entity_features(records, min_confidence, entity):
     return out
 
 
-def test_entity_features_match_naive_oracle_every_entity(tmp_path_factory):
-    # a corpus under 1,000 posts, recomputed entity by entity
-    from polarwarn import synth
-
-    config = synth.SynthConfig(
-        n_entities=60, n_posts=900, n_users=400, n_comments=6000,
-        head_entities=6, head_posts_min=40, head_posts_max=50, seed=31,
-    )
-    directory = tmp_path_factory.mktemp("oracle")
-    synth.generate(config, directory)
-    corpus = cm.load_corpus(directory)
+def test_entity_features_match_naive_oracle_every_entity(oracle_dir):
+    corpus = cm.load_corpus(oracle_dir)
     sample = cm.select_e1(corpus)
     computed = {f.entity: f for f in feat.entity_features(corpus, sample)}
     assert set(computed) == set(sample.entities)
-    records = read_records(directory)
+    records = read_records(oracle_dir)
     for entity in sorted(sample.entities):
         expected = naive_entity_features(records, 0.6, entity)
         got = computed[entity]
         for key, value in expected.items():
             assert getattr(got, key) == pytest.approx(value, abs=1e-12), (entity, key)
+
+
+def _lsum(values):
+    """Left-to-right float sum, as the built-in ``sum`` adds before Python 3.12."""
+    return reduce(add, values, 0)
+
+
+def reference_std(values, mean):
+    return math.sqrt(_lsum((v - mean) ** 2 for v in values) / len(values))
+
+
+def reference_comment_sentiments(corpus, rows):
+    """Comments on the posts ``rows``: their count, their scored sentiments, and each post's count of those."""
+    comments, count = corpus.comments_of_post.rows(rows)
+    sentiment = corpus.comments.sentiment[comments]
+    scored = ~np.isnan(sentiment)
+    per_post = np.bincount(np.repeat(np.arange(len(rows)), count)[scored], minlength=len(rows))
+    return len(comments), sentiment[scored].tolist(), per_post.tolist()
+
+
+def reference_distances(post_sentiments, scored, per_post):
+    """r(p) over the posts with scored comments."""
+    distances = []
+    start = 0
+    for sentiment, k in zip(post_sentiments, per_post):
+        if k:
+            comments = scored[start:start + k]
+            distances.append(abs(sentiment - _lsum(comments) / len(comments)))
+            start += k
+    return distances
+
+
+def reference_entity_features(corpus, by_entity):
+    """The entity-by-entity loop that ``entity_features`` replaces with grouped kernels."""
+    post_fake = corpus.post_is_fake()
+    disputed = {e for e, rows in by_entity.items() if 0 < np.count_nonzero(post_fake[rows]) < len(rows)}
+    posts_of = list(by_entity.values())
+    n = len(posts_of)
+    comments, count = corpus.comments_of_post.rows(np.concatenate(posts_of))
+    entity = np.repeat(np.arange(n), [len(r) for r in posts_of])
+    keys, on_entity = np.unique(corpus.comments.user[comments] * n + np.repeat(entity, count),
+                                return_counts=True)
+    engaged = on_entity > 0.95 * corpus.user_comment_counts[keys // n]
+    commenters = np.bincount(keys % n, minlength=n).tolist()
+    devoted = np.bincount(keys[engaged] % n, minlength=n).tolist()
+    out = []
+    for e, (entity, rows) in enumerate(by_entity.items()):
+        sentiments = corpus.posts.sentiment[rows].tolist()
+        mean = _lsum(sentiments) / len(sentiments)
+        f = feat.EntityFeatures(
+            entity=entity,
+            occurrences=len(sentiments),
+            post_sent_min=min(sentiments),
+            post_sent_max=max(sentiments),
+            post_sent_mean=mean,
+            post_sent_std=reference_std(sentiments, mean),
+            presentation_distance=max(sentiments) - min(sentiments),
+            n_negative_posts=sum(1 for s in sentiments if s < 0),
+            engaged_fraction=devoted[e] / commenters[e] if commenters[e] else 0.0,
+            disputed=1 if entity in disputed else 0,
+        )
+        f.comments_count, scored, per_post = reference_comment_sentiments(corpus, rows)
+        if scored:
+            cmean = _lsum(scored) / len(scored)
+            f.comment_sent_min = min(scored)
+            f.comment_sent_max = max(scored)
+            f.comment_sent_mean = cmean
+            f.comment_sent_std = reference_std(scored, cmean)
+            f.n_negative_comments = sum(1 for s in scored if s < 0)
+            distances = reference_distances(sentiments, scored, per_post)
+            rmean = _lsum(distances) / len(distances)
+            f.response_dist_min = min(distances)
+            f.response_dist_max = max(distances)
+            f.response_dist_mean = rmean
+            f.response_dist_std = reference_std(distances, rmean)
+            f.response_dist_global = abs(mean - cmean)
+        else:
+            f.missing = ("comment_sentiment",)
+        out.append(f)
+    return out
+
+
+def reference_attention_curve(corpus, by_entity, features, grid):
+    """The per-cut loop over entities that ``attention_curve`` replaces with one per-post array."""
+    dp = [(f.presentation_distance, by_entity[f.entity]) for f in features]
+    n_comments = np.diff(corpus.comments_of_post.ptr)
+    rows = []
+    for delta in grid:
+        posts = np.zeros(len(corpus.posts), bool)
+        for value, member in dp:
+            if value >= delta:
+                posts[member] = True
+        n = int(np.count_nonzero(posts))
+        if n:
+            rows.append((delta, sum(corpus.posts.likes[posts].tolist()) / n,
+                         sum(n_comments[posts].tolist()) / n))
+        else:
+            rows.append((delta, 0.0, 0.0))
+    return rows
+
+
+def reference_lags(corpus, by_entity):
+    """The entity-by-entity loop that ``temporal_lag_histogram`` replaces with ``np.minimum.at``."""
+    post_fake = corpus.post_is_fake()
+    lags = []
+    for rows in by_entity.values():
+        fake = post_fake[rows]
+        fake_ts, official_ts = corpus.posts.timestamp[rows[fake]], corpus.posts.timestamp[rows[~fake]]
+        if not len(fake_ts) or not len(official_ts) or fake_ts.min() <= official_ts.min():
+            continue
+        lags.append((int(fake_ts.min()) - int(official_ts.min())) / 3600.0)
+    return tuple(lags)
+
+
+def same_bits(got, expected):
+    # repr tells 0.0 from -0.0 and 1 from 1.0, which == does not
+    assert got == expected
+    assert list(map(repr, got)) == list(map(repr, expected))
+
+
+@pytest.mark.parametrize("selection", [
+    {"min_confidence": 0.6, "min_posts": 1},
+    {"min_confidence": 0.9, "min_posts": 30, "require_comment_sentiment": True},
+], ids=["E1", "E2-style"])
+def test_entity_measures_match_reference_loops(oracle_corpus, selection):
+    corpus = oracle_corpus
+    sample = cm.select_entities(corpus, **selection)
+    by_entity = members(sample)
+    features = feat.entity_features(corpus, sample)
+    same_bits(features, reference_entity_features(corpus, by_entity))
+    grid = [-math.inf, *(i / 100 for i in range(0, 200, 5)), math.nan]
+    same_bits(feat.attention_curve(corpus, sample, features, grid),
+              reference_attention_curve(corpus, by_entity, features, grid))
+    listed = features[::2]
+    same_bits(feat.attention_curve(corpus, sample, listed, grid),
+              reference_attention_curve(corpus, by_entity, listed, grid))
+    lags = feat.temporal_lag_histogram(corpus, sample).lags_hours
+    assert lags and lags == reference_lags(corpus, by_entity)
+
+
+def test_signed_zeros_pick_as_min_and_max_do(tmp_path):
+    # ids sort p0, p1: min and max keep the first of equal values
+    corpus = corpus_with_sentiments(tmp_path, [0.0, -0.0], {"p0": [-0.0, 0.0], "p1": [0.0]})
+    sample = cm.select_entities(corpus, 0.0, 1)
+    got = feat.entity_features(corpus, sample)
+    same_bits(got, reference_entity_features(corpus, members(sample)))
+    assert repr((got[0].post_sent_min, got[0].comment_sent_min)) == "(0.0, -0.0)"
 
 
 def test_indicator_boundaries(small_synth):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.polynomial import polyval
 
 from polarwarn import thresholds as th
 
@@ -136,7 +137,7 @@ class TestInflectionPoints:
 def reference_bracketed_roots(coef, lo, hi):
     """The per-interval scan that ``th._bracketed_roots`` replaces with one vector test."""
     t = np.linspace(lo, hi, th._BRACKET_POINTS)
-    v = th._polyval(coef, t)
+    v = polyval(t, coef)
     roots = []
     for i in range(len(t) - 1):
         if v[i] == 0.0:
@@ -145,7 +146,7 @@ def reference_bracketed_roots(coef, lo, hi):
             a, b, fa = t[i], t[i + 1], v[i]
             while b - a > 1e-12:
                 m = 0.5 * (a + b)
-                fm = float(th._polyval(coef, np.asarray(m)))
+                fm = float(polyval(m, coef))
                 if fa * fm <= 0.0:
                     b = m
                 else:
@@ -170,7 +171,7 @@ class TestBracketedRoots:
         coef = np.array([scale])
         for k in at:
             coef = np.convolve(coef, [-t[k], 1.0])
-        assert np.all(th._polyval(coef, t[at]) == 0.0)
+        assert np.all(polyval(t[at], coef) == 0.0)
         assert th._bracketed_roots(coef, -1.0, 1.0) == reference_bracketed_roots(coef, -1.0, 1.0)
 
 
