@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import hashlib
 import json
 import logging
@@ -90,15 +89,21 @@ def _report_rows(reports: dict[str, MetricsReport]):
                    m.precision, m.recall, m.fp_rate, m.f1)
 
 
-# ``missing`` is the last field; it is written joined by "|"
-_FEATURE_COLUMNS = tuple(f.name for f in dataclasses.fields(feat.EntityFeatures))
+_INDICATORS = {row.indicator for row in th.MEASURES.values()}
 
 
-def _feature_rows(features):
-    """One row per entity; a missing value is written blank."""
-    for f in features:
-        values = [getattr(f, c) for c in _FEATURE_COLUMNS[:-1]] + ["|".join(f.missing)]
-        yield ["" if v is None else v for v in values]
+def _write_features(path: Path, table: feat.EntityTable) -> None:
+    """features.csv: each entity's columns, then ``missing``, which names the comment sentiment it lacks.
+
+    A missing value (NaN) is written blank, and an indicator as 0 or 1.
+    """
+    columns = []
+    for name, column in table.columns.items():
+        values = column.tolist()
+        columns.append([v if math.isnan(v) else int(v) for v in values] if name in _INDICATORS else values)
+    columns.append(["" if has else "comment_sentiment" for has in table.has_comments.tolist()])
+    rows = (["" if v != v else v for v in row] for row in zip(table.entities, *columns))
+    _write_csv(path, ("entity", *table.columns, "missing"), rows)
 
 
 def _write_manifest(out_dir: Path, stage: str, config: dict, seed: int | None, inputs: list[str]) -> None:
@@ -244,10 +249,11 @@ def _earlywarn_stage(out: Path, inputs: _Inputs, sample_name: str,
         "n_disputed": int(result.dataset.labels.sum()),
     })
     _write_csv(out / "benchmark.csv", _REPORT_HEADER, _report_rows(result.benchmark.reports))
-    _write_csv(out / "features.csv", _FEATURE_COLUMNS, _feature_rows(result.features))
+    _write_features(out / "features.csv", result.features)
     a, b = result.best
+    labels, scores = result.predictions
     _write_csv(out / "predictions.csv", ("entity", f"pred_{a}", f"pred_{b}", f"score_{a}", f"score_{b}"),
-               ((p.entity, p.pred_a, p.pred_b, p.score_a, p.score_b) for p in result.predictions))
+               zip(result.dataset.row_ids, *labels.tolist(), *scores.tolist()))
     if inputs.plots:
         _curve_svgs(out, result.curves)
     _write_manifest(out, "earlywarn",
@@ -270,8 +276,7 @@ def _fakenews_stage(out: Path, inputs: _Inputs, sample_name: str, warning: ew.Ea
     """
     post_sample = corpus_mod.posts_for_entities(inputs.corpus, warning.sample,
                                                 name=sample_name.upper())
-    dataset = fn.build_post_dataset(inputs.corpus, post_sample, warning.features,
-                                    warning.predictions, warning.sample)
+    dataset = fn.build_post_dataset(inputs.corpus, post_sample, warning)
     out = _out_dir(out)
     algorithms = [s.algorithm for s in specs]
     cycles = inputs.protocol.cycles(dataset.labels)
@@ -350,24 +355,24 @@ def cmd_features(args) -> int:
     sample = _load_sample(corpus, args.sample)
     # first: it checks bin_hours before the entity features are computed
     lag = feat.temporal_lag_histogram(corpus, sample, bin_hours=args.bin_hours)
-    features, _, _ = ew.threshold_entities(corpus, sample)
+    table, _, _ = ew.threshold_entities(corpus, sample)
     out = _out_dir(args.out)
-    _write_csv(out / f"features_{sample.name.lower()}.csv", _FEATURE_COLUMNS, _feature_rows(features))
+    _write_features(out / f"features_{sample.name.lower()}.csv", table)
 
     grid = [i / 100 for i in range(0, 200, 5)]
-    attention = feat.attention_curve(corpus, sample, features, grid)
+    attention = feat.attention_curve(corpus, sample, table, grid)
     _write_csv(out / f"attention_{sample.name.lower()}.csv", ("delta_p", "mean_likes", "mean_comments"),
                attention)
     for c_flag, d_flag, tag in ((True, True, "c_d"), (True, False, "c_ud"),
                                 (False, True, "uc_d"), (False, False, "uc_ud")):
-        hist = feat.response_distribution(features, c_flag, d_flag)
+        hist = feat.response_distribution(table, c_flag, d_flag)
         _write_csv(out / f"response_hist_{tag}.csv", ("bin_lo", "bin_hi", "density"),
                    zip(hist.edges[:-1], hist.edges[1:], hist.density))
     _write_csv(out / f"temporal_lag_{sample.name.lower()}.csv", ("lag_lo_hours", "lag_hi_hours", "count"),
                zip(lag.edges_hours[:-1], lag.edges_hours[1:], lag.counts))
     _write_manifest(out, "features", {"data": str(args.data), "sample": args.sample,
                                       "bin_hours": args.bin_hours}, None, [str(args.data)])
-    print(f"features: {len(features)} entities -> {out}")
+    print(f"features: {len(table)} entities -> {out}")
     return EXIT_OK
 
 

@@ -29,7 +29,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from itertools import compress, islice, repeat
+from itertools import islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NoReturn
@@ -602,12 +602,11 @@ def select_e2(corpus: Corpus) -> EntitySample:
     return select_entities(corpus, 0.9, 100, require_comment_sentiment=True, name="E2")
 
 
-def disputed_entities(corpus: Corpus, sample: EntitySample) -> frozenset[str]:
-    """Entities with member posts in both the official and the fake category."""
+def disputed_entities(corpus: Corpus, sample: EntitySample) -> np.ndarray:
+    """Per entity of ``sample.entities``: True where it has member posts in both categories, official and fake."""
     n = len(sample.entities)
     fake = np.bincount(sample.entity[corpus.post_is_fake()[sample.rows]], minlength=n)
-    mixed = (fake > 0) & (fake < np.bincount(sample.entity, minlength=n))
-    return frozenset(compress(sample.entities, mixed.tolist()))
+    return (fake > 0) & (fake < np.bincount(sample.entity, minlength=n))
 
 
 def posts_for_entities(corpus: Corpus, sample: EntitySample, name: str = "") -> PostSample:

@@ -1,24 +1,28 @@
 """Early-warning stage: entity datasets, the benchmark, and disputed predictions.
 
 The flow per entity sample is: compute the polarization measures, build
-their exceedance curves, select data-driven thresholds, attach the binary
+their exceedance curves, select data-driven thresholds, set the binary
 indicators, benchmark the classifier suite on the disputed/undisputed task,
 keep the two best models, refit them on the full balanced sample and score
-every entity.  Those per-entity predictions feed the fake-news stage.
+every entity of the dataset.  The measures and indicators stay one column
+table aligned with the sample's entities (:class:`features.EntityTable`),
+and the predictions arrays aligned with the dataset's rows; both feed the
+fake-news stage.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import compress
 from typing import Mapping
 
 import numpy as np
 
 from .corpus import Corpus, EntitySample
 from .errors import NumericError
-from .features import EntityFeatures, entity_features
+from .features import EntityTable, entity_features
 from .models import Dataset, ModelSpec, TrainedModel, fit, predict
 from .evaluation import MetricsReport, Protocol, evaluate_spec, rank_reports, rebalance
 from . import thresholds as th
@@ -28,7 +32,7 @@ log = logging.getLogger(__name__)
 CLASS_NAMES = {0: "undisputed", 1: "disputed"}
 
 # Fixed dataset schemas; occurrences is log-scaled in the matrix (raw counts
-# stay in the CSV export of EntityFeatures).
+# stay in features.csv).
 E1_COLUMNS = (
     "occurrences",
     "post_sent_min",
@@ -56,47 +60,30 @@ E2_COLUMNS = E1_COLUMNS + (
 
 
 def build_entity_dataset(
-    features: list[EntityFeatures], sample_name: str, requires_comment_sentiment: bool
+    table: EntityTable, sample_name: str, requires_comment_sentiment: bool
 ) -> Dataset:
     """Fixed-schema matrix over the sample's entities, labeled by disputedness.
 
     Samples that do not require comment sentiment (E1-style) use the first
     eight columns, samples that do (E2-style) all twenty; ``sample_name``
-    only labels the log.  Rows missing a mandatory field (no scored
-    comments, or an indicator that was never filled) are excluded and logged.
+    only labels the log.  Rows missing a mandatory value (no scored
+    comments, or an indicator that was never set) are excluded and logged.
     """
     columns = E2_COLUMNS if requires_comment_sentiment else E1_COLUMNS
-    rows = []
-    ids = []
-    labels = []
-    excluded = []
-    for f in sorted(features, key=lambda f: f.entity):
-        values = []
-        ok = True
-        for col in columns:
-            v = getattr(f, col)
-            if v is None:
-                ok = False
-                break
-            if col == "occurrences":
-                v = math.log1p(v)
-            values.append(float(v))
-        if not ok:
-            excluded.append(f.entity)
-            continue
-        rows.append(values)
-        ids.append(f.entity)
-        labels.append(f.disputed)
+    complete = table.complete(columns)
+    excluded = list(compress(table.entities, (~complete).tolist()))
     if excluded:
         log.warning(
             "build_entity_dataset(%s): excluded %d entities with missing features: %s",
             sample_name, len(excluded), ", ".join(excluded[:10]) + ("..." if len(excluded) > 10 else ""),
         )
+    occurrences = map(math.log1p, table.columns["occurrences"].tolist())
+    values = {**table.columns, "occurrences": np.fromiter(occurrences, float, len(table))}
     return Dataset(
-        features=np.asarray(rows, dtype=float).reshape(len(rows), len(columns)),
-        labels=np.asarray(labels, dtype=np.int8),
+        features=np.column_stack([values[c][complete] for c in columns]),
+        labels=table.columns["disputed"][complete],
         feature_names=columns,
-        row_ids=tuple(ids),
+        row_ids=tuple(compress(table.entities, complete.tolist())),
     )
 
 
@@ -143,87 +130,73 @@ def select_best_models(reports: dict[str, MetricsReport]) -> tuple[str, str]:
     return ranked[0], ranked[1]
 
 
-@dataclass(frozen=True)
-class EntityPrediction:
-    entity: str
-    pred_a: int
-    pred_b: int
-    score_a: float
-    score_b: float
-    model_a: str
-    model_b: str
-
-
 def predict_disputed(
     dataset: Dataset, model_a: TrainedModel, model_b: TrainedModel
-) -> list[EntityPrediction]:
-    """Score every row of the full sample with both selected models; ``row_ids`` name the entities."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both models' labels and scores on every row of the full sample, as two arrays of shape (2, rows).
+
+    Row 0 of either array holds ``model_a``'s values and row 1
+    ``model_b``'s; the columns follow ``dataset.row_ids``.
+    """
     scores_a, labels_a = predict(model_a, dataset.features)
     scores_b, labels_b = predict(model_b, dataset.features)
-    return [
-        EntityPrediction(
-            entity=eid,
-            pred_a=int(labels_a[i]),
-            pred_b=int(labels_b[i]),
-            score_a=float(scores_a[i]),
-            score_b=float(scores_b[i]),
-            model_a=model_a.spec.algorithm,
-            model_b=model_b.spec.algorithm,
-        )
-        for i, eid in enumerate(dataset.row_ids)
-    ]
+    return np.stack([labels_a, labels_b]), np.stack([scores_a, scores_b])
 
 
-def fill_indicators(features: list[EntityFeatures], cuts: Mapping[str, float]) -> None:
-    """Set each entity's binary indicators from the selected cuts.
+def with_indicators(table: EntityTable, cuts: Mapping[str, float]) -> EntityTable:
+    """``table`` with each binary indicator set from the selected cuts.
 
     Each measure in ``cuts`` sets its ``thresholds.MEASURES`` row's
-    indicator to 1 where the entity's value reaches the cut, else 0; an
-    indicator whose measure has no cut, or whose value is missing, stays None.
+    indicator column to 1 where the entity's value reaches the cut, else 0;
+    an indicator whose measure has no cut, or whose value is missing (NaN),
+    stays NaN.
     """
+    columns = dict(table.columns)
     for measure, cut in cuts.items():
         row = th.MEASURES[measure]
-        for f in features:
-            value = getattr(f, row.feature)
-            if value is not None:
-                setattr(f, row.indicator, 1 if value >= cut else 0)
+        value = table.columns[row.feature]
+        columns[row.indicator] = np.where(np.isnan(value), np.nan, value >= cut)
+    return replace(table, columns=columns)
 
 
 def threshold_entities(
     corpus: Corpus, sample: EntitySample
-) -> tuple[list[EntityFeatures], dict[str, th.RatioCurve], dict[str, th.ThresholdSelection]]:
+) -> tuple[EntityTable, dict[str, th.RatioCurve], dict[str, th.ThresholdSelection]]:
     """Entity features, their exceedance curves, the selected cuts, the indicators.
 
     Every sample gets the presentation-distance curve; samples that require
     comment sentiment get every measure's curve, in ``thresholds.MEASURES``
     order.  A curve counts the entities with a value for its measure and is
-    left out when none has one.  Returns ``(features, curves, selections)``
-    with every feature record's indicators filled from the selections' cuts.
+    left out when none has one.  Returns ``(table, curves, selections)``
+    with the table's indicators set from the selections' cuts.
     """
-    features = entity_features(corpus, sample)
-    disputed = {f.entity for f in features if f.disputed}
+    table = entity_features(corpus, sample)
+    disputed = table.columns["disputed"] == 1
     measures = th.MEASURES if sample.requires_comment_sentiment else (th.MEASURE_PRESENTATION,)
     curves = {}
     for measure in measures:
         row = th.MEASURES[measure]
-        values = {f.entity: v for f in features if (v := getattr(f, row.feature)) is not None}
-        if values:
-            curves[measure] = th.build_exceedance_curve(values, disputed, np.arange(0.0, row.grid_hi, 0.01))
+        values = table.columns[row.feature]
+        present = ~np.isnan(values)
+        if present.any():
+            curves[measure] = th.build_exceedance_curve(
+                values[present], disputed[present], np.arange(0.0, row.grid_hi, 0.01)
+            )
     selections = th.select_thresholds(curves)
-    fill_indicators(features, {m: s.threshold for m, s in selections.items()})
-    return features, curves, selections
+    table = with_indicators(table, {m: s.threshold for m, s in selections.items()})
+    return table, curves, selections
 
 
 @dataclass
 class EarlyWarningResult:
     sample: EntitySample
-    features: list[EntityFeatures]
+    features: EntityTable
     curves: dict[str, th.RatioCurve]
     selections: dict[str, th.ThresholdSelection]
     dataset: Dataset
     benchmark: BenchmarkResult
     best: tuple[str, str]
-    predictions: list[EntityPrediction]
+    predictions: tuple[np.ndarray, np.ndarray]  # predict_disputed's (labels, scores)
 
 
 def run_early_warning(
@@ -233,8 +206,8 @@ def run_early_warning(
     protocol: Protocol,
 ) -> EarlyWarningResult:
     """Full early-warning pass over one non-empty entity sample."""
-    features, curves, selections = threshold_entities(corpus, sample)
-    dataset = build_entity_dataset(features, sample.name, sample.requires_comment_sentiment)
+    table, curves, selections = threshold_entities(corpus, sample)
+    dataset = build_entity_dataset(table, sample.name, sample.requires_comment_sentiment)
     benchmark = run_benchmark(dataset, specs, protocol)
     best = select_best_models(benchmark.reports)
     spec_by_algo = {s.algorithm: s for s in specs}
@@ -245,7 +218,7 @@ def run_early_warning(
     predictions = predict_disputed(dataset, model_a, model_b)
     return EarlyWarningResult(
         sample=sample,
-        features=features,
+        features=table,
         curves=curves,
         selections=selections,
         dataset=dataset,

@@ -5,21 +5,23 @@ of the post and of its concatenated comments), user-based (commenter
 behavior and engagement), sentiment-based (presentation/response measures of
 the contained entities) and predicted (early-warning disputed predictions).
 Column names carry a category prefix (st_, sem_, ub_, sb_, pred_) so the
-step experiments can slice by category.
+step experiments can slice by category.  The user-based engagement, the
+sentiment-based and the predicted columns read the early warning's entity
+table and predictions by entity index.
 """
 
 from __future__ import annotations
 
 import logging
 from itertools import islice
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, EntitySample, PostSample, group_positions
-from .features import EntityFeatures, _div, _grouped, _pow, engagement
+from .corpus import Corpus, PostSample, group_positions
+from .features import EntityTable, _div, _grouped, _pow
 from .evaluation import Cycles, MetricsReport, StepwiseResult, evaluate_spec, forward_stepwise, rank_reports
-from .earlywarning import EntityPrediction
+from .earlywarning import EarlyWarningResult
 from .models import Dataset, ModelSpec
 
 log = logging.getLogger(__name__)
@@ -187,14 +189,12 @@ def post_feature_names(include_comment_sentiment: bool, model_a: str, model_b: s
     return tuple(names)
 
 
-def build_post_dataset(
-    corpus: Corpus,
-    post_sample: PostSample,
-    entity_features: Iterable[EntityFeatures],
-    predictions: Sequence[EntityPrediction],
-    sample: EntitySample,
-) -> Dataset:
+def build_post_dataset(corpus: Corpus, post_sample: PostSample, warning: EarlyWarningResult) -> Dataset:
     """Full per-post feature matrix, labeled fake/not-fake by source category.
+
+    ``warning`` is the finished early warning of the entity sample whose
+    posts ``post_sample`` holds; the sentiment-based, user-based and
+    predicted columns read its entity table and predictions by entity index.
 
     P1-style builds (no comment sentiment in the entity sample) omit the
     comment-dependent sentiment block, giving 44 columns; P2-style builds
@@ -206,9 +206,9 @@ def build_post_dataset(
     commenter), commenters in id order.  User-based features describe each
     post's commenters: the replies and likes they received there, their
     comment counts, the pages they commented on corpus-wide, and whether
-    they are engaged with an entity of the post, as
-    :func:`features.engagement` decides over all of that entity's member
-    posts, rows or not.  Memberships of posts that are not rows are dropped.
+    they are engaged with an entity of the post, as the entity table's
+    ``engagement`` records over all of that entity's member posts, rows or
+    not.  Memberships of posts that are not rows are dropped.
 
     Float sums add left to right in that order, on every Python version.
     The per-post build before this one used the built-in ``sum``, which adds
@@ -217,9 +217,8 @@ def build_post_dataset(
     integer-valued columns are sure to agree, and float columns can differ
     in the last bit.
     """
-    names = post_feature_names(
-        sample.requires_comment_sentiment, predictions[0].model_a, predictions[0].model_b
-    )
+    sample, table = warning.sample, warning.features
+    names = post_feature_names(sample.requires_comment_sentiment, *warning.best)
     rows = post_sample.rows
     row_ids = tuple(map(corpus.posts.ids.__getitem__, rows.tolist()))
     n = len(rows)
@@ -232,7 +231,6 @@ def build_post_dataset(
 
     # Sample entities of each row, sorted by (row, entity) with CSR offsets
     # `ptr`; `row_of` maps a post to its row index, -1 for other posts.
-    entities = sample.entities
     row_of = np.full(len(corpus.posts), -1)
     row_of[rows] = np.arange(n)
     row_post = row_of[sample.rows]
@@ -255,14 +253,12 @@ def build_post_dataset(
         *_structural_columns(corpus, rows, post, likes, replies, n_comments),
         *_semantic_columns(map(corpus.posts.text.__getitem__, rows.tolist()), n).T,
         *_semantic_columns(_joined_comment_texts(corpus, comments, n_comments), n).T,
-        *_user_columns(corpus, sample, post, user, likes, replies, ptr, row_entity, n),
+        *_user_columns(corpus, table, post, user, likes, replies, ptr, row_entity, n),
         *_sentiment_columns(
-            corpus, rows, comments, post, row_post, row_entity, row_n_entities, entities,
-            {f.entity: f for f in entity_features}, sample.requires_comment_sentiment,
+            corpus, rows, comments, post, row_post, row_entity, row_n_entities, table,
+            sample.requires_comment_sentiment,
         ),
-        *_predicted_columns(
-            row_post, row_entity, row_n_entities, entities, {p.entity: p for p in predictions}
-        ),
+        *_predicted_columns(row_post, row_entity, row_n_entities, warning),
     ]
     log.debug("post features: %d rows x %d columns, %d comments scanned", n, len(names), len(comments))
     return Dataset(
@@ -306,7 +302,7 @@ def _structural_columns(
 
 def _user_columns(
     corpus: Corpus,
-    sample: EntitySample,
+    table: EntityTable,
     post: np.ndarray,
     user: np.ndarray,
     likes: np.ndarray,
@@ -321,9 +317,9 @@ def _user_columns(
         // n_sources,
         minlength=len(corpus.users),
     )
-    keys, engaged = engagement(corpus, sample)
+    keys, engaged = table.engagement
     engaged = keys[engaged]
-    n_sample_entities = len(sample.entities)
+    n_sample_entities = len(table)
 
     # (post, commenter) groups of the rows' comments: commenters in id order
     # within a post, each group's comments in table order.
@@ -372,16 +368,12 @@ def _sentiment_columns(
     row_post: np.ndarray,
     row_entity: np.ndarray,
     row_n_entities: np.ndarray,
-    entities: list[str],
-    feature_map: Mapping[str, EntityFeatures],
+    table: EntityTable,
     include_comment_sentiment: bool,
 ) -> list[np.ndarray]:
     """Sentiment-based features; the comment-dependent block only for P2-style builds."""
     n = len(rows)
-    feats = [feature_map.get(e) for e in entities]
-    known = np.array([f is not None for f in feats], bool)[row_entity]
-    dp = np.array([0.0 if f is None else f.presentation_distance for f in feats], float)
-    _, dp_mean, dp_var = _grouped(row_post[known], dp[row_entity[known]], n)
+    _, dp_mean, dp_var = _grouped(row_post, table.columns["presentation_distance"][row_entity], n)
     columns = [corpus.posts.sentiment[rows], dp_mean, _pow(dp_var, 0.5)]
     if not include_comment_sentiment:
         return columns
@@ -392,13 +384,12 @@ def _sentiment_columns(
     _, s_avg, s_var = _grouped(at, sentiment, n)
     n_pos = np.bincount(at[sentiment > 0], minlength=n).astype(float)
     n_neg = np.bincount(at[sentiment < 0], minlength=n).astype(float)
-    captivating = np.array([f is not None and f.captivation == 1 for f in feats], float)
+    captivating = (table.columns["captivation"] == 1).astype(float)
     n_capt = np.bincount(row_post, weights=captivating[row_entity], minlength=n)
-    response = [None if f is None else f.response_dist_global for f in feats]
-    has_response = np.array([r is not None for r in response], bool)[row_entity]
-    response = np.array([0.0 if r is None else r for r in response], float)
+    response = table.columns["response_dist_global"][row_entity]
+    has_response = ~np.isnan(response)
     at = row_post[has_response]
-    response_sum = np.bincount(at, weights=response[row_entity[has_response]], minlength=n)
+    response_sum = np.bincount(at, weights=response[has_response], minlength=n)
     return columns + [
         s_avg,
         _pow(s_var, 0.5),
@@ -415,17 +406,20 @@ def _predicted_columns(
     row_post: np.ndarray,
     row_entity: np.ndarray,
     row_n_entities: np.ndarray,
-    entities: list[str],
-    predictions: Mapping[str, EntityPrediction],
+    warning: EarlyWarningResult,
 ) -> list[np.ndarray]:
-    """Counts and rates of contained entities predicted disputed, per model."""
+    """Counts and rates of contained entities predicted disputed, per model.
+
+    An entity without a row in the early warning's dataset counts as not
+    predicted disputed.
+    """
     n = len(row_n_entities)
+    table = warning.features
+    disputed = np.zeros((2, len(table)))
+    disputed[:, table.complete(warning.dataset.feature_names)] = warning.predictions[0] == 1
     columns = []
-    for model in ("pred_a", "pred_b"):
-        disputed = np.array(
-            [e in predictions and getattr(predictions[e], model) == 1 for e in entities], float
-        )
-        count = np.bincount(row_post, weights=disputed[row_entity], minlength=n)
+    for flags in disputed:
+        count = np.bincount(row_post, weights=flags[row_entity], minlength=n)
         columns += [count, _div(count, row_n_entities)]
     return columns
 

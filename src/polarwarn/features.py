@@ -6,9 +6,12 @@ respond in comments (response distance), and the fraction of its audience
 that is devoted to it (engaged fraction).  Binary indicators (controversy,
 perception, captivation) follow once data-driven thresholds are known.
 
-:func:`engagement` is the one place that decides which users are engaged
-with which sample entity; the engaged fraction here and the
-``ub_engaged_users*`` post features both read its table.
+:func:`entity_features` returns every measure of a sample's entities as
+one :class:`EntityTable`, a column per measure aligned with
+``sample.entities``; every later stage reads its columns by entity index.
+It is also the one place that decides which users are engaged with which
+sample entity: the engaged fraction here and the ``ub_engaged_users*`` post
+features both read the table's ``engagement``.
 
 All functions are pure with respect to an immutable corpus; "negative"
 always means sentiment strictly below zero, and standard deviations use the
@@ -18,7 +21,7 @@ Every per-entity value is computed over the sample's membership table with
 :func:`_grouped`, the kernel :mod:`fakenews` uses too.  Its float sums add
 left to right on every Python version, as the built-in ``sum`` does before
 Python 3.12 and not from 3.12 on, where it compensates: a per-entity ``sum``
-loop gives the same bits on 3.10 and 3.11, and on 3.12+ float fields can
+loop gives the same bits on 3.10 and 3.11, and on 3.12+ float columns can
 differ from it in the last bit.
 """
 
@@ -33,6 +36,7 @@ import numpy as np
 
 from .corpus import Corpus, EntitySample, disputed_entities
 from .errors import ConfigError
+from .thresholds import MEASURES
 
 
 def _div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -72,59 +76,6 @@ def _grouped(group: np.ndarray, values: np.ndarray, size: int) -> tuple[np.ndarr
     return total, mean, var
 
 
-def engagement(corpus: Corpus, sample: EntitySample) -> tuple[np.ndarray, np.ndarray]:
-    """The engaged-user table of an entity sample, as ``(keys, engaged)``.
-
-    ``keys`` holds, sorted, ``user * len(sample.entities) + e`` for each
-    user with a comment on a member post of entity ``e`` (its index in
-    ``sample.entities``).  ``engaged`` is True where strictly more than 95%
-    of all that user's corpus-wide comments sit on ``e``'s member posts.
-    """
-    n = len(sample.entities)
-    comments, count = corpus.comments_of_post.rows(sample.rows)
-    keys, on_entity = np.unique(
-        corpus.comments.user[comments] * n + np.repeat(sample.entity, count), return_counts=True
-    )
-    return keys, on_entity > 0.95 * corpus.user_comment_counts[keys // n]
-
-
-@dataclass
-class EntityFeatures:
-    """Every measure of one entity over its member posts.
-
-    ``response_dist_global`` is the absolute gap between the mean post
-    sentiment and the mean of all scored comments on the member posts; the
-    other ``response_dist_*`` fields aggregate r(p) over member posts with
-    at least one scored comment.
-    """
-
-    entity: str
-    occurrences: int
-    post_sent_min: float
-    post_sent_max: float
-    post_sent_mean: float
-    post_sent_std: float
-    presentation_distance: float
-    n_negative_posts: int
-    engaged_fraction: float
-    disputed: int
-    comments_count: int = 0
-    n_negative_comments: int = 0
-    comment_sent_min: float | None = None
-    comment_sent_max: float | None = None
-    comment_sent_mean: float | None = None
-    comment_sent_std: float | None = None
-    response_dist_min: float | None = None
-    response_dist_max: float | None = None
-    response_dist_mean: float | None = None
-    response_dist_std: float | None = None
-    response_dist_global: float | None = None
-    controversy: int | None = None
-    perception: int | None = None
-    captivation: int | None = None
-    missing: tuple[str, ...] = ()
-
-
 def _summary(prefix: str, group: np.ndarray, values: np.ndarray, size: int) -> dict[str, np.ndarray]:
     """Per-group ``<prefix>_min``, ``_max``, ``_mean`` and ``_std`` of ``values``; 0 for empty groups.
 
@@ -148,31 +99,63 @@ def _summary(prefix: str, group: np.ndarray, values: np.ndarray, size: int) -> d
     return {f"{prefix}_min": lo, f"{prefix}_max": hi, f"{prefix}_mean": mean, f"{prefix}_std": np.sqrt(var)}
 
 
-def entity_features(
-    corpus: Corpus,
-    sample: EntitySample,
-) -> list[EntityFeatures]:
-    """Compute the full per-entity feature record for every sample entity.
+@dataclass(frozen=True)
+class EntityTable:
+    """Every measure of a sample's entities, one array per column, aligned with ``sample.entities``.
 
-    Comment-dependent fields stay None (and the record is flagged) when an
-    entity has no sentiment-scored comments; the batch never aborts.  The
-    indicators stay None: ``earlywarning.fill_indicators`` sets them once
-    the thresholds are known.
+    ``columns`` runs in ``features.csv`` order.  A value that does not
+    exist is NaN: each comment-dependent column of an entity without scored
+    comments (``has_comments`` False), and an indicator before its cut is
+    set.  ``response_dist_global`` is the absolute gap between the mean
+    post sentiment and the mean of all scored comments on the member posts;
+    the other ``response_dist_*`` columns aggregate r(p) over member posts
+    with at least one scored comment.
+
+    ``engagement`` is the engaged-user table ``(keys, engaged)``: ``keys``
+    holds, sorted, ``user * len(entities) + e`` for each user with a comment
+    on a member post of entity ``e``, and ``engaged`` is True where strictly
+    more than 95% of all that user's corpus-wide comments sit on ``e``'s
+    member posts.
     """
-    disputed = disputed_entities(corpus, sample)
-    keys, engaged = engagement(corpus, sample)
+
+    entities: tuple[str, ...]
+    columns: dict[str, np.ndarray]
+    has_comments: np.ndarray
+    engagement: tuple[np.ndarray, np.ndarray]
+
+    def __len__(self) -> int:
+        return len(self.entities)
+
+    def complete(self, names: Iterable[str]) -> np.ndarray:
+        """True for each entity with a value in every column of ``names``."""
+        return ~np.isnan(np.column_stack([self.columns[c] for c in names])).any(axis=1)
+
+
+def entity_features(corpus: Corpus, sample: EntitySample) -> EntityTable:
+    """Every measure of every sample entity, as one column table.
+
+    The comment-dependent columns of an entity without sentiment-scored
+    comments are NaN; the batch never aborts.  The indicators are NaN too:
+    ``earlywarning.with_indicators`` sets them once the thresholds are known.
+    """
     n, m = len(sample.entities), len(sample.rows)
     sentiment = corpus.posts.sentiment[sample.rows]
 
-    # the scored comments, by membership, each post's in file order; arrays
-    # no statistic reads are freed before the kernels run, to lower peak memory
+    # the comments, by membership, each post's in file order; arrays no
+    # statistic reads are freed before the kernels run, to lower peak memory
     comments, count = corpus.comments_of_post.rows(sample.rows)
+    keys, on_entity = np.unique(
+        corpus.comments.user[comments] * n + np.repeat(sample.entity, count), return_counts=True
+    )
+    engaged = on_entity > 0.95 * corpus.user_comment_counts[keys // n]
+    del on_entity
     comment_sentiment = corpus.comments.sentiment[comments]
     scored = ~np.isnan(comment_sentiment)
     per_post = np.bincount(np.repeat(np.arange(m), count)[scored], minlength=m)
     comment_sentiment = comment_sentiment[scored]
     del comments, scored
     commented = np.repeat(sample.entity, per_post)
+    has_comments = np.bincount(commented, minlength=n) > 0
 
     # r(p) = abs(post sentiment - mean comment sentiment of p), over the
     # memberships with scored comments
@@ -182,41 +165,35 @@ def entity_features(
 
     post = _summary("post_sent", sample.entity, sentiment, n)
     comment = _summary("comment_sent", commented, comment_sentiment, n)
-    columns = {
-        "occurrences": np.bincount(sample.entity, minlength=n),
-        **post,
-        "presentation_distance": post["post_sent_max"] - post["post_sent_min"],
-        "n_negative_posts": np.bincount(sample.entity[sentiment < 0], minlength=n),
-        "engaged_fraction": _div(np.bincount(keys[engaged] % n, minlength=n),
-                                 np.bincount(keys % n, minlength=n)),
-        "comments_count": np.bincount(sample.entity, weights=count, minlength=n).astype(np.int64),
-        "n_negative_comments": np.bincount(commented[comment_sentiment < 0], minlength=n),
-    }
     comment_columns = {
         **comment,
         **_summary("response_dist", sample.entity[answered], response, n),
         "response_dist_global": np.abs(post["post_sent_mean"] - comment["comment_sent_mean"]),
     }
-    columns = {name: column.tolist() for name, column in columns.items()}
-    comment_columns = {name: column.tolist() for name, column in comment_columns.items()}
-    has_comments = (np.bincount(commented, minlength=n) > 0).tolist()
-
-    out: list[EntityFeatures] = []
-    for e, entity in enumerate(sample.entities):
-        fields = {name: column[e] for name, column in columns.items()}
-        if has_comments[e]:
-            fields.update({name: column[e] for name, column in comment_columns.items()})
-        out.append(EntityFeatures(
-            entity=entity, disputed=1 if entity in disputed else 0,
-            missing=() if has_comments[e] else ("comment_sentiment",), **fields,
-        ))
-    return out
+    return EntityTable(
+        entities=sample.entities,
+        columns={
+            "occurrences": np.bincount(sample.entity, minlength=n),
+            **post,
+            "presentation_distance": post["post_sent_max"] - post["post_sent_min"],
+            "n_negative_posts": np.bincount(sample.entity[sentiment < 0], minlength=n),
+            "engaged_fraction": _div(np.bincount(keys[engaged] % n, minlength=n),
+                                     np.bincount(keys % n, minlength=n)),
+            "disputed": disputed_entities(corpus, sample).astype(np.int8),
+            "comments_count": np.bincount(sample.entity, weights=count, minlength=n).astype(np.int64),
+            "n_negative_comments": np.bincount(commented[comment_sentiment < 0], minlength=n),
+            **{name: np.where(has_comments, column, np.nan) for name, column in comment_columns.items()},
+            **{row.indicator: np.full(n, np.nan) for row in MEASURES.values()},
+        },
+        has_comments=has_comments,
+        engagement=(keys, engaged),
+    )
 
 
 def attention_curve(
     corpus: Corpus,
     sample: EntitySample,
-    features: Iterable[EntityFeatures],
+    table: EntityTable,
     grid: Sequence[float],
 ) -> list[tuple[float, float, float]]:
     """Mean likes and comment counts of posts whose entities spread past each cut.
@@ -224,12 +201,10 @@ def attention_curve(
     For every grid value the post set is the union of member posts over
     entities with presentation distance >= the cut; an empty set yields zeros.
     """
-    listed = {f.entity: f.presentation_distance for f in features}
-    dp = np.array([listed.get(e, math.nan) for e in sample.entities])
-    # each post's widest presentation distance over its listed entities; NaN,
-    # which no cut reaches, for a post with none
+    # each post's widest presentation distance over its sample entities;
+    # NaN, which no cut reaches, for a post with none
     widest = np.full(len(corpus.posts), math.nan)
-    np.fmax.at(widest, sample.rows, dp[sample.entity])
+    np.fmax.at(widest, sample.rows, table.columns["presentation_distance"][sample.entity])
     n_comments = np.diff(corpus.comments_of_post.ptr)
     rows = []
     for delta in grid:
@@ -256,19 +231,12 @@ class Histogram:
     density: tuple[float, ...]
 
 
-def response_distribution(
-    features: Iterable[EntityFeatures],
-    controversial: bool,
-    disputed: bool,
-) -> Histogram:
+def response_distribution(table: EntityTable, controversial: bool, disputed: bool) -> Histogram:
     """Area-1 histogram of the mean response distance for one C/UC x D/UD class."""
-    want_c = 1 if controversial else 0
-    want_d = 1 if disputed else 0
-    values = [
-        f.response_dist_mean
-        for f in features
-        if f.controversy == want_c and f.disputed == want_d and f.response_dist_mean is not None
-    ]
+    c = table.columns
+    mean = c["response_dist_mean"]
+    values = mean[(c["controversy"] == int(controversial)) & (c["disputed"] == int(disputed))
+                  & ~np.isnan(mean)].tolist()
     lo, hi = _RESPONSE_RANGE
     bins = _RESPONSE_BINS
     edges = tuple(lo + (hi - lo) * i / bins for i in range(bins + 1))

@@ -13,7 +13,7 @@ policy (the cut where the curve leaves its plateau and the final decline
 begins); monotonic curves use an index policy over the ascending inflection
 list, where the inflection is only a proxy for the separation point.
 
-Each measure's row of ``MEASURES`` declares its entity field, grid, fit,
+Each measure's row of ``MEASURES`` declares its entity column, grid, fit,
 selection rule and indicator; the series, degree and inflection index are
 calibrated against the reference curves shipped in ``fixtures/`` and
 exercised by the acceptance suite.
@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from numpy.polynomial.polynomial import polyder, polyval
@@ -67,16 +67,15 @@ class RatioCurve:
     ratio_de: np.ndarray  # nan where no entity reaches the cut
 
 
-def build_exceedance_curve(
-    values: Mapping[str, float],
-    disputed: Iterable[str],
-    grid: Sequence[float],
-) -> RatioCurve:
-    """Ratio curves of the entities (all / disputed) whose value is >= each point of an ascending grid."""
+def build_exceedance_curve(values: np.ndarray, disputed: np.ndarray, grid: Sequence[float]) -> RatioCurve:
+    """Ratio curves of the entities (all / disputed) whose value is >= each point of an ascending grid.
+
+    ``values`` holds one value per entity and ``disputed`` is True for each
+    disputed one, aligned with it.
+    """
     grid = np.asarray(grid, dtype=float)
-    vals = np.asarray(sorted(values.values()), dtype=float)
-    disputed = set(disputed)
-    disputed_vals = np.asarray(sorted(v for k, v in values.items() if k in disputed), dtype=float)
+    vals = np.sort(values)
+    disputed_vals = np.sort(values[disputed])
     e_counts = len(vals) - np.searchsorted(vals, grid, side="left")
     d_counts = len(disputed_vals) - np.searchsorted(disputed_vals, grid, side="left")
     n_disputed = len(disputed_vals)
@@ -185,8 +184,8 @@ def _classified_inflections(fit: PolynomialFit) -> list[tuple[float, int, float]
 class Measure:
     """One polarization measure: where its values live, how its cut is chosen, what it sets."""
 
-    feature: str  # the EntityFeatures field holding the value
-    indicator: str  # the EntityFeatures indicator set from the cut
+    feature: str  # the features.EntityTable column holding the value
+    indicator: str  # the features.EntityTable indicator column set from the cut
     cut: str  # the key of the cut in thresholds_json
     grid_hi: float  # the exceedance grid runs from 0 up to (not including) this bound
     series: str

@@ -7,10 +7,14 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from polarwarn import corpus as cm
+from polarwarn import earlywarning as ew
+from polarwarn import features as feat
 from polarwarn import synth
+from polarwarn import thresholds as th
 
 
 def write_jsonl(path: Path, rows: list[dict]) -> None:
@@ -72,6 +76,27 @@ def post_ids(corpus, rows) -> list[str]:
 def members(sample) -> dict:
     """Each entity of the sample -> the rows of its member posts, in table order."""
     return {e: sample.rows[sample.entity == i] for i, e in enumerate(sample.entities)}
+
+
+def entity_rows(table) -> list[dict]:
+    """An entity table as one plain dict per entity: its name, each column with NaN as None, and ``missing``."""
+    columns = [[None if v != v else v for v in column.tolist()] for column in table.columns.values()]
+    missing = [() if has else ("comment_sentiment",) for has in table.has_comments.tolist()]
+    names = ("entity", *table.columns, "missing")
+    return [dict(zip(names, values)) for values in zip(table.entities, *columns, missing)]
+
+
+def tiny_warning(corpus, sample, predicted=None):
+    """An E1-style early warning of ``sample`` without a benchmark.
+
+    The presentation cut is 1.0, the two models are log and nn, and
+    ``predicted`` maps an entity to their (log, nn) labels, (0, 0) when absent.
+    """
+    table = ew.with_indicators(feat.entity_features(corpus, sample), {th.MEASURE_PRESENTATION: 1.0})
+    dataset = ew.build_entity_dataset(table, sample.name, False)
+    labels = np.array([(predicted or {}).get(e, (0, 0)) for e in dataset.row_ids], np.int8).reshape(-1, 2).T
+    return ew.EarlyWarningResult(sample, table, {}, {}, dataset, None, ("log", "nn"),
+                                 (labels, labels.astype(float)))
 
 
 def source(sid, category="official", name=None):

@@ -59,9 +59,9 @@ def full_run(tmp_path_factory) -> FullRun:
     e2 = cm.select_e2(corpus)
     warning_e2 = ew.run_early_warning(corpus, e2, specs, Protocol(repeats=10, seed=7))
     p1 = cm.posts_for_entities(corpus, e1, name="P1")
-    p1_dataset = fn.build_post_dataset(corpus, p1, warning_e1.features, warning_e1.predictions, e1)
+    p1_dataset = fn.build_post_dataset(corpus, p1, warning_e1)
     p2 = cm.posts_for_entities(corpus, e2, name="P2")
-    p2_dataset = fn.build_post_dataset(corpus, p2, warning_e2.features, warning_e2.predictions, e2)
+    p2_dataset = fn.build_post_dataset(corpus, p2, warning_e2)
     return FullRun(
         corpus=corpus,
         truth=truth,
@@ -222,10 +222,10 @@ def test_criterion_4_classifier_oracles():
 
 def test_criterion_5_end_to_end_early_warning(full_run):
     result = full_run.warning_e1
-    preds = result.predictions
-    gold = [1 if full_run.truth.entities[p.entity].disputed else 0 for p in preds]
-    auc_a = roc_auc(gold, [p.score_a for p in preds])
-    auc_b = roc_auc(gold, [p.score_b for p in preds])
+    _, scores = result.predictions
+    gold = [1 if full_run.truth.entities[e].disputed else 0 for e in result.dataset.row_ids]
+    auc_a = roc_auc(gold, scores[0])
+    auc_b = roc_auc(gold, scores[1])
     assert auc_a >= 0.75 and auc_b >= 0.75
     assert full_run.elapsed_early_warning < 300.0
     counts = full_run.truth.totals

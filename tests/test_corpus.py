@@ -2,6 +2,7 @@
 
 import gc
 import json
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -145,7 +146,7 @@ def test_member_posts_only_count_qualifying_mentions(tiny_corpus, tiny_dir):
 
 def test_disputed_entities(tiny_corpus):
     e1 = cm.select_e1(tiny_corpus)
-    disputed = cm.disputed_entities(tiny_corpus, e1)
+    disputed = frozenset(compress(e1.entities, cm.disputed_entities(tiny_corpus, e1)))
     assert disputed == frozenset({"alpha"})  # p1 official + p3 fake
     assert disputed <= set(e1.entities)
 
@@ -159,7 +160,8 @@ def test_disputed_empty_without_fake_sources(tmp_path):
         [mention("alpha", "p1"), mention("alpha", "p2")],
     )
     corpus = cm.load_corpus(directory)
-    assert cm.disputed_entities(corpus, cm.select_e1(corpus)) == frozenset()
+    e1 = cm.select_e1(corpus)
+    assert frozenset(compress(e1.entities, cm.disputed_entities(corpus, e1))) == frozenset()
 
 
 def test_posts_for_entities_set_semantics(tmp_path):
@@ -204,7 +206,7 @@ def test_generator_roundtrip_loads_clean(small_synth):
 def test_generator_disputed_recovered_exactly(small_synth):
     corpus, truth, _ = small_synth
     e1 = cm.select_e1(corpus)
-    assert cm.disputed_entities(corpus, e1) == frozenset(truth.disputed)
+    assert frozenset(compress(e1.entities, cm.disputed_entities(corpus, e1))) == frozenset(truth.disputed)
 
 
 def test_planted_high_confidence_entities_exactly_selected(tmp_path):
@@ -258,7 +260,9 @@ def test_membership_table_matches_reference(oracle_corpus, min_confidence, min_p
     assert sample.entities == tuple(expected)
     assert sample.entity.tolist() == [e for e, rows in enumerate(expected.values()) for _ in rows]
     assert sample.rows.tolist() == [r for rows in expected.values() for r in rows]
-    disputed = cm.disputed_entities(corpus, sample)
+    mask = cm.disputed_entities(corpus, sample)
+    assert mask.shape == (len(sample.entities),)
+    disputed = frozenset(compress(sample.entities, mask))
     assert disputed == reference_disputed(corpus, {e: np.array(r) for e, r in expected.items()})
     assert 0 < len(disputed) < len(expected)
     every = {r for rows in expected.values() for r in rows}

@@ -10,7 +10,7 @@ from polarwarn import thresholds as th
 from polarwarn.evaluation import ClassMetrics, MetricsReport, Protocol, rebalance, roc_auc
 from polarwarn.models import ALGORITHMS, Dataset, DegenerateFitError, ModelSpec, fit, linear
 
-from conftest import members
+from conftest import entity_rows, members
 
 
 def subset_rows(dataset: Dataset, rows) -> Dataset:
@@ -18,62 +18,69 @@ def subset_rows(dataset: Dataset, rows) -> Dataset:
 
 
 def entity_feature(entity="e", disputed=0, with_comments=True, **overrides):
-    f = feat.EntityFeatures(
+    """One entity's values, as ``entity_rows`` gives them."""
+    f = dict(
         entity=entity, occurrences=3, post_sent_min=-0.5, post_sent_max=0.5,
         post_sent_mean=0.0, post_sent_std=0.2, presentation_distance=1.0,
         n_negative_posts=1, engaged_fraction=0.1, disputed=disputed,
+        comments_count=0, n_negative_comments=0, comment_sent_min=None, comment_sent_max=None,
+        comment_sent_mean=None, comment_sent_std=None, response_dist_min=None, response_dist_max=None,
+        response_dist_mean=None, response_dist_std=None, response_dist_global=None,
+        controversy=0, perception=None, captivation=None, missing=("comment_sentiment",),
     )
-    f.controversy = 0
     if with_comments:
-        f.comments_count = 5
-        f.n_negative_comments = 2
-        f.comment_sent_min = -0.4
-        f.comment_sent_max = 0.6
-        f.comment_sent_mean = 0.1
-        f.comment_sent_std = 0.3
-        f.response_dist_min = 0.0
-        f.response_dist_max = 0.4
-        f.response_dist_mean = 0.2
-        f.response_dist_std = 0.1
-        f.response_dist_global = 0.15
-        f.perception = 0
-        f.captivation = 0
-    for key, value in overrides.items():
-        setattr(f, key, value)
+        f.update(
+            comments_count=5, n_negative_comments=2, comment_sent_min=-0.4, comment_sent_max=0.6,
+            comment_sent_mean=0.1, comment_sent_std=0.3, response_dist_min=0.0, response_dist_max=0.4,
+            response_dist_mean=0.2, response_dist_std=0.1, response_dist_global=0.15,
+            perception=0, captivation=0, missing=(),
+        )
+    f.update(overrides)
     return f
+
+
+def table_of(rows) -> feat.EntityTable:
+    """An entity table of per-entity dicts; None is NaN."""
+    names = [name for name in rows[0] if name not in ("entity", "missing")]
+    return feat.EntityTable(
+        entities=tuple(f["entity"] for f in rows),
+        columns={name: np.array([np.nan if f[name] is None else f[name] for f in rows]) for name in names},
+        has_comments=np.array([not f["missing"] for f in rows]),
+        engagement=(np.zeros(0, np.int64), np.zeros(0, bool)),
+    )
 
 
 class TestBuildEntityDataset:
     def test_e1_width_is_eight(self):
-        feats = [entity_feature(f"e{i}", disputed=i % 2) for i in range(6)]
+        feats = table_of([entity_feature(f"e{i}", disputed=i % 2) for i in range(6)])
         ds = ew.build_entity_dataset(feats, "E1", False)
         assert len(ds.feature_names) == 8
         assert ds.feature_names == ew.E1_COLUMNS
 
     def test_e2_width_is_twenty(self):
-        feats = [entity_feature(f"e{i}", disputed=i % 2) for i in range(6)]
+        feats = table_of([entity_feature(f"e{i}", disputed=i % 2) for i in range(6)])
         ds = ew.build_entity_dataset(feats, "E2", True)
         assert len(ds.feature_names) == 20
         assert ds.feature_names == ew.E2_COLUMNS
         assert len(set(ds.feature_names)) == 20
 
     def test_rows_missing_comment_features_excluded(self):
-        feats = [
+        feats = table_of([
             entity_feature("good", disputed=1),
             entity_feature("bare", disputed=0, with_comments=False),
-        ]
+        ])
         ds = ew.build_entity_dataset(feats, "E2", True)
         assert ds.row_ids == ("good",)
 
     def test_occurrences_log_scaled(self):
-        feats = [entity_feature("a", occurrences=0), entity_feature("b", occurrences=99)]
+        feats = table_of([entity_feature("a", occurrences=0), entity_feature("b", occurrences=99)])
         ds = ew.build_entity_dataset(feats, "E1", False)
         col = list(ds.feature_names).index("occurrences")
         assert ds.features[0, col] == 0.0
         assert ds.features[1, col] == pytest.approx(np.log1p(99))
 
     def test_labels_are_disputedness(self):
-        feats = [entity_feature("a", disputed=1), entity_feature("b", disputed=0)]
+        feats = table_of([entity_feature("a", disputed=1), entity_feature("b", disputed=0)])
         ds = ew.build_entity_dataset(feats, "E1", False)
         assert dict(zip(ds.row_ids, ds.labels.tolist())) == {"a": 1, "b": 0}
 
@@ -198,8 +205,7 @@ def test_benchmark_log_close_to_reference_implementation(small_synth):
 def test_label_permutation_null(small_synth):
     corpus, _, _ = small_synth
     sample = cm.select_e1(corpus)
-    feats = feat.entity_features(corpus, sample)
-    ew.fill_indicators(feats, {th.MEASURE_PRESENTATION: 1.0})
+    feats = ew.with_indicators(feat.entity_features(corpus, sample), {th.MEASURE_PRESENTATION: 1.0})
     ds = ew.build_entity_dataset(feats, "E1", False)
     rng = np.random.default_rng(13)
     permuted = Dataset(
@@ -221,18 +227,18 @@ class TestPredictDisputed:
         specs = [ModelSpec(a, seed=3) for a in ALGORITHMS]
         result = ew.run_early_warning(corpus, sample, specs, Protocol(repeats=5, seed=3))
         assert result.best[0] != result.best[1]
-        assert len(result.predictions) == result.dataset.n
-        gold = [1 if truth.entities[p.entity].disputed else 0 for p in result.predictions]
-        assert roc_auc(gold, [p.score_a for p in result.predictions]) >= 0.75
-        assert roc_auc(gold, [p.score_b for p in result.predictions]) >= 0.75
-        for p in result.predictions:
-            assert p.pred_a == (1 if (p.score_a >= (0.0 if p.model_a == "svm" else 0.5)) else 0)
+        labels, scores = result.predictions
+        assert labels.shape == scores.shape == (2, result.dataset.n)
+        gold = [1 if truth.entities[e].disputed else 0 for e in result.dataset.row_ids]
+        assert roc_auc(gold, scores[0]) >= 0.75
+        assert roc_auc(gold, scores[1]) >= 0.75
+        for label, score, model in zip(labels.tolist(), scores.tolist(), result.best):
+            assert label == [1 if s >= (0.0 if model == "svm" else 0.5) else 0 for s in score]
 
     def test_schema_mismatch_rejected(self, small_synth):
         corpus, _, _ = small_synth
         sample = cm.select_e1(corpus)
-        feats = feat.entity_features(corpus, sample)
-        ew.fill_indicators(feats, {th.MEASURE_PRESENTATION: 1.0})
+        feats = ew.with_indicators(feat.entity_features(corpus, sample), {th.MEASURE_PRESENTATION: 1.0})
         ds = ew.build_entity_dataset(feats, "E1", False)
         balanced = subset_rows(ds, rebalance(ds.labels, 0))
         model_a = fit(balanced, ModelSpec("log"))
@@ -257,22 +263,22 @@ def test_dataset_rebuild_is_schema_stable(small_synth):
 class TestThresholdEntities:
     def test_e1_gets_the_presentation_curve_only(self, small_synth):
         corpus, _, _ = small_synth
-        feats, curves, selections = ew.threshold_entities(corpus, cm.select_e1(corpus))
+        table, curves, selections = ew.threshold_entities(corpus, cm.select_e1(corpus))
         assert list(curves) == list(selections) == [th.MEASURE_PRESENTATION]
         delta_p = selections[th.MEASURE_PRESENTATION].threshold
-        for f in feats:
-            assert f.controversy == (1 if f.presentation_distance >= delta_p else 0)
-            assert f.perception is None and f.captivation is None
+        for f in entity_rows(table):
+            assert f["controversy"] == (1 if f["presentation_distance"] >= delta_p else 0)
+            assert f["perception"] is None and f["captivation"] is None
 
     def test_e2_gets_every_curve_in_table_order(self, small_synth):
         corpus, _, _ = small_synth
-        feats, curves, selections = ew.threshold_entities(corpus, cm.select_e2(corpus))
+        table, curves, selections = ew.threshold_entities(corpus, cm.select_e2(corpus))
         assert list(curves) == list(selections) == list(th.MEASURES)
         delta_r = selections[th.MEASURE_RESPONSE].threshold
         rho_e = selections[th.MEASURE_ENGAGEMENT].threshold
-        for f in feats:
-            assert f.perception == (1 if f.response_dist_global >= delta_r else 0)
-            assert f.captivation == (1 if f.engaged_fraction >= rho_e else 0)
+        for f in entity_rows(table):
+            assert f["perception"] == (1 if f["response_dist_global"] >= delta_r else 0)
+            assert f["captivation"] == (1 if f["engaged_fraction"] >= rho_e else 0)
 
     def test_entity_without_scored_comments_keeps_perception_none(self, small_synth):
         corpus, _, _ = small_synth
@@ -284,11 +290,12 @@ class TestThresholdEntities:
         entity = np.repeat(np.arange(len(rows)), list(map(len, rows.values())))
         sample = cm.EntitySample("E2", tuple(rows), entity, np.concatenate(list(rows.values())),
                                  requires_comment_sentiment=True)
-        feats, curves, selections = ew.threshold_entities(corpus, sample)
+        table, curves, selections = ew.threshold_entities(corpus, sample)
         assert th.MEASURE_RESPONSE in selections
         # the curve's first cut, 0, keeps every entity with a value, and only those
-        disputed = sum(f.disputed for f in feats if f.entity != extra)
+        feats = entity_rows(table)
+        disputed = sum(f["disputed"] for f in feats if f["entity"] != extra)
         assert disputed and curves[th.MEASURE_RESPONSE].ratio_de[0] == disputed / (len(rows) - 1)
-        f = next(f for f in feats if f.entity == extra)
-        assert f.response_dist_global is None and f.perception is None
-        assert f.captivation is not None and f.controversy is not None
+        f = next(f for f in feats if f["entity"] == extra)
+        assert f["response_dist_global"] is None and f["perception"] is None
+        assert f["captivation"] is not None and f["controversy"] is not None

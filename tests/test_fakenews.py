@@ -1,7 +1,10 @@
 """Post-level features against hand counts and a per-post brute oracle."""
 
+import csv
+import json
 import logging
 import re
+from itertools import compress
 from unittest import mock
 
 import numpy as np
@@ -9,13 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polarwarn import cli
 from polarwarn import corpus as cm
 from polarwarn import earlywarning as ew
 from polarwarn import fakenews as fn
 from polarwarn.evaluation import Protocol
 from polarwarn.models import ALGORITHMS, Dataset, ModelSpec
 
-from conftest import comment, mention, post, read_records, source, write_corpus
+from conftest import comment, entity_rows, mention, post, read_records, source, tiny_warning, write_corpus
 
 
 # The per-text definitions the column-wise build must reproduce exactly.
@@ -64,7 +68,11 @@ def oracle_mean(values):
 
 
 def oracle_row(records, pid, sample, min_confidence, feature_map, pred_map):
-    """One post's feature row, straight from the raw records."""
+    """One post's feature row, straight from the raw records.
+
+    ``feature_map`` maps an entity to its ``entity_rows`` dict, and
+    ``pred_map`` an entity with a dataset row to its two models' labels.
+    """
     post = records.posts[pid]
     comments = records.comments_by_post.get(pid, [])
     entities = sorted(
@@ -117,13 +125,13 @@ def oracle_row(records, pid, sample, min_confidence, feature_map, pred_map):
         row += [0.0] * len(fn.USER_STAT_NAMES)
 
     known = [feature_map[e] for e in entities if e in feature_map]
-    row += [post["sentiment"], *oracle_mean_std([f.presentation_distance for f in known])]
+    row += [post["sentiment"], *oracle_mean_std([f["presentation_distance"] for f in known])]
     if sample.requires_comment_sentiment:
         scored = [c["sentiment"] for c in comments if c["sentiment"] is not None]
         n_pos = sum(1 for s in scored if s > 0)
         n_neg = sum(1 for s in scored if s < 0)
-        n_capt = sum(1 for f in known if f.captivation == 1)
-        responses = [f.response_dist_global for f in known if f.response_dist_global is not None]
+        n_capt = sum(1 for f in known if f["captivation"] == 1)
+        responses = [f["response_dist_global"] for f in known if f["response_dist_global"] is not None]
         row += [
             *oracle_mean_std(scored),
             n_pos / len(scored) if scored else 0.0,
@@ -134,8 +142,8 @@ def oracle_row(records, pid, sample, min_confidence, feature_map, pred_map):
             oracle_mean(responses),
         ]
 
-    for side in ("pred_a", "pred_b"):
-        count = sum(1 for e in entities if e in pred_map and getattr(pred_map[e], side) == 1)
+    for side in (0, 1):
+        count = sum(1 for e in entities if e in pred_map and pred_map[e][side] == 1)
         row += [float(count), count / len(entities) if entities else 0.0]
     return row
 
@@ -214,22 +222,18 @@ class TestTextKernel:
         assert got.tolist() == [oracle_semantic(t) for t in texts]
 
 
-def tiny_prediction(entity, pred_a=0, pred_b=0):
-    return ew.EntityPrediction(
-        entity=entity, pred_a=pred_a, pred_b=pred_b,
-        score_a=float(pred_a), score_b=float(pred_b), model_a="log", model_b="nn",
-    )
+def build_rows(corpus, predictions=None, posts=None):
+    """Feature rows by post id of an E1 build over the given posts (default P1).
 
-
-def build_rows(corpus, predictions, posts=None):
-    """Feature rows by post id of an E1 build over the given posts (default P1)."""
+    ``predictions`` maps an entity to its (log, nn) labels, (0, 0) when absent.
+    """
     sample = cm.select_e1(corpus)
     if posts is None:
         post_sample = cm.posts_for_entities(corpus, sample)
     else:
         rows = np.array([corpus.posts.ids.index(p) for p in sorted(posts)])
         post_sample = cm.PostSample(name="P", rows=rows, labels=np.zeros(len(rows), np.int8))
-    ds = fn.build_post_dataset(corpus, post_sample, [], predictions, sample)
+    ds = fn.build_post_dataset(corpus, post_sample, tiny_warning(corpus, sample, predictions))
     return {pid: dict(zip(ds.feature_names, row)) for pid, row in zip(ds.row_ids, ds.features)}
 
 
@@ -255,7 +259,7 @@ def build_user_corpus(tmp_path):
 class TestUserStats:
     def test_hand_computation_single_commenter(self, tmp_path):
         corpus = build_user_corpus(tmp_path)
-        stats = user_stats(build_rows(corpus, [tiny_prediction("alpha")]), "p1")
+        stats = user_stats(build_rows(corpus), "p1")
         assert stats["comments_to_commenters_avg"] == 4  # replies 1 + 3
         assert stats["comments_to_commenters_std"] == 0
         assert stats["likes_to_commenters_avg"] == 6
@@ -266,7 +270,7 @@ class TestUserStats:
 
     def test_no_commenters_all_zero(self, tmp_path):
         corpus = build_user_corpus(tmp_path)
-        rows = build_rows(corpus, [tiny_prediction("alpha")], posts=["p1", "p4"])
+        rows = build_rows(corpus, posts=["p1", "p4"])
         assert list(user_stats(rows, "p4").values()) == [0.0] * 12
 
     def test_engaged_commenter_counted(self, tmp_path):
@@ -275,7 +279,7 @@ class TestUserStats:
         comments = [comment(f"c{i}", "p1", "fan", i) for i in range(5)]
         mentions = [mention("alpha", "p1", 0.9)]
         corpus = cm.load_corpus(write_corpus(tmp_path / "e", sources, posts, comments, mentions))
-        stats = user_stats(build_rows(corpus, [tiny_prediction("alpha")]), "p1")
+        stats = user_stats(build_rows(corpus), "p1")
         assert stats["engaged_users"] == 1
         assert stats["engaged_users_rate"] == 1.0
 
@@ -287,7 +291,7 @@ class TestUserStats:
         corpus = cm.load_corpus(write_corpus(
             tmp_path / "s", sources, posts, comments, [mention("alpha", "p1", 0.9)]
         ))
-        stats = user_stats(build_rows(corpus, [tiny_prediction("alpha")]), "p1")
+        stats = user_stats(build_rows(corpus), "p1")
         # likes {1, 2, 6}: mean 3, squared deviations 4 + 1 + 9
         assert stats["mean_std_likes_to_commenters"] == (14 / 3) ** 0.5
         assert stats["mean_std_comments_to_commenters"] == (56 / 3) ** 0.5
@@ -302,7 +306,7 @@ class TestUserStats:
         comments += [comment("d1", "p1", "other", 6), comment("d2", "p2", "other", 7)]
         mentions = [mention("alpha", "p1", 0.9), mention("beta", "p1", 0.9)]
         corpus = cm.load_corpus(write_corpus(tmp_path / "t", sources, posts, comments, mentions))
-        rows = build_rows(corpus, [tiny_prediction("alpha"), tiny_prediction("beta")])
+        rows = build_rows(corpus)
         stats = user_stats(rows, "p1")
         # fan is engaged with alpha and with beta; other has 1 of 2 comments there
         assert stats["engaged_users"] == 1
@@ -315,7 +319,7 @@ class TestUserStats:
         comments += [comment("d1", "p2", "near", 30), comment("f1", "p1", "fan", 31)]
         mentions = [mention("alpha", "p1", 0.9)]
         corpus = cm.load_corpus(write_corpus(tmp_path / "n", sources, posts, comments, mentions))
-        stats = user_stats(build_rows(corpus, [tiny_prediction("alpha")]), "p1")
+        stats = user_stats(build_rows(corpus), "p1")
         # near has exactly 95% (19 of 20) of their comments on alpha's posts
         assert stats["engaged_users"] == 1
         assert stats["engaged_users_rate"] == 0.5
@@ -328,7 +332,7 @@ class TestUserStats:
         comments += [comment("d1", "p1", "other", 30), comment("d2", "p3", "other", 31)]
         mentions = [mention("alpha", "p1", 0.9), mention("alpha", "p2", 0.9)]
         corpus = cm.load_corpus(write_corpus(tmp_path / "o", sources, posts, comments, mentions))
-        stats = user_stats(build_rows(corpus, [tiny_prediction("alpha")], posts=["p1"]), "p1")
+        stats = user_stats(build_rows(corpus, posts=["p1"]), "p1")
         # the rows are p1 alone: fan has 1 of 20 comments there, but all 20
         # on alpha's member posts p1 and p2; other has 1 of 2
         assert stats["engaged_users"] == 1
@@ -351,18 +355,18 @@ PREDICTED = ("pred_n_disputed_log", "pred_rate_disputed_log",
 class TestPredictedStats:
     def test_counts_and_rates(self, tmp_path):
         corpus = build_predicted_corpus(tmp_path)
-        rows = build_rows(corpus, [tiny_prediction("a", 1, 1), tiny_prediction("b", 0, 0)])
+        rows = build_rows(corpus, {"a": (1, 1), "b": (0, 0)})
         assert [rows["p1"][name] for name in PREDICTED] == [1, 0.5, 1, 0.5]
 
     def test_no_entities_zero(self, tmp_path):
         corpus = build_predicted_corpus(tmp_path)
-        rows = build_rows(corpus, [tiny_prediction("a", 1, 1)], posts=["p1", "p2"])
+        rows = build_rows(corpus, {"a": (1, 1)}, posts=["p1", "p2"])
         assert [rows["p2"][name] for name in PREDICTED] == [0, 0, 0, 0]
 
     def test_one_warning_for_posts_without_entities(self, tmp_path, caplog):
         corpus = build_predicted_corpus(tmp_path)
         with caplog.at_level(logging.DEBUG, logger=fn.__name__):
-            build_rows(corpus, [tiny_prediction("a")], posts=["p1", "p2"])
+            build_rows(corpus, posts=["p1", "p2"])
         warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
         assert warnings == ["1 posts have no qualifying entity mentions (first: p2)"]
         debug = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
@@ -381,19 +385,47 @@ def small_post_world(tmp_path_factory):
     specs = [ModelSpec(a, seed=2) for a in ALGORITHMS]
     warning = ew.run_early_warning(corpus, e1, specs, Protocol(repeats=4, seed=2))
     p1 = cm.posts_for_entities(corpus, e1, name="P1")
-    dataset = fn.build_post_dataset(corpus, p1, warning.features, warning.predictions, e1)
+    dataset = fn.build_post_dataset(corpus, p1, warning)
     return corpus, read_records(directory), e1, warning, p1, dataset
 
 
 @pytest.fixture(scope="module")
-def small_p2_world(small_post_world):
-    corpus = small_post_world[0]
+def small_p2_world(tmp_path_factory):
+    """E2 and one more entity, "unscored", with member posts but no scored comment.
+
+    The corpus is generated from the config small_post_world uses, plus two
+    mentions of "unscored": a P2 post without comments and a post outside P2
+    whose comments are all unscored.  The sample holds E2's memberships and
+    those two.
+    """
+    from conftest import SMALL_SYNTH_CONFIG
+    from polarwarn import synth
+
+    directory = tmp_path_factory.mktemp("posts_p2")
+    synth.generate(SMALL_SYNTH_CONFIG, directory)
+    corpus = cm.load_corpus(directory)
     e2 = cm.select_e2(corpus)
+    in_e2 = np.isin(np.arange(len(corpus.posts)), e2.rows)
+    n_comments = np.diff(corpus.comments_of_post.ptr)
+    n_scored = np.bincount(corpus.comments.post[~np.isnan(corpus.comments.sentiment)],
+                           minlength=len(corpus.posts))
+    uncommented = np.flatnonzero(in_e2 & (n_comments == 0))
+    unscored = np.flatnonzero(~in_e2 & (n_comments > 0) & (n_scored == 0))
+    assert len(uncommented) and len(unscored)
+    with open(directory / "mentions.jsonl", "a", encoding="utf-8") as fh:
+        for row in (uncommented[0], unscored[0]):
+            fh.write(json.dumps(mention("unscored", corpus.posts.ids[row])) + "\n")
+    corpus = cm.load_corpus(directory)
+    wide = cm.select_entities(corpus, 0.9, 1, require_comment_sentiment=True, name="E2")
+    kept = np.isin(wide.entities, [*cm.select_e2(corpus).entities, "unscored"])
+    member = kept[wide.entity]
+    e2 = cm.EntitySample("E2", tuple(compress(wide.entities, kept)), (np.cumsum(kept) - 1)[wide.entity[member]],
+                         wide.rows[member], requires_comment_sentiment=True)
     specs = [ModelSpec(a, seed=2) for a in ALGORITHMS]
     warning = ew.run_early_warning(corpus, e2, specs, Protocol(repeats=3, seed=2))
     p2 = cm.posts_for_entities(corpus, e2, name="P2")
-    dataset = fn.build_post_dataset(corpus, p2, warning.features, warning.predictions, e2)
-    return e2, warning, dataset
+    dataset = fn.build_post_dataset(corpus, p2, warning)
+    return read_records(directory), e2, warning, dataset
 
 
 class TestBuildPostDataset:
@@ -419,7 +451,7 @@ class TestBuildPostDataset:
         corpus, _, e1, warning, p1, dataset = small_post_world
         half = np.arange(0, len(p1.rows), 2)
         subset = cm.PostSample(name="half", rows=p1.rows[half], labels=p1.labels[half])
-        ds = fn.build_post_dataset(corpus, subset, warning.features, warning.predictions, e1)
+        ds = fn.build_post_dataset(corpus, subset, warning)
         assert ds.row_ids == tuple(dataset.row_ids[i] for i in half.tolist())
         assert np.array_equal(ds.features, dataset.features[half])
 
@@ -442,19 +474,38 @@ class TestBuildPostDataset:
             assert row[n_col] <= len(contained)
 
     def test_matches_naive_recomputation(self, small_post_world, small_p2_world):
-        _, records, e1, warning, p1, dataset = small_post_world
-        e2, warning2, dataset2 = small_p2_world
-        for sample, min_confidence, warn, ds, width in (
-            (e1, 0.6, warning, dataset, 44), (e2, 0.9, warning2, dataset2, 52)
+        _, records1, e1, warning, p1, dataset = small_post_world
+        records2, e2, warning2, dataset2 = small_p2_world
+        for records, sample, min_confidence, warn, ds, width in (
+            (records1, e1, 0.6, warning, dataset, 44), (records2, e2, 0.9, warning2, dataset2, 52)
         ):
-            feature_map = {f.entity: f for f in warn.features}
-            pred_map = {p.entity: p for p in warn.predictions}
+            feature_map = {f["entity"]: f for f in entity_rows(warn.features)}
+            pred_map = dict(zip(warn.dataset.row_ids, warn.predictions[0].T.tolist()))
             assert ds.features.shape[1] == width
             assert any(ds.features[:, ds.feature_names.index("ub_engaged_users")] > 0)
             for pid, row in zip(ds.row_ids, ds.features.tolist()):
                 expected = oracle_row(records, pid, sample, min_confidence, feature_map, pred_map)
                 wrong = [n for n, a, b in zip(ds.feature_names, row, expected) if a != b]
                 assert not wrong, (pid, wrong)
+
+    def test_entity_without_scored_comments(self, small_p2_world, tmp_path):
+        records, e2, warning, dataset = small_p2_world
+        cli._write_features(tmp_path / "features.csv", warning.features)
+        with open(tmp_path / "features.csv", newline="", encoding="utf-8") as fh:
+            row = next(r for r in csv.DictReader(fh) if r["entity"] == "unscored")
+        comment_fields = [name for name in row if name.startswith(("comment_sent_", "response_dist_"))]
+        assert len(comment_fields) == 9
+        assert [row[name] for name in (*comment_fields, "perception")] == [""] * 10
+        assert row["missing"] == "comment_sentiment"
+        assert row["controversy"] in ("0", "1") and row["captivation"] in ("0", "1")
+        assert "unscored" in e2.entities and "unscored" not in warning.dataset.row_ids
+        alone = [pid for pid, entities in records.entities_by_post.items()
+                 if [e for e, conf in entities.items() if e in e2.entities and conf >= 0.9] == ["unscored"]]
+        assert len(alone) == 1
+        values = dict(zip(dataset.feature_names, dataset.features[dataset.row_ids.index(alone[0])].tolist()))
+        assert [values[name] for name in dataset.feature_names if name.startswith("pred_")] == [0.0] * 4
+        assert values["sb_response_dist_avg"] == 0.0
+        assert values["st_comments"] > 0 and values["sb_comment_sent_avg"] == 0.0
 
 
 def synthetic_category_dataset(signal_category, n=240, seed=0):

@@ -15,7 +15,8 @@ from polarwarn import fakenews as fn
 from polarwarn import features as feat
 from polarwarn import thresholds as th
 
-from conftest import comment, members, mention, post, read_records, source, write_corpus
+from conftest import (comment, entity_rows, members, mention, post, read_records, source, tiny_warning,
+                      write_corpus)
 
 
 def corpus_with_sentiments(tmp_path, sentiments, comments_by_post=None):
@@ -33,23 +34,23 @@ def corpus_with_sentiments(tmp_path, sentiments, comments_by_post=None):
 
 
 def topic_features(corpus):
-    """The entity_features record of 'topic', with every mention counted."""
+    """The entity_features values of 'topic', with every mention counted."""
     sample = cm.select_entities(corpus, 0.0, 1)
-    return {f.entity: f for f in feat.entity_features(corpus, sample)}["topic"]
+    return {f["entity"]: f for f in entity_rows(feat.entity_features(corpus, sample))}["topic"]
 
 
 class TestPresentationDistance:
     def test_single_post_is_zero(self, tmp_path):
         corpus = corpus_with_sentiments(tmp_path, [0.4])
-        assert topic_features(corpus).presentation_distance == 0.0
+        assert topic_features(corpus)["presentation_distance"] == 0.0
 
     def test_spread(self, tmp_path):
         corpus = corpus_with_sentiments(tmp_path, [-0.8, 0.1, 0.6])
-        assert topic_features(corpus).presentation_distance == pytest.approx(1.4)
+        assert topic_features(corpus)["presentation_distance"] == pytest.approx(1.4)
 
     def test_extremes(self, tmp_path):
         corpus = corpus_with_sentiments(tmp_path, [-1.0, 1.0])
-        assert topic_features(corpus).presentation_distance == pytest.approx(2.0)
+        assert topic_features(corpus)["presentation_distance"] == pytest.approx(2.0)
 
     @given(st.lists(st.floats(min_value=-1, max_value=1), min_size=1, max_size=20))
     @settings(max_examples=60, deadline=None)
@@ -63,15 +64,15 @@ class TestResponseDistance:
     def test_consonant_response_all_zero(self, tmp_path):
         corpus = corpus_with_sentiments(tmp_path, [0.5], {"p0": [0.5, 0.5]})
         f = topic_features(corpus)
-        assert f.response_dist_global == f.response_dist_min == f.response_dist_max == 0.0
-        assert f.response_dist_mean == f.response_dist_std == 0.0
+        assert f["response_dist_global"] == f["response_dist_min"] == f["response_dist_max"] == 0.0
+        assert f["response_dist_mean"] == f["response_dist_std"] == 0.0
 
     def test_hand_computation_single_post(self, tmp_path):
         corpus = corpus_with_sentiments(tmp_path, [0.2], {"p0": [-0.4, 0.0]})
         f = topic_features(corpus)
-        assert f.response_dist_global == pytest.approx(0.4)
-        assert f.response_dist_min == f.response_dist_max == f.response_dist_mean == pytest.approx(0.4)
-        assert f.response_dist_std == 0.0
+        assert f["response_dist_global"] == pytest.approx(0.4)
+        assert f["response_dist_min"] == f["response_dist_max"] == f["response_dist_mean"] == pytest.approx(0.4)
+        assert f["response_dist_std"] == 0.0
 
     def test_hand_computation_two_posts(self, tmp_path):
         # r(p0) = |0.3 - 0.2| = 0.1, r(p1) = |0.0 - 0.5| = 0.5
@@ -79,17 +80,17 @@ class TestResponseDistance:
             tmp_path, [0.3, 0.0], {"p0": [0.2], "p1": [0.5]}
         )
         f = topic_features(corpus)
-        assert f.response_dist_min == pytest.approx(0.1)
-        assert f.response_dist_max == pytest.approx(0.5)
-        assert f.response_dist_mean == pytest.approx(0.3)
+        assert f["response_dist_min"] == pytest.approx(0.1)
+        assert f["response_dist_max"] == pytest.approx(0.5)
+        assert f["response_dist_mean"] == pytest.approx(0.3)
 
     def test_no_scored_comments_leaves_fields_none(self, tmp_path):
         corpus = corpus_with_sentiments(tmp_path, [0.2], {"p0": [None]})
         f = topic_features(corpus)
-        assert f.comments_count == 1
-        assert f.comment_sent_mean is None and f.comment_sent_std is None
-        assert f.response_dist_min is None and f.response_dist_global is None
-        assert f.missing == ("comment_sentiment",)
+        assert f["comments_count"] == 1
+        assert f["comment_sent_mean"] is None and f["comment_sent_std"] is None
+        assert f["response_dist_min"] is None and f["response_dist_global"] is None
+        assert f["missing"] == ("comment_sentiment",)
 
 
 class TestEngagedFraction:
@@ -108,30 +109,30 @@ class TestEngagedFraction:
 
     def test_exactly_95_percent_is_not_engaged(self, tmp_path):
         corpus = self.build(tmp_path, member_comments=19, elsewhere_comments=1)
-        assert topic_features(corpus).engaged_fraction == 0.0
+        assert topic_features(corpus)["engaged_fraction"] == 0.0
 
     def test_above_95_percent_is_engaged(self, tmp_path):
         # 20 of 21 comments on member posts: 0.9524 > 0.95
         corpus = self.build(tmp_path, member_comments=20, elsewhere_comments=1)
-        assert topic_features(corpus).engaged_fraction == 1.0
+        assert topic_features(corpus)["engaged_fraction"] == 1.0
 
     def test_sole_commenter_fully_engaged(self, tmp_path):
         corpus = self.build(tmp_path, member_comments=3, elsewhere_comments=0)
-        assert topic_features(corpus).engaged_fraction == 1.0
+        assert topic_features(corpus)["engaged_fraction"] == 1.0
 
     def test_no_commenters_is_zero(self, tmp_path):
         corpus = corpus_with_sentiments(tmp_path, [0.1])
-        assert topic_features(corpus).engaged_fraction == 0.0
+        assert topic_features(corpus)["engaged_fraction"] == 0.0
 
     def test_outside_comment_never_increases(self, tmp_path):
         before = self.build(tmp_path, member_comments=20, elsewhere_comments=0)
         after = self.build(tmp_path, member_comments=20, elsewhere_comments=1)
-        assert topic_features(after).engaged_fraction <= topic_features(before).engaged_fraction
+        assert topic_features(after)["engaged_fraction"] <= topic_features(before)["engaged_fraction"]
 
     def test_matches_generator_truth_exactly(self, small_synth):
         corpus, truth, _ = small_synth
-        for f in feat.entity_features(corpus, cm.select_e1(corpus)):
-            assert f.engaged_fraction == truth.entities[f.entity].u_e, f.entity
+        for f in entity_rows(feat.entity_features(corpus, cm.select_e1(corpus))):
+            assert f["engaged_fraction"] == truth.entities[f["entity"]].u_e, f["entity"]
 
     def test_planted_cohorts_are_engaged(self, small_synth):
         corpus, truth, _ = small_synth
@@ -160,10 +161,8 @@ def test_sums_and_rows_follow_post_id_order(tmp_path):
     for s in sentiments:
         in_file_order += s
     assert in_id_order != in_file_order
-    assert feat.entity_features(corpus, sample)[0].post_sent_mean == in_id_order / len(ids)
-    prediction = ew.EntityPrediction("topic", 0, 0, 0.0, 0.0, "log", "nn")
-    dataset = fn.build_post_dataset(corpus, cm.posts_for_entities(corpus, sample), [],
-                                    [prediction], sample)
+    assert feat.entity_features(corpus, sample).columns["post_sent_mean"][0] == in_id_order / len(ids)
+    dataset = fn.build_post_dataset(corpus, cm.posts_for_entities(corpus, sample), tiny_warning(corpus, sample))
     assert list(dataset.row_ids) == ids
 
 
@@ -213,14 +212,14 @@ def naive_entity_features(records, min_confidence, entity):
 def test_entity_features_match_naive_oracle_every_entity(oracle_dir):
     corpus = cm.load_corpus(oracle_dir)
     sample = cm.select_e1(corpus)
-    computed = {f.entity: f for f in feat.entity_features(corpus, sample)}
+    computed = {f["entity"]: f for f in entity_rows(feat.entity_features(corpus, sample))}
     assert set(computed) == set(sample.entities)
     records = read_records(oracle_dir)
     for entity in sorted(sample.entities):
         expected = naive_entity_features(records, 0.6, entity)
         got = computed[entity]
         for key, value in expected.items():
-            assert getattr(got, key) == pytest.approx(value, abs=1e-12), (entity, key)
+            assert got[key] == pytest.approx(value, abs=1e-12), (entity, key)
 
 
 def _lsum(values):
@@ -270,42 +269,47 @@ def reference_entity_features(corpus, by_entity):
     for e, (entity, rows) in enumerate(by_entity.items()):
         sentiments = corpus.posts.sentiment[rows].tolist()
         mean = _lsum(sentiments) / len(sentiments)
-        f = feat.EntityFeatures(
-            entity=entity,
-            occurrences=len(sentiments),
-            post_sent_min=min(sentiments),
-            post_sent_max=max(sentiments),
-            post_sent_mean=mean,
-            post_sent_std=reference_std(sentiments, mean),
-            presentation_distance=max(sentiments) - min(sentiments),
-            n_negative_posts=sum(1 for s in sentiments if s < 0),
-            engaged_fraction=devoted[e] / commenters[e] if commenters[e] else 0.0,
-            disputed=1 if entity in disputed else 0,
-        )
-        f.comments_count, scored, per_post = reference_comment_sentiments(corpus, rows)
+        comments_count, scored, per_post = reference_comment_sentiments(corpus, rows)
+        f = {
+            "entity": entity,
+            "occurrences": len(sentiments),
+            "post_sent_min": min(sentiments),
+            "post_sent_max": max(sentiments),
+            "post_sent_mean": mean,
+            "post_sent_std": reference_std(sentiments, mean),
+            "presentation_distance": max(sentiments) - min(sentiments),
+            "n_negative_posts": sum(1 for s in sentiments if s < 0),
+            "engaged_fraction": devoted[e] / commenters[e] if commenters[e] else 0.0,
+            "disputed": 1 if entity in disputed else 0,
+            "comments_count": comments_count,
+            "n_negative_comments": sum(1 for s in scored if s < 0),
+        }
+        comment_fields = ("comment_sent_min", "comment_sent_max", "comment_sent_mean", "comment_sent_std",
+                          "response_dist_min", "response_dist_max", "response_dist_mean", "response_dist_std",
+                          "response_dist_global")
+        f.update(dict.fromkeys(comment_fields))
         if scored:
             cmean = _lsum(scored) / len(scored)
-            f.comment_sent_min = min(scored)
-            f.comment_sent_max = max(scored)
-            f.comment_sent_mean = cmean
-            f.comment_sent_std = reference_std(scored, cmean)
-            f.n_negative_comments = sum(1 for s in scored if s < 0)
+            f["comment_sent_min"] = min(scored)
+            f["comment_sent_max"] = max(scored)
+            f["comment_sent_mean"] = cmean
+            f["comment_sent_std"] = reference_std(scored, cmean)
             distances = reference_distances(sentiments, scored, per_post)
             rmean = _lsum(distances) / len(distances)
-            f.response_dist_min = min(distances)
-            f.response_dist_max = max(distances)
-            f.response_dist_mean = rmean
-            f.response_dist_std = reference_std(distances, rmean)
-            f.response_dist_global = abs(mean - cmean)
-        else:
-            f.missing = ("comment_sentiment",)
+            f["response_dist_min"] = min(distances)
+            f["response_dist_max"] = max(distances)
+            f["response_dist_mean"] = rmean
+            f["response_dist_std"] = reference_std(distances, rmean)
+            f["response_dist_global"] = abs(mean - cmean)
+        f.update(controversy=None, perception=None, captivation=None,
+                 missing=() if scored else ("comment_sentiment",))
         out.append(f)
     return out
 
 
 def reference_attention_curve(corpus, by_entity, features, grid):
     """The per-cut loop over entities that ``attention_curve`` replaces with one per-post array."""
-    dp = [(f.presentation_distance, by_entity[f.entity]) for f in features]
+    dp = [(f["presentation_distance"], by_entity[f["entity"]]) for f in features]
     n_comments = np.diff(corpus.comments_of_post.ptr)
     rows = []
     for delta in grid:
@@ -349,14 +353,13 @@ def test_entity_measures_match_reference_loops(oracle_corpus, selection):
     corpus = oracle_corpus
     sample = cm.select_entities(corpus, **selection)
     by_entity = members(sample)
-    features = feat.entity_features(corpus, sample)
+    table = feat.entity_features(corpus, sample)
+    assert len(table) == len(sample.entities)
+    features = entity_rows(table)
     same_bits(features, reference_entity_features(corpus, by_entity))
     grid = [-math.inf, *(i / 100 for i in range(0, 200, 5)), math.nan]
-    same_bits(feat.attention_curve(corpus, sample, features, grid),
+    same_bits(feat.attention_curve(corpus, sample, table, grid),
               reference_attention_curve(corpus, by_entity, features, grid))
-    listed = features[::2]
-    same_bits(feat.attention_curve(corpus, sample, listed, grid),
-              reference_attention_curve(corpus, by_entity, listed, grid))
     lags = feat.temporal_lag_histogram(corpus, sample).lags_hours
     assert lags and lags == reference_lags(corpus, by_entity)
 
@@ -365,34 +368,33 @@ def test_signed_zeros_pick_as_min_and_max_do(tmp_path):
     # ids sort p0, p1: min and max keep the first of equal values
     corpus = corpus_with_sentiments(tmp_path, [0.0, -0.0], {"p0": [-0.0, 0.0], "p1": [0.0]})
     sample = cm.select_entities(corpus, 0.0, 1)
-    got = feat.entity_features(corpus, sample)
+    got = entity_rows(feat.entity_features(corpus, sample))
     same_bits(got, reference_entity_features(corpus, members(sample)))
-    assert repr((got[0].post_sent_min, got[0].comment_sent_min)) == "(0.0, -0.0)"
+    assert repr((got[0]["post_sent_min"], got[0]["comment_sent_min"])) == "(0.0, -0.0)"
 
 
 def test_indicator_boundaries(small_synth):
     corpus, _, _ = small_synth
     sample = cm.select_e1(corpus)
     feats = feat.entity_features(corpus, sample)
-    target = feats[0]
+    target = entity_rows(feats)[0]
 
-    cuts = {th.MEASURE_PRESENTATION: target.presentation_distance,  # boundary: >= flips to 1
-            th.MEASURE_ENGAGEMENT: target.engaged_fraction}
-    ew.fill_indicators(feats, cuts)
-    assert target.controversy == 1
-    assert target.captivation == 1
+    cuts = {th.MEASURE_PRESENTATION: target["presentation_distance"],  # boundary: >= flips to 1
+            th.MEASURE_ENGAGEMENT: target["engaged_fraction"]}
+    target = entity_rows(ew.with_indicators(feats, cuts))[0]
+    assert target["controversy"] == 1
+    assert target["captivation"] == 1
 
 
 def test_indicators_monotone_in_measure(small_synth):
     corpus, _, _ = small_synth
     sample = cm.select_e1(corpus)
 
-    feats = feat.entity_features(corpus, sample)
-    ew.fill_indicators(feats, {th.MEASURE_PRESENTATION: 0.5})
-    ordered = sorted(feats, key=lambda f: f.presentation_distance)
+    feats = ew.with_indicators(feat.entity_features(corpus, sample), {th.MEASURE_PRESENTATION: 0.5})
+    ordered = sorted(entity_rows(feats), key=lambda f: f["presentation_distance"])
     seen_one = False
     for f in ordered:
-        if f.controversy == 1:
+        if f["controversy"] == 1:
             seen_one = True
         elif seen_one:
             pytest.fail("controversy flipped back to 0 as presentation distance grew")
@@ -437,17 +439,15 @@ def area(hist):
 
 class TestResponseDistribution:
     def make_features(self, values, controversy=1, disputed=1):
-        out = []
-        for i, v in enumerate(values):
-            f = feat.EntityFeatures(
-                entity=f"e{i}", occurrences=1, post_sent_min=0, post_sent_max=0,
-                post_sent_mean=0, post_sent_std=0, presentation_distance=0,
-                n_negative_posts=0, engaged_fraction=0, disputed=disputed,
-            )
-            f.response_dist_mean = v
-            f.controversy = controversy
-            out.append(f)
-        return out
+        """A table of the columns response_distribution reads, one entity per value."""
+        n = len(values)
+        return feat.EntityTable(
+            entities=tuple(f"e{i}" for i in range(n)),
+            columns={"disputed": np.full(n, disputed, np.int8), "response_dist_mean": np.array(values, float),
+                     "controversy": np.full(n, float(controversy))},
+            has_comments=np.ones(n, bool),
+            engagement=(np.zeros(0, np.int64), np.zeros(0, bool)),
+        )
 
     def test_point_mass_single_bin(self):
         hist = feat.response_distribution(self.make_features([0.5] * 7), True, True)

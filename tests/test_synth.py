@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 from dataclasses import fields
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -146,7 +147,8 @@ def test_zero_disputed_fraction_yields_no_disputed(tmp_path):
     config = synth.SynthConfig(**{**TOY.to_json_dict(), "disputed_fraction": 0.0})
     synth.generate(config, tmp_path / "z")
     corpus = cm.load_corpus(tmp_path / "z")
-    assert cm.disputed_entities(corpus, cm.select_e1(corpus)) == frozenset()
+    sample = cm.select_e1(corpus)
+    assert frozenset(compress(sample.entities, cm.disputed_entities(corpus, sample))) == frozenset()
     assert corpus.breakdown()["fake"]["posts"] == 0
 
 
@@ -181,8 +183,9 @@ def test_truth_d_p_matches_feature_pipeline(small_synth):
     corpus, truth, _ = small_synth
     from polarwarn import features as feat
 
-    for f in feat.entity_features(corpus, cm.select_e1(corpus))[:30]:
-        assert f.presentation_distance == pytest.approx(truth.entities[f.entity].d_p, abs=1e-12)
+    table = feat.entity_features(corpus, cm.select_e1(corpus))
+    for entity, d_p in list(zip(table.entities, table.columns["presentation_distance"].tolist()))[:30]:
+        assert d_p == pytest.approx(truth.entities[entity].d_p, abs=1e-12)
 
 
 def test_infeasible_cohorts_rejected():

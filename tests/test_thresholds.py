@@ -14,19 +14,19 @@ FIXTURES = "fixtures"
 class TestExceedanceCurve:
     def test_hand_counts(self):
         # 2, 1, 0 entities and 1, 0, 0 disputed ones reach the cuts
-        curve = th.build_exceedance_curve({"a": 0.5, "b": 1.5}, {"a"}, [0.0, 1.0, 2.0])
+        curve = th.build_exceedance_curve(np.array([0.5, 1.5]), np.array([True, False]), [0.0, 1.0, 2.0])
         assert curve.ratio_dd.tolist() == [1.0, 0.0, 0.0]
         assert curve.ratio_de[:2].tolist() == [0.5, 0.0]
         assert np.isnan(curve.ratio_de[2])
 
     def test_no_disputed_means_zero_ratio(self):
-        curve = th.build_exceedance_curve({"a": 0.5, "b": 1.5}, set(), [0.0, 1.0])
+        curve = th.build_exceedance_curve(np.array([0.5, 1.5]), np.array([False, False]), [0.0, 1.0])
         assert curve.ratio_dd.tolist() == [0.0, 0.0]
 
     def test_counts_non_increasing_and_bounded(self):
         rng = np.random.default_rng(0)
-        values = {f"e{i}": float(v) for i, v in enumerate(rng.uniform(0, 2, 500))}
-        disputed = {f"e{i}" for i in rng.choice(500, 120, replace=False)}
+        values = rng.uniform(0, 2, 500)
+        disputed = np.isin(np.arange(500), rng.choice(500, 120, replace=False))
         curve = th.build_exceedance_curve(values, disputed, np.arange(0, 2, 0.01))
         assert np.all(np.diff(curve.ratio_dd) <= 0)
         assert np.all((curve.ratio_dd >= 0) & (curve.ratio_dd <= 1))
@@ -38,14 +38,15 @@ class TestExceedanceCurve:
     def test_matches_brute_force_filtering(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 60))
-        values = {f"e{i}": float(v) for i, v in enumerate(rng.uniform(-0.5, 2.5, n))}
-        disputed = {k for k in values if rng.uniform() < 0.4}
+        values = rng.uniform(-0.5, 2.5, n)
+        disputed = rng.uniform(size=n) < 0.4
         grid = np.sort(rng.uniform(0, 2, int(rng.integers(1, 30))))
         curve = th.build_exceedance_curve(values, disputed, grid)
         for j, delta in enumerate(grid):
-            e = sum(1 for v in values.values() if v >= delta)
-            d = sum(1 for k, v in values.items() if k in disputed and v >= delta)
-            assert curve.ratio_dd[j] == (d / len(disputed) if disputed else 0.0)
+            e = sum(1 for v in values.tolist() if v >= delta)
+            d = sum(1 for k, v in zip(disputed.tolist(), values.tolist()) if k and v >= delta)
+            n_disputed = sum(disputed.tolist())
+            assert curve.ratio_dd[j] == (d / n_disputed if n_disputed else 0.0)
             if e:
                 assert curve.ratio_de[j] == d / e
             else:
