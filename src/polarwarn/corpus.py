@@ -3,16 +3,18 @@
 The corpus is read from four JSONL files (sources, posts, comments, entity
 mentions) into column tables: numpy arrays for codes and numbers, Python
 lists only for the strings something reads (texts, post ids, user ids,
-entity names).  Rows refer to each other by integer codes, which are row
-numbers in file order for sources and posts and positions in the sorted id
-lists for users and entities.  Comments are indexed by post in CSR form,
-and each user's comment count is kept.  After loading, a :class:`Corpus` is
-immutable and safe to share.
+entity names).  Rows refer to each other by integer codes: row numbers for
+sources and posts, and positions in the sorted id lists for users and
+entities.  The loader stores each table in the order its readers use,
+whatever the order of the file: sources in file order, posts in post-id
+order, comments grouped by post (each post's in file order, found through
+CSR offsets), and mentions by (entity, post).  Each user's comment count is
+kept.  After loading, a :class:`Corpus` is immutable and safe to share.
 
-Entity and post samples hold post rows, not post ids, in post-id order,
-which :func:`_id_rank` alone decides: every per-post float sum and every
-post dataset row follows it, whatever the order of the file.  An entity
-sample is one table of memberships (entity index, post row), by entity.
+Entity and post samples hold post rows in that stored order, so every
+per-post float sum and every post dataset row follows post-id order.  An
+entity sample is one table of memberships (entity index, post row), by
+entity.
 
 Each file is read in blocks of ``_BLOCK_LINES`` lines.  A block is parsed
 with one ``json.loads`` over its lines joined as an array, and every column
@@ -76,7 +78,7 @@ class Sources:
 
 @dataclass(frozen=True)
 class Posts:
-    """One row per post, in file order."""
+    """One row per post, in post-id order."""
 
     ids: list[str]
     source: np.ndarray  # source row
@@ -92,7 +94,7 @@ class Posts:
 
 @dataclass(frozen=True)
 class Comments:
-    """One row per comment, in file order."""
+    """One row per comment, by post row; each post's comments in file order."""
 
     post: np.ndarray  # post row
     user: np.ndarray  # position in Corpus.users
@@ -107,7 +109,7 @@ class Comments:
 
 @dataclass(frozen=True)
 class Mentions:
-    """One row per entity mention, in file order."""
+    """One row per entity mention, by (entity, post row)."""
 
     entity: np.ndarray  # position in Corpus.entities
     post: np.ndarray  # post row
@@ -117,30 +119,11 @@ class Mentions:
         return len(self.post)
 
 
-@dataclass(frozen=True)
-class Groups:
-    """Rows grouped by an integer key in CSR form.
-
-    Group ``g`` holds rows ``order[ptr[g]:ptr[g + 1]]``, in file order.
-    """
-
-    order: np.ndarray
-    ptr: np.ndarray
-
-    @classmethod
-    def of(cls, key: np.ndarray, size: int) -> "Groups":
-        ptr = np.zeros(size + 1, np.int64)
-        np.cumsum(np.bincount(key, minlength=size), out=ptr[1:])
-        return cls(order=np.argsort(key, kind="stable"), ptr=ptr)
-
-    def rows(self, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The rows of each group in ``groups``, concatenated, and each group's size."""
-        index, count = group_positions(self.ptr, groups)
-        return self.order[index], count
-
-
 def group_positions(ptr: np.ndarray, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions ``ptr[g]`` up to ``ptr[g + 1]`` of each group in ``groups``, flattened, and their count."""
+    """Positions ``ptr[g]`` up to ``ptr[g + 1]`` of each group in ``groups``, flattened, and their count.
+
+    With ``Corpus.comment_offsets`` these are the rows of each post's comments.
+    """
     count = np.diff(ptr)[groups]
     index = np.repeat(ptr[:-1][groups] - (np.cumsum(count) - count), count) + np.arange(count.sum())
     return index, count
@@ -153,7 +136,8 @@ class EntitySample:
     ``entities`` runs in sorted order, the order every per-entity table
     follows.  Each membership ``i`` pairs the entity ``entities[entity[i]]``
     with the row ``rows[i]`` of a post carrying a qualifying mention of it;
-    memberships run by entity, each entity's posts in post-id order.
+    memberships keep the stored order of the mentions: by entity, each
+    entity's posts by row, which is post-id order.
     """
 
     name: str
@@ -165,7 +149,7 @@ class EntitySample:
 
 @dataclass(frozen=True)
 class PostSample:
-    """Posts containing at least one entity of an EntitySample, in post-id order.
+    """Posts containing at least one entity of an EntitySample, by row (post-id order).
 
     ``labels[i]`` is 1 when the source of post ``rows[i]`` is a fake outlet, else 0.
     """
@@ -177,13 +161,18 @@ class PostSample:
 
 @dataclass(frozen=True)
 class Corpus:
+    """The four tables in stored order, with the sorted user and entity ids.
+
+    Post ``p``'s comments are rows ``comment_offsets[p]:comment_offsets[p + 1]``.
+    """
+
     sources: Sources
     posts: Posts
     comments: Comments
     mentions: Mentions
     users: list[str]  # sorted user ids
     entities: list[str]  # sorted entity names
-    comments_of_post: Groups
+    comment_offsets: np.ndarray  # CSR offsets of each post row's comments
     user_comment_counts: np.ndarray  # per user: their comments in the corpus
 
     def post_is_fake(self) -> np.ndarray:
@@ -430,8 +419,22 @@ def _concat(chunks: list[np.ndarray], dtype) -> np.ndarray:
     return np.concatenate(chunks) if chunks else np.zeros(0, dtype)
 
 
+def _reorder(table, order: np.ndarray) -> None:
+    """Put a just-built table's rows in ``order``, one column at a time.
+
+    Each new column can then reuse the space the old one frees.  Only the
+    loader sets columns of the frozen tables, before load_corpus returns.
+    """
+    for name, column in vars(table).items():
+        object.__setattr__(table, name, column[order] if isinstance(column, np.ndarray)
+                           else list(map(column.__getitem__, order.tolist())))
+
+
 # Each builder checks a block's fields in a fixed order, which decides the
-# error the record read reports for a record with several faults.
+# error the record read reports for a record with several faults.  The
+# builders keep file order, so each error names its record's line; only the
+# finished posts table is put in id order, and load_corpus orders the others
+# once no reference dangles.
 
 
 def _build_sources(blocks) -> tuple[dict[str, int], Sources]:
@@ -472,7 +475,8 @@ def _build_posts(blocks, source_index: Mapping[str, int]) -> tuple[dict[str, int
         text=texts, sentiment=_concat(sentiment, float),
         likes=_concat(likes, np.int64), shares=_concat(shares, np.int64),
     )
-    return {p: i for i, p in enumerate(ids)}, posts, dangling
+    _reorder(posts, np.array(sorted(range(len(ids)), key=ids.__getitem__), np.int64))
+    return {p: i for i, p in enumerate(posts.ids)}, posts, dangling
 
 
 def _build_comments(blocks, post_index: Mapping[str, int]) -> tuple[list[str], Comments, list[str]]:
@@ -525,7 +529,7 @@ def _build_mentions(blocks, post_index: Mapping[str, int]) -> tuple[list[str], M
 
 
 def load_corpus(directory: str | Path) -> Corpus:
-    """Load and validate the four JSONL files into column tables.
+    """Load and validate the four JSONL files into column tables, in stored order.
 
     Raises SchemaError with file/line coordinates for malformed records and
     IntegrityError listing every dangling reference or duplicate key.  An
@@ -545,6 +549,10 @@ def load_corpus(directory: str | Path) -> Corpus:
                                               lambda b: _build_mentions(b, post_index))
     if dangling := from_posts + from_comments + from_mentions:
         raise IntegrityError("dangling references: " + "; ".join(sorted(dangling)))
+    _reorder(comments, np.argsort(comments.post, kind="stable"))
+    _reorder(mentions, np.lexsort((mentions.post, mentions.entity)))
+    offsets = np.zeros(len(posts) + 1, np.int64)
+    np.cumsum(np.bincount(comments.post, minlength=len(posts)), out=offsets[1:])
 
     return Corpus(
         sources=sources,
@@ -553,17 +561,9 @@ def load_corpus(directory: str | Path) -> Corpus:
         mentions=mentions,
         users=users,
         entities=entities,
-        comments_of_post=Groups.of(comments.post, len(posts)),
+        comment_offsets=offsets,
         user_comment_counts=np.bincount(comments.user, minlength=len(users)),
     )
-
-
-def _id_rank(posts: Posts) -> np.ndarray:
-    """Each post row's position in post-id order, the order samples keep their rows in."""
-    ids = posts.ids
-    rank = np.empty(len(ids), np.int64)
-    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-    return rank
 
 
 def select_entities(
@@ -580,8 +580,6 @@ def select_entities(
     """
     qualifying = corpus.mentions.confidence >= min_confidence
     entity, post = corpus.mentions.entity[qualifying], corpus.mentions.post[qualifying]
-    order = np.lexsort((_id_rank(corpus.posts)[post], entity))
-    entity, post = entity[order], post[order]
     counts = np.bincount(entity, minlength=len(corpus.entities))
     kept = (counts >= min_posts) & (counts > 0)
     member = kept[entity]
@@ -612,7 +610,6 @@ def disputed_entities(corpus: Corpus, sample: EntitySample) -> np.ndarray:
 def posts_for_entities(corpus: Corpus, sample: EntitySample, name: str = "") -> PostSample:
     """All posts containing at least one entity of the sample, labeled by source."""
     rows = np.unique(sample.rows)
-    rows = rows[np.argsort(_id_rank(corpus.posts)[rows])]
     return PostSample(
         name=name or f"P[{sample.name}]",
         rows=rows,

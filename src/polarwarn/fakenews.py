@@ -201,14 +201,15 @@ def build_post_dataset(corpus: Corpus, post_sample: PostSample, warning: EarlyWa
     carry all 52.
 
     Every block is computed column-wise from one table of the rows'
-    comments: the rows in ``post_sample`` order, each post's comments in file
-    order.  Per-post values group the table by post and by (post,
-    commenter), commenters in id order.  User-based features describe each
-    post's commenters: the replies and likes they received there, their
-    comment counts, the pages they commented on corpus-wide, and whether
-    they are engaged with an entity of the post, as the entity table's
-    ``engagement`` records over all of that entity's member posts, rows or
-    not.  Memberships of posts that are not rows are dropped.
+    comments, read as they are stored: the rows in ``post_sample`` order,
+    which is post-id order, each post's comments in file order.  Per-post
+    values group the table by post and by (post, commenter), commenters in
+    id order.  User-based features describe each post's commenters: the
+    replies and likes they received there, their comment counts, the pages
+    they commented on corpus-wide, and whether they are engaged with an
+    entity of the post, as the entity table's ``engagement`` records over
+    all of that entity's member posts, rows or not.  Memberships of posts
+    that are not rows are dropped.
 
     Float sums add left to right in that order, on every Python version.
     The per-post build before this one used the built-in ``sum``, which adds
@@ -223,7 +224,7 @@ def build_post_dataset(corpus: Corpus, post_sample: PostSample, warning: EarlyWa
     row_ids = tuple(map(corpus.posts.ids.__getitem__, rows.tolist()))
     n = len(rows)
 
-    comments, n_comments = corpus.comments_of_post.rows(rows)
+    comments, n_comments = group_positions(corpus.comment_offsets, rows)
     post = np.repeat(np.arange(n), n_comments)
     user = corpus.comments.user[comments]
     likes = corpus.comments.likes[comments].astype(float)

@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, EntitySample, disputed_entities
+from .corpus import Corpus, EntitySample, disputed_entities, group_positions
 from .errors import ConfigError
 from .thresholds import MEASURES
 
@@ -143,7 +143,7 @@ def entity_features(corpus: Corpus, sample: EntitySample) -> EntityTable:
 
     # the comments, by membership, each post's in file order; arrays no
     # statistic reads are freed before the kernels run, to lower peak memory
-    comments, count = corpus.comments_of_post.rows(sample.rows)
+    comments, count = group_positions(corpus.comment_offsets, sample.rows)
     keys, on_entity = np.unique(
         corpus.comments.user[comments] * n + np.repeat(sample.entity, count), return_counts=True
     )
@@ -205,7 +205,7 @@ def attention_curve(
     # NaN, which no cut reaches, for a post with none
     widest = np.full(len(corpus.posts), math.nan)
     np.fmax.at(widest, sample.rows, table.columns["presentation_distance"][sample.entity])
-    n_comments = np.diff(corpus.comments_of_post.ptr)
+    n_comments = np.diff(corpus.comment_offsets)
     rows = []
     for delta in grid:
         posts = widest >= delta

@@ -6,6 +6,8 @@ from itertools import compress
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from polarwarn import corpus as cm
 from polarwarn import synth
@@ -194,6 +196,24 @@ def test_load_order_independence(tmp_path):
     p1, p2 = cm.posts_for_entities(c1, s1), cm.posts_for_entities(c2, s2)
     assert post_ids(c1, p1.rows) == post_ids(c2, p2.rows)
     assert p1.labels.tolist() == p2.labels.tolist()
+
+
+@st.composite
+def grouped_selections(draw):
+    """CSR offsets of some groups, empty ones included, and a selection of them with repeats."""
+    sizes = draw(st.lists(st.integers(0, 4), min_size=1, max_size=8))
+    ptr = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+    groups = draw(st.lists(st.integers(0, len(sizes) - 1), max_size=12))
+    return ptr, np.array(groups, np.int64)
+
+
+@given(grouped_selections())
+def test_group_positions_matches_a_loop_over_ptr(case):
+    ptr, groups = case
+    index, count = cm.group_positions(ptr, groups)
+    ptr, groups = ptr.tolist(), groups.tolist()
+    assert index.tolist() == [i for g in groups for i in range(ptr[g], ptr[g + 1])]
+    assert count.tolist() == [ptr[g + 1] - ptr[g] for g in groups]
 
 
 def test_generator_roundtrip_loads_clean(small_synth):

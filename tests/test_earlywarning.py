@@ -251,10 +251,11 @@ class TestPredictDisputed:
 def test_dataset_rebuild_is_schema_stable(small_synth):
     corpus, _, _ = small_synth
     sample = cm.select_e1(corpus)
-    feats1 = feat.entity_features(corpus, sample)
-    feats2 = feat.entity_features(corpus, sample)
+    feats1, _, _ = ew.threshold_entities(corpus, sample)
+    feats2, _, _ = ew.threshold_entities(corpus, sample)
     ds1 = ew.build_entity_dataset(feats1, "E1", False)
     ds2 = ew.build_entity_dataset(feats2, "E1", False)
+    assert len(ds1.row_ids) == len(sample.entities) > 0
     assert ds1.feature_names == ds2.feature_names
     assert ds1.row_ids == ds2.row_ids
     assert np.array_equal(ds1.features, ds2.features)
@@ -284,7 +285,7 @@ class TestThresholdEntities:
         corpus, _, _ = small_synth
         e2 = cm.select_e2(corpus)
         extra = next(e for e in cm.select_e1(corpus).entities if e not in e2.entities)
-        uncommented = np.flatnonzero(np.diff(corpus.comments_of_post.ptr) == 0)[:1]
+        uncommented = np.flatnonzero(np.diff(corpus.comment_offsets) == 0)[:1]
         assert len(uncommented) == 1
         rows = dict(sorted({**members(e2), extra: uncommented}.items()))
         entity = np.repeat(np.arange(len(rows)), list(map(len, rows.values())))

@@ -406,7 +406,7 @@ def small_p2_world(tmp_path_factory):
     corpus = cm.load_corpus(directory)
     e2 = cm.select_e2(corpus)
     in_e2 = np.isin(np.arange(len(corpus.posts)), e2.rows)
-    n_comments = np.diff(corpus.comments_of_post.ptr)
+    n_comments = np.diff(corpus.comment_offsets)
     n_scored = np.bincount(corpus.comments.post[~np.isnan(corpus.comments.sentiment)],
                            minlength=len(corpus.posts))
     uncommented = np.flatnonzero(in_e2 & (n_comments == 0))

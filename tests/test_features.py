@@ -233,7 +233,7 @@ def reference_std(values, mean):
 
 def reference_comment_sentiments(corpus, rows):
     """Comments on the posts ``rows``: their count, their scored sentiments, and each post's count of those."""
-    comments, count = corpus.comments_of_post.rows(rows)
+    comments, count = cm.group_positions(corpus.comment_offsets, rows)
     sentiment = corpus.comments.sentiment[comments]
     scored = ~np.isnan(sentiment)
     per_post = np.bincount(np.repeat(np.arange(len(rows)), count)[scored], minlength=len(rows))
@@ -258,7 +258,7 @@ def reference_entity_features(corpus, by_entity):
     disputed = {e for e, rows in by_entity.items() if 0 < np.count_nonzero(post_fake[rows]) < len(rows)}
     posts_of = list(by_entity.values())
     n = len(posts_of)
-    comments, count = corpus.comments_of_post.rows(np.concatenate(posts_of))
+    comments, count = cm.group_positions(corpus.comment_offsets, np.concatenate(posts_of))
     entity = np.repeat(np.arange(n), [len(r) for r in posts_of])
     keys, on_entity = np.unique(corpus.comments.user[comments] * n + np.repeat(entity, count),
                                 return_counts=True)
@@ -310,7 +310,7 @@ def reference_entity_features(corpus, by_entity):
 def reference_attention_curve(corpus, by_entity, features, grid):
     """The per-cut loop over entities that ``attention_curve`` replaces with one per-post array."""
     dp = [(f["presentation_distance"], by_entity[f["entity"]]) for f in features]
-    n_comments = np.diff(corpus.comments_of_post.ptr)
+    n_comments = np.diff(corpus.comment_offsets)
     rows = []
     for delta in grid:
         posts = np.zeros(len(corpus.posts), bool)

@@ -7,6 +7,7 @@ the ones the per-record loader produced, so a faster loader must keep them.
 """
 
 import json
+from operator import itemgetter
 from unittest import mock
 
 import numpy as np
@@ -252,7 +253,7 @@ def test_missing_file_named(tmp_path):
 
 
 def snapshot(corpus):
-    """Every loaded value, as plain lists in file order."""
+    """Every loaded value, as plain lists in stored order."""
     p, c, m = corpus.posts, corpus.comments, corpus.mentions
     return {
         "sources": corpus.sources.fake.tolist(),
@@ -340,9 +341,11 @@ def corpora(draw):
     n_sources = draw(st.integers(1, 3))
     sources = [source(f"s{i}", draw(st.sampled_from(["official", "fake"])))
                for i in range(n_sources)]
-    posts = [post(f"p{i}", f"s{draw(st.integers(0, n_sources - 1))}",
-                  draw(st.integers(-2**63, 2**63 - 1)), draw(texts), draw(unit),
-                  draw(counts), draw(counts)) for i in range(draw(st.integers(1, 8)))]
+    posts = draw(st.permutations([
+        post(f"p{i}", f"s{draw(st.integers(0, n_sources - 1))}",
+             draw(st.integers(-2**63, 2**63 - 1)), draw(texts), draw(unit),
+             draw(counts), draw(counts)) for i in range(draw(st.integers(1, 8)))
+    ]))
     comments = [comment(f"c{i}", f"p{draw(st.integers(0, len(posts) - 1))}",
                         draw(st.sampled_from(["u2", "u10", "u1", "é"])), draw(st.integers(0, 99)),
                         draw(texts), draw(st.one_of(st.none(), unit)), draw(counts), draw(counts))
@@ -357,17 +360,27 @@ def corpora(draw):
             "comments.jsonl": comments, "mentions.jsonl": mentions}
 
 
+def comment_row(c):
+    """A raw comment record as ``snapshot`` lists it."""
+    return (c["post_id"], c["user_id"], str(c["text"]),
+            None if c["sentiment"] is None else float(c["sentiment"]), c["likes"], c["replies"])
+
+
 def reference(records):
-    """The expected snapshot, from raw records."""
+    """The expected snapshot, from raw records, in stored order.
+
+    Posts by id; comments by post id, each post's in file order (a stable
+    sort); mentions by (normalized entity, post id).
+    """
     source_row = {sid: i for i, sid in enumerate(records.sources)}
     return {
         "sources": [s["category"] == "fake" for s in records.sources.values()],
         "posts": [(p["id"], source_row[p["source_id"]], p["timestamp"], str(p["text"]),
-                   float(p["sentiment"]), p["likes"], p["shares"]) for p in records.posts.values()],
-        "comments": [(c["post_id"], c["user_id"], str(c["text"]),
-                      None if c["sentiment"] is None else float(c["sentiment"]),
-                      c["likes"], c["replies"]) for c in records.comments],
-        "mentions": [(m["entity"], m["post_id"], float(m["confidence"])) for m in records.mentions],
+                   float(p["sentiment"]), p["likes"], p["shares"])
+                  for p in map(records.posts.__getitem__, sorted(records.posts))],
+        "comments": [comment_row(c) for c in sorted(records.comments, key=itemgetter("post_id"))],
+        "mentions": [(m["entity"], m["post_id"], float(m["confidence"]))
+                     for m in sorted(records.mentions, key=itemgetter("entity", "post_id"))],
     }
 
 
@@ -382,13 +395,15 @@ def test_random_corpora_load_like_the_reference(tmp_path, corpus, block, end, bl
     with mock.patch.object(cm, "_BLOCK_LINES", block):
         loaded = cm.load_corpus(directory)
     records = read_records(directory)
-    assert snapshot(loaded) == reference(records)
+    got = snapshot(loaded)
+    assert got == reference(records)
     assert loaded.users == sorted(records.comments_by_user)
     assert loaded.entities == sorted({m["entity"] for m in records.mentions})
-    post_ids = list(records.posts)
-    for i, pid in enumerate(post_ids):
-        rows, _ = loaded.comments_of_post.rows(np.array([i]))
-        assert [records.comments[r] for r in rows.tolist()] == records.comments_by_post.get(pid, [])
+    for i, pid in enumerate(sorted(records.posts)):
+        rows, _ = cm.group_positions(loaded.comment_offsets, np.array([i]))
+        assert [got["comments"][r] for r in rows.tolist()] == [
+            comment_row(c) for c in records.comments_by_post.get(pid, [])
+        ]
     assert loaded.user_comment_counts.tolist() == [
         len(records.comments_by_user[uid]) for uid in loaded.users
     ]
@@ -399,6 +414,31 @@ def test_well_formed_files_skip_the_record_validator(small_synth):
     with mock.patch.object(cm, "_iter_jsonl", side_effect=AssertionError("record path taken")):
         corpus = cm.load_corpus(directory)
     assert snapshot(corpus) == snapshot(small_synth[0])
+
+
+def test_stored_order_does_not_depend_on_line_order(small_synth, tmp_path):
+    corpus, _, directory = small_synth
+    shuffled = tmp_path / "shuffled"
+    shuffled.mkdir()
+    for name in ("sources", "posts", "comments", "mentions"):
+        rows = (directory / f"{name}.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        if name in ("posts", "mentions"):
+            rows.reverse()
+        elif name == "comments":
+            # round robin over the posts, last post first: the lines of
+            # different posts interleave, and each post keeps its order
+            by_post = {}
+            for row in rows:
+                by_post.setdefault(json.loads(row)["post_id"], []).append(row)
+            queues = list(by_post.values())[::-1]
+            rows = [q[i] for i in range(max(map(len, queues))) for q in queues if i < len(q)]
+        (shuffled / f"{name}.jsonl").write_text("".join(rows), encoding="utf-8")
+    assert (shuffled / "comments.jsonl").read_text() != (directory / "comments.jsonl").read_text()
+    loaded = cm.load_corpus(shuffled)
+    assert snapshot(loaded) == snapshot(corpus)
+    assert loaded.users == corpus.users and loaded.entities == corpus.entities
+    assert np.array_equal(loaded.comment_offsets, corpus.comment_offsets)
+    assert np.array_equal(loaded.user_comment_counts, corpus.user_comment_counts)
 
 
 def test_value_split_across_lines_is_invalid_json(tmp_path):
