@@ -101,7 +101,8 @@ def _write_features(path: Path, table: feat.EntityTable) -> None:
     for name, column in table.columns.items():
         values = column.tolist()
         columns.append([v if math.isnan(v) else int(v) for v in values] if name in _INDICATORS else values)
-    columns.append(["" if has else "comment_sentiment" for has in table.has_comments.tolist()])
+    mean = table.columns["comment_sent_mean"].tolist()  # NaN exactly where no comment is scored
+    columns.append(["comment_sentiment" if math.isnan(v) else "" for v in mean])
     rows = (["" if v != v else v for v in row] for row in zip(table.entities, *columns))
     _write_csv(path, ("entity", *table.columns, "missing"), rows)
 
@@ -201,11 +202,23 @@ class _Inputs:
     data: str  # the corpus directory as given; recorded in every manifest
     protocol: Protocol
     plots: bool
+    hp: dict  # the --hp overrides; recorded in the stage manifests when given
 
 
 def _inputs(args) -> _Inputs:
     protocol = Protocol(repeats=args.repeats, train_fraction=args.train_fraction, seed=args.seed)
-    return _Inputs(corpus_mod.load_corpus(args.data), str(args.data), protocol, args.plots)
+    return _Inputs(corpus_mod.load_corpus(args.data), str(args.data), protocol, args.plots,
+                   _parse_hp(args.hp))
+
+
+def _stage_config(inputs: _Inputs, sample_name: str, specs: list[ModelSpec]) -> dict:
+    """The manifest config keys the early-warning and fake-news stages share;
+    ``hp`` only when there are overrides, so other runs keep their manifests."""
+    config = {"data": inputs.data, "sample": sample_name, "algorithms": [s.algorithm for s in specs],
+              "repeats": inputs.protocol.repeats, "train_fraction": inputs.protocol.train_fraction}
+    if inputs.hp:
+        config["hp"] = inputs.hp
+    return config
 
 
 def _curve_svgs(out: Path, curves) -> None:
@@ -256,11 +269,7 @@ def _earlywarn_stage(out: Path, inputs: _Inputs, sample_name: str,
                zip(result.dataset.row_ids, *labels.tolist(), *scores.tolist()))
     if inputs.plots:
         _curve_svgs(out, result.curves)
-    _write_manifest(out, "earlywarn",
-                    {"data": inputs.data, "sample": sample_name,
-                     "algorithms": [s.algorithm for s in specs],
-                     "repeats": inputs.protocol.repeats,
-                     "train_fraction": inputs.protocol.train_fraction},
+    _write_manifest(out, "earlywarn", _stage_config(inputs, sample_name, specs),
                     inputs.protocol.seed, [inputs.data])
     return result
 
@@ -295,9 +304,7 @@ def _fakenews_stage(out: Path, inputs: _Inputs, sample_name: str, warning: ew.Ea
     _write_csv(out / "stepwise.csv", ("rank", "feature", "mean_auc"),
                ((i, name, auc) for i, (name, auc) in enumerate(zip(ranking.features, ranking.auc_trace), 1)))
     _write_manifest(out, "fakenews",
-                    {"data": inputs.data, "sample": sample_name, "experiments": experiments,
-                     "algorithms": algorithms, "repeats": inputs.protocol.repeats,
-                     "train_fraction": inputs.protocol.train_fraction,
+                    {**_stage_config(inputs, sample_name, specs), "experiments": experiments,
                      "max_stepwise": max_stepwise},
                     inputs.protocol.seed, [inputs.data])
     return dataset, steps
@@ -488,7 +495,7 @@ def cmd_pipeline(args) -> int:
         _write_manifest(data_dir, "synth", synth_config.to_json_dict(), seed, [])
     corpus = corpus_mod.load_corpus(data_dir)
     out = _out_dir(args.out)
-    inputs = _Inputs(corpus, str(data_dir), protocol, args.plots)
+    inputs = _Inputs(corpus, str(data_dir), protocol, args.plots, {})
 
     _ingest_stage(out / "ingest", corpus, inputs.data)
     warnings: dict[str, ew.EarlyWarningResult] = {}

@@ -219,23 +219,21 @@ class Protocol:
         return tuple(drawn)
 
 
-@dataclass(frozen=True)
-class CycleOutcome:
-    labels: np.ndarray
-    predicted: np.ndarray
-    auc: float
-
-
-def run_cycles(dataset: Dataset, spec: ModelSpec, cycles: Cycles) -> list[CycleOutcome]:
+def run_cycles(dataset: Dataset, spec: ModelSpec, cycles: Cycles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fit and score one model spec on each cycle's ``(train, test)`` rows of
-    ``dataset``; only those slices of the feature matrix are copied."""
+    ``dataset``; only those slices of the feature matrix are copied.
+
+    Returns every cycle's test labels, joined in cycle order; the predicted
+    labels of the same rows, joined the same way; and each cycle's AUC.
+    """
     X, y = dataset.features, dataset.labels
-    outcomes = []
+    predicted, aucs = [], []
     for train, test in cycles:
         model = fit(Dataset(X[train], y[train], dataset.feature_names), spec)
-        scores, predicted = predict(model, X[test])
-        outcomes.append(CycleOutcome(labels=y[test], predicted=predicted, auc=roc_auc(y[test], scores)))
-    return outcomes
+        scores, labels = predict(model, X[test])
+        predicted.append(labels)
+        aucs.append(roc_auc(y[test], scores))
+    return y[np.concatenate([test for _, test in cycles])], np.concatenate(predicted), np.array(aucs)
 
 
 def evaluate_spec(
@@ -245,11 +243,9 @@ def evaluate_spec(
     class_names: dict[int, str] | None = None,
 ) -> MetricsReport:
     """Confusion counts pooled over every cycle, with the mean per-cycle AUC."""
-    outcomes = run_cycles(dataset, spec, cycles)
-    labels = np.concatenate([o.labels for o in outcomes])
-    predicted = np.concatenate([o.predicted for o in outcomes])
+    labels, predicted, aucs = run_cycles(dataset, spec, cycles)
     report = confusion_metrics(labels, predicted, class_names=class_names)
-    return replace(report, auc=float(np.mean([o.auc for o in outcomes])))
+    return replace(report, auc=float(np.mean(aucs)))
 
 
 @dataclass(frozen=True)
@@ -268,21 +264,17 @@ def forward_stepwise(
 ) -> StepwiseResult:
     """Add, per round, the unselected feature with the best mean test AUC.
 
-    ``max_features`` is at most the number of columns.  Ties break toward
-    the lower feature index.
+    ``max_features`` is at most the number of columns.  Each round is one
+    list of candidate AUCs, the selected columns plus each remaining one in
+    column order; its first maximum wins, so ties break toward the lower
+    feature index.
     """
     selected: list[str] = []
     trace: list[float] = []
     remaining = list(dataset.feature_names)
     for _ in range(max_features):
-        best_name = None
-        best_auc = -1.0
-        for name in remaining:  # feature-name order == column order: index tie-break
-            candidate = dataset.take_columns(selected + [name])
-            auc = evaluate_spec(candidate, spec, cycles).auc
-            if auc > best_auc:
-                best_auc, best_name = auc, name
-        selected.append(best_name)
-        remaining.remove(best_name)
-        trace.append(best_auc)
+        aucs = [evaluate_spec(dataset.take_columns(selected + [name]), spec, cycles).auc for name in remaining]
+        best = int(np.argmax(aucs))
+        selected.append(remaining.pop(best))
+        trace.append(aucs[best])
     return StepwiseResult(features=tuple(selected), auc_trace=tuple(trace))

@@ -172,21 +172,9 @@ CATEGORY_PREFIXES = {
 }
 
 
-def post_feature_names(include_comment_sentiment: bool, model_a: str, model_b: str) -> tuple[str, ...]:
-    names = ["st_" + n for n in STRUCTURAL_NAMES]
-    names += ["sem_post_" + n for n in SEMANTIC_STAT_NAMES]
-    names += ["sem_comments_" + n for n in SEMANTIC_STAT_NAMES]
-    names += ["ub_" + n for n in USER_STAT_NAMES]
-    names += ["sb_" + n for n in SENTIMENT_BASE_NAMES]
-    if include_comment_sentiment:
-        names += ["sb_" + n for n in SENTIMENT_COMMENT_NAMES]
-    names += [
-        f"pred_n_disputed_{model_a}",
-        f"pred_rate_disputed_{model_a}",
-        f"pred_n_disputed_{model_b}",
-        f"pred_rate_disputed_{model_b}",
-    ]
-    return tuple(names)
+def _named(prefix: str, names: Sequence[str], columns: Iterable[np.ndarray]) -> dict[str, np.ndarray]:
+    """``prefix + name`` -> column, for one name per column."""
+    return {prefix + name: column for name, column in zip(names, columns, strict=True)}
 
 
 def build_post_dataset(corpus: Corpus, post_sample: PostSample, warning: EarlyWarningResult) -> Dataset:
@@ -196,6 +184,9 @@ def build_post_dataset(corpus: Corpus, post_sample: PostSample, warning: EarlyWa
     posts ``post_sample`` holds; the sentiment-based, user-based and
     predicted columns read its entity table and predictions by entity index.
 
+    Each block of columns is named where it is built, with its category
+    prefix (``st_``, ``sem_post_``, ``sem_comments_``, ``ub_``, ``sb_``,
+    ``pred_``), and ``feature_names`` is the order of that one mapping.
     P1-style builds (no comment sentiment in the entity sample) omit the
     comment-dependent sentiment block, giving 44 columns; P2-style builds
     carry all 52.
@@ -219,7 +210,6 @@ def build_post_dataset(corpus: Corpus, post_sample: PostSample, warning: EarlyWa
     in the last bit.
     """
     sample, table = warning.sample, warning.features
-    names = post_feature_names(sample.requires_comment_sentiment, *warning.best)
     rows = post_sample.rows
     row_ids = tuple(map(corpus.posts.ids.__getitem__, rows.tolist()))
     n = len(rows)
@@ -250,22 +240,24 @@ def build_post_dataset(corpus: Corpus, post_sample: PostSample, warning: EarlyWa
             len(missing), ", ".join(missing[:5]),
         )
 
-    columns = [
-        *_structural_columns(corpus, rows, post, likes, replies, n_comments),
-        *_semantic_columns(map(corpus.posts.text.__getitem__, rows.tolist()), n).T,
-        *_semantic_columns(_joined_comment_texts(corpus, comments, n_comments), n).T,
-        *_user_columns(corpus, table, post, user, likes, replies, ptr, row_entity, n),
-        *_sentiment_columns(
+    columns = {
+        **_structural_columns(corpus, rows, post, likes, replies, n_comments),
+        **_named("sem_post_", SEMANTIC_STAT_NAMES,
+                 _semantic_columns(map(corpus.posts.text.__getitem__, rows.tolist()), n).T),
+        **_named("sem_comments_", SEMANTIC_STAT_NAMES,
+                 _semantic_columns(_joined_comment_texts(corpus, comments, n_comments), n).T),
+        **_user_columns(corpus, table, post, user, likes, replies, ptr, row_entity, n),
+        **_sentiment_columns(
             corpus, rows, comments, post, row_post, row_entity, row_n_entities, table,
             sample.requires_comment_sentiment,
         ),
-        *_predicted_columns(row_post, row_entity, row_n_entities, warning),
-    ]
-    log.debug("post features: %d rows x %d columns, %d comments scanned", n, len(names), len(comments))
+        **_predicted_columns(row_post, row_entity, row_n_entities, warning),
+    }
+    log.debug("post features: %d rows x %d columns, %d comments scanned", n, len(columns), len(comments))
     return Dataset(
-        features=np.column_stack(columns).reshape(n, len(names)),
+        features=np.column_stack(list(columns.values())),
         labels=post_sample.labels,
-        feature_names=names,
+        feature_names=tuple(columns),
         row_ids=row_ids,
     )
 
@@ -286,11 +278,11 @@ def _structural_columns(
     likes: np.ndarray,
     replies: np.ndarray,
     n_comments: np.ndarray,
-) -> list[np.ndarray]:
+) -> dict[str, np.ndarray]:
     n = len(rows)
     likes_on = np.bincount(on_row, weights=likes, minlength=n)
     replies_on = np.bincount(on_row, weights=replies, minlength=n)
-    return [
+    return _named("st_", STRUCTURAL_NAMES, [
         corpus.posts.likes[rows].astype(float),
         n_comments.astype(float),
         corpus.posts.shares[rows].astype(float),
@@ -298,7 +290,7 @@ def _structural_columns(
         replies_on,
         _div(likes_on, n_comments),
         _div(replies_on, n_comments),
-    ]
+    ])
 
 
 def _user_columns(
@@ -311,7 +303,7 @@ def _user_columns(
     ptr: np.ndarray,
     row_entity: np.ndarray,
     n: int,
-) -> list[np.ndarray]:
+) -> dict[str, np.ndarray]:
     n_sources = len(corpus.sources)
     pages = np.bincount(
         np.unique(corpus.comments.user * n_sources + corpus.posts.source[corpus.comments.post])
@@ -323,17 +315,13 @@ def _user_columns(
     n_sample_entities = len(table)
 
     # (post, commenter) groups of the rows' comments: commenters in id order
-    # within a post, each group's comments in table order.
-    m = len(likes)
-    by = np.lexsort((user, post))
-    g_post, g_user = post[by], user[by]
-    opens = np.ones(m, bool)
-    opens[1:] = (g_post[1:] != g_post[:-1]) | (g_user[1:] != g_user[:-1])
-    group = np.cumsum(opens) - 1
-    g_post, g_user = g_post[opens], g_user[opens]
-    size = len(g_post)
-    g_replies, _, g_replies_var = _grouped(group, replies[by], size)
-    g_likes, _, g_likes_var = _grouped(group, likes[by], size)
+    # within a post; bincount adds each group's comments in table order.
+    n_users = len(corpus.users)
+    pairs, group = np.unique(post * n_users + user, return_inverse=True)
+    g_post, g_user = pairs // n_users, pairs % n_users
+    size = len(pairs)
+    g_replies, _, g_replies_var = _grouped(group, replies, size)
+    g_likes, _, g_likes_var = _grouped(group, likes, size)
     g_comments = np.bincount(group, minlength=size).astype(float)
     index, count = group_positions(ptr, g_post)
     hit = np.isin(np.repeat(g_user, count) * n_sample_entities + row_entity[index], engaged)
@@ -345,7 +333,7 @@ def _user_columns(
     _, c_avg, c_var = _grouped(g_post, g_comments, n)
     _, p_avg, p_var = _grouped(g_post, pages[g_user].astype(float), n)
     n_engaged = np.bincount(g_post[g_engaged], minlength=n).astype(float)
-    return [
+    return _named("ub_", USER_STAT_NAMES, [
         r_avg,
         _pow(r_var, 0.5),
         l_avg,
@@ -358,7 +346,7 @@ def _user_columns(
         _pow(p_var, 0.5),
         n_engaged,
         _div(n_engaged, commenters),
-    ]
+    ])
 
 
 def _sentiment_columns(
@@ -371,11 +359,11 @@ def _sentiment_columns(
     row_n_entities: np.ndarray,
     table: EntityTable,
     include_comment_sentiment: bool,
-) -> list[np.ndarray]:
+) -> dict[str, np.ndarray]:
     """Sentiment-based features; the comment-dependent block only for P2-style builds."""
     n = len(rows)
     _, dp_mean, dp_var = _grouped(row_post, table.columns["presentation_distance"][row_entity], n)
-    columns = [corpus.posts.sentiment[rows], dp_mean, _pow(dp_var, 0.5)]
+    columns = _named("sb_", SENTIMENT_BASE_NAMES, [corpus.posts.sentiment[rows], dp_mean, _pow(dp_var, 0.5)])
     if not include_comment_sentiment:
         return columns
     sentiment = corpus.comments.sentiment[comments]
@@ -391,7 +379,7 @@ def _sentiment_columns(
     has_response = ~np.isnan(response)
     at = row_post[has_response]
     response_sum = np.bincount(at, weights=response[has_response], minlength=n)
-    return columns + [
+    return columns | _named("sb_", SENTIMENT_COMMENT_NAMES, [
         s_avg,
         _pow(s_var, 0.5),
         _div(n_pos, n_scored),
@@ -400,7 +388,7 @@ def _sentiment_columns(
         n_capt,
         _div(n_capt, row_n_entities),
         _div(response_sum, np.bincount(at, minlength=n)),
-    ]
+    ])
 
 
 def _predicted_columns(
@@ -408,7 +396,7 @@ def _predicted_columns(
     row_entity: np.ndarray,
     row_n_entities: np.ndarray,
     warning: EarlyWarningResult,
-) -> list[np.ndarray]:
+) -> dict[str, np.ndarray]:
     """Counts and rates of contained entities predicted disputed, per model.
 
     An entity without a row in the early warning's dataset counts as not
@@ -418,10 +406,11 @@ def _predicted_columns(
     table = warning.features
     disputed = np.zeros((2, len(table)))
     disputed[:, table.complete(warning.dataset.feature_names)] = warning.predictions[0] == 1
-    columns = []
-    for flags in disputed:
+    columns = {}
+    for algo, flags in zip(warning.best, disputed, strict=True):
         count = np.bincount(row_post, weights=flags[row_entity], minlength=n)
-        columns += [count, _div(count, row_n_entities)]
+        columns[f"pred_n_disputed_{algo}"] = count
+        columns[f"pred_rate_disputed_{algo}"] = _div(count, row_n_entities)
     return columns
 
 

@@ -105,7 +105,7 @@ class EntityTable:
 
     ``columns`` runs in ``features.csv`` order.  A value that does not
     exist is NaN: each comment-dependent column of an entity without scored
-    comments (``has_comments`` False), and an indicator before its cut is
+    comments (``comment_sent_mean`` is NaN), and an indicator before its cut is
     set.  ``response_dist_global`` is the absolute gap between the mean
     post sentiment and the mean of all scored comments on the member posts;
     the other ``response_dist_*`` columns aggregate r(p) over member posts
@@ -120,7 +120,6 @@ class EntityTable:
 
     entities: tuple[str, ...]
     columns: dict[str, np.ndarray]
-    has_comments: np.ndarray
     engagement: tuple[np.ndarray, np.ndarray]
 
     def __len__(self) -> int:
@@ -185,7 +184,6 @@ def entity_features(corpus: Corpus, sample: EntitySample) -> EntityTable:
             **{name: np.where(has_comments, column, np.nan) for name, column in comment_columns.items()},
             **{row.indicator: np.full(n, np.nan) for row in MEASURES.values()},
         },
-        has_comments=has_comments,
         engagement=(keys, engaged),
     )
 
@@ -268,10 +266,14 @@ def temporal_lag_histogram(
     """Lag between an entity's first official post and its first fake post.
 
     Entities never reaching a fake source, or reaching it first (or at the
-    same instant), are excluded from the histogram.
+    same instant), are excluded from the histogram.  Timestamps are whole
+    seconds, so a bin narrower than one second (1/3600 h) is refused: it
+    would only add empty bins, one list entry and one edge each.
     """
     if not 0 < bin_hours < math.inf:
         raise ConfigError(f"bin_hours must be a finite number > 0, got {bin_hours}")
+    if bin_hours < 1 / 3600:
+        raise ConfigError(f"bin_hours must be at least 1/3600 (one second), got {bin_hours}")
     n = len(sample.entities)
     fake = corpus.post_is_fake()[sample.rows]
     # each entity's first official (row 0) and first fake (row 1) timestamp

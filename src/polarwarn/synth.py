@@ -11,8 +11,15 @@ entity roles, post allocation, per-entity posts, per-post comments, noise
 mentions) makes output files byte-identical per seed.
 
 Ground truth (disputed sets, engaged cohorts, exact presentation spreads,
-engaged fractions, planted lags) is tallied during generation, so tests can
-verify the feature pipeline against an independent bookkeeping path.
+engaged fractions, fake-post lags) is kept apart from the feature pipeline,
+so tests can verify the pipeline against an independent bookkeeping path.
+One tally counts each written comment once, by (user, entity); after the
+loop, each entity's commenters and each user's comment total, and so the
+engaged users and fractions, come from it.  Each entity's presentation
+spread and its lag from first official to first fake post are read off the
+posts drawn for it (its slots), once per entity.  The lag is the one the
+written timestamps show, not the planned one, so the truth stays a check on
+what was written.
 
 Every uniform draw is computed as ``lo + (hi - lo) * random()``, which is
 numpy's own ``Generator.uniform`` formula (``low + range * next_double``):
@@ -360,14 +367,11 @@ def generate(config: SynthConfig, out_dir: str | Path) -> GroundTruth:
             divergence_sign[i] = 1.0 if random() < 0.5 else -1.0
         high_confidence[i] = True if i in head_idx else random() < 0.5
 
-    # tallies for the ground truth (independent of the feature pipeline)
-    user_total: dict[str, int] = {}
+    # the ground truth's bookkeeping, independent of the feature pipeline:
+    # one count per comment, and each entity's spread and observed lag
     user_entity: dict[tuple[str, int], int] = {}
-    commenters: dict[int, set[str]] = {i: set() for i in range(n_ent)}
-    sent_min: dict[int, float] = {}
-    sent_max: dict[int, float] = {}
-    first_official: dict[int, int] = {}
-    first_fake: dict[int, int] = {}
+    d_p: dict[int, float] = {}
+    observed_lag: dict[int, float] = {}
 
     mean_comments = config.n_comments / config.n_posts
     # the comment loop runs once per comment: it reads these as locals and
@@ -419,7 +423,6 @@ def generate(config: SynthConfig, out_dir: str | Path) -> GroundTruth:
             audience = audiences[i]
             n_audience = len(audience)
             sign = divergence_sign.get(i)
-            entity_commenters = commenters[i]
             for j in range(n_official):
                 ts = t0 if j == 0 else t0 + int(_uniform(random, 3600, 30 * _DAY))
                 if profile == "wide_disputed":
@@ -438,6 +441,11 @@ def generate(config: SynthConfig, out_dir: str | Path) -> GroundTruth:
                     else:
                         sent = _clip(centers[i] + _uniform(random, -half, half))
                     slots.append(("fake", ts, sent))
+                first_official = min(ts for c, ts, _ in slots if c == "official")
+                first_fake = min(ts for c, ts, _ in slots if c == "fake")
+                observed_lag[i] = (first_fake - first_official) / 3600.0
+            sentiments = [sent for _, _, sent in slots]
+            d_p[i] = max(sentiments) - min(sentiments)
 
             for category, ts, sent in slots:
                 pid = f"post_{len(primaries):06d}"
@@ -467,13 +475,6 @@ def generate(config: SynthConfig, out_dir: str | Path) -> GroundTruth:
                 write_mention(_mention_line(entity, pid, conf) + "\n")
                 n_mentions += 1
 
-                sent_min[i] = min(sent_min.get(i, sent), sent)
-                sent_max[i] = max(sent_max.get(i, sent), sent)
-                if category == "official":
-                    first_official[i] = min(first_official.get(i, ts), ts)
-                else:
-                    first_fake[i] = min(first_fake.get(i, ts), ts)
-
                 n_c = int(poisson(mean_comments))
                 for _ in range(n_c):
                     cid = f"comment_{comment_counter:07d}"
@@ -495,9 +496,7 @@ def generate(config: SynthConfig, out_dir: str | Path) -> GroundTruth:
                         cid, pid, user, ts + int(60.0 + delay_width * ((raw() >> 11) * unit)),
                         _COMMENT_TEXTS[integers(n_texts)], c_sent, int(poisson(2.0)), int(poisson(1.0)),
                     ) + "\n")
-                    user_total[user] = user_total.get(user, 0) + 1
                     user_entity[(user, i)] = user_entity.get((user, i), 0) + 1
-                    entity_commenters.add(user)
         draws.store()
 
         # low-confidence noise mentions exercise the confidence filter without
@@ -509,27 +508,27 @@ def generate(config: SynthConfig, out_dir: str | Path) -> GroundTruth:
                     write_mention(_mention_line(other, pid, _uniform(random, 0.15, 0.55)) + "\n")
                     n_mentions += 1
 
+    user_total: dict[str, int] = {}
+    commenters: dict[int, list[str]] = {i: [] for i in range(n_ent)}
+    for (user, i), count in user_entity.items():
+        user_total[user] = user_total.get(user, 0) + count
+        commenters[i].append(user)
     truth_entities: dict[str, EntityTruth] = {}
     for i in range(n_ent):
         entity = entities[i]
-        engaged = sorted(
-            u for u in commenters[i] if user_entity.get((u, i), 0) > 0.95 * user_total[u]
-        )
+        engaged = sorted(u for u in commenters[i] if user_entity[(u, i)] > 0.95 * user_total[u])
         u_e = len(engaged) / len(commenters[i]) if commenters[i] else 0.0
-        lag_hours = None
-        if i in disputed_idx:
-            lag_hours = (first_fake[i] - first_official[i]) / 3600.0
         truth_entities[entity] = EntityTruth(
             entity=entity,
             disputed=i in disputed_idx,
             head=i in head_idx,
             profile=profiles[i],
             n_posts=post_counts[i],
-            d_p=sent_max[i] - sent_min[i],
+            d_p=d_p[i],
             u_e=u_e,
             engaged_users=tuple(engaged),
             cohort=tuple(cohorts.get(i, ())),
-            lag_hours=lag_hours,
+            lag_hours=observed_lag.get(i),
         )
     truth = GroundTruth(
         entities=truth_entities,

@@ -81,7 +81,7 @@ def members(sample) -> dict:
 def entity_rows(table) -> list[dict]:
     """An entity table as one plain dict per entity: its name, each column with NaN as None, and ``missing``."""
     columns = [[None if v != v else v for v in column.tolist()] for column in table.columns.values()]
-    missing = [() if has else ("comment_sentiment",) for has in table.has_comments.tolist()]
+    missing = [("comment_sentiment",) if v != v else () for v in table.columns["comment_sent_mean"].tolist()]
     names = ("entity", *table.columns, "missing")
     return [dict(zip(names, values)) for values in zip(table.entities, *columns, missing)]
 

@@ -108,6 +108,21 @@ def test_earlywarn_stage_and_rerun_identical(data_dir, tmp_path):
     assert len(report["best_models"]) == 2
 
 
+def test_hp_is_recorded_in_the_manifest(data_dir, tmp_path):
+    # --hp changes the reports, so it must change the manifest and its hash too
+    argv = ["earlywarn", "--data", str(data_dir), "--algo", "knn", "--algo", "lin", "--repeats", "2"]
+    manifests, reports = {}, {}
+    for tag, hp in (("plain", []), ("k1", ["--hp", "k=1"])):
+        out = tmp_path / tag
+        assert main(argv + hp + ["--out", str(out)]) == EXIT_OK
+        manifests[tag] = json.loads((out / "manifest.json").read_text())
+        reports[tag] = (out / "report.json").read_bytes()
+    assert reports["plain"] != reports["k1"]
+    assert "hp" not in manifests["plain"]["config"]
+    assert manifests["k1"]["config"]["hp"] == {"k": 1}
+    assert manifests["plain"]["config_hash"] != manifests["k1"]["config_hash"]
+
+
 def test_bad_hyperparameter_is_config_error(data_dir, tmp_path, caplog):
     code = main(["earlywarn", "--data", str(data_dir), "--out", str(tmp_path / "x"),
                  "--algo", "knn", "--hp", "k=4", "--repeats", "2"])
@@ -457,6 +472,7 @@ def test_config_file_not_a_json_object(tmp_path, caplog, command, content):
 @pytest.mark.parametrize("bin_hours, message", [
     ("0", "bin_hours must be a finite number > 0, got 0.0"),
     ("nan", "bin_hours must be a finite number > 0, got nan"),
+    ("1e-4", "bin_hours must be at least 1/3600 (one second), got 0.0001"),
 ])
 def test_bad_bin_hours_is_config_error(data_dir, tmp_path, caplog, bin_hours, message):
     out = tmp_path / "f"

@@ -45,7 +45,6 @@ def table_of(rows) -> feat.EntityTable:
     return feat.EntityTable(
         entities=tuple(f["entity"] for f in rows),
         columns={name: np.array([np.nan if f[name] is None else f[name] for f in rows]) for name in names},
-        has_comments=np.array([not f["missing"] for f in rows]),
         engagement=(np.zeros(0, np.int64), np.zeros(0, bool)),
     )
 

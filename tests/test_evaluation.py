@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polarwarn import evaluation as ev
-from polarwarn.models import Dataset, ModelSpec
+from polarwarn.models import Dataset, ModelSpec, fit, predict
 
 
 def make_dataset(X, y):
@@ -344,6 +344,24 @@ class TestProtocol:
         report = ev.evaluate_spec(ds, ModelSpec("log"), cycles)
         assert report.auc is not None and report.auc > 0.8
         assert report.tp + report.tn + report.fp + report.fn == report.n
+
+    @pytest.mark.parametrize("algorithm", ["log", "knn"])
+    def test_run_cycles_equals_a_per_cycle_loop(self, algorithm):
+        ds = self.planted()
+        spec = ModelSpec(algorithm, seed=3)
+        cycles = ev.Protocol(repeats=4, seed=2).cycles(ds.labels)
+        labels, predicted, aucs = [], [], []
+        for train, test in cycles:
+            model = fit(Dataset(ds.features[train], ds.labels[train], ds.feature_names), spec)
+            scores, guessed = predict(model, ds.features[test])
+            labels.append(ds.labels[test])
+            predicted.append(guessed)
+            aucs.append(ev.roc_auc(ds.labels[test], scores))
+        got = ev.run_cycles(ds, spec, cycles)
+        assert len(got) == 3
+        for array, expected in zip(got, (np.concatenate(labels), np.concatenate(predicted), np.array(aucs))):
+            assert array.dtype == expected.dtype
+            assert np.array_equal(array, expected)
 
     def test_label_permutation_hovers_at_half(self):
         ds = self.planted(n=200)

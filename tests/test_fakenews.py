@@ -428,6 +428,35 @@ def small_p2_world(tmp_path_factory):
     return read_records(directory), e2, warning, dataset
 
 
+# The post feature names up to the predicted block, in column order: P1
+# builds stop after the three base sentiment columns, P2 builds carry the
+# eight comment-sentiment columns too.
+P1_NAMES = (
+    "st_likes", "st_comments", "st_shares", "st_likes_on_comments", "st_comments_on_comments",
+    "st_avg_likes_on_comments", "st_avg_comments_on_comments",
+    "sem_post_characters", "sem_post_words", "sem_post_sentences", "sem_post_capital_letters",
+    "sem_post_punctuation_signs", "sem_post_avg_word_length", "sem_post_avg_sentence_length",
+    "sem_post_punctuation_rate", "sem_post_capital_rate",
+    "sem_comments_characters", "sem_comments_words", "sem_comments_sentences", "sem_comments_capital_letters",
+    "sem_comments_punctuation_signs", "sem_comments_avg_word_length", "sem_comments_avg_sentence_length",
+    "sem_comments_punctuation_rate", "sem_comments_capital_rate",
+    "ub_comments_to_commenters_avg", "ub_comments_to_commenters_std", "ub_likes_to_commenters_avg",
+    "ub_likes_to_commenters_std", "ub_mean_std_likes_to_commenters", "ub_mean_std_comments_to_commenters",
+    "ub_comments_per_user_avg", "ub_comments_per_user_std", "ub_pages_per_user_avg", "ub_pages_per_user_std",
+    "ub_engaged_users", "ub_engaged_users_rate",
+    "sb_post_sentiment", "sb_presentation_dist_mean", "sb_presentation_dist_std",
+)
+P2_COMMENT_NAMES = (
+    "sb_comment_sent_avg", "sb_comment_sent_std", "sb_rate_positive_comments", "sb_rate_negative_comments",
+    "sb_pos_over_neg_comments", "sb_n_captivating_entities", "sb_rate_captivating_entities",
+    "sb_response_dist_avg",
+)
+
+
+def predicted_names(warning) -> tuple[str, ...]:
+    return tuple(f"pred_{kind}_disputed_{algo}" for algo in warning.best for kind in ("n", "rate"))
+
+
 class TestBuildPostDataset:
     def test_p1_width_44(self, small_post_world):
         *_, dataset = small_post_world
@@ -437,6 +466,16 @@ class TestBuildPostDataset:
     def test_p2_width_52(self, small_p2_world):
         *_, ds = small_p2_world
         assert len(ds.feature_names) == 52
+
+    def test_p1_names_in_column_order(self, small_post_world):
+        *_, warning, _, dataset = small_post_world
+        assert dataset.feature_names == P1_NAMES + predicted_names(warning)
+        assert len(dataset.feature_names) == 44
+
+    def test_p2_names_in_column_order(self, small_p2_world):
+        _, _, warning, dataset = small_p2_world
+        assert dataset.feature_names == P1_NAMES + P2_COMMENT_NAMES + predicted_names(warning)
+        assert len(dataset.feature_names) == 52
 
     def test_rates_bounded_counts_nonnegative(self, small_post_world):
         *_, dataset = small_post_world

@@ -445,7 +445,6 @@ class TestResponseDistribution:
             entities=tuple(f"e{i}" for i in range(n)),
             columns={"disputed": np.full(n, disputed, np.int8), "response_dist_mean": np.array(values, float),
                      "controversy": np.full(n, float(controversy))},
-            has_comments=np.ones(n, bool),
             engagement=(np.zeros(0, np.int64), np.zeros(0, bool)),
         )
 
