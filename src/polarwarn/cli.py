@@ -80,10 +80,10 @@ def _write_csv(path: Path, header, rows) -> None:
 _REPORT_HEADER = ("algorithm", "row", "auc", "accuracy", "mean_abs_err", "precision", "recall", "fp_rate", "f1")
 
 
-def _report_rows(reports: dict[str, MetricsReport]):
+def _report_rows(reports: dict[str, MetricsReport], class_names: dict[int, str]):
     """One row per (algorithm, class), then the algorithm's weighted average."""
     for algo, rep in reports.items():
-        named = [(rep.class_names[c], rep.per_class[c]) for c in sorted(rep.per_class)]
+        named = [(class_names[c], rep.per_class[c]) for c in sorted(rep.per_class)]
         for row, m in named + [("weighted_avg", rep.weighted)]:
             yield (algo, row, rep.auc, rep.accuracy, rep.mean_abs_err,
                    m.precision, m.recall, m.fp_rate, m.f1)
@@ -255,13 +255,13 @@ def _earlywarn_stage(out: Path, inputs: _Inputs, sample_name: str,
     _write_json(out / "report.json", {
         "sample": sample.name,
         **_selection_docs(result.selections),
-        "benchmark": {a: r.to_json_dict() for a, r in result.benchmark.reports.items()},
+        "benchmark": {a: r.to_json_dict(ew.CLASS_NAMES) for a, r in result.benchmark.reports.items()},
         "failures": result.benchmark.failures,
         "best_models": list(result.best),
         "n_entities": len(result.dataset.labels),
         "n_disputed": int(result.dataset.labels.sum()),
     })
-    _write_csv(out / "benchmark.csv", _REPORT_HEADER, _report_rows(result.benchmark.reports))
+    _write_csv(out / "benchmark.csv", _REPORT_HEADER, _report_rows(result.benchmark.reports, ew.CLASS_NAMES))
     _write_features(out / "features.csv", result.features)
     a, b = result.best
     labels, scores = result.predictions
@@ -299,8 +299,9 @@ def _fakenews_stage(out: Path, inputs: _Inputs, sample_name: str, warning: ew.Ea
                               title=f"experiment {mode} ({sample_name})", y_label="AUC")
     reports = steps[fn.FULL_SET]
     ranking = fn.final_report(dataset, reports, specs, cycles, max_features=max_stepwise)
-    _write_json(out / "report.json", {a: r.to_json_dict() for a, r in reports.items()}, sort_keys=False)
-    _write_csv(out / "report.csv", _REPORT_HEADER, _report_rows(reports))
+    _write_json(out / "report.json", {a: r.to_json_dict(fn.CLASS_NAMES) for a, r in reports.items()},
+                sort_keys=False)
+    _write_csv(out / "report.csv", _REPORT_HEADER, _report_rows(reports, fn.CLASS_NAMES))
     _write_csv(out / "stepwise.csv", ("rank", "feature", "mean_auc"),
                ((i, name, auc) for i, (name, auc) in enumerate(zip(ranking.features, ranking.auc_trace), 1)))
     _write_manifest(out, "fakenews",
@@ -422,17 +423,18 @@ def cmd_report(args) -> int:
     run_dir = Path(args.run)
     if not run_dir.is_dir():
         raise CorpusError(f"run directory not found or not a directory: {run_dir}")
+    out_path = run_dir / "summary.json"
     stages = {}
     for manifest_path in sorted(run_dir.glob("**/manifest.json")):
         stage_dir = manifest_path.parent
+        # not the summary this call rewrites, so that a rerun writes the same file
         entry = {"manifest": _read_json(manifest_path, CorpusError),
-                 "outputs": sorted(p.name for p in stage_dir.iterdir())}
+                 "outputs": sorted(p.name for p in stage_dir.iterdir() if p != out_path)}
         report_path = stage_dir / "report.json"
         if report_path.exists():
             entry["report"] = _read_json(report_path, CorpusError)
         stages[str(stage_dir.relative_to(run_dir))] = entry
     summary = {"run": str(run_dir), "stages": stages}
-    out_path = run_dir / "summary.json"
     _write_json(out_path, summary)
     print(f"report: {len(stages)} stage(s) -> {out_path}")
     return EXIT_OK

@@ -24,7 +24,7 @@ from .corpus import Corpus, EntitySample
 from .errors import NumericError
 from .features import EntityTable, entity_features
 from .models import Dataset, ModelSpec, TrainedModel, fit, predict
-from .evaluation import MetricsReport, Protocol, evaluate_spec, rank_reports, rebalance
+from .evaluation import Cycles, MetricsReport, Protocol, rank_reports, rebalance, run_cycles
 from . import thresholds as th
 
 log = logging.getLogger(__name__)
@@ -96,21 +96,18 @@ class BenchmarkResult:
 def run_benchmark(
     dataset: Dataset,
     specs: list[ModelSpec],
-    protocol: Protocol,
+    cycles: Cycles,
 ) -> BenchmarkResult:
-    """Average the benchmark protocol per algorithm, every algorithm on the same cycles.
+    """Each algorithm's report on the same cycles of ``dataset``.
 
     An algorithm whose evaluation raises a ``NumericError`` is recorded as a
-    failure and the others still run; cycles that cannot be drawn fail every
-    algorithm with the same error.  Any other error propagates.
+    failure and the others still run.  Any other error propagates.
     """
     reports: dict[str, MetricsReport] = {}
     failures: dict[str, str] = {}
-    cycles = None
     for spec in specs:
         try:
-            cycles = cycles or protocol.cycles(dataset.labels)
-            reports[spec.algorithm] = evaluate_spec(dataset, spec, cycles, CLASS_NAMES)
+            reports[spec.algorithm] = run_cycles(dataset, spec, cycles)
         except NumericError as exc:
             failures[spec.algorithm] = f"{type(exc).__name__}: {exc}"
     for algo, err in failures.items():
@@ -208,7 +205,7 @@ def run_early_warning(
     """Full early-warning pass over one non-empty entity sample."""
     table, curves, selections = threshold_entities(corpus, sample)
     dataset = build_entity_dataset(table, sample.name, sample.requires_comment_sentiment)
-    benchmark = run_benchmark(dataset, specs, protocol)
+    benchmark = run_benchmark(dataset, specs, protocol.cycles(dataset.labels))
     best = select_best_models(benchmark.reports)
     spec_by_algo = {s.algorithm: s for s in specs}
     kept = rebalance(dataset.labels, protocol.seed)

@@ -6,12 +6,12 @@ seeds and aggregate.  Rebalancing and splitting read only the labels and
 return row indices, so ``Protocol.cycles`` draws the cycles once for every
 evaluation on the same labels.  Aggregated reports pool the confusion counts
 across cycles (cycles have identical sizes, so pooled accuracy equals the
-mean) and average the per-cycle AUC.
+mean) and keep the per-cycle AUCs, whose mean is the report's AUC.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -49,10 +49,14 @@ class MetricsReport:
     fp: int
     fn: int
     n: int
-    auc: float | None = None
-    class_names: dict[int, str] = field(default_factory=lambda: {0: "negative", 1: "positive"})
+    aucs: tuple[float, ...]
 
-    def to_json_dict(self) -> dict:
+    @property
+    def auc(self) -> float:
+        """The mean of the per-cycle AUCs."""
+        return float(np.mean(self.aucs))
+
+    def to_json_dict(self, class_names: dict[int, str]) -> dict:
         def cm(m: ClassMetrics) -> dict:
             return {
                 "precision": m.precision,
@@ -64,7 +68,7 @@ class MetricsReport:
             }
 
         return {
-            "per_class": {self.class_names[k]: cm(v) for k, v in sorted(self.per_class.items())},
+            "per_class": {class_names[k]: cm(v) for k, v in sorted(self.per_class.items())},
             "weighted_avg": cm(self.weighted),
             "accuracy": self.accuracy,
             "mean_abs_err": self.mean_abs_err,
@@ -74,8 +78,8 @@ class MetricsReport:
 
 
 def rank_reports(reports: dict[str, MetricsReport]) -> list[str]:
-    """Algorithms best first: by AUC (a missing AUC counts as 0), then accuracy, then name."""
-    return sorted(reports, key=lambda a: (-(reports[a].auc or 0.0), -reports[a].accuracy, a))
+    """Algorithms best first: by AUC, then accuracy, then name."""
+    return sorted(reports, key=lambda a: (-reports[a].auc, -reports[a].accuracy, a))
 
 
 def split_train_test(labels: np.ndarray, train_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -133,9 +137,10 @@ def _class_metrics(tp: int, fp: int, fn: int, tn: int) -> ClassMetrics:
 def confusion_metrics(
     labels: Sequence[int],
     predicted: Sequence[int],
-    class_names: dict[int, str] | None = None,
+    aucs: Sequence[float] = (),
 ) -> MetricsReport:
-    """Exact confusion-matrix metrics of equal-length non-empty 0/1 vectors, per class and support-weighted.
+    """Exact confusion-matrix metrics of equal-length non-empty 0/1 vectors,
+    per class and support-weighted, carrying the given per-cycle AUCs.
 
     Class 0's metrics come from class 1's counts with the roles swapped.
     """
@@ -161,7 +166,7 @@ def confusion_metrics(
         fp=fp,
         fn=fn,
         n=n,
-        class_names=class_names or {0: "negative", 1: "positive"},
+        aucs=tuple(aucs),
     )
 
 
@@ -219,12 +224,12 @@ class Protocol:
         return tuple(drawn)
 
 
-def run_cycles(dataset: Dataset, spec: ModelSpec, cycles: Cycles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def run_cycles(dataset: Dataset, spec: ModelSpec, cycles: Cycles) -> MetricsReport:
     """Fit and score one model spec on each cycle's ``(train, test)`` rows of
     ``dataset``; only those slices of the feature matrix are copied.
 
-    Returns every cycle's test labels, joined in cycle order; the predicted
-    labels of the same rows, joined the same way; and each cycle's AUC.
+    Returns the confusion metrics of every cycle's test rows, pooled in cycle
+    order, with each cycle's AUC.
     """
     X, y = dataset.features, dataset.labels
     predicted, aucs = [], []
@@ -233,19 +238,7 @@ def run_cycles(dataset: Dataset, spec: ModelSpec, cycles: Cycles) -> tuple[np.nd
         scores, labels = predict(model, X[test])
         predicted.append(labels)
         aucs.append(roc_auc(y[test], scores))
-    return y[np.concatenate([test for _, test in cycles])], np.concatenate(predicted), np.array(aucs)
-
-
-def evaluate_spec(
-    dataset: Dataset,
-    spec: ModelSpec,
-    cycles: Cycles,
-    class_names: dict[int, str] | None = None,
-) -> MetricsReport:
-    """Confusion counts pooled over every cycle, with the mean per-cycle AUC."""
-    labels, predicted, aucs = run_cycles(dataset, spec, cycles)
-    report = confusion_metrics(labels, predicted, class_names=class_names)
-    return replace(report, auc=float(np.mean(aucs)))
+    return confusion_metrics(y[np.concatenate([test for _, test in cycles])], np.concatenate(predicted), aucs)
 
 
 @dataclass(frozen=True)
@@ -273,7 +266,7 @@ def forward_stepwise(
     trace: list[float] = []
     remaining = list(dataset.feature_names)
     for _ in range(max_features):
-        aucs = [evaluate_spec(dataset.take_columns(selected + [name]), spec, cycles).auc for name in remaining]
+        aucs = [run_cycles(dataset.take_columns(selected + [name]), spec, cycles).auc for name in remaining]
         best = int(np.argmax(aucs))
         selected.append(remaining.pop(best))
         trace.append(aucs[best])

@@ -20,7 +20,7 @@ import numpy as np
 
 from .corpus import Corpus, PostSample, group_positions
 from .features import EntityTable, _div, _grouped, _pow
-from .evaluation import Cycles, MetricsReport, StepwiseResult, evaluate_spec, forward_stepwise, rank_reports
+from .evaluation import Cycles, MetricsReport, StepwiseResult, forward_stepwise, rank_reports, run_cycles
 from .earlywarning import EarlyWarningResult
 from .models import Dataset, ModelSpec
 
@@ -440,7 +440,7 @@ def run_experiment(
     table = {}
     for step in dict.fromkeys([*(s for m in modes for s in EXPERIMENT_STEPS[m.upper()]), FULL_SET]):
         sub = subset_by_categories(dataset, step.split("+"))
-        table[step] = {spec.algorithm: evaluate_spec(sub, spec, cycles, CLASS_NAMES) for spec in specs}
+        table[step] = {spec.algorithm: run_cycles(sub, spec, cycles) for spec in specs}
     return table
 
 

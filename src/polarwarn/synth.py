@@ -94,8 +94,9 @@ class SynthConfigError(ConfigError):
 # the closed range each field named here must lie in
 _RANGES = {
     **dict.fromkeys(("n_official_sources", "n_fake_sources", "n_entities", "n_posts", "n_users",
-                     "engaged_cohort_size", "audience_size_min", "audience_size"), (1, math.inf)),
-    **dict.fromkeys(("n_comments", "head_entities", "head_posts_min", "undisputed_spread",
+                     "engaged_cohort_size", "audience_size_min", "audience_size", "head_posts_min"),
+                    (1, math.inf)),
+    **dict.fromkeys(("n_comments", "head_entities", "undisputed_spread",
                      "consonant_noise", "seed"), (0, math.inf)),
     **dict.fromkeys(("disputed_fraction", "disputed_narrow_fraction", "undisputed_wide_fraction",
                      "official_clickbait_rate", "fake_sober_rate", "cohort_comment_share",
@@ -141,6 +142,9 @@ class SynthConfig:
     def n_disputed(self) -> int:
         return int(round(self.n_entities * self.disputed_fraction))
 
+    def n_head_disputed(self) -> int:
+        return min(int(round(self.head_entities * self.disputed_fraction)), self.n_disputed())
+
     def validate(self) -> None:
         for f in fields(self):
             v = getattr(self, f.name)
@@ -161,6 +165,9 @@ class SynthConfig:
                     f"{low}={getattr(self, low)} exceeds {high}={getattr(self, high)}")
         if self.head_entities > self.n_entities:
             raise SynthConfigError("head_entities exceeds n_entities")
+        if self.n_head_disputed() and self.head_posts_min < 2:  # one official and one fake post
+            raise SynthConfigError(f"head_posts_min must be at least 2 when a head entity is disputed, "
+                                   f"got {self.head_posts_min}")
         reserved = self.n_disputed() * self.engaged_cohort_size
         if reserved + self.audience_size > self.n_users:
             raise SynthConfigError(
@@ -315,7 +322,7 @@ def generate(config: SynthConfig, out_dir: str | Path) -> GroundTruth:
     disputed_idx = set(int(i) for i in rng.choice(n_ent, size=n_disputed, replace=False))
     sorted_disputed = sorted(disputed_idx)
     sorted_undisputed = [i for i in range(n_ent) if i not in disputed_idx]
-    n_head_disputed = min(int(round(config.head_entities * config.disputed_fraction)), n_disputed)
+    n_head_disputed = config.n_head_disputed()
     head_idx = set(sorted_disputed[:n_head_disputed])
     head_idx.update(sorted_undisputed[: config.head_entities - n_head_disputed])
 

@@ -8,6 +8,7 @@ import pytest
 from polarwarn import cli
 from polarwarn import earlywarning as ew
 from polarwarn import evaluation
+from polarwarn import fakenews as fn
 from polarwarn import thresholds as th
 from polarwarn.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from polarwarn.corpus import CorpusError, SchemaError
@@ -224,7 +225,8 @@ def test_fakenews_evaluates_each_step_once(data_dir, tmp_path, monkeypatch, expe
         calls.append(spec.algorithm)
         return run_cycles(dataset, spec, cycles)
 
-    monkeypatch.setattr(evaluation, "run_cycles", counted)
+    for module in (evaluation, ew, fn):
+        monkeypatch.setattr(module, "run_cycles", counted)
     out = tmp_path / "fn"
     argv = ["fakenews", "--data", str(data_dir), "--algo", "log", "--repeats", "1",
             "--max-stepwise", "0", "--seed", "5", "--out", str(out)]
@@ -266,6 +268,11 @@ def test_pipeline_and_report(tmp_path):
     f2 = (out2 / "fakenews_p1" / "report.json").read_bytes()
     assert f1 == f2
 
+    # report over a finished run rewrites its summary byte for byte
+    written = (out / "summary.json").read_bytes()
+    assert main(["report", "--run", str(out)]) == EXIT_OK
+    assert (out / "summary.json").read_bytes() == written
+
 
 def test_plots_flag_writes_svg(data_dir, tmp_path):
     out = tmp_path / "plots"
@@ -287,13 +294,14 @@ def test_all_fits_failing_is_numeric_error(data_dir, tmp_path, monkeypatch):
 
 
 def test_all_disputed_corpus_is_numeric_error(tmp_path, caplog):
-    # one class: every algorithm's rebalance fails, so no two models remain
+    # one class: the cycles cannot be drawn, so no algorithm is evaluated
     (tmp_path / "synth.json").write_text(json.dumps({**SYNTH_CONFIG, "disputed_fraction": 1.0}))
     assert main(["synth", "--config", str(tmp_path / "synth.json"), "--out", str(tmp_path / "data")]) == EXIT_OK
     code = main(["earlywarn", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "x"),
                  "--algo", "lin", "--algo", "log", "--repeats", "2"])
     assert code == EXIT_NUMERIC
-    assert "benchmark failure for lin: StratificationError: rebalance requires both classes" in caplog.text
+    assert "numeric failure: rebalance requires both classes" in caplog.text
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("run_config, named", [

@@ -99,7 +99,7 @@ def report_with(auc, accuracy):
     m = ClassMetrics(precision=0.5, recall=0.5, fp_rate=0.5, f1=0.5, support=10)
     return MetricsReport(
         per_class={0: m, 1: m}, weighted=m, accuracy=accuracy, mean_abs_err=1 - accuracy,
-        tp=5, tn=5, fp=5, fn=5, n=20, auc=auc,
+        tp=5, tn=5, fp=5, fn=5, n=20, aucs=(auc,),
     )
 
 
@@ -132,19 +132,9 @@ class TestSelectBestModels:
 
 
 class TestRunBenchmark:
-    def test_failures_do_not_abort(self):
-        ds = Dataset(
-            features=np.zeros((6, 2)),
-            labels=np.ones(6, dtype=np.int8),  # single class: every cycle fails
-            feature_names=("a", "b"),
-        )
-        result = ew.run_benchmark(ds, [ModelSpec("log"), ModelSpec("knn")], Protocol(repeats=2))
-        assert result.reports == {}
-        assert set(result.failures) == {"log", "knn"}
-
     def test_only_numeric_errors_are_failures(self, monkeypatch):
         ds = Dataset(features=np.arange(12.0).reshape(6, 2), labels=[0, 1] * 3, feature_names=("a", "b"))
-        specs, protocol = [ModelSpec("log"), ModelSpec("lin")], Protocol(repeats=2)
+        specs, cycles = [ModelSpec("log"), ModelSpec("lin")], Protocol(repeats=2).cycles(ds.labels)
 
         def fail(error):
             def fit_log(*args):
@@ -152,12 +142,12 @@ class TestRunBenchmark:
             return fit_log
 
         monkeypatch.setattr(linear, "fit_log", fail(DegenerateFitError))
-        result = ew.run_benchmark(ds, specs, protocol)
+        result = ew.run_benchmark(ds, specs, cycles)
         assert result.failures == {"log": "DegenerateFitError: planted"}
         assert list(result.reports) == ["lin"]
         monkeypatch.setattr(linear, "fit_log", fail(TypeError))
         with pytest.raises(TypeError, match="planted"):  # a bug, not a benchmark failure
-            ew.run_benchmark(ds, specs, protocol)
+            ew.run_benchmark(ds, specs, cycles)
 
 
 def reference_logistic_auc(dataset: Dataset, protocol: Protocol) -> float:
@@ -214,7 +204,7 @@ def test_label_permutation_null(small_synth):
         row_ids=ds.row_ids,
     )
     result = ew.run_benchmark(permuted, [ModelSpec(a, seed=1) for a in ("lin", "log", "knn", "dt")],
-                              Protocol(repeats=6, seed=1))
+                              Protocol(repeats=6, seed=1).cycles(permuted.labels))
     for algo, report in result.reports.items():
         assert 0.4 <= report.auc <= 0.6, algo
 

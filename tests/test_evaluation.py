@@ -341,8 +341,8 @@ class TestProtocol:
     def test_cycles_and_aggregate(self):
         ds = self.planted()
         cycles = ev.Protocol(repeats=5, seed=1).cycles(ds.labels)
-        report = ev.evaluate_spec(ds, ModelSpec("log"), cycles)
-        assert report.auc is not None and report.auc > 0.8
+        report = ev.run_cycles(ds, ModelSpec("log"), cycles)
+        assert len(report.aucs) == 5 and report.auc > 0.8
         assert report.tp + report.tn + report.fp + report.fn == report.n
 
     @pytest.mark.parametrize("algorithm", ["log", "knn"])
@@ -358,10 +358,9 @@ class TestProtocol:
             predicted.append(guessed)
             aucs.append(ev.roc_auc(ds.labels[test], scores))
         got = ev.run_cycles(ds, spec, cycles)
-        assert len(got) == 3
-        for array, expected in zip(got, (np.concatenate(labels), np.concatenate(predicted), np.array(aucs))):
-            assert array.dtype == expected.dtype
-            assert np.array_equal(array, expected)
+        assert got == ev.confusion_metrics(np.concatenate(labels), np.concatenate(predicted), aucs)
+        assert got.aucs == tuple(aucs)
+        assert got.auc == float(np.mean(aucs))
 
     def test_label_permutation_hovers_at_half(self):
         ds = self.planted(n=200)
@@ -371,7 +370,7 @@ class TestProtocol:
             labels=rng.permutation(ds.labels),
             feature_names=ds.feature_names,
         )
-        auc = ev.evaluate_spec(permuted, ModelSpec("log"), ev.Protocol(repeats=8, seed=2).cycles(permuted.labels)).auc
+        auc = ev.run_cycles(permuted, ModelSpec("log"), ev.Protocol(repeats=8, seed=2).cycles(permuted.labels)).auc
         assert 0.35 < auc < 0.65
 
     @pytest.mark.parametrize("repeats", [0, -3])

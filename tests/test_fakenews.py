@@ -594,13 +594,13 @@ class TestExperiments:
         ds = synthetic_category_dataset("P", n=120)
         specs = [ModelSpec("log", seed=1), ModelSpec("lin", seed=1)]
         evaluated = []
-        evaluate_spec = fn.evaluate_spec
+        run_cycles = fn.run_cycles
 
-        def counted(dataset, spec, cycles, class_names):
+        def counted(dataset, spec, cycles):
             evaluated.append((dataset.feature_names, spec.algorithm))
-            return evaluate_spec(dataset, spec, cycles, class_names)
+            return run_cycles(dataset, spec, cycles)
 
-        monkeypatch.setattr(fn, "evaluate_spec", counted)
+        monkeypatch.setattr(fn, "run_cycles", counted)
         steps = fn.run_experiment(ds, modes, specs, Protocol(repeats=2, seed=4).cycles(ds.labels))
         expected = [s for m in modes for s in fn.EXPERIMENT_STEPS[m.upper()]] + [fn.FULL_SET]
         assert list(steps) == list(dict.fromkeys(expected))
@@ -631,7 +631,7 @@ class TestFinalReport:
         reports = fn.run_experiment(
             ds, ["A"], [ModelSpec("log", seed=2)], Protocol(repeats=2, seed=6).cycles(ds.labels)
         )[fn.FULL_SET]
-        assert reports["log"].class_names == {0: "not_fake", 1: "fake"}
+        assert list(reports["log"].to_json_dict(fn.CLASS_NAMES)["per_class"]) == ["not_fake", "fake"]
 
     def test_ranks_the_given_reports_without_evaluating_them(self, monkeypatch):
         ds = synthetic_category_dataset("ST", n=200, seed=6)
@@ -639,7 +639,7 @@ class TestFinalReport:
         cycles = Protocol(repeats=2, seed=6).cycles(ds.labels)
         reports = fn.run_experiment(ds, [], specs, cycles)[fn.FULL_SET]
         stepwise = []
-        monkeypatch.setattr(fn, "evaluate_spec", None)  # final_report may not call it
+        monkeypatch.setattr(fn, "run_cycles", None)  # final_report may not call it
         monkeypatch.setattr(fn, "forward_stepwise", lambda _, spec, *rest: stepwise.append(spec.algorithm))
         fn.final_report(ds, reports, specs, cycles, max_features=1)
         assert stepwise == [fn.rank_reports(reports)[0]]

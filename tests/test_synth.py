@@ -224,6 +224,9 @@ def test_non_finite_float_rejected(name, value):
     ({"consonant_noise": -1.0}, "consonant_noise"),
     ({"head_posts_max": 20}, "head_posts_min"),
     ({"seed": -1}, "seed"),
+    # a disputed head entity needs two posts, any head entity one
+    ({"head_posts_min": 1, "head_posts_max": 1}, "head_posts_min"),
+    ({"head_posts_min": 0, "head_posts_max": 0, "disputed_fraction": 0.0}, "head_posts_min"),
 ])
 def test_reversed_or_negative_range_rejected(overrides, key):
     config = synth.SynthConfig(**{**TOY.to_json_dict(), **overrides})
@@ -239,6 +242,17 @@ def test_empty_ranges_accepted(tmp_path):
     })
     truth = synth.generate(config, tmp_path)
     assert {t.lag_hours for t in truth.entities.values() if t.disputed} == {3.0}
+
+
+@pytest.mark.parametrize("overrides", [
+    {"head_posts_min": 2, "head_posts_max": 2},
+    {"head_posts_min": 1, "head_posts_max": 1, "disputed_fraction": 0.0},
+])
+def test_fewest_head_posts_accepted(tmp_path, overrides):
+    truth = synth.generate(synth.SynthConfig(**{**TOY.to_json_dict(), **overrides}), tmp_path)
+    heads = [t for t in truth.entities.values() if t.head]
+    assert len(heads) == TOY.head_entities
+    assert {t.n_posts for t in heads} == {overrides["head_posts_min"]}
 
 
 def test_cli_synth_rejects_infinite_spread(tmp_path):
