@@ -581,7 +581,7 @@ def select_entities(
     qualifying = corpus.mentions.confidence >= min_confidence
     entity, post = corpus.mentions.entity[qualifying], corpus.mentions.post[qualifying]
     counts = np.bincount(entity, minlength=len(corpus.entities))
-    kept = (counts >= min_posts) & (counts > 0)
+    kept = counts >= min_posts
     member = kept[entity]
     return EntitySample(
         name=name or f"conf{min_confidence:g}_posts{min_posts}",

@@ -24,10 +24,6 @@ class StratificationError(NumericError):
     """A class has no rows to rebalance with, or too few to appear on both sides of the split."""
 
 
-class UndefinedAUCError(NumericError):
-    """AUC needs at least one row of each class."""
-
-
 @dataclass(frozen=True)
 class ClassMetrics:
     precision: float
@@ -171,7 +167,8 @@ def confusion_metrics(
 
 
 def roc_auc(labels: Sequence[int], scores: Sequence[float]) -> float:
-    """Rank-based AUC: P(random positive outscores a random negative), ties 1/2.
+    """Rank-based AUC of labels holding both classes: P(random positive
+    outscores a random negative), ties 1/2.
 
     Computed from the Mann-Whitney statistic with midranks, which equals the
     trapezoidal area under the recall vs false-positive-rate curve.
@@ -180,8 +177,6 @@ def roc_auc(labels: Sequence[int], scores: Sequence[float]) -> float:
     scores = np.asarray(scores, dtype=float)
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
-    if n_pos == 0 or n_neg == 0:
-        raise UndefinedAUCError("AUC undefined: need both classes")
     order = np.argsort(scores, kind="stable")
     sorted_scores = scores[order]
     # tie groups span sorted positions [start, end); 1-based midrank (start + end + 1) / 2

@@ -233,13 +233,6 @@ def build_post_dataset(corpus: Corpus, post_sample: PostSample, warning: EarlyWa
     ptr = np.concatenate([[0], np.cumsum(row_n_entities)])
     row_n_entities = row_n_entities.astype(float)
 
-    missing = [p for p, k in zip(row_ids, row_n_entities) if k == 0]
-    if missing:
-        log.warning(
-            "%d posts have no qualifying entity mentions (first: %s)",
-            len(missing), ", ".join(missing[:5]),
-        )
-
     columns = {
         **_structural_columns(corpus, rows, post, likes, replies, n_comments),
         **_named("sem_post_", SEMANTIC_STAT_NAMES,

@@ -3,7 +3,6 @@
 from .base import (
     ALGORITHMS,
     Dataset,
-    DegenerateFitError,
     ModelSpec,
     ShapeError,
     Standardizer,
@@ -16,7 +15,6 @@ from .base import (
 __all__ = [
     "ALGORITHMS",
     "Dataset",
-    "DegenerateFitError",
     "ModelSpec",
     "ShapeError",
     "Standardizer",

@@ -46,7 +46,6 @@ class _Algorithm(NamedTuple):
     fit: Callable[[np.ndarray, np.ndarray, dict, int], dict]  # (X, y, hp, seed) -> params
     score: Callable[[dict, np.ndarray], np.ndarray]
     cut: float  # scores at or above the cut are labeled 1
-    single_class: bool = False  # can fit training data of one class
 
 
 _REGISTRY: dict[str, _Algorithm] = {
@@ -63,7 +62,6 @@ _REGISTRY: dict[str, _Algorithm] = {
     ),
     "knn": _Algorithm(
         {"k": (5, _ODD)}, lambda X, y, hp, seed: neighbors.fit_knn(X, y, hp), neighbors.score_knn, 0.5,
-        single_class=True,
     ),
     "nn": _Algorithm(
         {"hidden_size": (16, _COUNT), "max_iter": (500, _COUNT),
@@ -79,12 +77,8 @@ _REGISTRY: dict[str, _Algorithm] = {
 ALGORITHMS = tuple(_REGISTRY)
 
 
-class DegenerateFitError(NumericError):
-    """Training data cannot support a parametric fit (single class)."""
-
-
 class ShapeError(NumericError):
-    """Feature rows are not finite, or prediction rows do not match the training width."""
+    """A ``Dataset``'s feature rows are not finite."""
 
 
 @dataclass(frozen=True)
@@ -154,9 +148,6 @@ class Standardizer:
     scale: np.ndarray
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.shape[1] != len(self.mean):
-            raise ShapeError(f"expected {len(self.mean)} columns, got {X.shape[1]}")
         return (X - self.mean) / self.scale
 
 
@@ -177,12 +168,7 @@ class TrainedModel:
 
 
 def fit(train: Dataset, spec: ModelSpec) -> TrainedModel:
-    """Train one model on a non-empty split; deterministic given (data, spec.seed)."""
-    classes = np.unique(train.labels)
-    if len(classes) < 2 and not _REGISTRY[spec.algorithm].single_class:
-        raise DegenerateFitError(
-            f"{spec.algorithm} requires both classes in training data (got {classes.tolist()})"
-        )
+    """Train one model on a split holding both classes; deterministic given (data, spec.seed)."""
     std = fit_standardizer(train.features)
     X = std.apply(train.features)
     y = train.labels.astype(float)
@@ -191,11 +177,8 @@ def fit(train: Dataset, spec: ModelSpec) -> TrainedModel:
 
 
 def predict(model: TrainedModel, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scores and 0/1 labels for a finite row matrix matching the training width."""
+    """Scores and 0/1 labels for rows of a ``Dataset`` with the training columns."""
     algo = _REGISTRY[model.spec.algorithm]
-    rows = np.asarray(rows, dtype=float)
-    if not np.isfinite(rows).all():
-        raise ShapeError("prediction rows must be finite")
     scores = algo.score(model.params, model.standardizer.apply(rows))
     labels = (scores >= algo.cut).astype(np.int8)
     return scores, labels

@@ -108,16 +108,13 @@ class PolynomialFit:
 
 
 def fit_polynomial(x: Sequence[float], y: Sequence[float], degree: int) -> PolynomialFit:
-    """Deterministic least-squares polynomial fit of the given degree.
+    """Deterministic least-squares polynomial fit of the given degree (at
+    least 2) to equal-length 1-d ``x`` and ``y``; non-finite points are dropped.
 
     The solve runs in a scaled variable for conditioning.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if degree < 2:
-        raise FitError(f"degree must be >= 2, got {degree}")
-    if x.shape != y.shape or x.ndim != 1:
-        raise FitError("x and y must be 1-d arrays of equal length")
     mask = np.isfinite(x) & np.isfinite(y)
     x, y = x[mask], y[mask]
     if len(x) < degree + 1:

@@ -97,28 +97,6 @@ class TestFitPredictContracts:
                 else:
                     assert value == m2.params[key], (algo, key)
 
-    def test_single_class_degenerate(self):
-        ds = make_dataset([[0.0], [1.0]], [1, 1])
-        for algo in ("lin", "log", "svm", "nn", "dt"):
-            with pytest.raises(models.DegenerateFitError):
-                models.fit(ds, ModelSpec(algo))
-        knn = models.fit(ds, ModelSpec("knn", {"k": 1}))
-        scores, labels = models.predict(knn, ds.features)
-        assert labels.tolist() == [1, 1]
-
-    def test_width_mismatch(self):
-        ds = separable_1d()
-        model = models.fit(ds, ModelSpec("log"))
-        with pytest.raises(models.ShapeError):
-            models.predict(model, np.zeros((3, 2)))
-
-    @pytest.mark.parametrize("algo", models.ALGORITHMS)
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_rows_rejected(self, algo, value):
-        model = models.fit(XOR, ModelSpec(algo))
-        with pytest.raises(models.ShapeError, match="finite"):
-            models.predict(model, np.array([[value, 1.0]]))
-
     def test_zero_weight_log_scores_half(self):
         ds = separable_1d()
         model = models.fit(ds, ModelSpec("log"))

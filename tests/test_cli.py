@@ -13,7 +13,7 @@ from polarwarn import thresholds as th
 from polarwarn.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from polarwarn.corpus import CorpusError, SchemaError
 from polarwarn.errors import ConfigError
-from polarwarn.models import DegenerateFitError, ShapeError, linear
+from polarwarn.models import ShapeError, linear
 from polarwarn.synth import SynthConfigError
 
 SYNTH_CONFIG = {
@@ -284,7 +284,7 @@ def test_plots_flag_writes_svg(data_dir, tmp_path):
 
 def test_all_fits_failing_is_numeric_error(data_dir, tmp_path, monkeypatch):
     def diverge(*args):
-        raise DegenerateFitError("diverged")
+        raise th.FitError("diverged")
 
     monkeypatch.setattr(linear, "fit_log", diverge)
     monkeypatch.setattr(linear, "fit_svm", diverge)
@@ -425,8 +425,8 @@ def test_pipeline_non_positive_repeats_rejected_before_work(data_dir, tmp_path, 
     assert not out.exists()
 
 
-NUMERIC_ERRORS = [th.FitError, th.SelectionError, DegenerateFitError, ShapeError,
-                  evaluation.StratificationError, evaluation.UndefinedAUCError, ew.TooFewModelsError]
+NUMERIC_ERRORS = [th.FitError, th.SelectionError, ShapeError, evaluation.StratificationError,
+                  ew.TooFewModelsError]
 
 
 @pytest.mark.parametrize("error, code", [
@@ -448,7 +448,7 @@ def test_exit_code_follows_error_type_alone(tmp_path, monkeypatch, error, code):
         assert main(argv) == code
 
 
-@pytest.mark.parametrize("error, code", [(ValueError, None), (DegenerateFitError, EXIT_NUMERIC)])
+@pytest.mark.parametrize("error, code", [(ValueError, None), (th.FitError, EXIT_NUMERIC)])
 def test_fakenews_fit_failure_is_not_caught(data_dir, tmp_path, monkeypatch, error, code):
     # the embedded early warning records a numeric failure of the log fits
     # and lets any other error through; the post-level stage catches nothing

@@ -363,12 +363,10 @@ class TestPredictedStats:
         rows = build_rows(corpus, {"a": (1, 1)}, posts=["p1", "p2"])
         assert [rows["p2"][name] for name in PREDICTED] == [0, 0, 0, 0]
 
-    def test_one_warning_for_posts_without_entities(self, tmp_path, caplog):
+    def test_debug_line_counts_rows_columns_comments(self, tmp_path, caplog):
         corpus = build_predicted_corpus(tmp_path)
         with caplog.at_level(logging.DEBUG, logger=fn.__name__):
             build_rows(corpus, posts=["p1", "p2"])
-        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
-        assert warnings == ["1 posts have no qualifying entity mentions (first: p2)"]
         debug = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
         assert any("2 rows x 44 columns, 1 comments scanned" in m for m in debug)
 

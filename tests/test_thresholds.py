@@ -82,10 +82,6 @@ class TestFitPolynomial:
         with pytest.raises(th.FitError):
             th.fit_polynomial([0.0, 1.0], [0.0, 1.0], degree=2)
 
-    def test_degree_below_two_rejected(self):
-        with pytest.raises(th.FitError):
-            th.fit_polynomial([0.0, 0.5, 1.0], [0.0, 0.5, 1.0], degree=1)
-
     def test_residuals_orthogonal_to_design(self):
         curve = th.load_fixture_curve(f"{FIXTURES}/fig2a.csv")
         for degree in (3, 5, 7, 10, 11):
