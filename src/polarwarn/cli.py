@@ -132,7 +132,7 @@ def _parse_hp(pairs: list[str]) -> dict:
         key, raw = pair.split("=", 1)
         try:
             hp[key] = json.loads(raw)
-        except ValueError:  # not JSON, or an integer literal too long to convert
+        except (ValueError, RecursionError):  # not JSON, an over-long integer, or nested too deep
             hp[key] = raw
     return hp
 

@@ -77,6 +77,9 @@ def build_entity_dataset(
             "build_entity_dataset(%s): excluded %d entities with missing features: %s",
             sample_name, len(excluded), ", ".join(excluded[:10]) + ("..." if len(excluded) > 10 else ""),
         )
+    # math.log1p, not np.log1p: numpy's vectorized log1p differs from the C
+    # library's in the last bit on some integers, and one bit in a feature
+    # can move a fitted model's scores and so the reported AUCs
     occurrences = map(math.log1p, table.columns["occurrences"].tolist())
     values = {**table.columns, "occurrences": np.fromiter(occurrences, float, len(table))}
     return Dataset(

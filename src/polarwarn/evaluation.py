@@ -156,7 +156,7 @@ def confusion_metrics(
         per_class=per_class,
         weighted=weighted,
         accuracy=(tp + tn) / n,
-        mean_abs_err=float(np.mean(np.abs(labels - predicted))),
+        mean_abs_err=(fp + fn) / n,
         tp=tp,
         tn=tn,
         fp=fp,

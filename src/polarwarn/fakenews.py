@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .corpus import Corpus, PostSample, group_positions
-from .features import EntityTable, _div, _grouped, _pow
+from .features import EntityTable, _div, _grouped
 from .evaluation import Cycles, MetricsReport, StepwiseResult, forward_stepwise, rank_reports, run_cycles
 from .earlywarning import EarlyWarningResult
 from .models import Dataset, ModelSpec
@@ -203,11 +203,6 @@ def build_post_dataset(corpus: Corpus, post_sample: PostSample, warning: EarlyWa
     that are not rows are dropped.
 
     Float sums add left to right in that order, on every Python version.
-    The per-post build before this one used the built-in ``sum``, which adds
-    left to right before Python 3.12 and with compensation from 3.12 on, so
-    the two agree bit for bit on 3.10 and 3.11; on 3.12+ only the
-    integer-valued columns are sure to agree, and float columns can differ
-    in the last bit.
     """
     sample, table = warning.sample, warning.features
     rows = post_sample.rows
@@ -313,30 +308,30 @@ def _user_columns(
     pairs, group = np.unique(post * n_users + user, return_inverse=True)
     g_post, g_user = pairs // n_users, pairs % n_users
     size = len(pairs)
-    g_replies, _, g_replies_var = _grouped(group, replies, size)
-    g_likes, _, g_likes_var = _grouped(group, likes, size)
+    g_replies, _, g_replies_std = _grouped(group, replies, size)
+    g_likes, _, g_likes_std = _grouped(group, likes, size)
     g_comments = np.bincount(group, minlength=size).astype(float)
     index, count = group_positions(ptr, g_post)
     hit = np.isin(np.repeat(g_user, count) * n_sample_entities + row_entity[index], engaged)
     g_engaged = np.bincount(np.repeat(np.arange(size), count)[hit], minlength=size) > 0
 
     commenters = np.bincount(g_post, minlength=n)
-    _, r_avg, r_var = _grouped(g_post, g_replies, n)
-    _, l_avg, l_var = _grouped(g_post, g_likes, n)
-    _, c_avg, c_var = _grouped(g_post, g_comments, n)
-    _, p_avg, p_var = _grouped(g_post, pages[g_user].astype(float), n)
+    _, r_avg, r_std = _grouped(g_post, g_replies, n)
+    _, l_avg, l_std = _grouped(g_post, g_likes, n)
+    _, c_avg, c_std = _grouped(g_post, g_comments, n)
+    _, p_avg, p_std = _grouped(g_post, pages[g_user].astype(float), n)
     n_engaged = np.bincount(g_post[g_engaged], minlength=n).astype(float)
     return _named("ub_", USER_STAT_NAMES, [
         r_avg,
-        _pow(r_var, 0.5),
+        r_std,
         l_avg,
-        _pow(l_var, 0.5),
-        _div(np.bincount(g_post, weights=_pow(g_likes_var, 0.5), minlength=n), commenters),
-        _div(np.bincount(g_post, weights=_pow(g_replies_var, 0.5), minlength=n), commenters),
+        l_std,
+        _div(np.bincount(g_post, weights=g_likes_std, minlength=n), commenters),
+        _div(np.bincount(g_post, weights=g_replies_std, minlength=n), commenters),
         c_avg,
-        _pow(c_var, 0.5),
+        c_std,
         p_avg,
-        _pow(p_var, 0.5),
+        p_std,
         n_engaged,
         _div(n_engaged, commenters),
     ])
@@ -355,15 +350,15 @@ def _sentiment_columns(
 ) -> dict[str, np.ndarray]:
     """Sentiment-based features; the comment-dependent block only for P2-style builds."""
     n = len(rows)
-    _, dp_mean, dp_var = _grouped(row_post, table.columns["presentation_distance"][row_entity], n)
-    columns = _named("sb_", SENTIMENT_BASE_NAMES, [corpus.posts.sentiment[rows], dp_mean, _pow(dp_var, 0.5)])
+    _, dp_mean, dp_std = _grouped(row_post, table.columns["presentation_distance"][row_entity], n)
+    columns = _named("sb_", SENTIMENT_BASE_NAMES, [corpus.posts.sentiment[rows], dp_mean, dp_std])
     if not include_comment_sentiment:
         return columns
     sentiment = corpus.comments.sentiment[comments]
     scored = ~np.isnan(sentiment)
     at, sentiment = on_row[scored], sentiment[scored]
     n_scored = np.bincount(at, minlength=n)
-    _, s_avg, s_var = _grouped(at, sentiment, n)
+    _, s_avg, s_std = _grouped(at, sentiment, n)
     n_pos = np.bincount(at[sentiment > 0], minlength=n).astype(float)
     n_neg = np.bincount(at[sentiment < 0], minlength=n).astype(float)
     captivating = (table.columns["captivation"] == 1).astype(float)
@@ -374,7 +369,7 @@ def _sentiment_columns(
     response_sum = np.bincount(at, weights=response[has_response], minlength=n)
     return columns | _named("sb_", SENTIMENT_COMMENT_NAMES, [
         s_avg,
-        _pow(s_var, 0.5),
+        s_std,
         _div(n_pos, n_scored),
         _div(n_neg, n_scored),
         n_pos / np.maximum(1.0, n_neg),

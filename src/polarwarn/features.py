@@ -18,18 +18,19 @@ always means sentiment strictly below zero, and standard deviations use the
 population form (divide by n).
 
 Every per-entity value is computed over the sample's membership table with
-:func:`_grouped`, the kernel :mod:`fakenews` uses too.  Its float sums add
-left to right on every Python version, as the built-in ``sum`` does before
-Python 3.12 and not from 3.12 on, where it compensates: a per-entity ``sum``
-loop gives the same bits on 3.10 and 3.11, and on 3.12+ float columns can
-differ from it in the last bit.
+:func:`_grouped`, the kernel :mod:`fakenews` uses too, and the one place a
+standard deviation is taken.  Its float sums add left to right on every
+Python version, as the built-in ``sum`` does before Python 3.12 and not from
+3.12 on, where it compensates: a per-entity ``sum`` loop gives the same bits
+on 3.10 and 3.11, and on 3.12+ float columns can differ from it in the last
+bit.  It squares by multiplication and roots with ``np.sqrt``, which IEEE 754
+rounds correctly, so no value depends on the C library's ``pow``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,47 +45,30 @@ def _div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.divide(num, den, out=np.zeros(len(num)), where=den > 0)
 
 
-def _pow(x: np.ndarray, y: float) -> np.ndarray:
-    """``x ** y`` entry by entry with Python's float power.
-
-    Python's float power calls the C library's ``pow``, which can round the
-    last bit differently from ``x * x``, ``np.sqrt`` and ``np.power``.  The
-    entries pass through Python floats 8192 at a time, which bounds memory.
-    """
-    out = np.empty(len(x))
-    for i in range(0, len(x), 8192):
-        out[i:i + 8192] = np.fromiter(map(pow, x[i:i + 8192].tolist(), repeat(y)), float)
-    return out
-
-
 def _grouped(group: np.ndarray, values: np.ndarray, size: int) -> tuple[np.ndarray, ...]:
-    """Per-group sum, mean and population variance of ``values``; 0 for empty groups.
+    """Per-group sum, mean and population standard deviation of ``values``; 0 for empty groups.
 
-    Sums run in array order, as a left-to-right scalar ``sum`` does, and the
-    variance is the mean of the squared deviations from the mean, each
-    squared as ``d ** 2`` (``_pow(d, 2)``).  The caller takes the root: the
-    entity measures as ``math.sqrt(var)`` (``np.sqrt``, which rounds the
-    same), the post features as ``var ** 0.5`` (``_pow(var, 0.5)``).
-    ``x ** 0.5`` and ``math.sqrt(x)``, like ``x ** 2`` and ``x * x``, can
-    differ in the last bit, so one shared root, or squaring by
-    multiplication, would change reported values.
+    Sums run in array order, as a left-to-right scalar ``sum`` does.  The
+    std is ``np.sqrt`` of the mean of the squared deviations from the mean,
+    each squared as ``d * d``; IEEE 754 rounds both operations correctly.
     """
     counts = np.bincount(group, minlength=size)
     total = np.bincount(group, weights=values, minlength=size)
     mean = _div(total, counts)
-    var = _div(np.bincount(group, weights=_pow(values - mean[group], 2), minlength=size), counts)
-    return total, mean, var
+    d = values - mean[group]
+    d *= d
+    return total, mean, np.sqrt(_div(np.bincount(group, weights=d, minlength=size), counts))
 
 
 def _summary(prefix: str, group: np.ndarray, values: np.ndarray, size: int) -> dict[str, np.ndarray]:
     """Per-group ``<prefix>_min``, ``_max``, ``_mean`` and ``_std`` of ``values``; 0 for empty groups.
 
-    ``group`` must be sorted.  The std is ``np.sqrt`` of :func:`_grouped`'s
-    variance.  A zero min or max is the group's first zero, 0.0 or -0.0, as
-    Python's ``min`` and ``max`` keep the first of equal values; which one
+    ``group`` must be sorted; the mean and std are :func:`_grouped`'s.  A
+    zero min or max is the group's first zero, 0.0 or -0.0, as Python's
+    ``min`` and ``max`` keep the first of equal values; which one
     ``np.minimum`` keeps is not defined.
     """
-    _, mean, var = _grouped(group, values, size)
+    _, mean, std = _grouped(group, values, size)
     counts = np.bincount(group, minlength=size)
     present = counts > 0
     starts = (np.cumsum(counts) - counts)[present]
@@ -96,7 +80,7 @@ def _summary(prefix: str, group: np.ndarray, values: np.ndarray, size: int) -> d
     lo[present] = np.minimum.reduceat(values, starts)
     hi[present] = np.maximum.reduceat(values, starts)
     lo, hi = (np.where(x == 0, first_zero, x) for x in (lo, hi))
-    return {f"{prefix}_min": lo, f"{prefix}_max": hi, f"{prefix}_mean": mean, f"{prefix}_std": np.sqrt(var)}
+    return {f"{prefix}_min": lo, f"{prefix}_max": hi, f"{prefix}_mean": mean, f"{prefix}_std": std}
 
 
 @dataclass(frozen=True)

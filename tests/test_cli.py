@@ -147,6 +147,8 @@ def test_bad_hyperparameter_is_config_error(data_dir, tmp_path, caplog):
         (["svm", "lin"], "max_iter=1.5", "max_iter must be an integer >= 1, got 1.5"),
         # json.loads refuses an integer literal this long with a plain ValueError
         (["nn", "lin"], "max_iter=" + "9" * 4301, "max_iter must be an integer >= 1, got '999"),
+        # and one nested too deep with a RecursionError
+        (["knn", "lin"], "k=" + "[" * 5000, "k must be an odd integer >= 1, got '[[["),
     ]):
         out = tmp_path / f"hp{i}"
         argv = ["earlywarn", "--data", str(data_dir), "--out", str(out), "--hp", hp, "--repeats", "2"]

@@ -3,6 +3,7 @@
 import csv
 import json
 import logging
+import math
 import re
 from itertools import compress
 from unittest import mock
@@ -59,8 +60,8 @@ def oracle_mean_std(values):
     mean = total / len(values)
     squares = 0
     for v in values:
-        squares += (v - mean) ** 2
-    return mean, (squares / len(values)) ** 0.5
+        squares += (v - mean) * (v - mean)
+    return mean, math.sqrt(squares / len(values))
 
 
 def oracle_mean(values):
@@ -293,8 +294,8 @@ class TestUserStats:
         ))
         stats = user_stats(build_rows(corpus), "p1")
         # likes {1, 2, 6}: mean 3, squared deviations 4 + 1 + 9
-        assert stats["mean_std_likes_to_commenters"] == (14 / 3) ** 0.5
-        assert stats["mean_std_comments_to_commenters"] == (56 / 3) ** 0.5
+        assert stats["mean_std_likes_to_commenters"] == math.sqrt(14 / 3)
+        assert stats["mean_std_comments_to_commenters"] == math.sqrt(56 / 3)
         assert stats["likes_to_commenters_avg"] == 9
         assert stats["likes_to_commenters_std"] == 0  # one commenter
         assert stats["comments_per_user_avg"] == 3

@@ -184,7 +184,7 @@ def naive_entity_features(records, min_confidence, entity):
         "n_negative_comments": sum(1 for s in scored if s < 0),
     }
     mean = out["post_sent_mean"]
-    out["post_sent_std"] = math.sqrt(sum((s - mean) ** 2 for s in sentiments) / len(sentiments))
+    out["post_sent_std"] = math.sqrt(sum((s - mean) * (s - mean) for s in sentiments) / len(sentiments))
     commenters = {c["user_id"] for c in all_comments}
     engaged = 0
     for user in commenters:
@@ -228,7 +228,24 @@ def _lsum(values):
 
 
 def reference_std(values, mean):
-    return math.sqrt(_lsum((v - mean) ** 2 for v in values) / len(values))
+    return math.sqrt(_lsum((v - mean) * (v - mean) for v in values) / len(values))
+
+
+@given(st.integers(1, 8).flatmap(lambda size: st.tuples(
+    st.just(size), st.lists(st.tuples(st.integers(0, size - 1), st.floats(-1e9, 1e9)), max_size=40))))
+@settings(max_examples=200, deadline=None)
+def test_grouped_matches_left_to_right_oracle(case):
+    # unsorted groups, some of them empty; every value compared bit for bit
+    size, rows = case
+    group = np.array([g for g, _ in rows], dtype=np.intp)
+    values = np.array([v for _, v in rows], dtype=float)
+    got = feat._grouped(group, values, size)
+    for g in range(size):
+        members = [v for h, v in rows if h == g]
+        total = float(_lsum(members))
+        mean = total / len(members) if members else 0.0
+        std = reference_std(members, mean) if members else 0.0
+        assert [float(x[g]).hex() for x in got] == [total.hex(), mean.hex(), std.hex()], (g, members)
 
 
 def reference_comment_sentiments(corpus, rows):
