@@ -18,10 +18,13 @@ entity.
 
 Each file is read in blocks of ``_BLOCK_LINES`` lines.  A block is parsed
 with one ``json.loads`` over its lines joined as an array, and every column
-is checked with numpy and set operations.  When a block or a column fails
-a check, the file is read again one record at a time through the same
-builders and checks, which then raise a SchemaError or IntegrityError
-naming the file and line of the first bad record.
+is checked with numpy and set operations.  Duplicate keys are found from a
+64-bit hash of each key, kept in numpy and sorted once after the file.
+When a block or a column fails a check, or two hashes are equal, the file
+is read again one record at a time through the same builders and checks,
+which then raise a SchemaError or IntegrityError naming the file and line
+of the first bad record; a duplicate is confirmed there against the keys
+themselves.
 """
 
 from __future__ import annotations
@@ -198,8 +201,9 @@ class Corpus:
 
 # ---------------------------------------------------------------------------
 # Reading.  A file is first read in parsed blocks of columns.  When a block or
-# a column fails a check, the file is read again as one-record blocks through
-# the same builders, whose checks then raise the error for the first bad record.
+# a column fails a check, or two keys' hashes are equal, the file is read again
+# as one-record blocks through the same builders, whose checks then raise the
+# error for the first bad record.
 
 
 def _iter_jsonl(path: Path) -> Iterable[tuple[int, dict]]:
@@ -281,7 +285,7 @@ def _records(path: Path, fields: tuple[str, ...]) -> Iterator[tuple[str, list[tu
 
 
 def _read(path: Path, fields: tuple[str, ...], build: Callable):
-    """``build`` over the parsed blocks, or over the records when a check fails.
+    """``build`` over the parsed blocks, or over the records when a check fails or two key hashes are equal.
 
     A decode error also leads to the record read, which reads the lines
     before it first, as a line-by-line reader would.  The cyclic garbage
@@ -378,11 +382,40 @@ def _numbers(values: tuple, field: str, where: str | None, lo: float, hi: float,
     return out
 
 
-def _repeats(values: tuple | list, seen: set) -> bool:
-    """Add ``values`` to ``seen``; true when one was there already or repeats."""
-    size = len(seen)
-    seen.update(values)
-    return len(seen) != size + len(values)
+def _hashes(keys: list | tuple) -> np.ndarray:
+    """The 64-bit ``hash`` of each key."""
+    return np.fromiter(map(hash, keys), np.int64, len(keys))
+
+
+class _Unique:
+    """The duplicate-key check of one file.
+
+    The record read keeps the keys in a set, to name the first repeated
+    one.  The block read keeps no Python object per key: each block's key
+    hashes go to an int64 chunk, and ``check`` sorts them once after the
+    file.  Two equal hashes, from a duplicate or from distinct keys that
+    collide (about n**2 / 2**65 for n keys), send the file to the record
+    read, so a collision costs time and changes no output.
+    """
+
+    def __init__(self) -> None:
+        self.seen: set = set()
+        self.hashes: list[np.ndarray] = []
+
+    def repeats(self, keys: list | tuple, where: str | None) -> bool:
+        """On the record read, true when a key was seen before or repeats."""
+        if where is None:
+            self.hashes.append(_hashes(keys))
+            return False
+        size = len(self.seen)
+        self.seen.update(keys)
+        return len(self.seen) != size + len(keys)
+
+    def check(self) -> None:
+        """After the last block: _Recheck when two keys of the file hash alike."""
+        hashes = np.sort(_concat(self.hashes, np.int64))
+        if np.any(hashes[1:] == hashes[:-1]):
+            raise _Recheck
 
 
 def _refs(values: tuple, index: Mapping[str, int]) -> np.ndarray:
@@ -431,36 +464,38 @@ def _reorder(table, order: np.ndarray) -> None:
 
 
 # Each builder checks a block's fields in a fixed order, which decides the
-# error the record read reports for a record with several faults.  The
-# builders keep file order, so each error names its record's line; only the
-# finished posts table is put in id order, and load_corpus orders the others
-# once no reference dangles.
+# error the record read reports for a record with several faults; the block
+# read finds a duplicate key only after its last block.  The builders keep
+# file order, so each error names its record's line; only the finished posts
+# table is put in id order, and load_corpus orders the others once no
+# reference dangles.
 
 
 def _build_sources(blocks) -> tuple[dict[str, int], Sources]:
     ids: list[str] = []
-    seen: set[str] = set()
+    unique = _Unique()
     fake = []
     for where, (sid, name, category) in blocks:
         _strings(sid, "id", where)
         if not set(_strings(category, "category", where)) <= {OFFICIAL, FAKE}:
             _fail(where, "category must be 'official' or 'fake'")
-        if _repeats(sid, seen):
+        if unique.repeats(sid, where):
             _fail(where, f"duplicate source id {sid[0]!r}", IntegrityError)
         _strings(name, "name", where)
         ids += sid
         fake.append(np.array(category) == FAKE)
+    unique.check()
     return {s: i for i, s in enumerate(ids)}, Sources(fake=_concat(fake, bool))
 
 
 def _build_posts(blocks, source_index: Mapping[str, int]) -> tuple[dict[str, int], Posts, list[str]]:
     ids: list[str] = []
-    seen: set[str] = set()
+    unique = _Unique()
     texts: list[str] = []
     dangling: list[str] = []
     source, timestamp, sentiment, likes, shares = [], [], [], [], []
     for where, (pid, source_id, ts, text, sent, like, share) in blocks:
-        if _repeats(_strings(pid, "id", where), seen):
+        if unique.repeats(_strings(pid, "id", where), where):
             _fail(where, f"duplicate post id {pid[0]!r}", IntegrityError)
         ids += pid
         source.append(_refs(_strings(source_id, "source_id", where), source_index))
@@ -470,6 +505,7 @@ def _build_posts(blocks, source_index: Mapping[str, int]) -> tuple[dict[str, int
         sentiment.append(_numbers(sent, "sentiment", where, -1.0, 1.0))
         likes.append(_ints(like, "likes", where, non_negative=True))
         shares.append(_ints(share, "shares", where, non_negative=True))
+    unique.check()
     posts = Posts(
         ids=ids, source=_concat(source, np.int64), timestamp=_concat(timestamp, np.int64),
         text=texts, sentiment=_concat(sentiment, float),
@@ -480,13 +516,13 @@ def _build_posts(blocks, source_index: Mapping[str, int]) -> tuple[dict[str, int
 
 
 def _build_comments(blocks, post_index: Mapping[str, int]) -> tuple[list[str], Comments, list[str]]:
-    seen: set[str] = set()
+    unique = _Unique()
     texts: list[str] = []
     dangling: list[str] = []
     users = _Codes()
     post, user, sentiment, likes, replies = [], [], [], [], []
     for where, (cid, post_id, user_id, ts, text, sent, like, reply) in blocks:
-        if _repeats(_strings(cid, "id", where), seen):
+        if unique.repeats(_strings(cid, "id", where), where):
             _fail(where, f"duplicate comment id {cid[0]!r}", IntegrityError)
         if where and _MISSING in sent:  # reported ahead of a fault in post_id or a later field
             _fail(where, "missing field 'sentiment'")
@@ -498,6 +534,7 @@ def _build_comments(blocks, post_index: Mapping[str, int]) -> tuple[list[str], C
         sentiment.append(_numbers(sent, "sentiment", where, -1.0, 1.0, nullable=True))
         likes.append(_ints(like, "likes", where, non_negative=True))
         replies.append(_ints(reply, "replies", where, non_negative=True))
+    unique.check()
     names, user = users.renumbered(user)
     comments = Comments(
         post=_concat(post, np.int64), user=user, text=texts, sentiment=_concat(sentiment, float),
@@ -510,7 +547,7 @@ def _build_mentions(blocks, post_index: Mapping[str, int]) -> tuple[list[str], M
     """Mentions keyed by normalized entity; duplicates compare (entity, post id) pairs."""
     entities = _Codes()
     normalized: dict[str, str] = {}
-    seen: set[tuple[str, str]] = set()
+    unique = _Unique()
     dangling: list[str] = []
     entity, post, confidence = [], [], []
     for where, (label, post_id, conf) in blocks:
@@ -520,9 +557,10 @@ def _build_mentions(blocks, post_index: Mapping[str, int]) -> tuple[list[str], M
         post.append(_refs(_strings(post_id, "post_id", where), post_index))
         dangling += _dangling(post[-1], "mention", keys, "post", post_id)
         confidence.append(_numbers(conf, "confidence", where, 0.0, 1.0, name="confidence"))
-        if _repeats(list(zip(keys, post_id)), seen):
+        if unique.repeats(list(zip(keys, post_id)), where):
             _fail(where, f"duplicate mention of {keys[0]!r} in post {post_id[0]!r}", IntegrityError)
         entity.append(entities.encode(keys))
+    unique.check()
     names, entity = entities.renumbered(entity)
     mentions = Mentions(entity=entity, post=_concat(post, np.int64), confidence=_concat(confidence, float))
     return names, mentions, dangling

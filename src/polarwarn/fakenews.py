@@ -233,7 +233,7 @@ def build_post_dataset(corpus: Corpus, post_sample: PostSample, warning: EarlyWa
         **_named("sem_post_", SEMANTIC_STAT_NAMES,
                  _semantic_columns(map(corpus.posts.text.__getitem__, rows.tolist()), n).T),
         **_named("sem_comments_", SEMANTIC_STAT_NAMES,
-                 _semantic_columns(_joined_comment_texts(corpus, comments, n_comments), n).T),
+                 _semantic_columns(_joined_comment_texts(corpus, rows), n).T),
         **_user_columns(corpus, table, post, user, likes, replies, ptr, row_entity, n),
         **_sentiment_columns(
             corpus, rows, comments, post, row_post, row_entity, row_n_entities, table,
@@ -250,13 +250,13 @@ def build_post_dataset(corpus: Corpus, post_sample: PostSample, warning: EarlyWa
     )
 
 
-def _joined_comment_texts(corpus: Corpus, comments: np.ndarray, n_comments: np.ndarray) -> Iterator[str]:
-    """Each row's comment texts joined by newlines, made lazily."""
-    text = corpus.comments.text
-    ends = np.cumsum(n_comments).tolist()
-    starts = [0] + ends[:-1]
-    comments = comments.tolist()
-    return ("\n".join(map(text.__getitem__, comments[a:b])) for a, b in zip(starts, ends))
+def _joined_comment_texts(corpus: Corpus, rows: np.ndarray) -> Iterator[str]:
+    """Each row's comment texts joined by newlines, made lazily.
+
+    Stored comments are grouped by post, so a row's texts are one slice.
+    """
+    text, offsets = corpus.comments.text, corpus.comment_offsets.tolist()
+    return ("\n".join(text[offsets[r]:offsets[r + 1]]) for r in rows.tolist())
 
 
 def _structural_columns(
@@ -304,22 +304,26 @@ def _user_columns(
 
     # (post, commenter) groups of the rows' comments: commenters in id order
     # within a post; bincount adds each group's comments in table order.
+    # The pipeline's peak memory falls here on a large corpus, so the group
+    # and position arrays go after their last read.
     n_users = len(corpus.users)
     pairs, group = np.unique(post * n_users + user, return_inverse=True)
     g_post, g_user = pairs // n_users, pairs % n_users
     size = len(pairs)
-    g_replies, _, g_replies_std = _grouped(group, replies, size)
-    g_likes, _, g_likes_std = _grouped(group, likes, size)
-    g_comments = np.bincount(group, minlength=size).astype(float)
+    del pairs
+    g_comments, g_replies, _, g_replies_std = _grouped(group, replies, size)
+    _, g_likes, _, g_likes_std = _grouped(group, likes, size)
+    del group
     index, count = group_positions(ptr, g_post)
-    hit = np.isin(np.repeat(g_user, count) * n_sample_entities + row_entity[index], engaged)
+    key = np.repeat(g_user, count) * n_sample_entities + row_entity[index]
+    del index
+    hit = np.isin(key, engaged)
     g_engaged = np.bincount(np.repeat(np.arange(size), count)[hit], minlength=size) > 0
 
-    commenters = np.bincount(g_post, minlength=n)
-    _, r_avg, r_std = _grouped(g_post, g_replies, n)
-    _, l_avg, l_std = _grouped(g_post, g_likes, n)
-    _, c_avg, c_std = _grouped(g_post, g_comments, n)
-    _, p_avg, p_std = _grouped(g_post, pages[g_user].astype(float), n)
+    commenters, _, r_avg, r_std = _grouped(g_post, g_replies, n)
+    _, _, l_avg, l_std = _grouped(g_post, g_likes, n)
+    _, _, c_avg, c_std = _grouped(g_post, g_comments.astype(float), n)
+    _, _, p_avg, p_std = _grouped(g_post, pages[g_user].astype(float), n)
     n_engaged = np.bincount(g_post[g_engaged], minlength=n).astype(float)
     return _named("ub_", USER_STAT_NAMES, [
         r_avg,
@@ -350,15 +354,14 @@ def _sentiment_columns(
 ) -> dict[str, np.ndarray]:
     """Sentiment-based features; the comment-dependent block only for P2-style builds."""
     n = len(rows)
-    _, dp_mean, dp_std = _grouped(row_post, table.columns["presentation_distance"][row_entity], n)
+    _, _, dp_mean, dp_std = _grouped(row_post, table.columns["presentation_distance"][row_entity], n)
     columns = _named("sb_", SENTIMENT_BASE_NAMES, [corpus.posts.sentiment[rows], dp_mean, dp_std])
     if not include_comment_sentiment:
         return columns
     sentiment = corpus.comments.sentiment[comments]
     scored = ~np.isnan(sentiment)
     at, sentiment = on_row[scored], sentiment[scored]
-    n_scored = np.bincount(at, minlength=n)
-    _, s_avg, s_std = _grouped(at, sentiment, n)
+    n_scored, _, s_avg, s_std = _grouped(at, sentiment, n)
     n_pos = np.bincount(at[sentiment > 0], minlength=n).astype(float)
     n_neg = np.bincount(at[sentiment < 0], minlength=n).astype(float)
     captivating = (table.columns["captivation"] == 1).astype(float)

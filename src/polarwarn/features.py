@@ -46,7 +46,7 @@ def _div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 def _grouped(group: np.ndarray, values: np.ndarray, size: int) -> tuple[np.ndarray, ...]:
-    """Per-group sum, mean and population standard deviation of ``values``; 0 for empty groups.
+    """Per-group count, sum, mean and population standard deviation of ``values``; 0 for empty groups.
 
     Sums run in array order, as a left-to-right scalar ``sum`` does.  The
     std is ``np.sqrt`` of the mean of the squared deviations from the mean,
@@ -57,7 +57,7 @@ def _grouped(group: np.ndarray, values: np.ndarray, size: int) -> tuple[np.ndarr
     mean = _div(total, counts)
     d = values - mean[group]
     d *= d
-    return total, mean, np.sqrt(_div(np.bincount(group, weights=d, minlength=size), counts))
+    return counts, total, mean, np.sqrt(_div(np.bincount(group, weights=d, minlength=size), counts))
 
 
 def _summary(prefix: str, group: np.ndarray, values: np.ndarray, size: int) -> dict[str, np.ndarray]:
@@ -68,8 +68,7 @@ def _summary(prefix: str, group: np.ndarray, values: np.ndarray, size: int) -> d
     ``min`` and ``max`` keep the first of equal values; which one
     ``np.minimum`` keeps is not defined.
     """
-    _, mean, std = _grouped(group, values, size)
-    counts = np.bincount(group, minlength=size)
+    counts, _, mean, std = _grouped(group, values, size)
     present = counts > 0
     starts = (np.cumsum(counts) - counts)[present]
     zero = np.flatnonzero(values == 0)

@@ -245,7 +245,8 @@ def test_grouped_matches_left_to_right_oracle(case):
         total = float(_lsum(members))
         mean = total / len(members) if members else 0.0
         std = reference_std(members, mean) if members else 0.0
-        assert [float(x[g]).hex() for x in got] == [total.hex(), mean.hex(), std.hex()], (g, members)
+        assert [float(x[g]).hex() for x in got] == [
+            float(len(members)).hex(), total.hex(), mean.hex(), std.hex()], (g, members)
 
 
 def reference_comment_sentiments(corpus, rows):

@@ -202,6 +202,53 @@ def test_duplicate_post_id_first_seen_in_an_earlier_block(tmp_path, monkeypatch)
     assert_ingest_is_data_error(directory, tmp_path)
 
 
+# A key first seen in an earlier block: the block read finds the repeat
+# from the hashes of the whole file, and the record read names its line.
+LATE_DUPLICATES = {
+    "comment_id": ("comments.jsonl",
+                   [comment(f"c{i}", "p1", f"u{i % 3}", i) for i in range(1, 12)] + [comment("c3", "p2")],
+                   ":12: duplicate comment id 'c3'"),
+    "mention_pair": ("mentions.jsonl",
+                     [mention(f"topic {i}", "p1") for i in range(1, 10)]
+                     + [mention("alpha", "p2"), mention("Topic  2", "p1", 0.3)],
+                     ":11: duplicate mention of 'topic 2' in post 'p1'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LATE_DUPLICATES))
+def test_duplicate_key_first_seen_in_an_earlier_block(case, tmp_path, monkeypatch):
+    monkeypatch.setattr(cm, "_BLOCK_LINES", 4, raising=False)
+    name, rows, tail = LATE_DUPLICATES[case]
+    directory = base_corpus(tmp_path / "c", **{name.replace(".", "_"): lines(*rows)})
+    err = load_error(directory)
+    assert type(err.value) is cm.IntegrityError
+    assert str(err.value) == f"{directory / name}{tail}"
+    assert_ingest_is_data_error(directory, tmp_path)
+
+
+def test_duplicate_mention_of_a_dangling_post_is_a_duplicate(tmp_path):
+    # the duplicate raises on the record read, before the dangling list is made
+    directory = base_corpus(tmp_path / "c", mentions_jsonl=lines(
+        M1, mention("beta", "ghost"), M2, mention(" Beta", "ghost", 0.5)))
+    err = load_error(directory)
+    assert type(err.value) is cm.IntegrityError
+    assert str(err.value) == f"{directory / 'mentions.jsonl'}:4: duplicate mention of 'beta' in post 'ghost'"
+
+
+def test_colliding_key_hashes_fall_back_to_an_equal_record_read(small_synth):
+    # every key of every file hashes alike, so each file is read again one
+    # record at a time, and the exact check finds no duplicate
+    corpus, _, directory = small_synth
+    with mock.patch.object(cm, "_hashes", lambda keys: np.zeros(len(keys), np.int64)), \
+            mock.patch.object(cm, "_iter_jsonl", wraps=cm._iter_jsonl) as record_read:
+        loaded = cm.load_corpus(directory)
+    assert record_read.call_count == 4
+    assert snapshot(loaded) == snapshot(corpus)
+    assert loaded.users == corpus.users and loaded.entities == corpus.entities
+    assert np.array_equal(loaded.comment_offsets, corpus.comment_offsets)
+    assert np.array_equal(loaded.user_comment_counts, corpus.user_comment_counts)
+
+
 def test_error_in_a_later_block_keeps_its_line(tmp_path, monkeypatch):
     monkeypatch.setattr(cm, "_BLOCK_LINES", 3, raising=False)
     comments = [comment(f"c{i}", "p1", f"u{i % 4}", i) for i in range(10)]
