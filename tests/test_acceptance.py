@@ -267,21 +267,24 @@ def test_criterion_7_feature_width_invariants(full_run):
     ok(f"criterion 7: feature widths exact {widths}")
 
 
+# the compact run config of criterion 8; tests/ledger.py pins its outputs
+CRITERION_8_CONFIG = {
+    "synth": {
+        "n_entities": 60, "n_posts": 900, "n_users": 400, "n_comments": 6000,
+        "head_entities": 6, "head_posts_min": 30, "head_posts_max": 40,
+    },
+    "seed": 5,
+    "repeats": 3,
+    "algorithms": ["log", "dt", "knn"],
+    "samples": ["e1"],
+    "fakenews": {"samples": ["p1"], "experiments": ["a", "b"],
+                 "algorithms": ["log"], "max_stepwise": 2},
+}
+
+
 def test_criterion_8_pipeline_determinism(tmp_path):
-    run_config = {
-        "synth": {
-            "n_entities": 60, "n_posts": 900, "n_users": 400, "n_comments": 6000,
-            "head_entities": 6, "head_posts_min": 30, "head_posts_max": 40,
-        },
-        "seed": 5,
-        "repeats": 3,
-        "algorithms": ["log", "dt", "knn"],
-        "samples": ["e1"],
-        "fakenews": {"samples": ["p1"], "experiments": ["a", "b"],
-                      "algorithms": ["log"], "max_stepwise": 2},
-    }
     config_path = tmp_path / "run.json"
-    config_path.write_text(json.dumps(run_config))
+    config_path.write_text(json.dumps(CRITERION_8_CONFIG))
     outs = []
     for tag in ("r1", "r2"):
         out = tmp_path / tag
