@@ -198,11 +198,10 @@ def build_post_dataset(corpus: Corpus, post_sample: PostSample, warning: EarlyWa
     id order.  User-based features describe each post's commenters: the
     replies and likes they received there, their comment counts, the pages
     they commented on corpus-wide, and whether they are engaged with an
-    entity of the post, as the entity table's ``engagement`` records over
-    all of that entity's member posts, rows or not.  Memberships of posts
-    that are not rows are dropped.
-
-    Float sums add left to right in that order, on every Python version.
+    entity of the post, as :meth:`EntityTable.engaged` tells over all of
+    that entity's member posts, rows or not.  Memberships of posts that are
+    not rows are dropped.  Float sums are :func:`features._grouped`'s, left
+    to right in that order on every Python version.
     """
     sample, table = warning.sample, warning.features
     rows = post_sample.rows
@@ -229,7 +228,7 @@ def build_post_dataset(corpus: Corpus, post_sample: PostSample, warning: EarlyWa
     row_n_entities = row_n_entities.astype(float)
 
     columns = {
-        **_structural_columns(corpus, rows, post, likes, replies, n_comments),
+        **_structural_columns(corpus, rows, post, likes, replies),
         **_named("sem_post_", SEMANTIC_STAT_NAMES,
                  _semantic_columns(map(corpus.posts.text.__getitem__, rows.tolist()), n).T),
         **_named("sem_comments_", SEMANTIC_STAT_NAMES,
@@ -265,19 +264,17 @@ def _structural_columns(
     on_row: np.ndarray,
     likes: np.ndarray,
     replies: np.ndarray,
-    n_comments: np.ndarray,
 ) -> dict[str, np.ndarray]:
-    n = len(rows)
-    likes_on = np.bincount(on_row, weights=likes, minlength=n)
-    replies_on = np.bincount(on_row, weights=replies, minlength=n)
+    n_comments, likes_on, likes_avg, _ = _grouped(on_row, likes, len(rows))
+    _, replies_on, replies_avg, _ = _grouped(on_row, replies, len(rows))
     return _named("st_", STRUCTURAL_NAMES, [
         corpus.posts.likes[rows].astype(float),
         n_comments.astype(float),
         corpus.posts.shares[rows].astype(float),
         likes_on,
         replies_on,
-        _div(likes_on, n_comments),
-        _div(replies_on, n_comments),
+        likes_avg,
+        replies_avg,
     ])
 
 
@@ -298,9 +295,6 @@ def _user_columns(
         // n_sources,
         minlength=len(corpus.users),
     )
-    keys, engaged = table.engagement
-    engaged = keys[engaged]
-    n_sample_entities = len(table)
 
     # (post, commenter) groups of the rows' comments: commenters in id order
     # within a post; bincount adds each group's comments in table order.
@@ -315,13 +309,14 @@ def _user_columns(
     _, g_likes, _, g_likes_std = _grouped(group, likes, size)
     del group
     index, count = group_positions(ptr, g_post)
-    key = np.repeat(g_user, count) * n_sample_entities + row_entity[index]
+    hit = table.engaged(np.repeat(g_user, count), row_entity[index])
     del index
-    hit = np.isin(key, engaged)
     g_engaged = np.bincount(np.repeat(np.arange(size), count)[hit], minlength=size) > 0
 
     commenters, _, r_avg, r_std = _grouped(g_post, g_replies, n)
     _, _, l_avg, l_std = _grouped(g_post, g_likes, n)
+    _, _, l_std_avg, _ = _grouped(g_post, g_likes_std, n)
+    _, _, r_std_avg, _ = _grouped(g_post, g_replies_std, n)
     _, _, c_avg, c_std = _grouped(g_post, g_comments.astype(float), n)
     _, _, p_avg, p_std = _grouped(g_post, pages[g_user].astype(float), n)
     n_engaged = np.bincount(g_post[g_engaged], minlength=n).astype(float)
@@ -330,8 +325,8 @@ def _user_columns(
         r_std,
         l_avg,
         l_std,
-        _div(np.bincount(g_post, weights=g_likes_std, minlength=n), commenters),
-        _div(np.bincount(g_post, weights=g_replies_std, minlength=n), commenters),
+        l_std_avg,
+        r_std_avg,
         c_avg,
         c_std,
         p_avg,
@@ -368,8 +363,7 @@ def _sentiment_columns(
     n_capt = np.bincount(row_post, weights=captivating[row_entity], minlength=n)
     response = table.columns["response_dist_global"][row_entity]
     has_response = ~np.isnan(response)
-    at = row_post[has_response]
-    response_sum = np.bincount(at, weights=response[has_response], minlength=n)
+    _, _, response_avg, _ = _grouped(row_post[has_response], response[has_response], n)
     return columns | _named("sb_", SENTIMENT_COMMENT_NAMES, [
         s_avg,
         s_std,
@@ -378,7 +372,7 @@ def _sentiment_columns(
         n_pos / np.maximum(1.0, n_neg),
         n_capt,
         _div(n_capt, row_n_entities),
-        _div(response_sum, np.bincount(at, minlength=n)),
+        response_avg,
     ])
 
 

@@ -11,7 +11,7 @@ one :class:`EntityTable`, a column per measure aligned with
 ``sample.entities``; every later stage reads its columns by entity index.
 It is also the one place that decides which users are engaged with which
 sample entity: the engaged fraction here and the ``ub_engaged_users*`` post
-features both read the table's ``engagement``.
+features (through :meth:`EntityTable.engaged`) read one table.
 
 All functions are pure with respect to an immutable corpus; "negative"
 always means sentiment strictly below zero, and standard deviations use the
@@ -19,7 +19,7 @@ population form (divide by n).
 
 Every per-entity value is computed over the sample's membership table with
 :func:`_grouped`, the kernel :mod:`fakenews` uses too, and the one place a
-standard deviation is taken.  Its float sums add left to right on every
+group's non-integer values are summed.  Its sums add left to right on every
 Python version, as the built-in ``sum`` does before Python 3.12 and not from
 3.12 on, where it compensates: a per-entity ``sum`` loop gives the same bits
 on 3.10 and 3.11, and on 3.12+ float columns can differ from it in the last
@@ -48,9 +48,10 @@ def _div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 def _grouped(group: np.ndarray, values: np.ndarray, size: int) -> tuple[np.ndarray, ...]:
     """Per-group count, sum, mean and population standard deviation of ``values``; 0 for empty groups.
 
-    Sums run in array order, as a left-to-right scalar ``sum`` does.  The
-    std is ``np.sqrt`` of the mean of the squared deviations from the mean,
-    each squared as ``d * d``; IEEE 754 rounds both operations correctly.
+    The one place a group's non-integer values are summed, in array order, as
+    a left-to-right scalar ``sum`` does.  The std is ``np.sqrt`` of the mean
+    of the squared deviations, each squared as ``d * d``; IEEE 754 rounds
+    both operations correctly.
     """
     counts = np.bincount(group, minlength=size)
     total = np.bincount(group, weights=values, minlength=size)
@@ -94,11 +95,9 @@ class EntityTable:
     the other ``response_dist_*`` columns aggregate r(p) over member posts
     with at least one scored comment.
 
-    ``engagement`` is the engaged-user table ``(keys, engaged)``: ``keys``
-    holds, sorted, ``user * len(entities) + e`` for each user with a comment
-    on a member post of entity ``e``, and ``engaged`` is True where strictly
-    more than 95% of all that user's corpus-wide comments sit on ``e``'s
-    member posts.
+    ``engagement`` is the engaged-user table :meth:`engaged` reads, keyed in a
+    format internal to this module.  A user is engaged with entity ``e`` when
+    strictly more than 95% of all the user's comments sit on ``e``'s member posts.
     """
 
     entities: tuple[str, ...]
@@ -107,6 +106,14 @@ class EntityTable:
 
     def __len__(self) -> int:
         return len(self.entities)
+
+    def engaged(self, user: np.ndarray, entity: np.ndarray) -> np.ndarray:
+        """Per pair, whether ``user`` is engaged with sample entity ``entity``.
+
+        Each user must have commented on a member post of its entity.
+        """
+        keys, engaged = self.engagement
+        return engaged[np.searchsorted(keys, user * len(self) + entity)]
 
     def complete(self, names: Iterable[str]) -> np.ndarray:
         """True for each entity with a value in every column of ``names``."""
@@ -133,8 +140,8 @@ def entity_features(corpus: Corpus, sample: EntitySample) -> EntityTable:
     del on_entity
     comment_sentiment = corpus.comments.sentiment[comments]
     scored = ~np.isnan(comment_sentiment)
-    per_post = np.bincount(np.repeat(np.arange(m), count)[scored], minlength=m)
     comment_sentiment = comment_sentiment[scored]
+    per_post, _, comment_means, _ = _grouped(np.repeat(np.arange(m), count)[scored], comment_sentiment, m)
     del comments, scored
     commented = np.repeat(sample.entity, per_post)
     has_comments = np.bincount(commented, minlength=n) > 0
@@ -142,8 +149,7 @@ def entity_features(corpus: Corpus, sample: EntitySample) -> EntityTable:
     # r(p) = abs(post sentiment - mean comment sentiment of p), over the
     # memberships with scored comments
     answered = per_post > 0
-    comment_sums = np.bincount(np.repeat(np.arange(m), per_post), weights=comment_sentiment, minlength=m)
-    response = np.abs(sentiment - _div(comment_sums, per_post))[answered]
+    response = np.abs(sentiment - comment_means)[answered]
 
     post = _summary("post_sent", sample.entity, sentiment, n)
     comment = _summary("comment_sent", commented, comment_sentiment, n)
