@@ -34,6 +34,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -177,6 +178,19 @@ class Corpus:
     entities: list[str]  # sorted entity names
     comment_offsets: np.ndarray  # CSR offsets of each post row's comments
     user_comment_counts: np.ndarray  # per user: their comments in the corpus
+
+    @cached_property
+    def user_pages(self) -> np.ndarray:
+        """Per user: the distinct sources whose posts they commented on.
+
+        Computed on first use and kept, so a corpus pays for it once, and
+        only when post features are built.
+        """
+        n_sources = len(self.sources)
+        return np.bincount(
+            np.unique(self.comments.user * n_sources + self.posts.source[self.comments.post]) // n_sources,
+            minlength=len(self.users),
+        )
 
     def post_is_fake(self) -> np.ndarray:
         """Per post row: its source is a fake outlet."""

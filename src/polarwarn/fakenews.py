@@ -8,12 +8,16 @@ Column names carry a category prefix (st_, sem_, ub_, sb_, pred_) so the
 step experiments can slice by category.  The user-based engagement, the
 sentiment-based and the predicted columns read the early warning's entity
 table and predictions by entity index.
+
+The post features are built in chunks of rows holding at most
+``_CHUNK_COMMENTS`` comments, and the text kernel reads batches of at most
+``_TEXT_CHARS`` characters, so the build's working memory beside its one
+feature matrix does not grow with the number of comments.
 """
 
 from __future__ import annotations
 
 import logging
-from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -34,9 +38,13 @@ _TERMINATORS = frozenset(".!?")
 # Character classes of the text kernel, as bit flags.  A word character is
 # one the pattern [^\W_] matches, which for one character is str.isalnum().
 _WORD_CHAR, _UPPER, _PUNCT, _TERM = 1, 2, 4, 8
-# Texts per kernel call: bounds the per-character arrays, so peak memory
-# does not grow with the corpus.
-_TEXT_BATCH = 2048
+# Characters per kernel call, each text counting one more: bounds the
+# per-character arrays (about 40 bytes per character), so peak memory does
+# not grow with the corpus.  A longer text is a batch of its own.
+_TEXT_CHARS = 2**16
+# Comments per chunk of rows in build_post_dataset: bounds the per-comment
+# arrays of one pass.  A row with more comments is a chunk of its own.
+_CHUNK_COMMENTS = 2**13
 
 SEMANTIC_STAT_NAMES = (
     "characters",
@@ -111,17 +119,27 @@ def _semantic_batch(texts: list[str]) -> np.ndarray:
 
 
 def _semantic_columns(texts: Iterable[str], n: int) -> np.ndarray:
-    """The nine semantic statistics of ``n`` texts, in batches of _TEXT_BATCH.
+    """The nine semantic statistics of ``n`` texts, in batches of _TEXT_CHARS characters.
 
     Words are maximal alphanumeric runs; sentences are '.!?'-delimited
     segments containing at least one word; the average sentence length is in
     words; rates divide by the character count.  Surrounding whitespace is
-    ignored and an empty text yields all zeros.
+    ignored and an empty text yields all zeros.  Each text counts its
+    stripped length plus one against the budget, so a batch of empty texts
+    is bounded too; a text longer than the budget is a batch of its own.
+    Every statistic is per text, so the batching does not change any value.
     """
-    texts = iter(texts)
     out = np.zeros((n, len(SEMANTIC_STAT_NAMES)))
-    for start in range(0, n, _TEXT_BATCH):
-        batch = [t.strip() for t in islice(texts, _TEXT_BATCH)]
+    batch, chars, start = [], 0, 0
+    for text in texts:
+        text = text.strip()
+        if batch and chars + len(text) + 1 > _TEXT_CHARS:
+            out[start:start + len(batch)] = _semantic_batch(batch)
+            start += len(batch)
+            batch, chars = [], 0
+        batch.append(text)
+        chars += len(text) + 1
+    if batch:
         out[start:start + len(batch)] = _semantic_batch(batch)
     return out
 
@@ -191,28 +209,30 @@ def build_post_dataset(corpus: Corpus, post_sample: PostSample, warning: EarlyWa
     comment-dependent sentiment block, giving 44 columns; P2-style builds
     carry all 52.
 
-    Every block is computed column-wise from one table of the rows'
-    comments, read as they are stored: the rows in ``post_sample`` order,
-    which is post-id order, each post's comments in file order.  Per-post
-    values group the table by post and by (post, commenter), commenters in
-    id order.  User-based features describe each post's commenters: the
-    replies and likes they received there, their comment counts, the pages
-    they commented on corpus-wide, and whether they are engaged with an
-    entity of the post, as :meth:`EntityTable.engaged` tells over all of
-    that entity's member posts, rows or not.  Memberships of posts that are
-    not rows are dropped.  Float sums are :func:`features._grouped`'s, left
-    to right in that order on every Python version.
+    The rows, in ``post_sample`` order, which is post-id order, are built in
+    consecutive chunks of at most ``_CHUNK_COMMENTS`` comments (a row with
+    more is a chunk of its own), and each chunk's columns are written into
+    one preallocated matrix; the text kernel reads at most ``_TEXT_CHARS``
+    characters at a time.  So the working memory beside the matrix is
+    bounded by the two budgets and the largest post, not by the comment
+    count.  Every value is a function of its own row, so the chunking does
+    not change any of them.
+
+    Every block is computed column-wise from one table of a chunk's
+    comments, read as they are stored: each post's comments in file order.
+    Per-post values group the table by post and by (post, commenter),
+    commenters in id order.  User-based features describe each post's
+    commenters: the replies and likes they received there, their comment
+    counts, the pages they commented on corpus-wide, and whether they are
+    engaged with an entity of the post, as :meth:`EntityTable.engaged` tells
+    over all of that entity's member posts, rows or not.  Memberships of
+    posts that are not rows are dropped.  Float sums are
+    :func:`features._grouped`'s, left to right in that order on every
+    Python version.
     """
     sample, table = warning.sample, warning.features
     rows = post_sample.rows
-    row_ids = tuple(map(corpus.posts.ids.__getitem__, rows.tolist()))
     n = len(rows)
-
-    comments, n_comments = group_positions(corpus.comment_offsets, rows)
-    post = np.repeat(np.arange(n), n_comments)
-    user = corpus.comments.user[comments]
-    likes = corpus.comments.likes[comments].astype(float)
-    replies = corpus.comments.replies[comments].astype(float)
 
     # Sample entities of each row, sorted by (row, entity) with CSR offsets
     # `ptr`; `row_of` maps a post to its row index, -1 for other posts.
@@ -223,11 +243,70 @@ def build_post_dataset(corpus: Corpus, post_sample: PostSample, warning: EarlyWa
     row_post, row_entity = row_post[kept], sample.entity[kept]
     by = np.lexsort((row_entity, row_post))
     row_post, row_entity = row_post[by], row_entity[by]
-    row_n_entities = np.bincount(row_post, minlength=n)
-    ptr = np.concatenate([[0], np.cumsum(row_n_entities)])
-    row_n_entities = row_n_entities.astype(float)
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(row_post, minlength=n))])
 
-    columns = {
+    disputed = np.zeros((2, len(table)))
+    disputed[:, table.complete(warning.dataset.feature_names)] = warning.predictions[0] == 1
+    comment_ptr = np.concatenate([[0], np.cumsum(np.diff(corpus.comment_offsets)[rows])])
+    features = names = None
+    for lo, hi in _chunks(comment_ptr):
+        at = slice(ptr[lo], ptr[hi])
+        columns = _chunk_columns(corpus, warning, disputed, rows[lo:hi], ptr[lo:hi + 1] - ptr[lo],
+                                 row_post[at] - lo, row_entity[at])
+        if features is None:
+            names = tuple(columns)
+            features = np.empty((n, len(names)))
+        for j, column in enumerate(columns.values()):
+            features[lo:hi, j] = column
+    log.debug("post features: %d rows x %d columns, %d comments scanned", n, len(names), comment_ptr[-1])
+    return Dataset(
+        features=features,
+        labels=post_sample.labels,
+        feature_names=names,
+        row_ids=tuple(map(corpus.posts.ids.__getitem__, rows.tolist())),
+    )
+
+
+def _chunks(comment_ptr: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Row bounds ``(lo, hi)`` of consecutive chunks of at most _CHUNK_COMMENTS comments.
+
+    ``comment_ptr`` holds the rows' CSR comment offsets.  A row with more
+    comments is a chunk of its own; no rows make one empty chunk.
+    """
+    n, lo = len(comment_ptr) - 1, 0
+    while True:
+        hi = int(np.searchsorted(comment_ptr, comment_ptr[lo] + _CHUNK_COMMENTS, side="right")) - 1
+        hi = min(max(hi, lo + 1), n)
+        yield lo, hi
+        if hi == n:
+            return
+        lo = hi
+
+
+def _chunk_columns(
+    corpus: Corpus,
+    warning: EarlyWarningResult,
+    disputed: np.ndarray,
+    rows: np.ndarray,
+    ptr: np.ndarray,
+    row_post: np.ndarray,
+    row_entity: np.ndarray,
+) -> dict[str, np.ndarray]:
+    """Every column of the rows ``rows``, by name in column order.
+
+    Their sample entities are ``row_entity``, at rows ``row_post`` sorted by
+    (row, entity) with CSR offsets ``ptr``; ``disputed`` is what
+    :func:`_predicted_columns` reads.
+    """
+    table = warning.features
+    n = len(rows)
+    row_n_entities = np.diff(ptr).astype(float)
+    comments, n_comments = group_positions(corpus.comment_offsets, rows)
+    post = np.repeat(np.arange(n), n_comments)
+    user = corpus.comments.user[comments]
+    likes = corpus.comments.likes[comments].astype(float)
+    replies = corpus.comments.replies[comments].astype(float)
+    return {
         **_structural_columns(corpus, rows, post, likes, replies),
         **_named("sem_post_", SEMANTIC_STAT_NAMES,
                  _semantic_columns(map(corpus.posts.text.__getitem__, rows.tolist()), n).T),
@@ -236,17 +315,10 @@ def build_post_dataset(corpus: Corpus, post_sample: PostSample, warning: EarlyWa
         **_user_columns(corpus, table, post, user, likes, replies, ptr, row_entity, n),
         **_sentiment_columns(
             corpus, rows, comments, post, row_post, row_entity, row_n_entities, table,
-            sample.requires_comment_sentiment,
+            warning.sample.requires_comment_sentiment,
         ),
-        **_predicted_columns(row_post, row_entity, row_n_entities, warning),
+        **_predicted_columns(row_post, row_entity, row_n_entities, warning.best, disputed),
     }
-    log.debug("post features: %d rows x %d columns, %d comments scanned", n, len(columns), len(comments))
-    return Dataset(
-        features=np.column_stack(list(columns.values())),
-        labels=post_sample.labels,
-        feature_names=tuple(columns),
-        row_ids=row_ids,
-    )
 
 
 def _joined_comment_texts(corpus: Corpus, rows: np.ndarray) -> Iterator[str]:
@@ -254,8 +326,8 @@ def _joined_comment_texts(corpus: Corpus, rows: np.ndarray) -> Iterator[str]:
 
     Stored comments are grouped by post, so a row's texts are one slice.
     """
-    text, offsets = corpus.comments.text, corpus.comment_offsets.tolist()
-    return ("\n".join(text[offsets[r]:offsets[r + 1]]) for r in rows.tolist())
+    text, offsets = corpus.comments.text, corpus.comment_offsets
+    return ("\n".join(text[a:b]) for a, b in zip(offsets[rows].tolist(), offsets[rows + 1].tolist()))
 
 
 def _structural_columns(
@@ -289,28 +361,16 @@ def _user_columns(
     row_entity: np.ndarray,
     n: int,
 ) -> dict[str, np.ndarray]:
-    n_sources = len(corpus.sources)
-    pages = np.bincount(
-        np.unique(corpus.comments.user * n_sources + corpus.posts.source[corpus.comments.post])
-        // n_sources,
-        minlength=len(corpus.users),
-    )
-
     # (post, commenter) groups of the rows' comments: commenters in id order
     # within a post; bincount adds each group's comments in table order.
-    # The pipeline's peak memory falls here on a large corpus, so the group
-    # and position arrays go after their last read.
     n_users = len(corpus.users)
     pairs, group = np.unique(post * n_users + user, return_inverse=True)
     g_post, g_user = pairs // n_users, pairs % n_users
     size = len(pairs)
-    del pairs
     g_comments, g_replies, _, g_replies_std = _grouped(group, replies, size)
     _, g_likes, _, g_likes_std = _grouped(group, likes, size)
-    del group
     index, count = group_positions(ptr, g_post)
     hit = table.engaged(np.repeat(g_user, count), row_entity[index])
-    del index
     g_engaged = np.bincount(np.repeat(np.arange(size), count)[hit], minlength=size) > 0
 
     commenters, _, r_avg, r_std = _grouped(g_post, g_replies, n)
@@ -318,7 +378,7 @@ def _user_columns(
     _, _, l_std_avg, _ = _grouped(g_post, g_likes_std, n)
     _, _, r_std_avg, _ = _grouped(g_post, g_replies_std, n)
     _, _, c_avg, c_std = _grouped(g_post, g_comments.astype(float), n)
-    _, _, p_avg, p_std = _grouped(g_post, pages[g_user].astype(float), n)
+    _, _, p_avg, p_std = _grouped(g_post, corpus.user_pages[g_user].astype(float), n)
     n_engaged = np.bincount(g_post[g_engaged], minlength=n).astype(float)
     return _named("ub_", USER_STAT_NAMES, [
         r_avg,
@@ -380,19 +440,18 @@ def _predicted_columns(
     row_post: np.ndarray,
     row_entity: np.ndarray,
     row_n_entities: np.ndarray,
-    warning: EarlyWarningResult,
+    best: Sequence[str],
+    disputed: np.ndarray,
 ) -> dict[str, np.ndarray]:
     """Counts and rates of contained entities predicted disputed, per model.
 
-    An entity without a row in the early warning's dataset counts as not
-    predicted disputed.
+    ``disputed`` holds one 0/1 flag per sample entity for each model of
+    ``best``; an entity without a row in the early warning's dataset counts
+    as not predicted disputed.
     """
     n = len(row_n_entities)
-    table = warning.features
-    disputed = np.zeros((2, len(table)))
-    disputed[:, table.complete(warning.dataset.feature_names)] = warning.predictions[0] == 1
     columns = {}
-    for algo, flags in zip(warning.best, disputed, strict=True):
+    for algo, flags in zip(best, disputed, strict=True):
         count = np.bincount(row_post, weights=flags[row_entity], minlength=n)
         columns[f"pred_n_disputed_{algo}"] = count
         columns[f"pred_rate_disputed_{algo}"] = _div(count, row_n_entities)

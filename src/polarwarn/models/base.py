@@ -115,6 +115,9 @@ class Dataset:
         return self.features.shape[0]
 
     def take_columns(self, names: Sequence[str]) -> "Dataset":
+        """The named columns, in the given order; the dataset itself when that is all of them in order."""
+        if tuple(names) == self.feature_names:
+            return self
         pos = {n: i for i, n in enumerate(self.feature_names)}
         idx = [pos[n] for n in names]
         return replace(self, features=self.features[:, idx], feature_names=tuple(names))
@@ -148,7 +151,9 @@ class Standardizer:
     scale: np.ndarray
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        return (X - self.mean) / self.scale
+        Z = X - self.mean
+        Z /= self.scale
+        return Z
 
 
 def fit_standardizer(X: np.ndarray) -> Standardizer:

@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import re
+import tracemalloc
 from itertools import compress
 from unittest import mock
 
@@ -196,10 +197,10 @@ tricky_text = st.text(st.one_of(st.sampled_from(TRICKY), st.characters()), max_s
 
 
 class TestTextKernel:
-    @given(st.lists(tricky_text, max_size=12), st.integers(1, 4))
+    @given(st.lists(tricky_text, max_size=12), st.integers(1, 40))
     @settings(max_examples=300, deadline=None)
-    def test_matches_per_text_regex_oracle(self, texts, batch):
-        with mock.patch.object(fn, "_TEXT_BATCH", batch):
+    def test_matches_per_text_regex_oracle(self, texts, chars):
+        with mock.patch.object(fn, "_TEXT_CHARS", chars):
             got = fn._semantic_columns(texts, len(texts))
         assert got.tolist() == [oracle_semantic(t) for t in texts]
 
@@ -217,9 +218,11 @@ class TestTextKernel:
     def test_longer_than_one_batch(self):
         rng = np.random.default_rng(3)
         alphabet = list(TRICKY) + list("bcdefghij ")
-        texts = ["".join(rng.choice(alphabet, size=rng.integers(0, 25)))
-                 for _ in range(2 * fn._TEXT_BATCH + 7)]
-        got = fn._semantic_columns(iter(texts), len(texts))
+        texts = ["".join(rng.choice(alphabet, size=rng.integers(0, 25))) for _ in range(207)]
+        # one text longer than the whole budget, which is a batch of its own
+        texts.insert(100, "".join(rng.choice(alphabet, size=600)))
+        with mock.patch.object(fn, "_TEXT_CHARS", 256):
+            got = fn._semantic_columns(iter(texts), len(texts))
         assert got.tolist() == [oracle_semantic(t) for t in texts]
 
 
@@ -424,7 +427,7 @@ def small_p2_world(tmp_path_factory):
     warning = ew.run_early_warning(corpus, e2, specs, Protocol(repeats=3, seed=2))
     p2 = cm.posts_for_entities(corpus, e2, name="P2")
     dataset = fn.build_post_dataset(corpus, p2, warning)
-    return read_records(directory), e2, warning, dataset
+    return corpus, read_records(directory), e2, warning, dataset
 
 
 # The post feature names up to the predicted block, in column order: P1
@@ -472,7 +475,7 @@ class TestBuildPostDataset:
         assert len(dataset.feature_names) == 44
 
     def test_p2_names_in_column_order(self, small_p2_world):
-        _, _, warning, dataset = small_p2_world
+        *_, warning, dataset = small_p2_world
         assert dataset.feature_names == P1_NAMES + P2_COMMENT_NAMES + predicted_names(warning)
         assert len(dataset.feature_names) == 52
 
@@ -492,6 +495,35 @@ class TestBuildPostDataset:
         ds = fn.build_post_dataset(corpus, subset, warning)
         assert ds.row_ids == tuple(dataset.row_ids[i] for i in half.tolist())
         assert np.array_equal(ds.features, dataset.features[half])
+
+    @pytest.mark.parametrize("budget", ["one", "all"])
+    def test_chunked_builds_are_bit_identical(self, small_post_world, small_p2_world, budget):
+        """One comment per chunk, or every comment in one, against the default chunks."""
+        corpus, _, _, warning, p1, dataset = small_post_world
+        corpus2, _, e2, warning2, dataset2 = small_p2_world
+        p2 = cm.posts_for_entities(corpus2, e2, name="P2")
+        for corpus, posts, warn, ds in ((corpus, p1, warning, dataset), (corpus2, p2, warning2, dataset2)):
+            assert np.diff(corpus.comment_offsets)[posts.rows].max() > 1  # a post over budget "one"
+            chunk = 1 if budget == "one" else len(corpus.comments) + 1
+            with mock.patch.object(fn, "_CHUNK_COMMENTS", chunk):
+                got = fn.build_post_dataset(corpus, posts, warn)
+            assert got.feature_names == ds.feature_names
+            assert got.row_ids == ds.row_ids
+            assert got.features.tobytes() == ds.features.tobytes()
+
+    @given(st.lists(st.integers(0, 6), max_size=30), st.integers(1, 8))
+    @settings(deadline=None)
+    def test_chunks_cover_the_rows_within_the_budget(self, counts, budget):
+        comment_ptr = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+        with mock.patch.object(fn, "_CHUNK_COMMENTS", budget):
+            bounds = list(fn._chunks(comment_ptr))
+        assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+        assert bounds[-1][1] == len(counts)
+        for lo, hi in bounds:
+            taken = comment_ptr[hi] - comment_ptr[lo]
+            assert taken <= budget or hi == lo + 1
+            # greedy: the next row would not have fit
+            assert hi == len(counts) or comment_ptr[hi + 1] - comment_ptr[lo] > budget
 
     def test_labels_match_source_category(self, small_post_world):
         _, records, _, _, p1, dataset = small_post_world
@@ -513,7 +545,7 @@ class TestBuildPostDataset:
 
     def test_matches_naive_recomputation(self, small_post_world, small_p2_world):
         _, records1, e1, warning, p1, dataset = small_post_world
-        records2, e2, warning2, dataset2 = small_p2_world
+        _, records2, e2, warning2, dataset2 = small_p2_world
         for records, sample, min_confidence, warn, ds, width in (
             (records1, e1, 0.6, warning, dataset, 44), (records2, e2, 0.9, warning2, dataset2, 52)
         ):
@@ -527,7 +559,7 @@ class TestBuildPostDataset:
                 assert not wrong, (pid, wrong)
 
     def test_entity_without_scored_comments(self, small_p2_world, tmp_path):
-        records, e2, warning, dataset = small_p2_world
+        _, records, e2, warning, dataset = small_p2_world
         cli._write_features(tmp_path / "features.csv", warning.features)
         with open(tmp_path / "features.csv", newline="", encoding="utf-8") as fh:
             row = next(r for r in csv.DictReader(fh) if r["entity"] == "unscored")
@@ -544,6 +576,69 @@ class TestBuildPostDataset:
         assert [values[name] for name in dataset.feature_names if name.startswith("pred_")] == [0.0] * 4
         assert values["sb_response_dist_avg"] == 0.0
         assert values["st_comments"] > 0 and values["sb_comment_sent_avg"] == 0.0
+
+
+def traced_build(corpus, chunk, chars):
+    """build_post_dataset's P1 build under the given budgets, and its traced peak beside the matrix."""
+    e1 = cm.select_e1(corpus)
+    posts = cm.posts_for_entities(corpus, e1)
+    warning = tiny_warning(corpus, e1)
+    corpus.user_pages  # a per-corpus value, computed once on first use
+    with mock.patch.object(fn, "_CHUNK_COMMENTS", chunk), mock.patch.object(fn, "_TEXT_CHARS", chars):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ds = fn.build_post_dataset(corpus, posts, warning)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    return posts, peak - ds.features.nbytes
+
+
+# Working memory per unit of budget, upper bounds read off the code: a chunk
+# holds under 32 eight-byte values per comment at a time (its comment table,
+# the (post, commenter) groups and the grouped sums' temporaries; about 11
+# measured), the text kernel under 64 bytes per character (33-44 measured,
+# the most with four-byte code points).
+BYTES_PER_COMMENT = 256
+BYTES_PER_CHAR = 64
+
+
+class TestBoundedMemory:
+    def test_peak_does_not_grow_with_the_comments(self, tmp_path):
+        """Copying every post's comments 8 times leaves the build's traced peak within one chunk's budget.
+
+        The posts, users and memberships are the same in both corpora, so
+        only a chunk's comments and a text batch's characters can differ,
+        and each is bounded by its budget, or by the largest post and its
+        joined text when one is larger.
+        """
+        from polarwarn import synth
+
+        config = synth.SynthConfig(n_entities=40, n_posts=600, n_users=300, n_comments=4000,
+                                   head_entities=4, head_posts_min=30, head_posts_max=40, seed=21)
+        synth.generate(config, tmp_path / "x1")
+        (tmp_path / "x8").mkdir()
+        for name in ("sources", "posts", "mentions"):
+            (tmp_path / "x8" / f"{name}.jsonl").write_text((tmp_path / "x1" / f"{name}.jsonl").read_text())
+        comments = [json.loads(line) for line in (tmp_path / "x1" / "comments.jsonl").read_text().splitlines()]
+        with open(tmp_path / "x8" / "comments.jsonl", "w", encoding="utf-8") as fh:
+            for copy in range(8):
+                for c in comments:
+                    fh.write(json.dumps({**c, "id": f"{c['id']}.{copy}"}) + "\n")
+
+        chunk, chars = 256, 4096
+        _, once = traced_build(cm.load_corpus(tmp_path / "x1"), chunk, chars)
+        corpus = cm.load_corpus(tmp_path / "x8")
+        posts, eightfold = traced_build(corpus, chunk, chars)
+
+        offsets = corpus.comment_offsets
+        n_comments = offsets[posts.rows + 1] - offsets[posts.rows]
+        texts = [len("\n".join(corpus.comments.text[a:b]).strip()) + 1
+                 for a, b in zip(offsets[posts.rows].tolist(), offsets[posts.rows + 1].tolist())]
+        assert n_comments.sum() > 8 * chunk and sum(texts) > 8 * chars  # many chunks and batches
+        budget = BYTES_PER_COMMENT * max(chunk, n_comments.max()) + BYTES_PER_CHAR * max(chars, max(texts))
+        assert eightfold <= once + budget, (once, eightfold, budget)
 
 
 def synthetic_category_dataset(signal_category, n=240, seed=0):
@@ -610,8 +705,7 @@ class TestExperiments:
     def test_full_set_is_every_column_in_order(self):
         ds = synthetic_category_dataset("P")
         full = fn.subset_by_categories(ds, fn.FULL_SET.split("+"))
-        assert full.feature_names == ds.feature_names
-        assert np.array_equal(full.features, ds.features)
+        assert full is ds  # no copy of the matrix
         assert fn.FULL_SET == fn.EXPERIMENT_STEPS["B"][-1]
 
 
