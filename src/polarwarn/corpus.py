@@ -18,8 +18,13 @@ entity.
 
 Each file is read in blocks of ``_BLOCK_LINES`` lines.  A block is parsed
 with one ``json.loads`` over its lines joined as an array, and every column
-is checked with numpy and set operations.  Duplicate keys are found from a
-64-bit hash of each key, kept in numpy and sorted once after the file.
+is checked with numpy and set operations.  A file over ``_SPLIT_BYTES`` is
+cut into one byte range per CPU this process may run on, each ending just
+after a newline: this process parses the first range while one forked
+worker per later range parses that range, and the builders receive every
+block in file order.  On one CPU nothing is split and no process starts.
+Duplicate keys are found from a 64-bit hash of each key, kept in numpy and
+sorted once after the file.
 When a block or a column fails a check, or two hashes are equal, the file
 is read again one record at a time through the same builders and checks,
 which then raise a SchemaError or IntegrityError naming the file and line
@@ -31,8 +36,13 @@ from __future__ import annotations
 
 import gc
 import json
+import marshal
 import math
+import multiprocessing
+import os
 import re
+import signal
+from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, repeat
@@ -51,6 +61,8 @@ _UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 # Lines per parsed block: bounds the record dicts held at once.
 _BLOCK_LINES = 4096
+# A file over this many bytes is parsed in one byte range per CPU.
+_SPLIT_BYTES = 2**20
 
 
 class CorpusError(Exception):
@@ -257,8 +269,27 @@ _COMMENT_FIELDS = ("id", "post_id", "user_id", "timestamp", "text", "sentiment",
 _MENTION_FIELDS = ("entity", "post_id", "confidence")
 
 
-def _parsed_blocks(path: Path, fields: tuple[str, ...]) -> Iterator[tuple[None, list[tuple]]]:
-    """Each block of the file as ``(None, columns)``, one tuple of values per field.
+def _ranges(path: Path) -> list[tuple[int, int]]:
+    """The file's byte ranges: one per usable CPU when it is over _SPLIT_BYTES, else one.
+
+    Range ``k`` of ``n`` starts at the first line that starts at or after
+    byte ``k * size // n`` (byte 0 excepted).  Each range but the last ends
+    just after a ``\\n``, and only the first can be empty.
+    """
+    size = path.stat().st_size
+    n = len(os.sched_getaffinity(0)) if size > _SPLIT_BYTES and hasattr(os, "sched_getaffinity") else 1
+    cuts = [0]
+    with open(path, "rb") as fh:
+        for k in range(1, n):
+            fh.seek(max(k * size // n - 1, 0))
+            fh.readline()
+            cuts.append(fh.tell())
+    cuts.append(size)
+    return [(0, cuts[1])] + [(a, b) for a, b in zip(cuts[1:], cuts[2:]) if a < b]
+
+
+def _range_blocks(path: Path, fields: tuple[str, ...], start: int, end: int) -> Iterator[tuple[None, list[tuple]]]:
+    """Each block of the lines in bytes ``start`` to ``end`` as ``(None, columns)``, one tuple of values per field.
 
     A block passes when its lines join to an array of exactly one object per
     non-blank line, each object has exactly ``fields`` as keys, and (checked
@@ -267,16 +298,22 @@ def _parsed_blocks(path: Path, fields: tuple[str, ...]) -> Iterator[tuple[None, 
     joined text sits between two lines.  Objects of scalars contain no
     other braces, so when every line starts with ``{`` and ends with ``}``
     and the object count equals the line count, each line is one object.
+    Lines end at ``\\n`` here, but the record read also ends one at a lone
+    ``\\r``, so a block with a ``\\r`` left inside a line fails.
     """
     get = itemgetter(*fields)
-    with open(path, encoding="utf-8") as fh:
-        while raw := list(islice(fh, _BLOCK_LINES)):
-            lines = list(filter(None, map(str.strip, raw)))
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        while start < end and (raw := list(islice(fh, _BLOCK_LINES))):
+            start += sum(map(len, raw))
+            while start > end:
+                start -= len(raw.pop())
+            lines = list(filter(None, map(str.strip, map(bytes.decode, raw))))
             if not lines:
                 continue
             text = "[" + ",\n".join(lines) + "]"
-            if not (text.startswith("[{") and text.endswith("}]")
-                    and text.count("},\n{") == len(lines) - 1):
+            if ("\r" in text or not (text.startswith("[{") and text.endswith("}]"))
+                    or text.count("},\n{") != len(lines) - 1):
                 raise _Recheck
             try:
                 rows = json.loads(text)
@@ -290,6 +327,65 @@ def _parsed_blocks(path: Path, fields: tuple[str, ...]) -> Iterator[tuple[None, 
             except KeyError:
                 raise _Recheck from None
             yield None, columns
+
+
+def _parse_range(path: Path, fields: tuple[str, ...], start: int, end: int, sender) -> None:
+    """In a worker: parse a byte range, then send its block count and each block, marshalled.
+
+    All blocks are parsed before the first is sent, since the parent reads
+    them only after its own range.  A failed check or a decode error sends
+    None in place of the count.  Interrupts are left to the parent, which
+    kills the worker.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        blocks = [marshal.dumps(columns) for _, columns in _range_blocks(path, fields, start, end)]
+    except (_Recheck, UnicodeDecodeError):
+        sender.send(None)
+        return
+    sender.send(len(blocks))
+    for block in blocks:
+        sender.send_bytes(block)
+
+
+def _received(receiver) -> Iterator[tuple[None, list[tuple]]]:
+    """The blocks a worker sends, one at a time; _Recheck when it found a fault or ended without sending them."""
+    try:
+        count = receiver.recv()
+        if count is None:
+            raise _Recheck
+        for _ in range(count):
+            yield None, marshal.loads(receiver.recv_bytes())
+    except EOFError:
+        raise _Recheck from None
+
+
+def _parsed_blocks(path: Path, fields: tuple[str, ...]) -> Iterator[tuple[None, list[tuple]]]:
+    """Each block of the file as ``(None, columns)``, in file order.
+
+    The first byte range is parsed here and each later one by a forked
+    worker, all started first; a worker's blocks follow once this process
+    has yielded the blocks before them.  However the generator ends, each worker
+    is killed, in case it is still running, and reaped.
+    """
+    first, *later = _ranges(path)
+    context = multiprocessing.get_context("fork")
+    workers = []
+    try:
+        for start, end in later:
+            receiver, sender = context.Pipe(duplex=False)
+            worker = context.Process(target=_parse_range, args=(path, fields, start, end, sender), daemon=True)
+            worker.start()
+            sender.close()
+            workers.append((worker, receiver))
+        yield from _range_blocks(path, fields, *first)
+        for _, receiver in workers:
+            yield from _received(receiver)
+    finally:
+        for worker, receiver in workers:
+            receiver.close()
+            worker.kill()
+            worker.join()
 
 
 def _records(path: Path, fields: tuple[str, ...]) -> Iterator[tuple[str, list[tuple]]]:
@@ -309,7 +405,8 @@ def _read(path: Path, fields: tuple[str, ...], build: Callable):
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return build(_parsed_blocks(path, fields))
+        with closing(_parsed_blocks(path, fields)) as blocks:
+            return build(blocks)
     except (_Recheck, UnicodeDecodeError):
         return build(_records(path, fields))
     finally:

@@ -69,11 +69,17 @@ def _char_class(code: int) -> int:
     )
 
 
+# The class of each ASCII code point.
+_ASCII_CLASS = np.array([_char_class(c) for c in range(128)], np.uint8)
+
+
 def _semantic_batch(texts: list[str]) -> np.ndarray:
     """Semantic statistics of already stripped texts, one row per text.
 
-    The texts are joined and read as code points; only the distinct code
-    points are classified, and every count is a per-text bincount.  A word
+    The texts are joined and read as code points.  ASCII is classified from
+    a fixed table and every other code point once per batch, so the tables
+    grow with the distinct code points, not with the largest; every count
+    is a per-text bincount.  A word
     starts at a word character that follows a non-word character or opens
     its text.  A sentence starts at a word character whose previous word or
     terminator character in the text is a terminator, or that has none.
@@ -81,11 +87,11 @@ def _semantic_batch(texts: list[str]) -> np.ndarray:
     n = len(texts)
     lengths = np.fromiter(map(len, texts), np.int64, n)
     codes = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), np.uint32)
-    seen = np.bincount(codes, minlength=1)
-    table = np.zeros(len(seen), np.uint8)
-    present = np.flatnonzero(seen)
-    table[present] = [_char_class(int(c)) for c in present]
-    cls = table[codes]
+    cls = _ASCII_CLASS.take(codes, mode="clip")
+    wide = np.flatnonzero(codes >= len(_ASCII_CLASS))
+    if len(wide):
+        present, inverse = np.unique(codes[wide], return_inverse=True)
+        cls[wide] = np.array([_char_class(int(c)) for c in present], np.uint8)[inverse]
     text = np.repeat(np.arange(n), lengths)
 
     word = (cls & _WORD_CHAR) > 0

@@ -225,6 +225,25 @@ class TestTextKernel:
             got = fn._semantic_columns(iter(texts), len(texts))
         assert got.tolist() == [oracle_semantic(t) for t in texts]
 
+    def test_memory_does_not_grow_with_the_largest_code_point(self):
+        # a table indexed by code point would take 1.1 MB per byte of entry
+        # for U+10FFFD; the kernel's own arrays take tens of bytes per character
+        texts = [("Plain ASCII text. " * 400).strip(), "and one more"]
+
+        def peak(batch):
+            tracemalloc.start()
+            try:
+                fn._semantic_batch(batch)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        ascii_peak = peak(texts)
+        for wide in ("\U0010fffd", "\U0001f600", "\u00e9"):
+            assert peak([*texts, "x" + wide]) < ascii_peak + 2**16
+            assert fn._semantic_batch([*texts, wide]).tolist() == [
+                oracle_semantic(t) for t in [*texts, wide]]
+
 
 def build_rows(corpus, predictions=None, posts=None):
     """Feature rows by post id of an E1 build over the given posts (default P1).

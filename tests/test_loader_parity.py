@@ -4,9 +4,15 @@ Every case writes a small valid corpus, replaces one file by raw text and
 checks the error ``load_corpus`` raises, character for character, and that
 ``polarwarn ingest`` maps it to the data-error exit code.  The messages are
 the ones the per-record loader produced, so a faster loader must keep them.
+Each case runs on the serial read and again on the split read, which cuts
+every file into byte ranges parsed by forked workers; no test may leave a
+worker running.
 """
 
 import json
+import multiprocessing
+import os
+from contextlib import contextmanager, nullcontext
 from operator import itemgetter
 from unittest import mock
 
@@ -23,6 +29,20 @@ from conftest import comment, mention, post, read_records, source, write_corpus
 
 def dumps(row):
     return json.dumps(row, ensure_ascii=False)
+
+
+@contextmanager
+def split_read(cpus=2):
+    """Cut every file, however small, into one byte range per CPU of ``cpus``."""
+    with mock.patch.object(cm, "_SPLIT_BYTES", 0), \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))):
+        yield
+
+
+@pytest.fixture(autouse=True)
+def no_worker_left():
+    yield
+    assert multiprocessing.active_children() == []
 
 
 BASE = {
@@ -182,14 +202,80 @@ def assert_ingest_is_data_error(directory, tmp_path):
     assert main(["ingest", "--data", str(directory), "--out", str(tmp_path / "out")]) == EXIT_DATA
 
 
-@pytest.mark.parametrize("case", sorted(ERROR_CASES))
-def test_error_message_and_line(case, tmp_path):
-    name, raw, kind, tail = ERROR_CASES[case]
+def check_error_case(cases, case, tmp_path):
+    name, raw, kind, tail = cases[case]
     directory = base_corpus(tmp_path / "c", **{name.replace(".", "_"): raw})
     err = load_error(directory)
     assert type(err.value) is kind
     assert str(err.value) == f"{directory / name}{tail}"
     assert_ingest_is_data_error(directory, tmp_path)
+    return directory / name
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_error_message_and_line(case, tmp_path):
+    check_error_case(ERROR_CASES, case, tmp_path)
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_error_message_and_line_on_split_read(case, tmp_path):
+    with split_read():
+        check_error_case(ERROR_CASES, case, tmp_path)
+
+
+# Eight comments of about equal length: cut in two, lines 5-8 fall to the worker.
+SPLIT_ROWS = [comment(f"c{i}", "p1", f"u{i % 3}", i) for i in range(8)]
+WORKER_LINES = range(5, 9)
+
+
+def split_lines(*changed):
+    """SPLIT_ROWS as raw lines, with each ``(line, text)`` of ``changed`` in place of that line."""
+    rows = [dumps(r) for r in SPLIT_ROWS]
+    for line, text in changed:
+        rows[line - 1] = text
+    return lines(*rows)
+
+
+# name -> (faulty lines, raw comments file, exception class, message after "<path>")
+SPLIT_CASES = {
+    "bad_record_in_worker": (
+        [8], split_lines((8, dumps({**SPLIT_ROWS[7], "likes": -1}))),
+        cm.SchemaError, ":8: field 'likes' must be a non-negative integer"),
+    "not_utf8_in_worker": (
+        [7], split_lines().encode().replace(b'"c6"', b'"c\xff"'),
+        cm.SchemaError, ":7: invalid UTF-8 (invalid start byte)"),
+    "duplicate_in_worker": (
+        [6, 8], split_lines((8, dumps({**SPLIT_ROWS[7], "id": "c5"}))),
+        cm.IntegrityError, ":8: duplicate comment id 'c5'"),
+    "duplicate_across_ranges": (
+        [1, 8], split_lines((8, dumps({**SPLIT_ROWS[7], "id": "c0"}))),
+        cm.IntegrityError, ":8: duplicate comment id 'c0'"),
+    # valid JSON on one line, but a lone CR ends the line for a text-mode reader
+    "lone_cr_inside_object": (
+        [7], split_lines((7, dumps(SPLIT_ROWS[6]).replace('"c6", ', '"c6",\r'))),
+        cm.SchemaError, ":7: invalid JSON (Expecting property name enclosed in double quotes)"),
+}
+
+
+def line_ranges(path):
+    """For each line of the file, the index of the split read's byte range that holds it."""
+    data = path.read_bytes()
+    ranges = cm._ranges(path)
+    starts = [0] + [i + 1 for i in range(len(data) - 1) if data[i] == ord("\n")]
+    return [next(k for k, (a, b) in enumerate(ranges) if a <= at < b) for at in starts]
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+def test_fault_in_a_worker_range(case, split, tmp_path):
+    faulty = SPLIT_CASES[case][0]
+    cases = {name: ("comments.jsonl", *rest) for name, (_, *rest) in SPLIT_CASES.items()}
+    with split_read() if split else nullcontext():
+        path = check_error_case(cases, case, tmp_path)
+        with split_read():
+            at = line_ranges(path)
+    assert [at[i - 1] for i in WORKER_LINES] == [1] * len(WORKER_LINES)
+    assert at[faulty[-1] - 1] == 1 and at[faulty[0] - 1] == (0 if case == "duplicate_across_ranges" else 1)
 
 
 def test_duplicate_post_id_first_seen_in_an_earlier_block(tmp_path, monkeypatch):
@@ -235,7 +321,7 @@ def test_duplicate_mention_of_a_dangling_post_is_a_duplicate(tmp_path):
     assert str(err.value) == f"{directory / 'mentions.jsonl'}:4: duplicate mention of 'beta' in post 'ghost'"
 
 
-def test_colliding_key_hashes_fall_back_to_an_equal_record_read(small_synth):
+def check_collision_fallback(small_synth):
     # every key of every file hashes alike, so each file is read again one
     # record at a time, and the exact check finds no duplicate
     corpus, _, directory = small_synth
@@ -243,10 +329,16 @@ def test_colliding_key_hashes_fall_back_to_an_equal_record_read(small_synth):
             mock.patch.object(cm, "_iter_jsonl", wraps=cm._iter_jsonl) as record_read:
         loaded = cm.load_corpus(directory)
     assert record_read.call_count == 4
-    assert snapshot(loaded) == snapshot(corpus)
-    assert loaded.users == corpus.users and loaded.entities == corpus.entities
-    assert np.array_equal(loaded.comment_offsets, corpus.comment_offsets)
-    assert np.array_equal(loaded.user_comment_counts, corpus.user_comment_counts)
+    assert_same_corpus(loaded, corpus)
+
+
+def test_colliding_key_hashes_fall_back_to_an_equal_record_read(small_synth):
+    check_collision_fallback(small_synth)
+
+
+def test_colliding_key_hashes_on_the_split_read(small_synth):
+    with split_read():
+        check_collision_fallback(small_synth)
 
 
 def test_error_in_a_later_block_keeps_its_line(tmp_path, monkeypatch):
@@ -299,6 +391,13 @@ def test_missing_file_named(tmp_path):
     assert_ingest_is_data_error(directory, tmp_path)
 
 
+def assert_same_corpus(loaded, corpus):
+    assert snapshot(loaded) == snapshot(corpus)
+    assert loaded.users == corpus.users and loaded.entities == corpus.entities
+    assert np.array_equal(loaded.comment_offsets, corpus.comment_offsets)
+    assert np.array_equal(loaded.user_comment_counts, corpus.user_comment_counts)
+
+
 def snapshot(corpus):
     """Every loaded value, as plain lists in stored order."""
     p, c, m = corpus.posts, corpus.comments, corpus.mentions
@@ -320,6 +419,51 @@ def test_blank_whitespace_and_crlf_lines_load_like_plain_lines(tmp_path):
     raw = {name.replace(".", "_"): " \r\n" + lines(*rows, "\t ", end="\r\n") + "\n"
            for name, rows in BASE.items()}
     assert snapshot(cm.load_corpus(base_corpus(tmp_path / "crlf", **raw))) == snapshot(plain)
+
+
+CRLF = {name.replace(".", "_"): " \r\n" + lines(*rows, "\t ", end="\r\n") + "\n"
+        for name, rows in BASE.items()}
+
+
+@pytest.mark.parametrize("layout", [
+    CRLF,
+    # a lone CR ends a line for a text-mode reader, so these are two records
+    {"comments_jsonl": dumps(C1) + "\r" + dumps(C2) + "\n"},
+    {"posts_jsonl": dumps(P1) + "\r\r\n" + dumps(P2) + "\r"},
+], ids=["crlf", "lone_cr_between_objects", "cr_runs_and_final_cr"])
+def test_line_endings_load_like_plain_lines_on_the_split_read(layout, tmp_path):
+    plain = snapshot(cm.load_corpus(base_corpus(tmp_path / "plain")))
+    directory = base_corpus(tmp_path / "c", **layout)
+    assert snapshot(cm.load_corpus(directory)) == plain
+    with split_read():
+        assert snapshot(cm.load_corpus(directory)) == plain
+
+
+# (the lines of posts.jsonl, the ranges of a cut in two as (first line, last line) of each)
+LAST_LINE_SPLITS = {
+    "worker_reads_the_last_line": (
+        [post("p1", "s1", 0, "a" * 80), post("p2", "s2", 60, "b" * 80), post("p3")], [(1, 2), (3, 3)]),
+    "no_newline_after_the_last_line": (
+        [post("p1", "s1", 0, "a" * 80), post("p2", "s2", 60, "b" * 80), post("p3")], [(1, 2), (3, 3)]),
+    "cut_inside_the_last_line": (
+        [post("p1"), post("p2", "s2", 60, "b" * 200)], [(1, 2)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAST_LINE_SPLITS))
+def test_split_point_at_the_last_line(case, tmp_path):
+    rows, spans = LAST_LINE_SPLITS[case]
+    raw = lines(*rows)
+    if case == "no_newline_after_the_last_line":
+        raw = raw[:-1]
+    directory = base_corpus(tmp_path / "c", posts_jsonl=raw)
+    serial = cm.load_corpus(directory)
+    with split_read():
+        at = line_ranges(directory / "posts.jsonl")
+        loaded = cm.load_corpus(directory)
+    assert [(at.index(k) + 1, len(at) - at[::-1].index(k)) for k in sorted(set(at))] == spans
+    assert_same_corpus(loaded, serial)
+    assert [p[0] for p in snapshot(loaded)["posts"]] == [r["id"] for r in rows]
 
 
 def test_line_separators_inside_strings_are_not_line_breaks(tmp_path):
@@ -431,15 +575,19 @@ def reference(records):
     }
 
 
+# CPUs of a forced split read, or None for the read as is
+CPUS = st.sampled_from([None, 2, 3])
+
+
 @given(corpora(), st.integers(1, 5), st.sampled_from(["\n", "\r\n"]), st.booleans(),
-       st.sampled_from([{}, {"x": 1}, {"x": {"y": [1, None]}}]))
+       st.sampled_from([{}, {"x": 1}, {"x": {"y": [1, None]}}]), CPUS)
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_random_corpora_load_like_the_reference(tmp_path, corpus, block, end, blanks, extra):
+def test_random_corpora_load_like_the_reference(tmp_path, corpus, block, end, blanks, extra, cpus):
     directory = tmp_path / "h"
     raw = {name.replace(".", "_"): ("\n  \n" if blanks else "")
            + lines(*({**row, **extra} for row in rows), end=end) for name, rows in corpus.items()}
     base_corpus(directory, **raw)
-    with mock.patch.object(cm, "_BLOCK_LINES", block):
+    with mock.patch.object(cm, "_BLOCK_LINES", block), split_read(cpus) if cpus else nullcontext():
         loaded = cm.load_corpus(directory)
     records = read_records(directory)
     got = snapshot(loaded)
@@ -461,6 +609,61 @@ def test_well_formed_files_skip_the_record_validator(small_synth):
     with mock.patch.object(cm, "_iter_jsonl", side_effect=AssertionError("record path taken")):
         corpus = cm.load_corpus(directory)
     assert snapshot(corpus) == snapshot(small_synth[0])
+
+
+FORK = multiprocessing.get_context("fork")
+FILES = ("sources", "posts", "comments", "mentions")
+
+
+def test_split_read_of_well_formed_files_skips_the_record_validator(small_synth, monkeypatch):
+    # four CPUs and blocks of three lines: up to three workers per file, each sending several blocks
+    monkeypatch.setattr(cm, "_BLOCK_LINES", 3)
+    corpus, _, directory = small_synth
+    with split_read(4), mock.patch.object(cm, "_iter_jsonl", side_effect=AssertionError("record path taken")), \
+            mock.patch.object(FORK, "Process", wraps=FORK.Process) as started:
+        loaded = cm.load_corpus(directory)
+        workers = sum(len(cm._ranges(directory / f"{name}.jsonl")) - 1 for name in FILES)
+    assert started.call_count == workers >= 9
+    assert_same_corpus(loaded, corpus)
+
+
+def test_one_cpu_starts_no_process(small_synth):
+    corpus, _, directory = small_synth
+    with split_read(1), mock.patch.object(FORK, "Process", side_effect=AssertionError("process started")):
+        assert_same_corpus(cm.load_corpus(directory), corpus)
+
+
+def test_worker_that_dies_leads_to_the_record_read(small_synth):
+    # the patch is inherited through fork, so the worker raises before it
+    # sends anything; this process then sees the pipe close
+    corpus, _, directory = small_synth
+    blocks = cm._range_blocks
+
+    def failing(path, fields, start, end):
+        if os.getpid() != parent:
+            raise RuntimeError("worker died")
+        return blocks(path, fields, start, end)
+
+    parent = os.getpid()
+    with split_read(), mock.patch.object(cm, "_range_blocks", failing), \
+            mock.patch.object(cm, "_iter_jsonl", wraps=cm._iter_jsonl) as record_read:
+        loaded = cm.load_corpus(directory)
+    assert record_read.call_count == 4
+    assert_same_corpus(loaded, corpus)
+
+
+def test_interrupt_while_a_worker_runs_leaves_no_process(small_synth):
+    _, _, directory = small_synth
+
+    def interrupted(blocks, post_index):
+        next(iter(blocks))
+        raise KeyboardInterrupt
+
+    with split_read(), mock.patch.object(cm, "_build_comments", interrupted), \
+            mock.patch.object(FORK, "Process", wraps=FORK.Process) as started, \
+            pytest.raises(KeyboardInterrupt):
+        cm.load_corpus(directory)
+    assert started.call_count == 3  # sources, posts, comments
 
 
 def test_stored_order_does_not_depend_on_line_order(small_synth, tmp_path):
@@ -528,7 +731,8 @@ def test_one_bad_value_names_its_file_line_and_field(tmp_path, corpus, block, da
     rows[i] = ({k: v for k, v in rows[i].items() if k != field} if value is ABSENT
                else {**rows[i], field: value})
     directory = base_corpus(tmp_path / "f", **{n.replace(".", "_"): lines(*r) for n, r in corpus.items()})
-    with mock.patch.object(cm, "_BLOCK_LINES", block):
+    cpus = data.draw(CPUS)
+    with mock.patch.object(cm, "_BLOCK_LINES", block), split_read(cpus) if cpus else nullcontext():
         err = load_error(directory)
     assert str(err.value).startswith(f"{directory / name}:{i + 1}: ")
     assert str(err.value).endswith(message)
