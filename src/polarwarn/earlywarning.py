@@ -110,7 +110,7 @@ def run_benchmark(
     failures: dict[str, str] = {}
     for spec in specs:
         try:
-            reports[spec.algorithm] = run_cycles(dataset, spec, cycles)
+            reports[spec.algorithm] = run_cycles(dataset, spec, cycles, dataset.feature_names)
         except NumericError as exc:
             failures[spec.algorithm] = f"{type(exc).__name__}: {exc}"
     for algo, err in failures.items():

@@ -219,18 +219,19 @@ class Protocol:
         return tuple(drawn)
 
 
-def run_cycles(dataset: Dataset, spec: ModelSpec, cycles: Cycles) -> MetricsReport:
+def run_cycles(dataset: Dataset, spec: ModelSpec, cycles: Cycles, names: Sequence[str]) -> MetricsReport:
     """Fit and score one model spec on each cycle's ``(train, test)`` rows of
-    ``dataset``; only those slices of the feature matrix are copied.
+    the columns ``names`` of ``dataset``; only those rows of those columns are copied.
 
     Returns the confusion metrics of every cycle's test rows, pooled in cycle
     order, with each cycle's AUC.
     """
     X, y = dataset.features, dataset.labels
+    columns = [dataset.feature_names.index(name) for name in names]
     predicted, aucs = [], []
     for train, test in cycles:
-        model = fit(Dataset(X[train], y[train], dataset.feature_names), spec)
-        scores, labels = predict(model, X[test])
+        model = fit(Dataset(X[np.ix_(train, columns)], y[train], tuple(names)), spec)
+        scores, labels = predict(model, X[np.ix_(test, columns)])
         predicted.append(labels)
         aucs.append(roc_auc(y[test], scores))
     return confusion_metrics(y[np.concatenate([test for _, test in cycles])], np.concatenate(predicted), aucs)
@@ -254,14 +255,14 @@ def forward_stepwise(
 
     ``max_features`` is at most the number of columns.  Each round is one
     list of candidate AUCs, the selected columns plus each remaining one in
-    column order; its first maximum wins, so ties break toward the lower
-    feature index.
+    column order, each evaluated on the cycles' rows of just its columns;
+    its first maximum wins, so ties break toward the lower feature index.
     """
     selected: list[str] = []
     trace: list[float] = []
     remaining = list(dataset.feature_names)
     for _ in range(max_features):
-        aucs = [run_cycles(dataset.take_columns(selected + [name]), spec, cycles).auc for name in remaining]
+        aucs = [run_cycles(dataset, spec, cycles, selected + [name]).auc for name in remaining]
         best = int(np.argmax(aucs))
         selected.append(remaining.pop(best))
         trace.append(aucs[best])

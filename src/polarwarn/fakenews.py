@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .corpus import Corpus, PostSample, group_positions
-from .features import EntityTable, _div, _grouped
+from .features import EntityTable, _div, _grouped, _grouped_std
 from .evaluation import Cycles, MetricsReport, StepwiseResult, forward_stepwise, rank_reports, run_cycles
 from .earlywarning import EarlyWarningResult
 from .models import Dataset, ModelSpec
@@ -343,8 +343,8 @@ def _structural_columns(
     likes: np.ndarray,
     replies: np.ndarray,
 ) -> dict[str, np.ndarray]:
-    n_comments, likes_on, likes_avg, _ = _grouped(on_row, likes, len(rows))
-    _, replies_on, replies_avg, _ = _grouped(on_row, replies, len(rows))
+    n_comments, likes_on, likes_avg = _grouped(on_row, likes, len(rows))
+    _, replies_on, replies_avg = _grouped(on_row, replies, len(rows))
     return _named("st_", STRUCTURAL_NAMES, [
         corpus.posts.likes[rows].astype(float),
         n_comments.astype(float),
@@ -373,18 +373,18 @@ def _user_columns(
     pairs, group = np.unique(post * n_users + user, return_inverse=True)
     g_post, g_user = pairs // n_users, pairs % n_users
     size = len(pairs)
-    g_comments, g_replies, _, g_replies_std = _grouped(group, replies, size)
-    _, g_likes, _, g_likes_std = _grouped(group, likes, size)
+    g_comments, g_replies, _, g_replies_std = _grouped_std(group, replies, size)
+    _, g_likes, _, g_likes_std = _grouped_std(group, likes, size)
     index, count = group_positions(ptr, g_post)
     hit = table.engaged(np.repeat(g_user, count), row_entity[index])
     g_engaged = np.bincount(np.repeat(np.arange(size), count)[hit], minlength=size) > 0
 
-    commenters, _, r_avg, r_std = _grouped(g_post, g_replies, n)
-    _, _, l_avg, l_std = _grouped(g_post, g_likes, n)
-    _, _, l_std_avg, _ = _grouped(g_post, g_likes_std, n)
-    _, _, r_std_avg, _ = _grouped(g_post, g_replies_std, n)
-    _, _, c_avg, c_std = _grouped(g_post, g_comments.astype(float), n)
-    _, _, p_avg, p_std = _grouped(g_post, corpus.user_pages[g_user].astype(float), n)
+    commenters, _, r_avg, r_std = _grouped_std(g_post, g_replies, n)
+    _, _, l_avg, l_std = _grouped_std(g_post, g_likes, n)
+    _, _, l_std_avg = _grouped(g_post, g_likes_std, n)
+    _, _, r_std_avg = _grouped(g_post, g_replies_std, n)
+    _, _, c_avg, c_std = _grouped_std(g_post, g_comments.astype(float), n)
+    _, _, p_avg, p_std = _grouped_std(g_post, corpus.user_pages[g_user].astype(float), n)
     n_engaged = np.bincount(g_post[g_engaged], minlength=n).astype(float)
     return _named("ub_", USER_STAT_NAMES, [
         r_avg,
@@ -415,21 +415,21 @@ def _sentiment_columns(
 ) -> dict[str, np.ndarray]:
     """Sentiment-based features; the comment-dependent block only for P2-style builds."""
     n = len(rows)
-    _, _, dp_mean, dp_std = _grouped(row_post, table.columns["presentation_distance"][row_entity], n)
+    _, _, dp_mean, dp_std = _grouped_std(row_post, table.columns["presentation_distance"][row_entity], n)
     columns = _named("sb_", SENTIMENT_BASE_NAMES, [corpus.posts.sentiment[rows], dp_mean, dp_std])
     if not include_comment_sentiment:
         return columns
     sentiment = corpus.comments.sentiment[comments]
     scored = ~np.isnan(sentiment)
     at, sentiment = on_row[scored], sentiment[scored]
-    n_scored, _, s_avg, s_std = _grouped(at, sentiment, n)
+    n_scored, _, s_avg, s_std = _grouped_std(at, sentiment, n)
     n_pos = np.bincount(at[sentiment > 0], minlength=n).astype(float)
     n_neg = np.bincount(at[sentiment < 0], minlength=n).astype(float)
     captivating = (table.columns["captivation"] == 1).astype(float)
     n_capt = np.bincount(row_post, weights=captivating[row_entity], minlength=n)
     response = table.columns["response_dist_global"][row_entity]
     has_response = ~np.isnan(response)
-    _, _, response_avg, _ = _grouped(row_post[has_response], response[has_response], n)
+    _, _, response_avg = _grouped(row_post[has_response], response[has_response], n)
     return columns | _named("sb_", SENTIMENT_COMMENT_NAMES, [
         s_avg,
         s_std,
@@ -464,10 +464,10 @@ def _predicted_columns(
     return columns
 
 
-def subset_by_categories(dataset: Dataset, categories: Sequence[str]) -> Dataset:
+def subset_by_categories(dataset: Dataset, categories: Sequence[str]) -> list[str]:
+    """The names of the columns of ``categories``, in dataset order."""
     prefixes = tuple(CATEGORY_PREFIXES[c] for c in categories)
-    names = [n for n in dataset.feature_names if n.startswith(prefixes)]
-    return dataset.take_columns(names)
+    return [n for n in dataset.feature_names if n.startswith(prefixes)]
 
 
 # A step names the categories it holds, joined by "+".
@@ -486,11 +486,12 @@ def run_experiment(
     cycles: Cycles,
 ) -> dict[str, dict[str, MetricsReport]]:
     """Each spec's report on each distinct step of the experiments ``modes``
-    (any case) and on FULL_SET, each evaluated once: step -> algorithm -> report."""
+    (any case) and on FULL_SET, each evaluated once on the cycles' rows of
+    just its columns: step -> algorithm -> report."""
     table = {}
     for step in dict.fromkeys([*(s for m in modes for s in EXPERIMENT_STEPS[m.upper()]), FULL_SET]):
-        sub = subset_by_categories(dataset, step.split("+"))
-        table[step] = {spec.algorithm: run_cycles(sub, spec, cycles) for spec in specs}
+        names = subset_by_categories(dataset, step.split("+"))
+        table[step] = {spec.algorithm: run_cycles(dataset, spec, cycles, names) for spec in specs}
     return table
 
 

@@ -23,8 +23,8 @@ group's non-integer values are summed.  Its sums add left to right on every
 Python version, as the built-in ``sum`` does before Python 3.12 and not from
 3.12 on, where it compensates: a per-entity ``sum`` loop gives the same bits
 on 3.10 and 3.11, and on 3.12+ float columns can differ from it in the last
-bit.  It squares by multiplication and roots with ``np.sqrt``, which IEEE 754
-rounds correctly, so no value depends on the C library's ``pow``.
+bit.  :func:`_grouped_std` squares by multiplication and roots with ``np.sqrt``,
+which IEEE 754 rounds correctly, so no value depends on the C library's ``pow``.
 """
 
 from __future__ import annotations
@@ -46,16 +46,19 @@ def _div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 def _grouped(group: np.ndarray, values: np.ndarray, size: int) -> tuple[np.ndarray, ...]:
-    """Per-group count, sum, mean and population standard deviation of ``values``; 0 for empty groups.
+    """Per-group count, sum and mean of ``values``; 0 for empty groups.
 
     The one place a group's non-integer values are summed, in array order, as
-    a left-to-right scalar ``sum`` does.  The std is ``np.sqrt`` of the mean
-    of the squared deviations, each squared as ``d * d``; IEEE 754 rounds
-    both operations correctly.
+    a left-to-right scalar ``sum`` does.
     """
     counts = np.bincount(group, minlength=size)
     total = np.bincount(group, weights=values, minlength=size)
-    mean = _div(total, counts)
+    return counts, total, _div(total, counts)
+
+
+def _grouped_std(group: np.ndarray, values: np.ndarray, size: int) -> tuple[np.ndarray, ...]:
+    """:func:`_grouped`'s values and the population std, the root of the mean of each ``d * d``."""
+    counts, total, mean = _grouped(group, values, size)
     d = values - mean[group]
     d *= d
     return counts, total, mean, np.sqrt(_div(np.bincount(group, weights=d, minlength=size), counts))
@@ -64,12 +67,12 @@ def _grouped(group: np.ndarray, values: np.ndarray, size: int) -> tuple[np.ndarr
 def _summary(prefix: str, group: np.ndarray, values: np.ndarray, size: int) -> dict[str, np.ndarray]:
     """Per-group ``<prefix>_min``, ``_max``, ``_mean`` and ``_std`` of ``values``; 0 for empty groups.
 
-    ``group`` must be sorted; the mean and std are :func:`_grouped`'s.  A
+    ``group`` must be sorted; the mean and std are :func:`_grouped_std`'s.  A
     zero min or max is the group's first zero, 0.0 or -0.0, as Python's
     ``min`` and ``max`` keep the first of equal values; which one
     ``np.minimum`` keeps is not defined.
     """
-    counts, _, mean, std = _grouped(group, values, size)
+    counts, _, mean, std = _grouped_std(group, values, size)
     present = counts > 0
     starts = (np.cumsum(counts) - counts)[present]
     zero = np.flatnonzero(values == 0)
@@ -141,7 +144,7 @@ def entity_features(corpus: Corpus, sample: EntitySample) -> EntityTable:
     comment_sentiment = corpus.comments.sentiment[comments]
     scored = ~np.isnan(comment_sentiment)
     comment_sentiment = comment_sentiment[scored]
-    per_post, _, comment_means, _ = _grouped(np.repeat(np.arange(m), count)[scored], comment_sentiment, m)
+    per_post, _, comment_means = _grouped(np.repeat(np.arange(m), count)[scored], comment_sentiment, m)
     del comments, scored
     commented = np.repeat(sample.entity, per_post)
     has_comments = np.bincount(commented, minlength=n) > 0

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, NamedTuple, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -113,14 +113,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.features.shape[0]
-
-    def take_columns(self, names: Sequence[str]) -> "Dataset":
-        """The named columns, in the given order; the dataset itself when that is all of them in order."""
-        if tuple(names) == self.feature_names:
-            return self
-        pos = {n: i for i, n in enumerate(self.feature_names)}
-        idx = [pos[n] for n in names]
-        return replace(self, features=self.features[:, idx], feature_names=tuple(names))
 
 
 @dataclass(frozen=True)

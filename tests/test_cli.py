@@ -223,9 +223,9 @@ def test_fakenews_evaluates_each_step_once(data_dir, tmp_path, monkeypatch, expe
     calls = []
     run_cycles = evaluation.run_cycles
 
-    def counted(dataset, spec, cycles):
+    def counted(dataset, spec, cycles, names):
         calls.append(spec.algorithm)
-        return run_cycles(dataset, spec, cycles)
+        return run_cycles(dataset, spec, cycles, names)
 
     for module in (evaluation, ew, fn):
         monkeypatch.setattr(module, "run_cycles", counted)

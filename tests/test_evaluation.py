@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polarwarn import evaluation as ev
@@ -327,6 +327,21 @@ class TestRocAuc:
         )
 
 
+COLUMNS = tuple(f"f{i}" for i in range(6))
+
+
+def run_cycles_on_every_column(dataset, spec, cycles):
+    """Each cycle's train and test rows of every column of ``dataset``, fitted, scored and pooled."""
+    X, y = dataset.features, dataset.labels
+    predicted, aucs = [], []
+    for train, test in cycles:
+        model = fit(Dataset(X[train], y[train], dataset.feature_names), spec)
+        scores, labels = predict(model, X[test])
+        predicted.append(labels)
+        aucs.append(ev.roc_auc(y[test], scores))
+    return ev.confusion_metrics(y[np.concatenate([test for _, test in cycles])], np.concatenate(predicted), aucs)
+
+
 class TestProtocol:
     def planted(self, n=120, seed=0):
         rng = np.random.default_rng(seed)
@@ -339,7 +354,7 @@ class TestProtocol:
     def test_cycles_and_aggregate(self):
         ds = self.planted()
         cycles = ev.Protocol(repeats=5, seed=1).cycles(ds.labels)
-        report = ev.run_cycles(ds, ModelSpec("log"), cycles)
+        report = ev.run_cycles(ds, ModelSpec("log"), cycles, ds.feature_names)
         assert len(report.aucs) == 5 and report.auc > 0.8
         assert report.tp + report.tn + report.fp + report.fn == report.n
 
@@ -355,10 +370,29 @@ class TestProtocol:
             labels.append(ds.labels[test])
             predicted.append(guessed)
             aucs.append(ev.roc_auc(ds.labels[test], scores))
-        got = ev.run_cycles(ds, spec, cycles)
+        got = ev.run_cycles(ds, spec, cycles, ds.feature_names)
         assert got == ev.confusion_metrics(np.concatenate(labels), np.concatenate(predicted), aucs)
         assert got.aucs == tuple(aucs)
         assert got.auc == float(np.mean(aucs))
+
+    @pytest.mark.parametrize("algorithm", ["lin", "log", "svm", "knn", "dt"])
+    @given(names=st.permutations(COLUMNS).flatmap(lambda order: st.integers(1, len(order)).map(lambda k: order[:k])))
+    @example(names=list(COLUMNS))
+    @example(names=["f3"])
+    @settings(max_examples=25, deadline=None)
+    def test_run_cycles_on_names_equals_a_copy_of_those_columns(self, algorithm, names):
+        # the reference copies the columns into a Dataset of their own, then takes each cycle's rows of it
+        rng = np.random.default_rng(11)
+        y = (rng.random(90) < 0.3).astype(int)
+        X = rng.normal(0, 1, (90, len(COLUMNS))) + 0.8 * y[:, None] * (np.arange(len(COLUMNS)) % 2)
+        ds = make_dataset(X, y)
+        spec = ModelSpec(algorithm, seed=4)
+        cycles = ev.Protocol(repeats=3, seed=7).cycles(ds.labels)
+        copied = Dataset(ds.features[:, [COLUMNS.index(n) for n in names]], ds.labels, tuple(names))
+        got = ev.run_cycles(ds, spec, cycles, names)
+        want = run_cycles_on_every_column(copied, spec, cycles)
+        assert got == want
+        assert got.aucs == want.aucs
 
     def test_label_permutation_hovers_at_half(self):
         ds = self.planted(n=200)
@@ -368,7 +402,8 @@ class TestProtocol:
             labels=rng.permutation(ds.labels),
             feature_names=ds.feature_names,
         )
-        auc = ev.run_cycles(permuted, ModelSpec("log"), ev.Protocol(repeats=8, seed=2).cycles(permuted.labels)).auc
+        cycles = ev.Protocol(repeats=8, seed=2).cycles(permuted.labels)
+        auc = ev.run_cycles(permuted, ModelSpec("log"), cycles, permuted.feature_names).auc
         assert 0.35 < auc < 0.65
 
     @pytest.mark.parametrize("repeats", [0, -3])

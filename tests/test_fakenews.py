@@ -660,6 +660,41 @@ class TestBoundedMemory:
         assert eightfold <= once + budget, (once, eightfold, budget)
 
 
+# Working memory of one lin cycle per cell of its rows (train and test) and
+# columns, an upper bound read off the code: the gathered rows (8 bytes), the
+# finiteness mask (1), the standardizer's deviations and the standardized
+# copy (16), the intercept copy and the least-squares solver's own copy (16),
+# with room left for the solver's workspace and the scores (about 16 measured).
+BYTES_PER_CYCLE_CELL = 64
+
+
+class TestExperimentMemory:
+    def test_peak_does_not_grow_with_the_rows_no_cycle_uses(self):
+        """A step copies its cycles' rows of its columns, never every row of them.
+
+        On a P1-like matrix of 20,000 rows with 100 positives, each cycle
+        uses 200 rows, and a copy of every row of one step's columns would
+        exceed the bound many times over.
+        """
+        rng = np.random.default_rng(3)
+        widths = {"st_": 7, "sem_": 18, "ub_": 12, "sb_": 3, "pred_": 4}  # P1's 44 columns
+        names = tuple(f"{prefix}{j}" for prefix, k in widths.items() for j in range(k))
+        labels = np.zeros(20_000, np.int8)
+        labels[rng.choice(len(labels), 100, replace=False)] = 1
+        ds = Dataset(rng.normal(0, 1, (len(labels), len(names))), labels, names)
+        cycles = Protocol(repeats=3, seed=1).cycles(ds.labels)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn.run_experiment(ds, ["b"], [ModelSpec("lin")], cycles)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        cycle_rows = max(len(train) + len(test) for train, test in cycles)
+        assert cycle_rows == 200
+        assert peak <= BYTES_PER_CYCLE_CELL * cycle_rows * len(names), peak
+
+
 def synthetic_category_dataset(signal_category, n=240, seed=0):
     """Noise in every category except one, which carries the label."""
     rng = np.random.default_rng(seed)
@@ -709,9 +744,9 @@ class TestExperiments:
         evaluated = []
         run_cycles = fn.run_cycles
 
-        def counted(dataset, spec, cycles):
-            evaluated.append((dataset.feature_names, spec.algorithm))
-            return run_cycles(dataset, spec, cycles)
+        def counted(dataset, spec, cycles, names):
+            evaluated.append((tuple(names), spec.algorithm))
+            return run_cycles(dataset, spec, cycles, names)
 
         monkeypatch.setattr(fn, "run_cycles", counted)
         steps = fn.run_experiment(ds, modes, specs, Protocol(repeats=2, seed=4).cycles(ds.labels))
@@ -724,7 +759,7 @@ class TestExperiments:
     def test_full_set_is_every_column_in_order(self):
         ds = synthetic_category_dataset("P")
         full = fn.subset_by_categories(ds, fn.FULL_SET.split("+"))
-        assert full is ds  # no copy of the matrix
+        assert full == list(ds.feature_names)
         assert fn.FULL_SET == fn.EXPERIMENT_STEPS["B"][-1]
 
 

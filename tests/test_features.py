@@ -239,7 +239,8 @@ def test_grouped_matches_left_to_right_oracle(case):
     size, rows = case
     group = np.array([g for g, _ in rows], dtype=np.intp)
     values = np.array([v for _, v in rows], dtype=float)
-    got = feat._grouped(group, values, size)
+    got = feat._grouped_std(group, values, size)
+    assert [x.tobytes() for x in feat._grouped(group, values, size)] == [x.tobytes() for x in got[:3]]
     for g in range(size):
         members = [v for h, v in rows if h == g]
         total = float(_lsum(members))
