@@ -2,10 +2,12 @@
 
 The corpus is read from four JSONL files (sources, posts, comments, entity
 mentions) into column tables: numpy arrays for codes and numbers, Python
-lists only for the strings something reads (texts, post ids, user ids,
-entity names).  Rows refer to each other by integer codes: row numbers for
-sources and posts, and positions in the sorted id lists for users and
-entities.  The loader stores each table in the order its readers use,
+lists only for the strings something reads (post ids, user ids, entity
+names).  No text is kept: each block's texts are counted as the block is
+parsed (:func:`textcounts.text_counts`), and the corpus keeps each post's
+own counts and the integer sums of its comments' counts.  Rows refer to
+each other by integer codes: row numbers for sources and posts, and
+positions in the sorted id lists for users and entities.  The loader stores each table in the order its readers use,
 whatever the order of the file: sources in file order, posts in post-id
 order, comments grouped by post (each post's in file order, found through
 CSR offsets), and mentions by (entity, post).  Each user's comment count is
@@ -22,7 +24,8 @@ is checked with numpy and set operations.  A file over ``_SPLIT_BYTES`` is
 cut into one byte range per CPU this process may run on, each ending just
 after a newline: this process parses the first range while one forked
 worker per later range parses that range, and the builders receive every
-block in file order.  On one CPU nothing is split and no process starts.
+block in file order, with its texts already counted, so a worker sends
+integers, not strings.  On one CPU nothing is split and no process starts.
 Duplicate keys are found from a 64-bit hash of each key, kept in numpy and
 sorted once after the file.
 When a block or a column fails a check, or two hashes are equal, the file
@@ -51,6 +54,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NoReturn
 
 import numpy as np
+
+from .textcounts import COUNT_NAMES, text_counts
 
 OFFICIAL = "official"
 FAKE = "fake"
@@ -99,7 +104,7 @@ class Posts:
     ids: list[str]
     source: np.ndarray  # source row
     timestamp: np.ndarray  # integer UTC seconds
-    text: list[str]
+    text_counts: np.ndarray  # one row of textcounts.COUNT_NAMES counts per post
     sentiment: np.ndarray
     likes: np.ndarray
     shares: np.ndarray
@@ -114,7 +119,6 @@ class Comments:
 
     post: np.ndarray  # post row
     user: np.ndarray  # position in Corpus.users
-    text: list[str]
     sentiment: np.ndarray  # NaN where the comment has no sentiment score
     likes: np.ndarray
     replies: np.ndarray
@@ -189,6 +193,7 @@ class Corpus:
     users: list[str]  # sorted user ids
     entities: list[str]  # sorted entity names
     comment_offsets: np.ndarray  # CSR offsets of each post row's comments
+    comment_text_counts: np.ndarray  # per post row: the sums of its comments' text counts
     user_comment_counts: np.ndarray  # per user: their comments in the corpus
 
     @cached_property
@@ -288,12 +293,15 @@ def _ranges(path: Path) -> list[tuple[int, int]]:
     return [(0, cuts[1])] + [(a, b) for a, b in zip(cuts[1:], cuts[2:]) if a < b]
 
 
-def _range_blocks(path: Path, fields: tuple[str, ...], start: int, end: int) -> Iterator[tuple[None, list[tuple]]]:
-    """Each block of the lines in bytes ``start`` to ``end`` as ``(None, columns)``, one tuple of values per field.
+def _range_blocks(path: Path, fields: tuple[str, ...], start: int, end: int) -> Iterator[tuple[None, list]]:
+    """Each block of the lines in bytes ``start`` to ``end`` as ``(None, columns)``, one column per field.
 
-    A block passes when its lines join to an array of exactly one object per
-    non-blank line, each object has exactly ``fields`` as keys, and (checked
-    by the column builders) every value is a string, a number or null.
+    A column is a tuple of values, but the texts' column holds their counts,
+    one row per text (:func:`textcounts.text_counts`).  A block passes when
+    its lines join to an array of exactly one object per non-blank line,
+    each object has exactly ``fields`` as keys, every text is a string, and
+    (checked by the column builders) every other value is a string, a
+    number or null.
     Strings cannot hold a raw line break, so every ``"},\\n{"`` of the
     joined text sits between two lines.  Objects of scalars contain no
     other braces, so when every line starts with ``{`` and ends with ``}``
@@ -302,6 +310,7 @@ def _range_blocks(path: Path, fields: tuple[str, ...], start: int, end: int) -> 
     ``\\r``, so a block with a ``\\r`` left inside a line fails.
     """
     get = itemgetter(*fields)
+    counted = fields.index("text") if "text" in fields else None
     with open(path, "rb") as fh:
         fh.seek(start)
         while start < end and (raw := list(islice(fh, _BLOCK_LINES))):
@@ -326,12 +335,17 @@ def _range_blocks(path: Path, fields: tuple[str, ...], start: int, end: int) -> 
                 columns = list(zip(*map(get, rows)))
             except KeyError:
                 raise _Recheck from None
+            if counted is not None:
+                if not set(map(type, columns[counted])) <= {str}:
+                    raise _Recheck  # it may nest braces; the record read converts it with str
+                columns[counted] = text_counts(columns[counted])
             yield None, columns
 
 
 def _parse_range(path: Path, fields: tuple[str, ...], start: int, end: int, sender) -> None:
     """In a worker: parse a byte range, then send its block count and each block, marshalled.
 
+    A block's text counts go as their raw bytes, which _received reads back.
     All blocks are parsed before the first is sent, since the parent reads
     them only after its own range.  A failed check or a decode error sends
     None in place of the count.  Interrupts are left to the parent, which
@@ -339,7 +353,8 @@ def _parse_range(path: Path, fields: tuple[str, ...], start: int, end: int, send
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
-        blocks = [marshal.dumps(columns) for _, columns in _range_blocks(path, fields, start, end)]
+        blocks = [marshal.dumps([c.tobytes() if isinstance(c, np.ndarray) else c for c in columns])
+                  for _, columns in _range_blocks(path, fields, start, end)]
     except (_Recheck, UnicodeDecodeError):
         sender.send(None)
         return
@@ -348,19 +363,20 @@ def _parse_range(path: Path, fields: tuple[str, ...], start: int, end: int, send
         sender.send_bytes(block)
 
 
-def _received(receiver) -> Iterator[tuple[None, list[tuple]]]:
+def _received(receiver) -> Iterator[tuple[None, list]]:
     """The blocks a worker sends, one at a time; _Recheck when it found a fault or ended without sending them."""
     try:
         count = receiver.recv()
         if count is None:
             raise _Recheck
         for _ in range(count):
-            yield None, marshal.loads(receiver.recv_bytes())
+            yield None, [np.frombuffer(c, np.int64).reshape(-1, len(COUNT_NAMES)) if isinstance(c, bytes) else c
+                         for c in marshal.loads(receiver.recv_bytes())]
     except EOFError:
         raise _Recheck from None
 
 
-def _parsed_blocks(path: Path, fields: tuple[str, ...]) -> Iterator[tuple[None, list[tuple]]]:
+def _parsed_blocks(path: Path, fields: tuple[str, ...]) -> Iterator[tuple[None, list]]:
     """Each block of the file as ``(None, columns)``, in file order.
 
     The first byte range is parsed here and each later one by a forked
@@ -388,10 +404,37 @@ def _parsed_blocks(path: Path, fields: tuple[str, ...]) -> Iterator[tuple[None, 
             worker.join()
 
 
-def _records(path: Path, fields: tuple[str, ...]) -> Iterator[tuple[str, list[tuple]]]:
-    """Each record of the file as a one-record block, located at its ``path:line``."""
-    for lineno, obj in _iter_jsonl(path):
-        yield f"{path}:{lineno}", [(obj.get(field, _MISSING),) for field in fields]
+def _records(path: Path, fields: tuple[str, ...]) -> Iterator[tuple[str, list]]:
+    """Each record of the file as a one-record block, located at its ``path:line``.
+
+    The texts are counted _BLOCK_LINES records at a time, since one kernel
+    call per record would cost more than its record's parse.  A text that
+    is not a string is converted with ``str`` first, and a missing one
+    counts -1 throughout, for the builder's check to report in its turn.  A
+    fault met while reading ahead is raised once the records before it have
+    been yielded, so the first bad record is still the one reported.
+    """
+    counted = fields.index("text") if "text" in fields else None
+    records = _iter_jsonl(path)
+    while True:
+        batch, fault = [], None
+        try:
+            for lineno, obj in islice(records, _BLOCK_LINES):
+                batch.append((f"{path}:{lineno}", [(obj.get(field, _MISSING),) for field in fields]))
+        except SchemaError as exc:
+            fault = exc
+        if counted is not None:
+            texts = [columns[counted][0] for _, columns in batch]
+            given = [i for i, value in enumerate(texts) if value is not _MISSING]
+            counts = np.full((len(texts), len(COUNT_NAMES)), -1, np.int64)
+            counts[given] = text_counts([str(texts[i]) for i in given])
+            for (_, columns), row in zip(batch, counts):
+                columns[counted] = row[None]
+        yield from batch
+        if fault is not None:
+            raise fault
+        if len(batch) < _BLOCK_LINES:
+            return
 
 
 def _read(path: Path, fields: tuple[str, ...], build: Callable):
@@ -437,16 +480,11 @@ def _strings(values: tuple, field: str, where: str | None) -> tuple:
     return values
 
 
-def _texts(values: tuple, where: str | None) -> Iterable[str]:
-    """Strings; the record read converts any other value with ``str``.
-
-    The block read rejects them, since _parsed_blocks needs scalar values.
-    """
-    if set(map(type, values)) <= {str}:
-        return values
-    if where is None or _MISSING in values:
+def _texts(counts: np.ndarray, where: str | None) -> np.ndarray:
+    """The counts of the texts; on the record read, one record's, -1 for a missing text."""
+    if where is not None and counts[0, 0] < 0:
         _fail(where, "missing field 'text'")
-    return [str(v) for v in values]
+    return counts
 
 
 def _ints(values: tuple, field: str, where: str | None, non_negative: bool = False) -> np.ndarray:
@@ -602,9 +640,8 @@ def _build_sources(blocks) -> tuple[dict[str, int], Sources]:
 def _build_posts(blocks, source_index: Mapping[str, int]) -> tuple[dict[str, int], Posts, list[str]]:
     ids: list[str] = []
     unique = _Unique()
-    texts: list[str] = []
     dangling: list[str] = []
-    source, timestamp, sentiment, likes, shares = [], [], [], [], []
+    source, timestamp, counts, sentiment, likes, shares = [], [], [], [], [], []
     for where, (pid, source_id, ts, text, sent, like, share) in blocks:
         if unique.repeats(_strings(pid, "id", where), where):
             _fail(where, f"duplicate post id {pid[0]!r}", IntegrityError)
@@ -612,23 +649,29 @@ def _build_posts(blocks, source_index: Mapping[str, int]) -> tuple[dict[str, int
         source.append(_refs(_strings(source_id, "source_id", where), source_index))
         dangling += _dangling(source[-1], "post", pid, "source", source_id)
         timestamp.append(_ints(ts, "timestamp", where))
-        texts += _texts(text, where)
+        counts.append(_texts(text, where))
         sentiment.append(_numbers(sent, "sentiment", where, -1.0, 1.0))
         likes.append(_ints(like, "likes", where, non_negative=True))
         shares.append(_ints(share, "shares", where, non_negative=True))
     unique.check()
     posts = Posts(
         ids=ids, source=_concat(source, np.int64), timestamp=_concat(timestamp, np.int64),
-        text=texts, sentiment=_concat(sentiment, float),
-        likes=_concat(likes, np.int64), shares=_concat(shares, np.int64),
+        text_counts=_concat(counts, np.int64).reshape(-1, len(COUNT_NAMES)),
+        sentiment=_concat(sentiment, float), likes=_concat(likes, np.int64), shares=_concat(shares, np.int64),
     )
     _reorder(posts, np.array(sorted(range(len(ids)), key=ids.__getitem__), np.int64))
     return {p: i for i, p in enumerate(posts.ids)}, posts, dangling
 
 
-def _build_comments(blocks, post_index: Mapping[str, int]) -> tuple[list[str], Comments, list[str]]:
+def _build_comments(blocks, post_index: Mapping[str, int]) -> tuple[list[str], Comments, np.ndarray, list[str]]:
+    """The comments, and per post row the sums of its comments' text counts.
+
+    The counts are summed as each block arrives, so no per-comment count is
+    kept.  A dangling comment's post row is -1, so its counts go to one more
+    row at the end, which is left out: load_corpus then fails anyway.
+    """
     unique = _Unique()
-    texts: list[str] = []
+    text_sums = np.zeros((len(post_index) + 1, len(COUNT_NAMES)), np.int64)
     dangling: list[str] = []
     users = _Codes()
     post, user, sentiment, likes, replies = [], [], [], [], []
@@ -641,17 +684,17 @@ def _build_comments(blocks, post_index: Mapping[str, int]) -> tuple[list[str], C
         dangling += _dangling(post[-1], "comment", cid, "post", post_id)
         user.append(users.encode(_strings(user_id, "user_id", where)))
         _ints(ts, "timestamp", where)
-        texts += _texts(text, where)
+        np.add.at(text_sums, post[-1], _texts(text, where))
         sentiment.append(_numbers(sent, "sentiment", where, -1.0, 1.0, nullable=True))
         likes.append(_ints(like, "likes", where, non_negative=True))
         replies.append(_ints(reply, "replies", where, non_negative=True))
     unique.check()
     names, user = users.renumbered(user)
     comments = Comments(
-        post=_concat(post, np.int64), user=user, text=texts, sentiment=_concat(sentiment, float),
+        post=_concat(post, np.int64), user=user, sentiment=_concat(sentiment, float),
         likes=_concat(likes, np.int64), replies=_concat(replies, np.int64),
     )
-    return names, comments, dangling
+    return names, comments, text_sums[:-1], dangling
 
 
 def _build_mentions(blocks, post_index: Mapping[str, int]) -> tuple[list[str], Mentions, list[str]]:
@@ -692,8 +735,8 @@ def load_corpus(directory: str | Path) -> Corpus:
 
     source_index, sources = _read(paths["sources"], _SOURCE_FIELDS, _build_sources)
     post_index, posts, from_posts = _read(paths["posts"], _POST_FIELDS, lambda b: _build_posts(b, source_index))
-    users, comments, from_comments = _read(paths["comments"], _COMMENT_FIELDS,
-                                           lambda b: _build_comments(b, post_index))
+    users, comments, comment_text_counts, from_comments = _read(paths["comments"], _COMMENT_FIELDS,
+                                                                lambda b: _build_comments(b, post_index))
     entities, mentions, from_mentions = _read(paths["mentions"], _MENTION_FIELDS,
                                               lambda b: _build_mentions(b, post_index))
     if dangling := from_posts + from_comments + from_mentions:
@@ -711,6 +754,7 @@ def load_corpus(directory: str | Path) -> Corpus:
         users=users,
         entities=entities,
         comment_offsets=offsets,
+        comment_text_counts=comment_text_counts,
         user_comment_counts=np.bincount(comments.user, minlength=len(users)),
     )
 

@@ -1,7 +1,7 @@
 """Post-level fake-news classification over five feature categories.
 
 Per post: structural (diffusion counts), semantic (surface text statistics
-of the post and of its concatenated comments), user-based (commenter
+of the post and of its comments together), user-based (commenter
 behavior and engagement), sentiment-based (presentation/response measures of
 the contained entities) and predicted (early-warning disputed predictions).
 Column names carry a category prefix (st_, sem_, ub_, sb_, pred_) so the
@@ -10,9 +10,10 @@ sentiment-based and the predicted columns read the early warning's entity
 table and predictions by entity index.
 
 The post features are built in chunks of rows holding at most
-``_CHUNK_COMMENTS`` comments, and the text kernel reads batches of at most
-``_TEXT_CHARS`` characters, so the build's working memory beside its one
-feature matrix does not grow with the number of comments.
+``_CHUNK_COMMENTS`` comments, so the build's working memory beside its one
+feature matrix does not grow with the number of comments.  The semantic
+statistics read no text: they are formed from the integer text counts the
+loader keeps per post (:mod:`textcounts`).
 """
 
 from __future__ import annotations
@@ -32,16 +33,6 @@ log = logging.getLogger(__name__)
 
 CLASS_NAMES = {0: "not_fake", 1: "fake"}
 
-_PUNCTUATION = frozenset(".,;:!?'\"()-")
-_TERMINATORS = frozenset(".!?")
-
-# Character classes of the text kernel, as bit flags.  A word character is
-# one the pattern [^\W_] matches, which for one character is str.isalnum().
-_WORD_CHAR, _UPPER, _PUNCT, _TERM = 1, 2, 4, 8
-# Characters per kernel call, each text counting one more: bounds the
-# per-character arrays (about 40 bytes per character), so peak memory does
-# not grow with the corpus.  A longer text is a batch of its own.
-_TEXT_CHARS = 2**16
 # Comments per chunk of rows in build_post_dataset: bounds the per-comment
 # arrays of one pass.  A row with more comments is a chunk of its own.
 _CHUNK_COMMENTS = 2**13
@@ -59,95 +50,25 @@ SEMANTIC_STAT_NAMES = (
 )
 
 
-def _char_class(code: int) -> int:
-    ch = chr(code)
-    return (
-        _WORD_CHAR * ch.isalnum()
-        | _UPPER * ch.isupper()
-        | _PUNCT * (ch in _PUNCTUATION)
-        | _TERM * (ch in _TERMINATORS)
-    )
+def _semantic_columns(counts: np.ndarray) -> list[np.ndarray]:
+    """The SEMANTIC_STAT_NAMES statistics of rows of text counts (textcounts.COUNT_NAMES).
 
-
-# The class of each ASCII code point.
-_ASCII_CLASS = np.array([_char_class(c) for c in range(128)], np.uint8)
-
-
-def _semantic_batch(texts: list[str]) -> np.ndarray:
-    """Semantic statistics of already stripped texts, one row per text.
-
-    The texts are joined and read as code points.  ASCII is classified from
-    a fixed table and every other code point once per batch, so the tables
-    grow with the distinct code points, not with the largest; every count
-    is a per-text bincount.  A word
-    starts at a word character that follows a non-word character or opens
-    its text.  A sentence starts at a word character whose previous word or
-    terminator character in the text is a terminator, or that has none.
+    The average word length is in characters and the average sentence length
+    in words; the rates divide by the character count.  All-zero counts, as
+    of an empty text, give all zeros.
     """
-    n = len(texts)
-    lengths = np.fromiter(map(len, texts), np.int64, n)
-    codes = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), np.uint32)
-    cls = _ASCII_CLASS.take(codes, mode="clip")
-    wide = np.flatnonzero(codes >= len(_ASCII_CLASS))
-    if len(wide):
-        present, inverse = np.unique(codes[wide], return_inverse=True)
-        cls[wide] = np.array([_char_class(int(c)) for c in present], np.uint8)[inverse]
-    text = np.repeat(np.arange(n), lengths)
-
-    word = (cls & _WORD_CHAR) > 0
-    after_word = np.zeros(len(cls), bool)
-    after_word[1:] = word[:-1]
-    after_word[(np.cumsum(lengths) - lengths)[lengths > 0]] = False
-    marks = np.flatnonzero(cls & (_WORD_CHAR | _TERM))
-    mark_word, mark_text = word[marks], text[marks]
-    opens = np.ones(len(marks), bool)
-    opens[1:] = ~mark_word[:-1] | (mark_text[1:] != mark_text[:-1])
-
-    def per_text(at: np.ndarray) -> np.ndarray:
-        return np.bincount(at, minlength=n).astype(float)
-
-    chars = lengths.astype(float)
-    words = per_text(text[word & ~after_word])
-    sentences = per_text(mark_text[mark_word & opens])
-    capitals = per_text(text[(cls & _UPPER) > 0])
-    punctuation = per_text(text[(cls & _PUNCT) > 0])
-    return np.column_stack([
+    chars, words, word_chars, sentences, capitals, punctuation = counts.T.astype(float)
+    return [
         chars,
         words,
         sentences,
         capitals,
         punctuation,
-        _div(per_text(text[word]), words),
+        _div(word_chars, words),
         _div(words, sentences),
         _div(punctuation, chars),
         _div(capitals, chars),
-    ])
-
-
-def _semantic_columns(texts: Iterable[str], n: int) -> np.ndarray:
-    """The nine semantic statistics of ``n`` texts, in batches of _TEXT_CHARS characters.
-
-    Words are maximal alphanumeric runs; sentences are '.!?'-delimited
-    segments containing at least one word; the average sentence length is in
-    words; rates divide by the character count.  Surrounding whitespace is
-    ignored and an empty text yields all zeros.  Each text counts its
-    stripped length plus one against the budget, so a batch of empty texts
-    is bounded too; a text longer than the budget is a batch of its own.
-    Every statistic is per text, so the batching does not change any value.
-    """
-    out = np.zeros((n, len(SEMANTIC_STAT_NAMES)))
-    batch, chars, start = [], 0, 0
-    for text in texts:
-        text = text.strip()
-        if batch and chars + len(text) + 1 > _TEXT_CHARS:
-            out[start:start + len(batch)] = _semantic_batch(batch)
-            start += len(batch)
-            batch, chars = [], 0
-        batch.append(text)
-        chars += len(text) + 1
-    if batch:
-        out[start:start + len(batch)] = _semantic_batch(batch)
-    return out
+    ]
 
 
 STRUCTURAL_NAMES = (
@@ -218,13 +139,21 @@ def build_post_dataset(corpus: Corpus, post_sample: PostSample, warning: EarlyWa
     The rows, in ``post_sample`` order, which is post-id order, are built in
     consecutive chunks of at most ``_CHUNK_COMMENTS`` comments (a row with
     more is a chunk of its own), and each chunk's columns are written into
-    one preallocated matrix; the text kernel reads at most ``_TEXT_CHARS``
-    characters at a time.  So the working memory beside the matrix is
-    bounded by the two budgets and the largest post, not by the comment
-    count.  Every value is a function of its own row, so the chunking does
-    not change any of them.
+    one preallocated matrix.  So the working memory beside the matrix is
+    bounded by the budget and the largest post, not by the comment count.
+    Every value is a function of its own row, so the chunking does not
+    change any of them.
 
-    Every block is computed column-wise from one table of a chunk's
+    The semantic statistics come from the loader's integer text counts
+    (:mod:`textcounts`): ``sem_post_*`` from the post's own text, and
+    ``sem_comments_*`` from the sums of its comments' counts, so they do not
+    depend on the order of the comments.  There ``characters`` counts each
+    comment's characters once its surrounding whitespace is stripped, with
+    nothing between comments, and ``sentences`` adds each comment's own
+    sentences, so a comment's first word starts a sentence even when the
+    comment before it ends without a terminator.
+
+    Every other block is computed column-wise from one table of a chunk's
     comments, read as they are stored: each post's comments in file order.
     Per-post values group the table by post and by (post, commenter),
     commenters in id order.  User-based features describe each post's
@@ -314,10 +243,8 @@ def _chunk_columns(
     replies = corpus.comments.replies[comments].astype(float)
     return {
         **_structural_columns(corpus, rows, post, likes, replies),
-        **_named("sem_post_", SEMANTIC_STAT_NAMES,
-                 _semantic_columns(map(corpus.posts.text.__getitem__, rows.tolist()), n).T),
-        **_named("sem_comments_", SEMANTIC_STAT_NAMES,
-                 _semantic_columns(_joined_comment_texts(corpus, rows), n).T),
+        **_named("sem_post_", SEMANTIC_STAT_NAMES, _semantic_columns(corpus.posts.text_counts[rows])),
+        **_named("sem_comments_", SEMANTIC_STAT_NAMES, _semantic_columns(corpus.comment_text_counts[rows])),
         **_user_columns(corpus, table, post, user, likes, replies, ptr, row_entity, n),
         **_sentiment_columns(
             corpus, rows, comments, post, row_post, row_entity, row_n_entities, table,
@@ -325,15 +252,6 @@ def _chunk_columns(
         ),
         **_predicted_columns(row_post, row_entity, row_n_entities, warning.best, disputed),
     }
-
-
-def _joined_comment_texts(corpus: Corpus, rows: np.ndarray) -> Iterator[str]:
-    """Each row's comment texts joined by newlines, made lazily.
-
-    Stored comments are grouped by post, so a row's texts are one slice.
-    """
-    text, offsets = corpus.comments.text, corpus.comment_offsets
-    return ("\n".join(text[a:b]) for a, b in zip(offsets[rows].tolist(), offsets[rows + 1].tolist()))
 
 
 def _structural_columns(

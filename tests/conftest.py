@@ -68,6 +68,34 @@ def read_records(directory: Path) -> Records:
     return rec
 
 
+PUNCTUATION = set(".,;:!?'\"()-")
+TERMINATORS = set(".!?")
+
+
+def oracle_counts(text: str) -> list[int]:
+    """The textcounts.COUNT_NAMES counts of one text, one character at a time with str methods.
+
+    Once the text is stripped: its characters; its words, maximal runs of
+    ``isalnum`` characters, and their characters; its sentences, each
+    opened by a word character with no word since the text began or since
+    the last terminator; its ``isupper`` characters; and its punctuation signs.
+    """
+    text = text.strip()
+    words = word_chars = sentences = 0
+    in_word = in_sentence = False
+    for ch in text:
+        if ch.isalnum():
+            words += not in_word
+            sentences += not in_sentence
+            word_chars += 1
+            in_word = in_sentence = True
+        else:
+            in_word = False
+            in_sentence = in_sentence and ch not in TERMINATORS
+    return [len(text), words, word_chars, sentences,
+            sum(ch.isupper() for ch in text), sum(ch in PUNCTUATION for ch in text)]
+
+
 def post_ids(corpus, rows) -> list[str]:
     """The ids of the given post rows, in the given order."""
     return [corpus.posts.ids[r] for r in rows]

@@ -4,7 +4,8 @@ import csv
 import json
 import logging
 import math
-import re
+import random
+import shutil
 import tracemalloc
 from itertools import compress
 from unittest import mock
@@ -18,35 +19,28 @@ from polarwarn import cli
 from polarwarn import corpus as cm
 from polarwarn import earlywarning as ew
 from polarwarn import fakenews as fn
+from polarwarn import textcounts as tc
 from polarwarn.evaluation import Protocol
 from polarwarn.models import ALGORITHMS, Dataset, ModelSpec
 
-from conftest import comment, entity_rows, mention, post, read_records, source, tiny_warning, write_corpus
+from conftest import (comment, entity_rows, mention, oracle_counts, post, read_records, source, tiny_warning,
+                      write_corpus)
 
 
-# The per-text definitions the column-wise build must reproduce exactly.
+# The per-post definitions the column-wise build must reproduce exactly.
 # Float sums run left to right in explicit loops, so the oracle does not
 # depend on how a Python version's built-in sum() adds floats.
-_WORD = re.compile(r"[^\W_]+")
-_SENTENCE_SPLIT = re.compile(r"[.!?]+")
-_PUNCTUATION = set(".,;:!?'\"()-")
-
-
-def oracle_semantic(text):
-    text = text.strip()
-    n_chars = len(text)
-    words = _WORD.findall(text)
-    sentences = [seg for seg in _SENTENCE_SPLIT.split(text) if _WORD.search(seg)]
-    n_punct = sum(1 for ch in text if ch in _PUNCTUATION)
-    n_caps = sum(1 for ch in text if ch.isupper())
+def oracle_semantic(counts):
+    """The nine semantic statistics of one row of text counts (oracle_counts)."""
+    n_chars, n_words, word_chars, n_sentences, n_caps, n_punct = counts
     return [
         float(n_chars),
-        float(len(words)),
-        float(len(sentences)),
+        float(n_words),
+        float(n_sentences),
         float(n_caps),
         float(n_punct),
-        sum(len(w) for w in words) / len(words) if words else 0.0,
-        len(words) / len(sentences) if sentences else 0.0,
+        word_chars / n_words if n_words else 0.0,
+        n_words / n_sentences if n_sentences else 0.0,
         n_punct / n_chars if n_chars else 0.0,
         n_caps / n_chars if n_chars else 0.0,
     ]
@@ -91,8 +85,9 @@ def oracle_row(records, pid, sample, min_confidence, feature_map, pred_map):
     row = [float(post["likes"]), float(n), float(post["shares"]), float(likes_on),
            float(replies_on), likes_on / n if n else 0.0, replies_on / n if n else 0.0]
 
-    row += oracle_semantic(post["text"])
-    row += oracle_semantic("\n".join(c["text"] for c in comments))
+    row += oracle_semantic(oracle_counts(post["text"]))
+    # the comments' statistics: the integer sums of each comment's own counts
+    row += oracle_semantic([sum(column) for column in zip([0] * 6, *(oracle_counts(c["text"]) for c in comments))])
 
     by_user = {}
     for c in comments:
@@ -151,7 +146,7 @@ def oracle_row(records, pid, sample, min_confidence, feature_map, pred_map):
 
 
 def semantic_stats(text):
-    return fn._semantic_columns([text], 1)[0]
+    return np.array(fn._semantic_columns(tc.text_counts([text])))[:, 0]
 
 
 class TestSemanticStats:
@@ -199,20 +194,28 @@ tricky_text = st.text(st.one_of(st.sampled_from(TRICKY), st.characters()), max_s
 class TestTextKernel:
     @given(st.lists(tricky_text, max_size=12), st.integers(1, 40))
     @settings(max_examples=300, deadline=None)
-    def test_matches_per_text_regex_oracle(self, texts, chars):
-        with mock.patch.object(fn, "_TEXT_CHARS", chars):
-            got = fn._semantic_columns(texts, len(texts))
-        assert got.tolist() == [oracle_semantic(t) for t in texts]
+    def test_matches_per_text_oracle(self, texts, chars):
+        with mock.patch.object(tc, "_TEXT_CHARS", chars):
+            got = tc.text_counts(texts)
+        assert got.dtype == np.int64 and got.shape == (len(texts), len(tc.COUNT_NAMES))
+        assert got.tolist() == [oracle_counts(t) for t in texts]
+
+    @given(st.text(st.characters(exclude_categories=())))  # any code point, lone surrogates too
+    @settings(max_examples=300, deadline=None)
+    def test_any_unicode_text_matches_the_oracle(self, text):
+        assert tc.text_counts([text]).tolist() == [oracle_counts(text)]
 
     def test_hand_cases(self):
         texts = ["", "   \n", "__a__b_", "\u01c5ubrovnik. \U0001d400!", "e\u0301t\u00e9",
-                 "a b", "?!x", "x?!", "...", "1.5 m"]
-        got = fn._semantic_columns(texts, len(texts))
-        assert got.tolist() == [oracle_semantic(t) for t in texts]
-        words = dict(zip(texts, got[:, 1]))
-        assert words["__a__b_"] == 2  # underscores split words
-        assert words["e\u0301t\u00e9"] == 2  # a combining mark is not alphanumeric
-        sentences = dict(zip(texts, got[:, 2]))
+                 "a b", "?!x", "x?!", "...", "1.5 m"]
+        got = tc.text_counts(texts)
+        assert got.tolist() == [oracle_counts(t) for t in texts]
+        counts = {name: dict(zip(texts, column)) for name, column in zip(tc.COUNT_NAMES, got.T.tolist())}
+        assert counts["words"]["__a__b_"] == 2  # underscores split words
+        assert counts["word_characters"]["__a__b_"] == 2
+        assert counts["words"]["e\u0301t\u00e9"] == 2  # a combining mark is not alphanumeric
+        assert counts["characters"]["   \n"] == 0
+        sentences = counts["sentences"]
         assert sentences["?!x"] == 1 and sentences["..."] == 0 and sentences["1.5 m"] == 2
 
     def test_longer_than_one_batch(self):
@@ -221,9 +224,9 @@ class TestTextKernel:
         texts = ["".join(rng.choice(alphabet, size=rng.integers(0, 25))) for _ in range(207)]
         # one text longer than the whole budget, which is a batch of its own
         texts.insert(100, "".join(rng.choice(alphabet, size=600)))
-        with mock.patch.object(fn, "_TEXT_CHARS", 256):
-            got = fn._semantic_columns(iter(texts), len(texts))
-        assert got.tolist() == [oracle_semantic(t) for t in texts]
+        with mock.patch.object(tc, "_TEXT_CHARS", 256):
+            got = tc.text_counts(texts)
+        assert got.tolist() == [oracle_counts(t) for t in texts]
 
     def test_memory_does_not_grow_with_the_largest_code_point(self):
         # a table indexed by code point would take 1.1 MB per byte of entry
@@ -233,7 +236,7 @@ class TestTextKernel:
         def peak(batch):
             tracemalloc.start()
             try:
-                fn._semantic_batch(batch)
+                tc._count_batch(batch)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -241,8 +244,7 @@ class TestTextKernel:
         ascii_peak = peak(texts)
         for wide in ("\U0010fffd", "\U0001f600", "\u00e9"):
             assert peak([*texts, "x" + wide]) < ascii_peak + 2**16
-            assert fn._semantic_batch([*texts, wide]).tolist() == [
-                oracle_semantic(t) for t in [*texts, wide]]
+            assert tc._count_batch([*texts, wide]).tolist() == [oracle_counts(t) for t in [*texts, wide]]
 
 
 def build_rows(corpus, predictions=None, posts=None):
@@ -597,13 +599,39 @@ class TestBuildPostDataset:
         assert values["st_comments"] > 0 and values["sb_comment_sent_avg"] == 0.0
 
 
-def traced_build(corpus, chunk, chars):
-    """build_post_dataset's P1 build under the given budgets, and its traced peak beside the matrix."""
+def test_semantic_columns_do_not_depend_on_comment_line_order(small_synth, tmp_path):
+    """Shuffling the lines of comments.jsonl leaves every sem_post_ and sem_comments_ column bit-identical.
+
+    This is the semantic half of line-order independence only: the ub_
+    float sums still add each post's comments in file order.
+    """
+    corpus, _, directory = small_synth
+    shuffled = tmp_path / "shuffled"
+    shutil.copytree(directory, shuffled)
+    lines = (directory / "comments.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    random.Random(7).shuffle(lines)
+    (shuffled / "comments.jsonl").write_text("".join(lines), encoding="utf-8")
+
+    def semantic(corpus):
+        e1 = cm.select_e1(corpus)
+        ds = fn.build_post_dataset(corpus, cm.posts_for_entities(corpus, e1), tiny_warning(corpus, e1))
+        names = [name for name in ds.feature_names if name.startswith("sem_")]
+        return ds.row_ids, names, ds.features[:, [ds.feature_names.index(name) for name in names]]
+
+    row_ids, names, features = semantic(corpus)
+    got = semantic(cm.load_corpus(shuffled))
+    assert len(names) == 18
+    assert got[:2] == (row_ids, names)
+    assert got[2].tobytes() == features.tobytes()
+
+
+def traced_build(corpus, chunk):
+    """build_post_dataset's P1 build under the given chunk budget, and its traced peak beside the matrix."""
     e1 = cm.select_e1(corpus)
     posts = cm.posts_for_entities(corpus, e1)
     warning = tiny_warning(corpus, e1)
     corpus.user_pages  # a per-corpus value, computed once on first use
-    with mock.patch.object(fn, "_CHUNK_COMMENTS", chunk), mock.patch.object(fn, "_TEXT_CHARS", chars):
+    with mock.patch.object(fn, "_CHUNK_COMMENTS", chunk):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -612,6 +640,19 @@ def traced_build(corpus, chunk, chars):
         finally:
             tracemalloc.stop()
     return posts, peak - ds.features.nbytes
+
+
+def traced_counts(texts, chars):
+    """text_counts of ``texts`` under the given character budget, and its traced peak beside the counts."""
+    with mock.patch.object(tc, "_TEXT_CHARS", chars):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            counts = tc.text_counts(texts)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    return peak - counts.nbytes
 
 
 # Working memory per unit of budget, upper bounds read off the code: a chunk
@@ -624,16 +665,18 @@ BYTES_PER_CHAR = 64
 
 
 class TestBoundedMemory:
-    def test_peak_does_not_grow_with_the_comments(self, tmp_path):
-        """Copying every post's comments 8 times leaves the build's traced peak within one chunk's budget.
+    """Copying every comment 8 times leaves each stage's traced working memory within its budget."""
 
-        The posts, users and memberships are the same in both corpora, so
-        only a chunk's comments and a text batch's characters can differ,
-        and each is bounded by its budget, or by the largest post and its
-        joined text when one is larger.
+    @pytest.fixture(scope="class")
+    def corpora(self, tmp_path_factory):
+        """A small synthetic corpus, and a copy with each comment repeated 8 times under new ids.
+
+        The posts, users and memberships are the same in both, so only the
+        comments can make a difference.
         """
         from polarwarn import synth
 
+        tmp_path = tmp_path_factory.mktemp("eightfold")
         config = synth.SynthConfig(n_entities=40, n_posts=600, n_users=300, n_comments=4000,
                                    head_entities=4, head_posts_min=30, head_posts_max=40, seed=21)
         synth.generate(config, tmp_path / "x1")
@@ -645,19 +688,34 @@ class TestBoundedMemory:
             for copy in range(8):
                 for c in comments:
                     fh.write(json.dumps({**c, "id": f"{c['id']}.{copy}"}) + "\n")
+        return tmp_path / "x1", tmp_path / "x8", [c["text"] for c in comments]
 
-        chunk, chars = 256, 4096
-        _, once = traced_build(cm.load_corpus(tmp_path / "x1"), chunk, chars)
-        corpus = cm.load_corpus(tmp_path / "x8")
-        posts, eightfold = traced_build(corpus, chunk, chars)
+    def test_peak_does_not_grow_with_the_comments(self, corpora):
+        """The build reads no text, so its only budget is a chunk's comments, or the largest post's when more."""
+        chunk = 256
+        _, once = traced_build(cm.load_corpus(corpora[0]), chunk)
+        corpus = cm.load_corpus(corpora[1])
+        posts, eightfold = traced_build(corpus, chunk)
 
         offsets = corpus.comment_offsets
         n_comments = offsets[posts.rows + 1] - offsets[posts.rows]
-        texts = [len("\n".join(corpus.comments.text[a:b]).strip()) + 1
-                 for a, b in zip(offsets[posts.rows].tolist(), offsets[posts.rows + 1].tolist())]
-        assert n_comments.sum() > 8 * chunk and sum(texts) > 8 * chars  # many chunks and batches
-        budget = BYTES_PER_COMMENT * max(chunk, n_comments.max()) + BYTES_PER_CHAR * max(chars, max(texts))
+        assert n_comments.sum() > 8 * chunk  # many chunks
+        budget = BYTES_PER_COMMENT * max(chunk, n_comments.max())
         assert eightfold <= once + budget, (once, eightfold, budget)
+
+    def test_counting_peak_does_not_grow_with_the_texts(self, corpora):
+        """Counting one block of every comment text, or of 8 copies of each, stays within one batch's budget.
+
+        Beside the returned counts, the kernel holds at most one batch of
+        _TEXT_CHARS characters, or the longest text when that is longer.
+        """
+        chars, texts = 4096, corpora[2]
+        once = traced_counts(texts, chars)
+        eightfold = traced_counts(texts * 8, chars)
+        assert sum(map(len, texts)) > 8 * chars  # many batches
+        budget = BYTES_PER_CHAR * max(chars, max(map(len, texts)) + 1)
+        assert once <= budget and eightfold <= budget, (once, eightfold, budget)
+        assert eightfold <= once + 2**12, (once, eightfold)
 
 
 # Working memory of one lin cycle per cell of its rows (train and test) and

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from polarwarn import corpus as cm
 from polarwarn.cli import EXIT_DATA, main
 
-from conftest import comment, mention, post, read_records, source, write_corpus
+from conftest import comment, mention, oracle_counts, post, read_records, source, write_corpus
 
 
 def dumps(row):
@@ -180,6 +180,14 @@ ERROR_CASES = {
     "confidence_integer_too_large_for_float": (
         "mentions.jsonl", lines(M1, dumps(M2).replace('"confidence": 0.7', '"confidence": ' + "9" * 400)),
         cm.SchemaError, ":2: confidence out of range [0, 1]: inf"),
+    # the record read counts texts a block of records ahead, yet reports
+    # the first bad record before a fault on a later line
+    "bad_record_then_invalid_json": (
+        "posts.jsonl", lines({**P1, "likes": -1}, '{"id": "p2", "source_id"'),
+        cm.SchemaError, ":1: field 'likes' must be a non-negative integer"),
+    "missing_text_then_invalid_json": (
+        "comments.jsonl", lines({k: v for k, v in C1.items() if k != "text"}, "{oops"),
+        cm.SchemaError, ":1: missing field 'text'"),
     "duplicate_source_id": (
         "sources.jsonl", lines(source("s1"), source("s2", "fake"), source("s1", "fake")),
         cm.IntegrityError, ":3: duplicate source id 's1'"),
@@ -399,16 +407,21 @@ def assert_same_corpus(loaded, corpus):
 
 
 def snapshot(corpus):
-    """Every loaded value, as plain lists in stored order."""
+    """Every loaded value, as plain lists in stored order.
+
+    A post's row holds its own text counts, and "comment_texts" the sums of
+    each post's comments' counts, by post.
+    """
     p, c, m = corpus.posts, corpus.comments, corpus.mentions
     return {
         "sources": corpus.sources.fake.tolist(),
-        "posts": list(zip(p.ids, p.source.tolist(), p.timestamp.tolist(), p.text,
+        "posts": list(zip(p.ids, p.source.tolist(), p.timestamp.tolist(), p.text_counts.tolist(),
                           p.sentiment.tolist(), p.likes.tolist(), p.shares.tolist())),
         "comments": list(zip([p.ids[i] for i in c.post.tolist()],
-                             [corpus.users[u] for u in c.user.tolist()], c.text,
+                             [corpus.users[u] for u in c.user.tolist()],
                              [None if s != s else s for s in c.sentiment.tolist()],
                              c.likes.tolist(), c.replies.tolist())),
+        "comment_texts": corpus.comment_text_counts.tolist(),
         "mentions": list(zip([corpus.entities[e] for e in m.entity.tolist()],
                              [p.ids[i] for i in m.post.tolist()], m.confidence.tolist())),
     }
@@ -469,7 +482,7 @@ def test_split_point_at_the_last_line(case, tmp_path):
 def test_line_separators_inside_strings_are_not_line_breaks(tmp_path):
     text = "one\u2028two\x85three\u2029four"
     directory = base_corpus(tmp_path / "c", comments_jsonl=lines({**C1, "text": text}, C2))
-    assert snapshot(cm.load_corpus(directory))["comments"][0][2] == text
+    assert snapshot(cm.load_corpus(directory))["comment_texts"][0] == oracle_counts(text)
 
 
 def test_non_string_text_is_coerced_with_str(tmp_path):
@@ -479,8 +492,8 @@ def test_non_string_text_is_coerced_with_str(tmp_path):
         comments_jsonl=lines({**C1, "text": None}, {**C2, "text": {"k": 1.5}}),
     )
     got = snapshot(cm.load_corpus(directory))
-    assert [p[3] for p in got["posts"]] == ["123", "[1, 'a']"]
-    assert [c[2] for c in got["comments"]] == ["None", "{'k': 1.5}"]
+    assert [p[3] for p in got["posts"]] == [oracle_counts("123"), oracle_counts("[1, 'a']")]
+    assert got["comment_texts"] == [oracle_counts("None"), oracle_counts("{'k': 1.5}")]
 
 
 def test_extra_fields_are_ignored(tmp_path):
@@ -553,23 +566,33 @@ def corpora(draw):
 
 def comment_row(c):
     """A raw comment record as ``snapshot`` lists it."""
-    return (c["post_id"], c["user_id"], str(c["text"]),
-            None if c["sentiment"] is None else float(c["sentiment"]), c["likes"], c["replies"])
+    return (c["post_id"], c["user_id"], None if c["sentiment"] is None else float(c["sentiment"]),
+            c["likes"], c["replies"])
+
+
+def summed_counts(comments):
+    """The sums of the comments' text counts, each text converted with ``str``."""
+    total = [0] * 6
+    for c in comments:
+        total = [a + b for a, b in zip(total, oracle_counts(str(c["text"])))]
+    return total
 
 
 def reference(records):
     """The expected snapshot, from raw records, in stored order.
 
     Posts by id; comments by post id, each post's in file order (a stable
-    sort); mentions by (normalized entity, post id).
+    sort); mentions by (normalized entity, post id).  Texts are counted one
+    at a time by the str-method oracle.
     """
     source_row = {sid: i for i, sid in enumerate(records.sources)}
     return {
         "sources": [s["category"] == "fake" for s in records.sources.values()],
-        "posts": [(p["id"], source_row[p["source_id"]], p["timestamp"], str(p["text"]),
+        "posts": [(p["id"], source_row[p["source_id"]], p["timestamp"], oracle_counts(str(p["text"])),
                    float(p["sentiment"]), p["likes"], p["shares"])
                   for p in map(records.posts.__getitem__, sorted(records.posts))],
         "comments": [comment_row(c) for c in sorted(records.comments, key=itemgetter("post_id"))],
+        "comment_texts": [summed_counts(records.comments_by_post.get(pid, [])) for pid in sorted(records.posts)],
         "mentions": [(m["entity"], m["post_id"], float(m["confidence"]))
                      for m in sorted(records.mentions, key=itemgetter("entity", "post_id"))],
     }
