@@ -18,26 +18,22 @@ per-post float sum and every post dataset row follows post-id order.  An
 entity sample is one table of memberships (entity index, post row), by
 entity.
 
-Each file is read in blocks of ``_BLOCK_LINES`` lines.  A block is parsed
-with one ``json.loads`` over its lines joined as an array, and every column
-is checked with numpy and set operations.  A file over ``_SPLIT_BYTES`` is
-cut into one byte range per CPU this process may run on, each ending just
-after a newline: this process parses the first range while one forked
-worker per later range parses that range, and the builders receive every
-block in file order, with its texts already counted, so a worker sends
-integers, not strings.  On one CPU nothing is split and no process starts.
-Duplicate keys are found from a 64-bit hash of each key, kept in numpy and
-sorted once after the file.
-When a block or a column fails a check, or two hashes are equal, the file
-is read again one record at a time through the same builders and checks,
-which then raise a SchemaError or IntegrityError naming the file and line
-of the first bad record; a duplicate is confirmed there against the keys
-themselves.
+Each file is read in blocks of ``_BLOCK_LINES`` lines, each parsed once,
+and every column is checked with numpy and set operations.  A file over
+``_SPLIT_BYTES`` is cut into one byte range per CPU this process may run
+on, each ending just after a newline: this process parses the first range
+while one forked worker per later range parses that range, and the builders
+receive every block in file order, with its texts already counted, so a
+worker sends integers, not strings.  On one CPU nothing is split and no
+process starts.  Duplicate keys are found from a 64-bit hash of each key,
+kept in numpy and sorted once after the file.  A SchemaError or
+IntegrityError names the file and line of the first bad record.
 """
 
 from __future__ import annotations
 
 import gc
+import io
 import json
 import marshal
 import math
@@ -51,7 +47,7 @@ from functools import cached_property
 from itertools import islice, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, NoReturn
+from typing import Callable, Hashable, Iterator, Mapping, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -231,47 +227,51 @@ class Corpus:
 
 
 # ---------------------------------------------------------------------------
-# Reading.  A file is first read in parsed blocks of columns.  When a block or
-# a column fails a check, or two keys' hashes are equal, the file is read again
-# as one-record blocks through the same builders, whose checks then raise the
-# error for the first bad record.
+# Reading.  Each line of a file is parsed once, in a block of lines that
+# reaches its builder as columns, in file order.  A fault is located inside
+# its own block, and equal key hashes parse again only the records that
+# hold them.
 
 
-def _iter_jsonl(path: Path) -> Iterable[tuple[int, dict]]:
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if _UNDECODABLE.search(line):
-                try:
-                    line.encode("utf-8", "surrogateescape").decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise SchemaError(f"{path}:{lineno}: invalid UTF-8 ({exc.reason})") from exc
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                # a JSONDecodeError, an integer literal over the int digit
-                # limit, or nesting deeper than the recursion limit
-                msg = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
-                raise SchemaError(f"{path}:{lineno}: invalid JSON ({msg})") from exc
-            if not isinstance(obj, dict):
-                raise SchemaError(f"{path}:{lineno}: expected an object")
-            yield lineno, obj
+def _parse(path: Path, lineno: int, line: str) -> dict | None:
+    """The object on a line as a text-mode reader gives it, or None for a blank line."""
+    if _UNDECODABLE.search(line):
+        try:
+            line.encode("utf-8", "surrogateescape").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}:{lineno}: invalid UTF-8 ({exc.reason})") from exc
+    if not (line := line.strip()):
+        return None
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, an integer literal over the int digit limit, or
+        # nesting deeper than the recursion limit
+        msg = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+        raise SchemaError(f"{path}:{lineno}: invalid JSON ({msg})") from exc
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{path}:{lineno}: expected an object")
+    return obj
 
 
-class _Recheck(Exception):
-    """A block or column failed a check on the block read."""
-
-
-# The value of a field a record lacks, on the record read.
-_MISSING = object()
+# The value of a field a record lacks: marshal can send it, and no JSON value is it.
+_MISSING = ...
 
 # The fields of each file, in the order the builders receive their columns.
 _SOURCE_FIELDS = ("id", "name", "category")
 _POST_FIELDS = ("id", "source_id", "timestamp", "text", "sentiment", "likes", "shares")
 _COMMENT_FIELDS = ("id", "post_id", "user_id", "timestamp", "text", "sentiment", "likes", "replies")
 _MENTION_FIELDS = ("entity", "post_id", "confidence")
+
+
+class _Block(NamedTuple):
+    """The records of some lines of a file, one column per field."""
+
+    lines: np.ndarray  # the number of each record's line
+    stop: int  # the number of the line after the block
+    end: int  # the byte after the block
+    columns: list  # the texts' column holds their counts, one row per text
+    fault: SchemaError | None = None  # on the line after the records; no block follows it
 
 
 def _ranges(path: Path) -> list[tuple[int, int]]:
@@ -293,96 +293,107 @@ def _ranges(path: Path) -> list[tuple[int, int]]:
     return [(0, cuts[1])] + [(a, b) for a, b in zip(cuts[1:], cuts[2:]) if a < b]
 
 
-def _range_blocks(path: Path, fields: tuple[str, ...], start: int, end: int) -> Iterator[tuple[None, list]]:
-    """Each block of the lines in bytes ``start`` to ``end`` as ``(None, columns)``, one column per field.
+def _parse_block(path: Path, raw: list[bytes], first: int, end: int, fields: tuple[str, ...]) -> _Block:
+    """The block of the lines ``raw``, as a binary file splits them, numbered from ``first``, up to the first fault.
 
-    A column is a tuple of values, but the texts' column holds their counts,
-    one row per text (:func:`textcounts.text_counts`).  A block passes when
-    its lines join to an array of exactly one object per non-blank line,
-    each object has exactly ``fields`` as keys, every text is a string, and
-    (checked by the column builders) every other value is a string, a
-    number or null.
-    Strings cannot hold a raw line break, so every ``"},\\n{"`` of the
-    joined text sits between two lines.  Objects of scalars contain no
-    other braces, so when every line starts with ``{`` and ends with ``}``
-    and the object count equals the line count, each line is one object.
-    Lines end at ``\\n`` here, but the record read also ends one at a lone
-    ``\\r``, so a block with a ``\\r`` left inside a line fails.
+    The lines are parsed with one ``json.loads`` over them joined as an
+    array when that shows each non-blank line to be one object, else one at
+    a time as a text-mode reader splits them, which also ends a line at a
+    ``\\r`` not followed by ``\\n``.  Strings cannot hold a raw line
+    break, so the ``{`` that starts a line and the ``}`` that ends it are
+    outside strings.  When every line starts with ``{`` and ends with ``}``
+    and the text holds no other ``{``, each line opens one object, which
+    only its own last ``}`` can close, whatever lists it holds.  A text that
+    is not a string is counted as its ``str``, and a missing one counts -1.
     """
-    get = itemgetter(*fields)
-    counted = fields.index("text") if "text" in fields else None
+    data, rows, fault = b"".join(raw), None, None
+    if b"\r" not in data or data.count(b"\r") == data.count(b"\r\n"):
+        try:
+            stripped = list(map(str.strip, map(bytes.decode, raw)))
+            lines = list(filter(None, stripped))
+            text = "[" + ",\n".join(lines) + "]"
+            if (text.startswith("[{") and text.endswith("}]")
+                    and text.count("{") == len(lines) == text.count("},\n{") + 1):
+                rows = list(map(itemgetter(*fields), json.loads(text)))
+                numbers = np.flatnonzero(list(map(bool, stripped))) if len(lines) < len(raw) else np.arange(len(raw))
+                numbers, stop = numbers + first, first + len(raw)
+        except (ValueError, RecursionError, KeyError):  # not UTF-8, not JSON, or a field missing
+            pass
+    if rows is None:
+        numbers, rows, lineno = [], [], first - 1
+        try:
+            for lineno, line in enumerate(io.TextIOWrapper(io.BytesIO(data), "utf-8", "surrogateescape"), first):
+                if (obj := _parse(path, lineno, line)) is not None:
+                    rows.append(tuple(map(obj.get, fields, repeat(_MISSING))))
+                    numbers.append(lineno)
+        except SchemaError as exc:
+            fault = exc
+        numbers, stop = np.array(numbers, np.int64), lineno + 1
+    columns = list(zip(*rows)) or [()] * len(fields)
+    if "text" in fields:
+        texts = columns[k := fields.index("text")]
+        if set(map(type, texts)) <= {str}:
+            columns[k] = text_counts(texts)
+        else:
+            columns[k] = text_counts(list(map(str, texts)))
+            columns[k][[value is _MISSING for value in texts]] = -1
+    return _Block(numbers, stop, end, columns, fault)
+
+
+def _range_blocks(path: Path, fields: tuple[str, ...], start: int, end: int, line: int = 1) -> Iterator[_Block]:
+    """Each block of the lines in bytes ``start`` to ``end``, up to the first with a fault.
+
+    Lines are numbered from ``line``, as a text-mode reader numbers them.
+    """
     with open(path, "rb") as fh:
         fh.seek(start)
         while start < end and (raw := list(islice(fh, _BLOCK_LINES))):
             start += sum(map(len, raw))
             while start > end:
                 start -= len(raw.pop())
-            lines = list(filter(None, map(str.strip, map(bytes.decode, raw))))
-            if not lines:
-                continue
-            text = "[" + ",\n".join(lines) + "]"
-            if ("\r" in text or not (text.startswith("[{") and text.endswith("}]"))
-                    or text.count("},\n{") != len(lines) - 1):
-                raise _Recheck
-            try:
-                rows = json.loads(text)
-            except (ValueError, RecursionError):
-                raise _Recheck from None
-            if (len(rows) != len(lines) or set(map(type, rows)) != {dict}
-                    or sum(map(len, rows)) != len(fields) * len(rows)):
-                raise _Recheck
-            try:
-                columns = list(zip(*map(get, rows)))
-            except KeyError:
-                raise _Recheck from None
-            if counted is not None:
-                if not set(map(type, columns[counted])) <= {str}:
-                    raise _Recheck  # it may nest braces; the record read converts it with str
-                columns[counted] = text_counts(columns[counted])
-            yield None, columns
+            yield (block := _parse_block(path, raw, line, start, fields))
+            if block.fault:
+                return
+            line = block.stop
 
 
 def _parse_range(path: Path, fields: tuple[str, ...], start: int, end: int, sender) -> None:
-    """In a worker: parse a byte range, then send its block count and each block, marshalled.
+    """In a worker: parse a byte range, then send each block before the first with a fault, marshalled.
 
-    A block's text counts go as their raw bytes, which _received reads back.
-    All blocks are parsed before the first is sent, since the parent reads
-    them only after its own range.  A failed check or a decode error sends
-    None in place of the count.  Interrupts are left to the parent, which
+    Lines are numbered from 1 at the range's start.  A block's line numbers
+    and text counts go as their raw bytes, which _received reads back.  All
+    blocks are parsed before the first is sent, since the parent reads them
+    only after its own range.  Interrupts are left to the parent, which
     kills the worker.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    try:
-        blocks = [marshal.dumps([c.tobytes() if isinstance(c, np.ndarray) else c for c in columns])
-                  for _, columns in _range_blocks(path, fields, start, end)]
-    except (_Recheck, UnicodeDecodeError):
-        sender.send(None)
-        return
-    sender.send(len(blocks))
+    blocks = [marshal.dumps((block.lines.tobytes(), block.stop, block.end,
+                             [c.tobytes() if isinstance(c, np.ndarray) else c for c in block.columns]))
+              for block in _range_blocks(path, fields, start, end) if not block.fault]
     for block in blocks:
         sender.send_bytes(block)
 
 
-def _received(receiver) -> Iterator[tuple[None, list]]:
-    """The blocks a worker sends, one at a time; _Recheck when it found a fault or ended without sending them."""
+def _received(receiver, base: int) -> Iterator[_Block]:
+    """The blocks a worker sends, one at a time until it ends or dies, their lines numbered on from ``base``."""
     try:
-        count = receiver.recv()
-        if count is None:
-            raise _Recheck
-        for _ in range(count):
-            yield None, [np.frombuffer(c, np.int64).reshape(-1, len(COUNT_NAMES)) if isinstance(c, bytes) else c
-                         for c in marshal.loads(receiver.recv_bytes())]
-    except EOFError:
-        raise _Recheck from None
+        while True:
+            lines, stop, end, columns = marshal.loads(receiver.recv_bytes())
+            yield _Block(np.frombuffer(lines, np.int64) + base, stop + base, end,
+                         [np.frombuffer(c, np.int64).reshape(-1, len(COUNT_NAMES)) if isinstance(c, bytes) else c
+                          for c in columns])
+    except (EOFError, OSError):  # OSError: the worker died while sending a block
+        return
 
 
-def _parsed_blocks(path: Path, fields: tuple[str, ...]) -> Iterator[tuple[None, list]]:
-    """Each block of the file as ``(None, columns)``, in file order.
+def _parsed_blocks(path: Path, fields: tuple[str, ...]) -> Iterator[_Block]:
+    """Each block of the file, in file order, its lines numbered through the file.
 
     The first byte range is parsed here and each later one by a forked
     worker, all started first; a worker's blocks follow once this process
-    has yielded the blocks before them.  However the generator ends, each worker
-    is killed, in case it is still running, and reaped.
+    has yielded the blocks before them.  The rest of a range whose worker
+    found a fault or died is parsed here.  However the generator ends, each
+    worker is killed, in case it is still running, and reaped.
     """
     first, *later = _ranges(path)
     context = multiprocessing.get_context("fork")
@@ -394,9 +405,14 @@ def _parsed_blocks(path: Path, fields: tuple[str, ...]) -> Iterator[tuple[None, 
             worker.start()
             sender.close()
             workers.append((worker, receiver))
-        yield from _range_blocks(path, fields, *first)
-        for _, receiver in workers:
-            yield from _received(receiver)
+        line = 1
+        for (start, end), receiver in zip([first, *later], [None] + [r for _, r in workers]):
+            for block in _received(receiver, line - 1) if receiver else ():
+                yield block
+                start, line = block.end, block.stop
+            for block in _range_blocks(path, fields, start, end, line):
+                yield block
+                line = block.stop
     finally:
         for worker, receiver in workers:
             receiver.close()
@@ -404,102 +420,41 @@ def _parsed_blocks(path: Path, fields: tuple[str, ...]) -> Iterator[tuple[None, 
             worker.join()
 
 
-def _records(path: Path, fields: tuple[str, ...]) -> Iterator[tuple[str, list]]:
-    """Each record of the file as a one-record block, located at its ``path:line``.
-
-    The texts are counted _BLOCK_LINES records at a time, since one kernel
-    call per record would cost more than its record's parse.  A text that
-    is not a string is converted with ``str`` first, and a missing one
-    counts -1 throughout, for the builder's check to report in its turn.  A
-    fault met while reading ahead is raised once the records before it have
-    been yielded, so the first bad record is still the one reported.
-    """
-    counted = fields.index("text") if "text" in fields else None
-    records = _iter_jsonl(path)
-    while True:
-        batch, fault = [], None
-        try:
-            for lineno, obj in islice(records, _BLOCK_LINES):
-                batch.append((f"{path}:{lineno}", [(obj.get(field, _MISSING),) for field in fields]))
-        except SchemaError as exc:
-            fault = exc
-        if counted is not None:
-            texts = [columns[counted][0] for _, columns in batch]
-            given = [i for i, value in enumerate(texts) if value is not _MISSING]
-            counts = np.full((len(texts), len(COUNT_NAMES)), -1, np.int64)
-            counts[given] = text_counts([str(texts[i]) for i in given])
-            for (_, columns), row in zip(batch, counts):
-                columns[counted] = row[None]
-        yield from batch
-        if fault is not None:
-            raise fault
-        if len(batch) < _BLOCK_LINES:
-            return
+# Each check takes a column and its field name, and raises a SchemaError
+# when a value breaks its rule; _read adds the file and line of the record.
 
 
-def _read(path: Path, fields: tuple[str, ...], build: Callable):
-    """``build`` over the parsed blocks, or over the records when a check fails or two key hashes are equal.
-
-    A decode error also leads to the record read, which reads the lines
-    before it first, as a line-by-line reader would.  The cyclic garbage
-    collector is paused meanwhile: the reader makes no reference cycles, so
-    collector passes over each block's fresh record dicts would find nothing.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        with closing(_parsed_blocks(path, fields)) as blocks:
-            return build(blocks)
-    except (_Recheck, UnicodeDecodeError):
-        return build(_records(path, fields))
-    finally:
-        if enabled:
-            gc.enable()
-
-
-# Each check takes a column, its field name and where the block is: None on
-# the block read, where a failed check raises _Recheck, or "path:line" on the
-# record read, where it raises the error for that record.
-
-
-def _fail(where: str | None, message: str, error: type[CorpusError] = SchemaError) -> NoReturn:
-    if where is None:
-        raise _Recheck
-    raise error(f"{where}: {message}")
-
-
-def _invalid(values: tuple, field: str, where: str | None, rule: str) -> NoReturn:
+def _invalid(values: tuple, field: str, rule: str) -> NoReturn:
     """Fail for a missing value, else for a value that breaks ``rule``."""
-    _fail(where, f"missing field {field!r}" if _MISSING in values else f"field {field!r} {rule}")
+    raise SchemaError(f"missing field {field!r}" if _MISSING in values else f"field {field!r} {rule}")
 
 
-def _strings(values: tuple, field: str, where: str | None) -> tuple:
+def _strings(values: tuple, field: str) -> tuple:
     """Non-empty strings."""
     if not set(map(type, values)) <= {str} or "" in values:
-        _invalid(values, field, where, "must be a non-empty string")
+        _invalid(values, field, "must be a non-empty string")
     return values
 
 
-def _texts(counts: np.ndarray, where: str | None) -> np.ndarray:
-    """The counts of the texts; on the record read, one record's, -1 for a missing text."""
-    if where is not None and counts[0, 0] < 0:
-        _fail(where, "missing field 'text'")
+def _texts(counts: np.ndarray) -> np.ndarray:
+    """The counts of the texts, where a missing text counts -1."""
+    if len(counts) and counts[:, 0].min() < 0:
+        raise SchemaError("missing field 'text'")
     return counts
 
 
-def _ints(values: tuple, field: str, where: str | None, non_negative: bool = False) -> np.ndarray:
+def _ints(values: tuple, field: str, non_negative: bool = False) -> np.ndarray:
     """64-bit integers: counts with ``non_negative``, else timestamps."""
     rule = "must be a non-negative integer" if non_negative else "must be integer UTC seconds"
     if not set(map(type, values)) <= {int}:
-        _invalid(values, field, where, rule)
+        _invalid(values, field, rule)
     try:
         out = np.array(values, np.int64)
     except OverflowError:
         # a negative count breaks its rule before the range
-        _invalid(values, field, where,
-                 rule if non_negative and min(values) < 0 else "is outside the 64-bit integer range")
+        _invalid(values, field, rule if non_negative and min(values) < 0 else "is outside the 64-bit integer range")
     if non_negative and len(out) and out.min() < 0:
-        _invalid(values, field, where, rule)
+        _invalid(values, field, rule)
     return out
 
 
@@ -511,15 +466,14 @@ def _as_float(v: int | float) -> float:
         return math.inf if v > 0 else -math.inf
 
 
-def _numbers(values: tuple, field: str, where: str | None, lo: float, hi: float,
-             nullable: bool = False, name: str = "") -> np.ndarray:
+def _numbers(values: tuple, field: str, lo: float, hi: float, nullable: bool = False, name: str = "") -> np.ndarray:
     """Floats in [lo, hi]; with ``nullable``, null becomes NaN.
 
     ``name`` names the field in the range error, ``field 'x'`` by default.
     """
     allowed = {int, float, type(None)} if nullable else {int, float}
     if not set(map(type, values)) <= allowed:
-        _invalid(values, field, where, "must be a number")
+        _invalid(values, field, "must be a number")
     try:
         out = np.array(values, float)
     except OverflowError:
@@ -527,7 +481,7 @@ def _numbers(values: tuple, field: str, where: str | None, lo: float, hi: float,
     outside = ~((out >= lo) & (out <= hi))  # NaN is outside
     if np.count_nonzero(outside) != (values.count(None) if nullable else 0):
         value = float(out[outside][0])
-        _fail(where, f"{name or f'field {field!r}'} out of range [{lo:g}, {hi:g}]: {value}")
+        raise SchemaError(f"{name or f'field {field!r}'} out of range [{lo:g}, {hi:g}]: {value}")
     return out
 
 
@@ -539,32 +493,65 @@ def _hashes(keys: list | tuple) -> np.ndarray:
 class _Unique:
     """The duplicate-key check of one file.
 
-    The record read keeps the keys in a set, to name the first repeated
-    one.  The block read keeps no Python object per key: each block's key
-    hashes go to an int64 chunk, and ``check`` sorts them once after the
-    file.  Two equal hashes, from a duplicate or from distinct keys that
-    collide (about n**2 / 2**65 for n keys), send the file to the record
-    read, so a collision costs time and changes no output.
+    It keeps no Python object per key: each block's key hashes go to an
+    int64 chunk, and ``check`` sorts them.  Only the records whose keys hash
+    alike, from a duplicate or from distinct keys that collide (about
+    n**2 / 2**65 for n keys), are parsed again, to compare their keys.
     """
 
-    def __init__(self) -> None:
-        self.seen: set = set()
+    def __init__(self, key: Callable[[dict], Hashable], message: Callable[[Hashable], str]) -> None:
+        self.key, self.message = key, message  # a record's key, and the error for a repeat of it
         self.hashes: list[np.ndarray] = []
 
-    def repeats(self, keys: list | tuple, where: str | None) -> bool:
-        """On the record read, true when a key was seen before or repeats."""
-        if where is None:
-            self.hashes.append(_hashes(keys))
-            return False
-        size = len(self.seen)
-        self.seen.update(keys)
-        return len(self.seen) != size + len(keys)
+    def add(self, keys: list | tuple) -> None:
+        self.hashes.append(_hashes(keys))
 
-    def check(self) -> None:
-        """After the last block: _Recheck when two keys of the file hash alike."""
-        hashes = np.sort(_concat(self.hashes, np.int64))
-        if np.any(hashes[1:] == hashes[:-1]):
-            raise _Recheck
+    def check(self, path: Path) -> None:
+        """IntegrityError for the first key added so far that equals a key on an earlier line."""
+        hashes = _concat(self.hashes, np.int64)
+        ordered = np.sort(hashes)
+        equal = ordered[1:][ordered[1:] == ordered[:-1]]
+        if not len(equal):
+            return
+        seen = set()
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            records, at = ((lineno, line) for lineno, line in enumerate(fh, 1) if line.strip()), 0
+            for position in np.flatnonzero(np.isin(hashes, equal)).tolist():
+                lineno, line = next(islice(records, position - at, None))
+                at = position + 1
+                if (key := self.key(_parse(path, lineno, line))) in seen:
+                    raise IntegrityError(f"{path}:{lineno}: {self.message(key)}") from None
+                seen.add(key)
+
+
+def _read(path: Path, fields: tuple[str, ...], step: Callable, unique: _Unique) -> None:
+    """``step`` over the columns of each block of the file, in file order, then the duplicate check.
+
+    When a check fails, the block's records go through ``step`` again one
+    at a time, and the first that fails raises its error, unless a key on
+    its line or an earlier one repeats: ``step`` adds a key when it reaches
+    its duplicate check.  A parse fault likewise follows the records before it.
+    """
+    try:
+        with closing(_parsed_blocks(path, fields)) as blocks:
+            for block in blocks:
+                added = len(unique.hashes)
+                try:
+                    step(*block.columns)
+                except SchemaError:
+                    del unique.hashes[added:]
+                    for i, line in enumerate(block.lines.tolist()):
+                        try:
+                            step(*(column[i:i + 1] for column in block.columns))
+                        except SchemaError as fault:
+                            raise SchemaError(f"{path}:{line}: {fault}") from None
+                    raise
+                if block.fault:
+                    raise block.fault
+    except SchemaError:
+        unique.check(path)
+        raise
+    unique.check(path)
 
 
 def _refs(values: tuple, index: Mapping[str, int]) -> np.ndarray:
@@ -612,48 +599,47 @@ def _reorder(table, order: np.ndarray) -> None:
                            else list(map(column.__getitem__, order.tolist())))
 
 
-# Each builder checks a block's fields in a fixed order, which decides the
-# error the record read reports for a record with several faults; the block
-# read finds a duplicate key only after its last block.  The builders keep
-# file order, so each error names its record's line; only the finished posts
-# table is put in id order, and load_corpus orders the others once no
-# reference dangles.
+# Each builder checks a block's fields in a fixed order, the duplicate check
+# included, which decides the error reported for a record with several
+# faults.  The builders keep file order, so each error names its record's
+# line; only the finished posts table is put in id order, and load_corpus
+# orders the others once no reference dangles.
 
 
-def _build_sources(blocks) -> tuple[dict[str, int], Sources]:
+def _build_sources(path: Path) -> tuple[dict[str, int], Sources]:
     ids: list[str] = []
-    unique = _Unique()
     fake = []
-    for where, (sid, name, category) in blocks:
-        _strings(sid, "id", where)
-        if not set(_strings(category, "category", where)) <= {OFFICIAL, FAKE}:
-            _fail(where, "category must be 'official' or 'fake'")
-        if unique.repeats(sid, where):
-            _fail(where, f"duplicate source id {sid[0]!r}", IntegrityError)
-        _strings(name, "name", where)
-        ids += sid
+    unique = _Unique(itemgetter("id"), "duplicate source id {!r}".format)
+
+    def step(sid, name, category):
+        _strings(sid, "id")
+        if not set(_strings(category, "category")) <= {OFFICIAL, FAKE}:
+            raise SchemaError("category must be 'official' or 'fake'")
+        unique.add(sid)
+        _strings(name, "name")
+        ids.extend(sid)
         fake.append(np.array(category) == FAKE)
-    unique.check()
+    _read(path, _SOURCE_FIELDS, step, unique)
     return {s: i for i, s in enumerate(ids)}, Sources(fake=_concat(fake, bool))
 
 
-def _build_posts(blocks, source_index: Mapping[str, int]) -> tuple[dict[str, int], Posts, list[str]]:
+def _build_posts(path: Path, source_index: Mapping[str, int]) -> tuple[dict[str, int], Posts, list[str]]:
     ids: list[str] = []
-    unique = _Unique()
     dangling: list[str] = []
     source, timestamp, counts, sentiment, likes, shares = [], [], [], [], [], []
-    for where, (pid, source_id, ts, text, sent, like, share) in blocks:
-        if unique.repeats(_strings(pid, "id", where), where):
-            _fail(where, f"duplicate post id {pid[0]!r}", IntegrityError)
-        ids += pid
-        source.append(_refs(_strings(source_id, "source_id", where), source_index))
-        dangling += _dangling(source[-1], "post", pid, "source", source_id)
-        timestamp.append(_ints(ts, "timestamp", where))
-        counts.append(_texts(text, where))
-        sentiment.append(_numbers(sent, "sentiment", where, -1.0, 1.0))
-        likes.append(_ints(like, "likes", where, non_negative=True))
-        shares.append(_ints(share, "shares", where, non_negative=True))
-    unique.check()
+    unique = _Unique(itemgetter("id"), "duplicate post id {!r}".format)
+
+    def step(pid, source_id, ts, text, sent, like, share):
+        unique.add(_strings(pid, "id"))
+        ids.extend(pid)
+        source.append(_refs(_strings(source_id, "source_id"), source_index))
+        dangling.extend(_dangling(source[-1], "post", pid, "source", source_id))
+        timestamp.append(_ints(ts, "timestamp"))
+        counts.append(_texts(text))
+        sentiment.append(_numbers(sent, "sentiment", -1.0, 1.0))
+        likes.append(_ints(like, "likes", non_negative=True))
+        shares.append(_ints(share, "shares", non_negative=True))
+    _read(path, _POST_FIELDS, step, unique)
     posts = Posts(
         ids=ids, source=_concat(source, np.int64), timestamp=_concat(timestamp, np.int64),
         text_counts=_concat(counts, np.int64).reshape(-1, len(COUNT_NAMES)),
@@ -663,32 +649,32 @@ def _build_posts(blocks, source_index: Mapping[str, int]) -> tuple[dict[str, int
     return {p: i for i, p in enumerate(posts.ids)}, posts, dangling
 
 
-def _build_comments(blocks, post_index: Mapping[str, int]) -> tuple[list[str], Comments, np.ndarray, list[str]]:
+def _build_comments(path: Path, post_index: Mapping[str, int]) -> tuple[list[str], Comments, np.ndarray, list[str]]:
     """The comments, and per post row the sums of its comments' text counts.
 
     The counts are summed as each block arrives, so no per-comment count is
     kept.  A dangling comment's post row is -1, so its counts go to one more
     row at the end, which is left out: load_corpus then fails anyway.
     """
-    unique = _Unique()
     text_sums = np.zeros((len(post_index) + 1, len(COUNT_NAMES)), np.int64)
     dangling: list[str] = []
     users = _Codes()
     post, user, sentiment, likes, replies = [], [], [], [], []
-    for where, (cid, post_id, user_id, ts, text, sent, like, reply) in blocks:
-        if unique.repeats(_strings(cid, "id", where), where):
-            _fail(where, f"duplicate comment id {cid[0]!r}", IntegrityError)
-        if where and _MISSING in sent:  # reported ahead of a fault in post_id or a later field
-            _fail(where, "missing field 'sentiment'")
-        post.append(_refs(_strings(post_id, "post_id", where), post_index))
-        dangling += _dangling(post[-1], "comment", cid, "post", post_id)
-        user.append(users.encode(_strings(user_id, "user_id", where)))
-        _ints(ts, "timestamp", where)
-        np.add.at(text_sums, post[-1], _texts(text, where))
-        sentiment.append(_numbers(sent, "sentiment", where, -1.0, 1.0, nullable=True))
-        likes.append(_ints(like, "likes", where, non_negative=True))
-        replies.append(_ints(reply, "replies", where, non_negative=True))
-    unique.check()
+    unique = _Unique(itemgetter("id"), "duplicate comment id {!r}".format)
+
+    def step(cid, post_id, user_id, ts, text, sent, like, reply):
+        unique.add(_strings(cid, "id"))
+        if _MISSING in sent:  # reported ahead of a fault in post_id or a later field
+            raise SchemaError("missing field 'sentiment'")
+        post.append(_refs(_strings(post_id, "post_id"), post_index))
+        dangling.extend(_dangling(post[-1], "comment", cid, "post", post_id))
+        user.append(users.encode(_strings(user_id, "user_id")))
+        _ints(ts, "timestamp")
+        np.add.at(text_sums, post[-1], _texts(text))
+        sentiment.append(_numbers(sent, "sentiment", -1.0, 1.0, nullable=True))
+        likes.append(_ints(like, "likes", non_negative=True))
+        replies.append(_ints(reply, "replies", non_negative=True))
+    _read(path, _COMMENT_FIELDS, step, unique)
     names, user = users.renumbered(user)
     comments = Comments(
         post=_concat(post, np.int64), user=user, sentiment=_concat(sentiment, float),
@@ -697,24 +683,25 @@ def _build_comments(blocks, post_index: Mapping[str, int]) -> tuple[list[str], C
     return names, comments, text_sums[:-1], dangling
 
 
-def _build_mentions(blocks, post_index: Mapping[str, int]) -> tuple[list[str], Mentions, list[str]]:
+def _build_mentions(path: Path, post_index: Mapping[str, int]) -> tuple[list[str], Mentions, list[str]]:
     """Mentions keyed by normalized entity; duplicates compare (entity, post id) pairs."""
     entities = _Codes()
     normalized: dict[str, str] = {}
-    unique = _Unique()
     dangling: list[str] = []
     entity, post, confidence = [], [], []
-    for where, (label, post_id, conf) in blocks:
-        for raw in set(_strings(label, "entity", where)).difference(normalized):
+    unique = _Unique(lambda record: (normalize_entity(record["entity"]), record["post_id"]),
+                     lambda key: "duplicate mention of {!r} in post {!r}".format(*key))
+
+    def step(label, post_id, conf):
+        for raw in set(_strings(label, "entity")).difference(normalized):
             normalized[raw] = normalize_entity(raw)
         keys = tuple(map(normalized.__getitem__, label))
-        post.append(_refs(_strings(post_id, "post_id", where), post_index))
-        dangling += _dangling(post[-1], "mention", keys, "post", post_id)
-        confidence.append(_numbers(conf, "confidence", where, 0.0, 1.0, name="confidence"))
-        if unique.repeats(list(zip(keys, post_id)), where):
-            _fail(where, f"duplicate mention of {keys[0]!r} in post {post_id[0]!r}", IntegrityError)
+        post.append(_refs(_strings(post_id, "post_id"), post_index))
+        dangling.extend(_dangling(post[-1], "mention", keys, "post", post_id))
+        confidence.append(_numbers(conf, "confidence", 0.0, 1.0, name="confidence"))
+        unique.add(list(zip(keys, post_id)))
         entity.append(entities.encode(keys))
-    unique.check()
+    _read(path, _MENTION_FIELDS, step, unique)
     names, entity = entities.renumbered(entity)
     mentions = Mentions(entity=entity, post=_concat(post, np.int64), confidence=_concat(confidence, float))
     return names, mentions, dangling
@@ -733,12 +720,18 @@ def load_corpus(directory: str | Path) -> Corpus:
         if not p.exists():
             raise CorpusError(f"missing corpus file: {p}")
 
-    source_index, sources = _read(paths["sources"], _SOURCE_FIELDS, _build_sources)
-    post_index, posts, from_posts = _read(paths["posts"], _POST_FIELDS, lambda b: _build_posts(b, source_index))
-    users, comments, comment_text_counts, from_comments = _read(paths["comments"], _COMMENT_FIELDS,
-                                                                lambda b: _build_comments(b, post_index))
-    entities, mentions, from_mentions = _read(paths["mentions"], _MENTION_FIELDS,
-                                              lambda b: _build_mentions(b, post_index))
+    # The cyclic garbage collector is paused while the files are read: the reader
+    # makes no reference cycles, so passes over the fresh record dicts would find nothing.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        source_index, sources = _build_sources(paths["sources"])
+        post_index, posts, from_posts = _build_posts(paths["posts"], source_index)
+        users, comments, comment_text_counts, from_comments = _build_comments(paths["comments"], post_index)
+        entities, mentions, from_mentions = _build_mentions(paths["mentions"], post_index)
+    finally:
+        if enabled:
+            gc.enable()
     if dangling := from_posts + from_comments + from_mentions:
         raise IntegrityError("dangling references: " + "; ".join(sorted(dangling)))
     _reorder(comments, np.argsort(comments.post, kind="stable"))

@@ -12,6 +12,8 @@ worker running.
 import json
 import multiprocessing
 import os
+import re
+import struct
 from contextlib import contextmanager, nullcontext
 from operator import itemgetter
 from unittest import mock
@@ -180,8 +182,8 @@ ERROR_CASES = {
     "confidence_integer_too_large_for_float": (
         "mentions.jsonl", lines(M1, dumps(M2).replace('"confidence": 0.7', '"confidence": ' + "9" * 400)),
         cm.SchemaError, ":2: confidence out of range [0, 1]: inf"),
-    # the record read counts texts a block of records ahead, yet reports
-    # the first bad record before a fault on a later line
+    # the first bad record is reported before a fault on a later line of
+    # its block
     "bad_record_then_invalid_json": (
         "posts.jsonl", lines({**P1, "likes": -1}, '{"id": "p2", "source_id"'),
         cm.SchemaError, ":1: field 'likes' must be a non-negative integer"),
@@ -296,8 +298,8 @@ def test_duplicate_post_id_first_seen_in_an_earlier_block(tmp_path, monkeypatch)
     assert_ingest_is_data_error(directory, tmp_path)
 
 
-# A key first seen in an earlier block: the block read finds the repeat
-# from the hashes of the whole file, and the record read names its line.
+# A key first seen in an earlier block: the repeat is found from the hashes
+# of the whole file, and parsing its records again names its line.
 LATE_DUPLICATES = {
     "comment_id": ("comments.jsonl",
                    [comment(f"c{i}", "p1", f"u{i % 3}", i) for i in range(1, 12)] + [comment("c3", "p2")],
@@ -320,8 +322,51 @@ def test_duplicate_key_first_seen_in_an_earlier_block(case, tmp_path, monkeypatc
     assert_ingest_is_data_error(directory, tmp_path)
 
 
+# Which of several faults is reported: the first bad record in file order,
+# and within one record the first failing check in its builder's order, the
+# duplicate check included.  Read in blocks of four lines.
+FAULT_ORDER = {
+    "duplicate_before_a_bad_value_in_a_later_block": (
+        "comments.jsonl",
+        lines(C1, {**C2, "id": "c1"}, *(comment(f"c{i}", "p1", "u1", i) for i in range(3, 7)),
+              comment("c7", "p2", "u2", 7, likes=-1)),
+        cm.IntegrityError, ":2: duplicate comment id 'c1'"),
+    "bad_category_and_duplicate_id": (
+        "sources.jsonl", lines(source("s1"), source("s2", "fake"), source("s1", "satire")),
+        cm.SchemaError, ":3: category must be 'official' or 'fake'"),
+    "duplicate_id_and_empty_name": (
+        "sources.jsonl", lines(source("s1"), source("s2", "fake"), {**source("s1"), "name": ""}),
+        cm.IntegrityError, ":3: duplicate source id 's1'"),
+    "missing_sentiment_and_null_post_id": (
+        "comments.jsonl", lines(C1, {**{k: v for k, v in C2.items() if k != "sentiment"}, "post_id": None}),
+        cm.SchemaError, ":2: missing field 'sentiment'"),
+    "nested_extra_key_then_bad_value": (
+        "posts.jsonl",
+        lines(*({**row, "extra": {"k": [1]}}
+                for row in [P1, P2, post("p3"), post("p4"), post("p5"), post("p6", shares=-1)])),
+        cm.SchemaError, ":6: field 'shares' must be a non-negative integer"),
+    "non_string_text_then_bad_record": (
+        "comments.jsonl", lines({**C1, "text": 123}, {**C2, "text": ["x"]}, {**C2, "id": "c3", "replies": 1.5}),
+        cm.SchemaError, ":3: field 'replies' must be a non-negative integer"),
+    "blank_line_then_bad_last_line_without_line_break": (
+        "sources.jsonl", "\n" + dumps({**source("s1"), "id": True}),
+        cm.SchemaError, ":2: field 'id' must be a non-empty string"),
+    "objects_split_across_lines_with_nested_text": (
+        "posts.jsonl", lines(dumps(P1) + ', {"id": "px", "text": [{"x": 1}', '{"y": 2}]}'),
+        cm.SchemaError, ":1: invalid JSON (Extra data)"),
+}
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("case", sorted(FAULT_ORDER))
+def test_fault_order(case, split, tmp_path, monkeypatch):
+    monkeypatch.setattr(cm, "_BLOCK_LINES", 4)
+    with split_read() if split else nullcontext():
+        check_error_case(FAULT_ORDER, case, tmp_path)
+
+
 def test_duplicate_mention_of_a_dangling_post_is_a_duplicate(tmp_path):
-    # the duplicate raises on the record read, before the dangling list is made
+    # the duplicate is raised once the file is read, before the dangling list is made
     directory = base_corpus(tmp_path / "c", mentions_jsonl=lines(
         M1, mention("beta", "ghost"), M2, mention(" Beta", "ghost", 0.5)))
     err = load_error(directory)
@@ -329,15 +374,64 @@ def test_duplicate_mention_of_a_dangling_post_is_a_duplicate(tmp_path):
     assert str(err.value) == f"{directory / 'mentions.jsonl'}:4: duplicate mention of 'beta' in post 'ghost'"
 
 
-def check_collision_fallback(small_synth):
-    # every key of every file hashes alike, so each file is read again one
-    # record at a time, and the exact check finds no duplicate
+@contextmanager
+def parsed_lines():
+    """The number of lines json.loads parses in this process, one entry per call.
+
+    A block's lines joined as an array are one call, with a line break
+    after each line but the last; any other call parses one line.
+    """
+    counts, loads = [], json.loads
+
+    def counting(text, *args, **kwargs):
+        counts.append(text.count("\n") + 1)
+        return loads(text, *args, **kwargs)
+
+    with mock.patch.object(json, "loads", counting):
+        yield counts
+
+
+def record_lines(directory, in_first_range=False):
+    """The non-blank lines of the four files, as a text-mode reader splits them.
+
+    With ``in_first_range``, only those that start in each file's first
+    byte range.
+    """
+    total = 0
+    for name in FILES:
+        path = directory / f"{name}.jsonl"
+        data = path.read_bytes()
+        end = cm._ranges(path)[0][1] if in_first_range else len(data)
+        total += sum(1 for line in re.finditer(rb"[^\r\n]*(\r\n|\r|\n|$)", data)
+                     if line.start() < end and line.group().strip())
+    return total
+
+
+def first_and_last_keys(directory):
+    """The keys of the first and the last record of each file."""
+    records = read_records(directory)
+    keys = [list(records.sources), list(records.posts), [c["id"] for c in records.comments],
+            [(m["entity"], m["post_id"]) for m in records.mentions]]
+    return {k for file_keys in keys for k in (file_keys[0], file_keys[-1])}
+
+
+def check_collision_fallback(small_synth, split=False):
+    # When the first and the last key of each file hash alike, only those
+    # two records are parsed again, to compare their keys; when every key
+    # hashes alike, every record is.  The exact comparison finds no
+    # duplicate.  The split read's workers parse the later ranges, and
+    # this process parses again what it compares.
     corpus, _, directory = small_synth
-    with mock.patch.object(cm, "_hashes", lambda keys: np.zeros(len(keys), np.int64)), \
-            mock.patch.object(cm, "_iter_jsonl", wraps=cm._iter_jsonl) as record_read:
-        loaded = cm.load_corpus(directory)
-    assert record_read.call_count == 4
-    assert_same_corpus(loaded, corpus)
+    colliding = first_and_last_keys(directory)
+    with split_read(2 if split else 1):
+        read_here = record_lines(directory, in_first_range=split)
+        for hashes, again in [(lambda keys: np.array([0 if k in colliding else hash(k) for k in keys], np.int64),
+                               2 * len(FILES)),
+                              (lambda keys: np.zeros(len(keys), np.int64), record_lines(directory))]:
+            with mock.patch.object(cm, "_hashes", hashes), parsed_lines() as counts:
+                loaded = cm.load_corpus(directory)
+            assert sum(counts) == read_here + again
+            assert_same_corpus(loaded, corpus)
 
 
 def test_colliding_key_hashes_fall_back_to_an_equal_record_read(small_synth):
@@ -345,8 +439,7 @@ def test_colliding_key_hashes_fall_back_to_an_equal_record_read(small_synth):
 
 
 def test_colliding_key_hashes_on_the_split_read(small_synth):
-    with split_read():
-        check_collision_fallback(small_synth)
+    check_collision_fallback(small_synth, split=True)
 
 
 def test_error_in_a_later_block_keeps_its_line(tmp_path, monkeypatch):
@@ -627,27 +720,73 @@ def test_random_corpora_load_like_the_reference(tmp_path, corpus, block, end, bl
     ]
 
 
-def test_well_formed_files_skip_the_record_validator(small_synth):
-    _, _, directory = small_synth
-    with mock.patch.object(cm, "_iter_jsonl", side_effect=AssertionError("record path taken")):
-        corpus = cm.load_corpus(directory)
-    assert snapshot(corpus) == snapshot(small_synth[0])
+def layouts(directory, tmp_path):
+    """Copies of a corpus in valid layouts, each file's lines changed alike, by name.
+
+    Extra keys, also nested ones, are ignored, and a lone carriage return
+    ends a line as a line feed does, so each loads like the corpus itself.
+    """
+    changes = {
+        "plain": lambda text: text,
+        "nested_extra_key": lambda text: text.replace("}\n", ', "extra": {"k": [1, {"x": null}]}}\n'),
+        "extra_list_key": lambda text: text.replace("}\n", ', "extra": [1, [2]]}\n'),
+        "crlf": lambda text: text.replace("\n", "\r\n"),
+        "lone_cr": lambda text: text.replace("\n", "\r"),
+    }
+    for name, change in changes.items():
+        copy = tmp_path / name
+        copy.mkdir()
+        for file in FILES:
+            (copy / f"{file}.jsonl").write_bytes(
+                change((directory / f"{file}.jsonl").read_text(encoding="utf-8")).encode("utf-8"))
+        yield name, copy
 
 
 FORK = multiprocessing.get_context("fork")
 FILES = ("sources", "posts", "comments", "mentions")
 
 
-def test_split_read_of_well_formed_files_skips_the_record_validator(small_synth, monkeypatch):
-    # four CPUs and blocks of three lines: up to three workers per file, each sending several blocks
+def test_well_formed_files_skip_the_record_validator(small_synth, tmp_path):
+    # no line of a valid corpus is parsed twice, whatever its layout
+    corpus, _, directory = small_synth
+    for name, copy in layouts(directory, tmp_path):
+        with split_read(1), parsed_lines() as counts:
+            loaded = cm.load_corpus(copy)
+        assert sum(counts) == record_lines(directory), name
+        assert_same_corpus(loaded, corpus)
+
+
+def test_non_string_texts_are_parsed_once(tmp_path):
+    # Each text loads as its str().  Lists keep a block on the one
+    # json.loads over its joined lines; a nested object sends it to the
+    # parse one line at a time.  Either way each line is parsed once.
+    def with_texts(directory, texts, convert):
+        return base_corpus(directory, **{
+            "posts_jsonl": lines(P1, P2, *({**P1, "id": f"t{i}", "text": convert(t)} for i, t in enumerate(texts))),
+            "comments_jsonl": lines(C1, C2, *({**C1, "id": f"d{i}", "text": convert(t)} for i, t in enumerate(texts))),
+        })
+
+    for name, texts in {"lists": [123, None, 1.5, [1, "a"]], "objects": [123, {"k": [1]}]}.items():
+        directory = with_texts(tmp_path / name, texts, lambda t: t)
+        with parsed_lines() as counts:
+            loaded = cm.load_corpus(directory)
+        assert sum(counts) == record_lines(directory)
+        assert snapshot(loaded) == snapshot(cm.load_corpus(with_texts(tmp_path / f"{name}_str", texts, str)))
+
+
+def test_split_read_of_well_formed_files_skips_the_record_validator(small_synth, monkeypatch, tmp_path):
+    # four CPUs and blocks of three lines: up to three workers per file,
+    # each sending several blocks; this process parses only its own ranges
     monkeypatch.setattr(cm, "_BLOCK_LINES", 3)
     corpus, _, directory = small_synth
-    with split_read(4), mock.patch.object(cm, "_iter_jsonl", side_effect=AssertionError("record path taken")), \
-            mock.patch.object(FORK, "Process", wraps=FORK.Process) as started:
-        loaded = cm.load_corpus(directory)
-        workers = sum(len(cm._ranges(directory / f"{name}.jsonl")) - 1 for name in FILES)
-    assert started.call_count == workers >= 9
-    assert_same_corpus(loaded, corpus)
+    for name, copy in layouts(directory, tmp_path):
+        with split_read(4), parsed_lines() as counts, \
+                mock.patch.object(FORK, "Process", wraps=FORK.Process) as started:
+            loaded = cm.load_corpus(copy)
+            workers = sum(len(cm._ranges(copy / f"{file}.jsonl")) - 1 for file in FILES)
+            assert sum(counts) == record_lines(copy, in_first_range=True), name
+        assert started.call_count == workers >= (0 if name == "lone_cr" else 9), name
+        assert_same_corpus(loaded, corpus)
 
 
 def test_one_cpu_starts_no_process(small_synth):
@@ -658,29 +797,72 @@ def test_one_cpu_starts_no_process(small_synth):
 
 def test_worker_that_dies_leads_to_the_record_read(small_synth):
     # the patch is inherited through fork, so the worker raises before it
-    # sends anything; this process then sees the pipe close
+    # sends anything; this process then sees the pipe close and parses the
+    # worker's range itself, each line once
     corpus, _, directory = small_synth
     blocks = cm._range_blocks
 
-    def failing(path, fields, start, end):
+    def failing(*args):
         if os.getpid() != parent:
             raise RuntimeError("worker died")
-        return blocks(path, fields, start, end)
+        return blocks(*args)
 
     parent = os.getpid()
-    with split_read(), mock.patch.object(cm, "_range_blocks", failing), \
-            mock.patch.object(cm, "_iter_jsonl", wraps=cm._iter_jsonl) as record_read:
+    with split_read(), mock.patch.object(cm, "_range_blocks", failing), parsed_lines() as counts, \
+            mock.patch.object(FORK, "Process", wraps=FORK.Process) as started:
         loaded = cm.load_corpus(directory)
-    assert record_read.call_count == 4
+    assert started.call_count == len(FILES)
+    assert sum(counts) == record_lines(directory)
     assert_same_corpus(loaded, corpus)
+
+
+def test_worker_that_dies_while_sending_a_block(small_synth, monkeypatch):
+    # the worker sends its first block whole and only the start of the
+    # next, then exits; this process parses the rest of its range itself
+    monkeypatch.setattr(cm, "_BLOCK_LINES", 3)
+    corpus, _, directory = small_synth
+    parse_range = cm._parse_range
+
+    def dying(path, fields, start, end, sender):
+        class Cut:
+            def send_bytes(self, block):
+                if sent:
+                    os.write(sender.fileno(), struct.pack("!i", len(block)) + block[:10])
+                    os._exit(1)
+                sent.append(block)
+                sender.send_bytes(block)
+
+        sent = []
+        parse_range(path, fields, start, end, Cut())
+
+    with split_read(), mock.patch.object(cm, "_parse_range", dying):
+        loaded = cm.load_corpus(directory)
+    assert_same_corpus(loaded, corpus)
+
+
+def test_fault_in_a_worker_is_parsed_again_from_its_block(tmp_path, monkeypatch):
+    # The worker sends the block of lines 5 and 6 and stops at the fault in
+    # its next block; this process parses from line 7 on, after its own
+    # range.  Line 8 fails before any JSON is parsed.
+    monkeypatch.setattr(cm, "_BLOCK_LINES", 2)
+    directory = base_corpus(tmp_path / "c", comments_jsonl=split_lines().encode().replace(b'"c7"', b'"c\xff"'))
+    with split_read(), parsed_lines() as counts:
+        assert line_ranges(directory / "comments.jsonl") == [0] * 4 + [1] * 4
+        err = load_error(directory)
+    assert str(err.value) == f"{directory / 'comments.jsonl'}:8: invalid UTF-8 (invalid start byte)"
+    # the first line of sources and of posts, lines 1-4 of comments joined
+    # two at a time, then line 7 alone
+    assert counts == [1, 1, 2, 2, 1]
 
 
 def test_interrupt_while_a_worker_runs_leaves_no_process(small_synth):
     _, _, directory = small_synth
 
-    def interrupted(blocks, post_index):
-        next(iter(blocks))
-        raise KeyboardInterrupt
+    def interrupted(path, post_index):
+        def step(*columns):
+            raise KeyboardInterrupt
+
+        cm._read(path, cm._COMMENT_FIELDS, step, cm._Unique(None, None))
 
     with split_read(), mock.patch.object(cm, "_build_comments", interrupted), \
             mock.patch.object(FORK, "Process", wraps=FORK.Process) as started, \
