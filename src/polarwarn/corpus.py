@@ -37,10 +37,7 @@ import io
 import json
 import marshal
 import math
-import multiprocessing
-import os
 import re
-import signal
 from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property
@@ -52,6 +49,7 @@ from typing import Callable, Hashable, Iterator, Mapping, NamedTuple, NoReturn
 import numpy as np
 
 from .textcounts import COUNT_NAMES, text_counts
+from .workers import forked, usable_cpus
 
 OFFICIAL = "official"
 FAKE = "fake"
@@ -282,7 +280,7 @@ def _ranges(path: Path) -> list[tuple[int, int]]:
     just after a ``\\n``, and only the first can be empty.
     """
     size = path.stat().st_size
-    n = len(os.sched_getaffinity(0)) if size > _SPLIT_BYTES and hasattr(os, "sched_getaffinity") else 1
+    n = usable_cpus() if size > _SPLIT_BYTES else 1
     cuts = [0]
     with open(path, "rb") as fh:
         for k in range(1, n):
@@ -363,10 +361,8 @@ def _parse_range(path: Path, fields: tuple[str, ...], start: int, end: int, send
     Lines are numbered from 1 at the range's start.  A block's line numbers
     and text counts go as their raw bytes, which _received reads back.  All
     blocks are parsed before the first is sent, since the parent reads them
-    only after its own range.  Interrupts are left to the parent, which
-    kills the worker.
+    only after its own range.
     """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
     blocks = [marshal.dumps((block.lines.tobytes(), block.stop, block.end,
                              [c.tobytes() if isinstance(c, np.ndarray) else c for c in block.columns]))
               for block in _range_blocks(path, fields, start, end) if not block.fault]
@@ -392,32 +388,19 @@ def _parsed_blocks(path: Path, fields: tuple[str, ...]) -> Iterator[_Block]:
     The first byte range is parsed here and each later one by a forked
     worker, all started first; a worker's blocks follow once this process
     has yielded the blocks before them.  The rest of a range whose worker
-    found a fault or died is parsed here.  However the generator ends, each
-    worker is killed, in case it is still running, and reaped.
+    found a fault or died is parsed here.  However the generator ends, no
+    worker is left running.
     """
     first, *later = _ranges(path)
-    context = multiprocessing.get_context("fork")
-    workers = []
-    try:
-        for start, end in later:
-            receiver, sender = context.Pipe(duplex=False)
-            worker = context.Process(target=_parse_range, args=(path, fields, start, end, sender), daemon=True)
-            worker.start()
-            sender.close()
-            workers.append((worker, receiver))
+    with forked([(_parse_range, (path, fields, start, end)) for start, end in later]) as receivers:
         line = 1
-        for (start, end), receiver in zip([first, *later], [None] + [r for _, r in workers]):
+        for (start, end), receiver in zip([first, *later], [None, *receivers]):
             for block in _received(receiver, line - 1) if receiver else ():
                 yield block
                 start, line = block.end, block.stop
             for block in _range_blocks(path, fields, start, end, line):
                 yield block
                 line = block.stop
-    finally:
-        for worker, receiver in workers:
-            receiver.close()
-            worker.kill()
-            worker.join()
 
 
 # Each check takes a column and its field name, and raises a SchemaError

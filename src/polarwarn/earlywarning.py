@@ -24,7 +24,8 @@ from .corpus import Corpus, EntitySample
 from .errors import NumericError
 from .features import EntityTable, entity_features
 from .models import Dataset, ModelSpec, TrainedModel, fit, predict
-from .evaluation import Cycles, MetricsReport, Protocol, rank_reports, rebalance, run_cycles
+from .evaluation import Cycles, MetricsReport, Protocol, pooled, rank_reports, rebalance, run_cycle
+from .workers import forked, usable_cpus
 from . import thresholds as th
 
 log = logging.getLogger(__name__)
@@ -96,6 +97,33 @@ class BenchmarkResult:
     failures: dict[str, str]
 
 
+def _outcome(dataset: Dataset, job: tuple[ModelSpec, tuple[np.ndarray, np.ndarray]]):
+    """One job's ``run_cycle`` outcome, or the exception it raised."""
+    spec, cycle = job
+    try:
+        return run_cycle(dataset, spec, cycle, dataset.feature_names)
+    except Exception as exc:  # replayed in job order by run_benchmark
+        return exc
+
+
+def _send_outcomes(dataset: Dataset, jobs: list, sender) -> None:
+    """In a worker: each job's outcome, all computed before the first is sent,
+    since the parent reads them only after its own share."""
+    for outcome in [_outcome(dataset, job) for job in jobs]:
+        sender.send(outcome)
+
+
+def _received_outcomes(receiver, dataset: Dataset, jobs: list) -> list:
+    """The outcomes a worker sends, and those it did not send computed here."""
+    outcomes = []
+    try:
+        while len(outcomes) < len(jobs):
+            outcomes.append(receiver.recv())
+    except Exception:  # the worker died, or sent an outcome that cannot be unpickled
+        pass
+    return outcomes + [_outcome(dataset, job) for job in jobs[len(outcomes):]]
+
+
 def run_benchmark(
     dataset: Dataset,
     specs: list[ModelSpec],
@@ -103,16 +131,34 @@ def run_benchmark(
 ) -> BenchmarkResult:
     """Each algorithm's report on the same cycles of ``dataset``.
 
-    An algorithm whose evaluation raises a ``NumericError`` is recorded as a
-    failure and the others still run.  Any other error propagates.
+    The jobs are the (algorithm, cycle) fits, in spec order, then cycle
+    order.  With n the smaller of the usable CPUs and the jobs, this process
+    computes the jobs whose index is 0 mod n, and forked worker w those
+    whose index is w mod n; a worker that dies leaves its unsent jobs to
+    this process.  The outcomes are then replayed in job order, as a serial
+    loop would meet them: an algorithm whose first failing cycle raises a
+    ``NumericError`` is recorded as a failure and the others still run, any
+    other error propagates, raised by its job run again in this process,
+    and each algorithm's cycles are pooled.
     """
+    jobs = [(spec, cycle) for spec in specs for cycle in cycles]
+    n = min(usable_cpus(), len(jobs))
+    with forked([(_send_outcomes, (dataset, jobs[w::n])) for w in range(1, n)]) as receivers:
+        shares = [[_outcome(dataset, job) for job in jobs[::n]]]
+        shares += [_received_outcomes(receiver, dataset, jobs[w::n]) for w, receiver in enumerate(receivers, 1)]
+    outcomes = [shares[j % n][j // n] for j in range(len(jobs))]
     reports: dict[str, MetricsReport] = {}
     failures: dict[str, str] = {}
-    for spec in specs:
-        try:
-            reports[spec.algorithm] = run_cycles(dataset, spec, cycles, dataset.feature_names)
-        except NumericError as exc:
-            failures[spec.algorithm] = f"{type(exc).__name__}: {exc}"
+    for k, spec in enumerate(specs):
+        own = outcomes[k * len(cycles):(k + 1) * len(cycles)]
+        error = next((outcome for outcome in own if isinstance(outcome, Exception)), None)
+        if error is None:
+            reports[spec.algorithm] = pooled(dataset.labels, cycles, own)
+        elif isinstance(error, NumericError):
+            failures[spec.algorithm] = f"{type(error).__name__}: {error}"
+        else:  # run again here first, to raise with the traceback of the fit
+            run_cycle(dataset, spec, cycles[own.index(error)], dataset.feature_names)
+            raise error
     for algo, err in failures.items():
         log.warning("benchmark failure for %s: %s", algo, err)
     return BenchmarkResult(reports=reports, failures=failures)

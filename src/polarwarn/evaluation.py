@@ -219,22 +219,32 @@ class Protocol:
         return tuple(drawn)
 
 
-def run_cycles(dataset: Dataset, spec: ModelSpec, cycles: Cycles, names: Sequence[str]) -> MetricsReport:
-    """Fit and score one model spec on each cycle's ``(train, test)`` rows of
-    the columns ``names`` of ``dataset``; only those rows of those columns are copied.
+def run_cycle(dataset: Dataset, spec: ModelSpec, cycle: tuple[np.ndarray, np.ndarray],
+              names: Sequence[str]) -> tuple[np.ndarray, float]:
+    """Fit one model spec on a cycle's train rows of the columns ``names``
+    of ``dataset`` and score its test rows; only those rows of those columns
+    are copied.
 
-    Returns the confusion metrics of every cycle's test rows, pooled in cycle
-    order, with each cycle's AUC.
+    Returns the test rows' predicted labels and their AUC.
     """
     X, y = dataset.features, dataset.labels
     columns = [dataset.feature_names.index(name) for name in names]
-    predicted, aucs = [], []
-    for train, test in cycles:
-        model = fit(Dataset(X[np.ix_(train, columns)], y[train], tuple(names)), spec)
-        scores, labels = predict(model, X[np.ix_(test, columns)])
-        predicted.append(labels)
-        aucs.append(roc_auc(y[test], scores))
-    return confusion_metrics(y[np.concatenate([test for _, test in cycles])], np.concatenate(predicted), aucs)
+    train, test = cycle
+    model = fit(Dataset(X[np.ix_(train, columns)], y[train], tuple(names)), spec)
+    scores, labels = predict(model, X[np.ix_(test, columns)])
+    return labels, roc_auc(y[test], scores)
+
+
+def pooled(labels: np.ndarray, cycles: Cycles, outcomes: Sequence[tuple[np.ndarray, float]]) -> MetricsReport:
+    """The confusion metrics of every cycle's test rows, pooled in cycle order,
+    with each cycle's AUC, from each cycle's ``run_cycle`` outcome."""
+    predicted, aucs = zip(*outcomes)
+    return confusion_metrics(labels[np.concatenate([test for _, test in cycles])], np.concatenate(predicted), aucs)
+
+
+def run_cycles(dataset: Dataset, spec: ModelSpec, cycles: Cycles, names: Sequence[str]) -> MetricsReport:
+    """``run_cycle`` on each of the cycles, pooled."""
+    return pooled(dataset.labels, cycles, [run_cycle(dataset, spec, cycle, names) for cycle in cycles])
 
 
 @dataclass(frozen=True)

@@ -218,24 +218,33 @@ def test_fakenews_draws_each_stage_cycles_once(data_dir, tmp_path, monkeypatch, 
 
 @pytest.mark.parametrize("experiments, steps", [([], 8), (["a"], 6), (["b"], 5)], ids=["a+b", "a", "b"])
 def test_fakenews_evaluates_each_step_once(data_dir, tmp_path, monkeypatch, experiments, steps):
-    # the E1 benchmark's six algorithms, then each distinct step of the
-    # experiments, B's last step being the full set that report.json reads
-    calls = []
-    run_cycles = evaluation.run_cycles
+    # the E1 benchmark's six algorithms, one job each at one repeat, then
+    # each distinct step of the experiments, B's last step being the full
+    # set that report.json reads.  The benchmark's jobs run in forked
+    # workers too, so each job appends a line to a file.
+    calls, jobs = [], tmp_path / "jobs"
+    run_cycles, run_cycle = evaluation.run_cycles, evaluation.run_cycle
 
     def counted(dataset, spec, cycles, names):
         calls.append(spec.algorithm)
         return run_cycles(dataset, spec, cycles, names)
 
-    for module in (evaluation, ew, fn):
+    def job(dataset, spec, cycle, names):
+        with open(jobs, "a") as fh:
+            fh.write(spec.algorithm + "\n")
+        return run_cycle(dataset, spec, cycle, names)
+
+    for module in (evaluation, fn):
         monkeypatch.setattr(module, "run_cycles", counted)
+    monkeypatch.setattr(ew, "run_cycle", job)
     out = tmp_path / "fn"
     argv = ["fakenews", "--data", str(data_dir), "--algo", "log", "--repeats", "1",
             "--max-stepwise", "0", "--seed", "5", "--out", str(out)]
     for mode in experiments:
         argv += ["--experiment", mode]
     assert main(argv) == EXIT_OK
-    assert len(calls) == 6 + steps
+    assert len(jobs.read_text().splitlines()) == 6
+    assert len(calls) == steps
     if "b" in (experiments or ["a", "b"]):
         report = json.loads((out / "report.json").read_text())
         header, *rows = (line.split(",") for line in (out / "auc_steps_b.csv").read_text().splitlines())

@@ -1,5 +1,10 @@
 """Entity dataset schemas, benchmarking, model selection and predictions."""
 
+import multiprocessing
+import os
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -131,8 +136,91 @@ class TestSelectBestModels:
             ew.select_best_models({"log": report_with(0.7, 0.7)})
 
 
+FORK = multiprocessing.get_context("fork")
+
+
+@contextmanager
+def cpus(n):
+    """Run as if this process may use ``n`` CPUs."""
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(n))):
+        yield
+
+
+class TwoArgs(Exception):
+    def __init__(self, a, b):
+        super().__init__(a)
+
+
 class TestRunBenchmark:
+    @pytest.fixture(autouse=True)
+    def no_worker_left(self):
+        yield
+        assert multiprocessing.active_children() == []
+
+    @pytest.fixture(scope="class")
+    def e1(self, small_synth):
+        corpus, _, _ = small_synth
+        table, _, _ = ew.threshold_entities(corpus, cm.select_e1(corpus))
+        dataset = ew.build_entity_dataset(table, "E1", False)
+        specs = [ModelSpec(a, seed=1) for a in ("lin", "log", "knn")]
+        return dataset, specs, Protocol(repeats=3, seed=1).cycles(dataset.labels)
+
+    def test_same_result_on_any_number_of_cpus(self, e1):
+        results = []
+        for n in (1, 2, 4):
+            with cpus(n), mock.patch.object(FORK, "Process", wraps=FORK.Process) as started:
+                results.append(ew.run_benchmark(*e1))
+            assert started.call_count == n - 1
+        assert results[0] == results[1] == results[2]
+        assert [list(r.reports) for r in results] == [["lin", "log", "knn"]] * 3
+        assert results[0].failures == {}
+
+    def test_one_cpu_starts_no_process(self, e1):
+        with cpus(1), mock.patch.object(FORK, "Process", side_effect=AssertionError("process started")):
+            ew.run_benchmark(*e1)
+
+    def test_worker_that_dies_leaves_its_jobs_to_this_process(self, e1):
+        # the patch is inherited through fork, so each worker raises before
+        # it sends anything, and this process computes its jobs itself
+        outcome = ew._outcome
+
+        def failing(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("worker died")
+            return outcome(*args)
+
+        parent = os.getpid()
+        with cpus(1):
+            want = ew.run_benchmark(*e1)
+        with cpus(4), mock.patch.object(ew, "_outcome", failing):
+            assert ew.run_benchmark(*e1) == want
+
+    def test_outcome_that_cannot_be_unpickled_is_computed_here(self, e1):
+        # a worker's outcome pickles, but unpickling calls TwoArgs(1), which
+        # raises a TypeError here
+        outcome = ew._outcome
+
+        def unpicklable(*args):
+            return TwoArgs(1, 2) if os.getpid() != parent else outcome(*args)
+
+        parent = os.getpid()
+        with cpus(1):
+            want = ew.run_benchmark(*e1)
+        with cpus(2), mock.patch.object(ew, "_outcome", unpicklable):
+            assert ew.run_benchmark(*e1) == want
+
+    def test_interrupt_in_this_process_share_leaves_no_process(self, e1):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        with cpus(2), mock.patch.object(ew, "_outcome", interrupted), \
+                mock.patch.object(FORK, "Process", wraps=FORK.Process) as started, \
+                pytest.raises(KeyboardInterrupt):
+            ew.run_benchmark(*e1)
+        assert started.call_count == 1
+
     def test_only_numeric_errors_are_failures(self, monkeypatch):
+        # at 4 CPUs each of the 4 jobs runs in its own process
         ds = Dataset(features=np.arange(12.0).reshape(6, 2), labels=[0, 1] * 3, feature_names=("a", "b"))
         specs, cycles = [ModelSpec("log"), ModelSpec("lin")], Protocol(repeats=2).cycles(ds.labels)
 
@@ -141,13 +229,17 @@ class TestRunBenchmark:
                 raise error("planted")
             return fit_log
 
-        monkeypatch.setattr(linear, "fit_log", fail(th.FitError))
-        result = ew.run_benchmark(ds, specs, cycles)
-        assert result.failures == {"log": "FitError: planted"}
-        assert list(result.reports) == ["lin"]
-        monkeypatch.setattr(linear, "fit_log", fail(TypeError))
-        with pytest.raises(TypeError, match="planted"):  # a bug, not a benchmark failure
-            ew.run_benchmark(ds, specs, cycles)
+        for n in (1, 4):
+            monkeypatch.setattr(linear, "fit_log", fail(th.FitError))
+            with cpus(n):
+                result = ew.run_benchmark(ds, specs, cycles)
+            assert result.failures == {"log": "FitError: planted"}, n
+            assert list(result.reports) == ["lin"], n
+            monkeypatch.setattr(linear, "fit_log", fail(TypeError))
+            with cpus(n), pytest.raises(TypeError, match="planted") as raised:  # a bug, not a benchmark failure
+                ew.run_benchmark(ds, specs[::-1], cycles)
+            assert raised.traceback[-1].name == "fit_log", n  # log's first cycle is job 2, a worker's at 4 CPUs
+            assert multiprocessing.active_children() == []
 
 
 def reference_logistic_auc(dataset: Dataset, protocol: Protocol) -> float:
