@@ -4,8 +4,9 @@ The corpus is read from four JSONL files (sources, posts, comments, entity
 mentions) into column tables: numpy arrays for codes and numbers, Python
 lists only for the strings something reads (post ids, user ids, entity
 names).  No text is kept: each block's texts are counted as the block is
-parsed (:func:`textcounts.text_counts`), and the corpus keeps each post's
-own counts and the integer sums of its comments' counts.  Rows refer to
+parsed (:func:`textcounts.text_counts`, once per distinct text where the
+first texts of a block mostly repeat), and the corpus keeps each post's own
+counts and the integer sums of its comments' counts.  Rows refer to
 each other by integer codes: row numbers for sources and posts, and
 positions in the sorted id lists for users and entities.  The loader stores each table in the order its readers use,
 whatever the order of the file: sources in file order, posts in post-id
@@ -21,11 +22,13 @@ entity.
 Each file is read in blocks of ``_BLOCK_LINES`` lines, each parsed once,
 and every column is checked with numpy and set operations.  A file over
 ``_SPLIT_BYTES`` is cut into one byte range per CPU this process may run
-on, each ending just after a newline: this process parses the first range
-while one forked worker per later range parses that range, and the builders
-receive every block in file order, with its texts already counted, so a
-worker sends integers, not strings.  On one CPU nothing is split and no
-process starts.  Duplicate keys are found from a 64-bit hash of each key,
+on, each ending just after a newline: this process checks the first range
+while one forked worker per later range parses that range and runs the
+same builder step over each of its blocks, into its own copy of the
+builder's columns.  After its range the worker sends each column back as
+one raw buffer, and this process appends them in range order, coding a
+worker's users and entities again as its own.  On one CPU nothing is split
+and no process starts.  Duplicate keys are found from a 64-bit hash of each key,
 kept in numpy and sorted once after the file.  A SchemaError or
 IntegrityError names the file and line of the first bad record.
 """
@@ -35,16 +38,14 @@ from __future__ import annotations
 import gc
 import io
 import json
-import marshal
 import math
 import re
-from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Hashable, Iterator, Mapping, NamedTuple, NoReturn
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -62,6 +63,10 @@ _UNDECODABLE = re.compile("[\udc80-\udcff]")
 _BLOCK_LINES = 4096
 # A file over this many bytes is parsed in one byte range per CPU.
 _SPLIT_BYTES = 2**20
+# Texts at the start of a block that show whether its texts repeat enough to
+# count each distinct one once: the index to every record costs about a
+# tenth of counting them all, and hashing this few costs nothing to speak of.
+_PROBE_TEXTS = 64
 
 
 class CorpusError(Exception):
@@ -252,7 +257,7 @@ def _parse(path: Path, lineno: int, line: str) -> dict | None:
     return obj
 
 
-# The value of a field a record lacks: marshal can send it, and no JSON value is it.
+# The value of a field a record lacks: no JSON value is it.
 _MISSING = ...
 
 # The fields of each file, in the order the builders receive their columns.
@@ -301,8 +306,11 @@ def _parse_block(path: Path, raw: list[bytes], first: int, end: int, fields: tup
     break, so the ``{`` that starts a line and the ``}`` that ends it are
     outside strings.  When every line starts with ``{`` and ends with ``}``
     and the text holds no other ``{``, each line opens one object, which
-    only its own last ``}`` can close, whatever lists it holds.  A text that
-    is not a string is counted as its ``str``, and a missing one counts -1.
+    only its own last ``}`` can close, whatever lists it holds.  When at
+    least half of the block's first ``_PROBE_TEXTS`` texts repeat one before
+    them, each distinct text of the block is counted once and its counts
+    copied to every record that holds it.  A text that is not a string is
+    counted as its ``str``, and a missing one counts -1.
     """
     data, rows, fault = b"".join(raw), None, None
     if b"\r" not in data or data.count(b"\r") == data.count(b"\r\n"):
@@ -330,10 +338,14 @@ def _parse_block(path: Path, raw: list[bytes], first: int, end: int, fields: tup
     columns = list(zip(*rows)) or [()] * len(fields)
     if "text" in fields:
         texts = columns[k := fields.index("text")]
-        if set(map(type, texts)) <= {str}:
-            columns[k] = text_counts(texts)
+        strings = texts if set(map(type, texts)) <= {str} else list(map(str, texts))
+        if 2 * len(set(head := strings[:_PROBE_TEXTS])) > len(head):
+            columns[k] = text_counts(strings)
         else:
-            columns[k] = text_counts(list(map(str, texts)))
+            distinct = list(dict.fromkeys(strings))
+            index = dict(zip(distinct, range(len(distinct))))
+            columns[k] = text_counts(distinct)[np.fromiter(map(index.__getitem__, strings), np.int64, len(strings))]
+        if strings is not texts:
             columns[k][[value is _MISSING for value in texts]] = -1
     return _Block(numbers, stop, end, columns, fault)
 
@@ -355,52 +367,158 @@ def _range_blocks(path: Path, fields: tuple[str, ...], start: int, end: int, lin
             line = block.stop
 
 
-def _parse_range(path: Path, fields: tuple[str, ...], start: int, end: int, sender) -> None:
-    """In a worker: parse a byte range, then send each block before the first with a fault, marshalled.
+# What a builder keeps of the blocks it has stepped over, in file order.
+# Each column is of one of four kinds: an array (_Chunks), strings such as
+# ids and messages (_Strings), strings kept as codes (_Codes), or a sum
+# (_Sums).  A forked worker sends its copy of the columns as raw buffers of
+# the dtypes in ``layout``, one message each (``packed``), and this process
+# appends them to its own (``merge``).
 
-    Lines are numbered from 1 at the range's start.  A block's line numbers
-    and text counts go as their raw bytes, which _received reads back.  All
-    blocks are parsed before the first is sent, since the parent reads them
-    only after its own range.
+
+class _Chunks(list):
+    """An array column: one array per block."""
+
+    def __init__(self, dtype) -> None:
+        super().__init__()
+        self.layout = (np.dtype(dtype),)
+
+    def joined(self) -> np.ndarray:
+        return np.concatenate(self) if self else np.zeros(0, self.layout[0])
+
+    def packed(self) -> list[np.ndarray]:
+        return [self.joined()]
+
+    def merge(self, buffers: list[np.ndarray]) -> None:
+        self.extend(buffers)
+
+
+def _encoded(strings: Iterable[str]) -> list[np.ndarray]:
+    """Strings as two buffers: the length of each, and all of them joined in UTF-8, lone surrogates kept."""
+    strings = list(strings)
+    return [np.fromiter(map(len, strings), np.int64, len(strings)),
+            np.frombuffer("".join(strings).encode("utf-8", "surrogatepass"), np.uint8)]
+
+
+def _decoded(lengths: np.ndarray, data: np.ndarray) -> list[str]:
+    """The strings of ``_encoded``'s buffers."""
+    text, ends = str(data, "utf-8", "surrogatepass"), np.cumsum(lengths).tolist()
+    return list(map(text.__getitem__, map(slice, [0, *ends[:-1]], ends)))
+
+
+class _Strings(list):
+    """A string column."""
+
+    layout = (np.dtype(np.int64), np.dtype(np.uint8))
+
+    def packed(self) -> list[np.ndarray]:
+        return _encoded(self)
+
+    def merge(self, buffers: list[np.ndarray]) -> None:
+        self.extend(_decoded(*buffers))
+
+
+class _Codes:
+    """Strings kept as codes, assigned as the strings arrive and renumbered in sorted-string order at the end.
+
+    A worker sends its strings in code order, then its codes; this process
+    codes those strings as its own and renumbers the worker's codes to match.
     """
-    blocks = [marshal.dumps((block.lines.tobytes(), block.stop, block.end,
-                             [c.tobytes() if isinstance(c, np.ndarray) else c for c in block.columns]))
-              for block in _range_blocks(path, fields, start, end) if not block.fault]
-    for block in blocks:
-        sender.send_bytes(block)
+
+    layout = (*_Strings.layout, np.dtype(np.int64))
+
+    def __init__(self) -> None:
+        self.code: dict[str, int] = {}
+        self.chunks = _Chunks(np.int64)
+
+    def _coded(self, values: list | tuple) -> np.ndarray:
+        code = self.code
+        for v in set(values).difference(code):
+            code[v] = len(code)
+        return np.fromiter(map(code.__getitem__, values), np.int64, len(values))
+
+    def append(self, values: tuple) -> None:
+        self.chunks.append(self._coded(values))
+
+    def packed(self) -> list[np.ndarray]:
+        return [*_encoded(self.code), self.chunks.joined()]
+
+    def merge(self, buffers: list[np.ndarray]) -> None:
+        lengths, data, codes = buffers
+        self.chunks.append(self._coded(_decoded(lengths, data))[codes])
+
+    def renumbered(self) -> tuple[list[str], np.ndarray]:
+        """The sorted strings, and the codes joined and renumbered to match."""
+        names = sorted(self.code)
+        rank = np.empty(len(names), np.int64)
+        rank[np.fromiter(map(self.code.__getitem__, names), np.int64, len(names))] = np.arange(len(names))
+        return names, rank[self.chunks.joined()]
 
 
-def _received(receiver, base: int) -> Iterator[_Block]:
-    """The blocks a worker sends, one at a time until it ends or dies, their lines numbered on from ``base``."""
-    try:
-        while True:
-            lines, stop, end, columns = marshal.loads(receiver.recv_bytes())
-            yield _Block(np.frombuffer(lines, np.int64) + base, stop + base, end,
-                         [np.frombuffer(c, np.int64).reshape(-1, len(COUNT_NAMES)) if isinstance(c, bytes) else c
-                          for c in columns])
-    except (EOFError, OSError):  # OSError: the worker died while sending a block
-        return
+class _Sums:
+    """An int64 array of zeros that each step adds into; a worker's sums are added to this process's."""
+
+    layout = (np.dtype(np.int64),)
+
+    def __init__(self, shape: tuple[int, ...]) -> None:
+        self.array = np.zeros(shape, np.int64)
+
+    def packed(self) -> list[np.ndarray]:
+        return [self.array.reshape(-1)]
+
+    def merge(self, buffers: list[np.ndarray]) -> None:
+        self.array += buffers[0].reshape(self.array.shape)
 
 
-def _parsed_blocks(path: Path, fields: tuple[str, ...]) -> Iterator[_Block]:
-    """Each block of the file, in file order, its lines numbered through the file.
+class _Kept(list):
+    """The columns of one builder, in the order a worker sends them."""
 
-    The first byte range is parsed here and each later one by a forked
-    worker, all started first; a worker's blocks follow once this process
-    has yielded the blocks before them.  The rest of a range whose worker
-    found a fault or died is parsed here.  However the generator ends, no
-    worker is left running.
+    def add(self, column):
+        """Register ``column`` and return it."""
+        self.append(column)
+        return column
+
+    def send(self, sender, stop: int, line: int) -> None:
+        """In a worker: where its read stopped, as a byte and a line, with every column's size; then each buffer."""
+        buffers = [buffer for column in self for buffer in column.packed()]
+        sender.send_bytes(np.array([stop, line, *map(len, buffers)], np.int64))
+        for buffer in buffers:
+            sender.send_bytes(buffer)
+
+    def receive(self, receiver) -> tuple[int, int] | None:
+        """Append a worker's columns and return where its read stopped, or append nothing and return None if it died first."""
+        try:
+            stop, line, *sizes = np.frombuffer(receiver.recv_bytes(), np.int64).tolist()
+            buffers = [np.empty(size, dtype) for size, dtype in zip(sizes, [d for c in self for d in c.layout])]
+            for buffer in buffers:
+                receiver.recv_bytes_into(buffer)
+        except (EOFError, OSError):  # OSError: the worker died while sending
+            return None
+        for column in self:
+            column.merge(buffers[:len(column.layout)])
+            del buffers[:len(column.layout)]
+        return stop, line
+
+
+def _step_range(path: Path, fields: tuple[str, ...], step: Callable, kept: _Kept, start: int, end: int,
+                sender) -> None:
+    """In a worker: ``step`` over each block of bytes ``start`` to ``end`` before the first with a parse fault, then send ``kept``.
+
+    Lines are numbered from 1 at ``start``.  This process reads on from the
+    block with the fault and reports it.  When a step fails, the worker
+    sends nothing, as if it had died: this process then reads the whole
+    range and raises the error itself.  The columns go once the whole range
+    is read, since the parent reads them only after the ranges before it.
     """
-    first, *later = _ranges(path)
-    with forked([(_parse_range, (path, fields, start, end)) for start, end in later]) as receivers:
-        line = 1
-        for (start, end), receiver in zip([first, *later], [None, *receivers]):
-            for block in _received(receiver, line - 1) if receiver else ():
-                yield block
-                start, line = block.end, block.stop
-            for block in _range_blocks(path, fields, start, end, line):
-                yield block
-                line = block.stop
+    stop, line = start, 1
+    for block in _range_blocks(path, fields, start, end):
+        if block.fault:
+            break
+        try:
+            step(*block.columns)
+        except Exception:
+            return
+        stop, line = block.end, block.stop
+    kept.send(sender, stop, line)
 
 
 # Each check takes a column and its field name, and raises a SchemaError
@@ -482,16 +600,16 @@ class _Unique:
     n**2 / 2**65 for n keys), are parsed again, to compare their keys.
     """
 
-    def __init__(self, key: Callable[[dict], Hashable], message: Callable[[Hashable], str]) -> None:
+    def __init__(self, kept: _Kept, key: Callable[[dict], Hashable], message: Callable[[Hashable], str]) -> None:
         self.key, self.message = key, message  # a record's key, and the error for a repeat of it
-        self.hashes: list[np.ndarray] = []
+        self.hashes = kept.add(_Chunks(np.int64))
 
     def add(self, keys: list | tuple) -> None:
         self.hashes.append(_hashes(keys))
 
     def check(self, path: Path) -> None:
         """IntegrityError for the first key added so far that equals a key on an earlier line."""
-        hashes = _concat(self.hashes, np.int64)
+        hashes = self.hashes.joined()
         ordered = np.sort(hashes)
         equal = ordered[1:][ordered[1:] == ordered[:-1]]
         if not len(equal):
@@ -507,30 +625,53 @@ class _Unique:
                 seen.add(key)
 
 
-def _read(path: Path, fields: tuple[str, ...], step: Callable, unique: _Unique) -> None:
-    """``step`` over the columns of each block of the file, in file order, then the duplicate check.
+def _step_blocks(path: Path, fields: tuple[str, ...], step: Callable, unique: _Unique, start: int, end: int,
+                 line: int) -> int:
+    """``step`` over each block of bytes ``start`` to ``end``, lines numbered from ``line``; the number of the line after them.
 
     When a check fails, the block's records go through ``step`` again one
     at a time, and the first that fails raises its error, unless a key on
     its line or an earlier one repeats: ``step`` adds a key when it reaches
     its duplicate check.  A parse fault likewise follows the records before it.
     """
-    try:
-        with closing(_parsed_blocks(path, fields)) as blocks:
-            for block in blocks:
-                added = len(unique.hashes)
+    for block in _range_blocks(path, fields, start, end, line):
+        added = len(unique.hashes)
+        try:
+            step(*block.columns)
+        except SchemaError:
+            del unique.hashes[added:]
+            for i, lineno in enumerate(block.lines.tolist()):
                 try:
-                    step(*block.columns)
-                except SchemaError:
-                    del unique.hashes[added:]
-                    for i, line in enumerate(block.lines.tolist()):
-                        try:
-                            step(*(column[i:i + 1] for column in block.columns))
-                        except SchemaError as fault:
-                            raise SchemaError(f"{path}:{line}: {fault}") from None
-                    raise
-                if block.fault:
-                    raise block.fault
+                    step(*(column[i:i + 1] for column in block.columns))
+                except SchemaError as fault:
+                    raise SchemaError(f"{path}:{lineno}: {fault}") from None
+            raise
+        if block.fault:
+            raise block.fault
+        line = block.stop
+    return line
+
+
+def _read(path: Path, fields: tuple[str, ...], step: Callable, unique: _Unique, kept: _Kept) -> None:
+    """``step`` over the columns of each block of the file, in file order, then the duplicate check.
+
+    ``step`` fills the columns of ``kept`` and adds the keys to ``unique``,
+    whose hashes are one of them.  The first byte range is read here and
+    each later one by a forked worker, all started before the first block,
+    each into its own copy of the still empty columns; a worker's columns
+    follow once this process has read the ranges before it.  This process
+    reads the rest of a range whose worker stopped at a parse fault, and the
+    whole range of a worker whose step failed or that died.  However the
+    read ends, no worker is left running.
+    """
+    first, *later = _ranges(path)
+    try:
+        with forked([(_step_range, (path, fields, step, kept, start, end)) for start, end in later]) as receivers:
+            line = 1
+            for (start, end), receiver in zip([first, *later], [None, *receivers]):
+                if receiver and (stopped := kept.receive(receiver)):
+                    start, line = stopped[0], line + stopped[1] - 1
+                line = _step_blocks(path, fields, step, unique, start, end, line)
     except SchemaError:
         unique.check(path)
         raise
@@ -545,30 +686,6 @@ def _refs(values: tuple, index: Mapping[str, int]) -> np.ndarray:
 def _dangling(rows: np.ndarray, kind: str, ids: tuple, target: str, refs: tuple) -> list[str]:
     """``"<kind> 'id' -> <target> 'ref'"`` for each reference ``_refs`` found no row for."""
     return [f"{kind} {ids[i]!r} -> {target} {refs[i]!r}" for i in np.flatnonzero(rows < 0)]
-
-
-class _Codes:
-    """Codes for strings as they arrive, renumbered in sorted-string order at the end."""
-
-    def __init__(self) -> None:
-        self.code: dict[str, int] = {}
-
-    def encode(self, values: tuple) -> np.ndarray:
-        code = self.code
-        for v in set(values).difference(code):
-            code[v] = len(code)
-        return np.fromiter(map(code.__getitem__, values), np.int64, len(values))
-
-    def renumbered(self, chunks: list[np.ndarray]) -> tuple[list[str], np.ndarray]:
-        """The sorted strings, and the encoded chunks joined and renumbered to match."""
-        names = sorted(self.code)
-        rank = np.empty(len(names), np.int64)
-        rank[np.fromiter(map(self.code.__getitem__, names), np.int64, len(names))] = np.arange(len(names))
-        return names, rank[_concat(chunks, np.int64)]
-
-
-def _concat(chunks: list[np.ndarray], dtype) -> np.ndarray:
-    return np.concatenate(chunks) if chunks else np.zeros(0, dtype)
 
 
 def _reorder(table, order: np.ndarray) -> None:
@@ -590,9 +707,9 @@ def _reorder(table, order: np.ndarray) -> None:
 
 
 def _build_sources(path: Path) -> tuple[dict[str, int], Sources]:
-    ids: list[str] = []
-    fake = []
-    unique = _Unique(itemgetter("id"), "duplicate source id {!r}".format)
+    kept = _Kept()
+    ids, fake = kept.add(_Strings()), kept.add(_Chunks(bool))
+    unique = _Unique(kept, itemgetter("id"), "duplicate source id {!r}".format)
 
     def step(sid, name, category):
         _strings(sid, "id")
@@ -602,15 +719,16 @@ def _build_sources(path: Path) -> tuple[dict[str, int], Sources]:
         _strings(name, "name")
         ids.extend(sid)
         fake.append(np.array(category) == FAKE)
-    _read(path, _SOURCE_FIELDS, step, unique)
-    return {s: i for i, s in enumerate(ids)}, Sources(fake=_concat(fake, bool))
+    _read(path, _SOURCE_FIELDS, step, unique, kept)
+    return {s: i for i, s in enumerate(ids)}, Sources(fake=fake.joined())
 
 
 def _build_posts(path: Path, source_index: Mapping[str, int]) -> tuple[dict[str, int], Posts, list[str]]:
-    ids: list[str] = []
-    dangling: list[str] = []
-    source, timestamp, counts, sentiment, likes, shares = [], [], [], [], [], []
-    unique = _Unique(itemgetter("id"), "duplicate post id {!r}".format)
+    kept = _Kept()
+    ids, dangling = kept.add(_Strings()), kept.add(_Strings())
+    source, timestamp, counts, likes, shares = (kept.add(_Chunks(np.int64)) for _ in range(5))
+    sentiment = kept.add(_Chunks(float))
+    unique = _Unique(kept, itemgetter("id"), "duplicate post id {!r}".format)
 
     def step(pid, source_id, ts, text, sent, like, share):
         unique.add(_strings(pid, "id"))
@@ -618,15 +736,15 @@ def _build_posts(path: Path, source_index: Mapping[str, int]) -> tuple[dict[str,
         source.append(_refs(_strings(source_id, "source_id"), source_index))
         dangling.extend(_dangling(source[-1], "post", pid, "source", source_id))
         timestamp.append(_ints(ts, "timestamp"))
-        counts.append(_texts(text))
+        counts.append(_texts(text).reshape(-1))
         sentiment.append(_numbers(sent, "sentiment", -1.0, 1.0))
         likes.append(_ints(like, "likes", non_negative=True))
         shares.append(_ints(share, "shares", non_negative=True))
-    _read(path, _POST_FIELDS, step, unique)
+    _read(path, _POST_FIELDS, step, unique, kept)
     posts = Posts(
-        ids=ids, source=_concat(source, np.int64), timestamp=_concat(timestamp, np.int64),
-        text_counts=_concat(counts, np.int64).reshape(-1, len(COUNT_NAMES)),
-        sentiment=_concat(sentiment, float), likes=_concat(likes, np.int64), shares=_concat(shares, np.int64),
+        ids=ids, source=source.joined(), timestamp=timestamp.joined(),
+        text_counts=counts.joined().reshape(-1, len(COUNT_NAMES)),
+        sentiment=sentiment.joined(), likes=likes.joined(), shares=shares.joined(),
     )
     _reorder(posts, np.array(sorted(range(len(ids)), key=ids.__getitem__), np.int64))
     return {p: i for i, p in enumerate(posts.ids)}, posts, dangling
@@ -639,11 +757,12 @@ def _build_comments(path: Path, post_index: Mapping[str, int]) -> tuple[list[str
     kept.  A dangling comment's post row is -1, so its counts go to one more
     row at the end, which is left out: load_corpus then fails anyway.
     """
-    text_sums = np.zeros((len(post_index) + 1, len(COUNT_NAMES)), np.int64)
-    dangling: list[str] = []
-    users = _Codes()
-    post, user, sentiment, likes, replies = [], [], [], [], []
-    unique = _Unique(itemgetter("id"), "duplicate comment id {!r}".format)
+    kept = _Kept()
+    text_sums = kept.add(_Sums((len(post_index) + 1, len(COUNT_NAMES))))
+    dangling, users = kept.add(_Strings()), kept.add(_Codes())
+    post, likes, replies = (kept.add(_Chunks(np.int64)) for _ in range(3))
+    sentiment = kept.add(_Chunks(float))
+    unique = _Unique(kept, itemgetter("id"), "duplicate comment id {!r}".format)
 
     def step(cid, post_id, user_id, ts, text, sent, like, reply):
         unique.add(_strings(cid, "id"))
@@ -651,28 +770,28 @@ def _build_comments(path: Path, post_index: Mapping[str, int]) -> tuple[list[str
             raise SchemaError("missing field 'sentiment'")
         post.append(_refs(_strings(post_id, "post_id"), post_index))
         dangling.extend(_dangling(post[-1], "comment", cid, "post", post_id))
-        user.append(users.encode(_strings(user_id, "user_id")))
+        users.append(_strings(user_id, "user_id"))
         _ints(ts, "timestamp")
-        np.add.at(text_sums, post[-1], _texts(text))
+        np.add.at(text_sums.array, post[-1], _texts(text))
         sentiment.append(_numbers(sent, "sentiment", -1.0, 1.0, nullable=True))
         likes.append(_ints(like, "likes", non_negative=True))
         replies.append(_ints(reply, "replies", non_negative=True))
-    _read(path, _COMMENT_FIELDS, step, unique)
-    names, user = users.renumbered(user)
+    _read(path, _COMMENT_FIELDS, step, unique, kept)
+    names, user = users.renumbered()
     comments = Comments(
-        post=_concat(post, np.int64), user=user, sentiment=_concat(sentiment, float),
-        likes=_concat(likes, np.int64), replies=_concat(replies, np.int64),
+        post=post.joined(), user=user, sentiment=sentiment.joined(), likes=likes.joined(), replies=replies.joined(),
     )
-    return names, comments, text_sums[:-1], dangling
+    return names, comments, text_sums.array[:-1], dangling
 
 
 def _build_mentions(path: Path, post_index: Mapping[str, int]) -> tuple[list[str], Mentions, list[str]]:
     """Mentions keyed by normalized entity; duplicates compare (entity, post id) pairs."""
-    entities = _Codes()
+    kept = _Kept()
+    entities = kept.add(_Codes())
     normalized: dict[str, str] = {}
-    dangling: list[str] = []
-    entity, post, confidence = [], [], []
-    unique = _Unique(lambda record: (normalize_entity(record["entity"]), record["post_id"]),
+    dangling = kept.add(_Strings())
+    post, confidence = kept.add(_Chunks(np.int64)), kept.add(_Chunks(float))
+    unique = _Unique(kept, lambda record: (normalize_entity(record["entity"]), record["post_id"]),
                      lambda key: "duplicate mention of {!r} in post {!r}".format(*key))
 
     def step(label, post_id, conf):
@@ -683,10 +802,10 @@ def _build_mentions(path: Path, post_index: Mapping[str, int]) -> tuple[list[str
         dangling.extend(_dangling(post[-1], "mention", keys, "post", post_id))
         confidence.append(_numbers(conf, "confidence", 0.0, 1.0, name="confidence"))
         unique.add(list(zip(keys, post_id)))
-        entity.append(entities.encode(keys))
-    _read(path, _MENTION_FIELDS, step, unique)
-    names, entity = entities.renumbered(entity)
-    mentions = Mentions(entity=entity, post=_concat(post, np.int64), confidence=_concat(confidence, float))
+        entities.append(keys)
+    _read(path, _MENTION_FIELDS, step, unique, kept)
+    names, entity = entities.renumbered()
+    mentions = Mentions(entity=entity, post=post.joined(), confidence=confidence.joined())
     return names, mentions, dangling
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
+import traceback
 from dataclasses import dataclass, replace
 from itertools import compress
 from typing import Mapping
@@ -97,6 +98,36 @@ class BenchmarkResult:
     failures: dict[str, str]
 
 
+class _RemoteTraceback(Exception):
+    """The formatted traceback of an error raised in a worker, as that error's cause."""
+
+    def __init__(self, tb: str) -> None:
+        self.tb = tb
+
+    def __str__(self) -> str:
+        return self.tb
+
+
+def _with_cause(exc: Exception, tb: str) -> Exception:
+    exc.__cause__ = _RemoteTraceback(tb)
+    return exc
+
+
+class _WorkerError:
+    """An exception raised in a worker, pickled with its formatted traceback.
+
+    Unpickled, it is the exception itself with that traceback as its
+    ``__cause__``: pickling keeps neither an exception's traceback nor its
+    cause.
+    """
+
+    def __init__(self, exc: Exception) -> None:
+        self.exc, self.tb = exc, '\n"""\n' + "".join(traceback.format_exception(exc)) + '"""'
+
+    def __reduce__(self):
+        return _with_cause, (self.exc, self.tb)
+
+
 def _outcome(dataset: Dataset, job: tuple[ModelSpec, tuple[np.ndarray, np.ndarray]]):
     """One job's ``run_cycle`` outcome, or the exception it raised."""
     spec, cycle = job
@@ -108,9 +139,10 @@ def _outcome(dataset: Dataset, job: tuple[ModelSpec, tuple[np.ndarray, np.ndarra
 
 def _send_outcomes(dataset: Dataset, jobs: list, sender) -> None:
     """In a worker: each job's outcome, all computed before the first is sent,
-    since the parent reads them only after its own share."""
+    since the parent reads them only after its own share.  An exception
+    goes with its traceback."""
     for outcome in [_outcome(dataset, job) for job in jobs]:
-        sender.send(outcome)
+        sender.send(_WorkerError(outcome) if isinstance(outcome, Exception) else outcome)
 
 
 def _received_outcomes(receiver, dataset: Dataset, jobs: list) -> list:
@@ -138,8 +170,9 @@ def run_benchmark(
     this process.  The outcomes are then replayed in job order, as a serial
     loop would meet them: an algorithm whose first failing cycle raises a
     ``NumericError`` is recorded as a failure and the others still run, any
-    other error propagates, raised by its job run again in this process,
-    and each algorithm's cycles are pooled.
+    other error propagates, raised by its job run again in this process
+    (an error raised only in a worker carries the worker's traceback as
+    its ``__cause__``), and each algorithm's cycles are pooled.
     """
     jobs = [(spec, cycle) for spec in specs for cycle in cycles]
     n = min(usable_cpus(), len(jobs))

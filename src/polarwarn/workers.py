@@ -1,8 +1,8 @@
 """Forked workers that send their results back over one-way pipes.
 
-The corpus loader parses the later byte ranges of a large file in them, and
-the early warning's benchmark fits its later shares of (algorithm, cycle)
-jobs.  Either cuts its work into at most one share per usable CPU and
+The corpus loader parses and checks the later byte ranges of a large file
+in them, each sending back its range's columns as arrays, and the early
+warning's benchmark fits its later shares of (algorithm, cycle) jobs.  Either cuts its work into at most one share per usable CPU and
 computes the first share itself, so on one CPU no process starts.
 """
 

@@ -223,6 +223,7 @@ class TestRunBenchmark:
         # at 4 CPUs each of the 4 jobs runs in its own process
         ds = Dataset(features=np.arange(12.0).reshape(6, 2), labels=[0, 1] * 3, feature_names=("a", "b"))
         specs, cycles = [ModelSpec("log"), ModelSpec("lin")], Protocol(repeats=2).cycles(ds.labels)
+        parent, fit_log = os.getpid(), linear.fit_log
 
         def fail(error):
             def fit_log(*args):
@@ -240,6 +241,19 @@ class TestRunBenchmark:
                 ew.run_benchmark(ds, specs[::-1], cycles)
             assert raised.traceback[-1].name == "fit_log", n  # log's first cycle is job 2, a worker's at 4 CPUs
             assert multiprocessing.active_children() == []
+
+        # raised only in a worker, so not again by the job run here: the
+        # error carries the worker's traceback as its cause
+        def fails_in_a_worker(*args):
+            if os.getpid() != parent:
+                raise TypeError("planted in a worker")
+            return fit_log(*args)
+
+        monkeypatch.setattr(linear, "fit_log", fails_in_a_worker)
+        with cpus(4), pytest.raises(TypeError, match="planted in a worker") as raised:
+            ew.run_benchmark(ds, specs[::-1], cycles)
+        assert "fit_log" in str(raised.value.__cause__)
+        assert multiprocessing.active_children() == []
 
 
 def reference_logistic_auc(dataset: Dataset, protocol: Protocol) -> float:

@@ -5,8 +5,8 @@ checks the error ``load_corpus`` raises, character for character, and that
 ``polarwarn ingest`` maps it to the data-error exit code.  The messages are
 the ones the per-record loader produced, so a faster loader must keep them.
 Each case runs on the serial read and again on the split read, which cuts
-every file into byte ranges parsed by forked workers; no test may leave a
-worker running.
+every file into byte ranges parsed and checked by forked workers; no test
+may leave a worker running.
 """
 
 import json
@@ -817,26 +817,30 @@ def test_worker_that_dies_leads_to_the_record_read(small_synth):
 
 
 def test_worker_that_dies_while_sending_a_block(small_synth, monkeypatch):
-    # the worker sends its first block whole and only the start of the
-    # next, then exits; this process parses the rest of its range itself
+    # the worker sends where its read stopped and its first column whole,
+    # and only the start of the next, then exits; this process appends
+    # nothing from it and parses its whole range itself, each line once
     monkeypatch.setattr(cm, "_BLOCK_LINES", 3)
     corpus, _, directory = small_synth
-    parse_range = cm._parse_range
+    send = cm._Kept.send
 
-    def dying(path, fields, start, end, sender):
+    def dying(kept, sender, stop, line):
         class Cut:
-            def send_bytes(self, block):
-                if sent:
-                    os.write(sender.fileno(), struct.pack("!i", len(block)) + block[:10])
+            def send_bytes(self, buffer):
+                if len(sent) == 2:
+                    os.write(sender.fileno(), struct.pack("!i", 100) + bytes(10))
                     os._exit(1)
-                sent.append(block)
-                sender.send_bytes(block)
+                sent.append(buffer)
+                sender.send_bytes(buffer)
 
         sent = []
-        parse_range(path, fields, start, end, Cut())
+        send(kept, Cut(), stop, line)
 
-    with split_read(), mock.patch.object(cm, "_parse_range", dying):
+    with split_read(), mock.patch.object(cm._Kept, "send", dying), parsed_lines() as counts, \
+            mock.patch.object(FORK, "Process", wraps=FORK.Process) as started:
         loaded = cm.load_corpus(directory)
+    assert started.call_count == len(FILES)
+    assert sum(counts) == record_lines(directory)
     assert_same_corpus(loaded, corpus)
 
 
@@ -855,6 +859,141 @@ def test_fault_in_a_worker_is_parsed_again_from_its_block(tmp_path, monkeypatch)
     assert counts == [1, 1, 2, 2, 1]
 
 
+# A worker steps its builder over its own range and sends the columns back:
+# the corpus, or the error, is the serial read's at every number of CPUs.
+SPLIT_CPUS = (1, 2, 4)
+
+
+def loaded_or_error(directory):
+    """The snapshot, user ids, entity names and per-user counts of the corpus, or the error's class and message."""
+    try:
+        corpus = cm.load_corpus(directory)
+    except cm.CorpusError as exc:
+        return type(exc), str(exc)
+    return snapshot(corpus), corpus.users, corpus.entities, corpus.user_comment_counts.tolist()
+
+
+def check_split_reads_match_the_serial_read(directory, monkeypatch, block=2):
+    """Each file read in blocks of ``block`` lines, serially and split at 1, 2 and 4 CPUs, gives the same result."""
+    monkeypatch.setattr(cm, "_BLOCK_LINES", block)
+    serial = loaded_or_error(directory)
+    for cpus in SPLIT_CPUS:
+        with split_read(cpus), mock.patch.object(FORK, "Process", wraps=FORK.Process) as started:
+            assert loaded_or_error(directory) == serial, cpus
+            workers = sum(len(cm._ranges(directory / f"{name}.jsonl")) - 1 for name in FILES)
+        assert started.call_count <= workers and (cpus == 1) == (workers == 0), cpus
+    return serial
+
+
+def test_worker_ranges_bring_users_and_entities_the_first_range_never_mentions(tmp_path, monkeypatch):
+    # the first half of each file names u* users and the entity alpha, the
+    # second half only v* users and the entities beta and gamma
+    comments = ([comment(f"c{i}", "p1", f"u{i % 3}", i) for i in range(6)]
+                + [comment(f"c{i}", "p2", f"v{i % 4}", i, sentiment=0.5) for i in range(6, 12)])
+    mentions = ([mention(f"alpha {i}", "p1") for i in range(4)]
+                + [mention(f"beta {i}", "p2", 0.7) for i in range(2)] + [mention(f"Gamma {i}", "p1") for i in range(2)])
+    directory = base_corpus(tmp_path / "c", comments_jsonl=lines(*comments), mentions_jsonl=lines(*mentions))
+    with split_read(2):
+        assert max(line_ranges(directory / "comments.jsonl")[:6]) == 0
+        assert min(line_ranges(directory / "comments.jsonl")[6:]) == 1
+        assert min(line_ranges(directory / "mentions.jsonl")[4:]) == 1
+    _, users, entities, per_user = check_split_reads_match_the_serial_read(directory, monkeypatch)
+    assert users == ["u0", "u1", "u2", "v0", "v1", "v2", "v3"]
+    assert per_user == [2, 2, 2, 1, 1, 2, 2]
+    assert entities == sorted([f"alpha {i}" for i in range(4)] + [f"beta {i}" for i in range(2)]
+                              + [f"gamma {i}" for i in range(2)])
+
+
+# name -> (file, its lines, the faulty lines, exception class, message
+# after "<path>", or the whole message when it names no path); cut in two,
+# the last faulty line falls to the worker, and the first of a duplicate
+# to this process
+WORKER_FAULTS = {
+    "bad_value": (
+        "comments.jsonl", split_lines((7, dumps({**SPLIT_ROWS[6], "likes": -1}))), [7],
+        cm.SchemaError, ":7: field 'likes' must be a non-negative integer"),
+    "new_user_then_bad_value_in_its_block": (
+        "comments.jsonl", split_lines((7, dumps({**SPLIT_ROWS[6], "user_id": "new"})),
+                                      (8, dumps({**SPLIT_ROWS[7], "timestamp": 1.5}))), [7, 8],
+        cm.SchemaError, ":8: field 'timestamp' must be integer UTC seconds"),
+    "dangling_reference": (
+        "comments.jsonl", split_lines((7, dumps({**SPLIT_ROWS[6], "post_id": "ghost"}))), [7],
+        cm.IntegrityError, "dangling references: comment 'c6' -> post 'ghost'"),
+    "duplicate_of_a_first_range_key": (
+        "comments.jsonl", split_lines((7, dumps({**SPLIT_ROWS[6], "id": "c1"}))), [2, 7],
+        cm.IntegrityError, ":7: duplicate comment id 'c1'"),
+    "duplicate_of_a_first_range_mention": (
+        "mentions.jsonl", lines(*(mention(f"topic {i}", "p1") for i in range(6)),
+                                mention(" TOPIC  1", "p1", 0.5), mention("topic 9", "p1")), [2, 7],
+        cm.IntegrityError, ":7: duplicate mention of 'topic 1' in post 'p1'"),
+    "bad_value_after_a_dangling_reference": (
+        "posts.jsonl", lines(P1, P2, *(post(f"p{i}", "s1", i) for i in range(3, 7)),
+                             post("p7", "lost"), post("p8", shares=-3)), [7, 8],
+        cm.SchemaError, ":8: field 'shares' must be a non-negative integer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WORKER_FAULTS))
+def test_fault_in_a_worker_range_at_every_cpu_count(case, tmp_path, monkeypatch):
+    name, raw, faulty, kind, tail = WORKER_FAULTS[case]
+    directory = base_corpus(tmp_path / "c", **{name.replace(".", "_"): raw})
+    path = directory / name
+    with split_read(2):
+        at = line_ranges(path)
+    assert at[faulty[-1] - 1] == 1 and at[faulty[0] - 1] == (0 if "duplicate" in case else 1)
+    error = check_split_reads_match_the_serial_read(directory, monkeypatch)
+    assert error == (kind, tail if tail.startswith("dangling") else f"{path}{tail}")
+
+
+def test_worker_step_that_fails_part_way_sends_nothing(small_synth, monkeypatch):
+    # In each worker only, the third block's range check fails after the
+    # block's keys, references, codes and earlier columns are kept: the
+    # worker sends nothing, and this process reads its whole range, which
+    # passes here.
+    monkeypatch.setattr(cm, "_BLOCK_LINES", 3)
+    corpus, _, directory = small_synth
+    numbers, calls, parent = cm._numbers, {}, os.getpid()
+
+    def fails_in_a_worker(*args, **kwargs):
+        pid = os.getpid()
+        calls[pid] = calls.get(pid, 0) + 1
+        if pid != parent and calls[pid] == 3:
+            raise cm.SchemaError("planted")
+        return numbers(*args, **kwargs)
+
+    with split_read(), mock.patch.object(cm, "_numbers", fails_in_a_worker), parsed_lines() as counts:
+        loaded = cm.load_corpus(directory)
+        from_sources_worker = sum(line_ranges(directory / "sources.jsonl"))  # no sources check reads a number
+    assert sum(counts) == record_lines(directory) - from_sources_worker > record_lines(directory, in_first_range=True)
+    assert_same_corpus(loaded, corpus)
+
+
+# In blocks of two lines, the first, second and fourth block each repeat a
+# text, a string or not.
+REPEATED_TEXTS = ["same", "same", 123, 123, None, "same", ["x", 1], ["x", 1], "other text.", "same", {"k": 1}, "same"]
+
+
+def test_repeated_and_non_string_texts_at_every_cpu_count(tmp_path, monkeypatch):
+    posts = [post(f"p{i}", f"s{1 + i % 2}", i, text) for i, text in enumerate(REPEATED_TEXTS, 1)]
+    comments = [comment(f"c{i}", f"p{1 + i % 3}", f"u{i % 2}", i, text) for i, text in enumerate(REPEATED_TEXTS * 2)]
+    directory = base_corpus(tmp_path / "c", posts_jsonl=lines(*posts), comments_jsonl=lines(*comments))
+    got, *_ = check_split_reads_match_the_serial_read(directory, monkeypatch)
+    assert got == reference(read_records(directory))
+
+
+@pytest.mark.parametrize("missing", [(5,), (4, 5)])
+def test_missing_text_in_a_block_of_repeated_texts_at_every_cpu_count(missing, tmp_path, monkeypatch):
+    # the block of lines 5-8 holds a list twice after None and a missing
+    # text, each text counted, or after two missing texts, each distinct
+    # text counted once
+    comments = [comment(f"c{i}", "p1", "u1", i, text) for i, text in enumerate(REPEATED_TEXTS)]
+    for i in missing:
+        comments[i] = {k: v for k, v in comments[i].items() if k != "text"}
+    directory = base_corpus(tmp_path / "c", comments_jsonl=lines(*comments))
+    error = check_split_reads_match_the_serial_read(directory, monkeypatch, block=4)
+    assert error == (cm.SchemaError, f"{directory / 'comments.jsonl'}:{missing[0] + 1}: missing field 'text'")
+
+
 def test_interrupt_while_a_worker_runs_leaves_no_process(small_synth):
     _, _, directory = small_synth
 
@@ -862,7 +1001,8 @@ def test_interrupt_while_a_worker_runs_leaves_no_process(small_synth):
         def step(*columns):
             raise KeyboardInterrupt
 
-        cm._read(path, cm._COMMENT_FIELDS, step, cm._Unique(None, None))
+        kept = cm._Kept()
+        cm._read(path, cm._COMMENT_FIELDS, step, cm._Unique(kept, None, None), kept)
 
     with split_read(), mock.patch.object(cm, "_build_comments", interrupted), \
             mock.patch.object(FORK, "Process", wraps=FORK.Process) as started, \
